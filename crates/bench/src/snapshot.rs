@@ -1,7 +1,7 @@
 //! Machine-readable benchmark snapshots and the regression gate.
 //!
-//! `bench snapshot` measures two metric families and writes them to
-//! `BENCH.json`:
+//! `bench snapshot` measures three metric families and a size table and
+//! writes them to `BENCH.json`:
 //!
 //! * **exhibits** — wall-clock milliseconds to regenerate each paper
 //!   table/figure at quick scale, serially (same code paths as
@@ -12,7 +12,10 @@
 //!   scheduler decision, an end-to-end transfer);
 //! * **rates** — higher-is-better throughput figures, currently
 //!   `sim_pkts_per_sec`: packets the sharded fleet engine forwards per
-//!   wall-clock second (the fleet-scale headline number).
+//!   wall-clock second (the fleet-scale headline number);
+//! * **loc** — non-blank source lines per workspace crate (everything
+//!   under `crates/<dir>/src`), recorded so the trend is visible; it is
+//!   not timed, so [`compare`] does not gate it.
 //!
 //! Raw wall-clock numbers are not comparable across machines, so every
 //! snapshot also records a **calibration** measurement: the median time
@@ -33,8 +36,9 @@ use std::time::Instant;
 
 /// Format version of `BENCH.json`. Bumped to 2 when the higher-is-better
 /// `rates` family joined the snapshot (schema-1 files parse with an empty
-/// family, so a stale baseline reads as "rates missing", not a crash).
-pub const SCHEMA: u32 = 2;
+/// family, so a stale baseline reads as "rates missing", not a crash) and
+/// to 3 when the per-crate `loc` table did.
+pub const SCHEMA: u32 = 3;
 
 /// Ratio past which a normalized metric counts as a regression.
 pub const DEFAULT_TOLERANCE: f64 = 2.0;
@@ -54,10 +58,12 @@ pub struct Snapshot {
     /// Higher-is-better throughput metrics (units per wall second); the
     /// regression gate inverts the ratio for this family.
     pub rates: BTreeMap<String, f64>,
+    /// Non-blank source lines per crate, keyed by package name.
+    pub loc: BTreeMap<String, u64>,
 }
 
-// Hand-rolled so a schema-1 baseline (no `rates` key) still parses, with
-// the family defaulting to empty.
+// Hand-rolled so an older baseline (no `rates` or `loc` key) still parses,
+// with the absent table defaulting to empty.
 impl serde::Deserialize for Snapshot {
     fn from_value(v: &serde::Value) -> Result<Snapshot, serde::Error> {
         let serde::Value::Object(m) = v else {
@@ -66,15 +72,21 @@ impl serde::Deserialize for Snapshot {
             )));
         };
         let field = |name: &str| m.get(name).unwrap_or(&serde::Value::Null);
+        fn table<V: serde::Deserialize>(
+            v: &serde::Value,
+        ) -> Result<BTreeMap<String, V>, serde::Error> {
+            match v {
+                serde::Value::Null => Ok(BTreeMap::new()),
+                other => serde::Deserialize::from_value(other),
+            }
+        }
         Ok(Snapshot {
             schema: serde::Deserialize::from_value(field("schema"))?,
             calibration_ns: serde::Deserialize::from_value(field("calibration_ns"))?,
             exhibits: serde::Deserialize::from_value(field("exhibits"))?,
             micro: serde::Deserialize::from_value(field("micro"))?,
-            rates: match field("rates") {
-                serde::Value::Null => BTreeMap::new(),
-                other => serde::Deserialize::from_value(other)?,
-            },
+            rates: table(field("rates"))?,
+            loc: table(field("loc"))?,
         })
     }
 }
@@ -295,13 +307,13 @@ fn micro_benches() -> BTreeMap<String, f64> {
     }
 
     {
-        use emptcp_net::{FleetConfig, FleetSim};
+        use emptcp_net::{FleetConfig, ShardedFleetSim};
         micro.insert(
             "fabric_fleet".to_string(),
             time_median_ns(5, 1, || {
                 let mut cfg = FleetConfig::contended(8, crate::BENCH_SEED);
                 cfg.duration = SimDuration::from_secs(2);
-                black_box(FleetSim::new(cfg).run());
+                black_box(ShardedFleetSim::new(cfg, 1).run());
             }),
         );
     }
@@ -311,7 +323,7 @@ fn micro_benches() -> BTreeMap<String, f64> {
         // (NullSink): the delta against `fabric_fleet` is the pre-existing
         // cost of the telemetry machinery itself (event construction,
         // metric updates), independent of this tap.
-        use emptcp_net::{FleetConfig, FleetSim};
+        use emptcp_net::{FleetConfig, ShardedFleetSim};
         use emptcp_obsv::{Pipeline, PipelineConfig, PipelineSink};
         use emptcp_telemetry::Telemetry;
         use std::sync::{Arc, Mutex};
@@ -321,7 +333,7 @@ fn micro_benches() -> BTreeMap<String, f64> {
                 let telemetry = Telemetry::builder().build();
                 let mut cfg = FleetConfig::contended(8, crate::BENCH_SEED);
                 cfg.duration = SimDuration::from_secs(2);
-                black_box(FleetSim::new_with_telemetry(cfg, telemetry).run());
+                black_box(ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry).run());
             }),
         );
 
@@ -338,7 +350,7 @@ fn micro_benches() -> BTreeMap<String, f64> {
                     .build();
                 let mut cfg = FleetConfig::contended(8, crate::BENCH_SEED);
                 cfg.duration = SimDuration::from_secs(2);
-                black_box(FleetSim::new_with_telemetry(cfg, telemetry).run());
+                black_box(ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry).run());
             }),
         );
     }
@@ -514,7 +526,44 @@ pub fn collect(scratch_dir: &std::path::Path) -> std::io::Result<Snapshot> {
         exhibits: exhibit_benches(scratch_dir)?,
         micro: micro_benches(),
         rates: rate_benches(),
+        loc: loc_table()?,
     })
+}
+
+/// Count non-blank lines of every `.rs` file under `dir`, recursively.
+fn source_lines(dir: &std::path::Path) -> std::io::Result<u64> {
+    let mut lines = 0;
+    for entry in std::fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            lines += source_lines(&path)?;
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            let text = std::fs::read_to_string(&path)?;
+            lines += text.lines().filter(|l| !l.trim().is_empty()).count() as u64;
+        }
+    }
+    Ok(lines)
+}
+
+/// The `loc` table: non-blank lines under each `crates/<dir>/src`, keyed
+/// by the package name in that crate's manifest.
+fn loc_table() -> std::io::Result<BTreeMap<String, u64>> {
+    let crates = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut loc = BTreeMap::new();
+    for entry in std::fs::read_dir(crates)? {
+        let dir = entry?.path();
+        let Ok(manifest) = std::fs::read_to_string(dir.join("Cargo.toml")) else {
+            continue;
+        };
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .map(|n| n.trim_matches('"').to_string());
+        if let Some(name) = name {
+            loc.insert(name, source_lines(&dir.join("src"))?);
+        }
+    }
+    Ok(loc)
 }
 
 /// Which way a metric family points: `Time` regresses when the new value
@@ -620,6 +669,7 @@ mod tests {
             exhibits: BTreeMap::new(),
             micro: pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
             rates: BTreeMap::new(),
+            loc: BTreeMap::new(),
         }
     }
 
@@ -630,6 +680,7 @@ mod tests {
             exhibits: BTreeMap::new(),
             micro: BTreeMap::new(),
             rates: pairs.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+            loc: BTreeMap::new(),
         }
     }
 
@@ -708,7 +759,7 @@ mod tests {
     fn schema_one_baselines_parse_without_rates() {
         let old = r#"{"schema":1,"calibration_ns":100.0,"exhibits":{},"micro":{"a":1.0}}"#;
         let snap: Snapshot = serde_json::from_str(old).expect("schema-1 parses");
-        assert!(snap.rates.is_empty());
+        assert!(snap.rates.is_empty() && snap.loc.is_empty());
         // A fresh snapshot's rates then surface as "added", not a crash.
         let fresh = rate_snap(100.0, &[("pkts", 10.0)]);
         let cmp = compare(&snap, &fresh, DEFAULT_TOLERANCE);
@@ -723,6 +774,14 @@ mod tests {
         assert_eq!(back.schema, SCHEMA);
         assert_eq!(back.calibration_ns, 123.5);
         assert_eq!(back.micro["a"], 10.25);
+    }
+
+    #[test]
+    fn loc_table_counts_the_workspace_crates_by_package_name() {
+        let loc = loc_table().expect("crates/ is readable");
+        for name in ["emptcp", "emptcp-net", "emptcp-faults", "emptcp-sim"] {
+            assert!(loc.get(name).is_some_and(|&n| n > 0), "{name}: {loc:?}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //!
 //! This module is the binding layer the `emptcp-scenario` crate
 //! deliberately leaves out: it maps a [`Scenario`] onto the host
-//! simulation (`host::Simulation`) or the fleet (`net::FleetSim`), runs it
+//! simulation (`host::Simulation`) or the fleet (`net::ShardedFleetSim`), runs it
 //! with the telemetry invariant observer attached, and then applies the
 //! *end-of-run oracles* — properties that must hold for every valid
 //! scenario, not just hand-picked ones:
@@ -28,7 +28,7 @@
 use crate::host::Simulation;
 use crate::scenario::Scenario as ExprScenario;
 use crate::strategy::Strategy;
-use emptcp_net::FleetSim;
+use emptcp_net::ShardedFleetSim;
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::io::save;
 use emptcp_scenario::shrink::shrink;
@@ -207,7 +207,7 @@ fn run_fleet(sc: &Scenario, sabotage_delivery: bool) -> Result<ChaosReport, Scen
     let mut cfg = cfg.clone();
     cfg.seed = sc.seed;
     let telemetry = Telemetry::builder().invariants(true).build();
-    let mut sim = FleetSim::try_new_with_telemetry(cfg.clone(), telemetry.clone())?;
+    let mut sim = ShardedFleetSim::try_new_with_telemetry(cfg.clone(), 1, telemetry.clone())?;
     if !plan.is_empty() {
         sim.attach_faults(plan.clone());
     }
@@ -247,7 +247,7 @@ fn run_fleet(sc: &Scenario, sabotage_delivery: bool) -> Result<ChaosReport, Scen
         obs.check_fairness_bounds(at, &sc.name, r.mptcp_tcp_ratio, 0.5, 1.6);
     }
 
-    // Structural leak oracle: every segment parked for a queued hop event
+    // Structural leak oracle: every segment parked for a queued event
     // must have been reclaimed exactly once by end of run.
     let slab = sim.seg_slab_stats();
     obs.check_segment_slab(at, &sc.name, slab.live, slab.double_frees);

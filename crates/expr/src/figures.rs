@@ -1244,20 +1244,20 @@ impl emptcp_net::ShardExecutor for RunnerShardExecutor {
     }
 }
 
-/// Extension: the minimal "do no harm" cell — one MPTCP client (two
-/// subflows) against one TCP client on a tight shared bottleneck, LIA
-/// versus uncoupled. With LIA the MPTCP aggregate stays near the TCP
-/// flow's share; uncoupled it takes roughly two flows' worth.
+/// Extension: the "do no harm" cell — four MPTCP clients (two subflows
+/// each) against four TCP clients on a tight shared bottleneck, LIA
+/// versus uncoupled. With LIA the mean MPTCP aggregate stays near the
+/// mean TCP flow's share; uncoupled it takes markedly more.
 pub fn fairness(cfg: &Config) -> FigureOutput {
-    use emptcp_net::FleetSim;
+    use emptcp_net::ShardedFleetSim;
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
     let reports = sweep_points(variants.len(), |i| {
         let mut fc = emptcp_net::FleetConfig::do_no_harm_cell(cfg.seed);
         fc.coupled = variants[i].1;
-        FleetSim::new_with_telemetry(fc, emptcp_telemetry::current()).run()
+        ShardedFleetSim::new_with_telemetry(fc, 1, emptcp_telemetry::current()).run()
     });
     let mut t = Table::new(
-        "Extension: do-no-harm at a shared bottleneck (1 MPTCP vs 1 TCP)",
+        "Extension: do-no-harm at a shared bottleneck (4 MPTCP vs 4 TCP)",
         &["variant", "MPTCP (Mbps)", "TCP (Mbps)", "MPTCP/TCP", "Jain"],
     );
     let mut payload = Vec::new();

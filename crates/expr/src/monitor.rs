@@ -16,7 +16,7 @@
 //! diffs). The dashboard is display-only — its wall-clock frame throttling
 //! never influences what is exported.
 
-use emptcp_net::{FleetConfig, FleetSim};
+use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_obsv::{
     export_csv, export_json, render, Dashboard, Pipeline, PipelineConfig, PipelineSink,
 };
@@ -184,7 +184,7 @@ pub fn run_live(opts: &LiveOptions) -> std::io::Result<Pipeline> {
 
     let mut cfg = FleetConfig::contended(opts.clients, opts.seed);
     cfg.duration = SimDuration::from_nanos((opts.duration_s * 1e9) as u64);
-    let mut sim = FleetSim::new_with_telemetry(cfg, telemetry.clone());
+    let mut sim = ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry.clone());
     let report = sim.run();
     telemetry.flush()?;
     // Release every handle to the tap so the pipeline Arc unwraps cleanly.

@@ -9,7 +9,7 @@
 //! `simulate monitor --replay --check` twice, diffing the exports).
 
 use emptcp_expr::monitor::{run_live, run_replay, LiveOptions, ReplayOptions};
-use emptcp_net::{FleetConfig, FleetSim};
+use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_obsv::{export_csv, export_json, replay, Pipeline, PipelineConfig, PipelineSink};
 use emptcp_sim::SimDuration;
 use emptcp_telemetry::{MemorySink, TeeSink, Telemetry, TraceSink};
@@ -33,7 +33,7 @@ fn live_run(seed: u64) -> (String, Pipeline) {
         Box::new(PipelineSink::new(Arc::clone(&pipeline))),
     ]));
     let telemetry = Telemetry::builder().invariants(true).sink(tap).build();
-    FleetSim::new_with_telemetry(fleet_cfg(seed), telemetry.clone()).run();
+    ShardedFleetSim::new_with_telemetry(fleet_cfg(seed), 1, telemetry.clone()).run();
     telemetry.flush().expect("flush");
     let jsonl = record.lock().unwrap().to_jsonl();
     let state = pipeline.lock().unwrap().clone();

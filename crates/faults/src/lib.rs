@@ -20,9 +20,9 @@
 //!   `lte-tunnel`, `flappy-wifi`, `burst-loss-storm`, `handover-walk`)
 //!   shared by the CLI and CI, loaded from the committed `.scenario`
 //!   corpus files rather than hand-written constructors.
-//! * [`testnet`] — the chaos-test network rigs shared by the TCP and MPTCP
-//!   suites, with labelled RNG stream-splitting so fault draws never
-//!   perturb traffic draws.
+//! * [`testnet`] — the chaos-test network shared by the TCP and MPTCP
+//!   suites and the live backend's shaped transports, with labelled RNG
+//!   stream-splitting so fault draws never perturb traffic draws.
 //!
 //! Everything downstream of a seed is deterministic: the same seed and the
 //! same plan produce byte-identical telemetry traces, which is what lets
@@ -37,4 +37,4 @@ pub mod testnet;
 pub use injector::{FaultInjector, FaultSurface};
 pub use plan::{FaultAction, FaultEvent, FaultPlan, FaultTarget};
 pub use spec::FaultSpec;
-pub use testnet::{ChaosNet, ChaosPath, MpChaosRig};
+pub use testnet::{ChaosNet, ChaosPath};

@@ -1,30 +1,27 @@
-//! Shared chaos-test network rigs.
+//! The shared chaos-test network.
 //!
-//! The TCP and MPTCP chaos suites used to carry their own copy-pasted
-//! "lossy network" (an event queue plus per-path drop/dup/jitter draws).
-//! This module is the single shared implementation: a [`ChaosNet`] of
-//! [`ChaosPath`]s for segment transport, and an end-to-end [`MpChaosRig`]
-//! that pumps a full MPTCP connection pair through it and implements
-//! [`FaultSurface`], so a [`FaultPlan`] can be replayed against a live
-//! transfer in a few lines of test code.
+//! A [`ChaosNet`] of [`ChaosPath`]s is the one "lossy network" every
+//! chaos suite and shaped transport rides: an event queue of in-flight
+//! segments plus per-path drop/dup/jitter draws, all of which happen in
+//! one place, [`ChaosPath::shape`]. It has no event loop of its own — the
+//! TCP suite pumps it by hand, and `emptcp-live`'s reactor drives it as a
+//! transport (its `MpChaosRig`), applying [`FaultPlan`](crate::FaultPlan)s
+//! through the path setters here.
 //!
-//! Randomness discipline: the rig seed is split with
+//! Randomness discipline: the net's seed is split with
 //! [`SimRng::fork_labeled`] into independent streams (`"traffic"` for the
 //! channel draws; callers fork more, e.g. `"faults"`, for their own use),
 //! so adding a new consumer never shifts an existing stream.
 //!
 //! Fidelity note: paths here are delay-based, not rate-serialized — the
 //! full queueing [`emptcp_phy::Link`] model lives in the experiment host.
-//! Consequently [`FaultSurface::set_rate`] on a rig only distinguishes
-//! `Some(0)` (a silent blackhole) from everything else (path passes
-//! traffic); intermediate rates are a no-op here.
+//! Consequently a rate fault only distinguishes `Some(0)` (a silent
+//! blackhole, [`ChaosPath::set_rate_zero`]) from everything else (path
+//! passes traffic); intermediate rates are a no-op here.
 
-use crate::injector::{FaultInjector, FaultSurface};
-use crate::plan::{FaultPlan, FaultTarget};
-use emptcp_mptcp::{MpConnection, Role, SubflowId};
-use emptcp_phy::{IfaceKind, LossModel, LossProcess};
+use emptcp_phy::{LossModel, LossProcess};
 use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use emptcp_tcp::{Segment, TcpConfig};
+use emptcp_tcp::Segment;
 
 /// One bidirectional path through the chaos network.
 #[derive(Clone, Debug)]
@@ -91,23 +88,47 @@ impl ChaosPath {
     pub fn set_rate_zero(&mut self, rate_zero: bool) {
         self.rate_zero = rate_zero;
     }
+
+    /// Shape one offered packet: the one-way delay of each copy that gets
+    /// through — none when the path is down or the loss draw eats it, two
+    /// when the duplication draw fires. Every shaped transport calls this,
+    /// so the draw order (loss gate, duplication gate, one jitter draw per
+    /// copy) is one stream discipline everywhere.
+    pub fn shape(&mut self, rng: &mut SimRng) -> impl Iterator<Item = SimDuration> {
+        let mut copies = [None; 2];
+        if self.passes_traffic() && !self.loss.lost(rng) {
+            let n = if self.dup > 0.0 && rng.chance(self.dup) {
+                2
+            } else {
+                1
+            };
+            for copy in &mut copies[..n] {
+                let jitter = SimDuration::from_millis(rng.below(self.jitter_ms + 1));
+                *copy = Some(self.base_delay + self.extra_delay + jitter);
+            }
+        }
+        copies.into_iter().flatten()
+    }
 }
 
-/// A multi-path lossy, jittery, duplicating network between two endpoints.
+/// A multi-path lossy, jittery, duplicating network between two endpoints,
+/// carrying packets of type `P`: [`Segment`]s by value for the simulator,
+/// encoded frames for the live backend's duplex channel.
 #[derive(Debug)]
-pub struct ChaosNet {
-    queue: EventQueue<(bool, u8, Segment)>,
+pub struct ChaosNet<P = Segment> {
+    queue: EventQueue<(bool, u8, P)>,
     /// The seed RNG; never drawn from directly, only forked by label.
     root: SimRng,
     /// The `"traffic"` stream: loss, duplication and jitter draws.
     rng: SimRng,
-    /// The paths, indexed by [`FaultTarget::path_index`] convention.
+    /// The paths, indexed by [`FaultTarget::path_index`](crate::FaultTarget::path_index)
+    /// convention.
     pub paths: Vec<ChaosPath>,
 }
 
-impl ChaosNet {
+impl<P: Clone> ChaosNet<P> {
     /// A network over the given paths, seeded deterministically.
-    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> ChaosNet {
+    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> ChaosNet<P> {
         let root = SimRng::new(seed);
         let rng = root.fork_labeled("traffic");
         ChaosNet {
@@ -124,25 +145,16 @@ impl ChaosNet {
         self.root.fork_labeled(label)
     }
 
-    /// Offer a segment to `path` at `now`, heading to the client or server.
-    pub fn send(&mut self, now: SimTime, to_client: bool, path: u8, seg: Segment) {
-        let p = &mut self.paths[path as usize];
-        if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
-            return;
+    /// Offer a packet to `path` at `now`, heading to the client or server;
+    /// returns how many copies the path let through (0 = shaped away).
+    pub fn send(&mut self, now: SimTime, to_client: bool, path: u8, packet: P) -> usize {
+        let mut copies = 0;
+        for delay in self.paths[path as usize].shape(&mut self.rng) {
+            self.queue
+                .schedule(now + delay, (to_client, path, packet.clone()));
+            copies += 1;
         }
-        let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
-            2
-        } else {
-            1
-        };
-        for _ in 0..copies {
-            let p = &self.paths[path as usize];
-            let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.queue.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (to_client, path, seg),
-            );
-        }
+        copies
     }
 
     /// When the next packet lands, if any is in flight.
@@ -150,177 +162,22 @@ impl ChaosNet {
         self.queue.peek_time()
     }
 
-    /// The next in-flight packet: `(arrival, (to_client, path, segment))`.
-    pub fn pop(&mut self) -> Option<(SimTime, (bool, u8, Segment))> {
+    /// The next in-flight packet: `(arrival, (to_client, path, packet))`.
+    pub fn pop(&mut self) -> Option<(SimTime, (bool, u8, P))> {
         self.queue.pop()
     }
-}
 
-/// A complete two-host MPTCP rig over a [`ChaosNet`]: one subflow per
-/// path (path 0 is WiFi, later paths cellular), an optional attached
-/// [`FaultInjector`], and the event-loop pump shared by every chaos and
-/// fault test.
-pub struct MpChaosRig {
-    /// The network between the two connections.
-    pub net: ChaosNet,
-    /// The data receiver.
-    pub client: MpConnection,
-    /// The data sender.
-    pub server: MpConnection,
-    /// The attached fault injector, if any.
-    pub injector: Option<FaultInjector>,
-    /// Deliver link-layer up/down notifications to both stacks on
-    /// [`FaultSurface::set_iface_up`] (a real de-association is visible to
-    /// the kernel). Disable to force detection through RTOs alone.
-    pub notify_link_down: bool,
-    /// Absolute simulation cut-off for [`MpChaosRig::run`].
-    pub wall_limit: SimTime,
-}
-
-impl MpChaosRig {
-    /// A rig with one subflow per path on both ends.
-    pub fn new(seed: u64, paths: Vec<ChaosPath>) -> MpChaosRig {
-        let mut client = MpConnection::new(Role::Client, TcpConfig::default());
-        let mut server = MpConnection::new(Role::Server, TcpConfig::default());
-        for idx in 0..paths.len() {
-            let iface = if idx == 0 {
-                IfaceKind::Wifi
-            } else {
-                IfaceKind::CellularLte
-            };
-            client.add_subflow(SimTime::ZERO, iface);
-            server.add_subflow(SimTime::ZERO, iface);
+    /// The next in-flight packet, if it has landed by `now`.
+    pub fn pop_due(&mut self, now: SimTime) -> Option<(bool, u8, P)> {
+        if self.queue.peek_time()? > now {
+            return None;
         }
-        MpChaosRig {
-            net: ChaosNet::new(seed, paths),
-            client,
-            server,
-            injector: None,
-            notify_link_down: true,
-            wall_limit: SimTime::from_secs(900),
-        }
+        self.queue.pop().map(|(_, packet)| packet)
     }
 
-    /// Attach a fault plan to replay during [`MpChaosRig::run`].
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
-        self.injector = Some(FaultInjector::new(plan));
-    }
-
-    /// Drain one side's pending transmissions into the network.
-    pub fn transmit(&mut self, now: SimTime, from_client: bool) {
-        loop {
-            let emission = if from_client {
-                self.client.poll_transmit(now)
-            } else {
-                self.server.poll_transmit(now)
-            };
-            let Some((sf, seg)) = emission else { break };
-            self.net.send(now, !from_client, sf.0, seg);
-        }
-    }
-
-    fn poll_faults(&mut self, now: SimTime) {
-        if let Some(mut inj) = self.injector.take() {
-            inj.poll(now, self);
-            self.injector = Some(inj);
-        }
-    }
-
-    /// Run until the client has `total` bytes, progress stops, or the wall
-    /// limit is hit; returns the bytes delivered.
-    pub fn run(&mut self, total: u64) -> u64 {
-        self.server.write(total);
-        self.poll_faults(SimTime::ZERO);
-        self.transmit(SimTime::ZERO, true);
-        self.transmit(SimTime::ZERO, false);
-        let mut guard = 0u64;
-        loop {
-            guard += 1;
-            if guard > 3_000_000 {
-                break;
-            }
-            let timer = self
-                .client
-                .next_deadline()
-                .into_iter()
-                .chain(self.server.next_deadline())
-                .chain(self.injector.as_ref().and_then(|i| i.next_deadline()))
-                .min();
-            let next_packet = self.net.peek_time();
-            let now = match (next_packet, timer) {
-                (Some(p), Some(t)) => p.min(t),
-                (Some(p), None) => p,
-                (None, Some(t)) => t,
-                (None, None) => break,
-            };
-            if now > self.wall_limit {
-                break;
-            }
-            self.poll_faults(now);
-            if Some(now) == next_packet {
-                let (_, (to_client, path, seg)) = self.net.pop().expect("peeked");
-                if to_client {
-                    self.client.on_segment(now, SubflowId(path), seg);
-                } else {
-                    self.server.on_segment(now, SubflowId(path), seg);
-                }
-            }
-            self.client.on_deadline(now);
-            self.server.on_deadline(now);
-            self.transmit(now, true);
-            self.transmit(now, false);
-            if self.client.bytes_delivered() >= total {
-                break;
-            }
-        }
-        self.client.bytes_delivered()
-    }
-}
-
-impl MpChaosRig {
-    /// Paths a fault target maps onto: a single path for the interface
-    /// targets, every path for the shared core (a congested core hits all
-    /// traffic crossing it). Out-of-range single targets map to nothing.
-    fn target_paths(&self, target: FaultTarget) -> std::ops::Range<usize> {
-        match target.path_index() {
-            Some(idx) if idx < self.net.paths.len() => idx..idx + 1,
-            Some(_) => 0..0,
-            None => 0..self.net.paths.len(),
-        }
-    }
-}
-
-impl FaultSurface for MpChaosRig {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].up = up;
-            if self.notify_link_down {
-                let id = SubflowId(idx as u8);
-                self.client.set_subflow_link_up(now, id, up);
-                self.server.set_subflow_link_up(now, id, up);
-            }
-        }
-    }
-
-    fn set_rate(&mut self, _now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        // Delay-based paths have no serializer: only the rate-zero
-        // blackhole is meaningful here (see the module docs).
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].rate_zero = rate_bps == Some(0);
-        }
-    }
-
-    fn set_loss(&mut self, _now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-        for idx in self.target_paths(target) {
-            let path = &mut self.net.paths[idx];
-            path.loss.set_model(model.unwrap_or(path.nominal_loss));
-        }
-    }
-
-    fn set_extra_delay(&mut self, _now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        for idx in self.target_paths(target) {
-            self.net.paths[idx].extra_delay = extra.unwrap_or(SimDuration::ZERO);
-        }
+    /// Packets currently in flight.
+    pub fn in_flight(&self) -> usize {
+        self.queue.len()
     }
 }
 
@@ -336,15 +193,9 @@ mod tests {
     }
 
     #[test]
-    fn clean_network_delivers_exactly() {
-        let mut rig = MpChaosRig::new(1, two_paths());
-        assert_eq!(rig.run(256 << 10), 256 << 10);
-    }
-
-    #[test]
     fn forked_streams_are_independent_of_extra_consumers() {
-        let net_a = ChaosNet::new(77, two_paths());
-        let net_b = ChaosNet::new(77, two_paths());
+        let net_a: ChaosNet = ChaosNet::new(77, two_paths());
+        let net_b: ChaosNet = ChaosNet::new(77, two_paths());
         // Net B hands out a fault stream before traffic runs; the traffic
         // stream must be unaffected.
         let mut faults_rng = net_b.fork("faults");
@@ -357,11 +208,25 @@ mod tests {
     }
 
     #[test]
-    fn downed_path_passes_nothing() {
-        let mut rig = MpChaosRig::new(3, two_paths());
-        rig.notify_link_down = false;
-        rig.set_iface_up(SimTime::ZERO, FaultTarget::Cellular, false);
-        assert_eq!(rig.run(64 << 10), 64 << 10);
-        assert_eq!(rig.client.delivered_by_iface(IfaceKind::CellularLte), 0);
+    fn shape_draws_loss_then_dup_then_one_jitter_per_copy() {
+        let mut path = ChaosPath::new(0.3, SimDuration::from_millis(10), 4).with_dup(0.5);
+        let mut rng = SimRng::new(9);
+        let mut model = rng.clone();
+        for _ in 0..200 {
+            let got: Vec<SimDuration> = path.shape(&mut rng).collect();
+            // The same stream, drawn by hand in the documented order.
+            let mut want = Vec::new();
+            if !model.chance(0.3) {
+                let copies = if model.chance(0.5) { 2 } else { 1 };
+                for _ in 0..copies {
+                    want.push(SimDuration::from_millis(10 + model.below(5)));
+                }
+            }
+            assert_eq!(got, want);
+        }
+        path.set_up(false);
+        let before = rng.clone().next_u64();
+        assert_eq!(path.shape(&mut rng).count(), 0);
+        assert_eq!(rng.next_u64(), before, "a downed path draws nothing");
     }
 }

@@ -7,8 +7,9 @@
 //! observer must stay silent.
 
 use emptcp_faults::plan::FaultAction;
-use emptcp_faults::testnet::{ChaosPath, MpChaosRig};
+use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{FaultInjector, FaultPlan, FaultSurface, FaultTarget};
+use emptcp_live::MpChaosRig;
 use emptcp_mptcp::SubflowId;
 use emptcp_phy::{GeParams, IfaceKind, LossModel};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
@@ -83,14 +84,14 @@ proptest! {
         seed in 0u64..u64::MAX,
     ) {
         let total = total_kb << 10;
-        let mut rig = MpChaosRig::new(seed, two_paths());
-        let mut fault_rng = rig.net.fork("faults");
+        let mut rig = MpChaosRig::over(seed, two_paths());
+        let mut fault_rng = rig.transport.fork("faults");
         rig.attach_faults(gen_plan(&mut fault_rng));
         let telemetry = Telemetry::builder().invariants(true).build();
-        rig.client.set_telemetry(telemetry.scope(0));
-        rig.server.set_telemetry(telemetry.scope(1));
+        rig.client().set_telemetry(telemetry.scope(0));
+        rig.server().set_telemetry(telemetry.scope(1));
 
-        let delivered = rig.run(total);
+        let delivered = rig.transfer(total);
         prop_assert_eq!(delivered, total, "byte stream gap under faults");
         let violations = telemetry.violations();
         prop_assert!(violations.is_empty(), "invariants violated: {violations:?}");
@@ -102,22 +103,22 @@ proptest! {
 /// transfer must complete with recovery visible in the stats.
 #[test]
 fn blackout_of_only_active_subflow_with_backup_completes() {
-    let mut rig = MpChaosRig::new(11, two_paths());
-    rig.client.subflow_mut(SubflowId(1)).backup = true;
-    rig.server.subflow_mut(SubflowId(1)).backup = true;
+    let mut rig = MpChaosRig::over(11, two_paths());
+    rig.client().subflow_mut(SubflowId(1)).backup = true;
+    rig.server().subflow_mut(SubflowId(1)).backup = true;
     rig.attach_faults(FaultPlan::new().blackout(
         FaultTarget::Wifi,
         SimTime::from_millis(500),
         SimDuration::from_secs(5),
     ));
     let total = 256 << 10;
-    assert_eq!(rig.run(total), total);
+    assert_eq!(rig.transfer(total), total);
     // The backup actually carried traffic during the blackout.
     assert!(
-        rig.client.delivered_by_iface(IfaceKind::CellularLte) > 0,
+        rig.client().delivered_by_iface(IfaceKind::CellularLte) > 0,
         "backup never promoted into service"
     );
-    let stats = rig.server.recovery_stats();
+    let stats = rig.server().recovery_stats();
     assert!(stats.link_down_events >= 1, "{stats:?}");
     assert!(stats.backup_promotions >= 1, "{stats:?}");
     assert!(
@@ -131,9 +132,9 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
 /// ack progress once the hole heals.
 #[test]
 fn silent_blackhole_detected_by_rto_threshold() {
-    let mut rig = MpChaosRig::new(17, two_paths());
+    let mut rig = MpChaosRig::over(17, two_paths());
     rig.notify_link_down = false;
-    rig.server.set_failure_threshold(2);
+    rig.server().set_failure_threshold(2);
     rig.attach_faults(
         FaultPlan::new()
             .at(
@@ -148,8 +149,8 @@ fn silent_blackhole_detected_by_rto_threshold() {
             ),
     );
     let total = 512 << 10;
-    assert_eq!(rig.run(total), total);
-    let stats = rig.server.recovery_stats();
+    assert_eq!(rig.transfer(total), total);
+    let stats = rig.server().recovery_stats();
     assert!(stats.subflow_failures >= 1, "{stats:?}");
     assert!(stats.bytes_reinjected > 0, "{stats:?}");
 }
@@ -235,11 +236,11 @@ fn blackout_inside_flap_train_applies_in_cursor_order_and_recovers() {
     // Overlap still folds to nominal, so exact delivery is owed.
     assert!(plan().restores_nominal());
     assert_eq!(plan().recovered_at(), plan().end_time());
-    let mut rig = MpChaosRig::new(29, two_paths());
+    let mut rig = MpChaosRig::over(29, two_paths());
     rig.attach_faults(plan());
     let total = 128 << 10;
     assert_eq!(
-        rig.run(total),
+        rig.transfer(total),
         total,
         "byte stream gap after nested windows"
     );
@@ -276,11 +277,15 @@ fn handover_during_rrc_stall_interleaves_targets_and_delivers() {
     );
     assert_eq!(drain(plan(), ms(100), SimTime::from_secs(4)), applied);
 
-    let mut rig = MpChaosRig::new(31, two_paths());
+    let mut rig = MpChaosRig::over(31, two_paths());
     rig.attach_faults(plan());
     let total = 256 << 10;
-    assert_eq!(rig.run(total), total, "byte stream gap across the handover");
-    let stats = rig.server.recovery_stats();
+    assert_eq!(
+        rig.transfer(total),
+        total,
+        "byte stream gap across the handover"
+    );
+    let stats = rig.server().recovery_stats();
     assert!(stats.link_down_events >= 1, "{stats:?}");
 }
 
@@ -318,11 +323,11 @@ fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
     assert_eq!(surface.applied[2].1, "wifi:up=false");
 
     assert!(plan().restores_nominal());
-    let mut rig = MpChaosRig::new(37, two_paths());
+    let mut rig = MpChaosRig::over(37, two_paths());
     rig.attach_faults(plan());
     let total = 96 << 10;
     assert_eq!(
-        rig.run(total),
+        rig.transfer(total),
         total,
         "byte stream gap across adjacent windows"
     );
@@ -333,14 +338,14 @@ fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
 #[test]
 fn fault_runs_are_deterministic() {
     let run = || {
-        let mut rig = MpChaosRig::new(23, two_paths());
-        let mut fault_rng = rig.net.fork("faults");
+        let mut rig = MpChaosRig::over(23, two_paths());
+        let mut fault_rng = rig.transport.fork("faults");
         rig.attach_faults(gen_plan(&mut fault_rng));
-        let delivered = rig.run(128 << 10);
+        let delivered = rig.transfer(128 << 10);
         (
             delivered,
-            *rig.client.recovery_stats(),
-            *rig.server.recovery_stats(),
+            *rig.client().recovery_stats(),
+            *rig.server().recovery_stats(),
         )
     };
     assert_eq!(run(), run());

@@ -1,33 +1,45 @@
-//! The two engines behind one protocol core.
+//! Two transports under one engine.
 //!
-//! [`Backend::Sim`] is the existing deterministic engine — the
-//! [`MpChaosRig`] event loop every chaos and fault test already runs —
-//! untouched. [`Backend::Live`] is the [`Reactor`] from this crate on a
-//! virtual clock over the [`DuplexTransport`]: same state machines, but
-//! every segment is encoded to wire bytes, carried through a shaped byte
-//! channel, decoded, and pumped by the readiness/timer loop a real
-//! deployment uses. [`run_script`] drives either backend from one
-//! [`ParityScript`] — the scripted input (path delays and loss, fault
-//! windows, transfer size, seed) that determines every arrival and ACK
-//! timing — and returns the transport-decision log the run produced.
+//! There is one pair pump in the workspace — the [`Reactor`] — and two
+//! hermetic transports to put under it. [`Backend::Sim`] is the
+//! simulator's deterministic network, the [`ChaosNet`] every chaos and
+//! fault test rides ([`MpChaosRig`]): segments cross by value.
+//! [`Backend::Live`] is the [`DuplexTransport`]: same state machines,
+//! same loop, but every segment is encoded to wire bytes, carried through
+//! a shaped byte channel and decoded, as a real deployment does.
+//! [`run_script`] drives either from one [`ParityScript`] — the scripted
+//! input (path delays and loss, fault windows, transfer size, seed) that
+//! determines every arrival and ACK timing — and returns the
+//! transport-decision log the run produced.
 
 use crate::clock::ClockSource;
-use crate::reactor::{ConnWorker, Reactor, ReactorStats};
-use crate::transport::DuplexTransport;
-use emptcp_faults::{ChaosPath, FaultInjector, FaultPlan, MpChaosRig};
-use emptcp_mptcp::{MpConnection, Role};
+use crate::reactor::{Reactor, ReactorStats};
+use crate::transport::{DuplexTransport, Transport};
+use emptcp_faults::{ChaosNet, ChaosPath, FaultPlan};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
-use emptcp_tcp::TcpConfig;
 use emptcp_telemetry::{MemorySink, Telemetry, TraceEvent};
 use std::sync::{Arc, Mutex};
 
-/// Which engine drives the stacks.
+/// The simulator-side rig every chaos and fault suite drives: a
+/// two-host [`Reactor::pair`] on a scripted virtual clock over a
+/// [`ChaosNet`].
+pub type MpChaosRig = Reactor<ChaosNet>;
+
+impl Reactor<ChaosNet> {
+    /// A rig with one subflow per path on both ends, seeded
+    /// deterministically.
+    pub fn over(seed: u64, paths: Vec<ChaosPath>) -> MpChaosRig {
+        Reactor::pair(ClockSource::scripted(), ChaosNet::new(seed, paths))
+    }
+}
+
+/// Which transport carries the stacks' segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// The deterministic simulator loop ([`MpChaosRig`]).
+    /// The simulator's [`ChaosNet`]: segments by value.
     Sim,
-    /// The reactor on a virtual clock over the duplex transport.
+    /// The [`DuplexTransport`]: wire frames through the codec.
     Live,
 }
 
@@ -81,85 +93,42 @@ pub struct ScriptOutcome {
     /// transport-decision log (scheduler picks, subflow transitions, cwnd
     /// trajectory, retransmissions, delivered-byte coalescing).
     pub decisions: Vec<(SimTime, TraceEvent)>,
-    /// Reactor stats (live backend only).
-    pub stats: Option<ReactorStats>,
-}
-
-/// Build the connection pair exactly as [`MpChaosRig::new`] does: one
-/// subflow per path, WiFi first, default TCP config.
-fn build_pair(paths: usize) -> (MpConnection, MpConnection) {
-    let mut client = MpConnection::new(Role::Client, TcpConfig::default());
-    let mut server = MpConnection::new(Role::Server, TcpConfig::default());
-    for idx in 0..paths {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        client.add_subflow(SimTime::ZERO, iface);
-        server.add_subflow(SimTime::ZERO, iface);
-    }
-    (client, server)
-}
-
-fn drain_sink(sink: Arc<Mutex<MemorySink>>) -> Vec<(SimTime, TraceEvent)> {
-    std::mem::take(&mut sink.lock().expect("sink poisoned").records)
+    /// What the reactor did.
+    pub stats: ReactorStats,
 }
 
 /// Run `script` on `backend`, capturing the decision log through a
 /// [`MemorySink`]. Client is telemetry conn 0, server conn 1, in both
 /// backends — the logs are directly comparable.
 pub fn run_script(backend: Backend, script: &ParityScript) -> ScriptOutcome {
+    let paths = script.paths.clone();
+    match backend {
+        Backend::Sim => run_over(<ChaosNet>::new(script.seed, paths), script),
+        Backend::Live => run_over(DuplexTransport::new(script.seed, paths), script),
+    }
+}
+
+fn run_over<T: Transport>(transport: T, script: &ParityScript) -> ScriptOutcome {
     let sink = Arc::new(Mutex::new(MemorySink::new()));
     let telemetry = Telemetry::builder()
         .sink(Box::new(Arc::clone(&sink)))
         .invariants(true)
         .build();
-    match backend {
-        Backend::Sim => {
-            let mut rig = MpChaosRig::new(script.seed, script.paths.clone());
-            rig.client.set_telemetry(telemetry.scope(0));
-            rig.server.set_telemetry(telemetry.scope(1));
-            rig.notify_link_down = script.notify_link_down;
-            rig.wall_limit = script.wall_limit;
-            if !script.faults.is_empty() {
-                rig.attach_faults(script.faults.clone());
-            }
-            let delivered = rig.run(script.total_bytes);
-            ScriptOutcome {
-                delivered,
-                delivered_wifi: rig.client.delivered_by_iface(IfaceKind::Wifi),
-                delivered_cellular: rig.client.delivered_by_iface(IfaceKind::CellularLte),
-                decisions: drain_sink(sink),
-                stats: None,
-            }
-        }
-        Backend::Live => {
-            let (mut client, mut server) = build_pair(script.paths.len());
-            client.set_telemetry(telemetry.scope(0));
-            server.set_telemetry(telemetry.scope(1));
-            server.write(script.total_bytes);
-            let transport = DuplexTransport::new(script.seed, script.paths.clone());
-            let mut reactor = Reactor::new(ClockSource::scripted(), transport);
-            reactor.notify_link_down = script.notify_link_down;
-            reactor.wall_limit = script.wall_limit;
-            if !script.faults.is_empty() {
-                reactor.injector = Some(FaultInjector::new(script.faults.clone()));
-            }
-            // Registration order is settle order: client first, matching
-            // the rig's transmit(client) / transmit(server) sequence.
-            reactor.register(ConnWorker::new(client, 0));
-            reactor.register(ConnWorker::new(server, 1));
-            let total = script.total_bytes;
-            let stats = reactor.run_until(|workers| workers[0].conn.bytes_delivered() >= total);
-            let client = &reactor.workers[0].conn;
-            ScriptOutcome {
-                delivered: client.bytes_delivered(),
-                delivered_wifi: client.delivered_by_iface(IfaceKind::Wifi),
-                delivered_cellular: client.delivered_by_iface(IfaceKind::CellularLte),
-                decisions: drain_sink(sink),
-                stats: Some(stats),
-            }
-        }
+    let mut reactor = Reactor::pair(ClockSource::scripted(), transport);
+    reactor.client().set_telemetry(telemetry.scope(0));
+    reactor.server().set_telemetry(telemetry.scope(1));
+    reactor.notify_link_down = script.notify_link_down;
+    reactor.wall_limit = script.wall_limit;
+    if !script.faults.is_empty() {
+        reactor.attach_faults(script.faults.clone());
+    }
+    let delivered = reactor.transfer(script.total_bytes);
+    let decisions = std::mem::take(&mut sink.lock().expect("sink poisoned").records);
+    ScriptOutcome {
+        delivered,
+        delivered_wifi: reactor.client().delivered_by_iface(IfaceKind::Wifi),
+        delivered_cellular: reactor.client().delivered_by_iface(IfaceKind::CellularLte),
+        decisions,
+        stats: reactor.stats(),
     }
 }

@@ -14,23 +14,24 @@
 //!   `simulate connect`);
 //! * [`DuplexTransport`] — an in-process byte-pair channel carrying the
 //!   same wire frames through the same codec, for hermetic tests and the
-//!   parity harness.
+//!   parity harness;
+//! * [`ChaosNet`](emptcp_faults::ChaosNet) — the simulator's own
+//!   by-value network, which makes the reactor on a virtual clock the
+//!   chaos suites' rig too ([`MpChaosRig`]): there is one pair pump.
 //!
-//! Both transports shape traffic with [`ChaosPath`]s — the very loss /
-//! delay / blackhole vocabulary the simulator's chaos rigs use — so a
+//! All transports shape traffic with [`ChaosPath`]s — one loss / delay /
+//! blackhole vocabulary, one shaping function — so a
 //! [`FaultPlan`](emptcp_faults::FaultPlan) replays against a live
 //! transfer exactly as it replays against a simulated one.
 //!
 //! The headline property is **parity**: [`backend::run_script`] pushes an
 //! identical scripted input (arrivals, ACK timings, fault windows)
-//! through [`Backend::Sim`] (the existing deterministic engine,
-//! [`MpChaosRig`](emptcp_faults::MpChaosRig), untouched) and
-//! [`Backend::Live`] (the reactor on a virtual clock over the duplex
-//! transport), and [`parity::certify`] asserts the transport decisions —
-//! scheduler picks, subflow state transitions, cwnd trajectory,
-//! delivered-byte accounting — match event-for-event. What the live
-//! engine adds on top of the sim (frame codec round trips, readiness
-//! polling, per-connection worker pumping, wall-clock scheduling) is
+//! through the one reactor loop over [`Backend::Sim`]'s transport (the
+//! `ChaosNet`) and over [`Backend::Live`]'s (the duplex byte channel),
+//! and [`parity::certify`] asserts the transport decisions — scheduler
+//! picks, subflow state transitions, cwnd trajectory, delivered-byte
+//! accounting — match event-for-event. What the live transport adds on
+//! top of the sim's (frame codec round trips, byte-channel carriage) is
 //! thereby certified not to perturb protocol behavior.
 //!
 //! [`MpConnection`]: emptcp_mptcp::MpConnection
@@ -44,7 +45,7 @@ pub mod session;
 pub mod transport;
 pub mod udp;
 
-pub use backend::{run_script, Backend, ParityScript, ScriptOutcome};
+pub use backend::{run_script, Backend, MpChaosRig, ParityScript, ScriptOutcome};
 pub use clock::ClockSource;
 pub use codec::{decode_frame, encode_frame, CodecError};
 pub use emptcp_faults::ChaosPath;

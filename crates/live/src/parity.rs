@@ -1,7 +1,8 @@
 //! Sim/live parity certification.
 //!
-//! [`certify`] runs one [`ParityScript`] through both backends and
-//! demands the transport-decision logs match **event-for-event**:
+//! [`certify`] runs one [`ParityScript`] through the reactor loop over
+//! both backends' transports and demands the transport-decision logs
+//! match **event-for-event**:
 //! scheduler picks, subflow state transitions, cwnd trajectory points,
 //! retransmissions, delivered-byte accounting — every trace event, in
 //! order, with identical virtual timestamps. This is deliberately much

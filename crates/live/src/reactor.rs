@@ -13,15 +13,17 @@
 //! **The drain discipline is load-bearing.** Each iteration advances the
 //! clock to the next known instant, applies due faults, delivers *at most
 //! one* frame, then runs every worker's deadline sweep and transmit drain
-//! in registration order. That is, deliberately, the exact event loop of
-//! [`MpChaosRig`](emptcp_faults::MpChaosRig) — the simulator's engine —
-//! which is what makes event-for-event decision parity between the two
-//! backends a theorem about code structure rather than a hope. A
+//! in registration order. This is the only pair pump in the workspace:
+//! the simulator's chaos rig ([`MpChaosRig`](crate::MpChaosRig)) is this
+//! reactor over a [`ChaosNet`](emptcp_faults::ChaosNet), so
+//! event-for-event decision parity between the two backends is a
+//! statement about two transports, not about two loops kept in step. A
 //! dirty-set optimization (only settling touched connections) would be
 //! faster for thousands of connections per reactor, but would perturb the
-//! clock-coupled replay cadence ([`Clocked`]) and break exact parity; it
-//! is explicitly out of scope until the determinism contract moves to
-//! delivered-byte accounting (see DESIGN §17).
+//! clock-coupled replay cadence ([`Clocked`]) that every committed chaos
+//! and parity result was produced under; it is explicitly out of scope
+//! until the determinism contract moves to delivered-byte accounting
+//! (see DESIGN §17).
 //!
 //! On a wall clock the same loop sleeps in bounded slices
 //! ([`MAX_WALL_SLEEP`](crate::clock::MAX_WALL_SLEEP)) so socket readiness
@@ -33,12 +35,14 @@
 
 use crate::clock::{ClockSource, MAX_WALL_SLEEP};
 use crate::transport::Transport;
-use emptcp_faults::{FaultInjector, FaultTarget};
-use emptcp_mptcp::{MpConnection, SubflowId};
-use emptcp_phy::LossModel;
+use emptcp_faults::{FaultInjector, FaultPlan, FaultTarget};
+use emptcp_mptcp::{MpConnection, Role, SubflowId};
+use emptcp_phy::{IfaceKind, LossModel};
 use emptcp_sim::{Clocked, SimDuration, SimTime};
+use emptcp_tcp::TcpConfig;
 
-/// Iteration cap, matching the simulator rig's runaway guard.
+/// Iteration cap of the virtual loop: a runaway guard, far above what any
+/// scripted transfer needs.
 const GUARD_MAX: u64 = 3_000_000;
 
 /// One connection plus its transport endpoint: the unit the reactor
@@ -103,11 +107,56 @@ impl<T: Transport> Reactor<T> {
     }
 
     /// Register a worker; returns its index. Registration order is the
-    /// settle order, which parity-sensitive callers must keep identical
-    /// to the simulator's drain order (client first).
+    /// settle order.
     pub fn register(&mut self, worker: ConnWorker) -> usize {
         self.workers.push(worker);
         self.workers.len() - 1
+    }
+
+    /// A complete two-host rig over `transport`: the data receiver
+    /// (client, endpoint 0) registered first, the data sender (server,
+    /// endpoint 1) second, one subflow per transport path on both ends —
+    /// path 0 is WiFi, later paths cellular — default TCP config.
+    pub fn pair(clock: ClockSource, mut transport: T) -> Reactor<T> {
+        let mut client = MpConnection::new(Role::Client, TcpConfig::default());
+        let mut server = MpConnection::new(Role::Server, TcpConfig::default());
+        for idx in 0..transport.paths_mut().len() {
+            let iface = if idx == 0 {
+                IfaceKind::Wifi
+            } else {
+                IfaceKind::CellularLte
+            };
+            client.add_subflow(SimTime::ZERO, iface);
+            server.add_subflow(SimTime::ZERO, iface);
+        }
+        let mut reactor = Reactor::new(clock, transport);
+        reactor.register(ConnWorker::new(client, 0));
+        reactor.register(ConnWorker::new(server, 1));
+        reactor
+    }
+
+    /// The receiving end of a [`Reactor::pair`].
+    pub fn client(&mut self) -> &mut MpConnection {
+        &mut self.workers[0].conn
+    }
+
+    /// The sending end of a [`Reactor::pair`].
+    pub fn server(&mut self) -> &mut MpConnection {
+        &mut self.workers[1].conn
+    }
+
+    /// Attach a fault plan to replay as the clock passes each event.
+    pub fn attach_faults(&mut self, plan: FaultPlan) {
+        self.injector = Some(FaultInjector::new(plan));
+    }
+
+    /// Push `total` bytes from a [`Reactor::pair`]'s server to its client
+    /// (or until progress stops or the wall limit hits); returns the bytes
+    /// delivered.
+    pub fn transfer(&mut self, total: u64) -> u64 {
+        self.server().write(total);
+        self.run_until(|workers| workers[0].conn.bytes_delivered() >= total);
+        self.client().bytes_delivered()
     }
 
     fn poll_faults(&mut self, now: SimTime) {
@@ -118,7 +167,7 @@ impl<T: Transport> Reactor<T> {
     }
 
     /// Drain every worker's pending transmissions onto the transport, in
-    /// registration order (the simulator's client-then-server order).
+    /// registration order.
     fn pump_transmit(&mut self, now: SimTime) {
         let Reactor {
             workers,
@@ -163,9 +212,9 @@ impl<T: Transport> Reactor<T> {
     /// stats; cumulative stats stay on the reactor.
     pub fn run_until(&mut self, mut done: impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
         let start = self.clock.now();
-        // Prologue, as the simulator rig does it: apply faults due at the
-        // start instant and drain the initial transmissions (SYNs, the
-        // first data the sender already queued) — no deadline sweep yet.
+        // Prologue: apply faults due at the start instant and drain the
+        // initial transmissions (SYNs, the first data the sender already
+        // queued) — no deadline sweep yet.
         self.poll_faults(start);
         self.pump_transmit(start);
         if self.clock.is_wall() {
@@ -175,8 +224,8 @@ impl<T: Transport> Reactor<T> {
         }
     }
 
-    /// Virtual-clock flavor: jump instant-to-instant, mirroring
-    /// `MpChaosRig::run` iteration-for-iteration.
+    /// Virtual-clock flavor: jump instant-to-instant, exactly like a
+    /// discrete-event simulator.
     fn run_virtual(&mut self, done: &mut impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
         let mut guard = 0u64;
         loop {
@@ -254,9 +303,10 @@ impl<T: Transport> Reactor<T> {
 }
 
 /// Fault application: plan targets map to transport paths by the
-/// WiFi-first convention ([`FaultTarget::path_index`]), interface faults
-/// optionally notify every stack — the same semantics `MpChaosRig` gives
-/// the simulator.
+/// WiFi-first convention ([`FaultTarget::path_index`]) — a single path
+/// for the interface targets, every path for the shared core (a congested
+/// core hits all traffic crossing it), nothing for an out-of-range target
+/// — and interface faults optionally notify every stack.
 impl<T: Transport> Reactor<T> {
     fn target_paths(&mut self, target: FaultTarget) -> std::ops::Range<usize> {
         let n = self.transport.paths_mut().len();
@@ -282,7 +332,7 @@ impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
 
     fn set_rate(&mut self, _now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
         // Shaped paths are delay-based (no serializer): only the
-        // rate-zero silent blackhole is meaningful, as in the sim rig.
+        // rate-zero silent blackhole is meaningful.
         for idx in self.target_paths(target) {
             self.transport.paths_mut()[idx].set_rate_zero(rate_bps == Some(0));
         }
@@ -300,5 +350,28 @@ impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
         for idx in self.target_paths(target) {
             self.transport.paths_mut()[idx].extra_delay = extra.unwrap_or(SimDuration::ZERO);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::backend::MpChaosRig;
+    use emptcp_faults::{ChaosPath, FaultSurface};
+
+    fn two_paths() -> Vec<ChaosPath> {
+        vec![
+            ChaosPath::new(0.0, SimDuration::from_millis(12), 0),
+            ChaosPath::new(0.0, SimDuration::from_millis(35), 0),
+        ]
+    }
+
+    #[test]
+    fn downed_path_passes_nothing() {
+        let mut rig = MpChaosRig::over(3, two_paths());
+        rig.notify_link_down = false;
+        rig.set_iface_up(SimTime::ZERO, FaultTarget::Cellular, false);
+        assert_eq!(rig.transfer(64 << 10), 64 << 10);
+        assert_eq!(rig.client().delivered_by_iface(IfaceKind::CellularLte), 0);
     }
 }

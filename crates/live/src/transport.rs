@@ -6,18 +6,17 @@
 //! so a [`FaultPlan`](emptcp_faults::FaultPlan) applies to a live
 //! transfer through exactly the machinery it applies to a simulated one.
 //!
-//! [`DuplexTransport`] is the hermetic, in-process flavor: a paired byte
-//! channel whose delivery queue is the sim's
-//! [`EventQueue`](emptcp_sim::EventQueue). Its shaping draws are
-//! *call-for-call identical* to [`ChaosNet`](emptcp_faults::ChaosNet)'s
-//! (same seed split, same draw order: loss, duplication, per-copy
-//! jitter), which is a load-bearing property — it is what lets the parity
-//! harness demand event-for-event equality between the two backends
-//! rather than merely statistical agreement.
+//! Two hermetic, in-process transports sit behind the trait. The
+//! simulator's [`ChaosNet`] carries segments by value. [`DuplexTransport`]
+//! is the same thing with the wire in the middle: the codec over a
+//! `ChaosNet` of encoded frames. Built from one seed they therefore
+//! agree draw for draw — which is what lets the parity harness demand
+//! event-for-event equality between them rather than merely statistical
+//! agreement.
 
 use crate::codec::{decode_frame, encode_frame};
-use emptcp_faults::ChaosPath;
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_faults::{ChaosNet, ChaosPath};
+use emptcp_sim::SimTime;
 use emptcp_tcp::Segment;
 
 /// Frame movement between reactor endpoints over shaped paths.
@@ -49,17 +48,43 @@ pub trait Transport {
     fn paths_mut(&mut self) -> &mut [ChaosPath];
 }
 
-/// In-process duplex byte pair: endpoint 0 and endpoint 1, connected by
-/// shaped paths, frames carried through the real codec.
+/// Which way a frame from endpoint `from` travels: endpoint 0 is the
+/// client side of a [`ChaosNet`], endpoint 1 the server side.
+fn to_client(from: usize) -> bool {
+    debug_assert!(from < 2, "pair endpoints are 0 and 1");
+    from == 1
+}
+
+/// The simulator's network as a transport: segments cross by value.
+impl Transport for ChaosNet {
+    fn endpoints(&self) -> usize {
+        2
+    }
+
+    fn send(&mut self, now: SimTime, from: usize, path: u8, seg: &Segment) {
+        ChaosNet::send(self, now, to_client(from), path, *seg);
+    }
+
+    fn poll_recv(&mut self, now: SimTime) -> Option<(usize, u8, Segment)> {
+        let (to_client, path, seg) = self.pop_due(now)?;
+        Some((!to_client as usize, path, seg))
+    }
+
+    fn next_wakeup(&mut self) -> Option<SimTime> {
+        self.peek_time()
+    }
+
+    fn paths_mut(&mut self) -> &mut [ChaosPath] {
+        &mut self.paths
+    }
+}
+
+/// In-process duplex byte pair: the wire codec over a [`ChaosNet`] of
+/// encoded frames. Built from the same seed and paths as a by-value
+/// `ChaosNet`, it shapes draw for draw like it — all the two runs can
+/// differ by is the codec round trip.
 pub struct DuplexTransport {
-    /// `(to_endpoint, path, frame)` keyed by arrival time.
-    queue: EventQueue<(usize, u8, Vec<u8>)>,
-    /// The seed RNG; only forked by label, never drawn from (mirrors
-    /// [`ChaosNet`](emptcp_faults::ChaosNet)'s stream discipline).
-    root: SimRng,
-    /// The `"traffic"` stream: loss, duplication and jitter draws.
-    rng: SimRng,
-    paths: Vec<ChaosPath>,
+    net: ChaosNet<Vec<u8>>,
     /// Frames accepted onto a path (post-shaping copies included).
     pub frames_queued: u64,
     /// Frames shaped away (loss draw or downed path).
@@ -69,31 +94,19 @@ pub struct DuplexTransport {
 }
 
 impl DuplexTransport {
-    /// A duplex pair over `paths`, seeded exactly like a
-    /// [`ChaosNet`](emptcp_faults::ChaosNet) with the same seed — the
-    /// parity contract depends on the identical fork labels.
+    /// A duplex pair over `paths`, seeded deterministically.
     pub fn new(seed: u64, paths: Vec<ChaosPath>) -> DuplexTransport {
-        let root = SimRng::new(seed);
-        let rng = root.fork_labeled("traffic");
         DuplexTransport {
-            queue: EventQueue::new(),
-            root,
-            rng,
-            paths,
+            net: ChaosNet::new(seed, paths),
             frames_queued: 0,
             frames_dropped: 0,
             bytes_carried: 0,
         }
     }
 
-    /// An independent RNG stream derived from the transport seed.
-    pub fn fork(&self, label: &str) -> SimRng {
-        self.root.fork_labeled(label)
-    }
-
     /// Frames currently in flight.
     pub fn in_flight(&self) -> usize {
-        self.queue.len()
+        self.net.in_flight()
     }
 }
 
@@ -103,57 +116,35 @@ impl Transport for DuplexTransport {
     }
 
     fn send(&mut self, now: SimTime, from: usize, path: u8, seg: &Segment) {
-        debug_assert!(from < 2, "duplex endpoints are 0 and 1");
-        let to = 1 - from;
-        // Draw order mirrors ChaosNet::send exactly: pass/loss gate,
-        // duplication gate, then one jitter draw per accepted copy.
-        let p = &mut self.paths[path as usize];
-        if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
-            self.frames_dropped += 1;
-            return;
-        }
-        let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
-            2
-        } else {
-            1
-        };
         let frame = encode_frame(path, seg);
-        for _ in 0..copies {
-            let p = &self.paths[path as usize];
-            let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.queue.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (to, path, frame.clone()),
-            );
-            self.frames_queued += 1;
-        }
+        let copies = self.net.send(now, to_client(from), path, frame) as u64;
+        self.frames_queued += copies;
+        self.frames_dropped += (copies == 0) as u64;
     }
 
     fn poll_recv(&mut self, now: SimTime) -> Option<(usize, u8, Segment)> {
-        if self.queue.peek_time()? > now {
-            return None;
-        }
-        let (_, (to, path, frame)) = self.queue.pop().expect("peeked");
+        let (to_client, path, frame) = self.net.pop_due(now)?;
         self.bytes_carried += frame.len() as u64;
         // A duplex channel is a private interface: a frame that fails to
         // decode is a codec bug, not peer hostility.
         let (decoded_path, seg) = decode_frame(&frame).expect("duplex frame decodes");
         debug_assert_eq!(decoded_path, path);
-        Some((to, path, seg))
+        Some((!to_client as usize, path, seg))
     }
 
     fn next_wakeup(&mut self) -> Option<SimTime> {
-        self.queue.peek_time()
+        self.net.peek_time()
     }
 
     fn paths_mut(&mut self) -> &mut [ChaosPath] {
-        &mut self.paths
+        &mut self.net.paths
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     fn paths() -> Vec<ChaosPath> {
         vec![
@@ -181,18 +172,5 @@ mod tests {
         t.send(SimTime::ZERO, 1, 0, &Segment::empty(SimTime::ZERO));
         assert_eq!(t.in_flight(), 0);
         assert_eq!(t.frames_dropped, 1);
-    }
-
-    #[test]
-    fn traffic_stream_matches_chaos_net_discipline() {
-        // Same seed ⇒ the duplex traffic stream is the same RNG sequence
-        // a ChaosNet derives (root seed split by the "traffic" label).
-        // This is the parity linchpin: shaping draws line up draw-for-draw.
-        let t = DuplexTransport::new(1234, paths());
-        let mut a = t.rng.clone();
-        let mut b = SimRng::new(1234).fork_labeled("traffic");
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
     }
 }

@@ -21,7 +21,7 @@
 use crate::codec::{decode_frame, encode_frame};
 use crate::transport::Transport;
 use emptcp_faults::ChaosPath;
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_sim::{EventQueue, SimRng, SimTime};
 use emptcp_tcp::Segment;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
@@ -119,25 +119,13 @@ impl Transport for UdpTransport {
     }
 
     fn send(&mut self, now: SimTime, _from: usize, path: u8, seg: &Segment) {
-        let p = &mut self.paths[path as usize];
-        if !p.passes_traffic() || p.loss.lost(&mut self.rng) {
-            self.frames_shaped_away += 1;
-            return;
+        let mut shaped_away = true;
+        for delay in self.paths[path as usize].shape(&mut self.rng) {
+            self.egress
+                .schedule(now + delay, (path, encode_frame(path, seg)));
+            shaped_away = false;
         }
-        let copies = if p.dup > 0.0 && self.rng.chance(p.dup) {
-            2
-        } else {
-            1
-        };
-        let frame = encode_frame(path, seg);
-        for _ in 0..copies {
-            let p = &self.paths[path as usize];
-            let jitter = SimDuration::from_millis(self.rng.below(p.jitter_ms + 1));
-            self.egress.schedule(
-                now + p.base_delay + p.extra_delay + jitter,
-                (path, frame.clone()),
-            );
-        }
+        self.frames_shaped_away += shaped_away as u64;
         self.flush_egress(now);
     }
 
@@ -189,6 +177,7 @@ impl Transport for UdpTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     fn two_paths() -> Vec<ChaosPath> {
         vec![

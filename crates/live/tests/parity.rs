@@ -1,10 +1,11 @@
 //! Sim/live parity certification — the tier-1 contract of this crate.
 //!
-//! Each test scripts identical input into both backends (the simulator's
-//! `MpChaosRig` loop and the live reactor over the duplex transport) and
-//! demands the transport-decision logs match event-for-event. A parity
-//! failure prints the first divergence with context, which in practice
-//! names the exact protocol decision one engine made differently.
+//! Each test scripts identical input into the reactor over both backends'
+//! transports (the simulator's `ChaosNet`, i.e. the `MpChaosRig`, and the
+//! duplex byte channel) and demands the transport-decision logs match
+//! event-for-event. A parity failure prints the first divergence with
+//! context, which in practice names the exact protocol decision that
+//! went differently over one transport.
 
 use emptcp_faults::{FaultAction, FaultPlan, FaultTarget};
 use emptcp_live::{certify, run_script, Backend, ChaosPath, ParityScript};
@@ -31,9 +32,9 @@ fn clean_transfer_matches_event_for_event() {
 
 #[test]
 fn lossy_jittery_paths_match_event_for_event() {
-    // Loss and jitter exercise the RNG-coupled shaping draws — the
-    // draw-order contract between ChaosNet and DuplexTransport — plus
-    // retransmission and SACK paths in the stacks.
+    // Loss and jitter exercise the RNG-coupled shaping draws — both
+    // transports take them from `ChaosPath::shape` — plus retransmission
+    // and SACK paths in the stacks.
     let mut script = ParityScript::two_path(7, 256 * 1024);
     script.paths = vec![
         ChaosPath::new(0.02, SimDuration::from_millis(12), 3),
@@ -47,7 +48,7 @@ fn lossy_jittery_paths_match_event_for_event() {
 #[test]
 fn faulted_run_matches_event_for_event() {
     // A WiFi blackout mid-transfer plus a cellular blackhole window:
-    // exercises the FaultSurface implementations on both engines,
+    // exercises the reactor's fault surface over both transports,
     // including link-down notification and silent rate-zero drops.
     let mut script = ParityScript::two_path(1234, 384 * 1024);
     script.faults = FaultPlan::new()
@@ -72,7 +73,7 @@ fn faulted_run_matches_event_for_event() {
 
 #[test]
 fn unnotified_blackout_matches_via_rto_discovery() {
-    // With link notifications off, both engines must discover the dead
+    // With link notifications off, both runs must discover the dead
     // path the hard way (RTO backoff) on exactly the same schedule.
     let mut script = ParityScript::two_path(99, 128 * 1024);
     script.notify_link_down = false;
@@ -88,7 +89,7 @@ fn unnotified_blackout_matches_via_rto_discovery() {
 #[test]
 fn live_backend_alone_is_deterministic() {
     // Same script, two live runs: byte-identical decision logs. This is
-    // weaker than parity but pins the reactor itself (not just its
+    // weaker than parity but pins the duplex run itself (not just its
     // agreement with the rig).
     let script = ParityScript::two_path(5, 64 * 1024);
     let a = run_script(Backend::Live, &script);

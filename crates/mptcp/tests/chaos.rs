@@ -1,16 +1,17 @@
 //! Chaos testing for MPTCP: two asymmetric lossy subflows must still
 //! deliver the exact connection-level byte stream, with reinjection
 //! rescuing data stranded on a dying path. The rig is the shared
-//! `emptcp-faults::testnet::MpChaosRig`.
+//! `emptcp_live::MpChaosRig`: the reactor over a `ChaosNet`.
 
-use emptcp_faults::testnet::{ChaosPath, MpChaosRig};
+use emptcp_faults::testnet::ChaosPath;
+use emptcp_live::MpChaosRig;
 use emptcp_mptcp::SubflowId;
 use emptcp_phy::IfaceKind;
 use emptcp_sim::SimDuration;
 use proptest::prelude::*;
 
 fn rig(seed: u64, loss0: f64, loss1: f64, jitter_ms: u64) -> MpChaosRig {
-    MpChaosRig::new(
+    MpChaosRig::over(
         seed,
         vec![
             ChaosPath::new(loss0, SimDuration::from_millis(12), jitter_ms),
@@ -32,7 +33,7 @@ proptest! {
     ) {
         let total = total_kb << 10;
         let mut r = rig(seed, loss0, loss1, jitter_ms);
-        let delivered = r.run(total);
+        let delivered = r.transfer(total);
         prop_assert_eq!(delivered, total);
     }
 }
@@ -42,24 +43,24 @@ fn one_dead_subflow_from_the_start() {
     // Subflow 1 loses everything: the connection must still complete over
     // subflow 0 (subflow 1 never even finishes its handshake).
     let mut r = rig(3, 0.01, 1.0, 5);
-    assert_eq!(r.run(128 << 10), 128 << 10);
+    assert_eq!(r.transfer(128 << 10), 128 << 10);
 }
 
 #[test]
 fn heavily_asymmetric_loss() {
     let mut r = rig(5, 0.002, 0.35, 10);
-    assert_eq!(r.run(256 << 10), 256 << 10);
+    assert_eq!(r.transfer(256 << 10), 256 << 10);
 }
 
 #[test]
 fn backup_subflow_with_loss() {
     let mut r = rig(9, 0.05, 0.05, 10);
-    r.client.subflow_mut(SubflowId(1)).backup = true;
-    r.server.subflow_mut(SubflowId(1)).backup = true;
+    r.client().subflow_mut(SubflowId(1)).backup = true;
+    r.server().subflow_mut(SubflowId(1)).backup = true;
     let total = 64 << 10;
-    assert_eq!(r.run(total), total);
+    assert_eq!(r.transfer(total), total);
     // Backup never carried data (subflow 0 stayed alive throughout).
-    assert_eq!(r.client.delivered_by_iface(IfaceKind::CellularLte), 0);
+    assert_eq!(r.client().delivered_by_iface(IfaceKind::CellularLte), 0);
 }
 
 /// The shared-bottleneck library scenario: `congested_core` collapses
@@ -72,7 +73,7 @@ fn congested_core_scenario_recovers_with_stats() {
     // Long-ish RTTs keep a large transfer in flight through the scenario's
     // 5 s collapse window (the rig is delay-based, so throughput is
     // window-limited rather than rate-limited).
-    let mut r = MpChaosRig::new(
+    let mut r = MpChaosRig::over(
         41,
         vec![
             ChaosPath::new(0.0, SimDuration::from_millis(100), 2),
@@ -81,14 +82,14 @@ fn congested_core_scenario_recovers_with_stats() {
     );
     // The collapse is silent; detection must come from RTOs alone.
     r.notify_link_down = false;
-    r.server.set_failure_threshold(2);
+    r.server().set_failure_threshold(2);
     r.attach_faults(emptcp_faults::scenarios::plan("congested_core").expect("library scenario"));
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
     // far inside the wall limit.
     let total = 8 << 20;
-    assert_eq!(r.run(total), total);
-    let stats = r.server.recovery_stats();
+    assert_eq!(r.transfer(total), total);
+    let stats = r.server().recovery_stats();
     assert!(stats.subflow_failures >= 1, "{stats:?}");
     assert!(stats.revivals >= 1, "{stats:?}");
     assert!(

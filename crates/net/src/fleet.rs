@@ -1,35 +1,19 @@
-//! The fleet harness: many client stacks sharing one bottleneck.
+//! What a fleet run is asked and what it answers: [`FleetConfig`] in,
+//! [`FleetReport`] out.
 //!
-//! One server host feeds N clients through a two-router core whose
-//! forward edge is the shared bottleneck. Clients alternate between plain
+//! The population is many client stacks sharing one bottleneck. Each
+//! client downloads from its own server endpoint through a shared core
+//! whose forward port is the bottleneck. Clients alternate between plain
 //! TCP (one subflow) and MPTCP (a WiFi-like and an LTE-like access path,
 //! LIA-coupled by default) — which is exactly the population the paper's
 //! "do no harm" property is stated over: at a shared bottleneck an MPTCP
 //! connection's aggregate must not out-compete a single TCP flow.
-//!
-//! Each client's access links are modelled as leaf "NIC" nodes hanging
-//! off the client-side router, one per interface, so static destination
-//! routing steers every subflow over its own access edge while all of
-//! them cross the same core port. Optional unresponsive cross-traffic
-//! sources ([`CrossTrafficSource`]) load the bottleneck further.
-//!
-//! The whole fleet is one deterministic discrete-event simulation over
-//! the shared [`EventQueue`]: same config + same seed ⇒ byte-identical
-//! reports, which is what lets the experiment runner farm fleet scenarios
-//! out across worker threads without changing the output.
+//! Optional unresponsive cross-traffic sources load the bottleneck
+//! further. [`ShardedFleetSim`](crate::shard::ShardedFleetSim) is the
+//! engine that runs it.
 
-use crate::fabric::{Fabric, Hop};
-use crate::reduce;
-use crate::topology::{NodeId, TopologyBuilder};
-use emptcp_faults::injector::FaultInjector;
-use emptcp_faults::{FaultPlan, FaultTarget};
-use emptcp_mptcp::{MpConnection, Role, SubflowId};
-use emptcp_phy::modulation::OnOff;
-use emptcp_phy::{IfaceKind, LinkConfig};
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime, TimerId};
-use emptcp_tcp::{CcAlgorithm, SegRef, SegSlabStats, Segment, SegmentSlab, TcpConfig};
-use emptcp_telemetry::Telemetry;
-use emptcp_workload::CrossTrafficSource;
+use emptcp_phy::LinkConfig;
+use emptcp_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -75,10 +59,12 @@ impl FleetConfig {
         fc
     }
 
-    /// The minimal "do no harm" cell: one MPTCP client (two subflows)
-    /// against one TCP client on a tight core with a BDP-ish queue and no
-    /// cross-traffic, so congestion control alone decides the split.
-    /// Shared by the `fairness` exhibit and the LIA golden test.
+    /// The "do no harm" cell: four MPTCP clients (two subflows each)
+    /// against four TCP clients on a tight core with no cross-traffic, so
+    /// congestion control alone decides the split — and with enough flows
+    /// that the split is a population mean rather than one pair's
+    /// drop-tail phase. Shared by the `fairness` exhibit and the LIA
+    /// golden test.
     pub fn do_no_harm_cell(seed: u64) -> FleetConfig {
         let mut fc = template(
             "do-no-harm-cell",
@@ -88,10 +74,11 @@ impl FleetConfig {
         fc
     }
 
-    /// Check the configuration up front. Degenerate values used to fail
-    /// deep inside [`FleetSim::run`] (a division by a zero-capacity link,
-    /// an index into an empty stack list); now they come back as one
-    /// [`FleetConfigError`] before the topology is built.
+    /// Check the configuration up front, so a degenerate value (a
+    /// zero-capacity link, an empty population, no latency to bound an
+    /// epoch with) comes back as one [`FleetConfigError`] — at `.scenario`
+    /// parse time or engine construction — instead of failing deep inside
+    /// a run.
     pub fn validate(&self) -> Result<(), FleetConfigError> {
         if self.clients == 0 {
             return Err(FleetConfigError::NoClients);
@@ -110,6 +97,9 @@ impl FleetConfig {
         }
         if self.cross_sources > 0 && self.cross_rate_bps == 0 {
             return Err(FleetConfigError::SilentCrossTraffic);
+        }
+        if crate::shard::lookahead(self) == SimDuration::ZERO {
+            return Err(FleetConfigError::NoLookahead);
         }
         Ok(())
     }
@@ -155,10 +145,9 @@ pub enum FleetConfigError {
     /// Cross-traffic sources were requested with a zero offered rate, so
     /// their next-emission interval is undefined.
     SilentCrossTraffic,
-    /// Every cross-shard link has zero propagation delay, so the sharded
-    /// engine's conservative lookahead bound is zero and epochs cannot
-    /// make progress. Only [`ShardedFleetSim`](crate::shard::ShardedFleetSim)
-    /// construction reports this; the unsharded engine accepts the config.
+    /// Some cross-shard link has zero propagation delay, so the engine's
+    /// conservative lookahead bound ([`lookahead`](crate::shard::lookahead))
+    /// is zero and epochs cannot make progress.
     NoLookahead,
 }
 
@@ -215,7 +204,7 @@ pub struct FleetReport {
     pub bottleneck_ecn_marks: u64,
     /// Deepest bottleneck queue observed (bytes).
     pub bottleneck_peak_queue_bytes: u64,
-    /// Queue drops across every port of the fabric.
+    /// Queue drops across every port of the fleet.
     pub total_queue_drops: u64,
     /// Cross-traffic packets offered to the core.
     pub cross_packets: u64,
@@ -228,619 +217,9 @@ pub struct FleetReport {
 
 pub(crate) const CLIENT_REQUEST_BYTES: u64 = 400;
 
-struct ClientStack {
-    client: MpConnection,
-    server: MpConnection,
-    /// Destination NIC node per subflow index.
-    nic_nodes: Vec<NodeId>,
-    mptcp: bool,
-    request_answered: bool,
-}
-
-enum Event {
-    /// A packet surfacing at `node`, heading to a stack. The segment is
-    /// parked in the sim's [`SegmentSlab`]; the event carries only the
-    /// handle, keeping queue payloads small. Whoever consumes the event —
-    /// the hop handler or the end-of-run reclaim sweep — must `take` the
-    /// segment back exactly once (the slab's leak counters enforce it).
-    Hop {
-        conn: u32,
-        sf: SubflowId,
-        to_client: bool,
-        node: NodeId,
-        seg: SegRef,
-    },
-    /// A cross-traffic packet surfacing at `node` (sinked on arrival).
-    CrossHop { src: u32, node: NodeId },
-    /// A cross source is due to emit (or toggle).
-    CrossPoll { src: u32 },
-    /// Re-armed RTO/timer sweep over every stack.
-    TimerCheck,
-}
-
-/// A many-client fleet simulation over a [`Fabric`].
-pub struct FleetSim {
-    cfg: FleetConfig,
-    fabric: Fabric,
-    queue: EventQueue<Event>,
-    rng: SimRng,
-    stacks: Vec<ClientStack>,
-    server_node: NodeId,
-    /// Where cross-traffic enters (the core router) and dies (a sink host).
-    cross_entry: NodeId,
-    cross_sink: NodeId,
-    cross: Vec<CrossTrafficSource>,
-    cross_packets: u64,
-    bottleneck_port: usize,
-    timer_handle: Option<(SimTime, TimerId)>,
-    /// Cached `min(client, server).next_deadline()` per stack, maintained
-    /// at every point a stack is touched, so [`FleetSim::schedule_timers`]
-    /// scans a flat array instead of interrogating every endpoint after
-    /// every event.
-    stack_deadline: Vec<Option<SimTime>>,
-    injector: Option<FaultInjector>,
-    faults_applied: u64,
-    telemetry: Telemetry,
-    /// In-flight segments, one per queued [`Event::Hop`].
-    seg_slab: SegmentSlab,
-    /// Report-assembly buffer, sized once from the config so end-of-run
-    /// summarization allocates nothing beyond the report it hands back.
-    per_client_buf: Vec<f64>,
-}
-
-impl FleetSim {
-    /// Build the fleet: topology, fabric, stacks, cross-traffic.
-    ///
-    /// Panics on an invalid configuration; use [`FleetSim::try_new`] to get
-    /// the typed error instead.
-    pub fn new(cfg: FleetConfig) -> FleetSim {
-        FleetSim::new_with_telemetry(cfg, Telemetry::disabled())
-    }
-
-    /// Fallible construction: an invalid [`FleetConfig`] comes back as a
-    /// [`FleetConfigError`] instead of a panic deep inside the run loop.
-    pub fn try_new(cfg: FleetConfig) -> Result<FleetSim, FleetConfigError> {
-        FleetSim::try_new_with_telemetry(cfg, Telemetry::disabled())
-    }
-
-    /// Fallible construction with an attached telemetry pipeline.
-    pub fn try_new_with_telemetry(
-        cfg: FleetConfig,
-        telemetry: Telemetry,
-    ) -> Result<FleetSim, FleetConfigError> {
-        cfg.validate()?;
-        Ok(FleetSim::build(cfg, telemetry))
-    }
-
-    /// Build with an attached telemetry pipeline (trace events from every
-    /// stack and router, metrics published at end of run).
-    ///
-    /// Panics on an invalid configuration; use
-    /// [`FleetSim::try_new_with_telemetry`] to get the typed error instead.
-    pub fn new_with_telemetry(cfg: FleetConfig, telemetry: Telemetry) -> FleetSim {
-        match FleetSim::try_new_with_telemetry(cfg, telemetry) {
-            Ok(sim) => sim,
-            Err(e) => panic!("invalid fleet config: {e}"),
-        }
-    }
-
-    fn build(cfg: FleetConfig, telemetry: Telemetry) -> FleetSim {
-        let now = SimTime::ZERO;
-        let mut b = TopologyBuilder::new();
-        let server = b.host("server");
-        let core_in = b.router("core-in");
-        let core_out = b.router("core-out");
-        let backbone = LinkConfig::backbone(SimDuration::from_millis(1));
-        b.symmetric_link(server, core_in, backbone);
-        // The forward core edge is the shared bottleneck; the reverse
-        // (ack) direction is generous.
-        let (bottleneck_port, _) = b.link(
-            core_in,
-            core_out,
-            cfg.bottleneck,
-            LinkConfig::backbone(cfg.bottleneck.prop_delay),
-        );
-        let cross_sink = b.host("cross-sink");
-        b.symmetric_link(core_out, cross_sink, backbone);
-
-        let mut nic_nodes_per_client = Vec::with_capacity(cfg.clients);
-        for i in 0..cfg.clients {
-            let mptcp = cfg.mptcp_every != 0 && i % cfg.mptcp_every == 0;
-            // Access uplinks mirror the downlink config: contention there
-            // is real (acks queue behind data on slow uplinks).
-            let nic_a = b.host(&format!("c{i}-nic-a"));
-            b.link(core_out, nic_a, cfg.access_a, cfg.access_a);
-            let mut nics = vec![nic_a];
-            if mptcp {
-                let nic_b = b.host(&format!("c{i}-nic-b"));
-                b.link(core_out, nic_b, cfg.access_b, cfg.access_b);
-                nics.push(nic_b);
-            }
-            nic_nodes_per_client.push(nics);
-        }
-
-        let mut fabric = Fabric::new(b.build());
-        fabric.designate(FaultTarget::Core, vec![bottleneck_port]);
-        fabric.set_telemetry(telemetry.scope(u32::MAX));
-
-        let root = SimRng::new(cfg.seed);
-        let mut cross_rng = root.fork_labeled("cross");
-        let cross = (0..cfg.cross_sources)
-            .map(|i| {
-                CrossTrafficSource::new(
-                    now,
-                    if i % 2 == 0 { OnOff::On } else { OnOff::Off },
-                    cfg.cross_rate_bps,
-                    1500,
-                    0.5,
-                    0.5,
-                    cross_rng.fork(i as u64),
-                )
-            })
-            .collect::<Vec<_>>();
-
-        let mut stacks = Vec::with_capacity(cfg.clients);
-        // LIA coupling needs the subflow CC to run the Lia increase rule —
-        // `TcpConfig::default()` is plain Reno, under which `set_lia` is a
-        // documented no-op. TCP clients always stay Reno.
-        let mut mp_tcfg = TcpConfig::default();
-        if cfg.coupled {
-            mp_tcfg.algorithm = CcAlgorithm::Lia;
-        }
-        for (i, nics) in nic_nodes_per_client.iter().enumerate() {
-            let mptcp = nics.len() > 1;
-            let tcfg = if mptcp { mp_tcfg } else { TcpConfig::default() };
-            let mut client = MpConnection::new(Role::Client, tcfg);
-            let mut server_conn = MpConnection::new(Role::Server, tcfg);
-            client.set_telemetry(telemetry.scope(i as u32));
-            server_conn.set_telemetry(telemetry.scope(i as u32));
-            client.set_coupled(cfg.coupled);
-            server_conn.set_coupled(cfg.coupled);
-            client.add_subflow(now, IfaceKind::Wifi);
-            server_conn.add_subflow(now, IfaceKind::Wifi);
-            if mptcp {
-                client.add_subflow(now, IfaceKind::CellularLte);
-                server_conn.add_subflow(now, IfaceKind::CellularLte);
-            }
-            // The request flows once the handshake completes; the server
-            // answers with an effectively unbounded timed-bulk payload.
-            client.write(CLIENT_REQUEST_BYTES);
-            stacks.push(ClientStack {
-                client,
-                server: server_conn,
-                nic_nodes: nics.clone(),
-                mptcp,
-                request_answered: false,
-            });
-        }
-
-        let stack_count = stacks.len();
-        let mut sim = FleetSim {
-            cfg,
-            fabric,
-            queue: EventQueue::new(),
-            rng: root.fork_labeled("net"),
-            stacks,
-            server_node: server,
-            cross_entry: core_in,
-            cross_sink,
-            cross,
-            cross_packets: 0,
-            bottleneck_port,
-            timer_handle: None,
-            stack_deadline: vec![None; stack_count],
-            injector: None,
-            faults_applied: 0,
-            telemetry,
-            seg_slab: SegmentSlab::new(),
-            per_client_buf: Vec::with_capacity(stack_count),
-        };
-        for i in 0..sim.cross.len() {
-            let at = sim.cross[i].next_event();
-            sim.queue.schedule(at, Event::CrossPoll { src: i as u32 });
-        }
-        sim
-    }
-
-    /// Attach a fault plan; `FaultTarget::Core` hits the bottleneck port.
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
-        let mut injector = FaultInjector::new(plan);
-        injector.set_telemetry(self.telemetry.scope(u32::MAX));
-        self.injector = Some(injector);
-    }
-
-    /// The designated bottleneck port id.
-    pub fn bottleneck_port(&self) -> usize {
-        self.bottleneck_port
-    }
-
-    /// The fabric (port counters, topology).
-    pub fn fabric(&self) -> &Fabric {
-        &self.fabric
-    }
-
-    /// Raw per-client delivered byte counts (response payload reaching each
-    /// client), in client order. The golden drain-path test pins these
-    /// exactly; [`FleetReport::per_client_mbps`] is the same data scaled to
-    /// a float rate.
-    pub fn per_client_delivered(&self) -> Vec<u64> {
-        self.stacks
-            .iter()
-            .map(|s| s.client.bytes_delivered())
-            .collect()
-    }
-
-    fn poll_faults(&mut self, now: SimTime) {
-        if let Some(mut inj) = self.injector.take() {
-            self.faults_applied += inj.poll(now, &mut self.fabric) as u64;
-            self.injector = Some(inj);
-        }
-    }
-
-    /// Launch a packet from whichever node owns the transmitting end.
-    fn send(&mut self, now: SimTime, conn: u32, sf: SubflowId, seg: Segment, from_client: bool) {
-        let stack = &self.stacks[conn as usize];
-        let (start, dst) = if from_client {
-            (stack.nic_nodes[sf.0 as usize], self.server_node)
-        } else {
-            (self.server_node, stack.nic_nodes[sf.0 as usize])
-        };
-        self.hop(now, conn, sf, !from_client, start, dst, seg);
-    }
-
-    /// Advance a packet one hop; schedule the next surface or drop it. A
-    /// forwarded segment is parked in the slab until its hop event pops.
-    #[allow(clippy::too_many_arguments)]
-    fn hop(
-        &mut self,
-        now: SimTime,
-        conn: u32,
-        sf: SubflowId,
-        to_client: bool,
-        node: NodeId,
-        dst: NodeId,
-        seg: Segment,
-    ) {
-        let outcome = self
-            .fabric
-            .step(now, node, dst, seg.wire_bytes(), &mut self.rng);
-        match outcome {
-            Hop::Arrived => self.deliver(now, conn, sf, to_client, seg),
-            Hop::Forwarded { node, at, .. } => {
-                let seg = self.seg_slab.insert(seg);
-                self.queue.schedule(
-                    at,
-                    Event::Hop {
-                        conn,
-                        sf,
-                        to_client,
-                        node,
-                        seg,
-                    },
-                );
-            }
-            Hop::Dropped(_) | Hop::Unroutable => {}
-        }
-    }
-
-    fn deliver(&mut self, now: SimTime, conn: u32, sf: SubflowId, to_client: bool, seg: Segment) {
-        let i = conn as usize;
-        if to_client {
-            self.stacks[i].client.on_segment(now, sf, seg);
-        } else {
-            self.stacks[i].server.on_segment(now, sf, seg);
-            self.feed_server(i);
-        }
-        self.drain_stack(now, i);
-        self.refresh_deadline(i);
-    }
-
-    /// Timed bulk: the first complete request unlocks a response far
-    /// larger than any horizon can drain.
-    fn feed_server(&mut self, i: usize) {
-        let stack = &mut self.stacks[i];
-        if !stack.request_answered && stack.server.bytes_delivered() >= CLIENT_REQUEST_BYTES {
-            stack.request_answered = true;
-            stack.server.write(1 << 42);
-        }
-    }
-
-    /// Drain both endpoints of stack `i` — the full sweep used at start of
-    /// run and after a timer fires on the whole fleet. Segments launch as
-    /// they are polled: `send` never re-enters the stack (the first fabric
-    /// step of a fresh launch always forwards), so launching immediately is
-    /// order-identical to collecting a batch first.
-    fn drain_stack(&mut self, now: SimTime, i: usize) {
-        self.drain_conn(now, i, true);
-        self.drain_conn(now, i, false);
-    }
-
-    /// Drain one endpoint of stack `i` to exhaustion.
-    fn drain_conn(&mut self, now: SimTime, i: usize, client_side: bool) {
-        loop {
-            let stack = &mut self.stacks[i];
-            let side = if client_side {
-                &mut stack.client
-            } else {
-                &mut stack.server
-            };
-            let Some((sf, seg)) = side.poll_transmit(now) else {
-                break;
-            };
-            self.send(now, i as u32, sf, seg, client_side);
-        }
-    }
-
-    /// Re-derive the cached deadline of stack `i` from its endpoints.
-    fn refresh_deadline(&mut self, i: usize) {
-        let s = &self.stacks[i];
-        self.stack_deadline[i] = match (s.client.next_deadline(), s.server.next_deadline()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-    }
-
-    fn schedule_timers(&mut self, now: SimTime) {
-        let next = self
-            .stack_deadline
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.injector.as_ref().and_then(|i| i.next_deadline()))
-            .min();
-        if let Some(d) = next {
-            let d = d.max(now);
-            let need = match self.timer_handle {
-                Some((t, _)) => d < t,
-                None => true,
-            };
-            if need {
-                if let Some((_, id)) = self.timer_handle.take() {
-                    self.queue.cancel(id);
-                }
-                let id = self.queue.schedule(d, Event::TimerCheck);
-                self.timer_handle = Some((d, id));
-            }
-        }
-    }
-
-    fn on_timer_check(&mut self, now: SimTime) {
-        self.timer_handle = None;
-        self.poll_faults(now);
-        for i in 0..self.stacks.len() {
-            self.stacks[i].client.on_deadline(now);
-            self.stacks[i].server.on_deadline(now);
-            self.drain_stack(now, i);
-            self.refresh_deadline(i);
-        }
-    }
-
-    fn on_cross_poll(&mut self, now: SimTime, src: u32) {
-        let i = src as usize;
-        let packets = self.cross[i].poll(now);
-        let bytes = self.cross[i].packet_bytes();
-        for _ in 0..packets {
-            self.cross_packets += 1;
-            self.cross_hop(now, src, self.cross_entry, bytes);
-        }
-        let at = self.cross[i].next_event();
-        self.queue.schedule(at, Event::CrossPoll { src });
-    }
-
-    fn cross_hop(&mut self, now: SimTime, src: u32, node: NodeId, bytes: u64) {
-        // Arrived packets are sinked; drops are the point.
-        if let Hop::Forwarded { node, at, .. } =
-            self.fabric
-                .step(now, node, self.cross_sink, bytes, &mut self.rng)
-        {
-            self.queue.schedule(at, Event::CrossHop { src, node });
-        }
-    }
-
-    /// Run the fleet to its horizon and summarize.
-    pub fn run(&mut self) -> FleetReport {
-        let horizon = SimTime::ZERO + self.cfg.duration;
-        self.poll_faults(SimTime::ZERO);
-        for i in 0..self.stacks.len() {
-            self.drain_stack(SimTime::ZERO, i);
-            self.refresh_deadline(i);
-        }
-        self.schedule_timers(SimTime::ZERO);
-        while let Some((now, event)) = self.queue.pop() {
-            if now > horizon {
-                self.reclaim(event);
-                break;
-            }
-            match event {
-                Event::Hop {
-                    conn,
-                    sf,
-                    to_client,
-                    node,
-                    seg,
-                } => {
-                    let seg = self
-                        .seg_slab
-                        .take(seg)
-                        .expect("hop event holds a parked segment");
-                    self.poll_faults(now);
-                    let dst = if to_client {
-                        self.stacks[conn as usize].nic_nodes[sf.0 as usize]
-                    } else {
-                        self.server_node
-                    };
-                    self.hop(now, conn, sf, to_client, node, dst, seg);
-                    self.schedule_timers(now);
-                }
-                // Cross-traffic events touch no stack and skip fault
-                // polling, so no deadline can have moved: re-running
-                // `schedule_timers` would recompute the same minimum and
-                // take the same `d < t` branch. Skip it.
-                Event::CrossHop { src, node } => {
-                    let bytes = self.cross[src as usize].packet_bytes();
-                    self.cross_hop(now, src, node, bytes);
-                }
-                Event::CrossPoll { src } => self.on_cross_poll(now, src),
-                Event::TimerCheck => {
-                    self.on_timer_check(now);
-                    self.schedule_timers(now);
-                }
-            }
-        }
-        // Reclaim the segments of every hop event still queued, so the
-        // slab's leak counters certify that each parked segment was taken
-        // exactly once ([`FleetSim::seg_slab_stats`] must end at live 0).
-        while let Some((_, event)) = self.queue.pop() {
-            self.reclaim(event);
-        }
-        // The slab must balance once every queued segment is reclaimed;
-        // a miss here is a host bug, surfaced through the invariant
-        // pipeline rather than a panic so fuzzed runs report it.
-        let slab = self.seg_slab.stats();
-        self.telemetry.check_invariants(horizon, |obs| {
-            obs.check_segment_slab(horizon, "fleet", slab.live, slab.double_frees)
-        });
-        // Flush sub-threshold Delivered residue so trace totals equal the
-        // report's delivered-byte counts; stamped at the horizon so the
-        // flush ordering is a pure function of the configuration.
-        for stack in &mut self.stacks {
-            stack.client.flush_delivered_trace(horizon);
-            stack.server.flush_delivered_trace(horizon);
-        }
-        self.fabric.publish_metrics();
-        self.report()
-    }
-
-    /// Return an unprocessed event's parked segment (if any) to the slab.
-    fn reclaim(&mut self, event: Event) {
-        if let Event::Hop { seg, .. } = event {
-            self.seg_slab
-                .take(seg)
-                .expect("queued hop event holds a parked segment");
-        }
-    }
-
-    /// Segment-slab allocation counters, consumed by the invariant
-    /// battery's leak oracle after [`FleetSim::run`] returns: every parked
-    /// segment must have been reclaimed (`live == 0`, `double_frees == 0`).
-    pub fn seg_slab_stats(&self) -> SegSlabStats {
-        self.seg_slab.stats()
-    }
-
-    fn report(&mut self) -> FleetReport {
-        let secs = self.cfg.duration.as_secs_f64();
-        self.per_client_buf.clear();
-        // Goodput is response payload only; the 400 B request rides the
-        // other direction and is excluded by construction. The fold runs
-        // in ascending client id — the fixed reduction order the sharded
-        // engine reproduces regardless of its partition.
-        self.per_client_buf.extend(
-            self.stacks
-                .iter()
-                .map(|s| reduce::mbps(s.client.bytes_delivered(), secs)),
-        );
-        let stacks = &self.stacks;
-        let stats = reduce::fairness_stats(&self.per_client_buf, |i| stacks[i].mptcp);
-        let bp = self.fabric.port(self.bottleneck_port);
-        FleetReport {
-            clients: self.cfg.clients,
-            duration_s: secs,
-            aggregate_mbps: stats.aggregate_mbps,
-            mptcp_mean_mbps: stats.mptcp_mean_mbps,
-            tcp_mean_mbps: stats.tcp_mean_mbps,
-            mptcp_tcp_ratio: stats.mptcp_tcp_ratio,
-            jain_index: stats.jain_index,
-            bottleneck_drops: bp.link().dropped_queue(),
-            bottleneck_ecn_marks: bp.ecn_marked(),
-            bottleneck_peak_queue_bytes: bp.peak_queue_bytes(),
-            total_queue_drops: self.fabric.total_queue_drops(),
-            cross_packets: self.cross_packets,
-            faults_injected: self.faults_applied,
-            packets_forwarded: self.fabric.total_delivered_packets(),
-            per_client_mbps: std::mem::take(&mut self.per_client_buf),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small(clients: usize, seed: u64) -> FleetConfig {
-        let mut cfg = FleetConfig::contended(clients, seed);
-        cfg.duration = SimDuration::from_secs(4);
-        cfg.bottleneck.rate_bps = 20_000_000;
-        cfg.cross_sources = 1;
-        cfg
-    }
-
-    #[test]
-    fn every_client_makes_progress() {
-        let mut sim = FleetSim::new(small(6, 9));
-        let report = sim.run();
-        assert_eq!(report.per_client_mbps.len(), 6);
-        for (i, &mbps) in report.per_client_mbps.iter().enumerate() {
-            assert!(mbps > 0.05, "client {i} starved: {mbps} Mbps");
-        }
-        assert!(report.aggregate_mbps > 5.0, "{report:?}");
-        assert!(report.jain_index > 0.5, "{report:?}");
-    }
-
-    #[test]
-    fn bottleneck_is_actually_shared() {
-        // Offered load (6 clients + cross traffic) far exceeds 20 Mbps, so
-        // the core queue must overflow and the aggregate must saturate
-        // near (but never beyond) the bottleneck rate.
-        let mut sim = FleetSim::new(small(6, 10));
-        let report = sim.run();
-        assert!(report.bottleneck_drops > 0, "{report:?}");
-        assert!(report.aggregate_mbps <= 20.0, "{report:?}");
-        assert!(report.aggregate_mbps > 12.0, "{report:?}");
-        assert!(report.bottleneck_ecn_marks > 0, "{report:?}");
-    }
-
-    #[test]
-    fn same_seed_same_report() {
-        let a = FleetSim::new(small(5, 77)).run();
-        let b = FleetSim::new(small(5, 77)).run();
-        assert_eq!(
-            serde_json::to_string(&a).unwrap(),
-            serde_json::to_string(&b).unwrap()
-        );
-    }
-
-    #[test]
-    fn degenerate_configs_fail_with_typed_errors() {
-        let mut cfg = FleetConfig::contended(4, 1);
-        cfg.clients = 0;
-        assert_eq!(
-            FleetSim::try_new(cfg).err(),
-            Some(FleetConfigError::NoClients)
-        );
-
-        let mut cfg = FleetConfig::contended(4, 1);
-        cfg.bottleneck.rate_bps = 0;
-        assert_eq!(
-            FleetSim::try_new(cfg).err(),
-            Some(FleetConfigError::ZeroCapacityLink("bottleneck"))
-        );
-
-        let mut cfg = FleetConfig::contended(4, 1);
-        cfg.duration = SimDuration::ZERO;
-        assert_eq!(
-            FleetSim::try_new(cfg).err(),
-            Some(FleetConfigError::EmptyWorkload)
-        );
-
-        let mut cfg = FleetConfig::contended(4, 1);
-        cfg.cross_rate_bps = 0;
-        assert_eq!(
-            FleetSim::try_new(cfg).err(),
-            Some(FleetConfigError::SilentCrossTraffic)
-        );
-
-        assert!(FleetSim::try_new(FleetConfig::contended(2, 1)).is_ok());
-    }
 
     #[test]
     fn config_round_trips_through_json() {
@@ -869,32 +248,14 @@ mod tests {
         assert_eq!(fc.cross_rate_bps, 4_000_000);
 
         let dnh = FleetConfig::do_no_harm_cell(3);
-        assert_eq!(dnh.clients, 2);
+        assert_eq!(dnh.clients, 8);
         assert_eq!(dnh.seed, 3);
-        assert_eq!(dnh.bottleneck.rate_bps, 16_000_000);
-        assert_eq!(dnh.bottleneck.queue_capacity, 64 * 1024);
+        assert_eq!(dnh.mptcp_every, 2);
+        assert_eq!(dnh.bottleneck.rate_bps, 64_000_000);
+        assert_eq!(dnh.bottleneck.queue_capacity, 256 * 1024);
+        assert_eq!(dnh.access_a.rate_bps, 50_000_000);
+        assert_eq!(dnh.access_b.rate_bps, 30_000_000);
         assert_eq!(dnh.cross_sources, 0);
         assert_eq!(dnh.duration, SimDuration::from_secs(8));
-    }
-
-    #[test]
-    fn core_fault_plan_stalls_and_recovers() {
-        let mut cfg = small(4, 5);
-        cfg.duration = SimDuration::from_secs(8);
-        let mut sim = FleetSim::new(cfg);
-        sim.attach_faults(FaultPlan::new().bandwidth_collapse(
-            FaultTarget::Core,
-            SimTime::from_secs(2),
-            SimDuration::from_secs(2),
-            0,
-            &[5_000_000],
-            SimDuration::from_secs(1),
-        ));
-        let report = sim.run();
-        assert!(report.faults_injected >= 2, "{report:?}");
-        // Everyone still finishes the horizon with bytes on the board.
-        for &mbps in &report.per_client_mbps {
-            assert!(mbps > 0.0, "{report:?}");
-        }
     }
 }

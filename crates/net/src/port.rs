@@ -1,6 +1,6 @@
 //! Router output ports.
 //!
-//! A [`Port`] is one directed edge of the fabric made operational: a
+//! A [`Port`] is one directed edge of the fleet's star made operational: a
 //! rate-serializing, drop-tail [`Link`] plus the bookkeeping a router
 //! needs around it — nominal configuration for fault restore, an
 //! ECN-style marking threshold with edge-triggered queue-depth events,
@@ -11,11 +11,17 @@
 //! are loss-based, so marks diagnose standing queues rather than drive
 //! the control loop.
 
-use crate::topology::NodeId;
 use emptcp_phy::link::{DropReason, EnqueueOutcome};
 use emptcp_phy::{Link, LinkConfig, LossModel};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
+use serde::Serialize;
+
+/// A node label: what a [`Port`] carries for its two ends. The fleet's
+/// star is closed-form — every next hop follows from which port a packet
+/// is on — so there is no topology graph behind these ids.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize)]
+pub struct NodeId(pub u32);
 
 /// One output port: a link leaving `from` toward `to`.
 #[derive(Clone, Debug)]
@@ -147,7 +153,7 @@ impl Port {
     }
 
     /// Offer a packet to the port. `router`/`port` identify this port in
-    /// trace events; `scope` is the fabric's telemetry scope (zero-cost
+    /// trace events; `scope` is the engine's telemetry scope (zero-cost
     /// when telemetry is disabled).
     pub fn transmit(
         &mut self,

@@ -1,15 +1,12 @@
-//! Fixed-order report reductions shared by the fleet engines.
+//! Fixed-order report reductions for the fleet engine.
 //!
 //! Floating-point addition is not associative, so the *order* in which
 //! per-client values are folded into the aggregate, the per-population
-//! means and the Jain index is part of the byte-identity contract: the
-//! unsharded [`FleetSim`](crate::fleet::FleetSim) and the sharded
+//! means and the Jain index is part of the byte-identity contract:
 //! [`ShardedFleetSim`](crate::shard::ShardedFleetSim) must fold in the
 //! identical order regardless of how clients were partitioned across
 //! shards or worker threads. Every reduction here iterates in ascending
-//! client id — the one order both engines can reproduce for free — and
-//! both engines are required to build these summaries through this module
-//! rather than inline.
+//! client id — the one order every partition can reproduce for free.
 
 /// Goodput in Mbit/s for `bytes` delivered over `secs` seconds.
 pub fn mbps(bytes: u64, secs: f64) -> f64 {

@@ -1,11 +1,11 @@
 //! Sharded fleet engine: conservative-lookahead epochs over flyweight
 //! client rows.
 //!
-//! [`ShardedFleetSim`] runs the same star-shaped population as
-//! [`FleetSim`](crate::fleet::FleetSim) — N mixed TCP/MPTCP client stacks
-//! answered by per-client server endpoints through one shared core
-//! bottleneck, with optional cross-traffic and core fault injection — but
-//! partitions the fleet so it scales to a million clients:
+//! [`ShardedFleetSim`] is the workspace's one fleet engine: a star-shaped
+//! population of N mixed TCP/MPTCP client stacks, each answered by its own
+//! server endpoint over its own backbone link, all sharing one core
+//! bottleneck, with optional cross-traffic and core fault injection. The
+//! fleet is partitioned so it scales to a million clients:
 //!
 //! * **Shards.** Clients are split into contiguous blocks. Each shard owns
 //!   its own [`EventQueue`] timing wheel, [`SegmentSlab`], telemetry
@@ -17,8 +17,8 @@
 //! * **Conservative lookahead.** Every packet crossing a shard boundary
 //!   traverses a link whose propagation delay is at least Δ — the minimum
 //!   over the server backbone, the access links in use and the core
-//!   bottleneck ([`lookahead`] computes it; construction fails with
-//!   [`FleetConfigError::NoLookahead`] when it is zero). Shards therefore
+//!   bottleneck ([`lookahead`] computes it; [`FleetConfig::validate`]
+//!   rejects a zero bound as [`FleetConfigError::NoLookahead`]). Shards therefore
 //!   advance in epochs of length Δ ([`EpochClock`]): a message generated at
 //!   time `t` inside epoch `k` arrives at `t + Δ ≥ (k+1)·Δ`, i.e. at or
 //!   after the barrier every shard synchronizes on, so no shard ever sees
@@ -45,17 +45,18 @@
 //!   `--clients 1000000` to complete.
 //!
 //! Traces stay byte-identical across shard counts: each shard's pipeline
-//! tags every record with the key of the driving event, and the records
-//! are merged into the outer pipeline at end of run by a stable sort on
-//! `(time, key)`. Per-shard pipelines run with invariant checking off; the
-//! engine's aggregate invariant (segment-slab balance) is checked on the
-//! outer pipeline, and chaos certification continues to ride the unsharded
-//! engine.
+//! tags every record with the key of the driving event, and at every epoch
+//! barrier the records are merged into the outer pipeline by a stable sort
+//! on `(time, key)` — so an attached monitor streams while the run is in
+//! flight and no shard ever buffers more than one epoch of trace. Per-shard
+//! pipelines inherit the outer pipeline's invariant switch; a violation a
+//! shard catches rides the same barrier flush and is reported exactly once
+//! on the outer handle. The engine's aggregate invariant (segment-slab
+//! balance) is checked on the outer pipeline at end of run.
 
 use crate::fleet::{FleetConfig, FleetConfigError, FleetReport, CLIENT_REQUEST_BYTES};
-use crate::port::{Port, PortOutcome};
+use crate::port::{NodeId, Port, PortOutcome};
 use crate::reduce;
-use crate::topology::NodeId;
 use emptcp_faults::injector::{FaultInjector, FaultSurface};
 use emptcp_faults::{FaultPlan, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
@@ -118,7 +119,7 @@ pub fn lookahead(cfg: &FleetConfig) -> SimDuration {
     d
 }
 
-/// Server-side backbone propagation (mirrors the unsharded harness).
+/// Server-side backbone propagation.
 const SERVER_LINK_PROP: SimDuration = SimDuration::from_millis(1);
 
 // ---------------------------------------------------------------------
@@ -150,32 +151,42 @@ impl ShardExecutor for SerialExecutor {
 // ---------------------------------------------------------------------
 
 /// Per-shard trace sink: records every event with the key of the driving
-/// event, so the end-of-run merge can re-serialize all shards' records
-/// into one deterministic `(time, key)` order.
-#[derive(Default)]
+/// event, so the barrier flush can re-serialize all shards' records into
+/// one deterministic `(time, key)` order.
 struct ShardTap {
     tag: u64,
+    /// False when the outer pipeline checks invariants but records no
+    /// trace: only violation events are then kept for the flush.
+    trace: bool,
     records: Vec<(SimTime, u64, TraceEvent)>,
 }
 
 impl TraceSink for ShardTap {
     fn record(&mut self, t: SimTime, event: &TraceEvent) {
-        self.records.push((t, self.tag, event.clone()));
+        if self.trace || matches!(event, TraceEvent::InvariantViolated { .. }) {
+            self.records.push((t, self.tag, event.clone()));
+        }
     }
 }
 
 type Tap = Arc<Mutex<ShardTap>>;
 
+/// A shard's own pipeline: metrics, the outer pipeline's invariant switch,
+/// and a tap when the outer handle wants the shard's records or violations.
 fn make_pipeline(outer: &Telemetry) -> (Telemetry, Option<Tap>) {
     if !outer.enabled() {
         return (Telemetry::disabled(), None);
     }
-    if outer.tracing_active() {
-        let tap: Tap = Arc::new(Mutex::new(ShardTap::default()));
-        let tel = Telemetry::builder().sink(Box::new(tap.clone())).build();
-        (tel, Some(tap))
+    let builder = Telemetry::builder().invariants(outer.invariants_enabled());
+    if outer.tracing_active() || outer.invariants_enabled() {
+        let tap: Tap = Arc::new(Mutex::new(ShardTap {
+            tag: 0,
+            trace: outer.tracing_active(),
+            records: Vec::new(),
+        }));
+        (builder.sink(Box::new(tap.clone())).build(), Some(tap))
     } else {
-        (Telemetry::builder().build(), None)
+        (builder.build(), None)
     }
 }
 
@@ -552,9 +563,9 @@ impl ClientShard {
     }
 
     /// Re-arm row `l`'s timer at the earlier of its endpoints' deadlines.
-    /// Like the unsharded harness, the armed time only moves *earlier*
-    /// between fires; a deadline moving later leaves the timer to fire
-    /// spuriously (the sweep is a no-op then).
+    /// The armed time only moves *earlier* between fires; a deadline
+    /// moving later leaves the timer to fire spuriously (the sweep is a
+    /// no-op then).
     fn rearm(&mut self, now: SimTime, l: usize) {
         let next = match (
             self.rows.client[l].next_deadline(),
@@ -584,7 +595,7 @@ impl ClientShard {
 
     /// Reclaim queued segments, flush delivered-trace residue and publish
     /// the shard's aggregate metrics.
-    fn finalize(&mut self, sid: usize, horizon: SimTime) -> SegSlabStats {
+    fn finalize(&mut self, sid: usize, horizon: SimTime) {
         while let Some((_, (_, event))) = self.queue.pop() {
             match event {
                 ClientEvent::DownFromCore { seg, .. }
@@ -618,7 +629,6 @@ impl ClientShard {
             m.counter_add(&shard_metric(sid as u32, "drops_channel"), drops_c);
             m.counter_add(&shard_metric(sid as u32, "ecn_marked"), marks);
         });
-        self.slab.stats()
     }
 
     fn for_each_port(&self, mut f: impl FnMut(&Port)) {
@@ -640,9 +650,9 @@ impl ClientShard {
 // The core shard
 // ---------------------------------------------------------------------
 
-/// The three core-owned ports. Implements the fault surface: like the
-/// unsharded fabric, `FaultTarget::Core` is designated onto the shared
-/// bottleneck; the access-path targets have no designated ports here.
+/// The three core-owned ports. Implements the fault surface:
+/// `FaultTarget::Core` is designated onto the shared bottleneck; the
+/// access-path targets have no designated ports here.
 struct CorePorts {
     bottleneck: Port,
     reverse: Port,
@@ -825,7 +835,7 @@ impl CoreShard {
                     &self.port_scope,
                 );
                 // The ECN mark is accounting-only at the port (the
-                // transports are loss-based), same as the unsharded path.
+                // transports are loss-based).
                 if let PortOutcome::Forwarded { at, .. } = outcome {
                     let key = self.next_key(CLASS_EVENT);
                     self.outbox.push(ClientMsg {
@@ -906,9 +916,9 @@ impl CoreShard {
         }
     }
 
-    /// Reclaim queued segments and publish the core's port metrics, keyed
-    /// the same way the unsharded fabric publishes (router 0 = the core).
-    fn finalize(&mut self) -> SegSlabStats {
+    /// Reclaim queued segments and publish the core's port metrics under
+    /// router 0.
+    fn finalize(&mut self) {
         while let Some((_, (_, event))) = self.queue.pop() {
             match event {
                 CoreEvent::DownAtCore { seg, .. } | CoreEvent::UpAtCore { seg, .. } => {
@@ -947,7 +957,6 @@ impl CoreShard {
                 );
             }
         });
-        self.slab.stats()
     }
 
     fn for_each_port(&self, mut f: impl FnMut(&Port)) {
@@ -963,8 +972,8 @@ impl CoreShard {
 
 /// A fleet simulation partitioned into conservative-lookahead shards.
 ///
-/// Construction mirrors [`FleetSim`](crate::fleet::FleetSim) plus a shard
-/// count; [`ShardedFleetSim::run`] executes serially and
+/// Construction takes a [`FleetConfig`] plus a shard count;
+/// [`ShardedFleetSim::run`] executes serially and
 /// [`ShardedFleetSim::run_with`] executes each epoch on a caller-supplied
 /// [`ShardExecutor`]. The report, the trace stream and every metric are
 /// byte-identical for every `(executor, shards)` combination.
@@ -978,6 +987,10 @@ pub struct ShardedFleetSim {
     /// Reused barrier staging: core-outbox messages routed per shard.
     staging: Vec<Vec<ClientMsg>>,
     telemetry: Telemetry,
+    /// Every shard's trace tap (core last); empty when nothing is tapped.
+    taps: Vec<Tap>,
+    /// Reused barrier staging for the tap flush.
+    flush_buf: Vec<(SimTime, u64, TraceEvent)>,
     per_client_buf: Vec<f64>,
 }
 
@@ -1001,9 +1014,9 @@ impl ShardedFleetSim {
         }
     }
 
-    /// Fallible construction. The shard count is clamped to
-    /// `1..=cfg.clients`; a configuration whose minimum cross-shard link
-    /// latency is zero is rejected with [`FleetConfigError::NoLookahead`].
+    /// Fallible construction: an invalid [`FleetConfig`] comes back as a
+    /// [`FleetConfigError`]. The shard count is clamped to
+    /// `1..=cfg.clients`.
     pub fn try_new_with_telemetry(
         cfg: FleetConfig,
         shards: usize,
@@ -1011,9 +1024,6 @@ impl ShardedFleetSim {
     ) -> Result<ShardedFleetSim, FleetConfigError> {
         cfg.validate()?;
         let delta = lookahead(&cfg);
-        if delta == SimDuration::ZERO {
-            return Err(FleetConfigError::NoLookahead);
-        }
         assert!(
             cfg.clients + 1 < (1 << 30),
             "client count exceeds the 30-bit owner space"
@@ -1040,6 +1050,12 @@ impl ShardedFleetSim {
             })
             .collect();
         let core = Mutex::new(CoreShard::new(&cfg, &telemetry, &root));
+        let taps = shards
+            .iter()
+            .map(|shard| shard.lock().expect("shard poisoned").tap.clone())
+            .chain([core.lock().expect("core shard poisoned").tap.clone()])
+            .flatten()
+            .collect();
         let staging = (0..s).map(|_| Vec::new()).collect();
         let per_client_buf = Vec::with_capacity(cfg.clients);
         Ok(ShardedFleetSim {
@@ -1050,6 +1066,8 @@ impl ShardedFleetSim {
             starts,
             staging,
             telemetry,
+            taps,
+            flush_buf: Vec::new(),
             per_client_buf,
         })
     }
@@ -1067,11 +1085,6 @@ impl ShardedFleetSim {
         self.shards.len()
     }
 
-    /// The conservative lookahead bound Δ in force for this run.
-    pub fn delta(&self) -> SimDuration {
-        self.delta
-    }
-
     /// Raw per-client delivered byte counts in ascending client order —
     /// the quantity the differential harness pins across shard counts.
     pub fn per_client_delivered(&self) -> Vec<u64> {
@@ -1083,6 +1096,22 @@ impl ShardedFleetSim {
             }
         }
         out
+    }
+
+    /// Segment-slab counters summed over every shard and the core, for the
+    /// chaos battery's leak oracle: after [`ShardedFleetSim::run`] every
+    /// parked segment must be reclaimed (`live == 0`, `double_frees == 0`).
+    pub fn seg_slab_stats(&self) -> SegSlabStats {
+        let mut sum = self.core.lock().expect("core shard poisoned").slab.stats();
+        for shard in &self.shards {
+            let stats = shard.lock().expect("shard poisoned").slab.stats();
+            sum.allocated += stats.allocated;
+            sum.freed += stats.freed;
+            sum.live += stats.live;
+            sum.double_frees += stats.double_frees;
+            sum.capacity += stats.capacity;
+        }
+        sum
     }
 
     /// Run serially on the calling thread.
@@ -1104,6 +1133,7 @@ impl ShardedFleetSim {
         }
         loop {
             self.exchange();
+            self.flush_taps();
             let Some(next) = self.min_peek() else { break };
             if next > horizon {
                 break;
@@ -1185,74 +1215,60 @@ impl ShardedFleetSim {
         }
     }
 
-    /// The earliest pending event across every shard, or `None` when all
-    /// queues have drained.
-    fn min_peek(&self) -> Option<SimTime> {
-        let mut min: Option<SimTime> = None;
-        for shard in &self.shards {
-            let t = shard.lock().expect("shard poisoned").queue.peek_time();
-            min = match (min, t) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
+    /// Barrier flush: merge what every shard's tap recorded since the last
+    /// barrier into the outer pipeline in canonical `(time, key)` order
+    /// (equal keys mean one driving event on one shard, so the stable sort
+    /// keeps emission order). A violation a shard caught is re-reported on
+    /// the outer handle — recorded, counted and emitted there exactly once.
+    fn flush_taps(&mut self) {
+        for tap in &self.taps {
+            self.flush_buf
+                .append(&mut tap.lock().expect("tap poisoned").records);
         }
-        let t = self
-            .core
-            .lock()
-            .expect("core shard poisoned")
-            .queue
-            .peek_time();
-        match (min, t) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+        self.flush_buf.sort_by_key(|&(t, key, _)| (t, key));
+        for (t, _, event) in self.flush_buf.drain(..) {
+            match event {
+                TraceEvent::InvariantViolated { name, detail } => self
+                    .telemetry
+                    .check_invariants(t, |obs| obs.report(t, name, detail)),
+                event => self.telemetry.emit(t, event),
+            }
         }
     }
 
-    fn finalize(&mut self, horizon: SimTime) -> FleetReport {
-        let mut live = 0;
-        let mut double_frees = 0;
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let stats = shard.lock().expect("shard poisoned").finalize(sid, horizon);
-            live += stats.live;
-            double_frees += stats.double_frees;
-        }
+    /// The earliest pending event across every shard, or `None` when all
+    /// queues have drained.
+    fn min_peek(&self) -> Option<SimTime> {
         let mut core = self.core.lock().expect("core shard poisoned");
-        let stats = core.finalize();
-        live += stats.live;
-        double_frees += stats.double_frees;
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.lock().expect("shard poisoned").queue.peek_time())
+            .chain(core.queue.peek_time())
+            .min()
+    }
+
+    fn finalize(&mut self, horizon: SimTime) -> FleetReport {
+        for (sid, shard) in self.shards.iter().enumerate() {
+            shard.lock().expect("shard poisoned").finalize(sid, horizon);
+        }
+        self.core.lock().expect("core shard poisoned").finalize();
         // Messages still sitting in outboxes carry their segments by value
         // and drop with them; only slab-parked segments are balance-checked.
+        let slab = self.seg_slab_stats();
         self.telemetry.check_invariants(horizon, |obs| {
-            obs.check_segment_slab(horizon, "sharded-fleet", live, double_frees)
+            obs.check_segment_slab(horizon, "sharded-fleet", slab.live, slab.double_frees)
         });
+        self.flush_taps();
 
-        // Merge the shards' trace records into the outer pipeline in the
-        // canonical (time, key) order. Records with equal (time, key) come
-        // from one driving event on one shard, so the stable sort keeps
-        // their emission order.
-        let mut records: Vec<(SimTime, u64, TraceEvent)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            if let Some(tap) = &shard.tap {
-                records.append(&mut tap.lock().expect("tap poisoned").records);
-            }
-        }
-        if let Some(tap) = &core.tap {
-            records.append(&mut tap.lock().expect("tap poisoned").records);
-        }
-        records.sort_by_key(|&(t, key, _)| (t, key));
-        for (t, _, event) in records {
-            self.telemetry.emit(t, event);
-        }
-
-        // Merge metric registries in shard order, core last.
-        for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            if let Some(m) = shard.telemetry.metrics() {
-                self.telemetry.with_metrics(|outer| outer.merge(&m));
-            }
-        }
-        if let Some(m) = core.telemetry.metrics() {
+        // Merge metric registries in shard order, core last, minus each
+        // shard's violation count: the barrier flush already counted those.
+        let core = self.core.lock().expect("core shard poisoned");
+        let shard_metrics = self
+            .shards
+            .iter()
+            .map(|shard| shard.lock().expect("shard poisoned").telemetry.metrics());
+        for mut m in shard_metrics.chain([core.telemetry.metrics()]).flatten() {
+            m.remove_counter("invariants.violations");
             self.telemetry.with_metrics(|outer| outer.merge(&m));
         }
 
@@ -1331,13 +1347,33 @@ mod tests {
     }
 
     #[test]
-    fn zero_lookahead_is_rejected() {
-        let mut cfg = small(2, 1);
-        cfg.access_a.prop_delay = SimDuration::ZERO;
+    fn degenerate_configs_fail_with_typed_errors() {
+        let try_new = |edit: fn(&mut FleetConfig)| {
+            let mut cfg = FleetConfig::contended(4, 1);
+            edit(&mut cfg);
+            ShardedFleetSim::try_new_with_telemetry(cfg, 2, Telemetry::disabled()).err()
+        };
         assert_eq!(
-            ShardedFleetSim::try_new_with_telemetry(cfg, 2, Telemetry::disabled()).err(),
+            try_new(|c| c.clients = 0),
+            Some(FleetConfigError::NoClients)
+        );
+        assert_eq!(
+            try_new(|c| c.bottleneck.rate_bps = 0),
+            Some(FleetConfigError::ZeroCapacityLink("bottleneck"))
+        );
+        assert_eq!(
+            try_new(|c| c.duration = SimDuration::ZERO),
+            Some(FleetConfigError::EmptyWorkload)
+        );
+        assert_eq!(
+            try_new(|c| c.cross_rate_bps = 0),
+            Some(FleetConfigError::SilentCrossTraffic)
+        );
+        assert_eq!(
+            try_new(|c| c.access_a.prop_delay = SimDuration::ZERO),
             Some(FleetConfigError::NoLookahead)
         );
+        assert_eq!(try_new(|_| ()), None);
     }
 
     #[test]
@@ -1357,8 +1393,12 @@ mod tests {
     fn bottleneck_is_actually_shared() {
         let mut sim = ShardedFleetSim::new(small(6, 10), 2);
         let report = sim.run();
+        // Offered load (6 clients + cross traffic) far exceeds 20 Mbps, so
+        // the core queue must overflow and the aggregate must saturate
+        // near (but never beyond) the bottleneck rate.
         assert!(report.bottleneck_drops > 0, "{report:?}");
         assert!(report.aggregate_mbps <= 20.0, "{report:?}");
+        assert!(report.aggregate_mbps > 12.0, "{report:?}");
         assert!(report.bottleneck_ecn_marks > 0, "{report:?}");
     }
 
@@ -1384,6 +1424,42 @@ mod tests {
         let a = ShardedFleetSim::new(small(5, 77), 2).run();
         let b = ShardedFleetSim::new(small(5, 77), 2).run();
         assert_eq!(report_json(&a), report_json(&b));
+    }
+
+    #[test]
+    fn a_shard_violation_reaches_the_outer_handle_exactly_once() {
+        use emptcp_telemetry::MemorySink;
+        // Client 5 of 8 sits in shard 2 of 4 (and shard 0 of 1).
+        const CLIENT: usize = 5;
+        let run = |shards: usize| {
+            let record = Arc::new(Mutex::new(MemorySink::new()));
+            let outer = Telemetry::builder()
+                .sink(Box::new(Arc::clone(&record)))
+                .invariants(true)
+                .build();
+            let mut sim = ShardedFleetSim::new_with_telemetry(small(8, 3), shards, outer.clone());
+            {
+                let sid = sim.starts.partition_point(|&start| start <= CLIENT) - 1;
+                assert_eq!(sid, if shards == 4 { 2 } else { 0 });
+                let shard = sim.shards[sid].lock().unwrap();
+                shard.set_tag(pack(CLASS_INIT, CLIENT as u32 + 1, 0));
+                shard.telemetry.check_invariants(SimTime::ZERO, |obs| {
+                    obs.report(SimTime::ZERO, "dss_coverage", "injected".to_string())
+                });
+            }
+            sim.run();
+            let violations = outer.violations();
+            let counted = outer.metrics().unwrap().counter("invariants.violations");
+            let jsonl = record.lock().unwrap().to_jsonl();
+            (violations, counted, jsonl)
+        };
+        let (violations, counted, jsonl) = run(4);
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert_eq!(violations[0].name, "dss_coverage");
+        assert_eq!(violations[0].detail, "injected");
+        assert_eq!(counted, 1);
+        assert_eq!(jsonl.matches("InvariantViolated").count(), 1);
+        assert_eq!(run(1), (violations, counted, jsonl));
     }
 
     #[test]

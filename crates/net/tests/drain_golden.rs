@@ -1,19 +1,19 @@
 //! Golden pin of the fleet drain path.
 //!
 //! A fixed-seed contended fleet run must deliver exactly the same bytes to
-//! every client and record exactly the same trace — byte for byte — as it
-//! did before the hot-path rewrite (timing-wheel event queue, slab-backed
-//! segments, batched drain). The constants below were captured from the
-//! pre-rewrite engine; any behavioural drift in the queue merge order, the
-//! drain loop, or the fabric shows up here as a changed byte count or a
-//! changed trace hash long before it would surface as a subtle fairness or
-//! energy shift in an exhibit.
+//! every client and record exactly the same trace — byte for byte — at
+//! one shard and at four. Any behavioural drift in the queue merge order,
+//! the drain loop, the ports or the barrier flush shows up here as a
+//! changed byte count or a changed trace hash long before it would surface
+//! as a subtle fairness or energy shift in an exhibit. The constants were
+//! captured once on the sharded engine when it became the only fleet
+//! engine (EXPERIMENTS.md lists the old → new values and their causes).
 //!
 //! If this test fails after an intentional semantic change, re-capture with
 //! `cargo test -p emptcp-net --test drain_golden -- --nocapture` and update
 //! the constants together with a CHANGES.md note — never silently.
 
-use emptcp_net::{FleetConfig, FleetSim};
+use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_sim::SimDuration;
 use emptcp_telemetry::{MemorySink, Telemetry, TraceSink};
 use std::sync::{Arc, Mutex};
@@ -35,11 +35,11 @@ struct Golden {
     trace_lines: usize,
 }
 
-fn run_traced(cfg: FleetConfig) -> Golden {
+fn run_traced(cfg: FleetConfig, shards: usize) -> Golden {
     let record = Arc::new(Mutex::new(MemorySink::new()));
     let sink: Box<dyn TraceSink> = Box::new(Arc::clone(&record));
     let telemetry = Telemetry::builder().sink(sink).build();
-    let mut sim = FleetSim::new_with_telemetry(cfg, telemetry.clone());
+    let mut sim = ShardedFleetSim::new_with_telemetry(cfg, shards, telemetry.clone());
     sim.run();
     telemetry.flush().expect("flush");
     let jsonl = record.lock().unwrap().to_jsonl();
@@ -59,45 +59,55 @@ fn contended_cfg() -> FleetConfig {
     cfg
 }
 
-#[test]
-fn contended_fleet_drain_path_matches_pre_rewrite_goldens() {
-    let g = run_traced(contended_cfg());
-    println!("contended per_client_bytes = {:?}", g.per_client_bytes);
-    println!(
-        "contended trace_hash = {:#018x} lines = {}",
-        g.trace_hash, g.trace_lines
-    );
-    assert_eq!(
-        g.per_client_bytes,
-        [5_058_099, 2_371_913, 3_801_745, 2_637_071, 3_588_577, 3_159_716],
-        "per-client delivered bytes drifted from the pre-rewrite capture"
-    );
-    assert_eq!(
-        g.trace_hash, 0x135d_2d61_47b6_0859,
-        "trace hash drifted from the pre-rewrite capture"
-    );
-    assert_eq!(g.trace_lines, 23_544, "trace line count drifted");
+/// Run `cfg` at one shard and at four and hold both to the same pins.
+fn assert_golden(label: &str, cfg: FleetConfig, bytes: &[u64], hash: u64, lines: usize) {
+    for shards in [1, 4] {
+        let g = run_traced(cfg.clone(), shards);
+        println!("{label} per_client_bytes = {:?}", g.per_client_bytes);
+        println!(
+            "{label} trace_hash = {:#018x} lines = {}",
+            g.trace_hash, g.trace_lines
+        );
+        assert_eq!(
+            g.per_client_bytes, bytes,
+            "{label}: per-client delivered bytes drifted at {shards} shard(s)"
+        );
+        assert_eq!(
+            g.trace_hash, hash,
+            "{label}: trace hash drifted at {shards} shard(s)"
+        );
+        assert_eq!(
+            g.trace_lines, lines,
+            "{label}: trace line count drifted at {shards} shard(s)"
+        );
+    }
 }
 
-/// The do-no-harm cell runs the fairness-critical path: one LIA-coupled
-/// MPTCP client against one TCP client on a tight core. Its trace pins the
-/// coupled congestion-control decisions end to end.
 #[test]
-fn do_no_harm_cell_drain_path_matches_pre_rewrite_goldens() {
-    let g = run_traced(FleetConfig::do_no_harm_cell(3));
-    println!("dnh per_client_bytes = {:?}", g.per_client_bytes);
-    println!(
-        "dnh trace_hash = {:#018x} lines = {}",
-        g.trace_hash, g.trace_lines
+fn contended_fleet_drain_path_matches_goldens() {
+    assert_golden(
+        "contended",
+        contended_cfg(),
+        &[
+            3_065_446, 3_993_482, 4_138_799, 2_523_164, 2_851_502, 3_696_761,
+        ],
+        0xd127_3e0b_62cc_5369,
+        23_264,
     );
-    assert_eq!(
-        g.per_client_bytes,
-        [7_166_363, 7_170_231],
-        "per-client delivered bytes drifted from the pre-rewrite capture"
+}
+
+/// The do-no-harm cell runs the fairness-critical path: four LIA-coupled
+/// MPTCP clients against four TCP clients on a tight core. Its trace pins
+/// the coupled congestion-control decisions end to end.
+#[test]
+fn do_no_harm_cell_drain_path_matches_goldens() {
+    assert_golden(
+        "dnh",
+        FleetConfig::do_no_harm_cell(3),
+        &[
+            4_946_251, 7_599_598, 8_251_243, 8_165_930, 8_593_052, 6_799_848, 6_310_821, 7_575_200,
+        ],
+        0x825d_9fb5_bd25_51f5,
+        62_007,
     );
-    assert_eq!(
-        g.trace_hash, 0xa490_2a48_23d6_e9a2,
-        "trace hash drifted from the pre-rewrite capture"
-    );
-    assert_eq!(g.trace_lines, 15_520, "trace line count drifted");
 }

@@ -7,7 +7,7 @@
 //!
 //! * byte-identical `FleetReport` JSON for shards ∈ {1, 2, 4, 8};
 //! * identical trace streams (every record, in order) through the outer
-//!   telemetry pipeline;
+//!   telemetry pipeline, with the shard pipelines' invariant observers on;
 //! * identical results from a serial executor and a thread-per-shard
 //!   executor (the `--jobs` axis);
 //! * all of the above under a fault plan whose actions land mid-epoch and
@@ -58,12 +58,16 @@ fn run(
     exec: &dyn ShardExecutor,
 ) -> RunOutput {
     let tap = Arc::new(Mutex::new(Capture::default()));
-    let telemetry = Telemetry::builder().sink(Box::new(tap.clone())).build();
-    let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), shards, telemetry);
+    let telemetry = Telemetry::builder()
+        .sink(Box::new(tap.clone()))
+        .invariants(true)
+        .build();
+    let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), shards, telemetry.clone());
     if let Some(plan) = plan {
         sim.attach_faults(plan.clone());
     }
     let report: FleetReport = sim.run_with(exec);
+    assert_eq!(telemetry.violations(), [], "online invariant violated");
     let trace = std::mem::take(&mut tap.lock().expect("tap").0);
     RunOutput {
         report_json: serde_json::to_string(&report).expect("report serializes"),

@@ -174,21 +174,24 @@ impl Scenario {
     }
 
     /// True when the fleet world is exactly the "do no harm" cell shape:
-    /// one MPTCP client against one TCP client, LIA-coupled, no cross
+    /// four MPTCP clients against four TCP clients, LIA-coupled, no cross
     /// traffic, no faults, and access links that cannot themselves be the
-    /// bottleneck. Only scenarios of this shape are subject to the
-    /// fairness-bounds oracle.
+    /// bottleneck (each carries at least twice a client's fair share of
+    /// the core). Only scenarios of this shape are subject to the
+    /// fairness-bounds oracle: with one client a side the split is a
+    /// drop-tail phase lock between two flows, not a property of LIA.
     pub fn is_do_no_harm(&self) -> bool {
         let World::Fleet(cfg) = &self.world else {
             return false;
         };
-        cfg.clients == 2
+        let fair_share = cfg.bottleneck.rate_bps / 8;
+        cfg.clients == 8
             && cfg.mptcp_every == 2
             && cfg.coupled
             && cfg.cross_sources == 0
             && self.faults.is_empty()
-            && cfg.access_a.rate_bps >= cfg.bottleneck.rate_bps
-            && cfg.access_b.rate_bps >= cfg.bottleneck.rate_bps
+            && cfg.access_a.rate_bps >= 2 * fair_share
+            && cfg.access_b.rate_bps >= 2 * fair_share
     }
 
     /// Short world label for reports.
@@ -346,10 +349,12 @@ mod tests {
         let mut s = host_scenario();
         assert!(!s.is_do_no_harm());
         let mut cfg = FleetConfig::do_no_harm_cell(1);
-        cfg.access_a.rate_bps = cfg.bottleneck.rate_bps * 2;
-        cfg.access_b.rate_bps = cfg.bottleneck.rate_bps * 2;
-        s.world = World::Fleet(cfg);
+        s.world = World::Fleet(cfg.clone());
         s.faults.clear();
         assert!(s.is_do_no_harm());
+        // One client a side is the old phase-locked pair, not the cell.
+        cfg.clients = 2;
+        s.world = World::Fleet(cfg);
+        assert!(!s.is_do_no_harm());
     }
 }

@@ -4,15 +4,13 @@
 //! same instant fire in the order they were scheduled, which makes runs
 //! reproducible regardless of queue internals or platform.
 //!
-//! Two structurally independent implementations share one API:
-//!
-//! * [`EventQueue`] — the production queue: a hierarchical timing wheel for
-//!   the re-armed timer class (RTO, pacing, cross-traffic, fleet ticks) with
-//!   a key-heap fallback for far-future one-shots, over a slab of payloads.
-//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap. It survives as
-//!   the reference model the three-way differential proptest drives against
-//!   the wheel and a sorted-Vec oracle (`tests/event_queue_model.rs`), so
-//!   any divergence in pop order is caught structurally, not statistically.
+//! [`EventQueue`] is a hierarchical timing wheel for the re-armed timer
+//! class (RTO, pacing, cross-traffic, fleet ticks) with a key-heap fallback
+//! for far-future one-shots, over a slab of payloads. Its structurally
+//! independent twin — the original `(time, seq)` key-heap — lives in
+//! `tests/event_queue_model.rs`, where the three-way differential proptest
+//! drives both against a sorted-Vec oracle, so any divergence in pop order
+//! is caught structurally, not statistically.
 //!
 //! Protocol crates in this workspace are written as poll-style state machines
 //! (in the spirit of smoltcp): they never touch the queue directly, they
@@ -21,8 +19,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 
 /// Handle to a scheduled event, used for cancellation.
 ///
@@ -34,34 +31,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub struct TimerId {
     seq: u64,
     slot: u32,
-}
-
-/// Hasher for event sequence numbers: a single Fibonacci multiply plus a
-/// xor-fold. Sequence numbers are dense, monotonically assigned integers,
-/// so a strong (SipHash) hasher buys nothing — this keeps the per-event
-/// map lookup in [`KeyHeapQueue`] to a couple of cycles.
-#[derive(Default)]
-pub struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        // Only reached for non-u64 keys; FNV-1a keeps it correct.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 29);
-    }
 }
 
 /// Compact when at least this many tombstones accumulated …
@@ -507,463 +476,195 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original event queue: a `BinaryHeap` of 16-byte `(time, seq)` keys
-/// over a sequence-indexed payload map, with tombstoned cancellation and
-/// O(n) compaction.
-///
-/// Retired from the hot path in favour of the timing-wheel [`EventQueue`],
-/// but kept fully functional as the structurally independent reference the
-/// differential test harness (`tests/event_queue_model.rs`, the CI
-/// `hotpath-differential` step) drives in lockstep with the wheel: two
-/// implementations that share nothing but the API contract and must agree
-/// on every pop.
-#[derive(Debug)]
-pub struct KeyHeapQueue<E> {
-    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
-    events: HashMap<u64, E, BuildHasherDefault<SeqHasher>>,
-    tombstones: usize,
-    next_seq: u64,
-    now: SimTime,
-}
-
-impl<E> Default for KeyHeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> KeyHeapQueue<E> {
-    /// An empty queue with the clock at zero.
-    pub fn new() -> Self {
-        KeyHeapQueue {
-            heap: BinaryHeap::new(),
-            events: HashMap::default(),
-            tombstones: 0,
-            next_seq: 0,
-            now: SimTime::ZERO,
-        }
-    }
-
-    /// The current simulated time: the timestamp of the last popped event.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Schedule `event` at absolute time `at`. Scheduling in the past is a
-    /// logic error; the event is clamped to `now` in release builds.
-    pub fn schedule(&mut self, at: SimTime, event: E) -> TimerId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past ({at:?} < {:?})",
-            self.now
-        );
-        let at = at.max(self.now);
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((at, seq)));
-        self.events.insert(seq, event);
-        // The slot field is meaningless here; `u32::MAX` makes a key-heap
-        // handle fail the wheel's slab bounds check if ever cross-applied.
-        TimerId {
-            seq,
-            slot: u32::MAX,
-        }
-    }
-
-    /// Schedule `event` after a relative delay.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> TimerId {
-        self.schedule(self.now + delay, event)
-    }
-
-    /// Schedule `event` at `at` under a caller-supplied ordering key; see
-    /// [`EventQueue::schedule_keyed`] for the contract. Here the key also
-    /// doubles as the payload-map key, so uniqueness among *live* events is
-    /// a hard requirement, not just an ordering nicety.
-    pub fn schedule_keyed(&mut self, at: SimTime, key: u64, event: E) -> TimerId {
-        debug_assert!(
-            at >= self.now,
-            "scheduling into the past ({at:?} < {:?})",
-            self.now
-        );
-        let at = at.max(self.now);
-        debug_assert!(
-            !self.events.contains_key(&key),
-            "schedule_keyed: duplicate live key {key}"
-        );
-        self.heap.push(Reverse((at, key)));
-        self.events.insert(key, event);
-        TimerId {
-            seq: key,
-            slot: u32::MAX,
-        }
-    }
-
-    /// Cancel a previously scheduled event (no-op when already fired or
-    /// cancelled). The payload is dropped immediately; its heap key becomes
-    /// a tombstone dropped lazily at pop/peek or swept by compaction.
-    pub fn cancel(&mut self, id: TimerId) {
-        if self.events.remove(&id.seq).is_some() {
-            self.tombstones += 1;
-            if self.tombstones >= COMPACT_MIN_TOMBSTONES
-                && self.tombstones * COMPACT_RATIO > self.heap.len()
-            {
-                self.compact();
-            }
-        }
-    }
-
-    /// Rebuild the heap without tombstoned keys: one O(n) pass.
-    fn compact(&mut self) {
-        let heap = std::mem::take(&mut self.heap);
-        self.heap = heap
-            .into_iter()
-            .filter(|&Reverse((_, seq))| self.events.contains_key(&seq))
-            .collect();
-        self.tombstones = 0;
-    }
-
-    /// Pop the next live event, advancing the clock to its timestamp.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse((at, seq))) = self.heap.pop() {
-            if let Some(event) = self.events.remove(&seq) {
-                self.now = at;
-                return Some((at, event));
-            }
-            self.tombstones -= 1;
-        }
-        None
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(&Reverse((at, seq))) = self.heap.peek() {
-            if self.events.contains_key(&seq) {
-                return Some(at);
-            }
-            self.heap.pop();
-            self.tombstones -= 1;
-        }
-        None
-    }
-
-    /// Number of live events still queued.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    #[cfg(test)]
-    fn stored_keys(&self) -> usize {
-        self.heap.len()
-    }
-}
-
-/// A thin driver over [`EventQueue`] that runs a handler until the queue
-/// drains or a horizon is reached. Most experiments bound their runs with
-/// [`Scheduler::run_until`].
-pub struct Scheduler<E> {
-    queue: EventQueue<E>,
-}
-
-impl<E> Default for Scheduler<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> Scheduler<E> {
-    /// A scheduler with an empty queue.
-    pub fn new() -> Self {
-        Scheduler {
-            queue: EventQueue::new(),
-        }
-    }
-
-    /// Access the underlying queue (for scheduling from the handler's
-    /// environment between steps).
-    pub fn queue(&mut self) -> &mut EventQueue<E> {
-        &mut self.queue
-    }
-
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.queue.now()
-    }
-
-    /// Schedule an event at an absolute time.
-    pub fn at(&mut self, t: SimTime, event: E) -> TimerId {
-        self.queue.schedule(t, event)
-    }
-
-    /// Schedule an event after a delay.
-    pub fn after(&mut self, d: SimDuration, event: E) -> TimerId {
-        self.queue.schedule_after(d, event)
-    }
-
-    /// Run events in order until the queue empties or the next event would
-    /// fire after `horizon`; events exactly at the horizon still fire.
-    /// The handler may schedule further events through the supplied queue.
-    pub fn run_until<F>(&mut self, horizon: SimTime, mut handler: F)
-    where
-        F: FnMut(&mut EventQueue<E>, SimTime, E),
-    {
-        while let Some(t) = self.queue.peek_time() {
-            if t > horizon {
-                break;
-            }
-            let (at, ev) = self.queue.pop().expect("peeked event vanished");
-            handler(&mut self.queue, at, ev);
-        }
-    }
-
-    /// Run until the queue is fully drained.
-    pub fn run_to_completion<F>(&mut self, mut handler: F)
-    where
-        F: FnMut(&mut EventQueue<E>, SimTime, E),
-    {
-        while let Some((at, ev)) = self.queue.pop() {
-            handler(&mut self.queue, at, ev);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The shared behavioural battery, instantiated once per queue type:
-    /// both implementations must satisfy the identical contract.
-    macro_rules! queue_battery {
-        ($modname:ident, $Q:ident) => {
-            mod $modname {
-                use super::*;
+    /// The queue's behavioural contract.
+    mod wheel {
+        use super::*;
 
-                #[test]
-                fn pops_in_time_order() {
-                    let mut q = $Q::new();
-                    q.schedule(SimTime::from_secs(3), "c");
-                    q.schedule(SimTime::from_secs(1), "a");
-                    q.schedule(SimTime::from_secs(2), "b");
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["a", "b", "c"]);
-                    assert_eq!(q.now(), SimTime::from_secs(3));
-                }
+        #[test]
+        fn pops_in_time_order() {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_secs(3), "c");
+            q.schedule(SimTime::from_secs(1), "a");
+            q.schedule(SimTime::from_secs(2), "b");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["a", "b", "c"]);
+            assert_eq!(q.now(), SimTime::from_secs(3));
+        }
 
-                #[test]
-                fn same_time_fifo() {
-                    let mut q = $Q::new();
-                    let t = SimTime::from_secs(5);
-                    for i in 0..100 {
-                        q.schedule(t, i);
-                    }
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, (0..100).collect::<Vec<_>>());
-                }
+        #[test]
+        fn same_time_fifo() {
+            let mut q = EventQueue::new();
+            let t = SimTime::from_secs(5);
+            for i in 0..100 {
+                q.schedule(t, i);
+            }
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, (0..100).collect::<Vec<_>>());
+        }
 
-                #[test]
-                fn keyed_same_instant_pops_in_key_order() {
-                    let mut q = $Q::new();
-                    let t = SimTime::from_secs(1);
-                    // Insertion order deliberately scrambled: pop order must
-                    // follow the caller-supplied keys, not insertion.
-                    q.schedule_keyed(t, 7, "g");
-                    q.schedule_keyed(t, 2, "b");
-                    q.schedule_keyed(t, 5, "e");
-                    q.schedule_keyed(t, 1, "a");
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["a", "b", "e", "g"]);
-                }
+        #[test]
+        fn keyed_same_instant_pops_in_key_order() {
+            let mut q = EventQueue::new();
+            let t = SimTime::from_secs(1);
+            // Insertion order deliberately scrambled: pop order must
+            // follow the caller-supplied keys, not insertion.
+            q.schedule_keyed(t, 7, "g");
+            q.schedule_keyed(t, 2, "b");
+            q.schedule_keyed(t, 5, "e");
+            q.schedule_keyed(t, 1, "a");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["a", "b", "e", "g"]);
+        }
 
-                #[test]
-                fn keyed_respects_time_before_key() {
-                    let mut q = $Q::new();
-                    q.schedule_keyed(SimTime::from_secs(2), 1, "late");
-                    q.schedule_keyed(SimTime::from_secs(1), 9, "early");
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["early", "late"]);
-                }
+        #[test]
+        fn keyed_respects_time_before_key() {
+            let mut q = EventQueue::new();
+            q.schedule_keyed(SimTime::from_secs(2), 1, "late");
+            q.schedule_keyed(SimTime::from_secs(1), 9, "early");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["early", "late"]);
+        }
 
-                #[test]
-                fn keyed_events_cancel() {
-                    let mut q = $Q::new();
-                    q.schedule_keyed(SimTime::from_secs(1), 1, "a");
-                    let b = q.schedule_keyed(SimTime::from_secs(1), 2, "b");
-                    q.schedule_keyed(SimTime::from_secs(1), 3, "c");
-                    q.cancel(b);
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["a", "c"]);
-                }
+        #[test]
+        fn keyed_events_cancel() {
+            let mut q = EventQueue::new();
+            q.schedule_keyed(SimTime::from_secs(1), 1, "a");
+            let b = q.schedule_keyed(SimTime::from_secs(1), 2, "b");
+            q.schedule_keyed(SimTime::from_secs(1), 3, "c");
+            q.cancel(b);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["a", "c"]);
+        }
 
-                #[test]
-                fn cancellation() {
-                    let mut q = $Q::new();
-                    let a = q.schedule(SimTime::from_secs(1), "a");
-                    let b = q.schedule(SimTime::from_secs(2), "b");
-                    q.schedule(SimTime::from_secs(3), "c");
-                    q.cancel(b);
-                    q.cancel(b); // double-cancel is a no-op
-                    assert_eq!(q.len(), 2);
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["a", "c"]);
-                    q.cancel(a); // cancelling a fired event is a no-op
-                }
+        #[test]
+        fn cancellation() {
+            let mut q = EventQueue::new();
+            let a = q.schedule(SimTime::from_secs(1), "a");
+            let b = q.schedule(SimTime::from_secs(2), "b");
+            q.schedule(SimTime::from_secs(3), "c");
+            q.cancel(b);
+            q.cancel(b); // double-cancel is a no-op
+            assert_eq!(q.len(), 2);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["a", "c"]);
+            q.cancel(a); // cancelling a fired event is a no-op
+        }
 
-                #[test]
-                fn cancelling_a_fired_event_keeps_len_exact() {
-                    let mut q = $Q::new();
-                    let a = q.schedule(SimTime::from_secs(1), "a");
-                    q.schedule(SimTime::from_secs(2), "b");
-                    assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
-                    q.cancel(a); // no-op: already fired
-                    assert_eq!(q.len(), 1);
-                    assert!(!q.is_empty());
-                    assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-                    assert_eq!(q.len(), 0);
-                }
+        #[test]
+        fn cancelling_a_fired_event_keeps_len_exact() {
+            let mut q = EventQueue::new();
+            let a = q.schedule(SimTime::from_secs(1), "a");
+            q.schedule(SimTime::from_secs(2), "b");
+            assert_eq!(q.pop().map(|(_, e)| e), Some("a"));
+            q.cancel(a); // no-op: already fired
+            assert_eq!(q.len(), 1);
+            assert!(!q.is_empty());
+            assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+            assert_eq!(q.len(), 0);
+        }
 
-                #[test]
-                fn heavy_cancellation_compacts_storage() {
-                    let mut q = $Q::new();
-                    let t = SimTime::from_secs(1);
-                    // Re-arm a timer thousands of times: schedule, cancel,
-                    // repeat — the pattern of a retransmit timer reset on
-                    // every ack.
-                    let mut id = q.schedule(t, 0u32);
-                    for i in 1..5_000u32 {
-                        q.cancel(id);
-                        id = q.schedule(t, i);
-                    }
-                    assert_eq!(q.len(), 1);
-                    // Compaction must have kept storage near the live size
-                    // rather than letting all 4 999 tombstones accumulate.
-                    assert!(
-                        q.stored_keys() < COMPACT_MIN_TOMBSTONES * 2 + 1,
-                        "{} stored keys for 1 live event",
-                        q.stored_keys()
-                    );
-                    assert_eq!(q.pop().map(|(_, e)| e), Some(4_999));
-                    assert!(q.pop().is_none());
-                }
+        #[test]
+        fn heavy_cancellation_compacts_storage() {
+            let mut q = EventQueue::new();
+            let t = SimTime::from_secs(1);
+            // Re-arm a timer thousands of times: schedule, cancel,
+            // repeat — the pattern of a retransmit timer reset on
+            // every ack.
+            let mut id = q.schedule(t, 0u32);
+            for i in 1..5_000u32 {
+                q.cancel(id);
+                id = q.schedule(t, i);
+            }
+            assert_eq!(q.len(), 1);
+            // Compaction must have kept storage near the live size
+            // rather than letting all 4 999 tombstones accumulate.
+            assert!(
+                q.stored_keys() < COMPACT_MIN_TOMBSTONES * 2 + 1,
+                "{} stored keys for 1 live event",
+                q.stored_keys()
+            );
+            assert_eq!(q.pop().map(|(_, e)| e), Some(4_999));
+            assert!(q.pop().is_none());
+        }
 
-                #[test]
-                fn compaction_preserves_order_and_clock() {
-                    let mut q = $Q::new();
-                    let mut keep = Vec::new();
-                    for i in 0..500u64 {
-                        let id = q.schedule(SimTime::from_millis(1000 - i), i);
-                        if i % 5 == 0 {
-                            keep.push(i);
-                        } else {
-                            q.cancel(id);
-                        }
-                    }
-                    assert_eq!(q.len(), keep.len());
-                    let mut popped = Vec::new();
-                    while let Some((_, e)) = q.pop() {
-                        popped.push(e);
-                    }
-                    // Live events come out in time order (descending i ⇒
-                    // ascending time), untouched by the compactions the
-                    // cancels triggered.
-                    keep.reverse();
-                    assert_eq!(popped, keep);
-                    assert_eq!(q.now(), SimTime::from_millis(1000));
-                }
-
-                #[test]
-                fn peek_skips_cancelled() {
-                    let mut q = $Q::new();
-                    let a = q.schedule(SimTime::from_secs(1), "a");
-                    q.schedule(SimTime::from_secs(2), "b");
-                    q.cancel(a);
-                    assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
-                    assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
-                }
-
-                #[test]
-                fn schedule_after_uses_current_time() {
-                    let mut q = $Q::new();
-                    q.schedule(SimTime::from_secs(10), "x");
-                    q.pop();
-                    q.schedule_after(SimDuration::from_secs(5), "y");
-                    assert_eq!(q.peek_time(), Some(SimTime::from_secs(15)));
-                }
-
-                #[test]
-                fn far_future_and_near_interleave_in_order() {
-                    let mut q = $Q::new();
-                    // Beyond the wheel span (> 17.2 s): far-heap fallback.
-                    q.schedule(SimTime::from_secs(3600), "hour");
-                    q.schedule(SimTime::from_nanos(u64::MAX - 1), "sentinel");
-                    q.schedule(SimTime::from_secs(20), "soon-ish");
-                    q.schedule(SimTime::from_nanos(5_000), "now");
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec!["now", "soon-ish", "hour", "sentinel"]);
-                }
-
-                #[test]
-                fn same_instant_across_structures_resolves_by_seq() {
-                    let mut q = $Q::new();
-                    // Seed the clock so later schedules straddle the wheel
-                    // levels, then pile many events onto one instant from
-                    // different distances (scheduled before and after
-                    // intervening pops): sequence order must win.
-                    let t = SimTime::from_millis(40);
-                    q.schedule(t, 0u32); // far ahead at schedule time
-                    q.schedule(SimTime::from_nanos(1_000), 100);
-                    q.schedule(t, 1);
-                    assert_eq!(q.pop().map(|(_, e)| e), Some(100));
-                    q.schedule(t, 2); // nearer now; same instant
-                    q.schedule(t + SimDuration::from_nanos(1), 3);
-                    q.schedule(t, 4);
-                    let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
-                    assert_eq!(order, vec![0, 1, 2, 4, 3]);
+        #[test]
+        fn compaction_preserves_order_and_clock() {
+            let mut q = EventQueue::new();
+            let mut keep = Vec::new();
+            for i in 0..500u64 {
+                let id = q.schedule(SimTime::from_millis(1000 - i), i);
+                if i % 5 == 0 {
+                    keep.push(i);
+                } else {
+                    q.cancel(id);
                 }
             }
-        };
-    }
-
-    queue_battery!(wheel, EventQueue);
-    queue_battery!(keyheap, KeyHeapQueue);
-
-    #[test]
-    fn scheduler_run_until_horizon() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        for i in 1..=10u32 {
-            s.at(SimTime::from_secs(i as u64), i);
+            assert_eq!(q.len(), keep.len());
+            let mut popped = Vec::new();
+            while let Some((_, e)) = q.pop() {
+                popped.push(e);
+            }
+            // Live events come out in time order (descending i ⇒
+            // ascending time), untouched by the compactions the
+            // cancels triggered.
+            keep.reverse();
+            assert_eq!(popped, keep);
+            assert_eq!(q.now(), SimTime::from_millis(1000));
         }
-        let mut fired = Vec::new();
-        s.run_until(SimTime::from_secs(5), |_, _, e| fired.push(e));
-        assert_eq!(fired, vec![1, 2, 3, 4, 5]);
-        assert_eq!(s.queue().len(), 5);
-    }
 
-    #[test]
-    fn scheduler_handler_can_reschedule() {
-        let mut s: Scheduler<u32> = Scheduler::new();
-        s.at(SimTime::from_secs(0), 0);
-        let mut count = 0;
-        s.run_until(SimTime::from_secs(10), |q, t, _| {
-            count += 1;
-            q.schedule(t + SimDuration::from_secs(1), 0);
-        });
-        // Fires at t = 0..=10 inclusive.
-        assert_eq!(count, 11);
-    }
+        #[test]
+        fn peek_skips_cancelled() {
+            let mut q = EventQueue::new();
+            let a = q.schedule(SimTime::from_secs(1), "a");
+            q.schedule(SimTime::from_secs(2), "b");
+            q.cancel(a);
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(2)));
+            assert_eq!(q.pop().map(|(_, e)| e), Some("b"));
+        }
 
-    #[test]
-    fn run_to_completion_drains() {
-        let mut s: Scheduler<&str> = Scheduler::new();
-        s.at(SimTime::from_secs(1), "a");
-        s.at(SimTime::from_secs(2), "b");
-        let mut n = 0;
-        s.run_to_completion(|_, _, _| n += 1);
-        assert_eq!(n, 2);
-        assert!(s.queue().is_empty());
+        #[test]
+        fn schedule_after_uses_current_time() {
+            let mut q = EventQueue::new();
+            q.schedule(SimTime::from_secs(10), "x");
+            q.pop();
+            q.schedule_after(SimDuration::from_secs(5), "y");
+            assert_eq!(q.peek_time(), Some(SimTime::from_secs(15)));
+        }
+
+        #[test]
+        fn far_future_and_near_interleave_in_order() {
+            let mut q = EventQueue::new();
+            // Beyond the wheel span (> 17.2 s): far-heap fallback.
+            q.schedule(SimTime::from_secs(3600), "hour");
+            q.schedule(SimTime::from_nanos(u64::MAX - 1), "sentinel");
+            q.schedule(SimTime::from_secs(20), "soon-ish");
+            q.schedule(SimTime::from_nanos(5_000), "now");
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec!["now", "soon-ish", "hour", "sentinel"]);
+        }
+
+        #[test]
+        fn same_instant_across_structures_resolves_by_seq() {
+            let mut q = EventQueue::new();
+            // Seed the clock so later schedules straddle the wheel
+            // levels, then pile many events onto one instant from
+            // different distances (scheduled before and after
+            // intervening pops): sequence order must win.
+            let t = SimTime::from_millis(40);
+            q.schedule(t, 0u32); // far ahead at schedule time
+            q.schedule(SimTime::from_nanos(1_000), 100);
+            q.schedule(t, 1);
+            assert_eq!(q.pop().map(|(_, e)| e), Some(100));
+            q.schedule(t, 2); // nearer now; same instant
+            q.schedule(t + SimDuration::from_nanos(1), 3);
+            q.schedule(t, 4);
+            let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+            assert_eq!(order, vec![0, 1, 2, 4, 3]);
+        }
     }
 
     /// Slot recycling must never resurrect a cancelled event or let a stale

@@ -3,7 +3,7 @@
 //!
 //! This crate provides the substrate every other crate in the workspace is
 //! built on: an integer-nanosecond clock ([`SimTime`], [`SimDuration`]), a
-//! deterministic event queue ([`EventQueue`], [`Scheduler`]), a portable
+//! deterministic event queue ([`EventQueue`]), a portable
 //! pseudo-random number generator with the distributions the paper's
 //! evaluation needs ([`rng::SimRng`]), time-series recording ([`trace`]) and
 //! the summary statistics used throughout the paper's figures ([`stats`]).
@@ -33,6 +33,6 @@ pub mod trace;
 
 pub use clocked::Clocked;
 pub use epoch::EpochClock;
-pub use event::{EventQueue, KeyHeapQueue, Scheduler, TimerId};
+pub use event::{EventQueue, TimerId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

@@ -4,8 +4,9 @@
 //! implementations in lockstep and demands bit-identical observations:
 //!
 //! * [`EventQueue`] — the hierarchical timing wheel (the hot path),
-//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap, kept
-//!   precisely so the wheel has a trusted, structurally different twin,
+//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap, kept here
+//!   (and nowhere else) precisely so the wheel has a trusted,
+//!   structurally different twin,
 //! * a naive sorted-`Vec` reference — correct by inspection.
 //!
 //! Agreement across all three pins the queue contract — (time, sequence)
@@ -24,8 +25,156 @@
 //! Case count: 64 by default, raised in CI via `PROPTEST_CASES` (the
 //! differential gate runs with ≥1000).
 
-use emptcp_sim::{EventQueue, KeyHeapQueue, SimDuration, SimTime, TimerId};
+use emptcp_sim::{EventQueue, SimDuration, SimTime, TimerId};
 use proptest::prelude::*;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hasher for event sequence numbers: a single Fibonacci multiply plus a
+/// xor-fold. Sequence numbers are dense, monotonically assigned integers,
+/// so a strong (SipHash) hasher buys nothing — this keeps the per-event
+/// map lookup in [`KeyHeapQueue`] to a couple of cycles.
+#[derive(Default)]
+struct SeqHasher(u64);
+
+impl Hasher for SeqHasher {
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        // Only reached for non-u64 keys; FNV-1a keeps it correct.
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        let h = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 29);
+    }
+}
+
+/// Compact when at least this many tombstones accumulated …
+const COMPACT_MIN_TOMBSTONES: usize = 64;
+/// … and they make up more than half the stored keys.
+const COMPACT_RATIO: usize = 2;
+
+/// The original event queue: a `BinaryHeap` of 16-byte `(time, seq)` keys
+/// over a sequence-indexed payload map, with tombstoned cancellation and
+/// O(n) compaction.
+///
+/// Retired from the hot path in favour of the timing-wheel [`EventQueue`]
+/// and moved out of the library, but kept fully functional as the
+/// structurally independent reference this harness (and the CI
+/// `hotpath-differential` step) drives in lockstep with the wheel: two
+/// implementations that share nothing but the API contract and must agree
+/// on every pop. A cancellation handle is the event's sequence number.
+#[derive(Debug)]
+struct KeyHeapQueue<E> {
+    heap: BinaryHeap<Reverse<(SimTime, u64)>>,
+    events: HashMap<u64, E, BuildHasherDefault<SeqHasher>>,
+    tombstones: usize,
+    next_seq: u64,
+    now: SimTime,
+}
+
+impl<E> Default for KeyHeapQueue<E> {
+    fn default() -> Self {
+        KeyHeapQueue {
+            heap: BinaryHeap::new(),
+            events: HashMap::default(),
+            tombstones: 0,
+            next_seq: 0,
+            now: SimTime::ZERO,
+        }
+    }
+}
+
+impl<E> KeyHeapQueue<E> {
+    /// The current simulated time: the timestamp of the last popped event.
+    fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Schedule `event` at absolute time `at`. Scheduling in the past is a
+    /// logic error; the event is clamped to `now` in release builds.
+    fn schedule(&mut self, at: SimTime, event: E) -> u64 {
+        debug_assert!(
+            at >= self.now,
+            "scheduling into the past ({at:?} < {:?})",
+            self.now
+        );
+        let at = at.max(self.now);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq)));
+        self.events.insert(seq, event);
+        seq
+    }
+
+    /// Cancel a previously scheduled event (no-op when already fired or
+    /// cancelled). The payload is dropped immediately; its heap key becomes
+    /// a tombstone dropped lazily at pop/peek or swept by compaction.
+    fn cancel(&mut self, seq: u64) {
+        if self.events.remove(&seq).is_some() {
+            self.tombstones += 1;
+            if self.tombstones >= COMPACT_MIN_TOMBSTONES
+                && self.tombstones * COMPACT_RATIO > self.heap.len()
+            {
+                self.compact();
+            }
+        }
+    }
+
+    /// Rebuild the heap without tombstoned keys: one O(n) pass.
+    fn compact(&mut self) {
+        let heap = std::mem::take(&mut self.heap);
+        self.heap = heap
+            .into_iter()
+            .filter(|&Reverse((_, seq))| self.events.contains_key(&seq))
+            .collect();
+        self.tombstones = 0;
+    }
+
+    /// Pop the next live event, advancing the clock to its timestamp.
+    fn pop(&mut self) -> Option<(SimTime, E)> {
+        while let Some(Reverse((at, seq))) = self.heap.pop() {
+            if let Some(event) = self.events.remove(&seq) {
+                self.now = at;
+                return Some((at, event));
+            }
+            self.tombstones -= 1;
+        }
+        None
+    }
+
+    /// Timestamp of the next live event without popping it.
+    fn peek_time(&mut self) -> Option<SimTime> {
+        while let Some(&Reverse((at, seq))) = self.heap.peek() {
+            if self.events.contains_key(&seq) {
+                return Some(at);
+            }
+            self.heap.pop();
+            self.tombstones -= 1;
+        }
+        None
+    }
+
+    /// Number of live events still queued.
+    fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// True if no live events remain.
+    fn is_empty(&self) -> bool {
+        self.events.is_empty()
+    }
+}
 
 /// The reference: a flat vector of live `(time_nanos, seq, payload)`
 /// entries. Correct by inspection, O(n) everything.
@@ -77,7 +226,7 @@ struct Trio {
     wheel: EventQueue<u32>,
     heap: KeyHeapQueue<u32>,
     reference: Reference,
-    handles: Vec<(TimerId, TimerId, u64)>,
+    handles: Vec<(TimerId, u64, u64)>,
 }
 
 impl Trio {

@@ -200,6 +200,12 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// Drop a counter, so a merge can leave out a count the receiving
+    /// registry already took.
+    pub fn remove_counter(&mut self, name: &str) {
+        self.counters.remove(name);
+    }
+
     /// All counters in name order (for summaries and roll-ups).
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))

@@ -1,0 +1,107 @@
+//! Workspace smoke: reduced cases of the workspace suites' load-bearing
+//! contracts, in the root package so the tier-1 command (`cargo test -q`)
+//! exercises them — one fleet engine whose output is invariant under the
+//! shard count, one pair pump whose two transports agree event for event,
+//! a chaos corpus that certifies, and a monitor tap that streams.
+
+use emptcp_faults::{FaultPlan, FaultTarget};
+use emptcp_live::{certify, ParityScript};
+use emptcp_net::{FleetConfig, SerialExecutor, ShardExecutor, ShardedFleetSim};
+use emptcp_obsv::{Pipeline, PipelineConfig, PipelineSink};
+use emptcp_repro::expr::chaos;
+use emptcp_repro::sim::{SimDuration, SimTime};
+use emptcp_telemetry::{MemorySink, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+fn small_fleet() -> FleetConfig {
+    let mut cfg = FleetConfig::contended(6, 7);
+    cfg.duration = SimDuration::from_millis(600);
+    cfg.bottleneck.rate_bps = 20_000_000;
+    cfg
+}
+
+#[test]
+fn shard_count_is_invisible_with_tracing_and_invariants_on() {
+    let run = |shards: usize| {
+        let record = Arc::new(Mutex::new(MemorySink::new()));
+        let telemetry = Telemetry::builder()
+            .sink(Box::new(Arc::clone(&record)))
+            .invariants(true)
+            .build();
+        let mut sim = ShardedFleetSim::new_with_telemetry(small_fleet(), shards, telemetry.clone());
+        let report = serde_json::to_string(&sim.run()).expect("report serializes");
+        assert_eq!(telemetry.violations(), [], "online invariant violated");
+        let trace = record.lock().unwrap().to_jsonl();
+        (report, sim.per_client_delivered(), trace)
+    };
+    let reference = run(1);
+    assert!(reference.1.iter().all(|&bytes| bytes > 0), "{reference:?}");
+    assert!(!reference.2.is_empty(), "reference run recorded no trace");
+    assert_eq!(run(4), reference);
+}
+
+#[test]
+fn a_faulted_script_is_event_for_event_identical_over_both_transports() {
+    let mut script = ParityScript::two_path(1234, 256 * 1024);
+    script.faults = FaultPlan::new().blackout(
+        FaultTarget::Wifi,
+        SimTime::from_millis(150),
+        SimDuration::from_millis(400),
+    );
+    let report = certify(&script).unwrap_or_else(|diff| panic!("parity broken:\n{diff}"));
+    assert_eq!(report.delivered, 256 * 1024);
+    assert!(
+        report.delivered_cellular > 0,
+        "cellular rode out the blackout"
+    );
+}
+
+#[test]
+fn the_committed_corpus_certifies() {
+    let reports = chaos::replay_corpus(None).expect("corpus replays");
+    assert!(!reports.is_empty());
+    for report in &reports {
+        assert!(report.ok(), "{}: {:?}", report.scenario, report.violations);
+    }
+}
+
+/// Counts the epochs the engine has executed so far (every epoch is one
+/// `run_indexed` call), so a sink can tell how far along the run is.
+struct EpochCounter(Arc<AtomicUsize>);
+
+impl ShardExecutor for EpochCounter {
+    fn run_indexed(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        SerialExecutor.run_indexed(n, f);
+    }
+}
+
+#[test]
+fn a_pipeline_tap_streams_while_the_fleet_is_still_running() {
+    let epochs = Arc::new(AtomicUsize::new(0));
+    let seen_at = Arc::new(Mutex::new(Vec::new()));
+    let pipeline = Arc::new(Mutex::new(Pipeline::new(PipelineConfig::default())));
+    let sink = PipelineSink::new(Arc::clone(&pipeline)).with_observer({
+        let (epochs, seen_at) = (Arc::clone(&epochs), Arc::clone(&seen_at));
+        Box::new(move |_| seen_at.lock().unwrap().push(epochs.load(Ordering::Relaxed)))
+    });
+    let telemetry = Telemetry::builder().sink(Box::new(sink)).build();
+    let mut sim = ShardedFleetSim::new_with_telemetry(small_fleet(), 2, telemetry);
+    sim.run_with(&EpochCounter(Arc::clone(&epochs)));
+    let total = epochs.load(Ordering::Relaxed);
+    let seen_at = seen_at.lock().unwrap();
+    // The observer fires on every aggregation-bin advance. Were the trace
+    // merged at end of run, every firing would see the final epoch count.
+    assert!(
+        seen_at.len() > 1,
+        "observer fired {} time(s)",
+        seen_at.len()
+    );
+    assert!(
+        seen_at[1] < total / 2,
+        "second bin only surfaced at epoch {} of {total}",
+        seen_at[1]
+    );
+    assert!(pipeline.lock().unwrap().events > 0);
+}
