@@ -398,9 +398,9 @@ fn micro_benches() -> BTreeMap<String, f64> {
     }
 
     {
-        // One quiescent reactor iteration on the wall path: deadline
-        // sweep, clock-driven side-effect replay, transmit drain — the
-        // per-tick floor of a live connection that has nothing to do.
+        // One idle reactor iteration on the wall path: deadline sweep
+        // and an empty transmit drain — the per-tick floor of a live
+        // connection that has nothing to do.
         use emptcp_live::ChaosPath;
         use emptcp_live::{ConnWorker, DuplexTransport, Reactor};
         use emptcp_mptcp::{MpConnection, Role};

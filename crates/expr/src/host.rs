@@ -172,10 +172,6 @@ pub struct Simulation {
     /// In-flight segments parked while their [`Event::Deliver`] is queued;
     /// doubles as the run's leak oracle ([`Simulation::seg_slab_stats`]).
     seg_slab: SegmentSlab,
-    /// Reused transmit batch: [`Simulation::drain_conn`] runs on every
-    /// delivery, so allocating a fresh `Vec` per call would be the single
-    /// biggest allocation source in a run.
-    tx_scratch: Vec<(SubflowId, Segment, bool)>,
 
     modulator: Option<BandwidthModulator>,
     interferers: Option<InterfererSet>,
@@ -337,7 +333,6 @@ impl Simulation {
             cell_pending: Vec::new(),
             cell_ready_scheduled: false,
             seg_slab: SegmentSlab::new(),
-            tx_scratch: Vec::new(),
             modulator,
             interferers,
             mobility,
@@ -522,26 +517,25 @@ impl Simulation {
         }
     }
 
-    fn drain_conn(&mut self, now: SimTime, i: usize) {
-        // Reuse one batch buffer across calls (taken so `send` can borrow
-        // `self` mutably while we iterate).
-        let mut batch = std::mem::take(&mut self.tx_scratch);
+    /// Put everything one endpoint of connection `i` has to say on the wire.
+    fn drain_side(&mut self, now: SimTime, i: usize, from_client: bool) {
         loop {
-            batch.clear();
-            while let Some((sf, seg)) = self.conns[i].client.poll_transmit(now) {
-                batch.push((sf, seg, true));
-            }
-            while let Some((sf, seg)) = self.conns[i].server.poll_transmit(now) {
-                batch.push((sf, seg, false));
-            }
-            if batch.is_empty() {
+            let c = &mut self.conns[i];
+            let side = if from_client {
+                &mut c.client
+            } else {
+                &mut c.server
+            };
+            let Some((sf, seg)) = side.poll_transmit(now) else {
                 break;
-            }
-            for &(sf, seg, from_client) in &batch {
-                self.send(now, i, sf, seg, from_client);
-            }
+            };
+            self.send(now, i, sf, seg, from_client);
         }
-        self.tx_scratch = batch;
+    }
+
+    fn drain_conn(&mut self, now: SimTime, i: usize) {
+        self.drain_side(now, i, true);
+        self.drain_side(now, i, false);
     }
 
     fn drain_all(&mut self, now: SimTime) {
@@ -610,7 +604,9 @@ impl Simulation {
         if !to_client {
             self.feed_server(now, conn);
         }
-        self.drain_conn(now, conn);
+        // Only the endpoint the segment reached can have news: an empty
+        // poll of the other side would change nothing.
+        self.drain_side(now, conn, to_client);
         self.schedule_timers(now);
         self.check_completion(now);
     }

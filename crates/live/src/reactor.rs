@@ -10,26 +10,26 @@
 //! the shaped transports, keyed on the same monotonic nanoseconds the
 //! wall clock produces.
 //!
-//! **The drain discipline is load-bearing.** Each iteration advances the
+//! **One settle discipline, two clocks.** Each iteration advances the
 //! clock to the next known instant, applies due faults, delivers *at most
 //! one* frame, then runs every worker's deadline sweep and transmit drain
 //! in registration order. This is the only pair pump in the workspace:
 //! the simulator's chaos rig ([`MpChaosRig`](crate::MpChaosRig)) is this
 //! reactor over a [`ChaosNet`](emptcp_faults::ChaosNet), so
 //! event-for-event decision parity between the two backends is a
-//! statement about two transports, not about two loops kept in step. A
-//! dirty-set optimization (only settling touched connections) would be
-//! faster for thousands of connections per reactor, but would perturb the
-//! clock-coupled replay cadence ([`Clocked`]) that every committed chaos
-//! and parity result was produced under; it is explicitly out of scope
-//! until the determinism contract moves to delivered-byte accounting
-//! (see DESIGN §17).
+//! statement about two transports, not about two loops kept in step.
+//!
+//! The transmit drain is not load-bearing: a `poll_transmit` that returns
+//! `None` changes no state, so sweeping workers nothing touched is merely
+//! wasted work and a dirty set could skip it. The *deadline* sweep is the
+//! one cadence coupling left — `MpConnection::on_deadline` samples
+//! `stall_since` for opportunistic reinjection at the instant it runs, so
+//! eliding it for an untouched worker would move stall detection (see
+//! DESIGN §17).
 //!
 //! On a wall clock the same loop sleeps in bounded slices
 //! ([`MAX_WALL_SLEEP`](crate::clock::MAX_WALL_SLEEP)) so socket readiness
-//! is re-checked at a steady cadence, and each iteration drives
-//! [`Clocked::clock_tick`] — live wall ticks and sim virtual ticks reach
-//! the identical side-effect replay.
+//! is re-checked at a steady cadence.
 //!
 //! [`MpConnection`]: emptcp_mptcp::MpConnection
 
@@ -38,7 +38,7 @@ use crate::transport::Transport;
 use emptcp_faults::{FaultInjector, FaultPlan, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::{IfaceKind, LossModel};
-use emptcp_sim::{Clocked, SimDuration, SimTime};
+use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::TcpConfig;
 
 /// Iteration cap of the virtual loop: a runaway guard, far above what any
@@ -259,8 +259,7 @@ impl<T: Transport> Reactor<T> {
 
     /// Wall-clock flavor: the same settle discipline, but readiness is
     /// polled at a bounded sleep cadence (sockets can't announce their
-    /// next arrival) and every iteration drives the [`Clocked`] replay —
-    /// wall ticks and virtual ticks land in the identical code path.
+    /// next arrival).
     fn run_wall(&mut self, done: &mut impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
         loop {
             if done(&self.workers) {
@@ -274,7 +273,6 @@ impl<T: Transport> Reactor<T> {
             self.poll_faults(now);
             let progressed = self.deliver_one(now);
             for w in &mut self.workers {
-                w.conn.clock_tick(now);
                 w.conn.on_deadline(now);
             }
             self.pump_transmit(now);

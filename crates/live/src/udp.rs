@@ -14,9 +14,10 @@
 //! transfer through exactly the machinery that shapes a simulated one.
 //!
 //! Peers are preset (client) or learned from the source address of the
-//! first datagram per path (server) — the usual UDP rendezvous. Malformed
-//! datagrams are counted and skipped, never panicked on: a socket is a
-//! public interface.
+//! first well-formed datagram per path (server) — the usual UDP
+//! rendezvous. Malformed datagrams, and well-formed ones whose `path` byte
+//! is not the socket they arrived on, are counted and skipped, never
+//! panicked on and never learned from: a socket is a public interface.
 
 use crate::codec::{decode_frame, encode_frame};
 use crate::transport::Transport;
@@ -49,7 +50,8 @@ pub struct UdpTransport {
     pub datagrams_received: u64,
     /// Frames shaped away before the wire (loss draw or downed path).
     pub frames_shaped_away: u64,
-    /// Arrivals that failed to decode (skipped, never fatal).
+    /// Arrivals that failed to decode or named a path other than the
+    /// socket they arrived on (skipped, never fatal).
     pub malformed: u64,
     /// Egress frames dropped because no peer was known yet.
     pub unroutable: u64,
@@ -139,15 +141,15 @@ impl Transport for UdpTransport {
             match self.sockets[idx].recv_from(&mut buf) {
                 Ok((n, from)) => {
                     self.rr = (idx + 1) % self.sockets.len();
-                    if self.peers[idx].is_none() {
-                        self.peers[idx] = Some(from);
-                    }
                     match decode_frame(&buf[..n]) {
-                        Ok((path, seg)) => {
+                        // A frame names the path it travels; one that
+                        // arrives on another path's socket is not ours.
+                        Ok((path, seg)) if path as usize == idx => {
+                            self.peers[idx].get_or_insert(from);
                             self.datagrams_received += 1;
                             return Some((0, path, seg));
                         }
-                        Err(_) => {
+                        _ => {
                             self.malformed += 1;
                             continue;
                         }
@@ -220,6 +222,24 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(t.poll_recv(SimTime::ZERO).is_none());
         assert_eq!(t.malformed, 1);
+        assert!(t.peers[0].is_none(), "no peer learned from garbage");
+    }
+
+    #[test]
+    fn a_frame_for_another_path_is_rejected_not_delivered() {
+        let mut t = UdpTransport::bind(46240, two_paths(), 5).expect("bind");
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        // Well-formed, but claims subflow 7 on path 0's socket: delivered,
+        // it would index past the connection's subflows.
+        let frame = encode_frame(7, &Segment::empty(SimTime::ZERO));
+        raw.send_to(&frame, "127.0.0.1:46240").expect("send");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(t.poll_recv(SimTime::ZERO).is_none());
+        assert_eq!((t.malformed, t.datagrams_received), (1, 0));
+        assert!(
+            t.peers[0].is_none(),
+            "no peer learned from a rejected frame"
+        );
     }
 
     #[test]

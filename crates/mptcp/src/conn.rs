@@ -14,14 +14,17 @@
 //!   subflow timers; a subflow RTO triggers opportunistic reinjection of
 //!   its unacknowledged data onto the surviving subflows.
 //!
-//! LIA coupling (RFC 6356) is refreshed on every poll: the connection
-//! computes `alpha` across its established subflows and pushes it into each
-//! subflow's congestion controller.
+//! LIA coupling (RFC 6356) is refreshed on the ACK path, where it is
+//! consumed: before an acknowledgement of new data reaches a subflow the
+//! connection recomputes `alpha` across its established subflows (at most
+//! every 10 ms) and pushes it into each subflow's congestion controller.
+//! Time-dependent state moves only with a segment in or out, so a
+//! `poll_transmit` that returns `None` is a no-op at any cadence.
 
 use crate::sched::{pick_subflow, pick_subflow_detailed};
 use crate::subflow::{Subflow, SubflowId};
 use emptcp_phy::IfaceKind;
-use emptcp_sim::{Clocked, SimDuration, SimTime};
+use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::cc::lia_alpha;
 use emptcp_tcp::{Segment, TcpConfig, TcpState};
 use emptcp_telemetry::{TelemetryScope, TraceEvent, DELIVERED_EMIT_BYTES};
@@ -131,12 +134,6 @@ pub struct MpConnection {
     /// Last LIA recomputation (rate-limited: alpha moves on RTT timescales,
     /// recomputing per segment is pure overhead).
     lia_refreshed_at: SimTime,
-    /// The last [`poll_transmit`](Self::poll_transmit) pass came up empty
-    /// and nothing has touched the connection since. A repeat poll can
-    /// replay only the clock-driven effects of a full pass (LIA refresh
-    /// and RFC 2861 idle validation) and return `None` directly; every
-    /// mutating entry point clears this.
-    quiescent: bool,
     /// Consecutive RTO expirations (without `snd_una` progress) after which
     /// a subflow is declared dead.
     failure_threshold: u64,
@@ -170,7 +167,6 @@ impl MpConnection {
             coupled: true,
             opportunistic: true,
             lia_refreshed_at: SimTime::ZERO,
-            quiescent: false,
             failure_threshold: 3,
             recovery: RecoveryStats::default(),
             recovery_pending: None,
@@ -182,7 +178,6 @@ impl MpConnection {
     /// (default 3; Linux's TCP-level equivalent is conceptually
     /// `net.ipv4.tcp_retries2`, scaled down to simulation timescales).
     pub fn set_failure_threshold(&mut self, rtos: u64) {
-        self.quiescent = false;
         self.failure_threshold = rtos.max(1);
     }
 
@@ -195,7 +190,6 @@ impl MpConnection {
     /// subflow lifecycle, MP_PRIO) report under it; each subflow's TCP
     /// endpoint gets a copy labelled with its subflow id.
     pub fn set_telemetry(&mut self, scope: TelemetryScope) {
-        self.quiescent = false;
         for sf in &mut self.subflows {
             sf.tcp.set_telemetry(scope.with_subflow(sf.id.0));
         }
@@ -205,13 +199,11 @@ impl MpConnection {
     /// Disable LIA coupling (each subflow runs plain Reno). Used by
     /// ablation benches.
     pub fn set_coupled(&mut self, coupled: bool) {
-        self.quiescent = false;
         self.coupled = coupled;
     }
 
     /// Toggle opportunistic reinjection (on by default, as in Linux MPTCP).
     pub fn set_opportunistic(&mut self, enabled: bool) {
-        self.quiescent = false;
         self.opportunistic = enabled;
     }
 
@@ -223,7 +215,6 @@ impl MpConnection {
     /// Add a subflow on `iface`. The client actively opens it (SYN emitted
     /// on the next poll); the server side listens. Returns its id.
     pub fn add_subflow(&mut self, now: SimTime, iface: IfaceKind) -> SubflowId {
-        self.quiescent = false;
         let id = SubflowId(self.subflows.len() as u8);
         let mut sf = match self.role {
             Role::Client => Subflow::client(id, iface, self.tcp_cfg),
@@ -249,7 +240,6 @@ impl MpConnection {
 
     /// A subflow by id, mutable.
     pub fn subflow_mut(&mut self, id: SubflowId) -> &mut Subflow {
-        self.quiescent = false;
         &mut self.subflows[id.0 as usize]
     }
 
@@ -262,7 +252,6 @@ impl MpConnection {
 
     /// Append `bytes` to the connection-level send stream.
     pub fn write(&mut self, bytes: u64) {
-        self.quiescent = false;
         assert!(!self.closing, "write after close");
         self.data_written += bytes;
     }
@@ -270,7 +259,6 @@ impl MpConnection {
     /// Request a graceful close: once all written data is scheduled and
     /// acknowledged, every subflow sends its FIN.
     pub fn close(&mut self) {
-        self.quiescent = false;
         self.closing = true;
     }
 
@@ -305,7 +293,6 @@ impl MpConnection {
     /// [`bytes_delivered`](Self::bytes_delivered) exactly. Hosts call this
     /// once when a run ends; subflow 0 stands in for "whole connection".
     pub fn flush_delivered_trace(&mut self, now: SimTime) {
-        self.quiescent = false;
         if self.delivered_since_emit > 0 {
             let bytes = self.delivered_since_emit;
             self.delivered_since_emit = 0;
@@ -347,7 +334,6 @@ impl MpConnection {
     /// (§3.6: "eMPTCP adds an MP_PRIO option, which changes the priority of
     /// subflows, to the next packet to be transmitted").
     pub fn set_subflow_priority(&mut self, now: SimTime, id: SubflowId, backup: bool) {
-        self.quiescent = false;
         let sf = &mut self.subflows[id.0 as usize];
         if sf.backup == backup {
             return;
@@ -363,7 +349,6 @@ impl MpConnection {
 
     /// Apply the §3.6 resume tweaks to a subflow being re-enabled.
     pub fn prepare_subflow_resume(&mut self, id: SubflowId) {
-        self.quiescent = false;
         self.subflows[id.0 as usize].prepare_resume();
     }
 
@@ -373,7 +358,6 @@ impl MpConnection {
     /// survives, promotes the best backup. Coming back up clears failure
     /// state so the subflow is immediately schedulable again.
     pub fn set_subflow_link_up(&mut self, now: SimTime, id: SubflowId, up: bool) {
-        self.quiescent = false;
         let idx = id.0 as usize;
         if self.subflows[idx].link_down != up {
             return;
@@ -404,10 +388,13 @@ impl MpConnection {
         if self.subflows.len() < 2 {
             return 0;
         }
+        // Ranges another subflow already got acknowledged need no rescue.
         let mut bytes = 0u64;
-        for range in self.subflows[idx].unacked_data_ranges() {
-            bytes += range.1 as u64;
-            self.reinject.push_back(range);
+        for (seq, len) in self.subflows[idx].unacked_data_ranges() {
+            if seq + len as u64 > self.data_acked {
+                bytes += len as u64;
+                self.reinject.push_back((seq, len));
+            }
         }
         if bytes > 0 {
             self.recovery.reinjection_events += 1;
@@ -494,7 +481,6 @@ impl MpConnection {
     /// subflows trigger opportunistic reinjection a couple of RTTs earlier.
     /// Crossing the consecutive-RTO threshold declares the subflow dead.
     pub fn on_deadline(&mut self, now: SimTime) {
-        self.quiescent = false;
         for idx in 0..self.subflows.len() {
             self.subflows[idx].tcp.on_deadline(now);
             let timeouts = self.subflows[idx].tcp.timeouts();
@@ -586,21 +572,19 @@ impl MpConnection {
         }
     }
 
-    /// Next segment to put on the wire, tagged with its subflow.
+    /// Next segment to put on the wire, tagged with its subflow. A call
+    /// that returns `None` changes no state: every effect below is tied to
+    /// an emission.
     pub fn poll_transmit(&mut self, now: SimTime) -> Option<(SubflowId, Segment)> {
-        if self.quiescent {
-            // Nothing has touched the connection since a poll came up
-            // empty: a full pass could only replay its clock-driven side
-            // effects, which is exactly the `Clocked` contract.
-            self.clock_tick(now);
-            return None;
-        }
-        self.update_lia(now);
         // Graceful close: once the stream is fully scheduled and
-        // acknowledged, queue FINs (idempotent at the TCP layer).
+        // acknowledged, queue FINs on subflows that can send theirs at once
+        // (idempotent at the TCP layer).
         if self.close_sent() {
             for sf in &mut self.subflows {
-                if sf.tcp.state() == TcpState::Established && !sf.tcp.fin_queued() {
+                if sf.tcp.state() == TcpState::Established
+                    && !sf.tcp.fin_queued()
+                    && sf.tcp.send_backlog() == 0
+                {
                     sf.tcp.close();
                 }
             }
@@ -615,14 +599,12 @@ impl MpConnection {
                 return Some((sf.id, seg));
             }
         }
-        // 2. Schedule fresh (or reinjected) connection data.
-        let Some((data_seq, len)) = self.next_chunk() else {
-            // Clean empty pass: no pending chunk, and every subflow was
-            // walked above without emitting. A repeat poll is a no-op
-            // until the next event touches the connection.
-            self.quiescent = true;
+        // 2. Schedule fresh (or reinjected) connection data. The subflow is
+        //    picked before the chunk is taken, so a pass with nowhere to
+        //    send consumes nothing.
+        if self.all_data_scheduled() {
             return None;
-        };
+        }
         // The detailed pick (candidate set + reason) is only computed
         // when someone is listening; otherwise take the cheap path.
         let idx = if self.scope.enabled() {
@@ -639,50 +621,37 @@ impl MpConnection {
         } else {
             pick_subflow(&self.subflows)
         };
-        let Some(idx) = idx else {
-            // Put an unconsumed reinjection chunk back. No subflow can
-            // take data, and that can only change through an ack, timer,
-            // or topology event — all of which clear the flag.
-            self.unconsume_chunk(data_seq, len);
-            self.quiescent = true;
-            return None;
-        };
+        let idx = idx?;
+        let (data_seq, len) = self.next_chunk()?;
         let data_ack = self.data_rcv_nxt;
         let sf = &mut self.subflows[idx];
         let take = (len as u64)
             .min(sf.tcp.config().mss as u64)
             .min(sf.send_room()) as u32;
-        if take == 0 {
-            self.unconsume_chunk(data_seq, len);
-            return None;
-        }
         if take < len {
             // Leave the remainder for the next pick.
             self.unconsume_chunk(data_seq + take as u64, len - take);
         }
         let sf = &mut self.subflows[idx];
         sf.push_data(data_seq, take);
-        if let Some(mut seg) = sf.tcp.poll_transmit(now) {
-            sf.decorate(&mut seg, data_ack);
-            sf.gc_mappings();
-            return Some((sf.id, seg));
-        }
-        // The subflow accepted the data but can't emit yet (shouldn't
-        // happen given can_take_data); try other subflows next poll.
-        None
+        // `can_take_data` promised an empty backlog and window room, so
+        // the chunk leaves in this call.
+        let seg = sf.tcp.poll_transmit(now);
+        debug_assert!(seg.is_some(), "picked subflow {} held its data", sf.id);
+        let mut seg = seg?;
+        sf.decorate(&mut seg, data_ack);
+        sf.gc_mappings();
+        Some((sf.id, seg))
     }
 
     /// The next chunk of data wanting transmission: reinjections first,
-    /// then fresh stream bytes (up to one MSS).
+    /// then fresh stream bytes (up to one MSS). `Some` whenever
+    /// [`all_data_scheduled`](Self::all_data_scheduled) is false — the
+    /// reinjection queue never holds ranges the peer has acknowledged.
     fn next_chunk(&mut self) -> Option<(u64, u32)> {
-        while let Some((seq, len)) = self.reinject.pop_front() {
-            // Skip reinjections the peer has since acknowledged.
-            let end = seq + len as u64;
-            if end <= self.data_acked {
-                continue;
-            }
+        if let Some((seq, len)) = self.reinject.pop_front() {
             let start = seq.max(self.data_acked);
-            return Some((start, (end - start) as u32));
+            return Some((start, (seq + len as u64 - start) as u32));
         }
         if self.data_next < self.data_written {
             let len = (self.data_written - self.data_next).min(u32::MAX as u64) as u32;
@@ -705,7 +674,6 @@ impl MpConnection {
 
     /// Feed an arriving segment to its subflow.
     pub fn on_segment(&mut self, now: SimTime, id: SubflowId, seg: Segment) -> MpSegmentOutcome {
-        self.quiescent = false;
         let mut outcome = MpSegmentOutcome::default();
         let idx = id.0 as usize;
         assert!(idx < self.subflows.len(), "unknown subflow {id}");
@@ -716,7 +684,15 @@ impl MpConnection {
             self.subflows[idx].learn_mapping(seg.seq, dss);
             if dss.data_ack > self.data_acked {
                 self.data_acked = dss.data_ack;
+                // Reinjections the peer has since acknowledged are moot.
+                self.reinject
+                    .retain(|&(seq, len)| seq + len as u64 > dss.data_ack);
             }
+        }
+        // An ACK of new data is about to grow a window: that is where LIA's
+        // alpha is consumed, so that is where it is refreshed.
+        if seg.flags.ack && seg.ack > self.subflows[idx].tcp.snd_una() {
+            self.update_lia(now);
         }
         let tcp_outcome = self.subflows[idx].tcp.on_segment(now, seg);
         outcome.established_now = tcp_outcome.established_now;
@@ -848,21 +824,6 @@ impl MpConnection {
         self.subflows
             .iter()
             .all(|sf| now.saturating_since(sf.last_activity()) > window)
-    }
-}
-
-/// Clock-coupled side effects of an MPTCP connection: the LIA alpha
-/// refresh (rate-limited to RTT timescales) and, per subflow, the TCP
-/// endpoint's own [`Clocked`] replay (RFC 2861 idle validation). The
-/// simulator reaches this through the quiescence fast path of
-/// [`MpConnection::poll_transmit`]; the live reactor calls it directly on
-/// wall-clock ticks — one code path, two engines.
-impl Clocked for MpConnection {
-    fn clock_tick(&mut self, now: SimTime) {
-        self.update_lia(now);
-        for sf in &mut self.subflows {
-            sf.tcp.clock_tick(now);
-        }
     }
 }
 

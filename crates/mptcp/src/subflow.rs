@@ -202,8 +202,9 @@ impl Subflow {
 
     /// Window room: how many more bytes TCP could take right now.
     pub fn send_room(&self) -> u64 {
-        let window = self.tcp.cc().cwnd();
-        window.saturating_sub(self.tcp.bytes_in_flight())
+        self.tcp
+            .send_window()
+            .saturating_sub(self.tcp.bytes_in_flight())
     }
 
     /// The subflow is usable for traffic: established, link up, and not

@@ -447,14 +447,16 @@ impl ClientShard {
                 let seg = self.slab.take(seg).expect("parked segment");
                 let l = local as usize;
                 self.rows.client[l].on_segment(now, sf, seg);
-                self.touch(now, l);
+                self.drain_client(now, l);
+                self.rearm(now, l);
             }
             ClientEvent::DeliverServer { local, sf, seg } => {
                 let seg = self.slab.take(seg).expect("parked segment");
                 let l = local as usize;
                 self.rows.server[l].on_segment(now, sf, seg);
                 self.feed_server(l);
-                self.touch(now, l);
+                self.drain_server(now, l);
+                self.rearm(now, l);
             }
             ClientEvent::Timer { local } => {
                 let l = local as usize;
@@ -551,14 +553,24 @@ impl ClientShard {
         }
     }
 
-    /// Drain both endpoints of row `l` and re-arm its timer.
-    fn touch(&mut self, now: SimTime, l: usize) {
+    fn drain_client(&mut self, now: SimTime, l: usize) {
         while let Some((sf, seg)) = self.rows.client[l].poll_transmit(now) {
             self.charge_access(now, l, sf, seg, false);
         }
+    }
+
+    fn drain_server(&mut self, now: SimTime, l: usize) {
         while let Some((sf, seg)) = self.rows.server[l].poll_transmit(now) {
             self.launch_down(now, l, sf, seg);
         }
+    }
+
+    /// Drain both endpoints of row `l` and re-arm its timer. An arrival
+    /// drains only the endpoint it reached: an empty poll changes nothing,
+    /// so the untouched side has nothing new to say.
+    fn touch(&mut self, now: SimTime, l: usize) {
+        self.drain_client(now, l);
+        self.drain_server(now, l);
         self.rearm(now, l);
     }
 

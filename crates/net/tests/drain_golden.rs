@@ -6,8 +6,9 @@
 //! the drain loop, the ports or the barrier flush shows up here as a
 //! changed byte count or a changed trace hash long before it would surface
 //! as a subtle fairness or energy shift in an exhibit. The constants were
-//! captured once on the sharded engine when it became the only fleet
-//! engine (EXPERIMENTS.md lists the old → new values and their causes).
+//! last re-captured when clock-coupled state stopped depending on poll
+//! cadence (EXPERIMENTS.md, "Lazy time: re-pinned numbers", lists the
+//! old → new values and their causes).
 //!
 //! If this test fails after an intentional semantic change, re-capture with
 //! `cargo test -p emptcp-net --test drain_golden -- --nocapture` and update
@@ -89,10 +90,10 @@ fn contended_fleet_drain_path_matches_goldens() {
         "contended",
         contended_cfg(),
         &[
-            3_065_446, 3_993_482, 4_138_799, 2_523_164, 2_851_502, 3_696_761,
+            3_210_169, 4_090_318, 4_242_150, 2_643_779, 2_278_609, 3_792_603,
         ],
-        0xd127_3e0b_62cc_5369,
-        23_264,
+        0x9aa8_fb41_3727_99b4,
+        23_243,
     );
 }
 
@@ -105,9 +106,9 @@ fn do_no_harm_cell_drain_path_matches_goldens() {
         "dnh",
         FleetConfig::do_no_harm_cell(3),
         &[
-            4_946_251, 7_599_598, 8_251_243, 8_165_930, 8_593_052, 6_799_848, 6_310_821, 7_575_200,
+            6_140_451, 7_521_375, 5_063_867, 7_007_999, 9_556_834, 7_917_885, 7_188_126, 7_743_507,
         ],
-        0x825d_9fb5_bd25_51f5,
-        62_007,
+        0x5b04_d1de_9d45_d43e,
+        62_041,
     );
 }

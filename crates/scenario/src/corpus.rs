@@ -39,6 +39,7 @@ pub const FILES: &[(&str, &str)] = &[
     corpus_file!("lte-tunnel"),
     corpus_file!("midnight-update"),
     corpus_file!("parking-garage"),
+    corpus_file!("regression-early-finish-flap"),
     corpus_file!("regression-energy-monotone"),
     corpus_file!("regression-stuck-subflow"),
     corpus_file!("weak-ap-strong-lte"),

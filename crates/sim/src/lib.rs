@@ -23,7 +23,6 @@
 //! assert_eq!((at, event), (SimTime::from_millis(30), "rto"));
 //! ```
 
-pub mod clocked;
 pub mod epoch;
 pub mod event;
 pub mod rng;
@@ -31,7 +30,6 @@ pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use clocked::Clocked;
 pub use epoch::EpochClock;
 pub use event::{EventQueue, TimerId};
 pub use rng::SimRng;

@@ -161,7 +161,6 @@ pub struct TcpEndpoint {
     /// Highest sequence covered by any SACK block seen this recovery.
     high_sacked: u64,
     peer_rwnd: u64,
-    last_send_time: SimTime,
     syn_sent_at: Option<SimTime>,
     bytes_acked_total: u64,
     retransmissions: u64,
@@ -220,7 +219,6 @@ impl TcpEndpoint {
             lost_bytes: 0,
             high_sacked: 0,
             peer_rwnd: 64 * 1024,
-            last_send_time: SimTime::ZERO,
             syn_sent_at: None,
             bytes_acked_total: 0,
             retransmissions: 0,
@@ -369,6 +367,12 @@ impl TcpEndpoint {
         self.bytes_in_flight()
             .saturating_sub(self.sacked_bytes)
             .saturating_sub(self.lost_bytes)
+    }
+
+    /// The send window: the congestion window capped by the peer's
+    /// advertised receive window.
+    pub fn send_window(&self) -> u64 {
+        self.cc.cwnd().min(self.peer_rwnd)
     }
 
     /// Bytes written by the application but not yet sent.
@@ -576,6 +580,7 @@ impl TcpEndpoint {
                 if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
                     self.snd_una = 1;
                     self.inflight.remove(&0);
+                    self.retx_queue.remove(&0);
                     self.rto_deadline = None;
                     self.rcv_nxt = 1;
                     if let Some(sent) = self.syn_sent_at {
@@ -593,6 +598,7 @@ impl TcpEndpoint {
                 if seg.flags.ack && seg.ack >= 1 {
                     self.snd_una = 1;
                     self.inflight.remove(&0);
+                    self.retx_queue.remove(&0);
                     self.rto_deadline = None;
                     if let Some(sent) = self.inflight_handshake_ts() {
                         let _ = sent; // timestamp echo below is authoritative
@@ -647,6 +653,7 @@ impl TcpEndpoint {
                         e.lost = false;
                         self.lost_bytes -= e.space();
                     }
+                    self.retx_queue.remove(&s);
                 }
             }
         }
@@ -952,19 +959,13 @@ impl TcpEndpoint {
         // 2. Retransmissions — including SYN/SYN-ACK retransmissions while
         //    the handshake is still in flight. The first hole always goes
         //    out; the rest respect the SACK pipe so a large recovery
-        //    doesn't re-burst into the bottleneck queue.
-        while let Some(seq) = self.retx_queue.pop_first() {
-            if seq < self.snd_una {
-                continue;
-            }
-            if self.inflight.get(&seq).is_some_and(|e| e.sacked) {
-                continue;
-            }
-            if seq > self.snd_una && self.pipe() >= self.cc.cwnd() {
-                self.retx_queue.insert(seq);
-                break;
-            }
-            if let Some(entry) = self.inflight.get_mut(&seq) {
+        //    doesn't re-burst into the bottleneck queue. The ACK path keeps
+        //    the queue free of acknowledged and SACKed sequences, so the
+        //    head is either sent or left exactly where it is.
+        if let Some(&seq) = self.retx_queue.first() {
+            let held = seq > self.snd_una && self.pipe() >= self.cc.cwnd();
+            if let Some(entry) = self.inflight.get_mut(&seq).filter(|_| !held) {
+                self.retx_queue.pop_first();
                 entry.retransmitted = true;
                 if entry.lost {
                     entry.lost = false;
@@ -1004,7 +1005,6 @@ impl TcpEndpoint {
                         )
                     });
                 }
-                self.last_send_time = now;
                 self.last_activity = now;
                 if self.rto_deadline.is_none() {
                     self.arm_rto(now);
@@ -1017,13 +1017,16 @@ impl TcpEndpoint {
             return None;
         }
 
-        // 3. New data, within min(cwnd, peer window).
-        self.maybe_validate_cwnd(now);
+        // 3. New data, within min(cwnd, peer window). RFC 2861 validation
+        //    decays a copy of the controller over the whole idle interval
+        //    and the copy is committed only together with an emission, so a
+        //    poll that returns `None` leaves the endpoint untouched.
         let stream_end = 1 + self.app_bytes;
-        let window = self.cc.cwnd().min(self.peer_rwnd);
-        let in_flight = self.pipe();
         let can_send_fin = self.fin_queued && !self.fin_sent && self.snd_nxt == stream_end;
         if self.snd_nxt < stream_end || can_send_fin {
+            let cc = self.cc_after_idle(now);
+            let window = cc.cwnd().min(self.peer_rwnd);
+            let in_flight = self.pipe();
             if in_flight >= window && !can_send_fin {
                 return None;
             }
@@ -1035,6 +1038,7 @@ impl TcpEndpoint {
             if payload == 0 && !fin_now {
                 return None;
             }
+            self.cc = cc;
             let mut seg = Segment::empty(now);
             seg.seq = self.snd_nxt;
             seg.payload = payload;
@@ -1064,52 +1068,33 @@ impl TcpEndpoint {
             if self.rto_deadline.is_none() {
                 self.arm_rto(now);
             }
-            self.last_send_time = now;
             self.last_activity = now;
             return Some(seg);
         }
         None
     }
 
-    fn maybe_validate_cwnd(&mut self, now: SimTime) {
-        if !self.cfg.cwnd_validation || !self.inflight.is_empty() {
-            return;
+    /// RFC 2861 congestion-window validation: the controller as it stands
+    /// once the idle interval ending at `now` is accounted for — halved
+    /// once per RTO since the last send or receive, while nothing is in
+    /// flight. A pure function of elapsed time; the one caller commits it
+    /// at the moment new data leaves.
+    fn cc_after_idle(&self, now: SimTime) -> CongestionCtrl {
+        let mut cc = self.cc;
+        if self.cfg.cwnd_validation && self.inflight.is_empty() && self.bytes_sent_total > 0 {
+            let idle = now.saturating_since(self.last_activity);
+            let rto = self.rtt.rto();
+            if idle > rto {
+                let periods = (idle.as_nanos() / rto.as_nanos().max(1)).min(u32::MAX as u64);
+                cc.restart_after_idle(periods as u32);
+            }
         }
-        let idle = now.saturating_since(self.last_send_time.max(self.last_activity));
-        let rto = self.rtt.rto();
-        if self.last_send_time > SimTime::ZERO && idle > rto {
-            let periods = (idle.as_nanos() / rto.as_nanos().max(1)).min(u32::MAX as u64);
-            self.cc.restart_after_idle(periods as u32);
-            // Don't re-trigger until there's new activity.
-            self.last_send_time = now;
-        }
-    }
-
-    /// Replay the clock-driven side effect of a [`poll_transmit`] pass
-    /// that comes up empty: RFC 2861 idle validation, which an empty pass
-    /// reaches only once the connection is established. Lets a caller that
-    /// knows the endpoint has nothing to say skip the full transmit walk
-    /// without perturbing the idle-restart schedule.
-    ///
-    /// [`poll_transmit`]: Self::poll_transmit
-    pub fn idle_tick(&mut self, now: SimTime) {
-        if self.state == TcpState::Established {
-            self.maybe_validate_cwnd(now);
-        }
+        cc
     }
 
     /// Allow the host (MPTCP layer) to toggle RFC 2861 validation.
     pub fn set_cwnd_validation(&mut self, enabled: bool) {
         self.cfg.cwnd_validation = enabled;
-    }
-}
-
-/// The endpoint's only clock-coupled side effect is RFC 2861 idle
-/// validation; both the simulator's quiescence fast path and the live
-/// reactor's wall ticks land here.
-impl emptcp_sim::Clocked for TcpEndpoint {
-    fn clock_tick(&mut self, now: SimTime) {
-        self.idle_tick(now);
     }
 }
 

@@ -2,7 +2,8 @@
 //! contracts, in the root package so the tier-1 command (`cargo test -q`)
 //! exercises them — one fleet engine whose output is invariant under the
 //! shard count, one pair pump whose two transports agree event for event,
-//! a chaos corpus that certifies, and a monitor tap that streams.
+//! a chaos corpus that certifies, a monitor tap that streams, and stacks
+//! that cannot tell how often they are polled.
 
 use emptcp_faults::{FaultPlan, FaultTarget};
 use emptcp_live::{certify, ParityScript};
@@ -13,6 +14,9 @@ use emptcp_repro::sim::{SimDuration, SimTime};
 use emptcp_telemetry::{MemorySink, Telemetry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+
+#[path = "../crates/mptcp/tests/cadence/rig.rs"]
+mod cadence_rig;
 
 fn small_fleet() -> FleetConfig {
     let mut cfg = FleetConfig::contended(6, 7);
@@ -104,4 +108,16 @@ fn a_pipeline_tap_streams_while_the_fleet_is_still_running() {
         seen_at[1]
     );
     assert!(pipeline.lock().unwrap().events > 0);
+}
+
+/// Reduced case of the `cadence` proptests in `emptcp-tcp`/`emptcp-mptcp`:
+/// every `None` poll leaves the connection `Debug`-identical, and extra
+/// polls at arbitrary instants change no segment, instant or window.
+#[test]
+fn polling_at_any_cadence_changes_nothing() {
+    for seed in [3, 1406] {
+        let twin = cadence_rig::run(seed, 0.03, 8, false);
+        assert!(!twin.is_empty());
+        assert_eq!(cadence_rig::run(seed, 0.03, 8, true), twin);
+    }
 }
