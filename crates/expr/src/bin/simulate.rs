@@ -288,18 +288,36 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
         std::process::exit(1);
     });
 
+    // The engine's `live.*` counters, then gauges, each in name order.
+    let engine: Vec<String> = {
+        let m = &report.metrics;
+        let counters = m.counters().map(|(k, v)| (k, v as f64));
+        counters
+            .chain(m.gauges())
+            .filter(|(k, _)| k.starts_with("live."))
+            .map(|(k, v)| {
+                if json {
+                    format!("\"{k}\":{v}")
+                } else {
+                    format!("{}={v}", &k["live.".len()..])
+                }
+            })
+            .collect()
+    };
     if json {
         // Hand-rolled: the report is flat and this keeps serde out of it.
         println!(
             "{{\"role\":\"{role}\",\"complete\":{},\"bytes\":{},\"wifi\":{},\"cellular\":{},\
-             \"elapsed_s\":{:.3},\"datagrams_sent\":{},\"datagrams_received\":{}}}",
+             \"elapsed_s\":{:.3},\"datagrams_sent\":{},\"datagrams_received\":{},\
+             \"metrics\":{{{}}}}}",
             report.complete,
             report.bytes,
             report.wifi,
             report.cellular,
             report.elapsed.as_secs_f64(),
             report.datagrams_sent,
-            report.datagrams_received
+            report.datagrams_received,
+            engine.join(",")
         );
     } else {
         // One greppable line per run; CI parses this.
@@ -314,6 +332,8 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
             report.datagrams_sent,
             report.datagrams_received
         );
+        // Where the time went and what the sockets dropped.
+        println!("live-engine role={role} {}", engine.join(" "));
     }
     std::process::exit(if report.complete { 0 } else { 1 });
 }

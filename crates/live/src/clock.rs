@@ -6,7 +6,9 @@
 //! * **Wall** — `now` is monotonic nanoseconds since the reactor's epoch
 //!   (`std::time::Instant`), mapped into [`SimTime`] so the protocol
 //!   cores never learn which engine is driving them. Advancing the clock
-//!   really sleeps.
+//!   really sleeps, so the wall loop asks [`IdleBackoff`] how long it can
+//!   afford to: a socket cannot announce its next arrival, and every
+//!   microsecond slept past one is a microsecond added to an RTT sample.
 //! * **Virtual** — `now` is a number the loop jumps to the next known
 //!   deadline, exactly like the simulator. This is what makes the parity
 //!   harness hermetic and deterministic: same script, same instants,
@@ -15,10 +17,60 @@
 use emptcp_sim::{SimDuration, SimTime};
 use std::time::Instant;
 
-/// Longest single sleep the wall clock takes per advance, so socket
-/// readiness is re-checked at a bounded cadence even when the next
-/// protocol deadline is far away.
+/// Ceiling of the idle backoff and of any single wall-clock sleep: a
+/// reactor that has seen nothing for a while still re-checks its sockets
+/// this often, however far away the next protocol deadline is.
 pub const MAX_WALL_SLEEP: SimDuration = SimDuration::from_millis(1);
+
+/// Empty polls answered with a bare `yield_now` before the first nap. On
+/// loopback the peer's next datagram is typically one scheduler hop away;
+/// sleeping for it costs more than the wait itself.
+const IDLE_YIELDS: u32 = 32;
+
+/// The first nap after the yields run out; each later one doubles.
+const FIRST_NAP: SimDuration = SimDuration::from_micros(50);
+
+/// What an empty poll is answered with.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum IdleStep {
+    /// Give up the time slice and poll again.
+    Yield,
+    /// Sleep this long (the reactor clamps it to its next known instant).
+    Nap(SimDuration),
+}
+
+/// Reset-on-arrival idle backoff: a count of consecutive empty polls that
+/// any arrival zeroes. Sockets can't announce their next arrival and the
+/// [`Transport`](crate::Transport) trait has no blocking wait, so the
+/// floor is a yield, not a block; a reactor that stays dry backs off
+/// through naps of 50 µs · 2ⁿ up to [`MAX_WALL_SLEEP`]. A busy
+/// transfer therefore never sleeps, and an idle one costs what the fixed
+/// 1 ms cadence did.
+#[derive(Debug, Default)]
+pub struct IdleBackoff {
+    empties: u32,
+}
+
+impl IdleBackoff {
+    /// Record one poll; `None` when it made progress (the loop goes
+    /// straight round again), otherwise how to wait.
+    pub fn on_poll(&mut self, progressed: bool) -> Option<IdleStep> {
+        if progressed {
+            self.empties = 0;
+            return None;
+        }
+        let nth = self.empties;
+        self.empties = nth.saturating_add(1);
+        if nth < IDLE_YIELDS {
+            return Some(IdleStep::Yield);
+        }
+        // 50 µs · 2⁵ already exceeds the ceiling; capping the shift keeps
+        // a long-idle reactor from overflowing it.
+        let doublings = (nth - IDLE_YIELDS).min(5);
+        let nap = SimDuration::from_nanos(FIRST_NAP.as_nanos() << doublings);
+        Some(IdleStep::Nap(nap.min(MAX_WALL_SLEEP)))
+    }
+}
 
 /// A source of monotonic [`SimTime`] the reactor advances through.
 #[derive(Debug)]
@@ -106,5 +158,40 @@ mod tests {
         let a = c.now();
         let b = c.advance_to(a + SimDuration::from_micros(200));
         assert!(b >= a);
+    }
+
+    #[test]
+    fn backoff_yields_then_doubles_to_the_ceiling() {
+        let mut idle = IdleBackoff::default();
+        for _ in 0..IDLE_YIELDS {
+            assert_eq!(idle.on_poll(false), Some(IdleStep::Yield));
+        }
+        let naps: Vec<u64> = (0..8)
+            .map(|_| match idle.on_poll(false) {
+                Some(IdleStep::Nap(d)) => d.as_nanos() / 1_000,
+                other => panic!("expected a nap, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(naps, [50, 100, 200, 400, 800, 1000, 1000, 1000]);
+    }
+
+    #[test]
+    fn backoff_resets_on_arrival_and_never_exceeds_the_ceiling() {
+        let mut idle = IdleBackoff::default();
+        // Long past the point where an unclamped shift would overflow.
+        for _ in 0..10_000 {
+            if let Some(IdleStep::Nap(d)) = idle.on_poll(false) {
+                assert!(d <= MAX_WALL_SLEEP && d >= FIRST_NAP);
+            }
+        }
+        assert_eq!(idle.on_poll(false), Some(IdleStep::Nap(MAX_WALL_SLEEP)));
+        assert_eq!(idle.on_poll(true), None);
+        assert_eq!(idle.on_poll(false), Some(IdleStep::Yield));
+        // An arrival in the middle of the naps starts the ladder over too.
+        for _ in 0..IDLE_YIELDS + 2 {
+            idle.on_poll(false);
+        }
+        assert_eq!(idle.on_poll(true), None);
+        assert_eq!(idle.on_poll(false), Some(IdleStep::Yield));
     }
 }

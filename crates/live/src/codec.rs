@@ -107,7 +107,15 @@ impl<'a> Reader<'a> {
 /// with zeros to at least the segment's modeled wire size.
 pub fn encode_frame(path: u8, seg: &Segment) -> Vec<u8> {
     let mut out = Vec::with_capacity(seg.wire_bytes() as usize + 32);
-    put_u16(&mut out, MAGIC);
+    encode_frame_into(path, seg, &mut out);
+    out
+}
+
+/// [`encode_frame`] into a caller-owned buffer (cleared first), so a
+/// transport that sends at once can reuse one allocation for every frame.
+pub fn encode_frame_into(path: u8, seg: &Segment, out: &mut Vec<u8>) {
+    out.clear();
+    put_u16(out, MAGIC);
     out.push(VERSION);
     out.push(path);
     let mut flags: u16 = 0;
@@ -136,23 +144,23 @@ pub fn encode_frame(path: u8, seg: &Segment) -> Vec<u8> {
     }
     let sack_blocks = seg.sack.iter().flatten().count() as u16;
     flags |= sack_blocks << SACK_SHIFT;
-    put_u16(&mut out, flags);
-    put_u64(&mut out, seg.seq);
-    put_u32(&mut out, seg.payload);
-    put_u64(&mut out, seg.ack);
-    put_u64(&mut out, seg.rwnd);
-    put_u64(&mut out, seg.ts_val.as_nanos());
+    put_u16(out, flags);
+    put_u64(out, seg.seq);
+    put_u32(out, seg.payload);
+    put_u64(out, seg.ack);
+    put_u64(out, seg.rwnd);
+    put_u64(out, seg.ts_val.as_nanos());
     if let Some(ecr) = seg.ts_ecr {
-        put_u64(&mut out, ecr.as_nanos());
+        put_u64(out, ecr.as_nanos());
     }
     if let Some(dss) = seg.dss {
-        put_u64(&mut out, dss.data_seq);
-        put_u32(&mut out, dss.len);
-        put_u64(&mut out, dss.data_ack);
+        put_u64(out, dss.data_seq);
+        put_u32(out, dss.len);
+        put_u64(out, dss.data_ack);
     }
     for (start, end) in seg.sack.iter().flatten() {
-        put_u64(&mut out, *start);
-        put_u64(&mut out, *end);
+        put_u64(out, *start);
+        put_u64(out, *end);
     }
     // Pad out to the modeled on-the-wire size so a live datagram costs
     // the network what the simulator charged its links. Headers larger
@@ -162,7 +170,6 @@ pub fn encode_frame(path: u8, seg: &Segment) -> Vec<u8> {
     if out.len() < wire {
         out.resize(wire, 0);
     }
-    out
 }
 
 /// Decode one frame back into `(path, segment)`. Trailing padding is
@@ -259,6 +266,17 @@ mod tests {
             let (p, got) = decode_frame(&frame).expect("decodes");
             assert_eq!(p, path);
             assert_eq!(got, seg, "iteration {i}");
+        }
+    }
+
+    #[test]
+    fn a_reused_buffer_encodes_what_a_fresh_one_does() {
+        let mut rng = SimRng::new(0xB0FF);
+        let mut buf = vec![0xEE; 4096]; // stale contents must not leak
+        for i in 0..500 {
+            let seg = arbitrary_segment(&mut rng);
+            encode_frame_into((i % 3) as u8, &seg, &mut buf);
+            assert_eq!(buf, encode_frame((i % 3) as u8, &seg), "iteration {i}");
         }
     }
 

@@ -47,10 +47,12 @@ pub mod udp;
 
 pub use backend::{run_script, Backend, MpChaosRig, ParityScript, ScriptOutcome};
 pub use clock::ClockSource;
-pub use codec::{decode_frame, encode_frame, CodecError};
+pub use codec::{decode_frame, encode_frame, encode_frame_into, CodecError};
 pub use emptcp_faults::ChaosPath;
 pub use parity::{certify, ParityDiff, ParityReport};
 pub use reactor::{ConnWorker, Reactor, ReactorStats};
-pub use session::{run_connect, run_serve, SessionConfig, TransferReport};
+pub use session::{
+    bind_serve, run_connect, run_serve, ServeSession, SessionConfig, TransferReport,
+};
 pub use transport::{DuplexTransport, Transport};
 pub use udp::UdpTransport;

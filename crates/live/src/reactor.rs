@@ -27,13 +27,22 @@
 //! eliding it for an untouched worker would move stall detection (see
 //! DESIGN §17).
 //!
-//! On a wall clock the same loop sleeps in bounded slices
-//! ([`MAX_WALL_SLEEP`](crate::clock::MAX_WALL_SLEEP)) so socket readiness
-//! is re-checked at a steady cadence.
+//! On a wall clock the same loop cannot jump: sockets can't announce
+//! their next arrival, and the [`Transport`] trait deliberately has no
+//! blocking wait (a wrapper that does not forward one would silently fall
+//! back to sleeping). So an empty poll is answered by [`IdleBackoff`]: a
+//! run of `yield_now`s, then naps of 50 µs · 2ⁿ up to
+//! [`MAX_WALL_SLEEP`](crate::clock::MAX_WALL_SLEEP), never past the next
+//! protocol deadline or transport wake-up, and any arrival starts the
+//! ladder over. A bulk transfer is CPU-bound rather than sleep-bound — the
+//! stack adds microseconds, not a millisecond, to the RTTs it then
+//! schedules by — while a quiet connection still costs one wake-up per
+//! millisecond. [`ReactorStats`] says where the time went
+//! (`idle_polls`, `yields`, `naps`, `nap_ns`).
 //!
 //! [`MpConnection`]: emptcp_mptcp::MpConnection
 
-use crate::clock::{ClockSource, MAX_WALL_SLEEP};
+use crate::clock::{ClockSource, IdleBackoff, IdleStep};
 use crate::transport::Transport;
 use emptcp_faults::{FaultInjector, FaultPlan, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
@@ -72,6 +81,14 @@ pub struct ReactorStats {
     pub sends: u64,
     /// Fault-plan events applied.
     pub fault_events: u64,
+    /// Wall loop: iterations whose poll found nothing to deliver.
+    pub idle_polls: u64,
+    /// Wall loop: idle polls answered with a bare `yield_now`.
+    pub yields: u64,
+    /// Wall loop: idle polls answered with a sleep.
+    pub naps: u64,
+    /// Wall loop: time actually spent in those sleeps, nanoseconds.
+    pub nap_ns: u64,
     /// Clock reading when the run ended.
     pub finished_at: SimTime,
 }
@@ -257,10 +274,11 @@ impl<T: Transport> Reactor<T> {
         self.stats
     }
 
-    /// Wall-clock flavor: the same settle discipline, but readiness is
-    /// polled at a bounded sleep cadence (sockets can't announce their
-    /// next arrival).
+    /// Wall-clock flavor: the same settle discipline, with an idle backoff
+    /// where the virtual loop jumps (sockets can't announce their next
+    /// arrival).
     fn run_wall(&mut self, done: &mut impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
+        let mut idle = IdleBackoff::default();
         loop {
             if done(&self.workers) {
                 break;
@@ -276,18 +294,28 @@ impl<T: Transport> Reactor<T> {
                 w.conn.on_deadline(now);
             }
             self.pump_transmit(now);
-            if !progressed {
-                // Nothing arrived: sleep toward the next known deadline,
-                // capped so socket readiness is re-checked promptly.
-                let target = self
-                    .next_deadline()
-                    .into_iter()
-                    .chain(self.transport.next_wakeup())
-                    .min()
-                    .unwrap_or(now + MAX_WALL_SLEEP)
-                    .min(now + MAX_WALL_SLEEP)
-                    .max(now + SimDuration::from_micros(50));
-                self.clock.advance_to(target);
+            let Some(step) = idle.on_poll(progressed) else {
+                continue;
+            };
+            self.stats.idle_polls += 1;
+            let nap = match step {
+                IdleStep::Yield => SimDuration::ZERO,
+                IdleStep::Nap(d) => {
+                    let next = self
+                        .next_deadline()
+                        .into_iter()
+                        .chain(self.transport.next_wakeup())
+                        .min();
+                    nap_within(d, now, next)
+                }
+            };
+            if nap == SimDuration::ZERO {
+                self.stats.yields += 1;
+                std::thread::yield_now();
+            } else {
+                self.stats.naps += 1;
+                let woke = self.clock.advance_to(now + nap);
+                self.stats.nap_ns += woke.saturating_since(now).as_nanos();
             }
         }
         self.stats.finished_at = self.clock.now();
@@ -298,6 +326,14 @@ impl<T: Transport> Reactor<T> {
     pub fn stats(&self) -> ReactorStats {
         self.stats
     }
+}
+
+/// How long an idle reactor may sleep at `now`: the nap the backoff asked
+/// for, but never past `next`, the earliest instant at which the reactor
+/// knows it has work (a protocol or fault deadline, a shaped-egress
+/// departure). Zero — a deadline already due — means yield instead.
+fn nap_within(nap: SimDuration, now: SimTime, next: Option<SimTime>) -> SimDuration {
+    next.map_or(nap, |t| nap.min(t.saturating_since(now)))
 }
 
 /// Fault application: plan targets map to transport paths by the
@@ -362,6 +398,75 @@ mod tests {
             ChaosPath::new(0.0, SimDuration::from_millis(12), 0),
             ChaosPath::new(0.0, SimDuration::from_millis(35), 0),
         ]
+    }
+
+    #[test]
+    fn a_nap_never_outlasts_the_next_known_instant() {
+        let now = SimTime::from_millis(7);
+        let us = SimDuration::from_micros;
+        // Nothing known: the backoff's nap stands.
+        assert_eq!(nap_within(us(400), now, None), us(400));
+        // A deadline inside the nap cuts it short; one beyond does not.
+        assert_eq!(nap_within(us(400), now, Some(now + us(120))), us(120));
+        assert_eq!(nap_within(us(400), now, Some(now + us(900))), us(400));
+        // Already due: no sleep at all.
+        assert_eq!(nap_within(us(400), now, Some(now)), SimDuration::ZERO);
+        assert_eq!(
+            nap_within(us(400), now, Some(SimTime::from_millis(3))),
+            SimDuration::ZERO
+        );
+        // Whatever the ladder asks for, the clamp holds.
+        let mut idle = IdleBackoff::default();
+        for i in 0..200u64 {
+            if let Some(IdleStep::Nap(d)) = idle.on_poll(i % 67 == 66) {
+                let next = now + us(i * 13);
+                assert!(now + nap_within(d, now, Some(next)) <= next);
+            }
+        }
+    }
+
+    /// A transport nothing ever arrives on, with a fixed notion of when
+    /// it next has work.
+    struct Silent(Option<SimTime>);
+
+    impl Transport for Silent {
+        fn endpoints(&self) -> usize {
+            1
+        }
+        fn send(&mut self, _: SimTime, _: usize, _: u8, _: &emptcp_tcp::Segment) {}
+        fn poll_recv(&mut self, _: SimTime) -> Option<(usize, u8, emptcp_tcp::Segment)> {
+            None
+        }
+        fn next_wakeup(&mut self) -> Option<SimTime> {
+            self.0
+        }
+        fn paths_mut(&mut self) -> &mut [ChaosPath] {
+            &mut []
+        }
+    }
+
+    fn idle_for(wakeup: Option<SimTime>, limit: SimDuration) -> ReactorStats {
+        let mut reactor = Reactor::new(ClockSource::wall(), Silent(wakeup));
+        reactor.wall_limit = SimTime::ZERO + limit;
+        reactor.run_until(|_| false)
+    }
+
+    #[test]
+    fn an_idle_wall_loop_yields_first_then_naps_and_counts_both() {
+        let stats = idle_for(None, SimDuration::from_millis(20));
+        assert_eq!(stats.arrivals, 0);
+        assert_eq!(stats.idle_polls, stats.iterations);
+        assert_eq!(stats.yields + stats.naps, stats.idle_polls);
+        assert!(stats.yields > 0 && stats.naps > 0, "{stats:?}");
+        // Every nap is a real sleep of at least the first rung.
+        assert!(stats.nap_ns >= stats.naps * 50_000, "{stats:?}");
+    }
+
+    #[test]
+    fn a_wall_loop_with_work_already_due_never_sleeps() {
+        let stats = idle_for(Some(SimTime::ZERO), SimDuration::from_millis(3));
+        assert_eq!(stats.naps, 0, "{stats:?}");
+        assert_eq!(stats.yields, stats.idle_polls);
     }
 
     #[test]

@@ -12,7 +12,17 @@
 //! Telemetry flows through the ordinary [`TraceSink`] machinery: pass a
 //! trace path and every transport decision lands in the same JSONL format
 //! the simulator writes, flushed at a bounded cadence so `repro monitor
-//! --follow` can dashboard the transfer while it runs.
+//! --follow` can dashboard the transfer while it runs. The engine's own
+//! counters — where the reactor's time went, what the sockets dropped and
+//! why, how large the mapping and reorder tables grew — are published
+//! under `live.*` in the session's [`MetricsRegistry`] and come back in
+//! the [`TransferReport`].
+//!
+//! Binding is separate from reacting ([`bind_serve`] then
+//! [`ServeSession::run`]) so a caller that starts both ends itself can
+//! have the serving sockets exist before the first SYN leaves; a SYN sent
+//! to an unbound port is simply lost, and costs its subflow a 1 s SYN
+//! timeout while the other path carries the whole transfer.
 //!
 //! [`TraceSink`]: emptcp_telemetry::TraceSink
 
@@ -24,7 +34,7 @@ use emptcp_mptcp::{MpConnection, Role};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::TcpConfig;
-use emptcp_telemetry::{JsonlSink, Telemetry, TraceSink};
+use emptcp_telemetry::{JsonlSink, MetricsRegistry, Telemetry, TraceSink};
 use std::fs::File;
 use std::io;
 use std::net::SocketAddr;
@@ -82,7 +92,7 @@ impl SessionConfig {
 }
 
 /// What a session accomplished, for summaries and CI greps.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct TransferReport {
     /// Bytes moved (delivered on connect, cumulatively ACKed on serve).
     pub bytes: u64,
@@ -100,29 +110,23 @@ pub struct TransferReport {
     pub datagrams_sent: u64,
     /// Datagrams received and decoded.
     pub datagrams_received: u64,
+    /// The session's metrics: the engine's `live.*` counters and gauges
+    /// beside whatever the stacks recorded.
+    pub metrics: MetricsRegistry,
 }
 
-fn reactor_for(
-    cfg: &SessionConfig,
-    conn: MpConnection,
-    transport: UdpTransport,
-) -> Reactor<UdpTransport> {
-    let mut reactor = Reactor::new(ClockSource::wall(), transport);
-    reactor.wall_limit = cfg.wall_limit;
-    if !cfg.faults.is_empty() {
-        reactor.injector = Some(FaultInjector::new(cfg.faults.clone()));
-    }
-    reactor.register(ConnWorker::new(conn, 0));
-    reactor
-}
-
-/// Wire the connection's telemetry to a follow-friendly JSONL sink; the
-/// returned handle lets the run loop flush at a bounded cadence.
 type SharedSink = Arc<Mutex<JsonlSink<File>>>;
 
-fn attach_trace(cfg: &SessionConfig, conn: &mut MpConnection) -> io::Result<Option<SharedSink>> {
+/// The session's telemetry: always a metrics registry; with a trace path,
+/// also the connection's events into a follow-friendly JSONL sink, whose
+/// handle lets the run loop flush at a bounded cadence. Without one the
+/// connection stays untraced and pays nothing.
+fn telemetry_for(
+    cfg: &SessionConfig,
+    conn: &mut MpConnection,
+) -> io::Result<(Telemetry, Option<SharedSink>)> {
     let Some(path) = &cfg.trace else {
-        return Ok(None);
+        return Ok((Telemetry::builder().build(), None));
     };
     let sink = Arc::new(Mutex::new(JsonlSink::new(File::create(path)?)));
     let telemetry = Telemetry::builder()
@@ -130,7 +134,49 @@ fn attach_trace(cfg: &SessionConfig, conn: &mut MpConnection) -> io::Result<Opti
         .invariants(true)
         .build();
     conn.set_telemetry(telemetry.scope(0));
-    Ok(Some(sink))
+    Ok((telemetry, Some(sink)))
+}
+
+/// Publish what the engine counted under `live.*`: the reactor's
+/// iterations and how the idle ones were spent, the transport's datagrams
+/// and every reason it dropped one, and the high-water marks of the
+/// connection's mapping and reorder tables.
+fn publish_engine_metrics(
+    metrics: &mut MetricsRegistry,
+    stats: &ReactorStats,
+    transport: &UdpTransport,
+    conn: &MpConnection,
+) {
+    for (name, value) in [
+        ("live.reactor.iterations", stats.iterations),
+        ("live.reactor.arrivals", stats.arrivals),
+        ("live.reactor.sends", stats.sends),
+        ("live.reactor.fault_events", stats.fault_events),
+        ("live.reactor.idle_polls", stats.idle_polls),
+        ("live.reactor.yields", stats.yields),
+        ("live.reactor.naps", stats.naps),
+        ("live.reactor.nap_ns", stats.nap_ns),
+        ("live.udp.datagrams_sent", transport.datagrams_sent),
+        ("live.udp.datagrams_received", transport.datagrams_received),
+        ("live.udp.frames_shaped_away", transport.frames_shaped_away),
+        ("live.udp.malformed", transport.malformed),
+        ("live.udp.unroutable", transport.unroutable),
+        ("live.udp.send_errors", transport.send_errors),
+        ("live.udp.foreign", transport.foreign),
+    ] {
+        metrics.counter_add(name, value);
+    }
+    let mapping = conn
+        .subflows()
+        .iter()
+        .map(|sf| sf.mapping_high_water())
+        .max()
+        .unwrap_or(0);
+    metrics.gauge_set("live.mptcp.mapping_high_water", mapping as f64);
+    metrics.gauge_set(
+        "live.mptcp.reorder_high_water",
+        conn.reorder_high_water() as f64,
+    );
 }
 
 /// Run the reactor until `finished` (or the wall limit), flushing the
@@ -174,53 +220,102 @@ fn drive(
     stats
 }
 
-fn report(
-    reactor: &Reactor<UdpTransport>,
-    stats: ReactorStats,
-    bytes: u64,
-    wifi: u64,
-    cellular: u64,
-    complete: bool,
-) -> TransferReport {
-    TransferReport {
-        bytes,
-        wifi,
-        cellular,
-        complete,
-        elapsed: Duration::from_nanos(stats.finished_at.as_nanos()),
-        stats,
-        datagrams_sent: reactor.transport.datagrams_sent,
-        datagrams_received: reactor.transport.datagrams_received,
+/// One end of a transfer: sockets bound, stack built, nothing sent yet.
+struct Session {
+    reactor: Reactor<UdpTransport>,
+    telemetry: Telemetry,
+    sink: Option<SharedSink>,
+    size: u64,
+    linger: SimDuration,
+}
+
+impl Session {
+    /// Build `role`'s stack (one subflow per path, WiFi first) and bind
+    /// path `i` to `cfg.port_base + i`.
+    fn bind(cfg: &SessionConfig, role: Role) -> io::Result<Session> {
+        let mut conn = MpConnection::new(role, TcpConfig::default());
+        for idx in 0..cfg.paths.len() {
+            let iface = if idx == 0 {
+                IfaceKind::Wifi
+            } else {
+                IfaceKind::CellularLte
+            };
+            conn.add_subflow(SimTime::ZERO, iface);
+        }
+        let (telemetry, sink) = telemetry_for(cfg, &mut conn)?;
+        let transport = UdpTransport::bind(cfg.port_base, cfg.paths.clone(), cfg.seed)?;
+        let mut reactor = Reactor::new(ClockSource::wall(), transport);
+        reactor.wall_limit = cfg.wall_limit;
+        if !cfg.faults.is_empty() {
+            reactor.injector = Some(FaultInjector::new(cfg.faults.clone()));
+        }
+        reactor.register(ConnWorker::new(conn, 0));
+        Ok(Session {
+            reactor,
+            telemetry,
+            sink,
+            size: cfg.size,
+            linger: cfg.linger,
+        })
+    }
+
+    /// React until `finished` (or the wall limit), on a clock that starts
+    /// now — however long ago the sockets were bound.
+    fn run(&mut self, finished: impl Fn(&MpConnection) -> bool) -> ReactorStats {
+        self.reactor.clock = ClockSource::wall();
+        drive(&mut self.reactor, self.sink.take(), self.linger, finished)
+    }
+
+    fn report(self, stats: ReactorStats, bytes: u64, wifi: u64, cellular: u64) -> TransferReport {
+        let transport = &self.reactor.transport;
+        self.telemetry.with_metrics(|m| {
+            publish_engine_metrics(m, &stats, transport, &self.reactor.workers[0].conn)
+        });
+        TransferReport {
+            bytes,
+            wifi,
+            cellular,
+            complete: bytes >= self.size,
+            elapsed: Duration::from_nanos(stats.finished_at.as_nanos()),
+            stats,
+            datagrams_sent: transport.datagrams_sent,
+            datagrams_received: transport.datagrams_received,
+            metrics: self.telemetry.metrics().unwrap_or_default(),
+        }
     }
 }
 
-/// Host the data sender: bind `port_base + i` per path, learn peers from
-/// the client's handshakes, push `cfg.size` bytes, finish when every byte
-/// is cumulatively ACKed.
-pub fn run_serve(cfg: &SessionConfig) -> io::Result<TransferReport> {
-    let mut conn = MpConnection::new(Role::Server, TcpConfig::default());
-    for (idx, _) in cfg.paths.iter().enumerate() {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        conn.add_subflow(SimTime::ZERO, iface);
+/// A serving end whose sockets exist: peers may start connecting.
+pub struct ServeSession(Session);
+
+/// Bind the data sender's sockets (`port_base + i` per path) and queue
+/// `cfg.size` bytes, without reacting yet.
+pub fn bind_serve(cfg: &SessionConfig) -> io::Result<ServeSession> {
+    let mut session = Session::bind(cfg, Role::Server)?;
+    session.reactor.workers[0].conn.write(cfg.size);
+    Ok(ServeSession(session))
+}
+
+impl ServeSession {
+    /// Learn peers from the client's handshakes, push the bytes, finish
+    /// when every one is cumulatively ACKed.
+    pub fn run(self) -> TransferReport {
+        let mut session = self.0;
+        let size = session.size;
+        let stats = session.run(|c| c.bytes_acked() >= size);
+        let conn = &session.reactor.workers[0].conn;
+        let (bytes, wifi, cellular) = (
+            conn.bytes_acked(),
+            conn.acked_by_iface(IfaceKind::Wifi),
+            conn.acked_by_iface(IfaceKind::CellularLte),
+        );
+        session.report(stats, bytes, wifi, cellular)
     }
-    let sink = attach_trace(cfg, &mut conn)?;
-    conn.write(cfg.size);
-    let transport = UdpTransport::bind(cfg.port_base, cfg.paths.clone(), cfg.seed)?;
-    let mut reactor = reactor_for(cfg, conn, transport);
-    let size = cfg.size;
-    let stats = drive(&mut reactor, sink, cfg.linger, |c| c.bytes_acked() >= size);
-    let conn = &reactor.workers[0].conn;
-    let (bytes, wifi, cellular) = (
-        conn.bytes_acked(),
-        conn.acked_by_iface(IfaceKind::Wifi),
-        conn.acked_by_iface(IfaceKind::CellularLte),
-    );
-    let complete = bytes >= size;
-    Ok(report(&reactor, stats, bytes, wifi, cellular, complete))
+}
+
+/// Host the data sender: [`bind_serve`], then [`ServeSession::run`].
+pub fn run_serve(cfg: &SessionConfig) -> io::Result<TransferReport> {
+    Ok(bind_serve(cfg)?.run())
 }
 
 /// Run the receiver: preset peers at `cfg.peer + i`, initiate the subflow
@@ -230,38 +325,22 @@ pub fn run_connect(cfg: &SessionConfig) -> io::Result<TransferReport> {
     let peer = cfg.peer.ok_or_else(|| {
         io::Error::new(io::ErrorKind::InvalidInput, "connect needs a peer address")
     })?;
-    let mut conn = MpConnection::new(Role::Client, TcpConfig::default());
-    for (idx, _) in cfg.paths.iter().enumerate() {
-        let iface = if idx == 0 {
-            IfaceKind::Wifi
-        } else {
-            IfaceKind::CellularLte
-        };
-        conn.add_subflow(SimTime::ZERO, iface);
-    }
-    let sink = attach_trace(cfg, &mut conn)?;
-    let mut transport = UdpTransport::bind(cfg.port_base, cfg.paths.clone(), cfg.seed)?;
+    let mut session = Session::bind(cfg, Role::Client)?;
     for i in 0..cfg.paths.len() {
         let mut addr = peer;
         addr.set_port(peer.port() + i as u16);
-        transport.set_peer(i, addr);
+        session.reactor.transport.set_peer(i, addr);
     }
-    let mut reactor = reactor_for(cfg, conn, transport);
-    let size = cfg.size;
-    let stats = drive(&mut reactor, sink, cfg.linger, |c| {
-        c.bytes_delivered() >= size
-    });
+    let size = session.size;
+    let stats = session.run(|c| c.bytes_delivered() >= size);
     // Emit the final coalesced Delivered remainder so trace totals match
     // connection totals.
-    reactor.workers[0]
-        .conn
-        .flush_delivered_trace(stats.finished_at);
-    let conn = &reactor.workers[0].conn;
+    let conn = &mut session.reactor.workers[0].conn;
+    conn.flush_delivered_trace(stats.finished_at);
     let (bytes, wifi, cellular) = (
         conn.bytes_delivered(),
         conn.delivered_by_iface(IfaceKind::Wifi),
         conn.delivered_by_iface(IfaceKind::CellularLte),
     );
-    let complete = bytes >= size;
-    Ok(report(&reactor, stats, bytes, wifi, cellular, complete))
+    Ok(session.report(stats, bytes, wifi, cellular))
 }

@@ -83,3 +83,66 @@ proptest! {
         prop_assert!(a.decisions == b.decisions, "decision logs diverge");
     }
 }
+
+/// With megabyte windows, a path that goes silent mid-transfer leaves the
+/// other running far ahead of the hole until the RTO rescues it. The
+/// connection's reorder queue must then hold the holes, and the subflows'
+/// mapping tables the scheduler's bursts — not one entry per segment.
+#[test]
+fn an_rto_stall_leaves_holes_not_segments_in_the_reorder_queue() {
+    use emptcp_live::{ClockSource, DuplexTransport, Reactor};
+
+    const TOTAL: u64 = 128 << 20;
+    let paths = vec![
+        ChaosPath::new(0.0, SimDuration::from_millis(3), 0),
+        ChaosPath::new(0.0, SimDuration::from_millis(5), 0),
+    ];
+    let mut reactor = Reactor::pair(ClockSource::scripted(), DuplexTransport::new(41, paths));
+    // Silent blackhole, no link-layer notification: only the RTO finds
+    // out. By 113 ms both windows have reached the 4 MiB `rwnd`, and the
+    // instant falls between a cellular ACK burst leaving the client and
+    // the data it clocks out of the server, so a full window is lost.
+    reactor.notify_link_down = false;
+    reactor.attach_faults(FaultPlan::new().at(
+        SimTime::from_millis(113),
+        FaultTarget::Cellular,
+        emptcp_faults::FaultAction::Rate(Some(0)),
+    ));
+    reactor.server().write(TOTAL);
+    reactor.run_until(|w| w[1].conn.subflows()[1].tcp.timeouts() > 0);
+
+    // The moment the RTO fires: everything WiFi carried since the stall
+    // sits beyond the hole.
+    let client = reactor.client();
+    let by_subflows: u64 = client
+        .subflows()
+        .iter()
+        .map(|sf| sf.tcp.bytes_delivered_total())
+        .sum();
+    let waiting_segments = (by_subflows - client.bytes_delivered()) / 1428;
+    assert!(
+        waiting_segments > 10_000,
+        "the stall was meant to strand a lot of data ({waiting_segments} segments)"
+    );
+    assert!(
+        client.reorder_high_water() <= 4,
+        "{} reorder entries for {waiting_segments} stranded segments",
+        client.reorder_high_water()
+    );
+
+    // Reinjection fills the hole and the transfer completes.
+    reactor.run_until(|w| w[0].conn.bytes_delivered() >= TOTAL);
+    assert_eq!(reactor.client().bytes_delivered(), TOTAL);
+    assert!(reactor.server().recovery_stats().bytes_reinjected > 0);
+    for worker in &reactor.workers {
+        for sf in worker.conn.subflows() {
+            assert!(
+                sf.mapping_high_water() <= 512,
+                "{:?} {} held {} mapping runs",
+                worker.conn.role(),
+                sf.id,
+                sf.mapping_high_water()
+            );
+        }
+    }
+}

@@ -21,6 +21,7 @@
 //! Time-dependent state moves only with a segment in or out, so a
 //! `poll_transmit` that returns `None` is a no-op at any cadence.
 
+use crate::mapping::DataReassembly;
 use crate::sched::{pick_subflow, pick_subflow_detailed};
 use crate::subflow::{Subflow, SubflowId};
 use emptcp_phy::IfaceKind;
@@ -29,7 +30,7 @@ use emptcp_tcp::cc::lia_alpha;
 use emptcp_tcp::{Segment, TcpConfig, TcpState};
 use emptcp_telemetry::{TelemetryScope, TraceEvent, DELIVERED_EMIT_BYTES};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Which side of the connection this object is.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
@@ -114,8 +115,7 @@ pub struct MpConnection {
     data_acked: u64,
 
     // --- connection-level receive state ---
-    data_rcv_nxt: u64,
-    data_ooo: BTreeMap<u64, u32>,
+    data_rx: DataReassembly,
     data_delivered: u64,
     /// Delivered bytes not yet reported as a [`TraceEvent::Delivered`];
     /// drained every [`DELIVERED_EMIT_BYTES`] and by
@@ -159,8 +159,7 @@ impl MpConnection {
             data_next: 0,
             reinject: VecDeque::new(),
             data_acked: 0,
-            data_rcv_nxt: 0,
-            data_ooo: BTreeMap::new(),
+            data_rx: DataReassembly::default(),
             data_delivered: 0,
             delivered_since_emit: 0,
             closing: false,
@@ -592,7 +591,7 @@ impl MpConnection {
         // 1. Anything the subflow TCP machines already want to say
         //    (handshake, ACKs, retransmissions, previously scheduled data).
         for idx in 0..self.subflows.len() {
-            let data_ack = self.data_rcv_nxt;
+            let data_ack = self.data_rx.rcv_nxt();
             let sf = &mut self.subflows[idx];
             if let Some(mut seg) = sf.tcp.poll_transmit(now) {
                 sf.decorate(&mut seg, data_ack);
@@ -623,7 +622,7 @@ impl MpConnection {
         };
         let idx = idx?;
         let (data_seq, len) = self.next_chunk()?;
-        let data_ack = self.data_rcv_nxt;
+        let data_ack = self.data_rx.rcv_nxt();
         let sf = &mut self.subflows[idx];
         let take = (len as u64)
             .min(sf.tcp.config().mss as u64)
@@ -762,7 +761,7 @@ impl MpConnection {
         // DSS coverage: in-order delivery to the application must track the
         // data-level stream advance exactly (each byte exactly once).
         self.scope.check_invariants(now, |obs| {
-            obs.check_dss_coverage(now, "mptcp", self.data_delivered, self.data_rcv_nxt);
+            obs.check_dss_coverage(now, "mptcp", self.data_delivered, self.data_rx.rcv_nxt());
         });
         // Resolve a pending failure once the connection-level stream moves
         // (on the sender that is a higher data-ack, on the receiver a
@@ -780,36 +779,16 @@ impl MpConnection {
     /// Insert `[data_seq, data_seq+len)` into the connection stream;
     /// returns bytes newly delivered in order.
     fn receive_data(&mut self, data_seq: u64, len: u32) -> u64 {
-        let end = data_seq + len as u64;
-        if end <= self.data_rcv_nxt {
-            return 0; // duplicate (e.g. a reinjected copy)
-        }
-        let start = data_seq.max(self.data_rcv_nxt);
-        if start > self.data_rcv_nxt {
-            // Out of order at the data level: buffer (merging overlaps
-            // conservatively by keeping the longer mapping).
-            let keep = self.data_ooo.get(&start).map(|&l| l as u64).unwrap_or(0);
-            if (end - start) > keep {
-                self.data_ooo.insert(start, (end - start) as u32);
-            }
-            return 0;
-        }
-        let mut delivered = end - start;
-        self.data_rcv_nxt = end;
-        // Drain contiguous out-of-order data.
-        while let Some((&s, &l)) = self.data_ooo.first_key_value() {
-            if s > self.data_rcv_nxt {
-                break;
-            }
-            self.data_ooo.remove(&s);
-            let e = s + l as u64;
-            if e > self.data_rcv_nxt {
-                delivered += e - self.data_rcv_nxt;
-                self.data_rcv_nxt = e;
-            }
-        }
+        let delivered = self.data_rx.receive(data_seq, len);
         self.data_delivered += delivered;
         delivered
+    }
+
+    /// The most disjoint out-of-order ranges the connection-level reorder
+    /// queue ever held at once: O(holes in the stream), however many
+    /// segments one path ran ahead of another.
+    pub fn reorder_high_water(&self) -> usize {
+        self.data_rx.ooo_high_water()
     }
 
     /// True when the sender side has pushed every written byte into some

@@ -22,10 +22,12 @@
 //! segments and deadlines in, and drain `(subflow, segment)` emissions out.
 
 pub mod conn;
+pub mod mapping;
 pub mod modes;
 pub mod sched;
 pub mod subflow;
 
 pub use conn::{MpConnection, MpSegmentOutcome, RecoveryStats, Role};
+pub use mapping::{DataReassembly, RxMappings, TxMappings};
 pub use modes::OperatingMode;
 pub use subflow::{Subflow, SubflowId};

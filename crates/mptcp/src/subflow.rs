@@ -1,7 +1,8 @@
 //! One subflow: a TCP endpoint plus MPTCP bookkeeping.
 //!
 //! A subflow owns its [`TcpEndpoint`] and the two mapping tables that tie
-//! the subflow byte stream to the connection-level data stream:
+//! the subflow byte stream to the connection-level data stream (both
+//! run-length, see [`crate::mapping`]):
 //!
 //! * `tx_mappings` — mappings this side created when scheduling data onto
 //!   the subflow (consulted when a segment is emitted, to attach its DSS);
@@ -9,11 +10,11 @@
 //!   TCP layer delivers subflow bytes in order, to translate them back to
 //!   data sequence space).
 
+use crate::mapping::{RxMappings, TxMappings};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::SimTime;
 use emptcp_tcp::{Dss, Segment, TcpConfig, TcpEndpoint};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a subflow within one MPTCP connection.
@@ -47,10 +48,12 @@ pub struct Subflow {
     /// without `snd_una` moving. A dead subflow is never scheduled, but its
     /// TCP machine keeps probing — an acknowledgement revives it.
     pub dead: bool,
-    /// Sender-side: subflow-seq → (data-seq, len) for data scheduled here.
-    tx_mappings: BTreeMap<u64, (u64, u32)>,
+    /// Sender-side: subflow-seq → data-seq for data scheduled here.
+    tx_mappings: TxMappings,
     /// Receiver-side: mappings learned from arriving DSS options.
-    rx_mappings: BTreeMap<u64, (u64, u32)>,
+    rx_mappings: RxMappings,
+    /// The most runs either table ever held at once.
+    mapping_high_water: usize,
     /// Next subflow stream position for newly scheduled data
     /// (1 = first byte after the SYN).
     push_seq: u64,
@@ -88,8 +91,9 @@ impl Subflow {
             backup: false,
             link_down: false,
             dead: false,
-            tx_mappings: BTreeMap::new(),
-            rx_mappings: BTreeMap::new(),
+            tx_mappings: TxMappings::default(),
+            rx_mappings: RxMappings::default(),
+            mapping_high_water: 0,
             push_seq: 1,
             seen_timeouts: 0,
             consecutive_rtos: 0,
@@ -103,96 +107,50 @@ impl Subflow {
     /// Schedule `len` connection bytes starting at `data_seq` onto this
     /// subflow; the TCP layer will emit them as soon as its window allows.
     pub fn push_data(&mut self, data_seq: u64, len: u32) {
-        self.tx_mappings.insert(self.push_seq, (data_seq, len));
+        self.tx_mappings.push(self.push_seq, data_seq, len);
+        self.mapping_high_water = self.mapping_high_water.max(self.tx_mappings.len());
         self.push_seq += len as u64;
         self.tcp.write(len as u64);
     }
 
     /// Record a mapping received in a DSS option.
     pub fn learn_mapping(&mut self, subflow_seq: u64, dss: Dss) {
-        if dss.len > 0 {
-            self.rx_mappings
-                .insert(subflow_seq, (dss.data_seq, dss.len));
-        }
+        self.rx_mappings.learn(subflow_seq, dss);
+        self.mapping_high_water = self.mapping_high_water.max(self.rx_mappings.len());
+    }
+
+    /// The most entries either mapping table ever held at once: O(scheduler
+    /// bursts in flight), not O(segments in flight).
+    pub fn mapping_high_water(&self) -> usize {
+        self.mapping_high_water
     }
 
     /// Translate a delivered subflow range into data-sequence space.
     /// Reassembly can coalesce adjacent segments, so one delivered range
     /// may span several mappings; the result is one data range per mapping
-    /// crossed. Bytes with no known mapping are skipped (protocol error,
-    /// reported by the caller's debug assertions).
+    /// run crossed. Bytes with no known mapping are skipped (protocol
+    /// error, reported by the caller's debug assertions).
     pub fn translate_delivered(&self, seq: u64, len: u32) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
-        let mut pos = seq;
-        let end = seq + len as u64;
-        while pos < end {
-            let Some((&start, &(data_seq, map_len))) = self.rx_mappings.range(..=pos).next_back()
-            else {
-                break;
-            };
-            let map_end = start + map_len as u64;
-            if pos >= map_end {
-                break; // hole in the mapping table
-            }
-            let take = (end.min(map_end) - pos) as u32;
-            out.push((data_seq + (pos - start), take));
-            pos += take as u64;
-        }
-        out
+        self.rx_mappings.translate(seq, len)
     }
 
     /// The DSS for an outgoing data segment covering `[seq, seq+len)`.
     pub fn dss_for_tx(&self, seq: u64, len: u32, data_ack: u64) -> Option<Dss> {
-        let (&start, &(data_seq, map_len)) = self.tx_mappings.range(..=seq).next_back()?;
-        if seq + len as u64 > start + map_len as u64 {
-            return None;
-        }
-        Some(Dss {
-            data_seq: data_seq + (seq - start),
-            len,
-            data_ack,
-        })
+        self.tx_mappings.dss(seq, len, data_ack)
     }
 
     /// Data ranges scheduled here but not yet acknowledged at the subflow
-    /// level — the candidates for reinjection when this subflow times out.
+    /// level, chunked as they were scheduled — the candidates for
+    /// reinjection when this subflow times out.
     pub fn unacked_data_ranges(&self) -> Vec<(u64, u32)> {
-        let una = self.tcp.snd_una();
-        self.tx_mappings
-            .iter()
-            .filter_map(|(&start, &(data_seq, len))| {
-                let end = start + len as u64;
-                if end <= una {
-                    None
-                } else if start >= una {
-                    Some((data_seq, len))
-                } else {
-                    let skip = una - start;
-                    Some((data_seq + skip, (len as u64 - skip) as u32))
-                }
-            })
-            .collect()
+        self.tx_mappings.unacked(self.tcp.snd_una())
     }
 
     /// Drop sender mappings fully acknowledged at the subflow level, and
     /// receiver mappings fully delivered.
     pub fn gc_mappings(&mut self) {
-        let una = self.tcp.snd_una();
-        while let Some((&start, &(_, len))) = self.tx_mappings.first_key_value() {
-            if start + len as u64 <= una {
-                self.tx_mappings.remove(&start);
-            } else {
-                break;
-            }
-        }
-        let delivered_to = 1 + self.tcp.bytes_delivered_total();
-        while let Some((&start, &(_, len))) = self.rx_mappings.first_key_value() {
-            if start + len as u64 <= delivered_to {
-                self.rx_mappings.remove(&start);
-            } else {
-                break;
-            }
-        }
+        self.tx_mappings.gc(self.tcp.snd_una());
+        self.rx_mappings.gc(1 + self.tcp.bytes_delivered_total());
     }
 
     /// Total bytes this side has scheduled onto the subflow.

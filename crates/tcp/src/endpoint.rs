@@ -18,6 +18,7 @@
 //! `1 + app_bytes`.
 
 use crate::cc::{CcAlgorithm, CongestionCtrl};
+use crate::ranges::RangeSet;
 use crate::rtt::RttEstimator;
 use crate::segment::{Segment, DEFAULT_MSS};
 use emptcp_sim::{SimDuration, SimTime};
@@ -169,8 +170,7 @@ pub struct TcpEndpoint {
     // --- receive side ---
     rcv_nxt: u64,
     /// Out-of-order payload, coalesced: `start -> end` (exclusive).
-    ooo: BTreeMap<u64, u64>,
-    ooo_bytes: u64,
+    ooo: RangeSet,
     fin_rcv_seq: Option<u64>,
     fin_received: bool,
     bytes_delivered_total: u64,
@@ -224,8 +224,7 @@ impl TcpEndpoint {
             retransmissions: 0,
             timeouts: 0,
             rcv_nxt: 0,
-            ooo: BTreeMap::new(),
-            ooo_bytes: 0,
+            ooo: RangeSet::new(),
             fin_rcv_seq: None,
             fin_received: false,
             bytes_delivered_total: 0,
@@ -805,12 +804,7 @@ impl TcpEndpoint {
             // below once the stream is contiguous up to it.
             self.rcv_nxt = seg.seq + seg.payload as u64;
             // Drain any out-of-order backlog now contiguous.
-            while let Some((&s, &end)) = self.ooo.first_key_value() {
-                if s > self.rcv_nxt {
-                    break;
-                }
-                self.ooo.remove(&s);
-                self.ooo_bytes -= end - s;
+            while let Some((_, end)) = self.ooo.pop_reaching(self.rcv_nxt) {
                 if end > self.rcv_nxt {
                     let fresh = (end - self.rcv_nxt) as u32;
                     outcome.delivered.push(DeliveredRange {
@@ -841,39 +835,10 @@ impl TcpEndpoint {
         } else {
             // Out of order: buffer (coalescing) and send an immediate
             // duplicate ACK.
-            if seg.payload > 0 {
-                self.insert_ooo(seg.seq, seg.seq + seg.payload as u64);
-            }
+            self.ooo.insert(seg.seq, seg.seq + seg.payload as u64);
             let ack = self.make_ack(now);
             self.out.push_back(ack);
         }
-    }
-
-    /// Insert `[start, end)` into the coalesced out-of-order store.
-    fn insert_ooo(&mut self, mut start: u64, mut end: u64) {
-        debug_assert!(start < end);
-        // Absorb any range beginning at or before `start` that reaches it.
-        if let Some((&ps, &pe)) = self.ooo.range(..=start).next_back() {
-            if pe >= start {
-                if pe >= end {
-                    return; // fully covered
-                }
-                self.ooo.remove(&ps);
-                self.ooo_bytes -= pe - ps;
-                start = ps;
-            }
-        }
-        // Absorb following ranges that overlap or touch.
-        while let Some((&ns, &ne)) = self.ooo.range(start..).next() {
-            if ns > end {
-                break;
-            }
-            self.ooo.remove(&ns);
-            self.ooo_bytes -= ne - ns;
-            end = end.max(ne);
-        }
-        self.ooo.insert(start, end);
-        self.ooo_bytes += end - start;
     }
 
     fn schedule_ack(&mut self, now: SimTime, _payload: u32) {
@@ -893,7 +858,7 @@ impl TcpEndpoint {
     }
 
     fn advertised_rwnd(&self) -> u64 {
-        self.cfg.rwnd_bytes.saturating_sub(self.ooo_bytes)
+        self.cfg.rwnd_bytes.saturating_sub(self.ooo.bytes())
     }
 
     /// Pick three SACK ranges from the (already coalesced) out-of-order
@@ -909,10 +874,8 @@ impl TcpEndpoint {
         for i in 0..3 {
             let next = self
                 .ooo
-                .range(cursor..)
-                .next()
-                .or_else(|| self.ooo.iter().next())
-                .map(|(&s, &e)| (s, e));
+                .first_from(cursor)
+                .or_else(|| self.ooo.first_from(0));
             match next {
                 Some((s, e)) => {
                     // Wrapped onto a range already picked: fewer than three

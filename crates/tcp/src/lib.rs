@@ -19,12 +19,14 @@
 
 pub mod cc;
 pub mod endpoint;
+pub mod ranges;
 pub mod rtt;
 pub mod segment;
 pub mod slab;
 
 pub use cc::{CcAlgorithm, CongestionCtrl};
 pub use endpoint::{DeliveredRange, TcpConfig, TcpEndpoint, TcpState};
+pub use ranges::RangeSet;
 pub use rtt::RttEstimator;
 pub use segment::{Dss, SegFlags, Segment};
 pub use slab::{SegRef, SegSlabStats, SegmentSlab};

@@ -215,6 +215,11 @@ impl MetricsRegistry {
         self.gauges.get(name).copied()
     }
 
+    /// All gauges in name order.
+    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
+        self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
+    }
+
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
     }

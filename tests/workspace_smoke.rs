@@ -17,6 +17,8 @@ use std::sync::{Arc, Mutex};
 
 #[path = "../crates/mptcp/tests/cadence/rig.rs"]
 mod cadence_rig;
+#[path = "../crates/mptcp/tests/mapping_model/model.rs"]
+mod mapping_model;
 
 fn small_fleet() -> FleetConfig {
     let mut cfg = FleetConfig::contended(6, 7);
@@ -119,5 +121,19 @@ fn polling_at_any_cadence_changes_nothing() {
         let twin = cadence_rig::run(seed, 0.03, 8, false);
         assert!(!twin.is_empty());
         assert_eq!(cadence_rig::run(seed, 0.03, 8, true), twin);
+    }
+}
+
+/// Reduced cases of the `mapping_model` proptests in `emptcp-mptcp`: the
+/// run-length DSS tables and the coalesced reorder set answer exactly as
+/// the per-push, per-segment and per-byte tables they replaced, in a
+/// fraction of the entries.
+#[test]
+fn run_length_mappings_answer_like_the_per_entry_tables() {
+    for seed in [14, 1510] {
+        let (pushes, tx_runs) = mapping_model::check_tx(seed, 400);
+        let (learned, rx_runs) = mapping_model::check_rx(seed, 400);
+        assert!(tx_runs * 2 < pushes && rx_runs * 2 < learned);
+        mapping_model::check_reassembly(seed, 300);
     }
 }
