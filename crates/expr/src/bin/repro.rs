@@ -286,4 +286,8 @@ fn main() {
             busy
         );
     }
+    // An exhibit whose invariants failed has no output worth trusting.
+    if reports.iter().any(|r| !r.violations.is_empty()) {
+        std::process::exit(1);
+    }
 }

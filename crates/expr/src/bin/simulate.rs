@@ -813,35 +813,36 @@ fn main() {
             "{}",
             serde_json::to_string_pretty(&result).expect("serializable result")
         );
-        return;
+    } else if !quiet {
+        println!("strategy:        {}", result.strategy);
+        println!("scenario:        {}", result.scenario);
+        println!("completed:       {}", result.completed);
+        println!("download time:   {:.2} s", result.download_time_s);
+        println!(
+            "energy:          {:.2} J ({:.2} J at completion)",
+            result.energy_j, result.energy_at_completion_j
+        );
+        println!(
+            "delivered:       {:.2} MB  (WiFi {:.2} MB, cellular {:.2} MB)",
+            result.bytes_delivered as f64 / (1 << 20) as f64,
+            result.wifi_bytes as f64 / (1 << 20) as f64,
+            result.cell_bytes as f64 / (1 << 20) as f64
+        );
+        println!("per byte:        {:.3} uJ/B", result.joules_per_byte * 1e6);
+        println!(
+            "radio:           {} promotions, {:.2} J promotion energy, {:.2} J tail energy",
+            result.promotions, result.promo_energy_j, result.tail_energy_j
+        );
+        println!(
+            "dynamics:        {} usage switches, {} retransmissions",
+            result.usage_switches, result.retransmissions
+        );
+        if result.rebuffer_events > 0 {
+            println!("rebuffers:       {}", result.rebuffer_events);
+        }
     }
-    if quiet {
-        return;
-    }
-    println!("strategy:        {}", result.strategy);
-    println!("scenario:        {}", result.scenario);
-    println!("completed:       {}", result.completed);
-    println!("download time:   {:.2} s", result.download_time_s);
-    println!(
-        "energy:          {:.2} J ({:.2} J at completion)",
-        result.energy_j, result.energy_at_completion_j
-    );
-    println!(
-        "delivered:       {:.2} MB  (WiFi {:.2} MB, cellular {:.2} MB)",
-        result.bytes_delivered as f64 / (1 << 20) as f64,
-        result.wifi_bytes as f64 / (1 << 20) as f64,
-        result.cell_bytes as f64 / (1 << 20) as f64
-    );
-    println!("per byte:        {:.3} uJ/B", result.joules_per_byte * 1e6);
-    println!(
-        "radio:           {} promotions, {:.2} J promotion energy, {:.2} J tail energy",
-        result.promotions, result.promo_energy_j, result.tail_energy_j
-    );
-    println!(
-        "dynamics:        {} usage switches, {} retransmissions",
-        result.usage_switches, result.retransmissions
-    );
-    if result.rebuffer_events > 0 {
-        println!("rebuffers:       {}", result.rebuffer_events);
+    // A run whose invariants failed has no output worth trusting.
+    if !violations.is_empty() {
+        std::process::exit(1);
     }
 }

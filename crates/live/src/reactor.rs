@@ -10,27 +10,26 @@
 //! the shaped transports, keyed on the same monotonic nanoseconds the
 //! wall clock produces.
 //!
-//! **One settle discipline, two clocks.** Each iteration advances the
-//! clock to the next known instant, applies due faults, delivers *at most
-//! one* frame, then runs every worker's deadline sweep and transmit drain
-//! in registration order. This is the only pair pump in the workspace:
-//! the simulator's chaos rig ([`MpChaosRig`](crate::MpChaosRig)) is this
+//! **One loop, one settle step.** [`Reactor::run_until`] reaches the next
+//! instant, then `settle`s it: apply due faults, deliver *at most one*
+//! frame, run every worker's deadline sweep and transmit drain in
+//! registration order. This is the only pair pump in the workspace: the
+//! simulator's chaos rig ([`MpChaosRig`](crate::MpChaosRig)) is this
 //! reactor over a [`ChaosNet`](emptcp_faults::ChaosNet), so
 //! event-for-event decision parity between the two backends is a
-//! statement about two transports, not about two loops kept in step.
+//! statement about two transports, not about two loops kept in step, and
+//! a wall-clock run executes the certified step itself, not a copy of it.
+//! Neither sweep is load-bearing: under the driver contract of
+//! [`emptcp_mptcp`] (DESIGN §15) sweeping a worker nothing touched is
+//! wasted work, never a behaviour change, so a dirty set could skip it.
 //!
-//! The transmit drain is not load-bearing: a `poll_transmit` that returns
-//! `None` changes no state, so sweeping workers nothing touched is merely
-//! wasted work and a dirty set could skip it. The *deadline* sweep is the
-//! one cadence coupling left — `MpConnection::on_deadline` samples
-//! `stall_since` for opportunistic reinjection at the instant it runs, so
-//! eliding it for an untouched worker would move stall detection (see
-//! DESIGN §17).
-//!
-//! On a wall clock the same loop cannot jump: sockets can't announce
-//! their next arrival, and the [`Transport`] trait deliberately has no
-//! blocking wait (a wrapper that does not forward one would silently fall
-//! back to sleeping). So an empty poll is answered by [`IdleBackoff`]: a
+//! The only clock-dependent code is how the next instant is reached. A
+//! virtual clock jumps to the earliest deadline or held frame, like a
+//! discrete-event simulator, and stops when there is none. A wall clock
+//! cannot jump: sockets can't announce their next arrival, and the
+//! [`Transport`] trait deliberately has no blocking wait (a wrapper that
+//! does not forward one would silently fall back to sleeping). So it
+//! reads the time, and an empty settle is answered by [`IdleBackoff`]: a
 //! run of `yield_now`s, then naps of 50 µs · 2ⁿ up to
 //! [`MAX_WALL_SLEEP`](crate::clock::MAX_WALL_SLEEP), never past the next
 //! protocol deadline or transport wake-up, and any arrival starts the
@@ -81,6 +80,8 @@ pub struct ReactorStats {
     pub sends: u64,
     /// Fault-plan events applied.
     pub fault_events: u64,
+    /// Frames dropped because no worker is registered for their endpoint.
+    pub unroutable: u64,
     /// Wall loop: iterations whose poll found nothing to deliver.
     pub idle_polls: u64,
     /// Wall loop: idle polls answered with a bare `yield_now`.
@@ -200,28 +201,64 @@ impl<T: Transport> Reactor<T> {
         }
     }
 
-    /// Deliver at most one due frame into its worker.
+    /// Deliver at most one due frame into its worker; true when the
+    /// transport had one. A frame for an endpoint nobody registered is
+    /// dropped and counted.
     fn deliver_one(&mut self, now: SimTime) -> bool {
         let Some((ep, path, seg)) = self.transport.poll_recv(now) else {
             return false;
         };
-        self.stats.arrivals += 1;
-        let w = self
-            .workers
-            .iter_mut()
-            .find(|w| w.endpoint == ep)
-            .expect("frame for an unregistered endpoint");
-        w.conn.on_segment(now, SubflowId(path), seg);
+        match self.workers.iter_mut().find(|w| w.endpoint == ep) {
+            Some(w) => {
+                self.stats.arrivals += 1;
+                w.conn.on_segment(now, SubflowId(path), seg);
+            }
+            None => self.stats.unroutable += 1,
+        }
         true
     }
 
-    /// Earliest pending protocol or fault deadline across all workers.
-    fn next_deadline(&mut self) -> Option<SimTime> {
+    /// The earliest instant at which the reactor knows it has work: a
+    /// protocol or fault deadline, or a frame the transport is holding.
+    fn next_instant(&mut self) -> Option<SimTime> {
         self.workers
-            .iter_mut()
+            .iter()
             .filter_map(|w| w.conn.next_deadline())
             .chain(self.injector.as_ref().and_then(|i| i.next_deadline()))
+            .chain(self.transport.next_wakeup())
             .min()
+    }
+
+    /// The settle step, the same at every instant on either clock: faults
+    /// due, at most one arrival, every worker's deadline sweep, then the
+    /// transmit drain. Returns whether a frame arrived.
+    fn settle(&mut self, now: SimTime) -> bool {
+        self.stats.iterations += 1;
+        self.poll_faults(now);
+        let arrived = self.deliver_one(now);
+        for w in &mut self.workers {
+            w.conn.on_deadline(now);
+        }
+        self.pump_transmit(now);
+        arrived
+    }
+
+    /// Answer a wall-clock settle at `now` that delivered nothing: yield,
+    /// or nap toward the next known instant.
+    fn idle(&mut self, now: SimTime, step: IdleStep) {
+        self.stats.idle_polls += 1;
+        let nap = match step {
+            IdleStep::Yield => SimDuration::ZERO,
+            IdleStep::Nap(d) => nap_within(d, now, self.next_instant()),
+        };
+        if nap == SimDuration::ZERO {
+            self.stats.yields += 1;
+            std::thread::yield_now();
+        } else {
+            self.stats.naps += 1;
+            let woke = self.clock.advance_to(now + nap);
+            self.stats.nap_ns += woke.saturating_since(now).as_nanos();
+        }
     }
 
     /// Run the loop until `done` says so, no event source has anything
@@ -234,89 +271,27 @@ impl<T: Transport> Reactor<T> {
         // queued) — no deadline sweep yet.
         self.poll_faults(start);
         self.pump_transmit(start);
-        if self.clock.is_wall() {
-            self.run_wall(&mut done)
-        } else {
-            self.run_virtual(&mut done)
-        }
-    }
-
-    /// Virtual-clock flavor: jump instant-to-instant, exactly like a
-    /// discrete-event simulator.
-    fn run_virtual(&mut self, done: &mut impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
-        let mut guard = 0u64;
-        loop {
-            guard += 1;
-            if guard > GUARD_MAX || done(&self.workers) {
-                break;
-            }
-            let timer = self.next_deadline();
-            let pkt = self.transport.next_wakeup();
-            let next = match (pkt, timer) {
-                (Some(p), Some(t)) => p.min(t),
-                (Some(p), None) => p,
-                (None, Some(t)) => t,
-                (None, None) => break,
-            };
-            if next > self.wall_limit {
-                break;
-            }
-            let now = self.clock.advance_to(next);
-            self.stats.iterations += 1;
-            self.poll_faults(now);
-            self.deliver_one(now);
-            for w in &mut self.workers {
-                w.conn.on_deadline(now);
-            }
-            self.pump_transmit(now);
-        }
-        self.stats.finished_at = self.clock.now();
-        self.stats
-    }
-
-    /// Wall-clock flavor: the same settle discipline, with an idle backoff
-    /// where the virtual loop jumps (sockets can't announce their next
-    /// arrival).
-    fn run_wall(&mut self, done: &mut impl FnMut(&[ConnWorker]) -> bool) -> ReactorStats {
+        let guard = self.stats.iterations + GUARD_MAX;
         let mut idle = IdleBackoff::default();
-        loop {
-            if done(&self.workers) {
-                break;
-            }
-            let now = self.clock.now();
+        let (mut now, mut arrived) = (start, true);
+        while !done(&self.workers) {
+            now = if self.clock.is_wall() {
+                if let Some(step) = idle.on_poll(arrived) {
+                    self.idle(now, step);
+                }
+                self.clock.now()
+            } else {
+                match self.next_instant() {
+                    Some(next) if next <= self.wall_limit && self.stats.iterations < guard => {
+                        self.clock.advance_to(next)
+                    }
+                    _ => break,
+                }
+            };
             if now > self.wall_limit {
                 break;
             }
-            self.stats.iterations += 1;
-            self.poll_faults(now);
-            let progressed = self.deliver_one(now);
-            for w in &mut self.workers {
-                w.conn.on_deadline(now);
-            }
-            self.pump_transmit(now);
-            let Some(step) = idle.on_poll(progressed) else {
-                continue;
-            };
-            self.stats.idle_polls += 1;
-            let nap = match step {
-                IdleStep::Yield => SimDuration::ZERO,
-                IdleStep::Nap(d) => {
-                    let next = self
-                        .next_deadline()
-                        .into_iter()
-                        .chain(self.transport.next_wakeup())
-                        .min();
-                    nap_within(d, now, next)
-                }
-            };
-            if nap == SimDuration::ZERO {
-                self.stats.yields += 1;
-                std::thread::yield_now();
-            } else {
-                self.stats.naps += 1;
-                let woke = self.clock.advance_to(now + nap);
-                self.stats.nap_ns += woke.saturating_since(now).as_nanos();
-            }
+            arrived = self.settle(now);
         }
         self.stats.finished_at = self.clock.now();
         self.stats
@@ -425,35 +400,39 @@ mod tests {
         }
     }
 
-    /// A transport nothing ever arrives on, with a fixed notion of when
-    /// it next has work.
-    struct Silent(Option<SimTime>);
+    /// A transport with a fixed notion of when it next has work, on which
+    /// nothing arrives but `stray`, a frame for an endpoint nobody registered.
+    struct Stub {
+        wakeup: Option<SimTime>,
+        stray: Option<emptcp_tcp::Segment>,
+    }
 
-    impl Transport for Silent {
+    impl Transport for Stub {
         fn endpoints(&self) -> usize {
             1
         }
         fn send(&mut self, _: SimTime, _: usize, _: u8, _: &emptcp_tcp::Segment) {}
         fn poll_recv(&mut self, _: SimTime) -> Option<(usize, u8, emptcp_tcp::Segment)> {
-            None
+            self.stray.take().map(|seg| (5, 0, seg))
         }
         fn next_wakeup(&mut self) -> Option<SimTime> {
-            self.0
+            self.wakeup
         }
         fn paths_mut(&mut self) -> &mut [ChaosPath] {
             &mut []
         }
     }
 
-    fn idle_for(wakeup: Option<SimTime>, limit: SimDuration) -> ReactorStats {
-        let mut reactor = Reactor::new(ClockSource::wall(), Silent(wakeup));
+    fn idle_for(wakeup: Option<SimTime>, stray: bool, limit: SimDuration) -> ReactorStats {
+        let stray = stray.then(|| emptcp_tcp::Segment::empty(SimTime::ZERO));
+        let mut reactor = Reactor::new(ClockSource::wall(), Stub { wakeup, stray });
         reactor.wall_limit = SimTime::ZERO + limit;
         reactor.run_until(|_| false)
     }
 
     #[test]
     fn an_idle_wall_loop_yields_first_then_naps_and_counts_both() {
-        let stats = idle_for(None, SimDuration::from_millis(20));
+        let stats = idle_for(None, false, SimDuration::from_millis(20));
         assert_eq!(stats.arrivals, 0);
         assert_eq!(stats.idle_polls, stats.iterations);
         assert_eq!(stats.yields + stats.naps, stats.idle_polls);
@@ -464,9 +443,16 @@ mod tests {
 
     #[test]
     fn a_wall_loop_with_work_already_due_never_sleeps() {
-        let stats = idle_for(Some(SimTime::ZERO), SimDuration::from_millis(3));
+        let stats = idle_for(Some(SimTime::ZERO), false, SimDuration::from_millis(3));
         assert_eq!(stats.naps, 0, "{stats:?}");
         assert_eq!(stats.yields, stats.idle_polls);
+    }
+
+    #[test]
+    fn a_frame_for_an_unregistered_endpoint_is_counted_and_the_loop_goes_on() {
+        let stats = idle_for(None, true, SimDuration::from_millis(2));
+        assert_eq!((stats.unroutable, stats.arrivals), (1, 0), "{stats:?}");
+        assert!(stats.iterations > 1, "{stats:?}");
     }
 
     #[test]

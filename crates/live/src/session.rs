@@ -152,6 +152,7 @@ fn publish_engine_metrics(
         ("live.reactor.arrivals", stats.arrivals),
         ("live.reactor.sends", stats.sends),
         ("live.reactor.fault_events", stats.fault_events),
+        ("live.reactor.unroutable", stats.unroutable),
         ("live.reactor.idle_polls", stats.idle_polls),
         ("live.reactor.yields", stats.yields),
         ("live.reactor.naps", stats.naps),
@@ -163,6 +164,7 @@ fn publish_engine_metrics(
         ("live.udp.unroutable", transport.unroutable),
         ("live.udp.send_errors", transport.send_errors),
         ("live.udp.foreign", transport.foreign),
+        ("live.mptcp.unknown_sf", conn.unknown_subflow_segments()),
     ] {
         metrics.counter_add(name, value);
     }

@@ -11,15 +11,17 @@
 //!   subflow, translate newly delivered subflow bytes back to data-sequence
 //!   space, and reassemble the connection stream,
 //! * [`MpConnection::on_deadline`] / [`MpConnection::next_deadline`] —
-//!   subflow timers; a subflow RTO triggers opportunistic reinjection of
-//!   its unacknowledged data onto the surviving subflows.
+//!   subflow timers and stall expiries; a subflow RTO, or unacked data
+//!   stalled for ~2 RTT, triggers reinjection onto the surviving subflows.
 //!
 //! LIA coupling (RFC 6356) is refreshed on the ACK path, where it is
 //! consumed: before an acknowledgement of new data reaches a subflow the
 //! connection recomputes `alpha` across its established subflows (at most
 //! every 10 ms) and pushes it into each subflow's congestion controller.
-//! Time-dependent state moves only with a segment in or out, so a
-//! `poll_transmit` that returns `None` is a no-op at any cadence.
+//! Time-dependent state moves only with a segment in or out or a deadline
+//! falling due, so a `poll_transmit` that returns `None` and an
+//! `on_deadline` with nothing due are no-ops at any cadence (the driver
+//! contract, see the crate docs).
 
 use crate::mapping::DataReassembly;
 use crate::sched::{pick_subflow, pick_subflow_detailed};
@@ -143,6 +145,8 @@ pub struct MpConnection {
     /// progress mark (`max(data_acked, data_delivered)`) at that instant.
     /// Resolved — and the latency recorded — when the mark advances.
     recovery_pending: Option<(SimTime, u64)>,
+    /// Arriving segments dropped for naming a subflow that does not exist.
+    unknown_subflow_segments: u64,
     /// Telemetry scope for connection-level events; propagated to subflow
     /// TCP endpoints (labelled with their subflow id) when attached.
     scope: TelemetryScope,
@@ -169,6 +173,7 @@ impl MpConnection {
             failure_threshold: 3,
             recovery: RecoveryStats::default(),
             recovery_pending: None,
+            unknown_subflow_segments: 0,
             scope: TelemetryScope::disabled(),
         }
     }
@@ -183,6 +188,12 @@ impl MpConnection {
     /// Failure-recovery summary for this side of the connection.
     pub fn recovery_stats(&self) -> &RecoveryStats {
         &self.recovery
+    }
+
+    /// Arriving segments dropped because they named a subflow this
+    /// connection does not have (a hostile or corrupted `path` byte).
+    pub fn unknown_subflow_segments(&self) -> u64 {
+        self.unknown_subflow_segments
     }
 
     /// Attach a telemetry scope. Connection-level events (scheduler picks,
@@ -467,26 +478,32 @@ impl MpConnection {
         });
     }
 
-    /// The earliest pending timer across subflows.
+    /// The earliest pending timer: a subflow's TCP timers, or the instant
+    /// a subflow's unacked data will have stalled long enough to reinject.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.subflows
             .iter()
-            .filter_map(|sf| sf.tcp.next_deadline())
+            .flat_map(|sf| [sf.tcp.next_deadline(), self.stall_expiry(sf)])
+            .flatten()
             .min()
     }
 
-    /// Fire due subflow timers; RTOs trigger reinjection of the victim's
-    /// unacknowledged data so another subflow can carry it, and stalled
-    /// subflows trigger opportunistic reinjection a couple of RTTs earlier.
-    /// Crossing the consecutive-RTO threshold declares the subflow dead.
+    /// `sf`'s stall expiry, while there is another subflow to reinject onto.
+    fn stall_expiry(&self, sf: &Subflow) -> Option<SimTime> {
+        let armed = self.opportunistic && self.subflows.len() > 1;
+        sf.stall_expiry().filter(|_| armed)
+    }
+
+    /// Fire due timers; with nothing due this changes no state, and a due
+    /// deadline is consumed, so [`next_deadline`](Self::next_deadline) is
+    /// `None` or later than `now` afterwards. RTOs trigger reinjection of
+    /// the victim's unacknowledged data so another subflow can carry it,
+    /// and an expired stall does so a couple of RTTs earlier. Crossing the
+    /// consecutive-RTO threshold declares the subflow dead.
     pub fn on_deadline(&mut self, now: SimTime) {
         for idx in 0..self.subflows.len() {
-            self.subflows[idx].tcp.on_deadline(now);
-            let timeouts = self.subflows[idx].tcp.timeouts();
-            if timeouts > self.subflows[idx].seen_timeouts {
-                let fired = timeouts - self.subflows[idx].seen_timeouts;
-                self.subflows[idx].seen_timeouts = timeouts;
-                self.subflows[idx].consecutive_rtos += fired;
+            if self.subflows[idx].tcp.on_deadline(now) {
+                self.subflows[idx].consecutive_rtos += 1;
                 let bytes = self.reinject_unacked(idx);
                 if !self.subflows[idx].dead
                     && self.subflows.len() > 1
@@ -496,34 +513,18 @@ impl MpConnection {
                 }
             }
         }
-        if self.opportunistic {
-            self.check_stalls(now);
-        }
+        self.check_stalls(now);
     }
 
     /// Opportunistic reinjection: a subflow whose cumulative ack has not
-    /// moved for roughly two of its RTTs while holding data, with another
-    /// subflow able to take it, gets its unacked ranges re-mapped — once
-    /// per stall.
+    /// moved for roughly two of its RTTs while holding data gets its
+    /// unacked ranges re-mapped onto a subflow able to take them — once
+    /// per stall. With nobody able to carry, the clock restarts and the
+    /// stall is looked at again one threshold later.
     fn check_stalls(&mut self, now: SimTime) {
-        if self.subflows.len() < 2 {
-            return;
-        }
         for idx in 0..self.subflows.len() {
-            let sf = &mut self.subflows[idx];
-            let una = sf.tcp.snd_una();
-            if una != sf.stall_una {
-                sf.stall_una = una;
-                sf.stall_since = now;
-                sf.reinjected_una = None;
-                continue;
-            }
-            if sf.tcp.bytes_in_flight() == 0 || sf.reinjected_una == Some(una) {
-                continue;
-            }
-            let rtt = sf.tcp.rtt().srtt_or_zero();
-            let threshold = (rtt * 2).max(SimDuration::from_millis(300));
-            if now.saturating_since(sf.stall_since) < threshold {
+            let expired = self.stall_expiry(&self.subflows[idx]);
+            if expired.is_none_or(|at| at > now) {
                 continue;
             }
             let others_can_carry = self
@@ -531,11 +532,12 @@ impl MpConnection {
                 .iter()
                 .enumerate()
                 .any(|(j, other)| j != idx && other.can_take_data());
-            if !others_can_carry {
-                continue;
+            if others_can_carry {
+                self.subflows[idx].stall_reinjected = true;
+                self.reinject_unacked(idx);
+            } else {
+                self.subflows[idx].stall_since = now;
             }
-            self.subflows[idx].reinjected_una = Some(una);
-            self.reinject_unacked(idx);
         }
     }
 
@@ -593,8 +595,7 @@ impl MpConnection {
         for idx in 0..self.subflows.len() {
             let data_ack = self.data_rx.rcv_nxt();
             let sf = &mut self.subflows[idx];
-            if let Some(mut seg) = sf.tcp.poll_transmit(now) {
-                sf.decorate(&mut seg, data_ack);
+            if let Some(seg) = sf.emit(now, data_ack) {
                 return Some((sf.id, seg));
             }
         }
@@ -635,10 +636,9 @@ impl MpConnection {
         sf.push_data(data_seq, take);
         // `can_take_data` promised an empty backlog and window room, so
         // the chunk leaves in this call.
-        let seg = sf.tcp.poll_transmit(now);
+        let seg = sf.emit(now, data_ack);
         debug_assert!(seg.is_some(), "picked subflow {} held its data", sf.id);
-        let mut seg = seg?;
-        sf.decorate(&mut seg, data_ack);
+        let seg = seg?;
         sf.gc_mappings();
         Some((sf.id, seg))
     }
@@ -671,11 +671,16 @@ impl MpConnection {
         }
     }
 
-    /// Feed an arriving segment to its subflow.
+    /// Feed an arriving segment to its subflow. A segment for a subflow
+    /// this connection does not have is dropped and counted
+    /// ([`unknown_subflow_segments`](Self::unknown_subflow_segments)).
     pub fn on_segment(&mut self, now: SimTime, id: SubflowId, seg: Segment) -> MpSegmentOutcome {
         let mut outcome = MpSegmentOutcome::default();
         let idx = id.0 as usize;
-        assert!(idx < self.subflows.len(), "unknown subflow {id}");
+        if idx >= self.subflows.len() {
+            self.unknown_subflow_segments += 1;
+            return outcome;
+        }
 
         // Learn the data mapping before TCP-level processing so in-order
         // delivery can translate immediately.
@@ -690,18 +695,19 @@ impl MpConnection {
         }
         // An ACK of new data is about to grow a window: that is where LIA's
         // alpha is consumed, so that is where it is refreshed.
-        if seg.flags.ack && seg.ack > self.subflows[idx].tcp.snd_una() {
+        let una = self.subflows[idx].tcp.snd_una();
+        if seg.flags.ack && seg.ack > una {
             self.update_lia(now);
         }
         let tcp_outcome = self.subflows[idx].tcp.on_segment(now, seg);
         outcome.established_now = tcp_outcome.established_now;
         outcome.mp_prio = tcp_outcome.mp_prio;
 
-        // Any subflow-level ack progress resets failure detection; a dead
-        // subflow producing progress is evidently alive again.
-        let una = self.subflows[idx].tcp.snd_una();
-        if una > self.subflows[idx].fd_una {
-            self.subflows[idx].fd_una = una;
+        // Any subflow-level ack progress ends the current stall and resets
+        // failure detection; a dead subflow producing progress is evidently
+        // alive again.
+        if self.subflows[idx].tcp.snd_una() > una {
+            self.subflows[idx].restart_stall_clock(now);
             self.subflows[idx].consecutive_rtos = 0;
             if self.subflows[idx].dead {
                 self.revive(now, idx, "ack_progress");
@@ -818,6 +824,8 @@ mod tests {
         now: SimTime,
         client: MpConnection,
         server: MpConnection,
+        /// A subflow blackholed in both directions.
+        dead: Option<SubflowId>,
     }
 
     impl Pair {
@@ -833,30 +841,43 @@ mod tests {
                 now,
                 client,
                 server,
+                dead: None,
             }
         }
 
-        /// One half-round: move every pending segment from `a` to `b`.
-        fn flow(now: &mut SimTime, a: &mut MpConnection, b: &mut MpConnection) -> u64 {
-            a.on_deadline(*now);
+        /// One half-round: move every pending segment one way.
+        fn flow(&mut self, from_server: bool) {
+            let (a, b) = if from_server {
+                (&mut self.server, &mut self.client)
+            } else {
+                (&mut self.client, &mut self.server)
+            };
+            a.on_deadline(self.now);
             let mut segs = Vec::new();
-            while let Some(pair) = a.poll_transmit(*now) {
+            while let Some(pair) = a.poll_transmit(self.now) {
                 segs.push(pair);
             }
-            *now += HALF;
-            b.on_deadline(*now);
-            let mut delivered = 0;
+            self.now += HALF;
+            b.on_deadline(self.now);
             for (id, seg) in segs {
-                delivered += b.on_segment(*now, id, seg).delivered_bytes;
+                if Some(id) != self.dead {
+                    b.on_segment(self.now, id, seg);
+                }
             }
-            delivered
+        }
+
+        /// `n` round trips: server to client, then back.
+        fn rounds(&mut self, n: usize) {
+            for _ in 0..n {
+                self.flow(true);
+                self.flow(false);
+            }
         }
 
         /// Run rounds until the client delivered `total` bytes (or panic).
         fn run_until_delivered(&mut self, total: u64, max_rounds: usize) {
             for _ in 0..max_rounds {
-                Pair::flow(&mut self.now, &mut self.server, &mut self.client);
-                Pair::flow(&mut self.now, &mut self.client, &mut self.server);
+                self.rounds(1);
                 if self.client.bytes_delivered() >= total {
                     return;
                 }
@@ -894,10 +915,7 @@ mod tests {
         p.server.write(100_000);
         p.run_until_delivered(100_000, 500);
         // A few more quiet rounds to flush the final data-ack.
-        for _ in 0..4 {
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-        }
+        p.rounds(4);
         assert_eq!(p.server.bytes_acked(), 100_000);
         assert!(p.server.all_data_scheduled());
     }
@@ -909,10 +927,7 @@ mod tests {
         p.run_until_delivered(200_000, 1000);
         // Client marks LTE backup; a couple of rounds to propagate.
         p.client.set_subflow_priority(p.now, SubflowId(1), true);
-        for _ in 0..4 {
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-        }
+        p.rounds(4);
         assert!(p.server.subflow(SubflowId(1)).backup, "MP_PRIO not applied");
         // New data must ride WiFi exclusively.
         let lte_before = p.client.delivered_by_iface(IfaceKind::CellularLte);
@@ -944,8 +959,8 @@ mod tests {
     fn established_requires_handshake() {
         let mut p = Pair::new(&[IfaceKind::Wifi]);
         assert!(!p.client.established());
-        Pair::flow(&mut p.now, &mut p.client, &mut p.server); // SYN
-        Pair::flow(&mut p.now, &mut p.server, &mut p.client); // SYN-ACK
+        p.flow(false); // SYN
+        p.flow(true); // SYN-ACK
         assert!(p.client.established());
     }
 
@@ -955,37 +970,9 @@ mod tests {
         p.client.set_opportunistic(opportunistic);
         p.server.set_opportunistic(opportunistic);
         p.server.write(1_000_000);
-        for _ in 0..6 {
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-        }
-        let mut rounds = 0;
-        while p.client.bytes_delivered() < 1_000_000 && rounds < 6000 {
-            rounds += 1;
-            p.server.on_deadline(p.now);
-            let mut segs = Vec::new();
-            while let Some(pair) = p.server.poll_transmit(p.now) {
-                segs.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in segs {
-                if id != SubflowId(1) {
-                    p.client.on_segment(p.now, id, seg);
-                }
-            }
-            p.client.on_deadline(p.now);
-            let mut acks = Vec::new();
-            while let Some(pair) = p.client.poll_transmit(p.now) {
-                acks.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in acks {
-                if id != SubflowId(1) {
-                    p.server.on_segment(p.now, id, seg);
-                }
-            }
-        }
-        assert_eq!(p.client.bytes_delivered(), 1_000_000, "stalled");
+        p.rounds(6);
+        p.dead = Some(SubflowId(1));
+        p.run_until_delivered(1_000_000, 6000);
         p.now
     }
 
@@ -999,6 +986,42 @@ mod tests {
         );
     }
 
+    /// The stall clock starts when data enters an empty pipe, not when a
+    /// sweep last saw `snd_una` move: bursty traffic (web pages, streaming
+    /// chunks) must not have every post-idle burst duplicated onto the
+    /// other radio.
+    #[test]
+    fn an_idle_gap_then_a_small_write_is_not_reinjected() {
+        let mut p = Pair::new(&[IfaceKind::Wifi, IfaceKind::CellularLte]);
+        p.server.write(200_000);
+        p.run_until_delivered(200_000, 1000);
+        p.rounds(4);
+        assert_eq!(p.server.bytes_acked(), 200_000);
+        let before = p.server.recovery_stats().bytes_reinjected;
+        p.now += SimDuration::from_secs(2);
+        p.server.write(8_000);
+        p.run_until_delivered(208_000, 100);
+        let reinjected = p.server.recovery_stats().bytes_reinjected - before;
+        assert_eq!(reinjected, 0, "freshly sent data was reinjected");
+    }
+
+    #[test]
+    fn a_segment_for_an_unknown_subflow_is_counted_and_dropped() {
+        let mut p = Pair::new(&[IfaceKind::Wifi, IfaceKind::CellularLte]);
+        p.server.write(50_000);
+        p.run_until_delivered(50_000, 500);
+        // Nothing but the counter may move.
+        let mut expected = p.client.clone();
+        expected.unknown_subflow_segments = 1;
+        let outcome = p
+            .client
+            .on_segment(p.now, SubflowId(7), Segment::empty(p.now));
+        assert_eq!(outcome.delivered_bytes, 0);
+        assert!(!outcome.established_now && outcome.mp_prio.is_none());
+        assert_eq!(p.client.unknown_subflow_segments(), 1);
+        assert_eq!(format!("{:?}", p.client), format!("{expected:?}"));
+    }
+
     #[test]
     fn graceful_close_exchanges_fins() {
         let mut p = Pair::new(&[IfaceKind::Wifi, IfaceKind::CellularLte]);
@@ -1007,10 +1030,7 @@ mod tests {
         p.client.close();
         p.run_until_delivered(300_000, 1000);
         // A few extra rounds for the data-acks and FINs to settle.
-        for _ in 0..30 {
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-        }
+        p.rounds(30);
         assert!(p.server.close_sent());
         assert!(p.client.peer_closed(), "client never saw the server FINs");
         assert!(p.server.peer_closed(), "server never saw the client FINs");
@@ -1032,46 +1052,15 @@ mod tests {
         p.server.set_failure_threshold(2);
         // Handshake both subflows and mark LTE backup *before* any data
         // exists, so the whole transfer runs under the blackhole below.
-        for _ in 0..3 {
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-        }
+        p.rounds(3);
         p.client.set_subflow_priority(p.now, SubflowId(1), true);
-        for _ in 0..3 {
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-        }
+        p.rounds(3);
         assert!(p.server.subflow(SubflowId(1)).backup);
         p.server.write(2_000_000);
         // Blackhole WiFi in both directions: the server's RTOs pile up
         // until failure detection declares sf0 dead and promotes sf1.
-        let mut rounds = 0;
-        while p.client.bytes_delivered() < 2_000_000 && rounds < 8000 {
-            rounds += 1;
-            p.server.on_deadline(p.now);
-            let mut segs = Vec::new();
-            while let Some(pair) = p.server.poll_transmit(p.now) {
-                segs.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in segs {
-                if id != SubflowId(0) {
-                    p.client.on_segment(p.now, id, seg);
-                }
-            }
-            p.client.on_deadline(p.now);
-            let mut acks = Vec::new();
-            while let Some(pair) = p.client.poll_transmit(p.now) {
-                acks.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in acks {
-                if id != SubflowId(0) {
-                    p.server.on_segment(p.now, id, seg);
-                }
-            }
-        }
-        assert_eq!(p.client.bytes_delivered(), 2_000_000, "transfer stalled");
+        p.dead = Some(SubflowId(0));
+        p.run_until_delivered(2_000_000, 8000);
         let stats = *p.server.recovery_stats();
         assert!(stats.subflow_failures >= 1, "sf0 never declared dead");
         assert_eq!(
@@ -1091,10 +1080,7 @@ mod tests {
     fn link_down_promotes_backup_and_link_up_revives() {
         let mut p = Pair::new(&[IfaceKind::Wifi, IfaceKind::CellularLte]);
         p.server.write(200_000);
-        for _ in 0..6 {
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-        }
+        p.rounds(6);
         p.server.set_subflow_priority(p.now, SubflowId(1), true);
         // WiFi association lost: sf0 down, sf1 must be promoted locally.
         p.server.set_subflow_link_up(p.now, SubflowId(0), false);
@@ -1133,44 +1119,10 @@ mod tests {
         let mut p = Pair::new(&[IfaceKind::Wifi, IfaceKind::CellularLte]);
         p.server.write(1_000_000);
         // Run a few rounds so both subflows carry data.
-        for _ in 0..6 {
-            Pair::flow(&mut p.now, &mut p.server, &mut p.client);
-            Pair::flow(&mut p.now, &mut p.client, &mut p.server);
-        }
-        // Kill the LTE subflow: drop everything it emits from now on.
-        let mut rounds = 0;
-        while p.client.bytes_delivered() < 1_000_000 && rounds < 4000 {
-            rounds += 1;
-            p.server.on_deadline(p.now);
-            let mut segs = Vec::new();
-            while let Some(pair) = p.server.poll_transmit(p.now) {
-                segs.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in segs {
-                if id == SubflowId(1) {
-                    continue; // blackhole LTE
-                }
-                p.client.on_segment(p.now, id, seg);
-            }
-            // Client replies (its LTE acks are also dropped).
-            p.client.on_deadline(p.now);
-            let mut acks = Vec::new();
-            while let Some(pair) = p.client.poll_transmit(p.now) {
-                acks.push(pair);
-            }
-            p.now += HALF;
-            for (id, seg) in acks {
-                if id == SubflowId(1) {
-                    continue;
-                }
-                p.server.on_segment(p.now, id, seg);
-            }
-        }
-        assert_eq!(
-            p.client.bytes_delivered(),
-            1_000_000,
-            "reinjection failed to rescue LTE-stuck data after {rounds} rounds"
-        );
+        p.rounds(6);
+        // Kill the LTE subflow: drop everything it emits (and the acks
+        // coming back on it) from now on.
+        p.dead = Some(SubflowId(1));
+        p.run_until_delivered(1_000_000, 4000);
     }
 }

@@ -18,8 +18,30 @@
 //! **promoted** (MP_PRIO) so traffic keeps flowing. [`RecoveryStats`]
 //! summarises the failure/recovery activity of one connection side.
 //!
-//! The connection is poll-style, like the TCP endpoints it owns: hosts feed
-//! segments and deadlines in, and drain `(subflow, segment)` emissions out.
+//! # The driver contract
+//!
+//! The connection is poll-style, like the TCP endpoints it owns. A driver
+//! — the host simulator, the shard engine, the live reactor, a test rig —
+//! makes four calls: [`MpConnection::on_segment`] when a segment arrives,
+//! [`MpConnection::poll_transmit`] until it returns `None`,
+//! [`MpConnection::next_deadline`] to learn when to come back, and
+//! [`MpConnection::on_deadline`] when that instant has come. It may rely
+//! on two guarantees, at any cadence:
+//!
+//! 1. **Nothing due, nothing done.** A `poll_transmit` that returns `None`
+//!    and an `on_deadline` with no deadline at or before `now` change no
+//!    state. Every time-dependent behaviour (retransmission timeout,
+//!    delayed ACK, stall reinjection) is a function of protocol events and
+//!    of a deadline `next_deadline()` reports; time-dependent state is
+//!    stamped in the ACK and send paths, never by a sweep.
+//! 2. **A due deadline is consumed.** After `on_deadline(now)`,
+//!    `next_deadline()` is `None` or later than `now`, so a loop that
+//!    sleeps until `next_deadline()` always makes progress.
+//!
+//! So a driver that sweeps only on the timers `next_deadline()` arms sees
+//! the same stack as one that sweeps every iteration. `TcpEndpoint` keeps
+//! the same contract; both are checked by the `cadence` proptests
+//! (`tests/cadence.rs` here and in `emptcp-tcp`).
 
 pub mod conn;
 pub mod mapping;

@@ -12,8 +12,8 @@
 
 use crate::mapping::{RxMappings, TxMappings};
 use emptcp_phy::IfaceKind;
-use emptcp_sim::SimTime;
-use emptcp_tcp::{Dss, Segment, TcpConfig, TcpEndpoint};
+use emptcp_sim::{SimDuration, SimTime};
+use emptcp_tcp::{Dss, Segment, TcpConfig, TcpEndpoint, TcpState};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -57,19 +57,15 @@ pub struct Subflow {
     /// Next subflow stream position for newly scheduled data
     /// (1 = first byte after the SYN).
     push_seq: u64,
-    /// Timeout count last observed by the connection (reinjection edge
-    /// detector).
-    pub(crate) seen_timeouts: u64,
     /// RTO expirations since `snd_una` last advanced (failure detection).
     pub(crate) consecutive_rtos: u64,
-    /// The `snd_una` high-water mark the failure detector last saw.
-    pub(crate) fd_una: u64,
-    /// Stall tracking for opportunistic reinjection: the `snd_una` last
-    /// observed, when it last advanced, and the `snd_una` at which a
-    /// reinjection was already issued (once per stall).
-    pub(crate) stall_una: u64,
+    /// The stall clock for opportunistic reinjection, stamped where the
+    /// facts occur: when an ACK advances `snd_una`, and when an emission
+    /// puts data in flight on an empty pipe.
     pub(crate) stall_since: SimTime,
-    pub(crate) reinjected_una: Option<u64>,
+    /// This stall already reinjected (once per stall; cleared by the next
+    /// `snd_una` advance).
+    pub(crate) stall_reinjected: bool,
 }
 
 impl Subflow {
@@ -95,12 +91,9 @@ impl Subflow {
             rx_mappings: RxMappings::default(),
             mapping_high_water: 0,
             push_seq: 1,
-            seen_timeouts: 0,
             consecutive_rtos: 0,
-            fd_una: 0,
-            stall_una: 0,
             stall_since: SimTime::ZERO,
-            reinjected_una: None,
+            stall_reinjected: false,
         }
     }
 
@@ -168,7 +161,7 @@ impl Subflow {
     /// The subflow is usable for traffic: established, link up, and not
     /// declared dead by failure detection.
     pub fn usable(&self) -> bool {
-        !self.link_down && !self.dead && self.tcp.state() == emptcp_tcp::TcpState::Established
+        !self.link_down && !self.dead && self.tcp.state() == TcpState::Established
     }
 
     /// Eligible to be handed new data: usable, its scheduled backlog fully
@@ -201,6 +194,37 @@ impl Subflow {
                 data_ack,
             });
         }
+    }
+
+    /// The TCP layer's next segment, decorated. An emission that puts data
+    /// in flight on an empty pipe starts the stall clock: nothing was
+    /// waiting for an ACK before it, however long ago the last one came.
+    pub(crate) fn emit(&mut self, now: SimTime, data_ack: u64) -> Option<Segment> {
+        let pipe_was_empty = self.tcp.bytes_in_flight() == 0;
+        let mut seg = self.tcp.poll_transmit(now)?;
+        if pipe_was_empty && self.tcp.bytes_in_flight() > 0 {
+            self.restart_stall_clock(now);
+        }
+        self.decorate(&mut seg, data_ack);
+        Some(seg)
+    }
+
+    /// Start a new stall: called when `snd_una` advances and when data
+    /// enters an empty pipe.
+    pub(crate) fn restart_stall_clock(&mut self, now: SimTime) {
+        self.stall_since = now;
+        self.stall_reinjected = false;
+    }
+
+    /// When this subflow's unacknowledged data will have gone two of its
+    /// RTTs (at least 300 ms) without `snd_una` moving; `None` while it
+    /// holds no unacked data or once this stall has reinjected.
+    pub(crate) fn stall_expiry(&self) -> Option<SimTime> {
+        let stalling = self.tcp.state() == TcpState::Established
+            && self.tcp.bytes_in_flight() > 0
+            && !self.stall_reinjected;
+        let threshold = (self.tcp.rtt().srtt_or_zero() * 2).max(SimDuration::from_millis(300));
+        stalling.then(|| self.stall_since + threshold)
     }
 
     /// Timestamp of the last TCP-level activity.

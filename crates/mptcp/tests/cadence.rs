@@ -1,9 +1,13 @@
-//! The lazy-time certificate for `MpConnection`: `poll_transmit` may be
-//! called at any cadence. A call that returns `None` leaves the connection
-//! `Debug`-identical, and a run polled at arbitrary extra instants sends
-//! the same segments, at the same instants, under the same congestion
-//! windows, as its twin polled only when an event lands — through idle
-//! gaps longer than an RTO (RFC 2861 decay), loss, and link flaps.
+//! The driver-contract certificate for `MpConnection`: `poll_transmit`
+//! and `on_deadline` may be called at any cadence. A poll that returns
+//! `None` and a sweep with nothing due leave the connection
+//! `Debug`-identical, a due deadline never survives its sweep, and a run
+//! polled and swept at arbitrary extra instants sends the same segments,
+//! at the same instants, under the same congestion windows, as its twin
+//! driven only when an event lands — through idle gaps longer than an RTO
+//! (RFC 2861 decay), loss, stalls and link flaps.
+//!
+//! 256 cases by default; CI raises it through `PROPTEST_CASES`.
 
 #[path = "cadence/rig.rs"]
 mod rig;
@@ -11,7 +15,7 @@ mod rig;
 use proptest::prelude::*;
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(256)))]
 
     #[test]
     fn extra_polls_are_invisible(

@@ -1,8 +1,9 @@
 //! A scripted two-subflow pair for the cadence property: the same seeded
 //! script (writes separated by idle gaps, random loss, link flaps) is run
-//! once polled only when an event lands and once with extra
-//! `poll_transmit` calls at arbitrary instants in between. Shared with the
-//! root package's `workspace_smoke` through `#[path]`.
+//! once driven only when an event lands and once with extra
+//! `poll_transmit` and `on_deadline` calls at arbitrary instants in
+//! between. Shared with the root package's `workspace_smoke` through
+//! `#[path]`.
 
 use emptcp_faults::testnet::{ChaosNet, ChaosPath};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
@@ -34,9 +35,14 @@ struct Pair {
     server: MpConnection,
     net: ChaosNet,
     sent: Vec<Sent>,
-    /// Compare the `Debug` rendering around every poll that returns `None`.
+    /// Compare the `Debug` rendering around every poll that returns `None`
+    /// and every `on_deadline` with nothing due.
     check: bool,
 }
+
+/// Far above what any script needs: a deadline that survives its sweep
+/// would otherwise spin the loop at one instant forever.
+const MAX_ITERATIONS: usize = 1_000_000;
 
 impl Pair {
     /// One `poll_transmit`; a `None` must leave the connection untouched.
@@ -63,6 +69,28 @@ impl Pair {
         });
         self.net.send(now, !from_client, sf.0, seg);
         true
+    }
+
+    /// One `on_deadline`. With nothing due it must leave the connection
+    /// untouched; a due deadline must be consumed.
+    fn sweep(&mut self, now: SimTime, client: bool) {
+        let conn = if client {
+            &mut self.client
+        } else {
+            &mut self.server
+        };
+        let due = conn.next_deadline().is_some_and(|d| d <= now);
+        let before = (self.check && !due).then(|| format!("{conn:?}"));
+        conn.on_deadline(now);
+        if let Some(before) = before {
+            assert_eq!(
+                before,
+                format!("{conn:?}"),
+                "an undue sweep at {now} mutated"
+            );
+        }
+        let next = conn.next_deadline();
+        assert!(next.is_none_or(|d| d > now), "{next:?} survived {now}");
     }
 
     fn drain(&mut self, now: SimTime) {
@@ -99,9 +127,10 @@ fn script(rng: &mut SimRng) -> Vec<(SimTime, Action)> {
 }
 
 /// Run the script `seed` stands for and return every segment sent, in
-/// order. With `extra_polls` the endpoints are also polled at arbitrary
-/// instants between events and every `None` poll is checked for
-/// `Debug`-identity; the returned log must not depend on it.
+/// order. With `extra_polls` the endpoints are also polled and swept at
+/// arbitrary instants between events, and every `None` poll and undue
+/// sweep is checked for `Debug`-identity; the returned log must not
+/// depend on it.
 pub fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
     let paths = vec![
         ChaosPath::new(loss, SimDuration::from_millis(12), jitter_ms),
@@ -125,7 +154,8 @@ pub fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent>
     };
     let mut pending = actions.iter().copied().peekable();
     let mut now = SimTime::ZERO;
-    loop {
+    for iteration in 0.. {
+        assert!(iteration < MAX_ITERATIONS, "spinning at {now}");
         let next = [
             pending.peek().map(|&(t, _)| t),
             pair.net.peek_time(),
@@ -145,7 +175,12 @@ pub fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent>
             at.sort_unstable();
             for offset in at {
                 let t = now + SimDuration::from_nanos(offset);
-                pair.poll(t, polls.chance(0.5));
+                let client = polls.chance(0.5);
+                if polls.chance(0.5) {
+                    pair.poll(t, client);
+                } else if t < next {
+                    pair.sweep(t, client);
+                }
             }
         }
         now = next;
@@ -171,8 +206,8 @@ pub fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent>
             };
             conn.on_segment(now, SubflowId(path), seg);
         }
-        pair.client.on_deadline(now);
-        pair.server.on_deadline(now);
+        pair.sweep(now, true);
+        pair.sweep(now, false);
         pair.drain(now);
     }
     let written = pair.server.bytes_written();

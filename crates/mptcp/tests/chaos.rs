@@ -4,10 +4,11 @@
 //! `emptcp_live::MpChaosRig`: the reactor over a `ChaosNet`.
 
 use emptcp_faults::testnet::ChaosPath;
-use emptcp_live::MpChaosRig;
+use emptcp_faults::{FaultAction, FaultPlan, FaultTarget};
+use emptcp_live::{MpChaosRig, Transport};
 use emptcp_mptcp::SubflowId;
 use emptcp_phy::IfaceKind;
-use emptcp_sim::SimDuration;
+use emptcp_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 fn rig(seed: u64, loss0: f64, loss1: f64, jitter_ms: u64) -> MpChaosRig {
@@ -96,4 +97,57 @@ fn congested_core_scenario_recovers_with_stats() {
         stats.worst_recovery_latency().is_some(),
         "recovery latency never measured: {stats:?}"
     );
+}
+
+/// Stall detection is a deadline the connection reports, not something a
+/// sweep happens to notice. An app-limited stream loses path 0 to a silent
+/// blackhole; the RTO reinjects first, and the stall reinjection then
+/// lands exactly one threshold after the last ACK path 0 produced — at an
+/// instant the loop visited only because `next_deadline()` named it.
+#[test]
+fn a_silent_blackhole_is_reinjected_at_the_last_ack_plus_the_threshold() {
+    let ms = SimDuration::from_millis;
+    let mut r = MpChaosRig::over(
+        11,
+        vec![
+            ChaosPath::new(0.0, ms(12), 0),
+            ChaosPath::new(0.0, ms(80), 0),
+        ],
+    );
+    r.notify_link_down = false;
+    let blackhole = SimTime::from_millis(600);
+    r.attach_faults(FaultPlan::new().at(blackhole, FaultTarget::Wifi, FaultAction::Rate(Some(0))));
+
+    let (mut una, mut last_ack, mut next_write) = (0, SimTime::ZERO, SimTime::ZERO);
+    let mut stall_reinjections = Vec::new();
+    while r.clock.now() < SimTime::from_secs(2) {
+        if r.clock.now() >= next_write {
+            r.server().write(512);
+            next_write = r.clock.now() + ms(20);
+        }
+        let named = r.server().next_deadline();
+        let arrival = r.transport.next_wakeup();
+        let before = (
+            r.server().recovery_stats().reinjection_events,
+            r.server().subflow(SubflowId(0)).tcp.timeouts(),
+        );
+        // One iteration of the reactor loop.
+        let mut stepped = false;
+        r.run_until(|_| std::mem::replace(&mut stepped, true));
+        let now = r.clock.now();
+        let sf0 = r.server().subflow(SubflowId(0));
+        let (rtos, srtt) = (sf0.tcp.timeouts(), sf0.tcp.rtt().srtt_or_zero());
+        if sf0.tcp.snd_una() > una {
+            (una, last_ack) = (sf0.tcp.snd_una(), now);
+        }
+        if r.server().recovery_stats().reinjection_events > before.0 && rtos == before.1 {
+            stall_reinjections.push((now, named, arrival, (srtt * 2).max(ms(300))));
+        }
+    }
+    let (at, named, arrival, threshold) = stall_reinjections[0];
+    assert!(last_ack < blackhole + ms(24) && at > blackhole);
+    assert_eq!(at, last_ack + threshold);
+    assert_eq!(named, Some(at), "the connection named the instant itself");
+    assert_ne!(arrival, Some(at), "no frame was due then");
+    assert_eq!(stall_reinjections.len(), 1, "once per stall");
 }

@@ -474,8 +474,12 @@ impl TcpEndpoint {
         }
     }
 
-    /// Fire any timers due at `now`.
-    pub fn on_deadline(&mut self, now: SimTime) {
+    /// Fire any timers due at `now`; returns whether the retransmission
+    /// timer expired (the MPTCP layer reinjects the victim's data then).
+    /// With nothing due this changes no state, and a due timer is consumed:
+    /// afterwards [`next_deadline`](Self::next_deadline) is `None` or later
+    /// than `now`.
+    pub fn on_deadline(&mut self, now: SimTime) -> bool {
         if let Some(d) = self.delack_deadline {
             if now >= d {
                 self.delack_deadline = None;
@@ -517,10 +521,12 @@ impl TcpEndpoint {
                     }
                 }
                 self.arm_rto(now);
+                return true;
             } else if now >= d {
                 self.rto_deadline = None;
             }
         }
+        false
     }
 
     fn arm_rto(&mut self, now: SimTime) {

@@ -1,9 +1,13 @@
-//! The lazy-time certificate for `TcpEndpoint`: `poll_transmit` may be
-//! called at any cadence. A call that returns `None` leaves the endpoint
-//! `Debug`-identical, and a pair polled at arbitrary extra instants sends
-//! the same segments, at the same instants, under the same congestion
-//! window, as its twin polled only when an event lands — through idle gaps
-//! longer than an RTO (RFC 2861 decay), loss, reordering and blackouts.
+//! The driver-contract certificate for `TcpEndpoint`: `poll_transmit` and
+//! `on_deadline` may be called at any cadence. A poll that returns `None`
+//! and a sweep with nothing due leave the endpoint `Debug`-identical, a
+//! due deadline never survives its sweep, and a pair polled and swept at
+//! arbitrary extra instants sends the same segments, at the same instants,
+//! under the same congestion window, as its twin driven only when an event
+//! lands — through idle gaps longer than an RTO (RFC 2861 decay), loss,
+//! reordering and blackouts.
+//!
+//! 256 cases by default; CI raises it through `PROPTEST_CASES`.
 
 use emptcp_faults::testnet::{ChaosNet, ChaosPath};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
@@ -25,9 +29,14 @@ struct Pair {
     server: TcpEndpoint,
     net: ChaosNet,
     sent: Vec<Sent>,
-    /// Compare the `Debug` rendering around every poll that returns `None`.
+    /// Compare the `Debug` rendering around every poll that returns `None`
+    /// and every `on_deadline` with nothing due.
     check: bool,
 }
+
+/// Far above what any script needs: a deadline that survives its sweep
+/// would otherwise spin the loop at one instant forever.
+const MAX_ITERATIONS: usize = 1_000_000;
 
 impl Pair {
     /// One `poll_transmit`; a `None` must leave the endpoint untouched.
@@ -48,6 +57,24 @@ impl Pair {
             .push((now, from_client, seg.seq, seg.payload, ep.cc().cwnd()));
         self.net.send(now, !from_client, 0, seg);
         true
+    }
+
+    /// One `on_deadline`. With nothing due it must leave the endpoint
+    /// untouched; a due deadline must be consumed.
+    fn sweep(&mut self, now: SimTime, client: bool) {
+        let ep = if client {
+            &mut self.client
+        } else {
+            &mut self.server
+        };
+        let due = ep.next_deadline().is_some_and(|d| d <= now);
+        let before = (self.check && !due).then(|| format!("{ep:?}"));
+        ep.on_deadline(now);
+        if let Some(before) = before {
+            assert_eq!(before, format!("{ep:?}"), "an undue sweep at {now} mutated");
+        }
+        let next = ep.next_deadline();
+        assert!(next.is_none_or(|d| d > now), "{next:?} survived {now}");
     }
 }
 
@@ -78,9 +105,9 @@ fn script(rng: &mut SimRng) -> Vec<(SimTime, Action)> {
 }
 
 /// Run the script `seed` stands for and return every segment sent. With
-/// `extra_polls` the endpoints are also polled at arbitrary instants
-/// between events and every `None` poll is checked for `Debug`-identity;
-/// the returned log must not depend on it.
+/// `extra_polls` the endpoints are also polled and swept at arbitrary
+/// instants between events, and every `None` poll and undue sweep is
+/// checked for `Debug`-identity; the returned log must not depend on it.
 fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
     let path = ChaosPath::new(loss, SimDuration::from_millis(10), jitter_ms);
     let net = ChaosNet::new(seed, vec![path]);
@@ -97,7 +124,8 @@ fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
     let mut pending = actions.iter().copied().peekable();
     let mut written = 0;
     let mut now = SimTime::ZERO;
-    loop {
+    for iteration in 0.. {
+        assert!(iteration < MAX_ITERATIONS, "spinning at {now}");
         let next = [
             pending.peek().map(|&(t, _)| t),
             pair.net.peek_time(),
@@ -117,7 +145,12 @@ fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
             at.sort_unstable();
             for offset in at {
                 let t = now + SimDuration::from_nanos(offset);
-                pair.poll(t, polls.chance(0.5));
+                let client = polls.chance(0.5);
+                if polls.chance(0.5) {
+                    pair.poll(t, client);
+                } else if t < next {
+                    pair.sweep(t, client);
+                }
             }
         }
         now = next;
@@ -141,8 +174,8 @@ fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
                 pair.server.on_segment(now, seg);
             }
         }
-        pair.client.on_deadline(now);
-        pair.server.on_deadline(now);
+        pair.sweep(now, true);
+        pair.sweep(now, false);
         while pair.poll(now, true) {}
         while pair.poll(now, false) {}
     }
@@ -156,7 +189,7 @@ fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
+    #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.max(256)))]
 
     #[test]
     fn extra_polls_are_invisible(
