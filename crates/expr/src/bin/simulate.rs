@@ -203,7 +203,14 @@ fn live_usage(role: &str) -> ! {
   --trace PATH         write the JSONL decision trace (follow with
                        `repro monitor --follow PATH`)
   --limit-s N          give up after N wall seconds          (default 60)
-  --json               print the transfer report as JSON",
+  --json               print the transfer report as JSON
+
+Each endpoint advertises at most a third of its UDP socket's receive
+buffer per path (rmem_default / 3 in whole segments: 69 972 bytes on a
+stock Linux box; printed as udp.rx_window), so a transfer never overflows
+its own sockets (udp.rcvbuf_drops=0, tcp.rto=0 unshaped). The price is
+the usual one: a path carries at most window/RTT, e.g. 10 ms of injected
+delay each way caps it near 3.5 MB/s.",
         if role == "serve" { 46100 } else { 46110 }
     );
     std::process::exit(2);

@@ -13,10 +13,11 @@
 //! trace path and every transport decision lands in the same JSONL format
 //! the simulator writes, flushed at a bounded cadence so `repro monitor
 //! --follow` can dashboard the transfer while it runs. The engine's own
-//! counters — where the reactor's time went, what the sockets dropped and
-//! why, how large the mapping and reorder tables grew — are published
-//! under `live.*` in the session's [`MetricsRegistry`] and come back in
-//! the [`TransferReport`].
+//! counters — where the reactor's time went, what the sockets and the
+//! kernel behind them dropped and why, the receive window the transport
+//! advertised, what the subflows retransmitted, how large the mapping and
+//! reorder tables grew — are published under `live.*` in the session's
+//! [`MetricsRegistry`] and come back in the [`TransferReport`].
 //!
 //! Binding is separate from reacting ([`bind_serve`] then
 //! [`ServeSession::run`]) so a caller that starts both ends itself can
@@ -139,14 +140,18 @@ fn telemetry_for(
 
 /// Publish what the engine counted under `live.*`: the reactor's
 /// iterations and how the idle ones were spent, the transport's datagrams
-/// and every reason it dropped one, and the high-water marks of the
-/// connection's mapping and reorder tables.
+/// and every reason it or the kernel dropped one, the window it
+/// advertised, what the subflows had to send twice, and the high-water
+/// marks of the connection's mapping and reorder tables.
 fn publish_engine_metrics(
     metrics: &mut MetricsRegistry,
     stats: &ReactorStats,
     transport: &UdpTransport,
     conn: &MpConnection,
 ) {
+    let (retransmits, timeouts) = conn.subflows().iter().fold((0, 0), |(r, t), sf| {
+        (r + sf.tcp.retransmissions(), t + sf.tcp.timeouts())
+    });
     for (name, value) in [
         ("live.reactor.iterations", stats.iterations),
         ("live.reactor.arrivals", stats.arrivals),
@@ -164,6 +169,10 @@ fn publish_engine_metrics(
         ("live.udp.unroutable", transport.unroutable),
         ("live.udp.send_errors", transport.send_errors),
         ("live.udp.foreign", transport.foreign),
+        ("live.udp.recv_errors", transport.recv_errors),
+        ("live.udp.rcvbuf_drops", transport.rcvbuf_drops()),
+        ("live.tcp.retransmits", retransmits),
+        ("live.tcp.rto", timeouts),
         ("live.mptcp.unknown_sf", conn.unknown_subflow_segments()),
     ] {
         metrics.counter_add(name, value);
@@ -174,6 +183,7 @@ fn publish_engine_metrics(
         .map(|sf| sf.mapping_high_water())
         .max()
         .unwrap_or(0);
+    metrics.gauge_set("live.udp.rx_window", transport.rx_window() as f64);
     metrics.gauge_set("live.mptcp.mapping_high_water", mapping as f64);
     metrics.gauge_set(
         "live.mptcp.reorder_high_water",

@@ -23,18 +23,93 @@
 //! ones whose `path` byte is not the socket they arrived on, are counted
 //! and skipped, never panicked on and never learned from; a socket error
 //! on send is counted (`send_errors`) and the frame is lost like any other
-//! datagram. A socket is a public interface.
+//! datagram, and one on receive is counted (`recv_errors`) and skipped. A
+//! socket is a public interface.
+//!
+//! **The receive window is the socket's, not the stack's.** The stacks
+//! advertise `TcpConfig::rwnd_bytes` (4 MiB) per subflow, but what a peer
+//! has in flight towards this endpoint queues in a kernel socket buffer of
+//! `rmem_default` bytes (208 KiB stock: ~92 full frames, each charged
+//! ~2.3 kB of buffer accounting whatever its payload). Left alone, loss
+//! based congestion control grows into the advertised window, overflows
+//! that drop-tail queue every few milliseconds and recovers by RTO. So
+//! every frame that leaves through [`Transport::send`] carries
+//! `min(seg.rwnd, rx_window)`, where [`UdpTransport::rx_window`] is a
+//! third of the capacity learned once at [`bind`](UdpTransport::bind): the
+//! peer's flight then always fits the buffer, and nothing is lost that the
+//! path did not lose. The rule sits at frame egress because that is the
+//! one place both a session and a bare `Reactor<UdpTransport>` pass
+//! through; the stacks, the simulator and the duplex transport never see
+//! it. Its price is the usual one: a path with real delay carries at most
+//! `rx_window / RTT` (about 69 KiB per round trip on a stock Linux box).
+//! [`UdpTransport::rcvbuf_drops`] reads back what the kernel dropped
+//! anyway.
 
 use crate::codec::{decode_frame, encode_frame_into};
 use crate::transport::Transport;
 use emptcp_faults::ChaosPath;
 use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_tcp::segment::DEFAULT_MSS;
 use emptcp_tcp::Segment;
 use std::io;
 use std::net::{SocketAddr, UdpSocket};
 
 /// Largest datagram we accept; comfortably above the modeled MTU.
 const RECV_BUF: usize = 2048;
+
+/// Where Linux publishes the receive-buffer size a new socket gets;
+/// `std` exposes no `SO_RCVBUF`, and every socket here takes the default.
+const RMEM_DEFAULT: &str = "/proc/sys/net/core/rmem_default";
+
+/// Per-socket receive statistics; the last column counts the datagrams
+/// the kernel dropped because the socket's buffer was full.
+const PROC_NET_UDP: &str = "/proc/net/udp";
+
+/// Receive capacity assumed where [`RMEM_DEFAULT`] cannot be read: the
+/// smallest default among the common platforms.
+const FALLBACK_RCVBUF: u64 = 64 * 1024;
+
+/// The share of a socket's receive buffer its path's window may promise.
+/// A full frame is charged about 1.6x its size and shorter ones
+/// proportionally more: measured, the kernel drops nothing with up to 46%
+/// of the buffer promised and starts to at 61% (EXPERIMENTS, "Live
+/// receive window").
+const RX_WINDOW_DIVISOR: u64 = 3;
+
+const MSS: u64 = DEFAULT_MSS as u64;
+
+/// No capacity reading takes the window below this: enough segments in
+/// flight for fast retransmit and delayed ACKs to work.
+const MIN_RX_WINDOW: u64 = 8 * MSS;
+
+/// The window one path may advertise, from what [`RMEM_DEFAULT`] read
+/// (`None` where it could not be).
+fn rx_window_from(rmem_default: Option<&str>) -> u64 {
+    let capacity = rmem_default
+        .and_then(|s| s.trim().parse::<u64>().ok())
+        .unwrap_or(FALLBACK_RCVBUF);
+    let window = (capacity / RX_WINDOW_DIVISOR).max(MIN_RX_WINDOW);
+    // Whole segments: the sender can spend a remainder only on a runt,
+    // which the buffer charges like a full frame, and once one runt is in
+    // flight its ACK releases the next.
+    window - window % MSS
+}
+
+/// Sum of the `drops` column of a [`PROC_NET_UDP`] table over the sockets
+/// bound to `ports`.
+fn drops_for_ports(table: &str, ports: &[u16]) -> u64 {
+    table
+        .lines()
+        .skip(1)
+        .filter_map(|line| {
+            let mut cols = line.split_whitespace();
+            let (_, port) = cols.nth(1)?.rsplit_once(':')?;
+            let port = u16::from_str_radix(port, 16).ok()?;
+            let drops = cols.last()?.parse::<u64>().ok()?;
+            ports.contains(&port).then_some(drops)
+        })
+        .sum()
+}
 
 /// One local endpoint of a live transfer: a socket per path plus
 /// sender-side shaping state.
@@ -54,6 +129,9 @@ pub struct UdpTransport {
     tx_buf: Vec<u8>,
     /// Receive buffer, reused call to call.
     rx_buf: Box<[u8; RECV_BUF]>,
+    /// The most any frame leaving here advertises per path: a share of
+    /// what one socket's kernel buffer holds, learned at bind.
+    rx_window: u64,
     /// Datagrams sent on the wire (post-shaping).
     pub datagrams_sent: u64,
     /// Datagrams received and decoded.
@@ -71,6 +149,9 @@ pub struct UdpTransport {
     /// Arrivals from a source other than the path's known peer (dropped
     /// undecoded).
     pub foreign: u64,
+    /// Receive calls the socket failed with an error other than an empty
+    /// buffer (skipped; retransmission covers whatever they stood for).
+    pub recv_errors: u64,
 }
 
 impl UdpTransport {
@@ -93,6 +174,7 @@ impl UdpTransport {
             rr: 0,
             tx_buf: Vec::with_capacity(RECV_BUF),
             rx_buf: Box::new([0; RECV_BUF]),
+            rx_window: rx_window_from(std::fs::read_to_string(RMEM_DEFAULT).ok().as_deref()),
             datagrams_sent: 0,
             datagrams_received: 0,
             frames_shaped_away: 0,
@@ -100,7 +182,27 @@ impl UdpTransport {
             unroutable: 0,
             send_errors: 0,
             foreign: 0,
+            recv_errors: 0,
         })
+    }
+
+    /// The receive window, in bytes, that frames leaving this endpoint
+    /// advertise at most on each path.
+    pub fn rx_window(&self) -> u64 {
+        self.rx_window
+    }
+
+    /// Datagrams the kernel dropped at this endpoint's sockets because
+    /// their receive buffers were full, since bind; 0 where the platform
+    /// does not say.
+    pub fn rcvbuf_drops(&self) -> u64 {
+        let ports: Vec<u16> = self
+            .sockets
+            .iter()
+            .filter_map(|s| s.local_addr().ok())
+            .map(|a| a.port())
+            .collect();
+        std::fs::read_to_string(PROC_NET_UDP).map_or(0, |table| drops_for_ports(&table, &ports))
     }
 
     /// Preset the peer for `path` (the connecting side knows the server).
@@ -151,11 +253,14 @@ impl Transport for UdpTransport {
         // Parked frames already due leave first, so a frame that skips
         // the wheel below keeps its place behind them.
         self.flush_egress(now);
+        // Promise the peer no more than this path's socket can queue.
+        let mut seg = *seg;
+        seg.rwnd = seg.rwnd.min(self.rx_window);
         let mut shaped_away = true;
         for delay in self.paths[path as usize].shape(&mut self.rng) {
             shaped_away = false;
             let mut frame = std::mem::take(&mut self.tx_buf);
-            encode_frame_into(path, seg, &mut frame);
+            encode_frame_into(path, &seg, &mut frame);
             if delay == SimDuration::ZERO {
                 self.emit(path, &frame);
                 self.tx_buf = frame;
@@ -197,7 +302,7 @@ impl Transport for UdpTransport {
                 // Linux may surface async ICMP errors (e.g. port
                 // unreachable before the peer binds) on the next call;
                 // treat like loss and let retransmission cover it.
-                Err(_) => continue,
+                Err(_) => self.recv_errors += 1,
             }
         }
         None
@@ -224,6 +329,23 @@ mod tests {
             ChaosPath::new(0.0, SimDuration::ZERO, 0),
             ChaosPath::new(0.0, SimDuration::ZERO, 0),
         ]
+    }
+
+    /// A transport on `port_base` whose path 0 sends to a raw socket, and
+    /// that socket: what arrives there is what went on the wire.
+    fn transport_and_sink(port_base: u16, seed: u64) -> (UdpTransport, UdpSocket) {
+        let mut t = UdpTransport::bind(port_base, two_paths(), seed).expect("bind");
+        let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
+        sink.set_read_timeout(Some(std::time::Duration::from_secs(2)))
+            .unwrap();
+        t.set_peer(0, sink.local_addr().unwrap());
+        (t, sink)
+    }
+
+    fn next_frame(sink: &UdpSocket) -> Segment {
+        let mut buf = [0u8; RECV_BUF];
+        let n = sink.recv(&mut buf).expect("datagram");
+        decode_frame(&buf[..n]).expect("decodes").1
     }
 
     #[test]
@@ -316,11 +438,7 @@ mod tests {
 
     #[test]
     fn an_unshaped_frame_leaves_at_once_behind_parked_ones_already_due() {
-        let mut t = UdpTransport::bind(46270, two_paths(), 8).expect("bind");
-        let sink = UdpSocket::bind("127.0.0.1:0").expect("bind sink");
-        sink.set_read_timeout(Some(std::time::Duration::from_secs(2)))
-            .unwrap();
-        t.set_peer(0, sink.local_addr().unwrap());
+        let (mut t, sink) = transport_and_sink(46270, 8);
         let seg = |payload| {
             let mut s = Segment::empty(SimTime::ZERO);
             s.payload = payload;
@@ -338,14 +456,121 @@ mod tests {
         // ... and once it is due, it leaves ahead of the next one.
         t.send(SimTime::from_millis(5), 0, 0, &seg(3));
         assert_eq!((t.datagrams_sent, t.next_wakeup()), (3, None));
-        let mut buf = [0u8; RECV_BUF];
-        let order: Vec<u32> = (0..3)
-            .map(|_| {
-                let n = sink.recv(&mut buf).expect("datagram");
-                decode_frame(&buf[..n]).expect("decodes").1.payload
-            })
-            .collect();
+        let order: Vec<u32> = (0..3).map(|_| next_frame(&sink).payload).collect();
         assert_eq!(order, [2, 1, 3]);
+    }
+
+    /// A data segment, a pure ACK and a SYN, as the stacks would build
+    /// them with `TcpConfig::default().rwnd_bytes` to offer.
+    fn data_ack_and_syn(rwnd: u64) -> [Segment; 3] {
+        let mut data = Segment::empty(SimTime::ZERO);
+        data.flags.ack = true;
+        data.payload = MSS as u32;
+        let mut ack = Segment::empty(SimTime::ZERO);
+        ack.flags.ack = true;
+        let mut syn = Segment::empty(SimTime::ZERO);
+        syn.flags.syn = true;
+        [data, ack, syn].map(|mut seg| {
+            seg.rwnd = rwnd;
+            seg
+        })
+    }
+
+    #[test]
+    fn every_frame_advertises_at_most_what_the_socket_holds() {
+        let (mut t, sink) = transport_and_sink(46280, 9);
+        for seg in data_ack_and_syn(4 << 20) {
+            t.send(SimTime::ZERO, 0, 0, &seg);
+            let wire = next_frame(&sink);
+            assert_eq!(wire.rwnd, t.rx_window());
+            // Nothing else about the segment changed on the way out.
+            assert_eq!(
+                Segment {
+                    rwnd: seg.rwnd,
+                    ..wire
+                },
+                seg
+            );
+        }
+    }
+
+    #[test]
+    fn a_window_already_smaller_crosses_unchanged() {
+        let (mut t, sink) = transport_and_sink(46290, 10);
+        for rwnd in [t.rx_window() - 1, 1000, 0] {
+            for seg in data_ack_and_syn(rwnd) {
+                t.send(SimTime::ZERO, 0, 0, &seg);
+                assert_eq!(next_frame(&sink), seg);
+            }
+        }
+    }
+
+    #[test]
+    fn a_parked_frame_carries_the_same_bound_as_one_that_left_at_once() {
+        let (mut t, sink) = transport_and_sink(46300, 11);
+        let [data, ..] = data_ack_and_syn(4 << 20);
+        t.send(SimTime::ZERO, 0, 0, &data);
+        let at_once = next_frame(&sink);
+        t.paths_mut()[0].base_delay = SimDuration::from_millis(5);
+        t.send(SimTime::ZERO, 0, 0, &data);
+        assert_eq!(t.datagrams_sent, 1, "held back");
+        t.flush_egress(SimTime::from_millis(5));
+        let parked = next_frame(&sink);
+        assert_eq!(parked, at_once);
+        assert_eq!(parked.rwnd, t.rx_window());
+    }
+
+    #[test]
+    fn the_window_has_a_floor_whatever_the_capacity_source_said() {
+        // Stock Linux: a third of 208 KiB, about 49 segments.
+        assert_eq!(rx_window_from(Some("212992\n")), 49 * MSS);
+        // Unreadable, garbage, negative, empty: the fallback capacity.
+        for source in [None, Some("garbage"), Some("-1"), Some("")] {
+            assert_eq!(rx_window_from(source), 15 * MSS);
+        }
+        // Tiny or zero: never below eight segments, never zero.
+        for source in ["0", "1", "4096", "34271"] {
+            assert_eq!(rx_window_from(Some(source)), 8 * MSS);
+        }
+        // Huge: the stack's own offer becomes the lesser one again.
+        assert!(rx_window_from(Some("26214400")) > 4 << 20);
+        // And whatever this machine says, a bound transport obeys it.
+        let t = UdpTransport::bind(46310, two_paths(), 12).expect("bind");
+        assert!(t.rx_window() >= MIN_RX_WINDOW);
+    }
+
+    #[test]
+    fn drops_are_summed_over_our_ports_only() {
+        let table = "  sl  local_address rem_address   st tx_queue rx_queue tr tm->when retrnsmt   uid  timeout inode ref pointer drops\n\
+   77: 0100007F:B93A 00000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 1234 2 0000000000000000 41\n\
+   78: 0100007F:B93B 00000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 1235 2 0000000000000000 7\n\
+   99: 00000000:0044 00000000:0000 07 00000000:00000000 00:00000000 00000000     0        0 1236 2 0000000000000000 1000\n\
+  bogus line\n";
+        assert_eq!(drops_for_ports(table, &[0xB93A, 0xB93B]), 48);
+        assert_eq!(drops_for_ports(table, &[0xB93B]), 7);
+        assert_eq!(drops_for_ports(table, &[1]), 0);
+        assert_eq!(drops_for_ports("", &[0xB93A]), 0);
+    }
+
+    #[test]
+    fn a_flooded_socket_reports_what_the_kernel_dropped() {
+        if !std::path::Path::new(PROC_NET_UDP).exists() {
+            return;
+        }
+        let t = UdpTransport::bind(46320, two_paths(), 13).expect("bind");
+        assert_eq!(t.rcvbuf_drops(), 0);
+        // Never polled, so path 1's buffer fills and the rest is dropped:
+        // twice the buffer's bytes cannot all fit it.
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        let datagrams = 2 * RX_WINDOW_DIVISOR * t.rx_window() / 1480;
+        for _ in 0..datagrams {
+            raw.send_to(&[0xAB; 1480], "127.0.0.1:46321").expect("send");
+        }
+        let drops = t.rcvbuf_drops();
+        assert!(
+            drops > 0 && drops < datagrams,
+            "{drops} of {datagrams} dropped"
+        );
     }
 
     #[test]

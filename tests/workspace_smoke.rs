@@ -3,8 +3,9 @@
 //! exercises them — one fleet engine whose output is invariant under the
 //! shard count, one pair pump whose two transports agree event for event,
 //! a chaos corpus that certifies, a monitor tap that streams, stacks that
-//! cannot tell how often they are polled or swept, and a timing wheel that
-//! pops like its two reference queues.
+//! cannot tell how often they are polled or swept, a timing wheel that
+//! pops like its two reference queues, and a live transfer that loses
+//! nothing to its own socket buffers.
 
 use emptcp_faults::{FaultPlan, FaultTarget};
 use emptcp_live::{certify, ParityScript};
@@ -22,6 +23,8 @@ mod cadence_rig;
 mod event_queue_model;
 #[path = "../crates/mptcp/tests/mapping_model/model.rs"]
 mod mapping_model;
+#[path = "../crates/live/tests/udp_smoke/rig.rs"]
+mod udp_rig;
 
 fn small_fleet() -> FleetConfig {
     let mut cfg = FleetConfig::contended(6, 7);
@@ -157,4 +160,13 @@ fn the_wheel_pops_like_the_key_heap_and_the_reference() {
     ] {
         event_queue_model::check_interleavings(seed, 600, 3, horizon_ns);
     }
+}
+
+/// Reduced case of `udp_smoke` in `emptcp-live`: over real localhost
+/// sockets the advertised window fits the kernel's receive buffer, so an
+/// unshaped transfer times out on nothing, sends nothing twice, overflows
+/// no socket, and arrives as one full-sized datagram per MSS of payload.
+#[test]
+fn a_live_transfer_loses_nothing_to_its_own_socket() {
+    udp_rig::unshaped_transfer_loses_nothing(47370, 4 << 20);
 }
