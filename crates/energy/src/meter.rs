@@ -153,7 +153,7 @@ impl EnergyMeter {
         self.cell_state_since = now;
 
         let (w, c, tot) = Self::power_of(&self.model, &snapshot, self.baseline_w);
-        if self.scope.enabled() {
+        if self.scope.tracing_active() {
             if w != self.wifi.level() {
                 self.scope.emit(now, |_| TraceEvent::EnergyLevel {
                     component: "wifi",

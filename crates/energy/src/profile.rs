@@ -27,7 +27,7 @@ use emptcp_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Power and timing of one cellular radio (3G or LTE).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct CellularPower {
     /// Power while actively transferring, as a function of throughput.
     pub curve: PowerCurve,
@@ -51,7 +51,7 @@ impl CellularPower {
 }
 
 /// The energy profile of one device.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct DeviceProfile {
     /// Human-readable device name (Table 1).
     pub name: String,

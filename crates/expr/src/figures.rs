@@ -6,11 +6,12 @@
 //! (what EXPERIMENTS.md records), [`Config::quick`] shrinks transfers for
 //! benches and smoke tests while exercising identical code paths.
 
-use crate::host::{run, RunResult};
+use crate::host::RunResult;
 use crate::mdp::MdpPolicy;
 use crate::report::{f, pm, FigureOutput, Table};
 use crate::runner;
 use crate::scenario::{Scenario, Workload};
+use crate::shared::run;
 use crate::strategy::Strategy;
 use crate::wild::{self, Category, WildTrace};
 use emptcp::delay::min_tau;
@@ -104,6 +105,41 @@ where
     F: Fn(usize) -> T + Sync,
 {
     runner::run_points(n, point)
+}
+
+/// The runs behind the single-run figures. Figs 7, 9 and 12 each plot one
+/// run per strategy — and export its time series — of the scenario Figs 8,
+/// 10 and 13 average. This is the one list of those runs: the figures
+/// simulate exactly these ([`run_series`]), and [`crate::repro`] tells the
+/// shared-run memo to keep their series, which it drops from every other
+/// run it holds. Empty for every other exhibit.
+pub(crate) fn series_runs(id: &str, cfg: &Config) -> Vec<(Scenario, Strategy, u64)> {
+    let bulk = |mut s: Scenario| {
+        s.workload = Workload::Download {
+            size: cfg.bulk_size,
+        };
+        s
+    };
+    let lab = lab_strategies();
+    let (scenario, strategies) = match id {
+        "fig7" => (bulk(Scenario::bandwidth_changes()), &lab[..]),
+        "fig9" => (bulk(Scenario::background_traffic(2, 0.025)), &lab[..2]),
+        "fig12" => (Scenario::mobility(), &lab[..]),
+        _ => return Vec::new(),
+    };
+    strategies
+        .iter()
+        .map(|&strategy| (scenario.clone(), strategy, cfg.seed))
+        .collect()
+}
+
+/// Simulate a single-run figure's runs, one sweep point each.
+fn run_series(id: &str, cfg: &Config) -> Vec<RunResult> {
+    let runs = series_runs(id, cfg);
+    sweep_points(runs.len(), |i| {
+        let (scenario, strategy, seed) = runs[i].clone();
+        run(scenario, strategy, seed)
+    })
 }
 
 #[derive(Serialize)]
@@ -369,16 +405,7 @@ pub fn fig6(cfg: &Config) -> FigureOutput {
 /// Fig 7: accumulated-energy time series under random bandwidth changes
 /// (single run per strategy, traces exported).
 pub fn fig7(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::bandwidth_changes();
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
-    let strategies = lab_strategies();
-    let runs: Vec<RunResult> =
-        sweep_points(strategies.len(), |i| run(make(), strategies[i], cfg.seed));
+    let runs = run_series("fig7", cfg);
     let mut t = Table::new(
         "Fig 7: random WiFi bandwidth changes, single-run traces",
         &["strategy", "energy (J)", "time (s)", "trace points"],
@@ -424,15 +451,7 @@ pub fn fig8(cfg: &Config) -> FigureOutput {
 
 /// Fig 9: throughput traces with background traffic (n=2, λoff=0.025).
 pub fn fig9(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::background_traffic(2, 0.025);
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
-    let strategies = [Strategy::Mptcp, Strategy::emptcp_default()];
-    let mut pair = sweep_points(strategies.len(), |i| run(make(), strategies[i], cfg.seed));
+    let mut pair = run_series("fig9", cfg);
     let emptcp = pair.pop().expect("two runs");
     let mptcp = pair.pop().expect("two runs");
     let mut t = Table::new(
@@ -502,10 +521,7 @@ pub fn fig10(cfg: &Config) -> FigureOutput {
 
 /// Fig 12: mobility accumulated-energy traces (single run per strategy).
 pub fn fig12(cfg: &Config) -> FigureOutput {
-    let make = Scenario::mobility;
-    let strategies = lab_strategies();
-    let runs: Vec<RunResult> =
-        sweep_points(strategies.len(), |i| run(make(), strategies[i], cfg.seed));
+    let runs = run_series("fig12", cfg);
     let mut t = Table::new(
         "Fig 12: mobility walk, single-run summary",
         &["strategy", "energy (J)", "downloaded MB", "J/MB"],

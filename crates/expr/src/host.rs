@@ -1137,7 +1137,28 @@ impl Simulation {
         self.meter.update(end, final_snapshot);
         self.meter.export_metrics(end);
         if self.telemetry.enabled() {
+            let endpoints = || {
+                self.conns
+                    .iter()
+                    .flat_map(|c| c.client.subflows().iter().chain(c.server.subflows()))
+                    .map(|sf| &sf.tcp)
+            };
             self.telemetry.with_metrics(|m| {
+                // How much of the data on the simulated wire left as runts
+                // (ROADMAP: sender-side SWS avoidance, sized before fixed).
+                m.counter_add(
+                    "tcp.data_segments",
+                    endpoints().map(|tcp| tcp.data_segments()).sum(),
+                );
+                // A runt is cut either by an endpoint (application-fed) or
+                // by the scheduler sizing a chunk to a subflow's window.
+                let cut_by_scheduler =
+                    |c: &ConnState| c.client.runt_chunks() + c.server.runt_chunks();
+                m.counter_add(
+                    "tcp.runts",
+                    endpoints().map(|tcp| tcp.runts()).sum::<u64>()
+                        + self.conns.iter().map(cut_by_scheduler).sum::<u64>(),
+                );
                 m.gauge_set("rrc.promotions_total", self.rrc.promotions() as f64);
                 for state in emptcp_phy::rrc::RrcState::ALL {
                     m.gauge_set(

@@ -20,6 +20,9 @@
 //!   points and repeated runs fan out on (`repro --jobs N`);
 //! * [`repro`] — the exhibit engine behind the `repro` binary: job
 //!   planning, per-exhibit telemetry, output files;
+//! * [`shared`] — the one entry point exhibits run host simulations
+//!   through, so a `(scenario, strategy, seed)` several exhibits ask for is
+//!   simulated once per `run_exhibits` call;
 //! * [`chaos`] — chaos certification: declarative `.scenario` runs, the
 //!   end-of-run oracles, scenario fuzzing and minimal-repro shrinking
 //!   (`simulate scenario`).
@@ -49,6 +52,7 @@ pub mod report;
 pub mod repro;
 pub mod runner;
 pub mod scenario;
+pub mod shared;
 pub mod strategy;
 pub mod wild;
 

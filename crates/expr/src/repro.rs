@@ -9,19 +9,25 @@
 //! inherit it through [`crate::runner::Scope::spawn`] — so per-exhibit
 //! metrics and invariant attribution survive parallel execution. Inside a
 //! job, sweep points and repeated runs fan out further through the same
-//! pool.
+//! pool. A host run several exhibits ask for — fig12's walks are fig13's
+//! first-seed runs — is simulated once per [`run_exhibits`] call and its
+//! counters replayed into every job that asked ([`crate::shared`]).
 //!
 //! Determinism contract: for a fixed `ReproOptions`, the bytes written to
-//! `<out>/<id>.{txt,json,csv}` (and `<id>.trace.jsonl` under tracing) are
-//! identical for every pool size, because all simulation seeds derive
-//! from exhibit/run indices and results are collected in index order.
+//! `<out>/<id>.{txt,json,csv}` (and `<id>.trace.jsonl` under tracing) and
+//! every [`ExhibitReport`]'s `rendered`, `metrics` and `violations` are
+//! identical for every pool size and whichever job simulated a shared run,
+//! because all simulation seeds derive from exhibit/run indices and
+//! results are collected in index order.
 
 use crate::figures::{self, Config};
 use crate::report::FigureOutput;
 use crate::runner;
+use crate::shared::{self, RunMemo};
 use crate::wild::WildTrace;
 use emptcp_telemetry::{JsonlSink, Telemetry};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Every exhibit id, in the paper's order of appearance.
 pub const IDS: &[&str] = &[
@@ -260,13 +266,24 @@ pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<
     }
     std::fs::create_dir_all(&opts.out_dir)?;
     let groups = plan(ids);
-    let reports = runner::run_points(groups.len(), |i| {
-        let report = run_job(&groups[i], opts);
-        if let Ok(r) = &report {
-            emptcp_telemetry::info!("[{}] done in {:.1}s", r.ids.join("+"), r.wall_s);
-        }
-        report
+    // The memo lives exactly as long as this call: jobs (and whatever they
+    // spawn) reach it through the thread-current handle. Only the runs a
+    // requested single-run figure plots keep their time series in it.
+    let plotted = ids
+        .iter()
+        .flat_map(|id| figures::series_runs(id, &opts.cfg));
+    let memo = Arc::new(RunMemo::keeping_series(plotted));
+    let reports = shared::with_memo(Some(memo.clone()), || {
+        runner::run_points(groups.len(), |i| {
+            let report = run_job(&groups[i], opts);
+            if let Ok(r) = &report {
+                emptcp_telemetry::info!("[{}] done in {:.1}s", r.ids.join("+"), r.wall_s);
+            }
+            report
+        })
     });
+    let (requested, distinct) = memo.counts();
+    emptcp_telemetry::info!("host runs: {requested} requested, {distinct} distinct");
     reports.into_iter().collect()
 }
 

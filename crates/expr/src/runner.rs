@@ -23,7 +23,9 @@
 //! the pool without threading a handle through every signature. Telemetry
 //! is propagated the same way: [`Scope::spawn`] captures the spawner's
 //! effective pipeline and installs it around the job body, so per-exhibit
-//! metrics stay attributed under parallel execution.
+//! metrics stay attributed under parallel execution. The shared-run memo
+//! of an enclosing `run_exhibits` call ([`crate::shared`]) rides along
+//! with it.
 
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -386,9 +388,11 @@ pub struct Scope<'scope, 'env: 'scope> {
 
 impl<'scope, 'env> Scope<'scope, 'env> {
     /// Queue `f` for execution on the pool. The spawner's current
-    /// telemetry pipeline is captured here and re-installed around the
-    /// job body, so metrics and traces stay attributed to the exhibit
-    /// that spawned the work regardless of which thread runs it.
+    /// telemetry pipeline and shared-run memo are captured here and
+    /// re-installed around the job body, so metrics and traces stay
+    /// attributed to the exhibit that spawned the work — and its runs
+    /// stay shared within the call that asked for them — regardless of
+    /// which thread runs it.
     pub fn spawn<F>(&'scope self, f: F)
     where
         F: FnOnce() + Send + 'scope,
@@ -397,9 +401,10 @@ impl<'scope, 'env> Scope<'scope, 'env> {
         let state = self.state.clone();
         let shared = self.runner.inner.shared.clone();
         let telemetry = emptcp_telemetry::current();
+        let memo = crate::shared::current_memo();
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                emptcp_telemetry::with_current(telemetry, f);
+                crate::shared::with_memo(memo, || emptcp_telemetry::with_current(telemetry, f));
             }));
             if let Err(payload) = outcome {
                 let mut slot = state.panic.lock().expect("panic slot poisoned");

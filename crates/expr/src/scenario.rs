@@ -14,7 +14,7 @@ use emptcp_workload::download::MB;
 use serde::{Deserialize, Serialize};
 
 /// How the WiFi capacity behaves over the run.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum WifiEnvironment {
     /// Fixed nominal capacity.
     Static {
@@ -56,7 +56,7 @@ pub enum WifiEnvironment {
 }
 
 /// What the device downloads.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum Workload {
     /// One file of this many bytes; the run ends at delivery (plus radio
     /// drain).
@@ -91,8 +91,10 @@ pub enum Workload {
     },
 }
 
-/// A complete experiment environment.
-#[derive(Clone, Debug)]
+/// A complete experiment environment. Equality is by value over every
+/// field — what the exhibit engine's shared runs key on, since several
+/// exhibits reuse a scenario *name* with different contents.
+#[derive(Clone, PartialEq, Debug)]
 pub struct Scenario {
     /// Human-readable name (appears in result tables).
     pub name: String,

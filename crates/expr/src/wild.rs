@@ -13,8 +13,9 @@
 //! categorization to the *measured* throughputs of the MPTCP run — exactly
 //! how the paper bins its traces.
 
-use crate::host::{run, RunResult};
+use crate::host::RunResult;
 use crate::scenario::Scenario;
+use crate::shared::run;
 use crate::strategy::Strategy;
 use emptcp_sim::{SimDuration, SimRng};
 use serde::{Deserialize, Serialize};

@@ -1,52 +1,28 @@
 //! The runner's determinism contract, end to end: running exhibits on a
 //! 1-job pool and a multi-job pool must write byte-identical files —
-//! results, and trace JSONL under tracing. This is the in-process version
-//! of `repro --jobs 1` vs `repro --jobs N`; CI smoke-tests the binary the
-//! same way.
+//! results, and trace JSONL under tracing — and, since exhibits share host
+//! runs, produce the reports each exhibit would produce run alone. This is
+//! the in-process version of `repro --jobs 1` vs `repro --jobs N`; CI
+//! smoke-tests the binary the same way.
+
+#[path = "parallel_determinism/rig.rs"]
+mod rig;
 
 use emptcp_expr::figures::Config;
-use emptcp_expr::repro::{self, ReproOptions};
-use emptcp_expr::runner::Runner;
-use std::collections::BTreeMap;
+use rig::{tmp, Files};
 use std::path::Path;
 
 /// A fast, representative exhibit subset: model-only (table2), repeated
-/// runs (fig5), single-run traces (fig9), the §5 study plus the merged
+/// runs (fig5), single-run traces (fig9) and the sweep that repeats both of
+/// them (fig10's first cell, first seed), the §5 study plus the merged
 /// fig16+fig14 job, and a whisker exhibit (fig15).
-const SUBSET: &[&str] = &["table2", "fig5", "fig9", "fig15", "fig16", "fig14"];
+const SUBSET: &[&str] = &["table2", "fig5", "fig9", "fig10", "fig15", "fig16", "fig14"];
 
-fn run_with(jobs: usize, dir: &Path, trace: bool) -> BTreeMap<String, Vec<u8>> {
-    let ids: Vec<String> = SUBSET.iter().map(|s| s.to_string()).collect();
-    let opts = ReproOptions {
-        cfg: Config::quick(),
-        out_dir: dir.to_path_buf(),
-        trace,
-        trace_path: None,
-    };
-    let runner = Runner::new(jobs);
-    runner
-        .install(|| repro::run_exhibits(&ids, &opts))
-        .expect("exhibits run");
-    let mut files = BTreeMap::new();
-    for entry in std::fs::read_dir(dir).expect("out dir") {
-        let path = entry.expect("entry").path();
-        files.insert(
-            path.file_name().unwrap().to_string_lossy().into_owned(),
-            std::fs::read(&path).expect("read output"),
-        );
-    }
-    assert!(!files.is_empty(), "no output files written");
-    files
+fn run_with(jobs: usize, dir: &Path, trace: bool) -> Files {
+    rig::run_ids(SUBSET, Config::quick(), jobs, dir, trace).0
 }
 
-fn tmp(name: &str) -> std::path::PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("emptcp-determinism-{name}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn assert_identical(a: &BTreeMap<String, Vec<u8>>, b: &BTreeMap<String, Vec<u8>>) {
+fn assert_identical(a: &Files, b: &Files) {
     assert_eq!(
         a.keys().collect::<Vec<_>>(),
         b.keys().collect::<Vec<_>>(),
@@ -68,6 +44,11 @@ fn results_are_byte_identical_across_pool_sizes() {
     assert_identical(&serial, &parallel);
     let _ = std::fs::remove_dir_all(&d1);
     let _ = std::fs::remove_dir_all(&d4);
+}
+
+#[test]
+fn a_shared_run_is_invisible_in_every_report() {
+    rig::assert_shared_runs_invisible("subset", SUBSET, Config::quick());
 }
 
 #[test]

@@ -147,9 +147,16 @@ pub struct MpConnection {
     recovery_pending: Option<(SimTime, u64)>,
     /// Arriving segments dropped for naming a subflow that does not exist.
     unknown_subflow_segments: u64,
+    /// Chunks the scheduler cut below the MSS to fit a subflow's window
+    /// room while more data was waiting. The subflow's endpoint cannot see
+    /// these as runts — each chunk it is handed is its whole stream so far.
+    runt_chunks: u64,
     /// Telemetry scope for connection-level events; propagated to subflow
     /// TCP endpoints (labelled with their subflow id) when attached.
     scope: TelemetryScope,
+    /// The `conn{c}.iface.{label}.rx_bytes` key of each interface that has
+    /// delivered, formatted at first use rather than per segment.
+    rx_bytes_names: Vec<(IfaceKind, String)>,
 }
 
 impl MpConnection {
@@ -174,7 +181,9 @@ impl MpConnection {
             recovery: RecoveryStats::default(),
             recovery_pending: None,
             unknown_subflow_segments: 0,
+            runt_chunks: 0,
             scope: TelemetryScope::disabled(),
+            rx_bytes_names: Vec::new(),
         }
     }
 
@@ -196,6 +205,15 @@ impl MpConnection {
         self.unknown_subflow_segments
     }
 
+    /// Count of chunks the scheduler cut below the MSS to fit a subflow's
+    /// window room while more data was waiting: the multipath half of the
+    /// runt count, beside each endpoint's [`TcpEndpoint::runts`].
+    ///
+    /// [`TcpEndpoint::runts`]: emptcp_tcp::TcpEndpoint::runts
+    pub fn runt_chunks(&self) -> u64 {
+        self.runt_chunks
+    }
+
     /// Attach a telemetry scope. Connection-level events (scheduler picks,
     /// subflow lifecycle, MP_PRIO) report under it; each subflow's TCP
     /// endpoint gets a copy labelled with its subflow id.
@@ -204,6 +222,7 @@ impl MpConnection {
             sf.tcp.set_telemetry(scope.with_subflow(sf.id.0));
         }
         self.scope = scope;
+        self.rx_bytes_names.clear();
     }
 
     /// Disable LIA coupling (each subflow runs plain Reno). Used by
@@ -606,13 +625,14 @@ impl MpConnection {
             return None;
         }
         // The detailed pick (candidate set + reason) is only computed
-        // when someone is listening; otherwise take the cheap path.
-        let idx = if self.scope.enabled() {
+        // when a trace records it; otherwise take the cheap path.
+        let idx = if self.scope.tracing_active() {
             pick_subflow_detailed(&self.subflows).map(|d| {
+                let picked = self.subflows[d.picked].id.0;
                 self.scope.emit(now, |s| TraceEvent::SchedPick {
                     conn: s.conn,
-                    picked: self.subflows[d.picked].id.0,
-                    candidates: d.candidates.clone(),
+                    picked,
+                    candidates: d.candidates,
                     reason: d.reason,
                     srtt_ns: d.srtt_ns,
                 });
@@ -625,12 +645,13 @@ impl MpConnection {
         let (data_seq, len) = self.next_chunk()?;
         let data_ack = self.data_rx.rcv_nxt();
         let sf = &mut self.subflows[idx];
-        let take = (len as u64)
-            .min(sf.tcp.config().mss as u64)
-            .min(sf.send_room()) as u32;
+        let sf_mss = sf.tcp.config().mss;
+        let take = (len as u64).min(sf_mss as u64).min(sf.send_room()) as u32;
         if take < len {
-            // Leave the remainder for the next pick.
+            // Leave the remainder for the next pick. A cut below the MSS
+            // is the window running out, not the data: a runt.
             self.unconsume_chunk(data_seq + take as u64, len - take);
+            self.runt_chunks += u64::from(take < sf_mss);
         }
         let sf = &mut self.subflows[idx];
         sf.push_data(data_seq, take);
@@ -744,11 +765,17 @@ impl MpConnection {
         }
         if outcome.delivered_bytes > 0 {
             let iface = self.subflows[idx].iface;
+            let names = &mut self.rx_bytes_names;
             self.scope.with_metrics(|s, m| {
-                m.counter_add(
-                    &format!("conn{}.iface.{}.rx_bytes", s.conn, iface.label()),
-                    outcome.delivered_bytes,
-                )
+                let at = names
+                    .iter()
+                    .position(|(kind, _)| *kind == iface)
+                    .unwrap_or_else(|| {
+                        let name = format!("conn{}.iface.{}.rx_bytes", s.conn, iface.label());
+                        names.push((iface, name));
+                        names.len() - 1
+                    });
+                m.counter_add(&names[at].1, outcome.delivered_bytes)
             });
             // Coalesced throughput signal for the observability pipeline:
             // one Delivered event per DELIVERED_EMIT_BYTES of progress,
@@ -895,6 +922,53 @@ mod tests {
         p.server.write(500_000);
         p.run_until_delivered(500_000, 500);
         assert_eq!(p.client.bytes_delivered(), 500_000);
+    }
+
+    #[test]
+    fn the_scheduler_counts_the_chunks_it_cuts_to_the_window() {
+        let mut p = Pair::new(&[IfaceKind::Wifi]);
+        let total = 200_000;
+        let mss = TcpConfig::default().mss;
+        p.server.write(total);
+        let mut short = 0;
+        while p.client.bytes_delivered() < total {
+            p.server.on_deadline(p.now);
+            let mut down = Vec::new();
+            while let Some(pair) = p.server.poll_transmit(p.now) {
+                down.push(pair);
+            }
+            short += down
+                .iter()
+                .filter(|(_, seg)| seg.payload > 0 && seg.payload < mss)
+                .count() as u64;
+            p.now += HALF;
+            for (id, seg) in down {
+                p.client.on_segment(p.now, id, seg);
+            }
+            // The client offers 10 000 B: seven segments and 4 B over.
+            p.client.on_deadline(p.now);
+            let mut up = Vec::new();
+            while let Some(pair) = p.client.poll_transmit(p.now) {
+                up.push(pair);
+            }
+            p.now += HALF;
+            for (id, mut seg) in up {
+                seg.rwnd = 10_000;
+                p.server.on_segment(p.now, id, seg);
+            }
+            assert!(p.now < SimTime::from_secs(60), "stalled");
+        }
+        // A window that is not a whole number of segments leaves room
+        // below one MSS, and the scheduler fills it: a runt. Every short
+        // segment on the wire is one of those or the tail of the stream,
+        // and the subflow's endpoint — handed one chunk at a time — takes
+        // each for the end of its stream and counts none.
+        let cut = p.server.runt_chunks();
+        assert!(cut > 0, "a ragged window produced no runt");
+        assert!(short == cut || short == cut + 1, "{short} short, {cut} cut");
+        let tcp = &p.server.subflow(SubflowId(0)).tcp;
+        assert_eq!(tcp.runts(), 0);
+        assert!(tcp.data_segments() >= total / mss as u64 + cut);
     }
 
     #[test]

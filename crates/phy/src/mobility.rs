@@ -39,7 +39,7 @@ impl Position {
 
 /// A route given as timestamped waypoints; position is linearly interpolated
 /// between them and clamped at the ends.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct WaypointRoute {
     waypoints: Vec<(SimTime, Position)>,
 }
@@ -84,7 +84,7 @@ impl WaypointRoute {
 
 /// 802.11g PHY rate adaptation as a distance staircase, yielding TCP-visible
 /// goodput (PHY rate × MAC efficiency).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct RateAdaptation {
     /// `(max_distance_m, phy_rate_mbps)` tiers, sorted by distance.
     tiers: Vec<(f64, f64)>,
@@ -140,7 +140,7 @@ impl RateAdaptation {
 
 /// Ties a route, an AP position and rate adaptation together: the WiFi
 /// nominal capacity as a function of time.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct MobilityModel {
     route: WaypointRoute,
     ap: Position,

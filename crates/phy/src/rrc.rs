@@ -73,7 +73,7 @@ impl RrcState {
 
 /// Timing of the RRC machine. Powers live in the energy crate's device
 /// profiles; this is pure protocol timing.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub struct RrcConfig {
     /// Time from idle to connected once traffic wants to flow.
     pub promotion_delay: SimDuration,

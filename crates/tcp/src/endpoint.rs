@@ -134,6 +134,27 @@ impl SentSeg {
     }
 }
 
+/// An endpoint's metric keys, formatted at its first report instead of on
+/// every ACK. An endpoint that never reports formats none, and holding a
+/// name adds no key to any registry.
+#[derive(Clone, Debug)]
+struct MetricNames {
+    rtt_ms: String,
+    rto: String,
+    retransmits: String,
+}
+
+impl MetricNames {
+    fn of(scope: &TelemetryScope) -> Box<MetricNames> {
+        let key = |field: &str| format!("tcp.conn{}.sf{}.{field}", scope.conn, scope.subflow);
+        Box::new(MetricNames {
+            rtt_ms: key("rtt_ms"),
+            rto: key("rto"),
+            retransmits: key("retransmits"),
+        })
+    }
+}
+
 /// One side of a TCP (sub)flow.
 #[derive(Clone, Debug)]
 pub struct TcpEndpoint {
@@ -166,6 +187,11 @@ pub struct TcpEndpoint {
     bytes_acked_total: u64,
     retransmissions: u64,
     timeouts: u64,
+    /// First transmissions that carried payload.
+    data_segments: u64,
+    /// Of those, the ones shorter than the MSS that did not end the
+    /// stream as written so far (sender-side silly-window output).
+    runts: u64,
 
     // --- receive side ---
     rcv_nxt: u64,
@@ -190,6 +216,7 @@ pub struct TcpEndpoint {
 
     // --- observability ---
     scope: TelemetryScope,
+    metric_names: Option<Box<MetricNames>>,
     /// Payload bytes first-transmitted (excludes retransmissions); the
     /// `acked ≤ sent` conservation invariant compares against this.
     bytes_sent_total: u64,
@@ -223,6 +250,8 @@ impl TcpEndpoint {
             bytes_acked_total: 0,
             retransmissions: 0,
             timeouts: 0,
+            data_segments: 0,
+            runts: 0,
             rcv_nxt: 0,
             ooo: RangeSet::new(),
             fin_rcv_seq: None,
@@ -236,6 +265,7 @@ impl TcpEndpoint {
             pending_mp_prio: None,
             last_activity: SimTime::ZERO,
             scope: TelemetryScope::disabled(),
+            metric_names: None,
             bytes_sent_total: 0,
             last_traced_cwnd: 0,
             last_traced_ssthresh: 0,
@@ -246,6 +276,7 @@ impl TcpEndpoint {
     /// labelled with the scope's connection/subflow ids.
     pub fn set_telemetry(&mut self, scope: TelemetryScope) {
         self.scope = scope;
+        self.metric_names = None;
     }
 
     /// Transition the connection state, tracing the edge.
@@ -263,7 +294,7 @@ impl TcpEndpoint {
     /// Trace a congestion-window change, coalesced to one event per MSS of
     /// cwnd movement (or any ssthresh change) to bound trace volume.
     fn trace_cwnd(&mut self, now: SimTime, reason: &'static str) {
-        if !self.scope.enabled() {
+        if !self.scope.tracing_active() {
             return;
         }
         let cwnd = self.cc.cwnd();
@@ -341,6 +372,17 @@ impl TcpEndpoint {
     /// Count of retransmitted segments.
     pub fn retransmissions(&self) -> u64 {
         self.retransmissions
+    }
+
+    /// Count of first transmissions that carried payload.
+    pub fn data_segments(&self) -> u64 {
+        self.data_segments
+    }
+
+    /// Count of those data segments that were runts: shorter than the MSS
+    /// without reaching the end of the stream written so far.
+    pub fn runts(&self) -> u64 {
+        self.runts
     }
 
     /// Count of retransmission timeouts; the MPTCP layer watches this to
@@ -504,7 +546,8 @@ impl TcpEndpoint {
                     rto_ns: self.rtt.rto().as_nanos(),
                 });
                 self.scope.with_metrics(|s, m| {
-                    m.counter_add(&format!("tcp.conn{}.sf{}.rto", s.conn, s.subflow), 1)
+                    let names = self.metric_names.get_or_insert_with(|| MetricNames::of(s));
+                    m.counter_add(&names.rto, 1)
                 });
                 self.trace_cwnd(now, "rto");
                 self.dupacks = 0;
@@ -741,10 +784,8 @@ impl TcpEndpoint {
                 let sample = now.saturating_since(ecr);
                 self.rtt.on_sample(sample);
                 self.scope.with_metrics(|s, m| {
-                    m.observe(
-                        &format!("tcp.conn{}.sf{}.rtt_ms", s.conn, s.subflow),
-                        sample.as_millis_f64(),
-                    )
+                    let names = self.metric_names.get_or_insert_with(|| MetricNames::of(s));
+                    m.observe(&names.rtt_ms, sample.as_millis_f64())
                 });
             }
 
@@ -953,27 +994,21 @@ impl TcpEndpoint {
                 seg.retransmit = true;
                 seg.mp_prio = self.pending_mp_prio.take();
                 self.retransmissions += 1;
-                if self.scope.enabled() {
-                    let kind = if self.recovery_high.is_some() {
+                self.scope.emit(now, |s| TraceEvent::Retransmit {
+                    conn: s.conn,
+                    subflow: s.subflow,
+                    seq: seg.seq,
+                    len: seg.payload,
+                    kind: if self.recovery_high.is_some() {
                         "fast"
                     } else {
                         "rto"
-                    };
-                    let (seq_out, len) = (seg.seq, seg.payload);
-                    self.scope.emit(now, |s| TraceEvent::Retransmit {
-                        conn: s.conn,
-                        subflow: s.subflow,
-                        seq: seq_out,
-                        len,
-                        kind,
-                    });
-                    self.scope.with_metrics(|s, m| {
-                        m.counter_add(
-                            &format!("tcp.conn{}.sf{}.retransmits", s.conn, s.subflow),
-                            1,
-                        )
-                    });
-                }
+                    },
+                });
+                self.scope.with_metrics(|s, m| {
+                    let names = self.metric_names.get_or_insert_with(|| MetricNames::of(s));
+                    m.counter_add(&names.retransmits, 1)
+                });
                 self.last_activity = now;
                 if self.rto_deadline.is_none() {
                     self.arm_rto(now);
@@ -1031,6 +1066,10 @@ impl TcpEndpoint {
             );
             self.snd_nxt += seg.seq_space();
             self.bytes_sent_total += payload as u64;
+            if payload > 0 {
+                self.data_segments += 1;
+                self.runts += u64::from(payload < self.cfg.mss && (payload as u64) < available);
+            }
             if fin_now {
                 self.fin_sent = true;
             }
@@ -1151,6 +1190,48 @@ mod tests {
         assert_eq!(c.bytes_delivered_total(), total);
         assert_eq!(s.bytes_acked_total(), total);
         assert_eq!(s.retransmissions(), 0);
+    }
+
+    #[test]
+    fn a_runt_is_cut_by_the_window_not_by_the_end_of_the_data() {
+        let mut now = SimTime::ZERO;
+        let half = SimDuration::from_millis(10);
+        let mut c = TcpEndpoint::client(TcpConfig::default());
+        let mut s = TcpEndpoint::listener(TcpConfig::default());
+        handshake(&mut now, &mut c, &mut s);
+        // An open window: the short segment is the end of what was written.
+        s.write(3_000);
+        let mut segs = Vec::new();
+        while let Some(seg) = s.poll_transmit(now) {
+            segs.push(seg);
+        }
+        assert_eq!(
+            segs.iter().map(|seg| seg.payload).collect::<Vec<_>>(),
+            [1428, 1428, 144]
+        );
+        assert_eq!((s.data_segments(), s.runts()), (3, 0));
+
+        // The peer acknowledges all of it but offers 2 000 B of window:
+        // one full segment fits, and the 572 B behind it leave as a runt
+        // although 8 000 B more are waiting.
+        now += half;
+        for seg in segs {
+            c.on_segment(now, seg);
+        }
+        now += SimDuration::from_millis(50); // past the delayed-ACK timer
+        c.on_deadline(now);
+        while let Some(mut ack) = c.poll_transmit(now) {
+            ack.rwnd = 2_000;
+            s.on_segment(now + half, ack);
+        }
+        now += half;
+        assert_eq!(s.bytes_in_flight(), 0);
+        s.write(10_000);
+        let cut: Vec<u32> = std::iter::from_fn(|| s.poll_transmit(now))
+            .map(|seg| seg.payload)
+            .collect();
+        assert_eq!(cut, [1428, 572]);
+        assert_eq!((s.data_segments(), s.runts()), (5, 1));
     }
 
     #[test]

@@ -11,9 +11,17 @@
 //!   conservation properties online and records violations.
 //!
 //! The entry point is the [`Telemetry`] handle: cheap to clone, thread-safe,
-//! and in its [`Telemetry::disabled`] state a single `Option` check — event
-//! construction, metric-name formatting and invariant arithmetic are all
-//! skipped via closures, so an uninstrumented run pays essentially nothing.
+//! and in one of three states, each paying only for what is read:
+//!
+//! * **disabled** ([`Telemetry::disabled`]) — a single `Option` check; event
+//!   construction, metric-name formatting and invariant arithmetic are all
+//!   skipped via closures, so an uninstrumented run pays essentially nothing;
+//! * **metrics + invariants** (built without a recording sink) — counters,
+//!   histograms and invariant checks run, but no event is ever constructed:
+//!   [`Telemetry::emit_with`] and [`TelemetryScope::emit`] skip their
+//!   closure, since a [`NullSink`] would drop whatever it built;
+//! * **traced** (built with a recording sink, [`Telemetry::tracing_active`])
+//!   — events are built and recorded as well.
 //!
 //! Instrumented components hold a [`TelemetryScope`] (a handle plus the
 //! connection/subflow ids identifying the component), defaulting to
@@ -88,10 +96,11 @@ impl Telemetry {
         self.inner.as_ref().is_some_and(|inner| inner.traced)
     }
 
-    /// Emit a trace event; the closure only runs when telemetry is enabled.
+    /// Emit a trace event; the closure only runs when the sink records
+    /// (see [`tracing_active`](Self::tracing_active)).
     #[inline]
     pub fn emit_with(&self, t: SimTime, make: impl FnOnce() -> TraceEvent) {
-        if let Some(inner) = &self.inner {
+        if let Some(inner) = self.inner.as_ref().filter(|inner| inner.traced) {
             let event = make();
             inner
                 .sink
@@ -171,6 +180,26 @@ impl Telemetry {
         self.inner
             .as_ref()
             .map(|inner| inner.metrics.lock().expect("metrics poisoned").snapshot(at))
+    }
+
+    /// Fold a finished run's private pipeline into this one: counters and
+    /// histograms sum, violations join the observer's list. `metrics`
+    /// already carries the run's `invariants.violations` count, so nothing
+    /// is counted twice; no event is emitted (callers use this only where
+    /// no trace is recorded).
+    pub fn absorb(&self, metrics: &MetricsRegistry, violations: &[Violation]) {
+        let Some(inner) = &self.inner else { return };
+        inner
+            .metrics
+            .lock()
+            .expect("metrics poisoned")
+            .merge(metrics);
+        if let Some(observer) = &inner.invariants {
+            let mut obs = observer.lock().expect("invariant observer poisoned");
+            for v in violations {
+                obs.report(v.at, v.name, v.detail.clone());
+            }
+        }
     }
 
     /// Clone out the current metrics registry (for merging across runs).
@@ -274,20 +303,26 @@ impl TelemetryScope {
         }
     }
 
-    /// True when emissions through this scope are recorded.
+    /// True when metrics (and invariant checks, if built in) reported
+    /// through this scope are kept.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.telemetry.enabled()
     }
 
+    /// True when events emitted through this scope are recorded. Sites
+    /// that prepare an event's inputs ahead of [`emit`](Self::emit) gate
+    /// that work on this, not on [`enabled`](Self::enabled).
+    #[inline]
+    pub fn tracing_active(&self) -> bool {
+        self.telemetry.tracing_active()
+    }
+
     /// Emit an event built by `make`, which receives the scope to pick up
-    /// `conn`/`subflow` labels. Runs only when enabled.
+    /// `conn`/`subflow` labels. Runs only when the sink records.
     #[inline]
     pub fn emit(&self, t: SimTime, make: impl FnOnce(&TelemetryScope) -> TraceEvent) {
-        if self.telemetry.enabled() {
-            let event = make(self);
-            self.telemetry.emit(t, event);
-        }
+        self.telemetry.emit_with(t, || make(self));
     }
 
     /// Access the metrics registry; the closure receives the scope so
@@ -418,6 +453,47 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn an_untraced_pipeline_never_builds_an_event() {
+        let tel = Telemetry::builder().invariants(true).build();
+        let scope = tel.scope(3).with_subflow(1);
+        assert!(scope.enabled() && !scope.tracing_active());
+        tel.emit_with(SimTime::ZERO, || unreachable!("no sink records"));
+        scope.emit(SimTime::ZERO, |_| unreachable!("no sink records"));
+        // What is read is still paid for and kept: counters...
+        scope.with_metrics(|s, m| m.counter_add(&format!("conn{}.x", s.conn), 2));
+        assert_eq!(tel.metrics().unwrap().counter("conn3.x"), 2);
+        // ...and invariant checks, violation event dropped unbuilt.
+        let t = SimTime::from_secs(1);
+        scope.check_invariants(t, |obs| obs.check_ack_conservation(t, "sf1", 10, 5));
+        assert_eq!(tel.violations().len(), 1);
+        assert_eq!(tel.metrics().unwrap().counter("invariants.violations"), 1);
+    }
+
+    #[test]
+    fn absorb_folds_a_finished_run_in_without_recounting() {
+        let t = SimTime::from_secs(1);
+        let run = Telemetry::builder().invariants(true).build();
+        run.with_metrics(|m| m.counter_add("tcp.rto", 3));
+        run.check_invariants(t, |obs| obs.check_ack_conservation(t, "sf0", 10, 5));
+        let (metrics, violations) = (run.metrics().unwrap(), run.violations());
+
+        let job = Telemetry::builder().invariants(true).build();
+        job.with_metrics(|m| m.counter_add("tcp.rto", 1));
+        job.absorb(&metrics, &violations);
+        job.absorb(&metrics, &violations);
+        let merged = job.metrics().unwrap();
+        assert_eq!(merged.counter("tcp.rto"), 7);
+        assert_eq!(merged.counter("invariants.violations"), 2);
+        assert_eq!(job.violations(), [violations.clone(), violations].concat());
+        // A pipeline without an observer keeps the counters only.
+        let bare = Telemetry::builder().build();
+        bare.absorb(&metrics, &job.violations());
+        assert_eq!(bare.metrics().unwrap().counter("tcp.rto"), 3);
+        assert!(bare.violations().is_empty());
+        Telemetry::disabled().absorb(&metrics, &[]);
     }
 
     #[test]

@@ -173,7 +173,9 @@ pub fn parse_shard_metric(key: &str) -> Option<(u32, &str)> {
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     gauges: BTreeMap<String, f64>,
-    histograms: BTreeMap<String, Histogram>,
+    /// Boxed: a B-tree leaf has room for eleven values whether or not it
+    /// holds them, and a run has a handful of 544-byte histograms.
+    histograms: BTreeMap<String, Box<Histogram>>,
 }
 
 impl MetricsRegistry {
@@ -181,19 +183,36 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    // The three writers allocate a key only when the name is new: the
+    // per-packet callers hit an existing key almost every time.
+
     pub fn counter_add(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        match self.counters.get_mut(name) {
+            Some(total) => *total += delta,
+            None => {
+                self.counters.insert(name.to_string(), delta);
+            }
+        }
     }
 
     pub fn gauge_set(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        match self.gauges.get_mut(name) {
+            Some(level) => *level = value,
+            None => {
+                self.gauges.insert(name.to_string(), value);
+            }
+        }
     }
 
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        match self.histograms.get_mut(name) {
+            Some(histogram) => histogram.record(value),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .record(value),
+        }
     }
 
     pub fn counter(&self, name: &str) -> u64 {
@@ -221,7 +240,7 @@ impl MetricsRegistry {
     }
 
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
+        self.histograms.get(name).map(|h| &**h)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -317,6 +336,45 @@ mod tests {
         assert_eq!(ab.counter("x"), 3);
         assert_eq!(ab.counter("y"), 5);
         assert_eq!(ab.histogram("h").unwrap().count(), 2);
+    }
+
+    #[test]
+    fn a_snapshot_cannot_tell_how_its_keys_were_written() {
+        let at = SimTime::from_secs(1);
+        let text = |m: &MetricsRegistry| serde_json::to_string(&m.snapshot(at)).unwrap();
+        // Every write but the first of a key takes the allocation-free
+        // existing-key path; the reference inserts each key exactly once.
+        let mut hot = MetricsRegistry::new();
+        for _ in 0..3 {
+            hot.counter_add("conn0.iface.WiFi.rx_bytes", 1428);
+            hot.counter_add("tcp.conn0.sf1.retransmits", 1);
+        }
+        for level in [0.5, 1.5] {
+            hot.gauge_set("power.w", level);
+        }
+        let mut once = MetricsRegistry::new();
+        once.counter_add("tcp.conn0.sf1.retransmits", 3);
+        once.gauge_set("power.w", 1.5);
+        once.counter_add("conn0.iface.WiFi.rx_bytes", 3 * 1428);
+        assert_eq!(text(&hot), text(&once));
+
+        // Histograms: the same samples in the same order, keys interleaved
+        // or not, and a merge into an empty registry.
+        let (mut interleaved, mut grouped) = (MetricsRegistry::new(), MetricsRegistry::new());
+        for v in [12.0, 25.0, 31.0] {
+            interleaved.observe("tcp.conn0.sf0.rtt_ms", v);
+            interleaved.observe("tcp.conn0.sf1.rtt_ms", 2.0 * v);
+        }
+        for v in [12.0, 25.0, 31.0] {
+            grouped.observe("tcp.conn0.sf1.rtt_ms", 2.0 * v);
+        }
+        for v in [12.0, 25.0, 31.0] {
+            grouped.observe("tcp.conn0.sf0.rtt_ms", v);
+        }
+        assert_eq!(text(&interleaved), text(&grouped));
+        let mut merged = MetricsRegistry::new();
+        merged.merge(&interleaved);
+        assert_eq!(text(&merged), text(&interleaved));
     }
 
     #[test]

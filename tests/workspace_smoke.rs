@@ -4,8 +4,9 @@
 //! shard count, one pair pump whose two transports agree event for event,
 //! a chaos corpus that certifies, a monitor tap that streams, stacks that
 //! cannot tell how often they are polled or swept, a timing wheel that
-//! pops like its two reference queues, and a live transfer that loses
-//! nothing to its own socket buffers.
+//! pops like its two reference queues, a live transfer that loses
+//! nothing to its own socket buffers, and exhibits that cannot tell which
+//! of them simulated a run they share.
 
 use emptcp_faults::{FaultPlan, FaultTarget};
 use emptcp_live::{certify, ParityScript};
@@ -23,6 +24,8 @@ mod cadence_rig;
 mod event_queue_model;
 #[path = "../crates/mptcp/tests/mapping_model/model.rs"]
 mod mapping_model;
+#[path = "../crates/expr/tests/parallel_determinism/rig.rs"]
+mod replay_rig;
 #[path = "../crates/live/tests/udp_smoke/rig.rs"]
 mod udp_rig;
 
@@ -169,4 +172,16 @@ fn the_wheel_pops_like_the_key_heap_and_the_reference() {
 #[test]
 fn a_live_transfer_loses_nothing_to_its_own_socket() {
     udp_rig::unshaped_transfer_loses_nothing(47370, 4 << 20);
+}
+
+/// Reduced case of the replay oracle in `emptcp-expr`'s
+/// `parallel_determinism`: fig10's first cell repeats fig9's two runs, and
+/// whichever job simulates them, both report — files, tables, counters,
+/// violations — exactly what they report alone on a cold memo, on 1 job
+/// and on 4.
+#[test]
+fn a_shared_run_replays_into_every_exhibit_that_asked() {
+    let mut cfg = emptcp_expr::figures::Config::quick();
+    cfg.bulk_size = 1 << 20;
+    replay_rig::assert_shared_runs_invisible("smoke", &["fig9", "fig10"], cfg);
 }
