@@ -9,8 +9,8 @@
 //! ```
 //!
 //! A snapshot regenerates every exhibit at quick scale (serially, so
-//! per-exhibit wall times don't contend) and medians the hot-path
-//! micro-benchmarks, all normalized at compare time by a fixed
+//! per-exhibit wall times don't contend) and counts each package's
+//! source lines; the times are normalized at compare time by a fixed
 //! calibration workload recorded in the file. See
 //! `emptcp_bench::snapshot` for the format and the normalization math.
 

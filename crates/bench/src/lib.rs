@@ -1,27 +1,12 @@
 #![warn(missing_docs)]
-//! Criterion benchmark crate for the eMPTCP reproduction.
+//! `BENCH.json` for the eMPTCP reproduction: what each exhibit costs to
+//! regenerate and how big each crate is.
 //!
-//! Two families of benches live under `benches/`:
-//!
-//! * `figures.rs` — one benchmark per paper table/figure, timing the
-//!   regeneration of each exhibit at [`emptcp_expr::figures::Config::quick`]
-//!   scale (same code paths as the full-scale `repro` binary);
-//! * `hotpaths.rs` — micro-benchmarks of the algorithmic building blocks:
-//!   Holt-Winters updates, EIB generation and lookup, the minRTT scheduler
-//!   decision, LIA alpha, SACK processing and raw simulator throughput;
-//! * `ablations.rs` — design-choice ablations called out in DESIGN.md:
-//!   coupled vs uncoupled congestion control, hysteresis on/off, resume
-//!   tweaks on/off.
-//!
-//! The [`snapshot`] module plus the `bench` binary turn a subset of these
-//! measurements into the machine-readable `BENCH.json` regression gate:
-//! `bench snapshot` writes a fresh snapshot, `bench snapshot --check`
-//! compares against the committed baseline and fails on regressions
-//! beyond tolerance (normalized by a per-machine calibration loop).
+//! The [`snapshot`] module plus the `bench` binary measure those two
+//! tables and gate the first: `bench snapshot` writes a fresh snapshot,
+//! `bench snapshot --check` compares against the committed baseline and
+//! fails on regressions beyond tolerance (normalized by a per-machine
+//! calibration loop). What a layer or a workload costs is timed by the
+//! ledger alone — the package under `src/bin/benchmark/`, `BENCHMARK.json`.
 
 pub mod snapshot;
-
-pub use emptcp_expr::figures::Config;
-
-/// The seed all benches run with, so numbers are comparable across runs.
-pub const BENCH_SEED: u64 = 0xBE7C4;

@@ -65,11 +65,6 @@ impl HoltWinters {
         self.level.map(|l| (l + self.trend).max(0.0))
     }
 
-    /// Number-free check: has this forecaster seen data?
-    pub fn primed(&self) -> bool {
-        self.level.is_some()
-    }
-
     /// Age the state toward a prior: move the level `factor` of the way to
     /// `target` and damp the trend. Used while an interface is suspended.
     pub fn decay_toward(&mut self, target: f64, factor: f64) {

@@ -28,6 +28,7 @@
 //! default is the machine's available parallelism.
 
 use emptcp_expr::figures::Config;
+use emptcp_expr::flags;
 use emptcp_expr::monitor::{self, LiveOptions};
 use emptcp_expr::repro::{self, ReproOptions};
 use emptcp_expr::runner::Runner;
@@ -63,32 +64,18 @@ fn monitor_main(args: Vec<String>) -> ! {
     let mut idle_timeout_s = 3.0f64;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                monitor_usage()
-            })
-        };
         match arg.as_str() {
-            "--clients" => opts.clients = value("--clients").parse().expect("--clients: integer"),
-            "--seed" => opts.seed = value("--seed").parse().expect("--seed: integer"),
-            "--duration-s" => {
-                opts.duration_s = value("--duration-s").parse().expect("--duration-s: number")
-            }
-            "--record" => opts.record = Some(PathBuf::from(value("--record"))),
-            "--follow" => follow = Some(PathBuf::from(value("--follow"))),
-            "--idle-timeout-s" => {
-                idle_timeout_s = value("--idle-timeout-s")
-                    .parse()
-                    .expect("--idle-timeout-s: number")
-            }
-            "--export-json" => opts.export_json = Some(PathBuf::from(value("--export-json"))),
-            "--export-csv" => opts.export_csv = Some(PathBuf::from(value("--export-csv"))),
-            "--bin-ms" => opts.knobs.bin_ms = value("--bin-ms").parse().expect("--bin-ms: integer"),
-            "--window" => {
-                opts.knobs.window_bins = value("--window").parse().expect("--window: integer")
-            }
-            "--top" => opts.knobs.top_k = value("--top").parse().expect("--top: integer"),
+            "--clients" => opts.clients = flags::value(&mut it, "--clients"),
+            "--seed" => opts.seed = flags::value(&mut it, "--seed"),
+            "--duration-s" => opts.duration_s = flags::value(&mut it, "--duration-s"),
+            "--record" => opts.record = Some(flags::value(&mut it, "--record")),
+            "--follow" => follow = Some(flags::value(&mut it, "--follow")),
+            "--idle-timeout-s" => idle_timeout_s = flags::value(&mut it, "--idle-timeout-s"),
+            "--export-json" => opts.export_json = Some(flags::value(&mut it, "--export-json")),
+            "--export-csv" => opts.export_csv = Some(flags::value(&mut it, "--export-csv")),
+            "--bin-ms" => opts.knobs.bin_ms = flags::value(&mut it, "--bin-ms"),
+            "--window" => opts.knobs.window_bins = flags::value(&mut it, "--window"),
+            "--top" => opts.knobs.top_k = flags::value(&mut it, "--top"),
             "--quiet" => opts.quiet = true,
             _ => monitor_usage(),
         }
@@ -161,41 +148,11 @@ fn main() {
                     }
                 }
             }
-            "--out" => {
-                out_dir = PathBuf::from(it.next().expect("--out needs a directory"));
-            }
-            "--seed" => {
-                seed = Some(
-                    it.next()
-                        .expect("--seed needs a value")
-                        .parse()
-                        .expect("--seed needs an integer"),
-                );
-            }
-            "--jobs" => {
-                jobs = Some(
-                    it.next()
-                        .expect("--jobs needs a value")
-                        .parse()
-                        .expect("--jobs needs a positive integer"),
-                );
-            }
-            "--clients" => {
-                clients = Some(
-                    it.next()
-                        .expect("--clients needs a value")
-                        .parse()
-                        .expect("--clients needs a positive integer"),
-                );
-            }
-            "--shards" => {
-                shards = Some(
-                    it.next()
-                        .expect("--shards needs a value")
-                        .parse()
-                        .expect("--shards needs a positive integer"),
-                );
-            }
+            "--out" => out_dir = flags::value(&mut it, "--out"),
+            "--seed" => seed = Some(flags::value(&mut it, "--seed")),
+            "--jobs" => jobs = Some(flags::value(&mut it, "--jobs")),
+            "--clients" => clients = Some(flags::value(&mut it, "--clients")),
+            "--shards" => shards = Some(flags::value(&mut it, "--shards")),
             "all" => ids.extend(repro::IDS.iter().map(|s| s.to_string())),
             other => ids.push(other.to_string()),
         }
@@ -251,7 +208,10 @@ fn main() {
     let started = Instant::now();
     let reports = runner
         .install(|| repro::run_exhibits(&ids, &opts))
-        .unwrap_or_else(|e| panic!("running exhibits: {e}"));
+        .unwrap_or_else(|e| {
+            eprintln!("repro: running exhibits: {e}");
+            std::process::exit(1);
+        });
     for report in &reports {
         print!("{}", report.rendered);
         let label = report.ids.join("+");

@@ -25,8 +25,7 @@
 //! invariant observer checks conservation properties as the run executes.
 
 use emptcp_expr::scenario::{Scenario, Workload};
-use emptcp_expr::{faults, host, Strategy};
-use emptcp_faults::scenarios;
+use emptcp_expr::{faults, flags, host, Strategy};
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
 
@@ -140,20 +139,14 @@ fn monitor_main(args: Vec<String>) -> ! {
     let mut knobs = PipelineKnobs::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                monitor_usage()
-            })
-        };
         match arg.as_str() {
-            "--replay" => trace = Some(std::path::PathBuf::from(value("--replay"))),
+            "--replay" => trace = Some(flags::value(&mut it, "--replay")),
             "--check" => check = true,
-            "--export-json" => export_json = Some(std::path::PathBuf::from(value("--export-json"))),
-            "--export-csv" => export_csv = Some(std::path::PathBuf::from(value("--export-csv"))),
-            "--bin-ms" => knobs.bin_ms = value("--bin-ms").parse().expect("--bin-ms: integer"),
-            "--window" => knobs.window_bins = value("--window").parse().expect("--window: integer"),
-            "--top" => knobs.top_k = value("--top").parse().expect("--top: integer"),
+            "--export-json" => export_json = Some(flags::value(&mut it, "--export-json")),
+            "--export-csv" => export_csv = Some(flags::value(&mut it, "--export-csv")),
+            "--bin-ms" => knobs.bin_ms = flags::value(&mut it, "--bin-ms"),
+            "--window" => knobs.window_bins = flags::value(&mut it, "--window"),
+            "--top" => knobs.top_k = flags::value(&mut it, "--top"),
             "--quiet" => quiet = true,
             _ => monitor_usage(),
         }
@@ -229,49 +222,32 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
 
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
-        let mut value = |what: &str| -> String {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{what} needs a value");
-                live_usage(role)
-            })
-        };
         match arg.as_str() {
-            "--port" => cfg.port_base = value("--port").parse().expect("--port: u16"),
+            "--port" => cfg.port_base = flags::value(&mut it, "--port"),
             "--size-mb" => {
-                let mb: f64 = value("--size-mb").parse().expect("--size-mb: number");
+                let mb: f64 = flags::value(&mut it, "--size-mb");
                 cfg.size = (mb * (1 << 20) as f64) as u64;
             }
-            "--peer" => cfg.peer = Some(value("--peer").parse().expect("--peer: host:port")),
-            "--seed" => cfg.seed = value("--seed").parse().expect("--seed: integer"),
-            "--wifi-delay-ms" => {
-                wifi_delay = value("--wifi-delay-ms")
-                    .parse()
-                    .expect("--wifi-delay-ms: ms")
-            }
-            "--cell-delay-ms" => {
-                cell_delay = value("--cell-delay-ms")
-                    .parse()
-                    .expect("--cell-delay-ms: ms")
-            }
-            "--wifi-loss" => wifi_loss = value("--wifi-loss").parse().expect("--wifi-loss: 0..1"),
-            "--cell-loss" => cell_loss = value("--cell-loss").parse().expect("--cell-loss: 0..1"),
-            "--jitter-ms" => jitter = value("--jitter-ms").parse().expect("--jitter-ms: ms"),
+            "--peer" => cfg.peer = Some(flags::value(&mut it, "--peer")),
+            "--seed" => cfg.seed = flags::value(&mut it, "--seed"),
+            "--wifi-delay-ms" => wifi_delay = flags::value(&mut it, "--wifi-delay-ms"),
+            "--cell-delay-ms" => cell_delay = flags::value(&mut it, "--cell-delay-ms"),
+            "--wifi-loss" => wifi_loss = flags::value(&mut it, "--wifi-loss"),
+            "--cell-loss" => cell_loss = flags::value(&mut it, "--cell-loss"),
+            "--jitter-ms" => jitter = flags::value(&mut it, "--jitter-ms"),
             "--handover-ms" => {
-                let spec = value("--handover-ms");
+                let spec: String = flags::value(&mut it, "--handover-ms");
                 let (at, gap) = spec.split_once(':').unwrap_or_else(|| {
                     eprintln!("--handover-ms wants AT:GAP in ms");
                     live_usage(role)
                 });
                 cfg.faults = cfg.faults.clone().handover(
-                    SimTime::from_millis(at.parse().expect("--handover-ms AT: ms")),
-                    SimDuration::from_millis(gap.parse().expect("--handover-ms GAP: ms")),
+                    SimTime::from_millis(flags::parsed("--handover-ms AT", at)),
+                    SimDuration::from_millis(flags::parsed("--handover-ms GAP", gap)),
                 );
             }
-            "--trace" => cfg.trace = Some(std::path::PathBuf::from(value("--trace"))),
-            "--limit-s" => {
-                cfg.wall_limit =
-                    SimTime::from_secs(value("--limit-s").parse().expect("--limit-s: seconds"))
-            }
+            "--trace" => cfg.trace = Some(flags::value(&mut it, "--trace")),
+            "--limit-s" => cfg.wall_limit = SimTime::from_secs(flags::value(&mut it, "--limit-s")),
             "--json" => json = true,
             "--help" | "-h" => live_usage(role),
             other => {
@@ -356,23 +332,18 @@ fn faults_main(args: Vec<String>) -> ! {
 
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--scenario" => scenario = Some(value("--scenario")),
+            "--scenario" => scenario = Some(flags::value(&mut iter, "--scenario")),
             "--all" => all = true,
             "--check" => do_check = true,
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| faults_usage()),
+            "--seed" => seed = flags::value(&mut iter, "--seed"),
             "--json" => json = true,
-            "--trace" => trace_path = Some(value("--trace")),
+            "--trace" => trace_path = Some(flags::value(&mut iter, "--trace")),
             "--quiet" => quiet = true,
             "--list" => {
-                for spec in scenarios::all() {
-                    println!("{:<18} {}", spec.name, spec.summary);
+                for name in faults::NAMES {
+                    let sc = faults::load(name).expect("library scenario loads");
+                    println!("{:<18} {}", name, sc.summary);
                 }
                 std::process::exit(0);
             }
@@ -388,7 +359,7 @@ fn faults_main(args: Vec<String>) -> ! {
     }
 
     let names: Vec<&str> = if all {
-        scenarios::NAMES.to_vec()
+        faults::NAMES.to_vec()
     } else {
         match &scenario {
             Some(name) => vec![name.as_str()],
@@ -503,30 +474,20 @@ fn scenario_main(args: Vec<String>) -> ! {
 
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
-        let mut value = |name: &str| -> String {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
             "--list" => list = true,
-            "--name" => name = Some(value("--name")),
-            "--file" => file = Some(value("--file")),
+            "--name" => name = Some(flags::value(&mut iter, "--name")),
+            "--file" => file = Some(flags::value(&mut iter, "--file")),
             "--corpus" => run_corpus = true,
             "--fuzz" => fuzz = true,
-            "--cases" => {
-                cases = value("--cases")
-                    .parse()
-                    .unwrap_or_else(|_| scenario_usage())
-            }
-            "--seed" => seed = Some(value("--seed").parse().unwrap_or_else(|_| scenario_usage())),
+            "--cases" => cases = flags::value(&mut iter, "--cases"),
+            "--seed" => seed = Some(flags::value(&mut iter, "--seed")),
             "--check" => do_check = true,
             "--json" => json = true,
-            "--jobs" => jobs = value("--jobs").parse().unwrap_or_else(|_| scenario_usage()),
-            "--out" => out_dir = Some(value("--out")),
-            "--repro-dir" => repro_dir = value("--repro-dir"),
-            "--sabotage-oracle" => sabotage = Some(value("--sabotage-oracle")),
+            "--jobs" => jobs = flags::value(&mut iter, "--jobs"),
+            "--out" => out_dir = Some(flags::value(&mut iter, "--out")),
+            "--repro-dir" => repro_dir = flags::value(&mut iter, "--repro-dir"),
+            "--sabotage-oracle" => sabotage = Some(flags::value(&mut iter, "--sabotage-oracle")),
             "--quiet" => quiet = true,
             "--help" | "-h" => scenario_usage(),
             other => {
@@ -685,23 +646,17 @@ fn main() {
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut value = |name: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
-        };
         match arg.as_str() {
-            "--strategy" => strategy_name = value("--strategy"),
-            "--scenario" => scenario_name = value("--scenario"),
-            "--wifi-mbps" => wifi_mbps = value("--wifi-mbps").parse().unwrap_or_else(|_| usage()),
-            "--cell-mbps" => cell_mbps = value("--cell-mbps").parse().unwrap_or_else(|_| usage()),
-            "--rtt-ms" => rtt_ms = value("--rtt-ms").parse().unwrap_or_else(|_| usage()),
-            "--size-mb" => size_mb = value("--size-mb").parse().unwrap_or_else(|_| usage()),
-            "--seed" => seed = value("--seed").parse().unwrap_or_else(|_| usage()),
+            "--strategy" => strategy_name = flags::value(&mut args, "--strategy"),
+            "--scenario" => scenario_name = flags::value(&mut args, "--scenario"),
+            "--wifi-mbps" => wifi_mbps = flags::value(&mut args, "--wifi-mbps"),
+            "--cell-mbps" => cell_mbps = flags::value(&mut args, "--cell-mbps"),
+            "--rtt-ms" => rtt_ms = flags::value(&mut args, "--rtt-ms"),
+            "--size-mb" => size_mb = flags::value(&mut args, "--size-mb"),
+            "--seed" => seed = flags::value(&mut args, "--seed"),
             "--json" => json = true,
-            "--trace" => trace_path = Some(value("--trace")),
-            "--metrics" => metrics_path = Some(value("--metrics")),
+            "--trace" => trace_path = Some(flags::value(&mut args, "--trace")),
+            "--metrics" => metrics_path = Some(flags::value(&mut args, "--metrics")),
             "--quiet" => quiet = true,
             "--list-strategies" => {
                 for (name, _) in STRATEGIES {

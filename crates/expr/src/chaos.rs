@@ -79,7 +79,7 @@ impl ChaosReport {
     }
 }
 
-fn strategy_of(kind: StrategyKind) -> Strategy {
+pub(crate) fn strategy_of(kind: StrategyKind) -> Strategy {
     match kind {
         StrategyKind::Mptcp => Strategy::Mptcp,
         StrategyKind::Emptcp => Strategy::emptcp_default(),

@@ -1,7 +1,9 @@
 //! Fault scenarios bound to the full host simulation.
 //!
-//! The `emptcp-faults` crate defines *what* goes wrong (named, scripted
-//! [`FaultPlan`]s); this module defines *how it is measured*: each named
+//! The committed corpus defines *what* goes wrong: each name in [`NAMES`]
+//! is a `scenarios/<name>.scenario` file whose fault script expands to a
+//! [`FaultPlan`] and whose host world names the strategy it exercises.
+//! This module defines *how it is measured*: each named
 //! scenario is run twice with the same seed — once fault-free as the
 //! baseline, once with the plan attached — and the two runs are folded
 //! into a [`ResilienceReport`]: goodput retained, recovery latency, bytes
@@ -14,7 +16,7 @@
 use crate::host::Simulation;
 use crate::scenario::{Scenario, Workload};
 use crate::strategy::Strategy;
-use emptcp_faults::scenarios;
+use emptcp_scenario::{corpus, World};
 use emptcp_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
@@ -22,16 +24,37 @@ use serde::{Deserialize, Serialize};
 /// fault window lands mid-transfer, small enough for CI.
 pub const TRANSFER_BYTES: u64 = 16 << 20;
 
-/// The strategy a named fault scenario exercises. Cellular-side faults
-/// need a strategy that has a cellular subflow up *before* the fault
-/// hits; WiFi-side faults are most interesting under eMPTCP, whose
-/// controller normally keeps cellular asleep and must wake it to recover.
-pub fn strategy_for(name: &str) -> Strategy {
-    match name {
-        // A congested core hits every path at once, so it also wants both
-        // subflows live before the collapse.
-        "lte-tunnel" | "congested_core" => Strategy::Mptcp,
-        _ => Strategy::emptcp_default(),
+/// Sorted names of the fault library: the corpus scenarios whose scripts
+/// assume a transfer that starts at t = 0 and is still in flight through
+/// the first ~20 s, which a [`TRANSFER_BYTES`] download guarantees.
+pub const NAMES: [&str; 6] = [
+    "ap-vanish",
+    "burst-loss-storm",
+    "congested_core",
+    "flappy-wifi",
+    "handover-walk",
+    "lte-tunnel",
+];
+
+/// A library scenario as its committed corpus file declares it, or `None`
+/// for a name outside the library.
+pub fn load(name: &str) -> Option<emptcp_scenario::Scenario> {
+    NAMES.contains(&name).then(|| corpus::load(name)).flatten()
+}
+
+/// The strategy a named fault scenario exercises, read from its file.
+/// Cellular-side faults and a congested core name plain MPTCP, which has
+/// a cellular subflow up *before* the fault hits; WiFi-side faults name
+/// eMPTCP, whose controller normally keeps cellular asleep and must wake
+/// it to recover.
+pub fn strategy_for(name: &str) -> Option<Strategy> {
+    declared_strategy(&load(name)?)
+}
+
+fn declared_strategy(sc: &emptcp_scenario::Scenario) -> Option<Strategy> {
+    match &sc.world {
+        World::Host(host) => Some(crate::chaos::strategy_of(host.strategy)),
+        World::Fleet(_) => None,
     }
 }
 
@@ -50,7 +73,7 @@ pub fn base_scenario(name: &str) -> Scenario {
 /// Everything the `simulate faults` CLI prints about one scenario.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ResilienceReport {
-    /// Fault scenario name (see [`emptcp_faults::scenarios::all`]).
+    /// Fault scenario name (one of [`NAMES`]).
     pub scenario: String,
     /// Strategy label the scenario ran under.
     pub strategy: String,
@@ -108,8 +131,9 @@ pub fn run_scenario_traced(
     seed: u64,
     telemetry: Telemetry,
 ) -> Option<ResilienceReport> {
-    let plan = scenarios::plan(name)?;
-    let strategy = strategy_for(name);
+    let sc = load(name)?;
+    let plan = sc.fault_plan();
+    let strategy = declared_strategy(&sc)?;
     let baseline = Simulation::new(base_scenario(name), strategy, seed).run();
 
     let mut sim =
@@ -221,6 +245,7 @@ pub fn check(report: &ResilienceReport) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimTime;
 
     #[test]
     fn unknown_scenario_is_none() {
@@ -229,10 +254,53 @@ mod tests {
 
     #[test]
     fn every_scenario_has_a_strategy_and_base() {
-        for spec in scenarios::all() {
-            let s = base_scenario(spec.name);
-            assert_eq!(s.name, format!("faults/{}", spec.name));
-            let _ = strategy_for(spec.name);
+        for name in NAMES {
+            let s = base_scenario(name);
+            assert_eq!(s.name, format!("faults/{name}"));
+            assert!(strategy_for(name).is_some(), "{name} is not a host world");
+        }
+    }
+
+    #[test]
+    fn every_listed_scenario_has_a_plan() {
+        for name in NAMES {
+            let sc = load(name).unwrap_or_else(|| panic!("no corpus file for {name}"));
+            let p = sc.fault_plan();
+            assert!(!p.is_empty(), "{name} is empty");
+            assert!(
+                p.end_time().unwrap() <= SimTime::from_secs(30),
+                "{name} runs past the guaranteed-in-flight window"
+            );
+            assert!(!sc.summary.is_empty());
+        }
+        assert!(load("no-such-scenario").is_none());
+        // In the corpus, but not a script the library's transfer fits.
+        assert!(load("cafe-hotspot").is_none());
+    }
+
+    #[test]
+    fn library_is_sorted() {
+        let mut sorted = NAMES;
+        sorted.sort_unstable();
+        assert_eq!(NAMES, sorted, "library must list in sorted order");
+    }
+
+    #[test]
+    fn plans_are_deterministic() {
+        for name in NAMES {
+            let a = load(name).unwrap().fault_plan().into_events();
+            let b = load(name).unwrap().fault_plan().into_events();
+            assert_eq!(a, b, "{name} not deterministic");
+        }
+    }
+
+    #[test]
+    fn every_library_plan_restores_nominal() {
+        for name in NAMES {
+            assert!(
+                load(name).unwrap().fault_plan().restores_nominal(),
+                "{name} leaves the network perturbed"
+            );
         }
     }
 }

@@ -234,8 +234,7 @@ impl Simulation {
     /// Build a simulation; `seed` controls every random process. Telemetry
     /// comes from [`emptcp_telemetry::current`]: the calling thread's
     /// override if one is installed (the parallel experiment runner sets
-    /// one per exhibit), otherwise the process-wide default installed via
-    /// [`emptcp_telemetry::set_global`], otherwise disabled.
+    /// one per exhibit), otherwise disabled.
     pub fn new(scenario: Scenario, strategy: Strategy, seed: u64) -> Simulation {
         Simulation::new_with_telemetry(scenario, strategy, seed, emptcp_telemetry::current())
     }

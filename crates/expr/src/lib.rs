@@ -45,6 +45,7 @@
 pub mod chaos;
 pub mod faults;
 pub mod figures;
+pub mod flags;
 pub mod host;
 pub mod mdp;
 pub mod monitor;

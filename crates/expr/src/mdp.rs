@@ -142,15 +142,6 @@ impl MdpPolicy {
         self.policy[sidx(0, Self::bin_of(wifi_mbps), Self::bin_of(cell_mbps))]
     }
 
-    /// The action in a specific radio state (for tests / analysis).
-    pub fn action_with_radio(&self, radio_on: bool, wifi_mbps: f64, cell_mbps: f64) -> PathUsage {
-        self.policy[sidx(
-            radio_on as usize,
-            Self::bin_of(wifi_mbps),
-            Self::bin_of(cell_mbps),
-        )]
-    }
-
     /// Fraction of (radio-off) states whose action is WiFi-only — the
     /// §4.6 observation quantified.
     pub fn wifi_only_fraction(&self) -> f64 {

@@ -8,7 +8,6 @@
 
 use emptcp_expr::faults::{self, ResilienceReport};
 use emptcp_expr::host::Simulation;
-use emptcp_faults::scenarios;
 use emptcp_telemetry::{MemorySink, Telemetry};
 use std::sync::{Arc, Mutex};
 
@@ -54,14 +53,10 @@ fn lte_tunnel_reinjects_stranded_data() {
 
 #[test]
 fn every_scenario_passes_the_resilience_checks() {
-    for spec in scenarios::all() {
-        let report = faults::run_scenario(spec.name, 42).expect("listed scenario must run");
+    for name in faults::NAMES {
+        let report = faults::run_scenario(name, 42).expect("listed scenario must run");
         let fails = faults::check(&report);
-        assert!(
-            fails.is_empty(),
-            "{name} failed: {fails:?}\n{report:?}",
-            name = spec.name
-        );
+        assert!(fails.is_empty(), "{name} failed: {fails:?}\n{report:?}");
     }
 }
 
@@ -84,7 +79,7 @@ fn fault_runs_produce_byte_identical_traces() {
 
 #[test]
 fn attach_faults_with_empty_plan_changes_nothing() {
-    let strategy = faults::strategy_for("ap-vanish");
+    let strategy = faults::strategy_for("ap-vanish").expect("library scenario");
     let plain = Simulation::new(faults::base_scenario("noop"), strategy, 5).run();
     let mut sim = Simulation::new(faults::base_scenario("noop"), strategy, 5);
     sim.attach_faults(emptcp_faults::FaultPlan::new());

@@ -16,10 +16,6 @@
 //! * [`spec`] — declarative [`FaultSpec`] primitives, the serializable
 //!   vocabulary the `.scenario` corpus files speak; a spec list expands to
 //!   the same pre-sorted event stream the plan builders produce.
-//! * [`scenarios`] — a named library of failure patterns (`ap-vanish`,
-//!   `lte-tunnel`, `flappy-wifi`, `burst-loss-storm`, `handover-walk`)
-//!   shared by the CLI and CI, loaded from the committed `.scenario`
-//!   corpus files rather than hand-written constructors.
 //! * [`testnet`] — the chaos-test network shared by the TCP and MPTCP
 //!   suites and the live backend's shaped transports, with labelled RNG
 //!   stream-splitting so fault draws never perturb traffic draws.
@@ -30,7 +26,6 @@
 
 pub mod injector;
 pub mod plan;
-pub mod scenarios;
 pub mod spec;
 pub mod testnet;
 

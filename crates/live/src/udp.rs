@@ -210,11 +210,6 @@ impl UdpTransport {
         self.peers[path] = Some(addr);
     }
 
-    /// True once every path has a peer (all rendezvous complete).
-    pub fn all_peers_known(&self) -> bool {
-        self.peers.iter().all(Option::is_some)
-    }
-
     /// Put one encoded frame on `path`'s socket, now.
     fn emit(&mut self, path: u8, frame: &[u8]) {
         let Some(peer) = self.peers[path as usize] else {

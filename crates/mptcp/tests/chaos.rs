@@ -8,6 +8,7 @@ use emptcp_faults::{FaultAction, FaultPlan, FaultTarget};
 use emptcp_live::{MpChaosRig, Transport};
 use emptcp_mptcp::SubflowId;
 use emptcp_phy::IfaceKind;
+use emptcp_scenario::corpus;
 use emptcp_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -84,7 +85,11 @@ fn congested_core_scenario_recovers_with_stats() {
     // The collapse is silent; detection must come from RTOs alone.
     r.notify_link_down = false;
     r.server().set_failure_threshold(2);
-    r.attach_faults(emptcp_faults::scenarios::plan("congested_core").expect("library scenario"));
+    r.attach_faults(
+        corpus::load("congested_core")
+            .expect("library scenario")
+            .fault_plan(),
+    );
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
     // far inside the wall limit.

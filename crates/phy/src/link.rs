@@ -65,11 +65,6 @@ pub struct GeParams {
 }
 
 impl GeParams {
-    /// Mean number of packets spent in the bad state per visit.
-    pub fn mean_burst_len(&self) -> f64 {
-        1.0 / self.p_bad_to_good.max(f64::MIN_POSITIVE)
-    }
-
     /// Long-run marginal loss probability of the chain.
     pub fn steady_state_loss(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
@@ -89,13 +84,6 @@ pub enum LossModel {
     /// Two-state burst loss: long good stretches punctuated by short bad
     /// bursts where most packets die, as produced by fades and contention.
     GilbertElliott(GeParams),
-}
-
-impl LossModel {
-    /// A loss-free channel.
-    pub fn loss_free() -> Self {
-        LossModel::Bernoulli(0.0)
-    }
 }
 
 /// A [`LossModel`] plus its channel state. Shared by [`Link`] and by the
@@ -265,11 +253,6 @@ impl Link {
     /// Gilbert–Elliott burst loss). The burst state restarts in "good".
     pub fn set_loss_model(&mut self, model: LossModel) {
         self.loss.set_model(model);
-    }
-
-    /// The configured loss model.
-    pub fn loss_model(&self) -> LossModel {
-        self.loss.model()
     }
 
     /// Loss probability the next packet would face in the current channel

@@ -276,15 +276,6 @@ impl RrcMachine {
         }
         transitions
     }
-
-    /// Convenience: the fixed energy window (promotion + tail) in seconds for
-    /// a one-shot transfer, used when reporting Fig 1.
-    pub fn fixed_window_secs(&self) -> (f64, f64) {
-        (
-            self.config.promotion_delay.as_secs_f64(),
-            self.config.tail_duration.as_secs_f64(),
-        )
-    }
 }
 
 #[cfg(test)]

@@ -1099,11 +1099,6 @@ impl TcpEndpoint {
         }
         cc
     }
-
-    /// Allow the host (MPTCP layer) to toggle RFC 2861 validation.
-    pub fn set_cwnd_validation(&mut self, enabled: bool) {
-        self.cfg.cwnd_validation = enabled;
-    }
 }
 
 #[cfg(test)]

@@ -345,28 +345,8 @@ impl TelemetryScope {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide default pipeline
+// Per-thread default pipeline
 // ---------------------------------------------------------------------------
-
-static GLOBAL: Mutex<Option<Telemetry>> = Mutex::new(None);
-
-/// Install a process-wide default telemetry pipeline, picked up by
-/// simulations created without an explicit handle. Binaries set this from
-/// their CLI flags; library code and tests should prefer passing handles
-/// explicitly.
-pub fn set_global(telemetry: Telemetry) {
-    *GLOBAL.lock().expect("global telemetry poisoned") = Some(telemetry);
-}
-
-/// The process-wide default pipeline ([`Telemetry::disabled`] if none was
-/// installed).
-pub fn global() -> Telemetry {
-    GLOBAL
-        .lock()
-        .expect("global telemetry poisoned")
-        .clone()
-        .unwrap_or_default()
-}
 
 thread_local! {
     /// Per-thread pipeline override; see [`with_current`].
@@ -376,17 +356,16 @@ thread_local! {
 
 /// The pipeline simulations created on this thread should report into:
 /// the innermost [`with_current`] override if one is active, otherwise
-/// the process-wide [`global`] pipeline.
+/// [`Telemetry::disabled`].
 ///
 /// Parallel experiment runners install a per-exhibit pipeline around each
 /// job with [`with_current`], so exhibits running concurrently on a
 /// thread pool keep their metrics and traces separated exactly as a
-/// serial `set_global`-per-exhibit loop would.
+/// serial one-exhibit-at-a-time loop would.
 pub fn current() -> Telemetry {
-    if let Some(t) = THREAD_OVERRIDE.with(|o| o.borrow().clone()) {
-        return t;
-    }
-    global()
+    THREAD_OVERRIDE
+        .with(|o| o.borrow().clone())
+        .unwrap_or_default()
 }
 
 /// Run `f` with `telemetry` installed as this thread's [`current`]
