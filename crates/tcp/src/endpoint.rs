@@ -21,10 +21,11 @@ use crate::cc::{CcAlgorithm, CongestionCtrl};
 use crate::ranges::RangeSet;
 use crate::rtt::RttEstimator;
 use crate::segment::{Segment, DEFAULT_MSS};
+use crate::sendq::{SendQueue, SentSeg};
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Endpoint configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -113,27 +114,6 @@ pub struct SegmentOutcome {
     pub fin_received: bool,
 }
 
-#[derive(Clone, Copy, Debug)]
-struct SentSeg {
-    payload: u32,
-    syn: bool,
-    fin: bool,
-    ts: SimTime,
-    retransmitted: bool,
-    /// Selectively acknowledged (RFC 2018): delivered but not yet covered
-    /// by the cumulative ack.
-    sacked: bool,
-    /// Deemed lost (RFC 6675 IsLost): excluded from the pipe estimate
-    /// until retransmitted.
-    lost: bool,
-}
-
-impl SentSeg {
-    fn space(&self) -> u64 {
-        self.payload as u64 + self.syn as u64 + self.fin as u64
-    }
-}
-
 /// An endpoint's metric keys, formatted at its first report instead of on
 /// every ACK. An endpoint that never reports formats none, and holding a
 /// name adds no key to any registry.
@@ -167,7 +147,7 @@ pub struct TcpEndpoint {
     app_bytes: u64,
     fin_queued: bool,
     fin_sent: bool,
-    inflight: BTreeMap<u64, SentSeg>,
+    inflight: SendQueue,
     /// Sequences awaiting retransmission, in sequence order.
     retx_queue: BTreeSet<u64>,
     cc: CongestionCtrl,
@@ -235,7 +215,7 @@ impl TcpEndpoint {
             app_bytes: 0,
             fin_queued: false,
             fin_sent: false,
-            inflight: BTreeMap::new(),
+            inflight: SendQueue::new(),
             retx_queue: BTreeSet::new(),
             cc: CongestionCtrl::new(cfg.algorithm, cfg.mss, cfg.init_cwnd_segments),
             rtt: RttEstimator::new(),
@@ -555,7 +535,7 @@ impl TcpEndpoint {
                 self.high_sacked = 0;
                 self.lost_bytes = 0;
                 self.retx_queue.clear();
-                for (&seq, entry) in self.inflight.iter_mut() {
+                for (seq, entry) in self.inflight.iter_mut() {
                     entry.retransmitted = false;
                     entry.lost = !entry.sacked;
                     if entry.lost {
@@ -627,7 +607,7 @@ impl TcpEndpoint {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
                     self.snd_una = 1;
-                    self.inflight.remove(&0);
+                    self.inflight.remove(0);
                     self.retx_queue.remove(&0);
                     self.rto_deadline = None;
                     self.rcv_nxt = 1;
@@ -645,12 +625,9 @@ impl TcpEndpoint {
             TcpState::SynRcvd => {
                 if seg.flags.ack && seg.ack >= 1 {
                     self.snd_una = 1;
-                    self.inflight.remove(&0);
+                    self.inflight.remove(0);
                     self.retx_queue.remove(&0);
                     self.rto_deadline = None;
-                    if let Some(sent) = self.inflight_handshake_ts() {
-                        let _ = sent; // timestamp echo below is authoritative
-                    }
                     if let Some(ecr) = seg.ts_ecr {
                         self.rtt.on_handshake(now.saturating_since(ecr));
                     }
@@ -678,23 +655,13 @@ impl TcpEndpoint {
         outcome
     }
 
-    fn inflight_handshake_ts(&self) -> Option<SimTime> {
-        self.inflight.get(&0).map(|s| s.ts)
-    }
-
     /// Mark inflight segments covered by the ACK's SACK blocks.
     fn apply_sack(&mut self, seg: &Segment) {
         for block in seg.sack.iter().flatten() {
             let (start, end) = *block;
             self.high_sacked = self.high_sacked.max(end);
-            let to_mark: Vec<u64> = self
-                .inflight
-                .range(start..end)
-                .filter(|(&s, e)| !e.sacked && s + e.space() <= end)
-                .map(|(&s, _)| s)
-                .collect();
-            for s in to_mark {
-                if let Some(e) = self.inflight.get_mut(&s) {
+            for (s, e) in self.inflight.range_mut(start, end) {
+                if !e.sacked && s + e.space() <= end {
                     e.sacked = true;
                     self.sacked_bytes += e.space();
                     if e.lost {
@@ -713,20 +680,10 @@ impl TcpEndpoint {
         let high = self.high_sacked;
         // Each hole is retransmitted at most once per recovery; a
         // retransmission that is itself lost falls back to the RTO.
-        let holes: Vec<u64> = self
-            .inflight
-            .range(..high)
-            .filter(|(_, e)| !e.sacked && !e.retransmitted)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in holes {
-            if self.retx_queue.insert(s) {
-                if let Some(e) = self.inflight.get_mut(&s) {
-                    if !e.lost {
-                        e.lost = true;
-                        self.lost_bytes += e.space();
-                    }
-                }
+        for (s, e) in self.inflight.range_mut(0, high) {
+            if !e.sacked && !e.retransmitted && self.retx_queue.insert(s) && !e.lost {
+                e.lost = true;
+                self.lost_bytes += e.space();
             }
         }
     }
@@ -737,7 +694,7 @@ impl TcpEndpoint {
         self.recovery_high = Some(self.snd_nxt);
         if self.high_sacked > self.snd_una {
             self.queue_sack_holes();
-        } else if let Some(e) = self.inflight.get_mut(&self.snd_una) {
+        } else if let Some(e) = self.inflight.get_mut(self.snd_una) {
             if !e.lost {
                 e.lost = true;
                 self.lost_bytes += e.space();
@@ -750,22 +707,10 @@ impl TcpEndpoint {
         self.apply_sack(seg);
         if seg.ack > self.snd_una {
             let newly_acked = seg.ack - self.snd_una;
-            // Drop fully-acked segments from the retransmission store with a
-            // single tree split. Inflight segments never overlap, so of the
-            // detached entries only the last can straddle the ACK point; it
-            // stays inflight and goes back in.
-            let mut acked = {
-                let keep = self.inflight.split_off(&seg.ack);
-                std::mem::replace(&mut self.inflight, keep)
-            };
-            if let Some((&s, e)) = acked.last_key_value() {
-                if s + e.space() > seg.ack {
-                    let (s, e) = acked.pop_last().expect("entry just observed");
-                    self.inflight.insert(s, e);
-                }
-            }
+            // Drop fully-acked segments from the front of the retransmission
+            // store; one that straddles the ACK point stays inflight.
             let mut payload_acked = 0u64;
-            for e in acked.values() {
+            while let Some(e) = self.inflight.pop_acked(seg.ack) {
                 payload_acked += e.payload as u64;
                 if e.sacked {
                     self.sacked_bytes -= e.space();
@@ -796,7 +741,7 @@ impl TcpEndpoint {
                     // without growing the window.
                     if self.high_sacked > self.snd_una {
                         self.queue_sack_holes();
-                    } else if self.inflight.contains_key(&self.snd_una) {
+                    } else if self.inflight.contains_key(self.snd_una) {
                         self.retx_queue.insert(self.snd_una);
                     }
                 }
@@ -974,7 +919,7 @@ impl TcpEndpoint {
         //    head is either sent or left exactly where it is.
         if let Some(&seq) = self.retx_queue.first() {
             let held = seq > self.snd_una && self.pipe() >= self.cc.cwnd();
-            if let Some(entry) = self.inflight.get_mut(&seq).filter(|_| !held) {
+            if let Some(entry) = self.inflight.get_mut(seq).filter(|_| !held) {
                 self.retx_queue.pop_first();
                 entry.retransmitted = true;
                 if entry.lost {

@@ -22,6 +22,7 @@ pub mod endpoint;
 pub mod ranges;
 pub mod rtt;
 pub mod segment;
+pub mod sendq;
 pub mod slab;
 
 pub use cc::{CcAlgorithm, CongestionCtrl};
@@ -29,4 +30,5 @@ pub use endpoint::{DeliveredRange, TcpConfig, TcpEndpoint, TcpState};
 pub use ranges::RangeSet;
 pub use rtt::RttEstimator;
 pub use segment::{Dss, SegFlags, Segment};
+pub use sendq::{SendQueue, SentSeg};
 pub use slab::{SegRef, SegSlabStats, SegmentSlab};
