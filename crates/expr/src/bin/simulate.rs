@@ -199,8 +199,8 @@ fn live_usage(role: &str) -> ! {
   --json               print the transfer report as JSON
 
 Each endpoint advertises at most a third of its UDP socket's receive
-buffer per path (rmem_default / 3 in whole segments: 69 972 bytes on a
-stock Linux box; printed as udp.rx_window), so a transfer never overflows
+buffer per path (rmem_default / 3: 70 997 bytes on a stock Linux box;
+printed as udp.rx_window), so a transfer never overflows
 its own sockets (udp.rcvbuf_drops=0, tcp.rto=0 unshaped). The price is
 the usual one: a path carries at most window/RTT, e.g. 10 ms of injected
 delay each way caps it near 3.5 MB/s.",

@@ -88,11 +88,7 @@ fn rx_window_from(rmem_default: Option<&str>) -> u64 {
     let capacity = rmem_default
         .and_then(|s| s.trim().parse::<u64>().ok())
         .unwrap_or(FALLBACK_RCVBUF);
-    let window = (capacity / RX_WINDOW_DIVISOR).max(MIN_RX_WINDOW);
-    // Whole segments: the sender can spend a remainder only on a runt,
-    // which the buffer charges like a full frame, and once one runt is in
-    // flight its ACK releases the next.
-    window - window % MSS
+    (capacity / RX_WINDOW_DIVISOR).max(MIN_RX_WINDOW)
 }
 
 /// Sum of the `drops` column of a [`PROC_NET_UDP`] table over the sockets
@@ -517,11 +513,11 @@ mod tests {
 
     #[test]
     fn the_window_has_a_floor_whatever_the_capacity_source_said() {
-        // Stock Linux: a third of 208 KiB, about 49 segments.
-        assert_eq!(rx_window_from(Some("212992\n")), 49 * MSS);
+        // Stock Linux: a third of 208 KiB, 49 segments and a remainder.
+        assert_eq!(rx_window_from(Some("212992\n")), 70_997);
         // Unreadable, garbage, negative, empty: the fallback capacity.
         for source in [None, Some("garbage"), Some("-1"), Some("")] {
-            assert_eq!(rx_window_from(source), 15 * MSS);
+            assert_eq!(rx_window_from(source), FALLBACK_RCVBUF / 3);
         }
         // Tiny or zero: never below eight segments, never zero.
         for source in ["0", "1", "4096", "34271"] {

@@ -546,11 +546,14 @@ impl MpConnection {
             if expired.is_none_or(|at| at > now) {
                 continue;
             }
+            // What would be waiting once this subflow's unacked data
+            // joined the queue.
+            let left = self.data_left() + self.subflows[idx].tcp.bytes_in_flight();
             let others_can_carry = self
                 .subflows
                 .iter()
                 .enumerate()
-                .any(|(j, other)| j != idx && other.can_take_data());
+                .any(|(j, other)| j != idx && other.can_take_data(left));
             if others_can_carry {
                 self.subflows[idx].stall_reinjected = true;
                 self.reinject_unacked(idx);
@@ -626,8 +629,9 @@ impl MpConnection {
         }
         // The detailed pick (candidate set + reason) is only computed
         // when a trace records it; otherwise take the cheap path.
+        let left = self.data_left();
         let idx = if self.scope.tracing_active() {
-            pick_subflow_detailed(&self.subflows).map(|d| {
+            pick_subflow_detailed(&self.subflows, left).map(|d| {
                 let picked = self.subflows[d.picked].id.0;
                 self.scope.emit(now, |s| TraceEvent::SchedPick {
                     conn: s.conn,
@@ -639,7 +643,7 @@ impl MpConnection {
                 d.picked
             })
         } else {
-            pick_subflow(&self.subflows)
+            pick_subflow(&self.subflows, left)
         };
         let idx = idx?;
         let (data_seq, len) = self.next_chunk()?;
@@ -649,7 +653,8 @@ impl MpConnection {
         let take = (len as u64).min(sf_mss as u64).min(sf.send_room()) as u32;
         if take < len {
             // Leave the remainder for the next pick. A cut below the MSS
-            // is the window running out, not the data: a runt.
+            // is the window running out, not the data: a runt, and the
+            // whole-segment rule admits one only into an empty pipe.
             self.unconsume_chunk(data_seq + take as u64, len - take);
             self.runt_chunks += u64::from(take < sf_mss);
         }
@@ -681,6 +686,20 @@ impl MpConnection {
             return Some((seq, take));
         }
         None
+    }
+
+    /// Connection bytes not yet handed to a subflow — fresh stream bytes
+    /// and queued reinjections — counted no further than past one MSS:
+    /// the whole-segment rule only asks whether they fit in less.
+    fn data_left(&self) -> u64 {
+        let mut left = self.data_written - self.data_next;
+        for &(seq, len) in &self.reinject {
+            if left > self.tcp_cfg.mss as u64 {
+                break;
+            }
+            left += seq + len as u64 - seq.max(self.data_acked);
+        }
+        left
     }
 
     fn unconsume_chunk(&mut self, data_seq: u64, len: u32) {
@@ -925,22 +944,19 @@ mod tests {
     }
 
     #[test]
-    fn the_scheduler_counts_the_chunks_it_cuts_to_the_window() {
+    fn a_ragged_window_releases_whole_segments_only() {
         let mut p = Pair::new(&[IfaceKind::Wifi]);
         let total = 200_000;
         let mss = TcpConfig::default().mss;
         p.server.write(total);
-        let mut short = 0;
+        let mut payloads = Vec::new();
         while p.client.bytes_delivered() < total {
             p.server.on_deadline(p.now);
             let mut down = Vec::new();
             while let Some(pair) = p.server.poll_transmit(p.now) {
                 down.push(pair);
             }
-            short += down
-                .iter()
-                .filter(|(_, seg)| seg.payload > 0 && seg.payload < mss)
-                .count() as u64;
+            payloads.extend(down.iter().map(|(_, seg)| seg.payload).filter(|&n| n > 0));
             p.now += HALF;
             for (id, seg) in down {
                 p.client.on_segment(p.now, id, seg);
@@ -958,17 +974,16 @@ mod tests {
             }
             assert!(p.now < SimTime::from_secs(60), "stalled");
         }
-        // A window that is not a whole number of segments leaves room
-        // below one MSS, and the scheduler fills it: a runt. Every short
-        // segment on the wire is one of those or the tail of the stream,
-        // and the subflow's endpoint — handed one chunk at a time — takes
-        // each for the end of its stream and counts none.
-        let cut = p.server.runt_chunks();
-        assert!(cut > 0, "a ragged window produced no runt");
-        assert!(short == cut || short == cut + 1, "{short} short, {cut} cut");
+        // The 4 B of room past the seventh segment is never filled while
+        // data is in flight: everything on the wire is a whole segment
+        // but the tail of the stream.
+        let (tail, body) = payloads.split_last().expect("data was sent");
+        assert!(body.iter().all(|&n| n == mss), "{body:?}");
+        assert_eq!(*tail as u64, total % mss as u64);
+        assert_eq!(p.server.runt_chunks(), 0);
         let tcp = &p.server.subflow(SubflowId(0)).tcp;
         assert_eq!(tcp.runts(), 0);
-        assert!(tcp.data_segments() >= total / mss as u64 + cut);
+        assert_eq!(tcp.data_segments(), total.div_ceil(mss as u64));
     }
 
     #[test]

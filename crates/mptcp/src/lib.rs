@@ -33,7 +33,12 @@
 //!    state. Every time-dependent behaviour (retransmission timeout,
 //!    delayed ACK, stall reinjection) is a function of protocol events and
 //!    of a deadline `next_deadline()` reports; time-dependent state is
-//!    stamped in the ACK and send paths, never by a sweep.
+//!    stamped in the ACK and send paths, never by a sweep. That includes
+//!    the whole-segment rule ([`Subflow::can_take_data`]): room for less
+//!    than one MSS behind data in flight is refused in the scheduler's
+//!    pick, before any chunk is taken, so a refused sub-MSS pick is a
+//!    `None` poll like any other and the ACK that makes room for a whole
+//!    segment is the event that releases it.
 //! 2. **A due deadline is consumed.** After `on_deadline(now)`,
 //!    `next_deadline()` is `None` or later than `now`, so a loop that
 //!    sleeps until `next_deadline()` always makes progress.

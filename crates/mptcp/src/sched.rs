@@ -1,8 +1,9 @@
 //! The minRTT subflow scheduler.
 //!
 //! The Linux MPTCP scheduler picks, among subflows with congestion-window
-//! space, the one with the lowest smoothed RTT (§2.1, \[29\]). Two details
-//! matter to eMPTCP:
+//! space, the one with the lowest smoothed RTT (§2.1, \[29\]). "Space" is
+//! counted in whole segments, as the kernel counts it
+//! ([`Subflow::can_take_data`]). Two details matter to eMPTCP:
 //!
 //! * a subflow whose RTT estimate is zero/unknown sorts *first* — §3.6's
 //!   resume tweak zeroes the RTT precisely to get a renewed subflow probed
@@ -29,29 +30,30 @@ pub struct SchedDecision {
     pub srtt_ns: u64,
 }
 
-/// Index of the subflow the scheduler would hand the next chunk of data to,
-/// or `None` if nothing can take data right now. Allocation-free twin of
+/// Index of the subflow the scheduler would hand the next chunk of data to
+/// — `left` connection bytes remain to be scheduled — or `None` if nothing
+/// can take data right now. Allocation-free twin of
 /// [`pick_subflow_detailed`] for the untraced hot path — the candidate
 /// filter and the `(srtt, index)` tie-break must stay identical.
-pub fn pick_subflow(subflows: &[Subflow]) -> Option<usize> {
+pub fn pick_subflow(subflows: &[Subflow], left: u64) -> Option<usize> {
     let any_regular_alive = subflows.iter().any(|sf| !sf.backup && sf.usable());
     subflows
         .iter()
         .enumerate()
-        .filter(|(_, sf)| sf.can_take_data() && (!sf.backup || !any_regular_alive))
+        .filter(|(_, sf)| sf.can_take_data(left) && (!sf.backup || !any_regular_alive))
         .min_by_key(|&(idx, sf)| (sf.tcp.rtt().srtt_or_zero(), idx))
         .map(|(idx, _)| idx)
 }
 
 /// Like [`pick_subflow`], but also reports the candidate set and the reason
 /// for the choice so schedulers decisions can be traced.
-pub fn pick_subflow_detailed(subflows: &[Subflow]) -> Option<SchedDecision> {
+pub fn pick_subflow_detailed(subflows: &[Subflow], left: u64) -> Option<SchedDecision> {
     let any_regular_alive = subflows.iter().any(|sf| !sf.backup && sf.usable());
     // A backup subflow is a candidate only when no regular subflow is alive.
     let candidates: Vec<usize> = subflows
         .iter()
         .enumerate()
-        .filter(|(_, sf)| sf.can_take_data() && (!sf.backup || !any_regular_alive))
+        .filter(|(_, sf)| sf.can_take_data(left) && (!sf.backup || !any_regular_alive))
         .map(|(idx, _)| idx)
         .collect();
     let &picked = candidates
@@ -83,6 +85,9 @@ mod tests {
     use emptcp_sim::{SimDuration, SimTime};
     use emptcp_tcp::{Segment, TcpConfig, TcpState};
 
+    /// More left to schedule than any window has room for.
+    const PLENTY: u64 = u64::MAX;
+
     /// Build an established client subflow by replaying a handshake.
     fn established(id: u8, iface: IfaceKind, rtt_ms: u64) -> Subflow {
         let mut sf = Subflow::client(SubflowId(id), iface, TcpConfig::default());
@@ -107,7 +112,7 @@ mod tests {
             established(0, IfaceKind::Wifi, 20),
             established(1, IfaceKind::CellularLte, 60),
         ];
-        assert_eq!(pick_subflow(&flows), Some(0));
+        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
     }
 
     #[test]
@@ -117,7 +122,7 @@ mod tests {
             established(1, IfaceKind::CellularLte, 60),
         ];
         flows[1].prepare_resume(); // zeroes srtt
-        assert_eq!(pick_subflow(&flows), Some(1));
+        assert_eq!(pick_subflow(&flows, PLENTY), Some(1));
     }
 
     #[test]
@@ -127,7 +132,7 @@ mod tests {
             established(1, IfaceKind::CellularLte, 10),
         ];
         flows[1].backup = true;
-        assert_eq!(pick_subflow(&flows), Some(0));
+        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
     }
 
     #[test]
@@ -138,7 +143,7 @@ mod tests {
         ];
         // Subflow 0 never completed its handshake; subflow 1 is backup.
         flows[1].backup = true;
-        assert_eq!(pick_subflow(&flows), Some(1));
+        assert_eq!(pick_subflow(&flows, PLENTY), Some(1));
     }
 
     #[test]
@@ -153,8 +158,12 @@ mod tests {
         flows[0].push_data(0, room as u32);
         let now = SimTime::from_secs(1);
         while flows[0].tcp.poll_transmit(now).is_some() {}
-        assert!(!flows[0].can_take_data());
-        assert_eq!(pick_subflow(&flows), None, "must wait, not use backup");
+        assert!(!flows[0].can_take_data(PLENTY));
+        assert_eq!(
+            pick_subflow(&flows, PLENTY),
+            None,
+            "must wait, not use backup"
+        );
     }
 
     #[test]
@@ -164,7 +173,7 @@ mod tests {
             IfaceKind::Wifi,
             TcpConfig::default(),
         )];
-        assert_eq!(pick_subflow(&flows), None);
+        assert_eq!(pick_subflow(&flows, PLENTY), None);
     }
 
     #[test]
@@ -173,7 +182,7 @@ mod tests {
             established(0, IfaceKind::Wifi, 20),
             established(1, IfaceKind::CellularLte, 60),
         ];
-        let d = pick_subflow_detailed(&flows).unwrap();
+        let d = pick_subflow_detailed(&flows, PLENTY).unwrap();
         assert_eq!(d.picked, 0);
         assert_eq!(d.candidates, vec![0, 1]);
         assert_eq!(d.reason, "min_rtt");
@@ -181,7 +190,7 @@ mod tests {
 
         let mut backup_only = vec![established(0, IfaceKind::CellularLte, 60)];
         backup_only[0].backup = true;
-        let d = pick_subflow_detailed(&backup_only).unwrap();
+        let d = pick_subflow_detailed(&backup_only, PLENTY).unwrap();
         assert_eq!(d.reason, "backup_fallback");
     }
 
@@ -195,7 +204,7 @@ mod tests {
         // The regular subflow is declared dead by failure detection: the
         // backup becomes the fallback even though sf0's link is nominally up.
         flows[0].dead = true;
-        let d = pick_subflow_detailed(&flows).unwrap();
+        let d = pick_subflow_detailed(&flows, PLENTY).unwrap();
         assert_eq!(d.picked, 1);
         assert_eq!(d.reason, "backup_fallback");
     }
@@ -206,6 +215,6 @@ mod tests {
             established(0, IfaceKind::Wifi, 30),
             established(1, IfaceKind::CellularLte, 30),
         ];
-        assert_eq!(pick_subflow(&flows), Some(0));
+        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
     }
 }

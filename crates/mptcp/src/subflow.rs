@@ -165,9 +165,18 @@ impl Subflow {
     }
 
     /// Eligible to be handed new data: usable, its scheduled backlog fully
-    /// emitted, and window room available.
-    pub fn can_take_data(&self) -> bool {
-        self.usable() && self.tcp.send_backlog() == 0 && self.send_room() > 0
+    /// emitted, and — the whole-segment rule (RFC 1122 §4.2.3.4) — room
+    /// for a full segment, or an empty pipe, or room for all `left` bytes
+    /// the connection still has to schedule. Otherwise the data waits for
+    /// the next ACK, which the bytes in flight guarantee.
+    pub fn can_take_data(&self, left: u64) -> bool {
+        let room = self.send_room();
+        self.usable()
+            && self.tcp.send_backlog() == 0
+            && room > 0
+            && (room >= self.tcp.config().mss as u64
+                || self.tcp.bytes_in_flight() == 0
+                || left <= room)
     }
 
     /// Apply the §3.6 resume tweaks to this side's endpoint.

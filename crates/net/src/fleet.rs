@@ -211,7 +211,7 @@ pub struct FleetReport {
     /// Fault events applied (0 without an attached plan).
     pub faults_injected: u64,
     /// Packets forwarded across every port in the run — the deterministic
-    /// numerator of the `sim_pkts_per_sec` throughput benchmark.
+    /// denominator of the benchmark's `net.fleet.ns_per_pkt`.
     pub packets_forwarded: u64,
 }
 

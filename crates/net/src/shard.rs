@@ -403,11 +403,7 @@ impl ClientShard {
 
     /// Process every queued event strictly before `bound`.
     fn run_until(&mut self, bound: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= bound {
-                break;
-            }
-            let (now, (key, event)) = self.queue.pop().expect("peeked event vanished");
+        while let Some((now, (key, event))) = self.queue.pop_before(bound) {
             self.events += 1;
             self.set_tag(key);
             self.handle(now, event);
@@ -823,11 +819,7 @@ impl CoreShard {
     }
 
     fn run_until(&mut self, bound: SimTime) {
-        while let Some(t) = self.queue.peek_time() {
-            if t >= bound {
-                break;
-            }
-            let (now, (key, event)) = self.queue.pop().expect("peeked event vanished");
+        while let Some((now, (key, event))) = self.queue.pop_before(bound) {
             self.events += 1;
             self.set_tag(key);
             self.handle(now, event);

@@ -6,9 +6,8 @@
 //! the drain loop, the ports or the barrier flush shows up here as a
 //! changed byte count or a changed trace hash long before it would surface
 //! as a subtle fairness or energy shift in an exhibit. The constants were
-//! last re-captured when clock-coupled state stopped depending on poll
-//! cadence (EXPERIMENTS.md, "Lazy time: re-pinned numbers", lists the
-//! old → new values and their causes).
+//! last re-captured when the sender stopped cutting runts (EXPERIMENTS.md,
+//! "PR 23: whole segments", lists the old → new values and their causes).
 //!
 //! If this test fails after an intentional semantic change, re-capture with
 //! `cargo test -p emptcp-net --test drain_golden -- --nocapture` and update
@@ -90,10 +89,10 @@ fn contended_fleet_drain_path_matches_goldens() {
         "contended",
         contended_cfg(),
         &[
-            3_210_169, 4_090_318, 4_242_150, 2_643_779, 2_278_609, 3_792_603,
+            2_980_236, 3_928_428, 5_146_512, 2_249_100, 2_691_780, 3_541_440,
         ],
-        0x9aa8_fb41_3727_99b4,
-        23_243,
+        0x48d6_562d_b0fc_3d47,
+        16_468,
     );
 }
 
@@ -106,9 +105,9 @@ fn do_no_harm_cell_drain_path_matches_goldens() {
         "dnh",
         FleetConfig::do_no_harm_cell(3),
         &[
-            6_140_451, 7_521_375, 5_063_867, 7_007_999, 9_556_834, 7_917_885, 7_188_126, 7_743_507,
+            6_160_392, 8_072_484, 6_301_764, 6_550_236, 7_591_248, 11_305_476, 6_881_532, 6_710_172,
         ],
-        0x5b04_d1de_9d45_d43e,
-        62_041,
+        0x3b98_c988_80c7_112d,
+        45_406,
     );
 }

@@ -104,11 +104,6 @@ impl LossProcess {
         }
     }
 
-    /// The configured model.
-    pub fn model(&self) -> LossModel {
-        self.model
-    }
-
     /// Replace the model; the burst state restarts in "good".
     pub fn set_model(&mut self, model: LossModel) {
         self.model = model;

@@ -256,6 +256,19 @@ impl<E> EventQueue<E> {
     /// Pop the next live event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let (from_far, key) = self.settle()?;
+        Some(self.take_settled(from_far, key))
+    }
+
+    /// [`pop`](Self::pop) if the next live event is strictly before
+    /// `bound`, else `None` with the event left queued: a bounded drain
+    /// loop's `peek_time` + `pop` for one settle instead of two.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        let (from_far, key) = self.settle()?;
+        (key.at < bound).then(|| self.take_settled(from_far, key))
+    }
+
+    /// Remove the event `settle` just found at the top of its heap.
+    fn take_settled(&mut self, from_far: bool, key: Key) -> (SimTime, E) {
         let top = if from_far {
             self.far.pop()
         } else {
@@ -267,7 +280,7 @@ impl<E> EventQueue<E> {
         self.free_slots.push(key.slot);
         self.live -= 1;
         self.now = key.at;
-        Some((key.at, payload))
+        (key.at, payload)
     }
 
     /// Timestamp of the next live event without popping it. May advance the

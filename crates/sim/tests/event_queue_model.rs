@@ -36,7 +36,9 @@ use proptest::prelude::*;
 
 proptest! {
     /// Arbitrary interleavings of schedule / cancel / pop with mixed
-    /// magnitudes, the broad-spectrum property.
+    /// magnitudes, the broad-spectrum property. Half the pops are bounded:
+    /// the wheel's `pop_before(b)` must equal its twins' `peek_time() < b`,
+    /// then `pop()`.
     #[test]
     fn three_way_agreement_under_arbitrary_interleavings(
         seed in 0u64..u64::MAX,

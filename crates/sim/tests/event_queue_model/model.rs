@@ -235,6 +235,27 @@ impl Trio {
         want
     }
 
+    /// Pop the next event only if it is due strictly before `now +
+    /// delta_ns`. The wheel answers with `pop_before`; its twins spell it
+    /// out as `peek_time() < bound`, then `pop()`.
+    pub fn pop_before(&mut self, delta_ns: u64) -> Option<(u64, u32)> {
+        let bound = self.wheel.now() + SimDuration::from_nanos(delta_ns);
+        let got_w = self.wheel.pop_before(bound).map(|(t, p)| (t.as_nanos(), p));
+        let due = |peek: Option<u64>| peek.is_some_and(|t| t < bound.as_nanos());
+        let got_h = due(self.heap.peek_time().map(|t| t.as_nanos()))
+            .then(|| self.heap.pop().map(|(t, p)| (t.as_nanos(), p)))
+            .flatten();
+        let want = due(self.reference.peek_time())
+            .then(|| self.reference.pop())
+            .flatten();
+        assert_eq!(got_w, want, "wheel pop_before diverged from reference");
+        assert_eq!(
+            got_h, want,
+            "key-heap peek-then-pop diverged from reference"
+        );
+        want
+    }
+
     pub fn check_observers(&mut self) {
         assert_eq!(self.wheel.len(), self.reference.live.len(), "wheel len");
         assert_eq!(self.heap.len(), self.reference.live.len(), "heap len");
@@ -300,9 +321,13 @@ pub fn check_interleavings(seed: u64, ops: usize, cancel_weight: u64, horizon_ns
                 let payload = mix(&mut state) as u32;
                 trio.schedule(delta, payload);
             }
-            // Pop one event.
+            // Pop one event, or only one due within a bound (0: never).
             3 => {
-                trio.pop();
+                if mix(&mut state).is_multiple_of(2) {
+                    trio.pop();
+                } else {
+                    trio.pop_before(mix(&mut state) % horizon_ns);
+                }
             }
             // Cancel a random handle — possibly already fired or
             // already cancelled (both must be exact no-ops).

@@ -982,6 +982,13 @@ impl TcpEndpoint {
             let budget = window.saturating_sub(in_flight);
             let available = stream_end - self.snd_nxt;
             let payload = available.min(self.cfg.mss as u64).min(budget) as u32;
+            // Sender-side SWS avoidance (RFC 1122 §4.2.3.4): a segment is
+            // short only as the last of the data written or into an empty
+            // pipe. Otherwise it waits for the next ACK, which the data in
+            // flight guarantees, to make room for a whole one.
+            if payload < self.cfg.mss && (payload as u64) < available && in_flight > 0 {
+                return None;
+            }
             let fin_now =
                 self.fin_queued && !self.fin_sent && self.snd_nxt + payload as u64 == stream_end;
             if payload == 0 && !fin_now {
@@ -1133,7 +1140,7 @@ mod tests {
     }
 
     #[test]
-    fn a_runt_is_cut_by_the_window_not_by_the_end_of_the_data() {
+    fn a_short_segment_is_the_end_of_the_data_never_the_window() {
         let mut now = SimTime::ZERO;
         let half = SimDuration::from_millis(10);
         let mut c = TcpEndpoint::client(TcpConfig::default());
@@ -1141,37 +1148,44 @@ mod tests {
         handshake(&mut now, &mut c, &mut s);
         // An open window: the short segment is the end of what was written.
         s.write(3_000);
-        let mut segs = Vec::new();
-        while let Some(seg) = s.poll_transmit(now) {
-            segs.push(seg);
-        }
+        let segs: Vec<Segment> = std::iter::from_fn(|| s.poll_transmit(now)).collect();
         assert_eq!(
             segs.iter().map(|seg| seg.payload).collect::<Vec<_>>(),
             [1428, 1428, 144]
         );
         assert_eq!((s.data_segments(), s.runts()), (3, 0));
 
-        // The peer acknowledges all of it but offers 2 000 B of window:
-        // one full segment fits, and the 572 B behind it leave as a runt
-        // although 8 000 B more are waiting.
-        now += half;
-        for seg in segs {
-            c.on_segment(now, seg);
+        // From here the peer offers 10 000 B: seven segments and 4 B over.
+        // The 4 B are never filled while data is in flight, and refusing
+        // them changes nothing.
+        let total = 3_000 + 200_000;
+        s.write(200_000);
+        let mut down = segs;
+        let mut payloads = Vec::new();
+        while c.bytes_delivered_total() < total {
+            now += half;
+            for seg in down.drain(..) {
+                c.on_segment(now, seg);
+            }
+            c.on_deadline(now);
+            for mut ack in std::iter::from_fn(|| c.poll_transmit(now)) {
+                ack.rwnd = 10_000;
+                s.on_segment(now + half, ack);
+            }
+            now += half;
+            s.on_deadline(now);
+            down.extend(std::iter::from_fn(|| s.poll_transmit(now)));
+            payloads.extend(down.iter().map(|seg| seg.payload).filter(|&n| n > 0));
+            let refused = format!("{s:?}");
+            assert!(s.poll_transmit(now).is_none());
+            assert_eq!(format!("{s:?}"), refused);
+            assert!(now < SimTime::from_secs(60), "stalled");
         }
-        now += SimDuration::from_millis(50); // past the delayed-ACK timer
-        c.on_deadline(now);
-        while let Some(mut ack) = c.poll_transmit(now) {
-            ack.rwnd = 2_000;
-            s.on_segment(now + half, ack);
-        }
-        now += half;
-        assert_eq!(s.bytes_in_flight(), 0);
-        s.write(10_000);
-        let cut: Vec<u32> = std::iter::from_fn(|| s.poll_transmit(now))
-            .map(|seg| seg.payload)
-            .collect();
-        assert_eq!(cut, [1428, 572]);
-        assert_eq!((s.data_segments(), s.runts()), (5, 1));
+        let (tail, body) = payloads.split_last().expect("data was sent");
+        assert!(body.iter().all(|&n| n == 1428), "{body:?}");
+        assert_eq!(*tail as u64, 200_000 % 1428);
+        assert_eq!(s.runts(), 0);
+        assert_eq!(s.data_segments(), 3 + 200_000u64.div_ceil(1428));
     }
 
     #[test]

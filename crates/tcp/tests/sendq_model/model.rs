@@ -4,8 +4,7 @@
 //! The reference is the retransmission store `TcpEndpoint` held before
 //! the queue: a `BTreeMap` keyed by sequence, a cumulative ACK taken with
 //! `split_off` and the one straddling entry put back. Kept only here, as
-//! what the queue must agree with. Shared with the root package's
-//! `workspace_smoke` through `#[path]`.
+//! what the queue must agree with.
 
 use emptcp_sim::{SimRng, SimTime};
 use emptcp_tcp::{SendQueue, SentSeg};

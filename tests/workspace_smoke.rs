@@ -5,11 +5,12 @@
 //! a chaos corpus that certifies, a monitor tap that streams, stacks that
 //! cannot tell how often they are polled or swept, a timing wheel that
 //! pops like its two reference queues, a live transfer that loses
-//! nothing to its own socket buffers, and exhibits that cannot tell which
-//! of them simulated a run they share.
+//! nothing to its own socket buffers, exhibits that cannot tell which
+//! of them simulated a run they share, and a sender that cuts no runts.
 
+use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{FaultPlan, FaultTarget};
-use emptcp_live::{certify, ParityScript};
+use emptcp_live::{certify, MpChaosRig, ParityScript};
 use emptcp_net::{FleetConfig, SerialExecutor, ShardExecutor, ShardedFleetSim};
 use emptcp_obsv::{Pipeline, PipelineConfig, PipelineSink};
 use emptcp_repro::expr::chaos;
@@ -184,4 +185,29 @@ fn a_shared_run_replays_into_every_exhibit_that_asked() {
     let mut cfg = emptcp_expr::figures::Config::quick();
     cfg.bulk_size = 1 << 20;
     replay_rig::assert_shared_runs_invisible("smoke", &["fig9", "fig10"], cfg);
+}
+
+/// Reduced case of the whole-segment rule's unit tests in `emptcp-mptcp`
+/// and `emptcp-tcp`: through enough loss to leave both congestion windows
+/// a fraction of a segment over a whole number of them, the transfer
+/// completes and neither the scheduler nor any endpoint ever filled that
+/// fraction with a segment cut short of the MSS.
+#[test]
+fn a_fractional_window_is_never_spent_on_a_runt() {
+    let total = 2 << 20;
+    let mut rig = MpChaosRig::over(
+        23,
+        vec![
+            ChaosPath::new(0.01, SimDuration::from_millis(12), 3),
+            ChaosPath::new(0.01, SimDuration::from_millis(35), 3),
+        ],
+    );
+    assert_eq!(rig.transfer(total), total);
+    let server = rig.server();
+    let (segments, runts) = server.subflows().iter().fold((0, 0), |(s, r), sf| {
+        (s + sf.tcp.data_segments(), r + sf.tcp.runts())
+    });
+    let mss = u64::from(emptcp_tcp::segment::DEFAULT_MSS);
+    assert!(segments >= total.div_ceil(mss), "{segments} data segments");
+    assert_eq!((server.runt_chunks(), runts), (0, 0));
 }
