@@ -26,20 +26,9 @@
 
 use emptcp_expr::scenario::{Scenario, Workload};
 use emptcp_expr::{faults, flags, host, Strategy};
+use emptcp_scenario::StrategyKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
-
-type StrategyEntry = (&'static str, fn() -> Strategy);
-
-const STRATEGIES: &[StrategyEntry] = &[
-    ("mptcp", || Strategy::Mptcp),
-    ("emptcp", Strategy::emptcp_default),
-    ("tcp-wifi", || Strategy::TcpWifi),
-    ("tcp-cellular", || Strategy::TcpCellular),
-    ("wifi-first", || Strategy::WifiFirst),
-    ("mdp", || Strategy::MdpScheduler),
-    ("single-path", || Strategy::SinglePath),
-];
 
 fn usage() -> ! {
     eprintln!(
@@ -321,6 +310,20 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
     std::process::exit(if report.complete { 0 } else { 1 });
 }
 
+/// A pipeline with the invariant observer on and, given a path, a JSONL
+/// trace sink writing there.
+fn instrumented(trace_path: Option<&str>) -> Telemetry {
+    let mut builder = Telemetry::builder().invariants(true);
+    if let Some(path) = trace_path {
+        let file = std::fs::File::create(path).unwrap_or_else(|e| {
+            eprintln!("cannot create trace file {path}: {e}");
+            std::process::exit(2);
+        });
+        builder = builder.sink(Box::new(JsonlSink::new(file)));
+    }
+    builder.build()
+}
+
 fn faults_main(args: Vec<String>) -> ! {
     let mut scenario: Option<String> = None;
     let mut all = false;
@@ -373,19 +376,7 @@ fn faults_main(args: Vec<String>) -> ! {
 
     let mut failures = 0usize;
     for (i, name) in names.iter().enumerate() {
-        let telemetry = match &trace_path {
-            Some(path) => {
-                let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                    eprintln!("cannot create trace file {path}: {e}");
-                    std::process::exit(2);
-                });
-                Telemetry::builder()
-                    .invariants(true)
-                    .sink(Box::new(JsonlSink::new(file)))
-                    .build()
-            }
-            None => Telemetry::builder().invariants(true).build(),
-        };
+        let telemetry = instrumented(trace_path.as_deref());
         let report = faults::run_scenario_traced(name, seed, telemetry).unwrap_or_else(|| {
             eprintln!("unknown fault scenario '{name}' (try --list)");
             std::process::exit(2);
@@ -614,22 +605,12 @@ fn scenario_main(args: Vec<String>) -> ! {
 
 fn main() {
     let mut args_vec: Vec<String> = std::env::args().skip(1).collect();
-    if args_vec.first().map(String::as_str) == Some("faults") {
-        args_vec.remove(0);
-        faults_main(args_vec);
-    }
-    if args_vec.first().map(String::as_str) == Some("monitor") {
-        args_vec.remove(0);
-        monitor_main(args_vec);
-    }
-    if args_vec.first().map(String::as_str) == Some("scenario") {
-        args_vec.remove(0);
-        scenario_main(args_vec);
-    }
-    if let Some(role @ ("serve" | "connect")) = args_vec.first().map(String::as_str) {
-        let role = role.to_string();
-        args_vec.remove(0);
-        live_main(&role, args_vec);
+    match args_vec.first().cloned().as_deref() {
+        Some("faults") => faults_main(args_vec.split_off(1)),
+        Some("monitor") => monitor_main(args_vec.split_off(1)),
+        Some("scenario") => scenario_main(args_vec.split_off(1)),
+        Some(role @ ("serve" | "connect")) => live_main(role, args_vec.split_off(1)),
+        _ => {}
     }
 
     let mut strategy_name = "emptcp".to_string();
@@ -659,8 +640,8 @@ fn main() {
             "--metrics" => metrics_path = Some(flags::value(&mut args, "--metrics")),
             "--quiet" => quiet = true,
             "--list-strategies" => {
-                for (name, _) in STRATEGIES {
-                    println!("{name}");
+                for kind in StrategyKind::ALL {
+                    println!("{}", kind.label());
                 }
                 return;
             }
@@ -672,10 +653,10 @@ fn main() {
         }
     }
 
-    let strategy = STRATEGIES
-        .iter()
-        .find(|(name, _)| *name == strategy_name)
-        .map(|(_, make)| make())
+    let strategy = StrategyKind::ALL
+        .into_iter()
+        .find(|kind| kind.label() == strategy_name)
+        .map(Strategy::from)
         .unwrap_or_else(|| {
             eprintln!("unknown strategy '{strategy_name}'");
             usage();
@@ -691,35 +672,15 @@ fn main() {
             SimDuration::from_millis(rtt_ms + 35),
             size,
         ),
-        "good" => {
-            let mut s = Scenario::static_good_wifi();
-            s.workload = Workload::Download { size };
-            s
-        }
-        "bad" => {
-            let mut s = Scenario::static_bad_wifi();
-            s.workload = Workload::Download { size };
-            s
-        }
-        "bwchange" => {
-            let mut s = Scenario::bandwidth_changes();
-            s.workload = Workload::Download { size };
-            s
-        }
-        "background" => {
-            let mut s = Scenario::background_traffic(2, 0.025);
-            s.workload = Workload::Download { size };
-            s
-        }
-        "mobility" => Scenario::mobility(),
-        "web" => Scenario::web_browsing(),
-        "outage" => Scenario::wifi_outage(),
-        "upload" => Scenario::upload(),
-        "streaming" => Scenario::streaming(),
-        other => {
-            eprintln!("unknown scenario '{other}'");
+        // The paper-scale 256 MB downloads are cut to --size-mb; the other
+        // named environments bring their own workload.
+        name @ ("good" | "bad" | "bwchange" | "background") => Scenario::named(name)
+            .expect("a named environment")
+            .with(Workload::Download { size }),
+        name => Scenario::named(name).unwrap_or_else(|| {
+            eprintln!("unknown scenario '{name}'");
             usage();
-        }
+        }),
     };
 
     if quiet {
@@ -729,15 +690,7 @@ fn main() {
     // Build the telemetry pipeline when instrumentation was requested; the
     // invariant observer rides along for free on instrumented runs.
     let telemetry = if trace_path.is_some() || metrics_path.is_some() {
-        let mut builder = Telemetry::builder().invariants(true);
-        if let Some(path) = &trace_path {
-            let file = std::fs::File::create(path).unwrap_or_else(|e| {
-                eprintln!("cannot create trace file {path}: {e}");
-                std::process::exit(2);
-            });
-            builder = builder.sink(Box::new(JsonlSink::new(file)));
-        }
-        builder.build()
+        instrumented(trace_path.as_deref())
     } else {
         Telemetry::disabled()
     };

@@ -2,11 +2,11 @@
 //! and judge the outcome with end-of-run oracles.
 //!
 //! This module is the binding layer the `emptcp-scenario` crate
-//! deliberately leaves out: it maps a [`Scenario`] onto the host
-//! simulation (`host::Simulation`) or the fleet (`net::ShardedFleetSim`), runs it
-//! with the telemetry invariant observer attached, and then applies the
-//! *end-of-run oracles* — properties that must hold for every valid
-//! scenario, not just hand-picked ones:
+//! deliberately leaves out: it hands a [`Scenario`]'s world, as written, to
+//! the host simulation (`host::Simulation`) or the fleet
+//! (`net::ShardedFleetSim`), runs it with the telemetry invariant observer
+//! attached, and then applies the *end-of-run oracles* — properties that
+//! must hold for every valid scenario, not just hand-picked ones:
 //!
 //! * **exact delivery** — under a recoverable fault script the host
 //!   workload still delivers every byte (and every fleet client makes
@@ -26,13 +26,11 @@
 //! [`replay_corpus`] (every committed scenario, deterministic reports).
 
 use crate::host::Simulation;
-use crate::scenario::Scenario as ExprScenario;
-use crate::strategy::Strategy;
-use emptcp_net::ShardedFleetSim;
+use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::io::save;
 use emptcp_scenario::shrink::shrink;
-use emptcp_scenario::{corpus, HostSpec, Scenario, ScenarioError, StrategyKind, World};
+use emptcp_scenario::{corpus, HostScenario, Scenario, ScenarioError, StrategyKind, World};
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{InvariantObserver, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -79,29 +77,6 @@ impl ChaosReport {
     }
 }
 
-pub(crate) fn strategy_of(kind: StrategyKind) -> Strategy {
-    match kind {
-        StrategyKind::Mptcp => Strategy::Mptcp,
-        StrategyKind::Emptcp => Strategy::emptcp_default(),
-        StrategyKind::TcpWifi => Strategy::TcpWifi,
-        StrategyKind::TcpCellular => Strategy::TcpCellular,
-        StrategyKind::WifiFirst => Strategy::WifiFirst,
-        StrategyKind::MdpScheduler => Strategy::MdpScheduler,
-        StrategyKind::SinglePath => Strategy::SinglePath,
-    }
-}
-
-/// Drain a local observer into the report's violation list.
-fn collect(obs: &mut InvariantObserver) -> Vec<OracleViolation> {
-    obs.take_violations()
-        .into_iter()
-        .map(|v| OracleViolation {
-            oracle: v.name.to_string(),
-            detail: v.detail,
-        })
-        .collect()
-}
-
 /// Run one scenario and judge it. The scenario's own seed drives every
 /// random draw; callers override by editing the scenario first.
 /// `sabotage` deliberately mis-wires the named oracle (see
@@ -111,25 +86,23 @@ pub fn run_scenario(sc: &Scenario, sabotage: Option<&str>) -> Result<ChaosReport
     sc.validate()?;
     let sabotage_delivery = sabotage == Some(SABOTAGE_DELIVERY);
     match &sc.world {
-        World::Host(host) => Ok(run_host(sc, host, sabotage_delivery)),
-        World::Fleet(_) => run_fleet(sc, sabotage_delivery),
+        World::Host { strategy, scenario } => {
+            Ok(run_host(sc, *strategy, scenario, sabotage_delivery))
+        }
+        World::Fleet(cfg) => run_fleet(sc, cfg, sabotage_delivery),
     }
 }
 
-fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosReport {
+fn run_host(
+    sc: &Scenario,
+    strategy: StrategyKind,
+    host: &HostScenario,
+    sabotage_delivery: bool,
+) -> ChaosReport {
     let plan = sc.fault_plan();
-    let mut xs = ExprScenario::wild(
-        &format!("chaos/{}", sc.name),
-        host.wifi_bps,
-        host.cell_bps,
-        SimDuration::from_millis(host.wifi_rtt_ms),
-        SimDuration::from_millis(host.cell_rtt_ms),
-        host.transfer_bytes,
-    );
-    xs.profile = host.device.profile();
     let telemetry = Telemetry::builder().invariants(true).build();
     let mut sim =
-        Simulation::new_with_telemetry(xs, strategy_of(host.strategy), sc.seed, telemetry.clone());
+        Simulation::new_with_telemetry(host.clone(), strategy.into(), sc.seed, telemetry.clone());
     if !plan.is_empty() {
         sim.attach_faults(plan.clone());
     }
@@ -139,15 +112,14 @@ fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosRep
     let at = SimTime::ZERO + SimDuration::from_secs_f64(r.download_time_s);
     let mut obs = InvariantObserver::new();
 
-    // Exact delivery: every recoverable script still lands every byte.
+    // Exact delivery: every recoverable script still lands every byte the
+    // workload owes (a clocked or paged workload owes completion only).
     // A sabotaged run pretends one extra byte was owed whenever faults
     // fired, emulating an oracle/recovery regression for the shrinker.
-    let asked = if sabotage_delivery && r.faults_injected > 0 {
-        host.transfer_bytes + 1
-    } else {
-        host.transfer_bytes
-    };
-    obs.check_exact_delivery(at, &sc.name, r.bytes_delivered, asked);
+    if let Some(owed) = host.workload.owed_bytes() {
+        let sabotaged = sabotage_delivery && r.faults_injected > 0;
+        obs.check_exact_delivery(at, &sc.name, r.bytes_delivered, owed + u64::from(sabotaged));
+    }
     obs.check(at, "exact_delivery", r.completed, || {
         format!("{}: transfer did not complete before the horizon", sc.name)
     });
@@ -181,30 +153,52 @@ fn run_host(sc: &Scenario, host: &HostSpec, sabotage_delivery: bool) -> ChaosRep
         prev = joules;
     }
 
-    // The online observer must have stayed silent.
+    ChaosReport {
+        faults_injected: r.faults_injected,
+        bytes_delivered: r.bytes_delivered,
+        ..judged(sc, at, obs, invariant_violations)
+    }
+}
+
+/// The last oracle — the online observer must have stayed silent through
+/// the run — and the verdict on everything `obs` was shown; the caller
+/// fills in what its world measured.
+fn judged(
+    sc: &Scenario,
+    at: SimTime,
+    mut obs: InvariantObserver,
+    invariant_violations: u64,
+) -> ChaosReport {
     obs.check(at, "invariant_observer", invariant_violations == 0, || {
         format!(
             "{}: {} online invariant violation(s) during the run",
             sc.name, invariant_violations
         )
     });
-
     ChaosReport {
         scenario: sc.name.clone(),
-        world: "host".to_string(),
+        world: sc.world_label().to_string(),
         seed: sc.seed,
-        faults_injected: r.faults_injected,
-        bytes_delivered: r.bytes_delivered,
+        faults_injected: 0,
+        bytes_delivered: 0,
         aggregate_mbps: 0.0,
         invariant_violations,
-        violations: collect(&mut obs),
+        violations: obs
+            .take_violations()
+            .into_iter()
+            .map(|v| OracleViolation {
+                oracle: v.name.to_string(),
+                detail: v.detail,
+            })
+            .collect(),
     }
 }
 
-fn run_fleet(sc: &Scenario, sabotage_delivery: bool) -> Result<ChaosReport, ScenarioError> {
-    let World::Fleet(cfg) = &sc.world else {
-        unreachable!("run_fleet called with a host world");
-    };
+fn run_fleet(
+    sc: &Scenario,
+    cfg: &FleetConfig,
+    sabotage_delivery: bool,
+) -> Result<ChaosReport, ScenarioError> {
     let plan = sc.fault_plan();
     let mut cfg = cfg.clone();
     cfg.seed = sc.seed;
@@ -254,22 +248,10 @@ fn run_fleet(sc: &Scenario, sabotage_delivery: bool) -> Result<ChaosReport, Scen
     let slab = sim.seg_slab_stats();
     obs.check_segment_slab(at, &sc.name, slab.live, slab.double_frees);
 
-    obs.check(at, "invariant_observer", invariant_violations == 0, || {
-        format!(
-            "{}: {} online invariant violation(s) during the run",
-            sc.name, invariant_violations
-        )
-    });
-
     Ok(ChaosReport {
-        scenario: sc.name.clone(),
-        world: "fleet".to_string(),
-        seed: sc.seed,
         faults_injected: r.faults_injected,
-        bytes_delivered: 0,
         aggregate_mbps: r.aggregate_mbps,
-        invariant_violations,
-        violations: collect(&mut obs),
+        ..judged(sc, at, obs, invariant_violations)
     })
 }
 
@@ -323,12 +305,11 @@ pub fn fuzz(
             continue;
         }
         // Shrink while the failure reproduces.
-        let min = shrink(sc.clone(), |cand| {
+        let mut min = shrink(sc.clone(), |cand| {
             run_scenario(cand, sabotage)
                 .map(|r| !r.ok())
                 .unwrap_or(false)
         });
-        let mut min = min;
         min.name = format!("{}-min", sc.name);
         min.summary = format!("shrunk repro of fuzz case {case} (seed {run_seed})");
         let repro_path = match repro_dir {
@@ -342,7 +323,7 @@ pub fn fuzz(
         };
         let shrunk_clients = match &min.world {
             World::Fleet(c) => c.clients,
-            World::Host(_) => 1,
+            World::Host { .. } => 1,
         };
         failures.push(FuzzFailure {
             case: case as u64,
@@ -373,9 +354,8 @@ pub fn replay_corpus(out_dir: Option<&Path>) -> std::io::Result<Vec<ChaosReport>
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)?;
         for report in &reports {
-            let mut body = serde_json::to_string_pretty(report).expect("chaos report serializes");
-            body.push('\n');
-            std::fs::write(dir.join(format!("{}.report.json", report.scenario)), body)?;
+            let path = dir.join(format!("{}.report.json", report.scenario));
+            std::fs::write(path, report_json(report))?;
         }
     }
     Ok(reports)

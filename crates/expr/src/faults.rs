@@ -14,19 +14,21 @@
 //! [`FaultPlan`]: emptcp_faults::FaultPlan
 
 use crate::host::Simulation;
-use crate::scenario::{Scenario, Workload};
 use crate::strategy::Strategy;
 use emptcp_scenario::{corpus, World};
 use emptcp_telemetry::Telemetry;
 use serde::{Deserialize, Serialize};
 
-/// Download size every fault run moves: large enough that every scenario's
-/// fault window lands mid-transfer, small enough for CI.
-pub const TRANSFER_BYTES: u64 = 16 << 20;
-
 /// Sorted names of the fault library: the corpus scenarios whose scripts
 /// assume a transfer that starts at t = 0 and is still in flight through
-/// the first ~20 s, which a [`TRANSFER_BYTES`] download guarantees.
+/// the first ~20 s, which the 16 MiB download over good static WiFi and
+/// LTE their files declare guarantees — large enough that every fault
+/// window lands mid-transfer, small enough for CI, and quiet enough that
+/// every slowdown and recovery in the report is the injected faults'.
+/// Each file also names the strategy it exercises: cellular-side faults
+/// and a congested core name plain MPTCP, which has a cellular subflow up
+/// *before* the fault hits; WiFi-side faults name eMPTCP, whose controller
+/// normally keeps cellular asleep and must wake it to recover.
 pub const NAMES: [&str; 6] = [
     "ap-vanish",
     "burst-loss-storm",
@@ -40,34 +42,6 @@ pub const NAMES: [&str; 6] = [
 /// for a name outside the library.
 pub fn load(name: &str) -> Option<emptcp_scenario::Scenario> {
     NAMES.contains(&name).then(|| corpus::load(name)).flatten()
-}
-
-/// The strategy a named fault scenario exercises, read from its file.
-/// Cellular-side faults and a congested core name plain MPTCP, which has
-/// a cellular subflow up *before* the fault hits; WiFi-side faults name
-/// eMPTCP, whose controller normally keeps cellular asleep and must wake
-/// it to recover.
-pub fn strategy_for(name: &str) -> Option<Strategy> {
-    declared_strategy(&load(name)?)
-}
-
-fn declared_strategy(sc: &emptcp_scenario::Scenario) -> Option<Strategy> {
-    match &sc.world {
-        World::Host(host) => Some(crate::chaos::strategy_of(host.strategy)),
-        World::Fleet(_) => None,
-    }
-}
-
-/// The environment every fault scenario runs in: good static WiFi and LTE,
-/// so every slowdown and recovery in the report is attributable to the
-/// injected faults rather than to environmental noise.
-pub fn base_scenario(name: &str) -> Scenario {
-    let mut s = Scenario::static_good_wifi();
-    s.name = format!("faults/{name}");
-    s.workload = Workload::Download {
-        size: TRANSFER_BYTES,
-    };
-    s
 }
 
 /// Everything the `simulate faults` CLI prints about one scenario.
@@ -133,11 +107,14 @@ pub fn run_scenario_traced(
 ) -> Option<ResilienceReport> {
     let sc = load(name)?;
     let plan = sc.fault_plan();
-    let strategy = declared_strategy(&sc)?;
-    let baseline = Simulation::new(base_scenario(name), strategy, seed).run();
+    let World::Host { strategy, scenario } = sc.world else {
+        return None;
+    };
+    let strategy = Strategy::from(strategy);
+    let size_bytes = scenario.workload.owed_bytes()?;
+    let baseline = Simulation::new(scenario.clone(), strategy, seed).run();
 
-    let mut sim =
-        Simulation::new_with_telemetry(base_scenario(name), strategy, seed, telemetry.clone());
+    let mut sim = Simulation::new_with_telemetry(scenario, strategy, seed, telemetry.clone());
     sim.attach_faults(plan);
     let faulted = sim.run();
     let invariant_violations = telemetry.violations().len() as u64;
@@ -149,7 +126,7 @@ pub fn run_scenario_traced(
         scenario: name.to_string(),
         strategy: strategy.label().to_string(),
         seed,
-        size_bytes: TRANSFER_BYTES,
+        size_bytes,
         completed: faulted.completed,
         bytes_delivered: faulted.bytes_delivered,
         baseline_time_s: baseline.download_time_s,
@@ -253,11 +230,12 @@ mod tests {
     }
 
     #[test]
-    fn every_scenario_has_a_strategy_and_base() {
+    fn every_scenario_declares_a_host_download() {
         for name in NAMES {
-            let s = base_scenario(name);
-            assert_eq!(s.name, format!("faults/{name}"));
-            assert!(strategy_for(name).is_some(), "{name} is not a host world");
+            let World::Host { scenario, .. } = load(name).unwrap().world else {
+                panic!("{name} is not a host world");
+            };
+            assert_eq!(scenario.workload.owed_bytes(), Some(16 << 20), "{name}");
         }
     }
 

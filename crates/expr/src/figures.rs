@@ -81,6 +81,13 @@ impl Config {
         self.fleet_shards
             .unwrap_or(if self.fleet_clients >= 1024 { 8 } else { 1 })
     }
+
+    /// The §4 bulk download at this scale.
+    fn bulk(&self) -> Workload {
+        Workload::Download {
+            size: self.bulk_size,
+        }
+    }
 }
 
 /// Run `runs` seeded repetitions of a strategy through a scenario on the
@@ -97,16 +104,6 @@ where
     runner::run_points(runs, |i| run(make(), strategy, seed_of(i)))
 }
 
-/// Fan `n` sweep points out across the current [`runner`] pool, collecting
-/// results in index order — the sweep-exhibit analogue of [`repeat_runs`].
-fn sweep_points<T, F>(n: usize, point: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    runner::run_points(n, point)
-}
-
 /// The runs behind the single-run figures. Figs 7, 9 and 12 each plot one
 /// run per strategy — and export its time series — of the scenario Figs 8,
 /// 10 and 13 average. This is the one list of those runs: the figures
@@ -114,16 +111,11 @@ where
 /// shared-run memo to keep their series, which it drops from every other
 /// run it holds. Empty for every other exhibit.
 pub(crate) fn series_runs(id: &str, cfg: &Config) -> Vec<(Scenario, Strategy, u64)> {
-    let bulk = |mut s: Scenario| {
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
+    let bulk = cfg.bulk();
     let lab = lab_strategies();
     let (scenario, strategies) = match id {
-        "fig7" => (bulk(Scenario::bandwidth_changes()), &lab[..]),
-        "fig9" => (bulk(Scenario::background_traffic(2, 0.025)), &lab[..2]),
+        "fig7" => (Scenario::bandwidth_changes().with(bulk), &lab[..]),
+        "fig9" => (Scenario::background_traffic(2, 0.025).with(bulk), &lab[..2]),
         "fig12" => (Scenario::mobility(), &lab[..]),
         _ => return Vec::new(),
     };
@@ -136,7 +128,7 @@ pub(crate) fn series_runs(id: &str, cfg: &Config) -> Vec<(Scenario, Strategy, u6
 /// Simulate a single-run figure's runs, one sweep point each.
 fn run_series(id: &str, cfg: &Config) -> Vec<RunResult> {
     let runs = series_runs(id, cfg);
-    sweep_points(runs.len(), |i| {
+    runner::run_points(runs.len(), |i| {
         let (scenario, strategy, seed) = runs[i].clone();
         run(scenario, strategy, seed)
     })
@@ -153,18 +145,18 @@ struct StrategySummary {
     runs: usize,
 }
 
+/// The mean of one quantity over the runs, summed in run order.
+fn mean_of(results: &[RunResult], x: impl Fn(&RunResult) -> f64) -> f64 {
+    results.iter().map(x).sum::<f64>() / results.len() as f64
+}
+
 fn summarize(results: &[RunResult]) -> StrategySummary {
     StrategySummary {
         strategy: results[0].strategy.clone(),
-        energy: MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>()),
-        time: MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.download_time_s)
-                .collect::<Vec<_>>(),
-        ),
-        wifi_bytes: results.iter().map(|r| r.wifi_bytes as f64).sum::<f64>() / results.len() as f64,
-        cell_bytes: results.iter().map(|r| r.cell_bytes as f64).sum::<f64>() / results.len() as f64,
+        energy: MeanSem::over(results, |r| r.energy_j),
+        time: MeanSem::over(results, |r| r.download_time_s),
+        wifi_bytes: mean_of(results, |r| r.wifi_bytes as f64),
+        cell_bytes: mean_of(results, |r| r.cell_bytes as f64),
         completed: results.iter().filter(|r| r.completed).count(),
         runs: results.len(),
     }
@@ -367,37 +359,27 @@ fn lab_strategies() -> [Strategy; 3] {
     ]
 }
 
-fn run_lab(make: impl Fn() -> Scenario + Sync, cfg: &Config) -> Vec<StrategySummary> {
+/// `runs` seeded repetitions under each lab strategy, one sweep point per
+/// strategy, summarized.
+fn run_lab(make: impl Fn() -> Scenario + Sync, runs: usize, cfg: &Config) -> Vec<StrategySummary> {
     let strategies = lab_strategies();
-    sweep_points(strategies.len(), |i| {
-        summarize(&repeat_runs(&make, strategies[i], cfg.runs, cfg.seed))
+    runner::run_points(strategies.len(), |i| {
+        summarize(&repeat_runs(&make, strategies[i], runs, cfg.seed))
     })
 }
 
 /// Fig 5: static good WiFi.
 pub fn fig5(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
-    let summaries = run_lab(make, cfg);
+    let make = || Scenario::static_good_wifi().with(cfg.bulk());
+    let summaries = run_lab(make, cfg.runs, cfg);
     let t = energy_time_table("Fig 5: static good WiFi (>10 Mbps)", &summaries);
     FigureOutput::new("fig5", vec![t], summaries)
 }
 
 /// Fig 6: static bad WiFi.
 pub fn fig6(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::static_bad_wifi();
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
-    let summaries = run_lab(make, cfg);
+    let make = || Scenario::static_bad_wifi().with(cfg.bulk());
+    let summaries = run_lab(make, cfg.runs, cfg);
     let t = energy_time_table("Fig 6: static bad WiFi (<1 Mbps)", &summaries);
     FigureOutput::new("fig6", vec![t], summaries)
 }
@@ -433,32 +415,21 @@ pub fn fig7(cfg: &Config) -> FigureOutput {
 
 /// Fig 8: random bandwidth changes, mean ± SEM over many runs.
 pub fn fig8(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::bandwidth_changes();
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
+    let make = || Scenario::bandwidth_changes().with(cfg.bulk());
     let runs = (cfg.runs * 2).max(2); // the paper uses 10 here
-    let strategies = lab_strategies();
-    let summaries: Vec<StrategySummary> = sweep_points(strategies.len(), |i| {
-        summarize(&repeat_runs(make, strategies[i], runs, cfg.seed))
-    });
+    let summaries = run_lab(make, runs, cfg);
     let t = energy_time_table("Fig 8: random WiFi bandwidth changes", &summaries);
     FigureOutput::new("fig8", vec![t], summaries)
 }
 
 /// Fig 9: throughput traces with background traffic (n=2, λoff=0.025).
 pub fn fig9(cfg: &Config) -> FigureOutput {
-    let mut pair = run_series("fig9", cfg);
-    let emptcp = pair.pop().expect("two runs");
-    let mptcp = pair.pop().expect("two runs");
+    let runs = run_series("fig9", cfg);
     let mut t = Table::new(
         "Fig 9: background traffic traces (n=2, lambda_off=0.025)",
         &["strategy", "wifi MB", "cell MB", "time (s)"],
     );
-    for r in [&mptcp, &emptcp] {
+    for r in &runs {
         t.row(vec![
             r.strategy.clone(),
             f(r.wifi_bytes as f64 / MB as f64),
@@ -466,8 +437,8 @@ pub fn fig9(cfg: &Config) -> FigureOutput {
             f(r.download_time_s),
         ]);
     }
-    let mut out = FigureOutput::new("fig9", vec![t], (&mptcp, &emptcp));
-    for r in [&mptcp, &emptcp] {
+    let mut out = FigureOutput::new("fig9", vec![t], &runs);
+    for r in &runs {
         let tag = r.strategy.to_lowercase().replace(' ', "_");
         out = out
             .with_csv(&format!("wifi_{tag}"), r.wifi_thpt_trace.to_csv())
@@ -487,15 +458,9 @@ pub fn fig10(cfg: &Config) -> FigureOutput {
     // One sweep point per (n, λoff) combination; each point needs its
     // MPTCP baseline before the relative numbers, so the three strategies
     // stay nested inside the point.
-    let cells = sweep_points(combos.len(), |ci| {
+    let cells = runner::run_points(combos.len(), |ci| {
         let (n, loff) = combos[ci];
-        let make = || {
-            let mut s = Scenario::background_traffic(n, loff);
-            s.workload = Workload::Download {
-                size: cfg.bulk_size,
-            };
-            s
-        };
+        let make = || Scenario::background_traffic(n, loff).with(cfg.bulk());
         let base = summarize(&repeat_runs(make, Strategy::Mptcp, cfg.runs, cfg.seed));
         [Strategy::emptcp_default(), Strategy::TcpWifi]
             .into_iter()
@@ -544,29 +509,18 @@ pub fn fig12(cfg: &Config) -> FigureOutput {
 
 /// Fig 13: mobility, per-byte energy and download amount (mean ± SEM).
 pub fn fig13(cfg: &Config) -> FigureOutput {
-    let make = Scenario::mobility;
     let mut t = Table::new(
         "Fig 13: mobility walk over 250 s",
         &["strategy", "uJ/byte", "downloaded (MB)"],
     );
     let mut payload = Vec::new();
     let strategies = lab_strategies();
-    let per_strategy = sweep_points(strategies.len(), |i| {
-        repeat_runs(make, strategies[i], cfg.runs, cfg.seed)
+    let per_strategy = runner::run_points(strategies.len(), |i| {
+        repeat_runs(Scenario::mobility, strategies[i], cfg.runs, cfg.seed)
     });
     for (&st, results) in strategies.iter().zip(&per_strategy) {
-        let jpb = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.joules_per_byte * 1e6)
-                .collect::<Vec<_>>(),
-        );
-        let amount = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.bytes_delivered as f64 / MB as f64)
-                .collect::<Vec<_>>(),
-        );
+        let jpb = MeanSem::over(results, |r| r.joules_per_byte * 1e6);
+        let amount = MeanSem::over(results, |r| r.bytes_delivered as f64 / MB as f64);
         t.row(vec![
             st.label().to_string(),
             pm(jpb.mean, jpb.sem),
@@ -592,7 +546,6 @@ pub fn sec46(cfg: &Config) -> FigureOutput {
 
     // Compare on the mobility scenario (where WiFi-First's weakness shows:
     // the WiFi association never breaks, so it degenerates to TCP/WiFi).
-    let make = Scenario::mobility;
     let strategies = [
         Strategy::emptcp_default(),
         Strategy::WifiFirst,
@@ -604,20 +557,13 @@ pub fn sec46(cfg: &Config) -> FigureOutput {
         &["strategy", "energy (J)", "downloaded MB", "cell MB"],
     );
     let mut payload = Vec::new();
-    let per_strategy = sweep_points(strategies.len(), |i| {
-        repeat_runs(make, strategies[i], cfg.runs, cfg.seed)
+    let per_strategy = runner::run_points(strategies.len(), |i| {
+        repeat_runs(Scenario::mobility, strategies[i], cfg.runs, cfg.seed)
     });
     for (&st, results) in strategies.iter().zip(&per_strategy) {
-        let e = MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-        let dl = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.bytes_delivered as f64 / MB as f64)
-                .collect::<Vec<_>>(),
-        );
-        let cell = results.iter().map(|r| r.cell_bytes as f64).sum::<f64>()
-            / results.len() as f64
-            / MB as f64;
+        let e = MeanSem::over(results, |r| r.energy_j);
+        let dl = MeanSem::over(results, |r| r.bytes_delivered as f64 / MB as f64);
+        let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
         t.row(vec![
             st.label().to_string(),
             pm(e.mean, e.sem),
@@ -633,7 +579,6 @@ pub fn sec46(cfg: &Config) -> FigureOutput {
 /// mid-download) across every strategy — the §4.6 comparison on the case
 /// Single-Path mode and WiFi-First were actually built for.
 pub fn handover(cfg: &Config) -> FigureOutput {
-    let make = Scenario::wifi_outage;
     let strategies = [
         Strategy::Mptcp,
         Strategy::emptcp_default(),
@@ -652,22 +597,14 @@ pub fn handover(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    let per_strategy = sweep_points(strategies.len(), |i| {
-        repeat_runs(make, strategies[i], cfg.runs, cfg.seed)
+    let per_strategy = runner::run_points(strategies.len(), |i| {
+        repeat_runs(Scenario::wifi_outage, strategies[i], cfg.runs, cfg.seed)
     });
     for (&st, results) in strategies.iter().zip(&per_strategy) {
-        let e = MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-        let time = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.download_time_s)
-                .collect::<Vec<_>>(),
-        );
-        let cell = results.iter().map(|r| r.cell_bytes as f64).sum::<f64>()
-            / results.len() as f64
-            / MB as f64;
-        let promos =
-            results.iter().map(|r| r.promotions).sum::<u64>() as f64 / results.len() as f64;
+        let e = MeanSem::over(results, |r| r.energy_j);
+        let time = MeanSem::over(results, |r| r.download_time_s);
+        let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
+        let promos = mean_of(results, |r| r.promotions as f64);
         t.row(vec![
             st.label().to_string(),
             pm(e.mean, e.sem),
@@ -789,11 +726,7 @@ pub fn fig16(cfg: &Config) -> (FigureOutput, Vec<WildTrace>) {
 
 /// Fig 17: the web-browsing case study.
 pub fn fig17(cfg: &Config) -> FigureOutput {
-    let make = Scenario::web_browsing;
-    let strategies = lab_strategies();
-    let summaries: Vec<StrategySummary> = sweep_points(strategies.len(), |i| {
-        summarize(&repeat_runs(make, strategies[i], cfg.runs.max(3), cfg.seed))
-    });
+    let summaries = run_lab(Scenario::web_browsing, cfg.runs.max(3), cfg);
     let mut t = Table::new(
         "Fig 17: web browsing (107 objects, 6 connections)",
         &["strategy", "energy (J)", "latency (s)", "cell MB"],
@@ -813,31 +746,25 @@ pub fn fig17(cfg: &Config) -> FigureOutput {
 /// same 16 MB bad-WiFi download — the device dimension the paper carries
 /// through Figs 1/3 but only evaluates on the Galaxy S3.
 pub fn devices(cfg: &Config) -> FigureOutput {
-    use emptcp_energy::DeviceProfile;
+    use crate::scenario::DeviceKind;
     use emptcp_phy::IfaceKind;
     let mut t = Table::new(
         "Extension: device/radio grid, 16 MB download on bad WiFi",
         &["device", "radio", "strategy", "energy (J)", "time (s)"],
     );
     let mut payload = Vec::new();
-    let grid: Vec<(&str, DeviceProfile, IfaceKind)> = [
-        ("Galaxy S3", DeviceProfile::galaxy_s3()),
-        ("Nexus 5", DeviceProfile::nexus_5()),
-    ]
-    .into_iter()
-    .flat_map(|(dev_name, profile)| {
-        [IfaceKind::CellularLte, IfaceKind::Cellular3g]
-            .into_iter()
-            .map(move |kind| (dev_name, profile.clone(), kind))
-    })
-    .collect();
+    let grid = [
+        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::CellularLte),
+        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::Cellular3g),
+        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::CellularLte),
+        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::Cellular3g),
+    ];
     // One sweep point per (device, radio) cell.
-    let cells = sweep_points(grid.len(), |gi| {
-        let (dev_name, profile, kind) = &grid[gi];
+    let cells = runner::run_points(grid.len(), |gi| {
+        let (dev_name, device, kind) = &grid[gi];
         let make = || {
-            let mut s = Scenario::static_bad_wifi();
-            s.workload = Workload::Download { size: 16 * MB };
-            s.profile = profile.clone();
+            let mut s = Scenario::static_bad_wifi().with(Workload::Download { size: 16 * MB });
+            s.device = *device;
             s.cell_kind = *kind;
             // 3G tops out far lower than LTE.
             if *kind == IfaceKind::Cellular3g {
@@ -849,13 +776,8 @@ pub fn devices(cfg: &Config) -> FigureOutput {
             .into_iter()
             .map(|st| {
                 let results = repeat_runs(make, st, cfg.runs.min(3), cfg.seed);
-                let e = MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-                let time = MeanSem::of(
-                    &results
-                        .iter()
-                        .map(|r| r.download_time_s)
-                        .collect::<Vec<_>>(),
-                );
+                let e = MeanSem::over(&results, |r| r.energy_j);
+                let time = MeanSem::over(&results, |r| r.download_time_s);
                 (*dev_name, kind.label(), st.label().to_string(), e, time)
             })
             .collect::<Vec<_>>()
@@ -879,64 +801,35 @@ pub fn ablations(cfg: &Config) -> FigureOutput {
     use emptcp::EmptcpConfig;
     use emptcp_sim::SimDuration;
 
-    let make = || {
-        let mut s = Scenario::bandwidth_changes();
-        s.workload = Workload::Download {
-            size: cfg.bulk_size,
-        };
-        s
-    };
-    let variants: Vec<(&str, EmptcpConfig)> = vec![
-        ("default", EmptcpConfig::default()),
-        ("no hysteresis", {
-            let mut c = EmptcpConfig::default();
-            c.controller.safety_factor = 0.0;
-            c
-        }),
-        ("no dwell", {
-            let mut c = EmptcpConfig::default();
-            c.controller.min_dwell = SimDuration::ZERO;
-            c
-        }),
-        ("no hysteresis, no dwell", {
-            let mut c = EmptcpConfig::default();
+    let make = || Scenario::bandwidth_changes().with(cfg.bulk());
+    // Each variant is one edit of the default configuration. The forecaster
+    // ablations (§3.2 argues for Holt-Winters): last-sample is Holt-Winters
+    // with alpha=1/beta=0, EWMA is beta=0.
+    type Edit = fn(&mut EmptcpConfig);
+    let variants: [(&str, Edit); 9] = [
+        ("default", |_| {}),
+        ("no hysteresis", |c| c.controller.safety_factor = 0.0),
+        ("no dwell", |c| c.controller.min_dwell = SimDuration::ZERO),
+        ("no hysteresis, no dwell", |c| {
             c.controller.safety_factor = 0.0;
             c.controller.min_dwell = SimDuration::ZERO;
-            c
         }),
-        ("adaptive tau", {
-            let mut c = EmptcpConfig::default();
-            c.delay.adaptive_tau = true;
-            c
+        ("adaptive tau", |c| c.delay.adaptive_tau = true),
+        ("cellular-only allowed", |c| {
+            c.controller.allow_cellular_only = true
         }),
-        ("cellular-only allowed", {
-            let mut c = EmptcpConfig::default();
-            c.controller.allow_cellular_only = true;
-            c
+        ("kappa = 64 kB", |c| c.delay.kappa_bytes = 64 << 10),
+        ("last-sample predictor", |c| {
+            c.predictor_alpha = 1.0;
+            c.predictor_beta = 0.0;
         }),
-        ("kappa = 64 kB", {
-            let mut c = EmptcpConfig::default();
-            c.delay.kappa_bytes = 64 << 10;
-            c
-        }),
-        // Forecaster ablations (§3.2 argues for Holt-Winters): last-sample
-        // is Holt-Winters with alpha=1/beta=0, EWMA is beta=0.
-        (
-            "last-sample predictor",
-            EmptcpConfig {
-                predictor_alpha: 1.0,
-                predictor_beta: 0.0,
-                ..EmptcpConfig::default()
-            },
-        ),
-        (
-            "ewma predictor (no trend)",
-            EmptcpConfig {
-                predictor_beta: 0.0,
-                ..EmptcpConfig::default()
-            },
-        ),
+        ("ewma predictor (no trend)", |c| c.predictor_beta = 0.0),
     ];
+    let config = |edit: Edit| {
+        let mut c = EmptcpConfig::default();
+        edit(&mut c);
+        c
+    };
     let mut t = Table::new(
         "Extension: eMPTCP ablations on random WiFi bandwidth changes",
         &[
@@ -949,21 +842,15 @@ pub fn ablations(cfg: &Config) -> FigureOutput {
     );
     let mut payload = Vec::new();
     // One sweep point per ablation variant.
-    let per_variant = sweep_points(variants.len(), |vi| {
-        repeat_runs(make, Strategy::Emptcp(variants[vi].1), cfg.runs, cfg.seed)
+    let per_variant = runner::run_points(variants.len(), |vi| {
+        let strategy = Strategy::Emptcp(config(variants[vi].1));
+        repeat_runs(make, strategy, cfg.runs, cfg.seed)
     });
     for ((name, _), results) in variants.iter().zip(&per_variant) {
-        let e = MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-        let time = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.download_time_s)
-                .collect::<Vec<_>>(),
-        );
-        let switches =
-            results.iter().map(|r| r.usage_switches).sum::<u64>() as f64 / results.len() as f64;
-        let promos =
-            results.iter().map(|r| r.promotions).sum::<u64>() as f64 / results.len() as f64;
+        let e = MeanSem::over(results, |r| r.energy_j);
+        let time = MeanSem::over(results, |r| r.download_time_s);
+        let switches = mean_of(results, |r| r.usage_switches as f64);
+        let promos = mean_of(results, |r| r.promotions as f64);
         t.row(vec![
             name.to_string(),
             pm(e.mean, e.sem),
@@ -978,21 +865,9 @@ pub fn ablations(cfg: &Config) -> FigureOutput {
 
 /// Extension (paper §7 future work): a 64 MB upload from the device.
 pub fn upload(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::upload();
-        s.workload = Workload::Upload {
-            size: cfg.bulk_size.min(64 * MB),
-        };
-        s
-    };
-    let strategies = [
-        Strategy::Mptcp,
-        Strategy::emptcp_default(),
-        Strategy::TcpWifi,
-    ];
-    let summaries: Vec<_> = sweep_points(strategies.len(), |i| {
-        summarize(&repeat_runs(make, strategies[i], cfg.runs, cfg.seed))
-    });
+    let size = cfg.bulk_size.min(64 * MB);
+    let make = || Scenario::upload().with(Workload::Upload { size });
+    let summaries = run_lab(make, cfg.runs, cfg);
     let t = energy_time_table("Extension: upload over good WiFi", &summaries);
     FigureOutput::new("upload", vec![t], summaries)
 }
@@ -1000,7 +875,6 @@ pub fn upload(cfg: &Config) -> FigureOutput {
 /// Extension (paper §7 future work): chunked video streaming over a
 /// bandwidth-modulated AP; the metric that matters is rebuffer events.
 pub fn streaming(cfg: &Config) -> FigureOutput {
-    let make = Scenario::streaming;
     let mut t = Table::new(
         "Extension: 1 MB / 4 s video streaming over modulated WiFi (200 s)",
         &[
@@ -1018,26 +892,14 @@ pub fn streaming(cfg: &Config) -> FigureOutput {
         Strategy::TcpWifi,
         Strategy::WifiFirst,
     ];
-    let per_strategy = sweep_points(strategies.len(), |i| {
-        repeat_runs(make, strategies[i], cfg.runs, cfg.seed)
+    let per_strategy = runner::run_points(strategies.len(), |i| {
+        repeat_runs(Scenario::streaming, strategies[i], cfg.runs, cfg.seed)
     });
     for (&st, results) in strategies.iter().zip(&per_strategy) {
-        let e = MeanSem::of(&results.iter().map(|r| r.energy_j).collect::<Vec<_>>());
-        let rebuffers = MeanSem::of(
-            &results
-                .iter()
-                .map(|r| r.rebuffer_events as f64)
-                .collect::<Vec<_>>(),
-        );
-        let delivered = results
-            .iter()
-            .map(|r| r.bytes_delivered as f64)
-            .sum::<f64>()
-            / results.len() as f64
-            / MB as f64;
-        let cell = results.iter().map(|r| r.cell_bytes as f64).sum::<f64>()
-            / results.len() as f64
-            / MB as f64;
+        let e = MeanSem::over(results, |r| r.energy_j);
+        let rebuffers = MeanSem::over(results, |r| r.rebuffer_events as f64);
+        let delivered = mean_of(results, |r| r.bytes_delivered as f64) / MB as f64;
+        let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
         t.row(vec![
             st.label().to_string(),
             pm(e.mean, e.sem),
@@ -1054,11 +916,7 @@ pub fn streaming(cfg: &Config) -> FigureOutput {
 /// energy for a 16 MB good-WiFi download (the fixed-overhead story of
 /// §2.3/Fig 1, read off the meter instead of the model).
 pub fn breakdown(cfg: &Config) -> FigureOutput {
-    let make = || {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::Download { size: 16 * MB };
-        s
-    };
+    let make = || Scenario::static_good_wifi().with(Workload::Download { size: 16 * MB });
     let mut t = Table::new(
         "Extension: cellular energy by RRC state, 16 MB on good WiFi",
         &[
@@ -1076,13 +934,13 @@ pub fn breakdown(cfg: &Config) -> FigureOutput {
         Strategy::TcpCellular,
         Strategy::WifiFirst,
     ];
-    let per_strategy = sweep_points(strategies.len(), |i| {
+    let per_strategy = runner::run_points(strategies.len(), |i| {
         repeat_runs(make, strategies[i], cfg.runs.min(3), cfg.seed)
     });
     for (&st, results) in strategies.iter().zip(&per_strategy) {
-        let total = results.iter().map(|r| r.energy_j).sum::<f64>() / results.len() as f64;
-        let promo = results.iter().map(|r| r.promo_energy_j).sum::<f64>() / results.len() as f64;
-        let tail = results.iter().map(|r| r.tail_energy_j).sum::<f64>() / results.len() as f64;
+        let total = mean_of(results, |r| r.energy_j);
+        let promo = mean_of(results, |r| r.promo_energy_j);
+        let tail = mean_of(results, |r| r.tail_energy_j);
         t.row(vec![
             st.label().to_string(),
             f(total),
@@ -1112,26 +970,21 @@ pub fn sweep_hold(cfg: &Config) -> FigureOutput {
     let mut payload = Vec::new();
     let holds = [10.0f64, 20.0, 40.0, 80.0];
     // One sweep point per holding time.
-    let cells = sweep_points(holds.len(), |hi| {
+    let cells = runner::run_points(holds.len(), |hi| {
         let hold = holds[hi];
         let make = || {
-            let mut s = Scenario::bandwidth_changes();
+            let mut s = Scenario::bandwidth_changes().with(cfg.bulk());
             s.wifi = crate::scenario::WifiEnvironment::Modulated {
                 mean_hold_s: hold,
                 start_high: false,
-            };
-            s.workload = Workload::Download {
-                size: cfg.bulk_size,
             };
             s
         };
         let base = summarize(&repeat_runs(make, Strategy::Mptcp, cfg.runs, cfg.seed));
         let results = repeat_runs(make, Strategy::emptcp_default(), cfg.runs, cfg.seed);
         let me = summarize(&results);
-        let switches =
-            results.iter().map(|r| r.usage_switches).sum::<u64>() as f64 / results.len() as f64;
-        let promos =
-            results.iter().map(|r| r.promotions).sum::<u64>() as f64 / results.len() as f64;
+        let switches = mean_of(&results, |r| r.usage_switches as f64);
+        let promos = mean_of(&results, |r| r.promotions as f64);
         let e_pct = 100.0 * me.energy.mean / base.energy.mean;
         let t_pct = 100.0 * me.time.mean / base.time.mean;
         (hold, e_pct, t_pct, switches, promos)
@@ -1155,18 +1008,14 @@ pub fn sweep_kappa(cfg: &Config) -> FigureOutput {
     let kappas = [64u64 << 10, 256 << 10, 1 << 20, 4 << 20];
     let sizes = [256u64 << 10, 1 << 20, 16 << 20];
     // Every (kappa, size) cell is an independent sweep point.
-    let cells = sweep_points(kappas.len() * sizes.len(), |i| {
+    let cells = runner::run_points(kappas.len() * sizes.len(), |i| {
         let kappa = kappas[i / sizes.len()];
         let size = sizes[i % sizes.len()];
-        let make = || {
-            let mut s = Scenario::static_bad_wifi();
-            s.workload = Workload::Download { size };
-            s
-        };
+        let make = || Scenario::static_bad_wifi().with(Workload::Download { size });
         let mut c = EmptcpConfig::default();
         c.delay.kappa_bytes = kappa;
         let results = repeat_runs(make, Strategy::Emptcp(c), cfg.runs.min(3), cfg.seed);
-        results.iter().map(|r| r.energy_j).sum::<f64>() / results.len() as f64
+        mean_of(&results, |r| r.energy_j)
     });
     for (ki, &kappa) in kappas.iter().enumerate() {
         let mut row = vec![format!("{} kB", kappa >> 10)];
@@ -1267,7 +1116,7 @@ impl emptcp_net::ShardExecutor for RunnerShardExecutor {
 pub fn fairness(cfg: &Config) -> FigureOutput {
     use emptcp_net::ShardedFleetSim;
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
-    let reports = sweep_points(variants.len(), |i| {
+    let reports = runner::run_points(variants.len(), |i| {
         let mut fc = emptcp_net::FleetConfig::do_no_harm_cell(cfg.seed);
         fc.coupled = variants[i].1;
         ShardedFleetSim::new_with_telemetry(fc, 1, emptcp_telemetry::current()).run()

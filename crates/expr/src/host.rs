@@ -24,7 +24,7 @@ use crate::strategy::Strategy;
 use emptcp::{Action, EmptcpClient, IfaceTotals};
 use emptcp_energy::{Eib, EnergyMeter, EnergyModel, RadioSnapshot};
 use emptcp_faults::{FaultInjector, FaultPlan, FaultSurface, FaultTarget};
-use emptcp_mptcp::{MpConnection, RecoveryStats, Role, SubflowId};
+use emptcp_mptcp::{MpConnection, RecoveryStats, Role, Subflow, SubflowId};
 use emptcp_phy::link::{EnqueueOutcome, LossModel};
 use emptcp_phy::mobility::MobilityModel;
 use emptcp_phy::path::{Direction, Path, PathConfig};
@@ -32,7 +32,7 @@ use emptcp_phy::rrc::RrcState;
 use emptcp_phy::{IfaceKind, RrcMachine, WifiChannel};
 use emptcp_sim::trace::TimeSeries;
 use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
-use emptcp_tcp::{SegRef, SegSlabStats, Segment, SegmentSlab, TcpConfig};
+use emptcp_tcp::{SegRef, Segment, SegmentSlab, TcpConfig};
 use emptcp_telemetry::Telemetry;
 use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS};
 use emptcp_workload::{BandwidthModulator, InterfererSet};
@@ -141,18 +141,13 @@ struct ConnState {
 }
 
 impl ConnState {
+    /// Every subflow of the connection, the client's then the server's.
+    fn subflows(&self) -> impl Iterator<Item = &Subflow> {
+        self.client.subflows().iter().chain(self.server.subflows())
+    }
+
     fn total_retransmissions(&self) -> u64 {
-        self.client
-            .subflows()
-            .iter()
-            .map(|sf| sf.tcp.retransmissions())
-            .sum::<u64>()
-            + self
-                .server
-                .subflows()
-                .iter()
-                .map(|sf| sf.tcp.retransmissions())
-                .sum::<u64>()
+        self.subflows().map(|sf| sf.tcp.retransmissions()).sum()
     }
 }
 
@@ -170,7 +165,7 @@ pub struct Simulation {
     cell_pending: Vec<(usize, SubflowId, bool, Segment)>,
     cell_ready_scheduled: bool,
     /// In-flight segments parked while their [`Event::Deliver`] is queued;
-    /// doubles as the run's leak oracle ([`Simulation::seg_slab_stats`]).
+    /// doubles as the run's leak oracle (checked in `finish`).
     seg_slab: SegmentSlab,
 
     modulator: Option<BandwidthModulator>,
@@ -247,64 +242,55 @@ impl Simulation {
         telemetry: Telemetry,
     ) -> Simulation {
         let mut rng = SimRng::new(seed);
-        let model = EnergyModel::new(scenario.profile.clone(), scenario.cell_kind);
-        let meter = EnergyMeter::new(model.clone(), SimTime::ZERO, scenario.baseline_w);
+        let model = EnergyModel::new(scenario.device.profile(), scenario.cell_kind);
+        let mut meter = EnergyMeter::new(model.clone(), SimTime::ZERO, scenario.baseline_w);
 
-        let modulator = match &scenario.wifi {
+        // The one process that drives the WiFi capacity, and where it starts.
+        let (mut modulator, mut interferers, mut mobility) = (None, None, None);
+        let initial_wifi_bps = match &scenario.wifi {
+            WifiEnvironment::Static { bps } | WifiEnvironment::StaticWithOutage { bps, .. } => *bps,
             WifiEnvironment::Modulated {
                 mean_hold_s,
                 start_high,
-            } => Some(BandwidthModulator::new(
-                SimTime::ZERO,
-                *start_high,
-                1.0 / mean_hold_s,
-                emptcp_workload::bwplan::Band {
+            } => {
+                use emptcp_workload::bwplan::Band;
+                let high = Band {
                     lo_bps: 10_000_000,
                     hi_bps: 12_000_000,
-                },
-                emptcp_workload::bwplan::Band {
+                };
+                let low = Band {
                     lo_bps: 300_000,
                     hi_bps: 1_000_000,
-                },
-                &mut rng,
-            )),
-            _ => None,
-        };
-        let initial_wifi_bps = match &scenario.wifi {
-            WifiEnvironment::Static { bps } => *bps,
-            WifiEnvironment::Modulated { .. } => {
-                modulator.as_ref().expect("just built").current_bps()
+                };
+                let rate = 1.0 / mean_hold_s;
+                let m =
+                    BandwidthModulator::new(SimTime::ZERO, *start_high, rate, high, low, &mut rng);
+                modulator.insert(m).current_bps()
             }
-            WifiEnvironment::Contended { bps, .. } => *bps,
-            WifiEnvironment::Mobile { model } => model.wifi_goodput_bps(SimTime::ZERO),
-            WifiEnvironment::StaticWithOutage { bps, .. } => *bps,
+            WifiEnvironment::Contended { bps, n, lambda_off } => {
+                use emptcp_workload::interference::LAMBDA_ON;
+                interferers = Some(InterfererSet::new(
+                    SimTime::ZERO,
+                    *n,
+                    LAMBDA_ON,
+                    *lambda_off,
+                    &mut rng,
+                ));
+                *bps
+            }
+            WifiEnvironment::Mobile { model } => {
+                mobility = Some(model.clone());
+                model.wifi_goodput_bps(SimTime::ZERO)
+            }
         };
         let wifi_channel = WifiChannel::new(initial_wifi_bps);
-        let rrc_cfg = match scenario.cell_kind {
-            IfaceKind::Cellular3g => scenario.profile.threeg.rrc,
-            _ => scenario.profile.lte.rrc,
-        };
+        let rrc_cfg = model.cellular().rrc;
         let wifi_path = Path::new(PathConfig::wifi(initial_wifi_bps, scenario.wifi_rtt));
         let cell_path = Path::new(PathConfig::cellular(
             scenario.cell_kind,
             scenario.cell_bps,
             scenario.cell_rtt,
         ));
-
-        let interferers = match &scenario.wifi {
-            WifiEnvironment::Contended { n, lambda_off, .. } => Some(InterfererSet::new(
-                SimTime::ZERO,
-                *n,
-                emptcp_workload::interference::LAMBDA_ON,
-                *lambda_off,
-                &mut rng,
-            )),
-            _ => None,
-        };
-        let mobility = match &scenario.wifi {
-            WifiEnvironment::Mobile { model } => Some(model.clone()),
-            _ => None,
-        };
 
         let mdp_policy = if matches!(strategy, Strategy::MdpScheduler) {
             Some(crate::mdp::MdpPolicy::pluntke(&model))
@@ -314,7 +300,6 @@ impl Simulation {
 
         let mut rrc = RrcMachine::new(rrc_cfg);
         rrc.set_telemetry(telemetry.scope(0));
-        let mut meter = meter;
         meter.set_telemetry(telemetry.scope(0));
         let nominal_wifi_prop = wifi_path.down().prop_delay();
         let nominal_cell_prop = cell_path.down().prop_delay();
@@ -378,10 +363,6 @@ impl Simulation {
         self.injector = Some(injector);
     }
 
-    fn tcp_config(&self) -> TcpConfig {
-        TcpConfig::default()
-    }
-
     fn setup_connections(&mut self) {
         let now = SimTime::ZERO;
         let n_conns = match self.scenario.workload {
@@ -393,8 +374,8 @@ impl Simulation {
             self.web_queue = Some(FetchQueue::new(&page));
         }
         for conn_idx in 0..n_conns {
-            let mut client = MpConnection::new(Role::Client, self.tcp_config());
-            let mut server = MpConnection::new(Role::Server, self.tcp_config());
+            let mut client = MpConnection::new(Role::Client, TcpConfig::default());
+            let mut server = MpConnection::new(Role::Server, TcpConfig::default());
             // Both ends report under the same connection id; the client is
             // the device whose behaviour the traces describe.
             client.set_telemetry(self.telemetry.scope(conn_idx as u32));
@@ -418,7 +399,7 @@ impl Simulation {
             let engine = match &self.strategy {
                 Strategy::Emptcp(cfg) => {
                     let model =
-                        EnergyModel::new(self.scenario.profile.clone(), self.scenario.cell_kind);
+                        EnergyModel::new(self.scenario.device.profile(), self.scenario.cell_kind);
                     let eib = Eib::generate_default(&model);
                     let mut engine = EmptcpClient::new(*cfg, eib, self.scenario.cell_kind);
                     engine.set_telemetry(self.telemetry.scope(conn_idx as u32));
@@ -452,34 +433,46 @@ impl Simulation {
     // wire plumbing
     // ------------------------------------------------------------------
 
+    /// Offer `seg` to one path. A segment the link accepts is parked in the
+    /// slab until its [`Event::Deliver`] fires; a dropped one is gone.
+    fn transmit(
+        &mut self,
+        now: SimTime,
+        iface: IfaceKind,
+        conn: usize,
+        sf: SubflowId,
+        to_client: bool,
+        seg: Segment,
+    ) {
+        let dir = if to_client {
+            Direction::Down
+        } else {
+            Direction::Up
+        };
+        let path = if iface == IfaceKind::Wifi {
+            &mut self.wifi_path
+        } else {
+            &mut self.cell_path
+        };
+        if let EnqueueOutcome::Delivered(at) =
+            path.enqueue(dir, now, seg.wire_bytes(), &mut self.rng)
+        {
+            let seg = self.seg_slab.insert(seg);
+            let deliver = Event::Deliver {
+                conn,
+                sf,
+                to_client,
+                seg,
+            };
+            self.queue.schedule(at, deliver);
+        }
+    }
+
     fn send(&mut self, now: SimTime, conn: usize, sf: SubflowId, seg: Segment, from_client: bool) {
         let iface = self.conns[conn].client.subflow(sf).iface;
-        let dir = if from_client {
-            Direction::Up
-        } else {
-            Direction::Down
-        };
         if iface == IfaceKind::Wifi {
             if from_client {
                 self.window_bytes[0] += seg.wire_bytes();
-            }
-            match self
-                .wifi_path
-                .enqueue(dir, now, seg.wire_bytes(), &mut self.rng)
-            {
-                EnqueueOutcome::Delivered(at) => {
-                    let seg = self.seg_slab.insert(seg);
-                    self.queue.schedule(
-                        at,
-                        Event::Deliver {
-                            conn,
-                            sf,
-                            to_client: !from_client,
-                            seg,
-                        },
-                    );
-                }
-                EnqueueOutcome::Dropped(_) => {}
             }
         } else {
             // Cellular: the device radio must be connected.
@@ -495,25 +488,8 @@ impl Simulation {
             if from_client {
                 self.window_bytes[1] += seg.wire_bytes();
             }
-            match self
-                .cell_path
-                .enqueue(dir, now, seg.wire_bytes(), &mut self.rng)
-            {
-                EnqueueOutcome::Delivered(at) => {
-                    let seg = self.seg_slab.insert(seg);
-                    self.queue.schedule(
-                        at,
-                        Event::Deliver {
-                            conn,
-                            sf,
-                            to_client: !from_client,
-                            seg,
-                        },
-                    );
-                }
-                EnqueueOutcome::Dropped(_) => {}
-            }
         }
+        self.transmit(now, iface, conn, sf, !from_client, seg);
     }
 
     /// Put everything one endpoint of connection `i` has to say on the wire.
@@ -601,7 +577,7 @@ impl Simulation {
             self.on_subflow_established(now, conn, sf);
         }
         if !to_client {
-            self.feed_server(now, conn);
+            self.feed_server(conn);
         }
         // Only the endpoint the segment reached can have news: an empty
         // poll of the other side would change nothing.
@@ -618,7 +594,7 @@ impl Simulation {
                 engine.on_wifi_established(now, sf, &c.client);
             }
             if matches!(self.scenario.workload, Workload::WebPage) {
-                self.start_next_web_object(now, conn);
+                self.start_next_web_object(conn);
             }
         } else if Some(sf) == c.cell_sf {
             if let Some(engine) = c.engine.as_mut() {
@@ -628,8 +604,7 @@ impl Simulation {
     }
 
     /// Server-side workload logic: answer requests.
-    fn feed_server(&mut self, now: SimTime, conn: usize) {
-        let _ = now;
+    fn feed_server(&mut self, conn: usize) {
         let c = &mut self.conns[conn];
         let got = c.server.bytes_delivered();
         match self.scenario.workload {
@@ -665,8 +640,7 @@ impl Simulation {
     }
 
     /// Client-side web driving: fetch the next object when idle.
-    fn start_next_web_object(&mut self, now: SimTime, conn: usize) {
-        let _ = now;
+    fn start_next_web_object(&mut self, conn: usize) {
         let Some(queue) = self.web_queue.as_mut() else {
             return;
         };
@@ -692,34 +666,37 @@ impl Simulation {
             return;
         }
         let pending = std::mem::take(&mut self.cell_pending);
+        let kind = self.scenario.cell_kind;
         for (conn, sf, to_client, seg) in pending {
-            let dir = if to_client {
-                Direction::Down
-            } else {
-                Direction::Up
-            };
             if !to_client {
                 self.window_bytes[1] += seg.wire_bytes();
             }
-            match self
-                .cell_path
-                .enqueue(dir, now, seg.wire_bytes(), &mut self.rng)
-            {
-                EnqueueOutcome::Delivered(at) => {
-                    let seg = self.seg_slab.insert(seg);
-                    self.queue.schedule(
-                        at,
-                        Event::Deliver {
-                            conn,
-                            sf,
-                            to_client,
-                            seg,
-                        },
-                    );
-                }
-                EnqueueOutcome::Dropped(_) => {}
-            }
+            self.transmit(now, kind, conn, sf, to_client, seg);
         }
+    }
+
+    /// Open connection `i`'s cellular subflow on both ends and remember it.
+    fn open_cellular(&mut self, now: SimTime, i: usize) {
+        let kind = self.scenario.cell_kind;
+        let c = &mut self.conns[i];
+        let id = c.client.add_subflow(now, kind);
+        c.server.add_subflow(now, kind);
+        c.cell_sf = Some(id);
+    }
+
+    /// Payload bytes the device has moved over `iface`, all connections:
+    /// what the client saw acked for an upload, what reached it otherwise
+    /// (§3.2 samples per interface across all connections).
+    fn bytes_by_iface(&self, iface: IfaceKind) -> u64 {
+        let upload = matches!(self.scenario.workload, Workload::Upload { .. });
+        let moved = |c: &ConnState| {
+            if upload {
+                c.client.acked_by_iface(iface)
+            } else {
+                c.client.delivered_by_iface(iface)
+            }
+        };
+        self.conns.iter().map(moved).sum()
     }
 
     /// The WiFi association came or went: propagate link state to every
@@ -742,11 +719,7 @@ impl Simulation {
             {
                 // §2.1: Single-Path mode establishes a new subflow only
                 // after the current interface goes down.
-                let kind = self.scenario.cell_kind;
-                let c = &mut self.conns[i];
-                let id = c.client.add_subflow(now, kind);
-                c.server.add_subflow(now, kind);
-                c.cell_sf = Some(id);
+                self.open_cellular(now, i);
             }
         }
     }
@@ -764,13 +737,7 @@ impl Simulation {
     fn apply_engine_actions(&mut self, now: SimTime, conn: usize, actions: Vec<Action>) {
         for action in actions {
             match action {
-                Action::EstablishCellular => {
-                    let kind = self.scenario.cell_kind;
-                    let c = &mut self.conns[conn];
-                    let id = c.client.add_subflow(now, kind);
-                    c.server.add_subflow(now, kind);
-                    c.cell_sf = Some(id);
-                }
+                Action::EstablishCellular => self.open_cellular(now, conn),
                 Action::SetPriority { id, backup } => {
                     self.conns[conn]
                         .client
@@ -797,13 +764,7 @@ impl Simulation {
             let (wifi_sf, cell_sf) = (self.conns[i].wifi_sf, self.conns[i].cell_sf);
             if usage.uses_cellular() {
                 match cell_sf {
-                    None => {
-                        let kind = self.scenario.cell_kind;
-                        let c = &mut self.conns[i];
-                        let id = c.client.add_subflow(now, kind);
-                        c.server.add_subflow(now, kind);
-                        c.cell_sf = Some(id);
-                    }
+                    None => self.open_cellular(now, i),
                     Some(id) => {
                         self.conns[i].client.set_subflow_priority(now, id, false);
                     }
@@ -872,23 +833,10 @@ impl Simulation {
         self.rrc.poll(now);
 
         // 3. eMPTCP control loops, fed the device-wide per-interface
-        //    counters (§3.2 samples per interface across all connections).
-        let upload = matches!(self.scenario.workload, Workload::Upload { .. });
-        let per_iface = |conns: &[ConnState], iface: IfaceKind| -> u64 {
-            conns
-                .iter()
-                .map(|c| {
-                    if upload {
-                        c.client.acked_by_iface(iface)
-                    } else {
-                        c.client.delivered_by_iface(iface)
-                    }
-                })
-                .sum()
-        };
+        //    counters.
         let totals = IfaceTotals {
-            wifi_bytes: per_iface(&self.conns, IfaceKind::Wifi),
-            cell_bytes: per_iface(&self.conns, self.scenario.cell_kind),
+            wifi_bytes: self.bytes_by_iface(IfaceKind::Wifi),
+            cell_bytes: self.bytes_by_iface(self.scenario.cell_kind),
         };
         for i in 0..self.conns.len() {
             if self.conns[i].engine.is_some() {
@@ -1014,10 +962,10 @@ impl Simulation {
                 && c.client.bytes_delivered() >= c.expected_bytes
             {
                 self.conns[i].web_current = None;
-                self.start_next_web_object(now, i);
+                self.start_next_web_object(i);
                 self.drain_conn(now, i);
             } else if c.web_current.is_none() && c.wifi_established_seen {
-                self.start_next_web_object(now, i);
+                self.start_next_web_object(i);
                 self.drain_conn(now, i);
             }
         }
@@ -1110,13 +1058,6 @@ impl Simulation {
         }
     }
 
-    /// Segment-slab allocation counters, consumed by the invariant battery
-    /// as a structural leak oracle: at end of run every parked segment must
-    /// have been taken exactly once (`live == 0 && double_frees == 0`).
-    pub fn seg_slab_stats(&self) -> SegSlabStats {
-        self.seg_slab.stats()
-    }
-
     fn finish(mut self) -> RunResult {
         let end = self.queue.now();
         // Reclaim the segments of every deliver event still queued so the
@@ -1137,10 +1078,8 @@ impl Simulation {
         self.meter.export_metrics(end);
         if self.telemetry.enabled() {
             let endpoints = || {
-                self.conns
-                    .iter()
-                    .flat_map(|c| c.client.subflows().iter().chain(c.server.subflows()))
-                    .map(|sf| &sf.tcp)
+                let subflows = self.conns.iter().flat_map(ConnState::subflows);
+                subflows.map(|sf| &sf.tcp)
             };
             self.telemetry.with_metrics(|m| {
                 // How much of the data on the simulated wire left as runts
@@ -1179,20 +1118,8 @@ impl Simulation {
         } else {
             self.conns.iter().map(|c| c.client.bytes_delivered()).sum()
         };
-        let by_iface = |iface: IfaceKind| -> u64 {
-            self.conns
-                .iter()
-                .map(|c| {
-                    if upload {
-                        c.client.acked_by_iface(iface)
-                    } else {
-                        c.client.delivered_by_iface(iface)
-                    }
-                })
-                .sum()
-        };
-        let wifi_bytes: u64 = by_iface(IfaceKind::Wifi);
-        let cell_bytes: u64 = by_iface(self.scenario.cell_kind);
+        let wifi_bytes = self.bytes_by_iface(IfaceKind::Wifi);
+        let cell_bytes = self.bytes_by_iface(self.scenario.cell_kind);
         let usage_switches = self
             .conns
             .iter()
@@ -1250,7 +1177,7 @@ impl Simulation {
             stuck_subflows: self
                 .conns
                 .iter()
-                .flat_map(|c| c.client.subflows().iter().chain(c.server.subflows().iter()))
+                .flat_map(ConnState::subflows)
                 .filter(|sf| sf.link_down)
                 .count() as u64,
         }
@@ -1372,9 +1299,7 @@ mod tests {
     use emptcp_workload::download::MB;
 
     fn quick_download(size: u64) -> Scenario {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::Download { size };
-        s
+        Scenario::static_good_wifi().with(Workload::Download { size })
     }
 
     #[test]
@@ -1428,8 +1353,7 @@ mod tests {
 
     #[test]
     fn emptcp_uses_both_on_bad_wifi() {
-        let mut s = Scenario::static_bad_wifi();
-        s.workload = Workload::Download { size: 8 * MB };
+        let s = Scenario::static_bad_wifi().with(Workload::Download { size: 8 * MB });
         let r = run(s, Strategy::emptcp_default(), 5);
         assert!(r.completed, "{r:?}");
         assert!(r.cell_bytes > 0, "eMPTCP never used LTE on bad WiFi");
@@ -1454,10 +1378,8 @@ mod tests {
 
     #[test]
     fn timed_bulk_stops_at_duration() {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::TimedBulk {
-            duration: SimDuration::from_secs(20),
-        };
+        let duration = SimDuration::from_secs(20);
+        let s = Scenario::static_good_wifi().with(Workload::TimedBulk { duration });
         let r = run(s, Strategy::TcpWifi, 7);
         assert!(r.completed);
         assert!((r.download_time_s - 20.0).abs() < 0.2, "{r:?}");
@@ -1490,8 +1412,7 @@ mod tests {
 
     #[test]
     fn upload_completes_and_counts_sender_side() {
-        let mut s = Scenario::upload();
-        s.workload = Workload::Upload { size: 4 * MB };
+        let s = Scenario::upload().with(Workload::Upload { size: 4 * MB });
         let r = run(s, Strategy::TcpWifi, 20);
         assert!(r.completed, "{r:?}");
         assert_eq!(r.bytes_delivered, 4 * MB);
@@ -1501,8 +1422,7 @@ mod tests {
 
     #[test]
     fn upload_emptcp_stays_wifi_only_on_good_wifi() {
-        let mut s = Scenario::upload();
-        s.workload = Workload::Upload { size: 8 * MB };
+        let s = Scenario::upload().with(Workload::Upload { size: 8 * MB });
         let r = run(s, Strategy::emptcp_default(), 21);
         assert!(r.completed, "{r:?}");
         assert_eq!(r.promotions, 0, "LTE woken for a WiFi-friendly upload");
@@ -1511,12 +1431,11 @@ mod tests {
     #[test]
     fn streaming_counts_rebuffers() {
         // Shrink the stream for test speed: 20 chunks over 40 s.
-        let mut s = Scenario::streaming();
-        s.workload = Workload::Streaming {
+        let s = Scenario::streaming().with(Workload::Streaming {
             chunk_bytes: 1 << 20,
             interval: SimDuration::from_secs(2),
             duration: SimDuration::from_secs(40),
-        };
+        });
         let good = run(s.clone(), Strategy::Mptcp, 22);
         assert!(good.completed, "{good:?}");
         assert!(good.bytes_delivered >= 19 << 20);

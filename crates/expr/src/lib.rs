@@ -4,7 +4,8 @@
 //! * [`host`] — the device/server simulation: radios (WiFi channel +
 //!   cellular RRC), paths, MPTCP stacks, the eMPTCP engine and the energy
 //!   meter, all driven from one deterministic event loop;
-//! * [`scenario`] — environment definitions for §4 (static, bandwidth
+//! * [`scenario`] — re-exports of `emptcp_scenario::HostScenario` (as
+//!   `Scenario`) and its parts: the environments of §4 (static, bandwidth
 //!   changes, background traffic, mobility) and §5 (wild, web);
 //! * [`strategy`] — the transport strategies under comparison: standard
 //!   MPTCP, eMPTCP, single-path TCP over WiFi or LTE, MPTCP-with-WiFi-First
@@ -34,8 +35,7 @@
 //! use emptcp_expr::scenario::{Scenario, Workload};
 //! use emptcp_expr::{host, Strategy};
 //!
-//! let mut scenario = Scenario::static_good_wifi();
-//! scenario.workload = Workload::Download { size: 256 << 10 };
+//! let scenario = Scenario::static_good_wifi().with(Workload::Download { size: 256 << 10 });
 //! let result = host::run(scenario, Strategy::emptcp_default(), 42);
 //! assert!(result.completed);
 //! // Small transfer on good WiFi: the LTE radio never woke up.

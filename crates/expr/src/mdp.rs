@@ -182,8 +182,8 @@ mod tests {
     fn mdp_scheduled_run_never_wakes_cellular() {
         // §4.6's observable consequence: the MDP scheduler behaves like
         // TCP over WiFi — the cellular radio is never activated.
-        let mut sc = crate::scenario::Scenario::static_good_wifi();
-        sc.workload = crate::scenario::Workload::Download { size: 2 << 20 };
+        let sc = crate::scenario::Scenario::static_good_wifi()
+            .with(crate::scenario::Workload::Download { size: 2 << 20 });
         let r = crate::host::run(sc, crate::strategy::Strategy::MdpScheduler, 3);
         assert!(r.completed);
         assert_eq!(r.cell_bytes, 0);

@@ -29,38 +29,66 @@ use emptcp_telemetry::{JsonlSink, Telemetry};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Every exhibit id, in the paper's order of appearance.
-pub const IDS: &[&str] = &[
-    "table1",
-    "fig1",
-    "table2",
-    "fig3",
-    "fig4",
-    "eq1",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig12",
-    "fig13",
-    "sec46",
-    "fig14",
-    "fig15",
-    "fig16",
-    "fig17",
-    "handover",
-    "devices",
-    "ablations",
-    "upload",
-    "streaming",
-    "breakdown",
-    "sweep_hold",
-    "sweep_kappa",
-    "fleet",
-    "fairness",
+/// How an exhibit is produced.
+#[derive(Clone, Copy)]
+enum Exhibit {
+    /// Closed form: the model alone, no simulation, no scale.
+    Model(fn() -> FigureOutput),
+    /// Simulated at the scale a [`Config`] names.
+    Scaled(fn(&Config) -> FigureOutput),
+    /// The large-transfer wild study; leaves its traces for a fig14 in
+    /// the same job.
+    Fig16,
+    /// The category scatter over fig16's traces.
+    Fig14,
+}
+
+type Entry = (&'static str, Exhibit);
+
+/// Every exhibit and how to produce it, in the paper's order of
+/// appearance: the one table [`IDS`] and the jobs are read from.
+const EXHIBITS: [Entry; 29] = [
+    ("table1", Exhibit::Model(figures::table1)),
+    ("fig1", Exhibit::Model(figures::fig1)),
+    ("table2", Exhibit::Model(figures::table2)),
+    ("fig3", Exhibit::Model(figures::fig3)),
+    ("fig4", Exhibit::Model(figures::fig4)),
+    ("eq1", Exhibit::Model(figures::eq1)),
+    ("fig5", Exhibit::Scaled(figures::fig5)),
+    ("fig6", Exhibit::Scaled(figures::fig6)),
+    ("fig7", Exhibit::Scaled(figures::fig7)),
+    ("fig8", Exhibit::Scaled(figures::fig8)),
+    ("fig9", Exhibit::Scaled(figures::fig9)),
+    ("fig10", Exhibit::Scaled(figures::fig10)),
+    ("fig12", Exhibit::Scaled(figures::fig12)),
+    ("fig13", Exhibit::Scaled(figures::fig13)),
+    ("sec46", Exhibit::Scaled(figures::sec46)),
+    ("fig14", Exhibit::Fig14),
+    ("fig15", Exhibit::Scaled(figures::fig15)),
+    ("fig16", Exhibit::Fig16),
+    ("fig17", Exhibit::Scaled(figures::fig17)),
+    ("handover", Exhibit::Scaled(figures::handover)),
+    ("devices", Exhibit::Scaled(figures::devices)),
+    ("ablations", Exhibit::Scaled(figures::ablations)),
+    ("upload", Exhibit::Scaled(figures::upload)),
+    ("streaming", Exhibit::Scaled(figures::streaming)),
+    ("breakdown", Exhibit::Scaled(figures::breakdown)),
+    ("sweep_hold", Exhibit::Scaled(figures::sweep_hold)),
+    ("sweep_kappa", Exhibit::Scaled(figures::sweep_kappa)),
+    ("fleet", Exhibit::Scaled(figures::fleet)),
+    ("fairness", Exhibit::Scaled(figures::fairness)),
 ];
+
+/// Every exhibit id, in the paper's order of appearance.
+pub const IDS: &[&str] = &{
+    let mut ids = [""; EXHIBITS.len()];
+    let mut i = 0;
+    while i < ids.len() {
+        ids[i] = EXHIBITS[i].0;
+        i += 1;
+    }
+    ids
+};
 
 /// True when `id` names an exhibit.
 pub fn is_known(id: &str) -> bool {
@@ -145,49 +173,40 @@ pub fn summarize_metrics(telemetry: &Telemetry) -> Vec<(String, u64)> {
 
 /// Group requested ids into jobs: one per exhibit, except fig16+fig14
 /// which share fig16's traces and therefore one job (at fig16's position)
-/// when both are requested.
-fn plan(ids: &[String]) -> Vec<Vec<String>> {
-    let mut groups: Vec<Vec<String>> = Vec::new();
+/// when both are requested. A job holds table entries, so whatever it
+/// runs is an exhibit by construction.
+fn plan(ids: &[String]) -> Vec<Vec<Entry>> {
+    let entry = |id: &str| {
+        let found = EXHIBITS.iter().find(|(name, _)| *name == id);
+        *found.unwrap_or_else(|| panic!("unknown exhibit id: {id}"))
+    };
+    let mut groups: Vec<Vec<Entry>> = Vec::new();
     let both = ids.iter().any(|i| i == "fig16") && ids.iter().any(|i| i == "fig14");
     for id in ids {
         match id.as_str() {
-            "fig16" if both => groups.push(vec!["fig16".into(), "fig14".into()]),
+            "fig16" if both => groups.push(vec![entry("fig16"), entry("fig14")]),
             "fig14" if both => {} // folded into the fig16 job
-            _ => groups.push(vec![id.clone()]),
+            id => groups.push(vec![entry(id)]),
         }
     }
     groups
 }
 
 fn dispatch(
-    id: &str,
+    exhibit: Exhibit,
     cfg: &Config,
     out_dir: &Path,
     fig16_traces: &mut Option<Vec<WildTrace>>,
-) -> std::io::Result<Vec<FigureOutput>> {
-    Ok(match id {
-        "table1" => vec![figures::table1()],
-        "fig1" => vec![figures::fig1()],
-        "table2" => vec![figures::table2()],
-        "fig3" => vec![figures::fig3()],
-        "fig4" => vec![figures::fig4()],
-        "eq1" => vec![figures::eq1()],
-        "fig5" => vec![figures::fig5(cfg)],
-        "fig6" => vec![figures::fig6(cfg)],
-        "fig7" => vec![figures::fig7(cfg)],
-        "fig8" => vec![figures::fig8(cfg)],
-        "fig9" => vec![figures::fig9(cfg)],
-        "fig10" => vec![figures::fig10(cfg)],
-        "fig12" => vec![figures::fig12(cfg)],
-        "fig13" => vec![figures::fig13(cfg)],
-        "sec46" => vec![figures::sec46(cfg)],
-        "fig15" => vec![figures::fig15(cfg)],
-        "fig16" => {
+) -> std::io::Result<FigureOutput> {
+    Ok(match exhibit {
+        Exhibit::Model(make) => make(),
+        Exhibit::Scaled(run) => run(cfg),
+        Exhibit::Fig16 => {
             let (out, traces) = figures::fig16(cfg);
             *fig16_traces = Some(traces);
-            vec![out]
+            out
         }
-        "fig14" => {
+        Exhibit::Fig14 => {
             let traces = match fig16_traces.take() {
                 Some(t) => t,
                 None => {
@@ -198,24 +217,12 @@ fn dispatch(
                     traces
                 }
             };
-            vec![figures::fig14(&traces)]
+            figures::fig14(&traces)
         }
-        "fig17" => vec![figures::fig17(cfg)],
-        "handover" => vec![figures::handover(cfg)],
-        "devices" => vec![figures::devices(cfg)],
-        "ablations" => vec![figures::ablations(cfg)],
-        "upload" => vec![figures::upload(cfg)],
-        "streaming" => vec![figures::streaming(cfg)],
-        "breakdown" => vec![figures::breakdown(cfg)],
-        "sweep_hold" => vec![figures::sweep_hold(cfg)],
-        "sweep_kappa" => vec![figures::sweep_kappa(cfg)],
-        "fleet" => vec![figures::fleet(cfg)],
-        "fairness" => vec![figures::fairness(cfg)],
-        other => panic!("unknown exhibit id: {other}"),
     })
 }
 
-fn run_job(group: &[String], opts: &ReproOptions) -> std::io::Result<ExhibitReport> {
+fn run_job(group: &[Entry], opts: &ReproOptions) -> std::io::Result<ExhibitReport> {
     let started = std::time::Instant::now();
     // A fresh pipeline per job: simulations pick it up through the
     // thread-current handle (inherited by nested pool jobs), so counters
@@ -224,7 +231,7 @@ fn run_job(group: &[String], opts: &ReproOptions) -> std::io::Result<ExhibitRepo
     if opts.trace {
         let path = match &opts.trace_path {
             Some(path) => path.clone(),
-            None => opts.out_dir.join(format!("{}.trace.jsonl", group[0])),
+            None => opts.out_dir.join(format!("{}.trace.jsonl", group[0].0)),
         };
         builder = builder.sink(Box::new(JsonlSink::new(std::fs::File::create(path)?)));
     }
@@ -233,8 +240,13 @@ fn run_job(group: &[String], opts: &ReproOptions) -> std::io::Result<ExhibitRepo
         emptcp_telemetry::with_current(telemetry.clone(), || {
             let mut fig16_traces = None;
             let mut outputs = Vec::new();
-            for id in group {
-                outputs.extend(dispatch(id, &opts.cfg, &opts.out_dir, &mut fig16_traces)?);
+            for &(_, exhibit) in group {
+                outputs.push(dispatch(
+                    exhibit,
+                    &opts.cfg,
+                    &opts.out_dir,
+                    &mut fig16_traces,
+                )?);
             }
             Ok(outputs)
         });
@@ -246,7 +258,7 @@ fn run_job(group: &[String], opts: &ReproOptions) -> std::io::Result<ExhibitRepo
     }
     telemetry.flush()?;
     Ok(ExhibitReport {
-        ids: group.to_vec(),
+        ids: group.iter().map(|(id, _)| id.to_string()).collect(),
         rendered,
         violations: telemetry
             .violations()
@@ -261,11 +273,8 @@ fn run_job(group: &[String], opts: &ReproOptions) -> std::io::Result<ExhibitRepo
 /// Run `ids` (already validated against [`IDS`]) on the current
 /// [`runner`] pool and return one report per job, in request order.
 pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<ExhibitReport>> {
-    for id in ids {
-        assert!(is_known(id), "unknown exhibit id: {id}");
-    }
-    std::fs::create_dir_all(&opts.out_dir)?;
     let groups = plan(ids);
+    std::fs::create_dir_all(&opts.out_dir)?;
     // The memo lives exactly as long as this call: jobs (and whatever they
     // spawn) reach it through the thread-current handle. Only the runs a
     // requested single-run figure plots keep their time series in it.
@@ -291,27 +300,27 @@ pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<
 mod tests {
     use super::*;
 
+    fn planned(ids: &[String]) -> Vec<Vec<&'static str>> {
+        let ids_of = |group: Vec<Entry>| group.iter().map(|(id, _)| *id).collect();
+        plan(ids).into_iter().map(ids_of).collect()
+    }
+
     #[test]
     fn plan_merges_fig16_and_fig14() {
         let ids: Vec<String> = ["fig5", "fig14", "fig16", "fig6"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let groups = plan(&ids);
         assert_eq!(
-            groups,
-            vec![
-                vec!["fig5".to_string()],
-                vec!["fig16".to_string(), "fig14".to_string()],
-                vec!["fig6".to_string()],
-            ]
+            planned(&ids),
+            vec![vec!["fig5"], vec!["fig16", "fig14"], vec!["fig6"]]
         );
     }
 
     #[test]
     fn plan_keeps_lone_fig14() {
         let ids = vec!["fig14".to_string()];
-        assert_eq!(plan(&ids), vec![vec!["fig14".to_string()]]);
+        assert_eq!(planned(&ids), vec![vec!["fig14"]]);
     }
 
     #[test]

@@ -187,9 +187,8 @@ pub fn run(scenario: Scenario, strategy: Strategy, seed: u64) -> RunResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{WifiEnvironment, Workload};
+    use crate::scenario::{DeviceKind, WifiEnvironment, Workload};
     use emptcp::EmptcpConfig;
-    use emptcp_energy::DeviceProfile;
     use emptcp_phy::IfaceKind;
 
     fn key(scenario: Scenario, strategy: Strategy) -> RunKey {
@@ -208,7 +207,7 @@ mod tests {
         // `devices` reuses "static-bad-wifi" across profiles and radios.
         let bad = Scenario::static_bad_wifi;
         let mut nexus = bad();
-        nexus.profile = DeviceProfile::nexus_5();
+        nexus.device = DeviceKind::Nexus5;
         let mut threeg = bad();
         threeg.cell_kind = IfaceKind::Cellular3g;
         // `sweep_hold` reuses "bandwidth-changes" across holding times.
@@ -250,11 +249,7 @@ mod tests {
 
     #[test]
     fn a_reused_run_replays_its_counters_and_result() {
-        let scenario = || {
-            let mut s = Scenario::static_good_wifi();
-            s.workload = Workload::Download { size: 256 << 10 };
-            s
-        };
+        let scenario = || Scenario::static_good_wifi().with(Workload::Download { size: 256 << 10 });
         let job = || Telemetry::builder().invariants(true).build();
         let ask = |telemetry: &Telemetry| {
             emptcp_telemetry::with_current(telemetry.clone(), || {

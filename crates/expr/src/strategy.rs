@@ -1,6 +1,7 @@
 //! The transport strategies compared throughout the evaluation.
 
 use emptcp::EmptcpConfig;
+use emptcp_scenario::StrategyKind;
 use serde::{Deserialize, Serialize};
 
 /// Which stack the device runs for a given experiment.
@@ -25,6 +26,22 @@ pub enum Strategy {
     /// time, a new one established only after the current interface goes
     /// down.
     SinglePath,
+}
+
+/// The strategy a `.scenario` file or `simulate --strategy` names by its
+/// handle: the kind, with eMPTCP at the paper's default configuration.
+impl From<StrategyKind> for Strategy {
+    fn from(kind: StrategyKind) -> Strategy {
+        match kind {
+            StrategyKind::Mptcp => Strategy::Mptcp,
+            StrategyKind::Emptcp => Strategy::emptcp_default(),
+            StrategyKind::TcpWifi => Strategy::TcpWifi,
+            StrategyKind::TcpCellular => Strategy::TcpCellular,
+            StrategyKind::WifiFirst => Strategy::WifiFirst,
+            StrategyKind::MdpScheduler => Strategy::MdpScheduler,
+            StrategyKind::SinglePath => Strategy::SinglePath,
+        }
+    }
 }
 
 impl Strategy {
@@ -66,15 +83,7 @@ mod tests {
 
     #[test]
     fn labels_are_distinct() {
-        let all = [
-            Strategy::Mptcp,
-            Strategy::emptcp_default(),
-            Strategy::TcpWifi,
-            Strategy::TcpCellular,
-            Strategy::WifiFirst,
-            Strategy::MdpScheduler,
-            Strategy::SinglePath,
-        ];
+        let all = StrategyKind::ALL.map(Strategy::from);
         let mut labels: Vec<_> = all.iter().map(|s| s.label()).collect();
         labels.sort_unstable();
         labels.dedup();

@@ -79,9 +79,12 @@ fn fault_runs_produce_byte_identical_traces() {
 
 #[test]
 fn attach_faults_with_empty_plan_changes_nothing() {
-    let strategy = faults::strategy_for("ap-vanish").expect("library scenario");
-    let plain = Simulation::new(faults::base_scenario("noop"), strategy, 5).run();
-    let mut sim = Simulation::new(faults::base_scenario("noop"), strategy, 5);
+    let file = faults::load("ap-vanish").expect("library scenario");
+    let emptcp_scenario::World::Host { strategy, scenario } = file.world else {
+        panic!("ap-vanish is a host world");
+    };
+    let plain = Simulation::new(scenario.clone(), strategy.into(), 5).run();
+    let mut sim = Simulation::new(scenario, strategy.into(), 5);
     sim.attach_faults(emptcp_faults::FaultPlan::new());
     let armed = sim.run();
     assert_eq!(plain.download_time_s, armed.download_time_s);

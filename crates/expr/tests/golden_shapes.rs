@@ -21,9 +21,11 @@ const SEED: u64 = 0xE0_07C9;
 const BULK: u64 = 8 << 20;
 
 fn bulk(make: fn() -> Scenario, strategy: Strategy) -> host::RunResult {
-    let mut s = make();
-    s.workload = Workload::Download { size: BULK };
-    host::run(s, strategy, SEED)
+    host::run(
+        make().with(Workload::Download { size: BULK }),
+        strategy,
+        SEED,
+    )
 }
 
 // ---------------------------------------------------------------- Table 2

@@ -15,9 +15,7 @@ use std::sync::{Arc, Mutex};
 fn scenario() -> Scenario {
     // Bad WiFi forces eMPTCP to bring the cellular subflow up, exercising
     // the scheduler, the RRC machine, and the path-usage controller.
-    let mut s = Scenario::static_bad_wifi();
-    s.workload = Workload::Download { size: 2 << 20 };
-    s
+    Scenario::static_bad_wifi().with(Workload::Download { size: 2 << 20 })
 }
 
 /// Run one instrumented simulation; return (trace JSONL, metrics JSON,

@@ -49,11 +49,18 @@ impl WaypointRoute {
     /// and at least one waypoint is required.
     pub fn new(waypoints: Vec<(SimTime, Position)>) -> Self {
         assert!(!waypoints.is_empty(), "route needs at least one waypoint");
+        let route = WaypointRoute { waypoints };
         assert!(
-            waypoints.windows(2).all(|w| w[0].0 < w[1].0),
+            route.is_well_formed(),
             "waypoint times must be strictly increasing"
         );
-        WaypointRoute { waypoints }
+        route
+    }
+
+    /// What [`WaypointRoute::new`] asserts and a deserialized route has
+    /// yet to prove: a waypoint exists and the times strictly increase.
+    pub fn is_well_formed(&self) -> bool {
+        !self.waypoints.is_empty() && self.waypoints.windows(2).all(|w| w[0].0 < w[1].0)
     }
 
     /// Position at time `t`.
@@ -140,7 +147,7 @@ impl RateAdaptation {
 
 /// Ties a route, an AP position and rate adaptation together: the WiFi
 /// nominal capacity as a function of time.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct MobilityModel {
     route: WaypointRoute,
     ap: Position,
@@ -155,6 +162,11 @@ impl MobilityModel {
             ap,
             adaptation,
         }
+    }
+
+    /// The walk itself (for validating a model read from a file).
+    pub fn route(&self) -> &WaypointRoute {
+        &self.route
     }
 
     /// Distance from AP at time `t`.

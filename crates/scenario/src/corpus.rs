@@ -21,6 +21,7 @@ macro_rules! corpus_file {
 /// `(name, canonical bytes)` for every committed scenario, sorted by name.
 pub const FILES: &[(&str, &str)] = &[
     corpus_file!("ap-vanish"),
+    corpus_file!("bandwidth-flips"),
     corpus_file!("burst-loss-storm"),
     corpus_file!("cafe-hotspot"),
     corpus_file!("commuter-train"),

@@ -14,7 +14,8 @@
 //! against [`Scenario::validate`] so the generator and the validator can
 //! never drift apart silently.
 
-use crate::spec::{DeviceKind, HostSpec, Scenario, StrategyKind, World};
+use crate::host::{DeviceKind, HostScenario};
+use crate::spec::{Scenario, StrategyKind, World};
 use emptcp_faults::spec::FaultSpec;
 use emptcp_faults::FaultTarget;
 use emptcp_net::fleet::FleetConfig;
@@ -54,28 +55,27 @@ pub fn generate(run_seed: u64, case: u64) -> Scenario {
 }
 
 fn host_scenario(rng: &mut TestRng, name: String, seed: u64) -> Scenario {
-    let spec = HostSpec {
-        wifi_bps: draw(rng, 2_000_000..24_000_000),
-        cell_bps: draw(rng, 3_000_000..20_000_000),
-        wifi_rtt_ms: draw(rng, 10..60),
-        cell_rtt_ms: draw(rng, 30..120),
-        transfer_bytes: draw(rng, 256..1_536) << 10,
-        strategy: pick(
-            rng,
-            &[
-                StrategyKind::Mptcp,
-                StrategyKind::Emptcp,
-                StrategyKind::WifiFirst,
-            ],
-        ),
-        device: pick(rng, &[DeviceKind::GalaxyS3, DeviceKind::Nexus5]),
-    };
+    let ms = SimDuration::from_millis;
+    let wifi_bps = draw(rng, 2_000_000..24_000_000);
+    let cell_bps = draw(rng, 3_000_000..20_000_000);
+    let (wifi_rtt, cell_rtt) = (ms(draw(rng, 10..60)), ms(draw(rng, 30..120)));
+    let bytes = draw(rng, 256..1_536) << 10;
+    let strategy = pick(
+        rng,
+        &[
+            StrategyKind::Mptcp,
+            StrategyKind::Emptcp,
+            StrategyKind::WifiFirst,
+        ],
+    );
+    let mut scenario = HostScenario::wild(&name, wifi_bps, cell_bps, wifi_rtt, cell_rtt, bytes);
+    scenario.device = pick(rng, &[DeviceKind::GalaxyS3, DeviceKind::Nexus5]);
     let faults = host_faults(rng);
     Scenario {
         name,
         summary: "fuzz-generated host scenario".to_string(),
         seed,
-        world: World::Host(spec),
+        world: World::Host { strategy, scenario },
         faults,
     }
 }
@@ -203,28 +203,27 @@ fn fleet_scenario(rng: &mut TestRng, name: String, seed: u64) -> Scenario {
     // every-client-progresses oracle needs each stack to get a real share.
     let bottleneck_bps = draw(rng, clients as u64 * 1_500_000..61_000_000);
     let cross_sources = draw(rng, 0..3) as usize;
+    let link = |rate_bps, delay_ms, queue_capacity| LinkConfig {
+        rate_bps,
+        prop_delay: ms(delay_ms),
+        queue_capacity,
+        loss_prob: 0.0,
+    };
     let cfg = FleetConfig {
         clients,
         mptcp_every: draw(rng, 1..4) as usize,
         coupled: !rng.next_u64().is_multiple_of(5),
-        bottleneck: LinkConfig {
-            rate_bps: bottleneck_bps,
-            prop_delay: ms(draw(rng, 5..20)),
-            queue_capacity: draw(rng, 64..257) << 10,
-            loss_prob: 0.0,
-        },
-        access_a: LinkConfig {
-            rate_bps: draw(rng, 20_000_000..60_000_000),
-            prop_delay: ms(draw(rng, 2..6)),
-            queue_capacity: 128 << 10,
-            loss_prob: 0.0,
-        },
-        access_b: LinkConfig {
-            rate_bps: draw(rng, 10_000_000..40_000_000),
-            prop_delay: ms(draw(rng, 10..25)),
-            queue_capacity: 128 << 10,
-            loss_prob: 0.0,
-        },
+        bottleneck: link(bottleneck_bps, draw(rng, 5..20), draw(rng, 64..257) << 10),
+        access_a: link(
+            draw(rng, 20_000_000..60_000_000),
+            draw(rng, 2..6),
+            128 << 10,
+        ),
+        access_b: link(
+            draw(rng, 10_000_000..40_000_000),
+            draw(rng, 10..25),
+            128 << 10,
+        ),
         duration: ms(duration_ms),
         cross_sources,
         cross_rate_bps: draw(rng, 1_000_000..(bottleneck_bps / 4).max(1_000_001)),
@@ -355,7 +354,9 @@ mod tests {
     #[test]
     fn fuzzer_covers_both_worlds_and_faulted_runs() {
         let scenarios: Vec<Scenario> = (0..100).map(|c| generate(42, c)).collect();
-        assert!(scenarios.iter().any(|s| matches!(s.world, World::Host(_))));
+        assert!(scenarios
+            .iter()
+            .any(|s| matches!(s.world, World::Host { .. })));
         assert!(scenarios.iter().any(|s| matches!(s.world, World::Fleet(_))));
         assert!(scenarios.iter().any(|s| !s.faults.is_empty()));
         assert!(scenarios.iter().any(|s| s.is_do_no_harm()));

@@ -39,7 +39,8 @@ pub fn save(path: &Path, scenario: &Scenario) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{DeviceKind, HostSpec, StrategyKind, World};
+    use crate::host::{DeviceKind, HostScenario, Workload};
+    use crate::spec::{StrategyKind, World};
     use emptcp_faults::spec::FaultSpec;
     use emptcp_faults::FaultTarget;
 
@@ -48,15 +49,13 @@ mod tests {
             name: "roundtrip".to_string(),
             summary: "io round-trip fixture".to_string(),
             seed: 99,
-            world: World::Host(HostSpec {
-                wifi_bps: 8_000_000,
-                cell_bps: 12_000_000,
-                wifi_rtt_ms: 30,
-                cell_rtt_ms: 70,
-                transfer_bytes: 512 << 10,
+            world: World::Host {
                 strategy: StrategyKind::Mptcp,
-                device: DeviceKind::Nexus5,
-            }),
+                scenario: HostScenario {
+                    device: DeviceKind::Nexus5,
+                    ..HostScenario::static_bad_wifi().with(Workload::Download { size: 512 << 10 })
+                },
+            },
             faults: vec![FaultSpec::RttSpike {
                 target: FaultTarget::Core,
                 from_ms: 1_000,
@@ -87,8 +86,8 @@ mod tests {
     #[test]
     fn valid_json_invalid_scenario_is_a_validation_error() {
         let mut s = scenario();
-        if let World::Host(h) = &mut s.world {
-            h.transfer_bytes = 0;
+        if let World::Host { scenario, .. } = &mut s.world {
+            scenario.workload = Workload::Download { size: 0 };
         }
         // Serialize without validating, then parse: the parse must apply
         // the validity rules.

@@ -11,6 +11,10 @@
 //! * [`spec`] — the [`Scenario`] type and its validity rules. A scenario
 //!   either validates (non-empty workload, positive capacities, every
 //!   fault recoverable) or fails with a typed [`ScenarioError`].
+//! * [`host`] — [`HostScenario`], the single-device experiment a host
+//!   world carries: the one value `expr::host::Simulation` runs, with the
+//!   paper's named environments as constructors and the rules a file must
+//!   meet to be runnable.
 //! * [`io`] — `.scenario` JSON files: parse, validate, and the canonical
 //!   byte form CI replays byte-identically.
 //! * [`corpus`] — the committed scenario corpus embedded at compile time,
@@ -29,8 +33,10 @@
 
 pub mod corpus;
 pub mod gen;
+pub mod host;
 pub mod io;
 pub mod shrink;
 pub mod spec;
 
-pub use spec::{DeviceKind, HostSpec, Scenario, ScenarioError, StrategyKind, World};
+pub use host::{DeviceKind, HostScenario, WifiEnvironment, Workload};
+pub use spec::{Scenario, ScenarioError, StrategyKind, World};

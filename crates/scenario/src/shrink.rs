@@ -15,8 +15,11 @@
 //! can never escape the valid-scenario space (e.g. by dropping the restore
 //! half of a rate-step pair).
 
+use crate::host::Workload;
 use crate::spec::{Scenario, World};
 use emptcp_faults::spec::FaultSpec;
+use emptcp_net::fleet::FleetConfig;
+use emptcp_sim::SimDuration;
 
 /// Maximum predicate evaluations per [`shrink`] call — a safety valve so a
 /// flaky predicate cannot spin forever. Generously above what the greedy
@@ -74,41 +77,36 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
 
     match &sc.world {
         World::Fleet(cfg) => {
+            let mut edit = |change: &dyn Fn(&mut FleetConfig)| {
+                let mut cand = sc.clone();
+                if let World::Fleet(c) = &mut cand.world {
+                    change(c);
+                }
+                out.push(cand);
+            };
             if cfg.clients > 1 {
-                let mut cand = sc.clone();
-                if let World::Fleet(c) = &mut cand.world {
-                    c.clients = (cfg.clients / 2).max(1);
-                }
-                out.push(cand);
-                let mut cand = sc.clone();
-                if let World::Fleet(c) = &mut cand.world {
-                    c.clients = cfg.clients - 1;
-                }
-                out.push(cand);
+                edit(&|c| c.clients = (c.clients / 2).max(1));
+                edit(&|c| c.clients -= 1);
             }
             if cfg.cross_sources > 0 {
-                let mut cand = sc.clone();
-                if let World::Fleet(c) = &mut cand.world {
-                    c.cross_sources = 0;
-                }
-                out.push(cand);
+                edit(&|c| c.cross_sources = 0);
             }
             let dur_ms = cfg.duration.as_millis_f64() as u64;
             if dur_ms > 1_000 {
-                let mut cand = sc.clone();
-                if let World::Fleet(c) = &mut cand.world {
-                    c.duration = emptcp_sim::SimDuration::from_millis((dur_ms / 2).max(1_000));
-                }
-                out.push(cand);
+                edit(&|c| c.duration = SimDuration::from_millis((dur_ms / 2).max(1_000)));
             }
         }
-        World::Host(host) => {
-            if host.transfer_bytes > 64 << 10 {
-                let mut cand = sc.clone();
-                if let World::Host(h) = &mut cand.world {
-                    h.transfer_bytes = (host.transfer_bytes / 2).max(64 << 10);
+        World::Host { scenario, .. } => {
+            if let Workload::Download { size } = scenario.workload {
+                if size > 64 << 10 {
+                    let mut cand = sc.clone();
+                    if let World::Host { scenario, .. } = &mut cand.world {
+                        scenario.workload = Workload::Download {
+                            size: (size / 2).max(64 << 10),
+                        };
+                    }
+                    out.push(cand);
                 }
-                out.push(cand);
             }
         }
     }
@@ -117,37 +115,15 @@ fn candidates(sc: &Scenario) -> Vec<Scenario> {
 }
 
 fn simplify_fault(fault: &FaultSpec) -> Option<FaultSpec> {
-    match fault {
-        FaultSpec::FlapTrain {
-            target,
-            from_ms,
-            flaps,
-            down_ms,
-            up_ms,
-        } if *flaps > 1 => Some(FaultSpec::FlapTrain {
-            target: *target,
-            from_ms: *from_ms,
-            flaps: flaps / 2,
-            down_ms: *down_ms,
-            up_ms: *up_ms,
-        }),
-        FaultSpec::BandwidthCollapse {
-            target,
-            from_ms,
-            hold_ms,
-            collapsed_bps,
-            ramp_bps,
-            step_ms,
-        } if !ramp_bps.is_empty() => Some(FaultSpec::BandwidthCollapse {
-            target: *target,
-            from_ms: *from_ms,
-            hold_ms: *hold_ms,
-            collapsed_bps: *collapsed_bps,
-            ramp_bps: ramp_bps[..ramp_bps.len() - 1].to_vec(),
-            step_ms: *step_ms,
-        }),
-        _ => None,
+    let mut simpler = fault.clone();
+    match &mut simpler {
+        FaultSpec::FlapTrain { flaps, .. } if *flaps > 1 => *flaps /= 2,
+        FaultSpec::BandwidthCollapse { ramp_bps, .. } if !ramp_bps.is_empty() => {
+            ramp_bps.pop();
+        }
+        _ => return None,
     }
+    Some(simpler)
 }
 
 #[cfg(test)]
@@ -155,6 +131,13 @@ mod tests {
     use super::*;
     use crate::gen::generate;
     use crate::spec::World;
+
+    fn download_size(sc: &Scenario) -> Option<u64> {
+        match &sc.world {
+            World::Host { scenario, .. } => scenario.workload.owed_bytes(),
+            World::Fleet(_) => None,
+        }
+    }
 
     #[test]
     fn shrinks_fault_count_to_the_failing_core() {
@@ -179,12 +162,10 @@ mod tests {
     fn shrinking_a_host_scenario_reduces_the_transfer() {
         let sc = (0..200)
             .map(|c| generate(5, c))
-            .find(|s| matches!(&s.world, World::Host(h) if h.transfer_bytes > 256 << 10))
+            .find(|s| download_size(s).is_some_and(|size| size > 256 << 10))
             .expect("generator produces a large host transfer");
-        let min = shrink(sc, |s| matches!(&s.world, World::Host(_)));
-        if let World::Host(h) = &min.world {
-            assert_eq!(h.transfer_bytes, 64 << 10);
-        }
+        let min = shrink(sc, |s| matches!(&s.world, World::Host { .. }));
+        assert_eq!(download_size(&min), Some(64 << 10));
         assert!(min.faults.is_empty());
     }
 

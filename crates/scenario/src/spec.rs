@@ -1,6 +1,6 @@
 //! The [`Scenario`] type: one serializable description of an experiment.
 
-use emptcp_energy::DeviceProfile;
+use crate::host::HostScenario;
 use emptcp_faults::spec::{expand, FaultSpec};
 use emptcp_faults::FaultPlan;
 use emptcp_net::fleet::{FleetConfig, FleetConfigError};
@@ -32,31 +32,17 @@ pub struct Scenario {
 pub enum World {
     /// The single device/server host simulation (`expr::host`): radios,
     /// RRC, the energy meter — the substrate with energy accounting.
-    Host(HostSpec),
+    Host {
+        /// The transport strategy under test.
+        strategy: StrategyKind,
+        /// The experiment, exactly as `host::Simulation` runs it. The
+        /// exact-delivery oracle asserts its workload's bytes arrive
+        /// despite every fault in the script.
+        scenario: HostScenario,
+    },
     /// The many-client fleet over a shared bottleneck (`net::fleet`) —
     /// the substrate with fairness accounting.
     Fleet(FleetConfig),
-}
-
-/// The single-device world: good-path capacities, RTTs, one download, a
-/// transport strategy and a device energy profile.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct HostSpec {
-    /// WiFi AP goodput, bps.
-    pub wifi_bps: u64,
-    /// Cellular (LTE) downlink capacity, bps.
-    pub cell_bps: u64,
-    /// Base round-trip to the server over WiFi, ms.
-    pub wifi_rtt_ms: u64,
-    /// Base round-trip to the server over cellular, ms.
-    pub cell_rtt_ms: u64,
-    /// Download size, bytes. The exact-delivery oracle asserts this many
-    /// bytes arrive despite every fault in the script.
-    pub transfer_bytes: u64,
-    /// The transport strategy under test.
-    pub strategy: StrategyKind,
-    /// The device whose measured power model the energy meter uses.
-    pub device: DeviceKind,
 }
 
 /// Serializable handle for the transport strategies the harness knows.
@@ -79,7 +65,18 @@ pub enum StrategyKind {
 }
 
 impl StrategyKind {
-    /// Stable lowercase label (matches the `simulate --strategy` names).
+    /// Every strategy, in `simulate --list-strategies` order.
+    pub const ALL: [StrategyKind; 7] = [
+        StrategyKind::Mptcp,
+        StrategyKind::Emptcp,
+        StrategyKind::TcpWifi,
+        StrategyKind::TcpCellular,
+        StrategyKind::WifiFirst,
+        StrategyKind::MdpScheduler,
+        StrategyKind::SinglePath,
+    ];
+
+    /// Stable lowercase label: the `simulate --strategy` names.
     pub fn label(self) -> &'static str {
         match self {
             StrategyKind::Mptcp => "mptcp",
@@ -89,33 +86,6 @@ impl StrategyKind {
             StrategyKind::WifiFirst => "wifi-first",
             StrategyKind::MdpScheduler => "mdp",
             StrategyKind::SinglePath => "single-path",
-        }
-    }
-}
-
-/// Serializable handle for the measured device energy profiles.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum DeviceKind {
-    /// Samsung Galaxy S3 (the paper's primary measurement device).
-    GalaxyS3,
-    /// LG Nexus 5.
-    Nexus5,
-}
-
-impl DeviceKind {
-    /// The measured power model for this device.
-    pub fn profile(self) -> DeviceProfile {
-        match self {
-            DeviceKind::GalaxyS3 => DeviceProfile::galaxy_s3(),
-            DeviceKind::Nexus5 => DeviceProfile::nexus_5(),
-        }
-    }
-
-    /// Stable lowercase label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DeviceKind::GalaxyS3 => "galaxy-s3",
-            DeviceKind::Nexus5 => "nexus-5",
         }
     }
 }
@@ -140,17 +110,7 @@ impl Scenario {
             return Err(ScenarioError::BadName(self.name.clone()));
         }
         match &self.world {
-            World::Host(host) => {
-                if host.wifi_bps == 0 {
-                    return Err(ScenarioError::ZeroCapacityLink("wifi"));
-                }
-                if host.cell_bps == 0 {
-                    return Err(ScenarioError::ZeroCapacityLink("cellular"));
-                }
-                if host.transfer_bytes == 0 {
-                    return Err(ScenarioError::EmptyWorkload);
-                }
-            }
+            World::Host { scenario, .. } => scenario.validate()?,
             World::Fleet(cfg) => cfg.validate()?,
         }
         for fault in &self.faults {
@@ -197,7 +157,7 @@ impl Scenario {
     /// Short world label for reports.
     pub fn world_label(&self) -> &'static str {
         match self.world {
-            World::Host(_) => "host",
+            World::Host { .. } => "host",
             World::Fleet(_) => "fleet",
         }
     }
@@ -214,6 +174,20 @@ pub enum ScenarioError {
     ZeroCapacityLink(&'static str),
     /// The workload moves zero bytes.
     EmptyWorkload,
+    /// A rate or holding time that is not a positive finite number
+    /// (payload names the field).
+    BadRate(&'static str),
+    /// More interfering stations than [`crate::host::MAX_INTERFERERS`].
+    TooManyInterferers(usize),
+    /// A mobility route with no waypoint or non-increasing timestamps.
+    BadRoute,
+    /// A WiFi outage window that ends before it starts.
+    ReversedOutage,
+    /// The host world's cellular radio is declared as WiFi.
+    WifiAsCellular,
+    /// A host-world time that must be positive is zero (payload names the
+    /// field: the `horizon`, a streaming `interval`).
+    ZeroDuration(&'static str),
     /// A fleet-world config failed its own validation.
     Fleet(FleetConfigError),
     /// A fault primitive is structurally degenerate (payload is its label).
@@ -248,6 +222,19 @@ impl fmt::Display for ScenarioError {
                 write!(f, "host link `{which}` has zero capacity")
             }
             ScenarioError::EmptyWorkload => write!(f, "workload moves zero bytes"),
+            ScenarioError::BadRate(field) => {
+                write!(f, "`{field}` must be a positive finite number")
+            }
+            ScenarioError::TooManyInterferers(n) => write!(f, "{n} interfering stations"),
+            ScenarioError::BadRoute => {
+                write!(
+                    f,
+                    "mobility route needs waypoints at strictly increasing times"
+                )
+            }
+            ScenarioError::ReversedOutage => write!(f, "wifi outage ends before it starts"),
+            ScenarioError::WifiAsCellular => write!(f, "`cell_kind` must be a cellular radio"),
+            ScenarioError::ZeroDuration(field) => write!(f, "`{field}` is zero"),
             ScenarioError::Fleet(e) => write!(f, "{e}"),
             ScenarioError::MalformedFault(label) => {
                 write!(f, "fault primitive `{label}` is degenerate (zero extent)")
@@ -268,22 +255,20 @@ impl std::error::Error for ScenarioError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::Workload;
     use emptcp_faults::FaultTarget;
+    use emptcp_sim::SimDuration;
 
     fn host_scenario() -> Scenario {
         Scenario {
             name: "test-host".to_string(),
             summary: "a test".to_string(),
             seed: 7,
-            world: World::Host(HostSpec {
-                wifi_bps: 10_000_000,
-                cell_bps: 12_000_000,
-                wifi_rtt_ms: 25,
-                cell_rtt_ms: 60,
-                transfer_bytes: 1 << 20,
+            world: World::Host {
                 strategy: StrategyKind::Emptcp,
-                device: DeviceKind::GalaxyS3,
-            }),
+                scenario: HostScenario::static_good_wifi()
+                    .with(Workload::Download { size: 1 << 20 }),
+            },
             faults: vec![FaultSpec::Blackout {
                 target: FaultTarget::Wifi,
                 from_ms: 1_000,
@@ -308,12 +293,6 @@ mod tests {
         assert!(matches!(s.validate(), Err(ScenarioError::BadName(_))));
 
         let mut s = host_scenario();
-        if let World::Host(h) = &mut s.world {
-            h.transfer_bytes = 0;
-        }
-        assert_eq!(s.validate(), Err(ScenarioError::EmptyWorkload));
-
-        let mut s = host_scenario();
         s.faults = vec![FaultSpec::RateStep {
             target: FaultTarget::Wifi,
             at_ms: 500,
@@ -327,6 +306,72 @@ mod tests {
             s.validate(),
             Err(ScenarioError::Fleet(FleetConfigError::NoClients))
         );
+    }
+
+    /// One case per host-world rule, each through the file format (what a
+    /// parse validates). Nothing here may panic, whatever the text says.
+    #[test]
+    fn a_host_file_that_cannot_run_fails_with_its_typed_error() {
+        use crate::host::WifiEnvironment::*;
+        use ScenarioError::*;
+        type Edit<'a> = &'a dyn Fn(&mut HostScenario);
+        let parse = |edit: Edit| {
+            let mut s = host_scenario();
+            if let World::Host { scenario, .. } = &mut s.world {
+                edit(scenario);
+            }
+            crate::io::from_json_str(&serde_json::to_string(&s).unwrap()).map(|_| ())
+        };
+        let stream = |chunk_bytes, interval| Workload::Streaming {
+            chunk_bytes,
+            interval,
+            duration: SimDuration::from_secs(9),
+        };
+        let outage = |bps, from, to| StaticWithOutage {
+            bps,
+            outage_start: SimTime::from_secs(from),
+            outage_end: SimTime::from_secs(to),
+        };
+        let (start_high, n) = (true, 2);
+        #[rustfmt::skip]
+        let cases: [(Edit, ScenarioError); 14] = [
+            (&|h| h.wifi = Static { bps: 0 }, ZeroCapacityLink("wifi")),
+            (&|h| h.wifi = Contended { bps: 0, n, lambda_off: 0.1 }, ZeroCapacityLink("wifi")),
+            (&|h| h.wifi = Contended { bps: 9, n, lambda_off: -0.1 }, BadRate("lambda_off")),
+            (&|h| h.wifi = Contended { bps: 9, n: 257, lambda_off: 0.1 }, TooManyInterferers(257)),
+            (&|h| h.wifi = Modulated { mean_hold_s: 0.0, start_high }, BadRate("mean_hold_s")),
+            (&|h| h.wifi = outage(0, 1, 2), ZeroCapacityLink("wifi")),
+            (&|h| h.wifi = outage(9, 2, 1), ReversedOutage),
+            (&|h| h.cell_bps = 0, ZeroCapacityLink("cellular")),
+            (&|h| h.cell_kind = emptcp_phy::IfaceKind::Wifi, WifiAsCellular),
+            (&|h| h.horizon = SimTime::ZERO, ZeroDuration("horizon")),
+            (&|h| h.workload = Workload::Download { size: 0 }, EmptyWorkload),
+            (&|h| h.workload = Workload::Upload { size: 0 }, EmptyWorkload),
+            (&|h| h.workload = stream(0, SimDuration::from_secs(1)), EmptyWorkload),
+            (&|h| h.workload = stream(1, SimDuration::ZERO), ZeroDuration("interval")),
+        ];
+        assert_eq!(parse(&|_| {}), Ok(()));
+        for (edit, expected) in cases {
+            assert_eq!(parse(edit), Err(expected));
+        }
+        // A route no constructor would build exists only as text.
+        let p = r#"{"x":1.0,"y":1.0}"#;
+        assert_eq!(parse_walk(&format!("[0,{p}],[5,{p}]")), Ok(()));
+        assert_eq!(parse_walk(&format!("[5,{p}],[5,{p}]")), Err(BadRoute));
+        assert_eq!(parse_walk(""), Err(BadRoute));
+    }
+
+    /// The fixture file with its WiFi environment replaced by a walk over
+    /// `waypoints` (JSON array elements), parsed back.
+    fn parse_walk(waypoints: &str) -> Result<(), ScenarioError> {
+        let text = serde_json::to_string(&host_scenario()).unwrap();
+        let said = r#""wifi":{"Static":{"bps":11000000}}"#;
+        assert!(text.contains(said), "fixture no longer says {said}");
+        let model = format!(
+            r#"{{"route":{{"waypoints":[{waypoints}]}},"ap":{{"x":0.0,"y":0.0}},"adaptation":{{"tiers":[],"mac_efficiency":0.5,"out_of_range_bps":1,"silence_distance_m":9.0}}}}"#
+        );
+        let walked = text.replace(said, &format!(r#""wifi":{{"Mobile":{{"model":{model}}}}}"#));
+        crate::io::from_json_str(&walked).map(|_| ())
     }
 
     #[test]

@@ -21,6 +21,11 @@ pub struct MeanSem {
 }
 
 impl MeanSem {
+    /// [`MeanSem::of`] one quantity read off each item, in item order.
+    pub fn over<T>(items: &[T], x: impl Fn(&T) -> f64) -> MeanSem {
+        MeanSem::of(&items.iter().map(x).collect::<Vec<_>>())
+    }
+
     /// Compute mean/SD/SEM of a sample. Empty samples yield NaNs with `n=0`;
     /// singleton samples have zero deviation by convention.
     pub fn of(xs: &[f64]) -> MeanSem {

@@ -15,11 +15,7 @@ use emptcp_repro::expr::{host, Strategy};
 
 fn main() {
     // A 16 MB download over good WiFi (11 Mbps) with LTE available.
-    let scenario = || {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::Download { size: 16 << 20 };
-        s
-    };
+    let scenario = || Scenario::static_good_wifi().with(Workload::Download { size: 16 << 20 });
 
     println!("16 MB download, WiFi 11 Mbps + LTE 12 Mbps (Samsung Galaxy S3 energy model)\n");
     println!(

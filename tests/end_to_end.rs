@@ -6,9 +6,8 @@ use emptcp_repro::expr::{host, Strategy};
 
 const MB: u64 = 1 << 20;
 
-fn download(mut s: Scenario, size: u64) -> Scenario {
-    s.workload = Workload::Download { size };
-    s
+fn download(s: Scenario, size: u64) -> Scenario {
+    s.with(Workload::Download { size })
 }
 
 #[test]

@@ -5,8 +5,7 @@ use emptcp_repro::expr::scenario::{Scenario, Workload};
 use emptcp_repro::expr::{host, RunResult, Strategy};
 
 fn run(strategy: Strategy, seed: u64) -> RunResult {
-    let mut s = Scenario::bandwidth_changes();
-    s.workload = Workload::Download { size: 8 << 20 };
+    let s = Scenario::bandwidth_changes().with(Workload::Download { size: 8 << 20 });
     host::run(s, strategy, seed)
 }
 
@@ -72,8 +71,7 @@ fn capacity_trace_reflects_modulation() {
 
 #[test]
 fn promotions_match_radio_usage() {
-    let mut s = Scenario::static_good_wifi();
-    s.workload = Workload::Download { size: 2 << 20 };
+    let s = Scenario::static_good_wifi().with(Workload::Download { size: 2 << 20 });
     let wifi_only = host::run(s.clone(), Strategy::TcpWifi, 60);
     assert_eq!(wifi_only.promotions, 0);
     assert_eq!(wifi_only.cell_bytes, 0);
@@ -84,8 +82,7 @@ fn promotions_match_radio_usage() {
 #[test]
 fn energy_scales_with_download_size() {
     let run_size = |size: u64| {
-        let mut s = Scenario::static_good_wifi();
-        s.workload = Workload::Download { size };
+        let s = Scenario::static_good_wifi().with(Workload::Download { size });
         host::run(s, Strategy::TcpWifi, 70)
     };
     let small = run_size(2 << 20);

@@ -2,7 +2,8 @@
 //! contracts, in the root package so the tier-1 command (`cargo test -q`)
 //! exercises them — one fleet engine whose output is invariant under the
 //! shard count, one pair pump whose two transports agree event for event,
-//! a chaos corpus that certifies, a monitor tap that streams, stacks that
+//! a chaos corpus that certifies, a scenario file that says a changing
+//! environment, a monitor tap that streams, stacks that
 //! cannot tell how often they are polled or swept, a timing wheel that
 //! pops like its two reference queues, a live transfer that loses
 //! nothing to its own socket buffers, exhibits that cannot tell which
@@ -80,6 +81,23 @@ fn the_committed_corpus_certifies() {
     for report in &reports {
         assert!(report.ok(), "{}: {:?}", report.scenario, report.violations);
     }
+}
+
+/// A `.scenario` file's host world is the experiment itself, so it can say
+/// an environment that changes under the transfer: §4.3's modulated AP,
+/// loaded from text, run as written and judged by the same oracles.
+#[test]
+fn a_scenario_file_can_say_a_changing_environment() {
+    use emptcp_repro::expr::scenario::WifiEnvironment;
+    let text = include_str!("../scenarios/bandwidth-flips.scenario").replace("8388608", "1048576");
+    let sc = emptcp_scenario::io::from_json_str(&text).expect("the file loads");
+    let emptcp_scenario::World::Host { scenario, .. } = &sc.world else {
+        panic!("bandwidth-flips is a host world");
+    };
+    assert!(matches!(scenario.wifi, WifiEnvironment::Modulated { .. }));
+    let report = chaos::run_scenario(&sc, None).expect("a valid scenario runs");
+    assert!(report.ok(), "{:?}", report.violations);
+    assert_eq!(report.bytes_delivered, 1 << 20);
 }
 
 /// Counts the epochs the engine has executed so far (every epoch is one
