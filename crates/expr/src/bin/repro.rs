@@ -27,7 +27,7 @@
 //! `--jobs 1`: seeds derive from indices, never from scheduling. The
 //! default is the machine's available parallelism.
 
-use emptcp_expr::figures::Config;
+use emptcp_expr::figures::{self, Config};
 use emptcp_expr::flags;
 use emptcp_expr::monitor::{self, LiveOptions};
 use emptcp_expr::repro::{self, ReproOptions};
@@ -188,7 +188,13 @@ fn main() {
         cfg.fleet_clients = clients;
     }
     cfg.fleet_shards = shards;
-    ids.dedup();
+    if let Err(e) = figures::fleet_config(&cfg, true).validate() {
+        eprintln!("error: --clients: {e}");
+        std::process::exit(2);
+    }
+    // Each exhibit runs once, where it was first asked for.
+    let mut seen = std::collections::HashSet::new();
+    ids.retain(|id| seen.insert(id.clone()));
     if trace_path.is_some() && ids.len() != 1 {
         eprintln!(
             "--trace PATH records exactly one exhibit; got {}",

@@ -5,11 +5,10 @@
 //! simulate --strategy mptcp --scenario mobility --json
 //! simulate --strategy emptcp --trace run.jsonl --metrics run.json
 //! simulate --list-strategies
-//! simulate faults --scenario ap-vanish
-//! simulate faults --all --check
 //! simulate monitor --replay fleet.trace.jsonl
 //! simulate monitor --replay fleet.trace.jsonl --check --export-json out.json
 //! simulate scenario --list
+//! simulate scenario --name ap-vanish --trace ap-vanish.jsonl
 //! simulate scenario --corpus --check --jobs 4
 //! simulate scenario --fuzz --cases 100 --seed 7
 //! simulate scenario --file results/repros/fuzz-7-12-min.scenario --check
@@ -25,7 +24,7 @@
 //! invariant observer checks conservation properties as the run executes.
 
 use emptcp_expr::scenario::{Scenario, Workload};
-use emptcp_expr::{faults, flags, host, Strategy};
+use emptcp_expr::{flags, host, Strategy};
 use emptcp_scenario::StrategyKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
@@ -50,56 +49,6 @@ fn usage() -> ! {
   --list-strategies    list strategy names and exit"
     );
     std::process::exit(2);
-}
-
-fn faults_usage() -> ! {
-    eprintln!(
-        "usage: simulate faults [options]
-  --scenario NAME      run one named fault scenario
-  --all                run every scenario in the library
-  --check              exit non-zero unless every report passes the
-                       resilience expectations (CI gate)
-  --seed N             simulation seed                     (default 42)
-  --json               print each report as JSON
-  --trace PATH         write the faulted run's JSONL event trace
-                       (single-scenario mode only)
-  --quiet              suppress progress output
-  --list               list scenario names and exit"
-    );
-    std::process::exit(2);
-}
-
-fn print_report(r: &faults::ResilienceReport) {
-    println!("scenario:         {} ({})", r.scenario, r.strategy);
-    println!("completed:        {}", r.completed);
-    println!(
-        "delivered:        {:.2} MB of {:.2} MB",
-        r.bytes_delivered as f64 / (1 << 20) as f64,
-        r.size_bytes as f64 / (1 << 20) as f64
-    );
-    println!(
-        "time:             {:.2} s faulted vs {:.2} s fault-free",
-        r.faulted_time_s, r.baseline_time_s
-    );
-    println!("goodput retained: {:.0}%", r.goodput_retained * 100.0);
-    println!(
-        "energy:           {:.2} J faulted vs {:.2} J fault-free ({:+.2} J overhead)",
-        r.faulted_energy_j, r.baseline_energy_j, r.energy_overhead_j
-    );
-    println!(
-        "faults:           {} applied, {} link-down, {} RTO failures",
-        r.faults_injected, r.link_down_events, r.subflow_failures
-    );
-    println!(
-        "recovery:         {} promotions, {} revivals, {:.1} KB reinjected, worst latency {:.3} s",
-        r.backup_promotions,
-        r.subflow_revivals,
-        r.bytes_reinjected as f64 / 1024.0,
-        r.worst_recovery_latency_s
-    );
-    if r.invariant_violations > 0 {
-        println!("INVARIANTS:       {} violation(s)", r.invariant_violations);
-    }
 }
 
 fn monitor_usage() -> ! {
@@ -324,93 +273,6 @@ fn instrumented(trace_path: Option<&str>) -> Telemetry {
     builder.build()
 }
 
-fn faults_main(args: Vec<String>) -> ! {
-    let mut scenario: Option<String> = None;
-    let mut all = false;
-    let mut do_check = false;
-    let mut seed = 42u64;
-    let mut json = false;
-    let mut trace_path: Option<String> = None;
-    let mut quiet = false;
-
-    let mut iter = args.into_iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scenario" => scenario = Some(flags::value(&mut iter, "--scenario")),
-            "--all" => all = true,
-            "--check" => do_check = true,
-            "--seed" => seed = flags::value(&mut iter, "--seed"),
-            "--json" => json = true,
-            "--trace" => trace_path = Some(flags::value(&mut iter, "--trace")),
-            "--quiet" => quiet = true,
-            "--list" => {
-                for name in faults::NAMES {
-                    let sc = faults::load(name).expect("library scenario loads");
-                    println!("{:<18} {}", name, sc.summary);
-                }
-                std::process::exit(0);
-            }
-            "--help" | "-h" => faults_usage(),
-            other => {
-                eprintln!("unknown option: {other}");
-                faults_usage();
-            }
-        }
-    }
-    if quiet {
-        log::set_level(log::Level::Quiet);
-    }
-
-    let names: Vec<&str> = if all {
-        faults::NAMES.to_vec()
-    } else {
-        match &scenario {
-            Some(name) => vec![name.as_str()],
-            None => faults_usage(),
-        }
-    };
-    if trace_path.is_some() && names.len() != 1 {
-        eprintln!("--trace needs a single --scenario");
-        std::process::exit(2);
-    }
-
-    let mut failures = 0usize;
-    for (i, name) in names.iter().enumerate() {
-        let telemetry = instrumented(trace_path.as_deref());
-        let report = faults::run_scenario_traced(name, seed, telemetry).unwrap_or_else(|| {
-            eprintln!("unknown fault scenario '{name}' (try --list)");
-            std::process::exit(2);
-        });
-        if json {
-            println!(
-                "{}",
-                serde_json::to_string_pretty(&report).expect("serializable report")
-            );
-        } else if !quiet {
-            if i > 0 {
-                println!();
-            }
-            print_report(&report);
-        }
-        if do_check {
-            for fail in faults::check(&report) {
-                eprintln!("{name}: FAILED expectation: {fail}");
-                failures += 1;
-            }
-        }
-    }
-    if do_check {
-        if failures == 0 && !quiet {
-            println!(
-                "\nall {} scenario(s) passed the resilience checks",
-                names.len()
-            );
-        }
-        std::process::exit(if failures == 0 { 0 } else { 1 });
-    }
-    std::process::exit(0);
-}
-
 fn scenario_usage() -> ! {
     eprintln!(
         "usage: simulate scenario [options]
@@ -425,6 +287,8 @@ fn scenario_usage() -> ! {
   --json               print each chaos report as JSON
   --jobs N             worker pool size                    (default 1)
   --out DIR            write per-scenario corpus reports here
+  --trace PATH         write the judged run's JSONL event trace
+                       (--name or --file only)
   --repro-dir DIR      write shrunk fuzz repros here (default results/repros)
   --sabotage-oracle O  deliberately break oracle O ('delivery') to
                        exercise the fuzz -> shrink -> repro pipeline
@@ -444,6 +308,37 @@ fn print_chaos_report(r: &emptcp_expr::chaos::ChaosReport) {
     }
 }
 
+/// The faulted run against its fault-free baseline, for a file that
+/// expects goodput.
+fn print_resilience(r: &emptcp_expr::chaos::ChaosReport) {
+    let Some(s) = &r.resilience else { return };
+    println!(
+        "  completed         {} ({:.2} MB delivered)",
+        s.completed,
+        r.bytes_delivered as f64 / (1 << 20) as f64
+    );
+    println!(
+        "  time              {:.2} s faulted vs {:.2} s fault-free",
+        s.faulted_time_s, s.baseline_time_s
+    );
+    println!("  goodput retained  {:.0}%", s.goodput_retained * 100.0);
+    println!(
+        "  energy            {:.2} J faulted vs {:.2} J fault-free ({:+.2} J overhead)",
+        s.faulted_energy_j, s.baseline_energy_j, s.energy_overhead_j
+    );
+    println!(
+        "  failures          {} link-down, {} RTO-declared",
+        s.link_down_events, s.subflow_failures
+    );
+    println!(
+        "  recovery          {} promotions, {} revivals, {:.1} KB reinjected, worst latency {:.3} s",
+        s.backup_promotions,
+        s.subflow_revivals,
+        s.bytes_reinjected as f64 / 1024.0,
+        s.worst_recovery_latency_s
+    );
+}
+
 fn scenario_main(args: Vec<String>) -> ! {
     use emptcp_expr::chaos;
     use emptcp_scenario::corpus;
@@ -461,6 +356,7 @@ fn scenario_main(args: Vec<String>) -> ! {
     let mut out_dir: Option<String> = None;
     let mut repro_dir = "results/repros".to_string();
     let mut sabotage: Option<String> = None;
+    let mut trace_path: Option<String> = None;
     let mut quiet = false;
 
     let mut iter = args.into_iter();
@@ -479,6 +375,7 @@ fn scenario_main(args: Vec<String>) -> ! {
             "--out" => out_dir = Some(flags::value(&mut iter, "--out")),
             "--repro-dir" => repro_dir = flags::value(&mut iter, "--repro-dir"),
             "--sabotage-oracle" => sabotage = Some(flags::value(&mut iter, "--sabotage-oracle")),
+            "--trace" => trace_path = Some(flags::value(&mut iter, "--trace")),
             "--quiet" => quiet = true,
             "--help" | "-h" => scenario_usage(),
             other => {
@@ -496,6 +393,10 @@ fn scenario_main(args: Vec<String>) -> ! {
             eprintln!("unknown oracle to sabotage: {s} (supported: delivery)");
             std::process::exit(2);
         }
+    }
+    if trace_path.is_some() && (fuzz || run_corpus) {
+        eprintln!("--trace records one run: use it with --name or --file");
+        std::process::exit(2);
     }
 
     if list {
@@ -589,8 +490,9 @@ fn scenario_main(args: Vec<String>) -> ! {
     if let Some(s) = seed {
         sc.seed = s;
     }
+    let telemetry = instrumented(trace_path.as_deref());
     let report = runner
-        .install(|| chaos::run_scenario(&sc, sabotage))
+        .install(|| chaos::run_traced(&sc, sabotage, telemetry))
         .unwrap_or_else(|e| {
             eprintln!("simulate scenario: {e}");
             std::process::exit(2);
@@ -599,6 +501,7 @@ fn scenario_main(args: Vec<String>) -> ! {
         print!("{}", chaos::report_json(&report));
     } else {
         print_chaos_report(&report);
+        print_resilience(&report);
     }
     std::process::exit(if do_check && !report.ok() { 1 } else { 0 });
 }
@@ -606,7 +509,6 @@ fn scenario_main(args: Vec<String>) -> ! {
 fn main() {
     let mut args_vec: Vec<String> = std::env::args().skip(1).collect();
     match args_vec.first().cloned().as_deref() {
-        Some("faults") => faults_main(args_vec.split_off(1)),
         Some("monitor") => monitor_main(args_vec.split_off(1)),
         Some("scenario") => scenario_main(args_vec.split_off(1)),
         Some(role @ ("serve" | "connect")) => live_main(role, args_vec.split_off(1)),
@@ -682,6 +584,11 @@ fn main() {
             usage();
         }),
     };
+    // What the flags built must meet the rules a file's scenario meets.
+    if let Err(e) = scenario.validate() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
 
     if quiet {
         log::set_level(log::Level::Quiet);

@@ -19,18 +19,22 @@
 //!   bottleneck;
 //! * **fairness bounds** — on do-no-harm topologies the MPTCP/TCP split
 //!   stays near fair;
+//! * **expectation** — a host run shows the recovery its file says it
+//!   must (every [`Expect`] bound exceeded);
 //! * **invariant observer** — zero online violations during the run.
 //!
 //! On top of single runs sit [`fuzz`] (generate → run → oracle → greedy
 //! [`emptcp_scenario::shrink`] to a minimal failing `.scenario` repro) and
 //! [`replay_corpus`] (every committed scenario, deterministic reports).
 
-use crate::host::Simulation;
+use crate::host::{RunResult, Simulation};
 use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::io::save;
 use emptcp_scenario::shrink::shrink;
-use emptcp_scenario::{corpus, HostScenario, Scenario, ScenarioError, StrategyKind, World};
+use emptcp_scenario::{
+    corpus, Expect, HostScenario, Measure, Scenario, ScenarioError, StrategyKind, World,
+};
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{InvariantObserver, Telemetry};
 use serde::{Deserialize, Serialize};
@@ -66,8 +70,44 @@ pub struct ChaosReport {
     pub aggregate_mbps: f64,
     /// Online invariant violations recorded during the run.
     pub invariant_violations: u64,
+    /// Host worlds whose file expects goodput: the run against its
+    /// fault-free baseline. Otherwise `None`.
+    pub resilience: Option<Resilience>,
     /// Every end-of-run oracle that failed (empty = certified).
     pub violations: Vec<OracleViolation>,
+}
+
+/// A faulted host run beside the same seed's fault-free run, and how it
+/// recovered.
+#[derive(Clone, Debug, Serialize, Deserialize)]
+pub struct Resilience {
+    /// The faulted run finished before the horizon.
+    pub completed: bool,
+    /// Completion time under faults (s).
+    pub faulted_time_s: f64,
+    /// Fault-free completion time (s).
+    pub baseline_time_s: f64,
+    /// Faulted goodput as a fraction of fault-free goodput.
+    pub goodput_retained: f64,
+    /// Energy under faults, drain included (J).
+    pub faulted_energy_j: f64,
+    /// Fault-free energy (J).
+    pub baseline_energy_j: f64,
+    /// Extra energy the faults cost (J; negative when a fault ends a
+    /// radio tail early).
+    pub energy_overhead_j: f64,
+    /// Link-down notifications the stack received (both ends).
+    pub link_down_events: u64,
+    /// Subflows declared dead by the consecutive-RTO detector.
+    pub subflow_failures: u64,
+    /// Backup subflows promoted into service.
+    pub backup_promotions: u64,
+    /// Dead subflows that came back.
+    pub subflow_revivals: u64,
+    /// Data-level bytes queued for reinjection on surviving subflows.
+    pub bytes_reinjected: u64,
+    /// Worst failure-to-progress latency (s; 0 when nothing failed).
+    pub worst_recovery_latency_s: f64,
 }
 
 impl ChaosReport {
@@ -83,13 +123,33 @@ impl ChaosReport {
 /// [`SABOTAGE_DELIVERY`]) so the shrinking pipeline can be exercised
 /// end-to-end against a known-bad judgement.
 pub fn run_scenario(sc: &Scenario, sabotage: Option<&str>) -> Result<ChaosReport, ScenarioError> {
+    run_traced(sc, sabotage, Telemetry::builder().invariants(true).build())
+}
+
+/// [`run_scenario`] reporting through `telemetry`, which must have the
+/// invariant observer on: a trace sink attached to it records the judged
+/// run (a fault-free baseline runs uninstrumented, before it).
+pub fn run_traced(
+    sc: &Scenario,
+    sabotage: Option<&str>,
+    telemetry: Telemetry,
+) -> Result<ChaosReport, ScenarioError> {
     sc.validate()?;
     let sabotage_delivery = sabotage == Some(SABOTAGE_DELIVERY);
     match &sc.world {
-        World::Host { strategy, scenario } => {
-            Ok(run_host(sc, *strategy, scenario, sabotage_delivery))
-        }
-        World::Fleet(cfg) => run_fleet(sc, cfg, sabotage_delivery),
+        World::Host {
+            strategy,
+            scenario,
+            expect,
+        } => Ok(run_host(
+            sc,
+            *strategy,
+            scenario,
+            expect,
+            sabotage_delivery,
+            telemetry,
+        )),
+        World::Fleet(cfg) => run_fleet(sc, cfg, sabotage_delivery, telemetry),
     }
 }
 
@@ -97,10 +157,23 @@ fn run_host(
     sc: &Scenario,
     strategy: StrategyKind,
     host: &HostScenario,
+    expect: &[Expect],
     sabotage_delivery: bool,
+    telemetry: Telemetry,
 ) -> ChaosReport {
     let plan = sc.fault_plan();
-    let telemetry = Telemetry::builder().invariants(true).build();
+    let baseline = expect
+        .iter()
+        .any(|e| e.measure == Measure::GoodputRetained)
+        .then(|| {
+            Simulation::new_with_telemetry(
+                host.clone(),
+                strategy.into(),
+                sc.seed,
+                Telemetry::disabled(),
+            )
+            .run()
+        });
     let mut sim =
         Simulation::new_with_telemetry(host.clone(), strategy.into(), sc.seed, telemetry.clone());
     if !plan.is_empty() {
@@ -108,6 +181,7 @@ fn run_host(
     }
     let r = sim.run();
     let invariant_violations = telemetry.violations().len() as u64;
+    let resilience = baseline.map(|b| resilience(&r, &b));
 
     let at = SimTime::ZERO + SimDuration::from_secs_f64(r.download_time_s);
     let mut obs = InvariantObserver::new();
@@ -153,10 +227,58 @@ fn run_host(
         prev = joules;
     }
 
+    // The recovery the file says the run must show.
+    for e in expect {
+        let value = match e.measure {
+            Measure::FaultsInjected => r.faults_injected as f64,
+            Measure::LinkDownEvents => r.link_down_events as f64,
+            Measure::SubflowFailures => r.subflow_failures as f64,
+            Measure::SubflowRevivals => r.subflow_revivals as f64,
+            Measure::BytesReinjected => r.bytes_reinjected as f64,
+            Measure::WorstRecoveryLatency => r.worst_recovery_latency_s,
+            Measure::GoodputRetained => resilience.as_ref().map_or(0.0, |s| s.goodput_retained),
+        };
+        obs.check(at, "expectation", value > e.above, || {
+            format!(
+                "{}: {} must exceed {}, measured {value}",
+                sc.name,
+                e.measure.label(),
+                e.above
+            )
+        });
+    }
+
     ChaosReport {
         faults_injected: r.faults_injected,
         bytes_delivered: r.bytes_delivered,
+        resilience,
         ..judged(sc, at, obs, invariant_violations)
+    }
+}
+
+/// The faulted run `r` measured against its fault-free baseline `b`.
+fn resilience(r: &RunResult, b: &RunResult) -> Resilience {
+    let goodput = |bytes: u64, secs: f64| bytes as f64 / secs.max(1e-9);
+    let base_goodput = goodput(b.bytes_delivered, b.download_time_s);
+    let fault_goodput = goodput(r.bytes_delivered, r.download_time_s);
+    Resilience {
+        completed: r.completed,
+        faulted_time_s: r.download_time_s,
+        baseline_time_s: b.download_time_s,
+        goodput_retained: if base_goodput > 0.0 {
+            fault_goodput / base_goodput
+        } else {
+            0.0
+        },
+        faulted_energy_j: r.energy_j,
+        baseline_energy_j: b.energy_j,
+        energy_overhead_j: r.energy_j - b.energy_j,
+        link_down_events: r.link_down_events,
+        subflow_failures: r.subflow_failures,
+        backup_promotions: r.backup_promotions,
+        subflow_revivals: r.subflow_revivals,
+        bytes_reinjected: r.bytes_reinjected,
+        worst_recovery_latency_s: r.worst_recovery_latency_s,
     }
 }
 
@@ -183,6 +305,7 @@ fn judged(
         bytes_delivered: 0,
         aggregate_mbps: 0.0,
         invariant_violations,
+        resilience: None,
         violations: obs
             .take_violations()
             .into_iter()
@@ -198,11 +321,11 @@ fn run_fleet(
     sc: &Scenario,
     cfg: &FleetConfig,
     sabotage_delivery: bool,
+    telemetry: Telemetry,
 ) -> Result<ChaosReport, ScenarioError> {
     let plan = sc.fault_plan();
     let mut cfg = cfg.clone();
     cfg.seed = sc.seed;
-    let telemetry = Telemetry::builder().invariants(true).build();
     let mut sim = ShardedFleetSim::try_new_with_telemetry(cfg.clone(), 1, telemetry.clone())?;
     if !plan.is_empty() {
         sim.attach_faults(plan.clone());

@@ -1041,7 +1041,7 @@ pub fn sweep_kappa(cfg: &Config) -> FigureOutput {
 /// harm" story at population scale; the uncoupled row is the ablation
 /// showing what coupling buys the single-path clients.
 pub fn fleet(cfg: &Config) -> FigureOutput {
-    use emptcp_net::{FleetConfig, ShardedFleetSim};
+    use emptcp_net::ShardedFleetSim;
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
     let shards = cfg.fleet_shard_count();
     // Variants run sequentially; parallelism lives *inside* each run,
@@ -1050,9 +1050,7 @@ pub fn fleet(cfg: &Config) -> FigureOutput {
     let reports: Vec<_> = variants
         .iter()
         .map(|&(_, coupled)| {
-            let mut fc = FleetConfig::contended(cfg.fleet_clients, cfg.seed);
-            fc.duration = SimDuration::from_secs(5);
-            fc.coupled = coupled;
+            let fc = fleet_config(cfg, coupled);
             ShardedFleetSim::new_with_telemetry(fc, shards, emptcp_telemetry::current())
                 .run_with(&RunnerShardExecutor)
         })
@@ -1095,6 +1093,14 @@ pub fn fleet(cfg: &Config) -> FigureOutput {
         payload.push((label.to_string(), r.clone()));
     }
     FigureOutput::new("fleet", vec![t], payload)
+}
+
+/// The `fleet` exhibit's population under `cfg`, LIA-coupled or not.
+pub fn fleet_config(cfg: &Config, coupled: bool) -> emptcp_net::FleetConfig {
+    let mut fc = emptcp_net::FleetConfig::contended(cfg.fleet_clients, cfg.seed);
+    fc.duration = SimDuration::from_secs(5);
+    fc.coupled = coupled;
+    fc
 }
 
 /// Bridge from the experiment runner's worker pool to the sharded fleet

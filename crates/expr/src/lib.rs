@@ -25,8 +25,8 @@
 //!   through, so a `(scenario, strategy, seed)` several exhibits ask for is
 //!   simulated once per `run_exhibits` call;
 //! * [`chaos`] — chaos certification: declarative `.scenario` runs, the
-//!   end-of-run oracles, scenario fuzzing and minimal-repro shrinking
-//!   (`simulate scenario`).
+//!   end-of-run oracles (the recovery each file expects among them),
+//!   scenario fuzzing and minimal-repro shrinking (`simulate scenario`).
 //!
 //! The `repro` binary regenerates everything: `repro --list`, `repro fig5`,
 //! `repro all`.
@@ -43,7 +43,6 @@
 //! ```
 
 pub mod chaos;
-pub mod faults;
 pub mod figures;
 pub mod flags;
 pub mod host;

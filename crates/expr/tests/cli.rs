@@ -1,7 +1,7 @@
 //! What the binaries do with a command line they cannot use: a flag value
-//! that does not parse, or is not there, is a usage error (one `error:`
-//! line, exit 2), and an exhibit that cannot write its output fails the run
-//! (exit 1). Neither is a panic.
+//! that does not parse, is not there, or asks for a run that cannot happen
+//! is a usage error (one `error:` line, exit 2), and an exhibit that cannot
+//! write its output fails the run (exit 1). Neither is a panic.
 
 use std::process::{Command, Output};
 
@@ -38,7 +38,7 @@ fn a_bad_flag_value_is_a_usage_error() {
         ),
         (
             simulate,
-            &["faults", "--all", "--seed", "x"],
+            &["scenario", "--name", "ap-vanish", "--seed", "x"],
             r#"error: --seed: expected u64, got "x""#,
         ),
         (
@@ -75,6 +75,64 @@ fn a_bad_flag_value_is_a_usage_error() {
     for (bin, args, message) in cases {
         assert_exit(&run(bin, args), 2, message, &format!("{args:?}"));
     }
+}
+
+/// A scenario built from flags meets the rules a `.scenario` file meets,
+/// and a fleet size the engine cannot hold is refused before it runs.
+#[test]
+fn a_value_no_run_can_use_is_a_usage_error() {
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let repro = env!("CARGO_BIN_EXE_repro");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (
+            simulate,
+            &["--size-mb", "-1", "--strategy", "mptcp"],
+            "error: workload moves zero bytes",
+        ),
+        (
+            simulate,
+            &["--wifi-mbps", "0", "--strategy", "tcp-wifi"],
+            "error: host link `wifi` has zero capacity",
+        ),
+        (
+            simulate,
+            &["--cell-mbps", "-5", "--strategy", "tcp-cellular"],
+            "error: host link `cellular` has zero capacity",
+        ),
+        (
+            repro,
+            &["--quick", "--clients", "0", "fleet"],
+            "error: --clients: fleet config has zero clients",
+        ),
+        (
+            repro,
+            &["--quick", "--clients", "1073741823", "fleet"],
+            "error: --clients: fleet config has too many clients: 1073741823",
+        ),
+    ];
+    for (bin, args, message) in cases {
+        assert_exit(&run(bin, args), 2, message, &format!("{args:?}"));
+    }
+}
+
+/// An exhibit named twice runs once, where it was first asked for.
+#[test]
+fn a_repeated_exhibit_runs_once() {
+    let dir = std::env::temp_dir().join(format!("emptcp-cli-repeat-{}", std::process::id()));
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    let args = ["--quick", "--quiet", "--out", out_dir, "eq1", "fig1", "eq1"];
+    let out = run(env!("CARGO_BIN_EXE_repro"), &args);
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_exit(&out, 0, "", "a repeated id");
+    let once = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--quick", "--quiet", "--out", out_dir, "eq1", "fig1"],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&once.stdout)
+    );
 }
 
 #[test]

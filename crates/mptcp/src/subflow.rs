@@ -146,11 +146,6 @@ impl Subflow {
         self.rx_mappings.gc(1 + self.tcp.bytes_delivered_total());
     }
 
-    /// Total bytes this side has scheduled onto the subflow.
-    pub fn bytes_scheduled(&self) -> u64 {
-        self.push_seq - 1
-    }
-
     /// Window room: how many more bytes TCP could take right now.
     pub fn send_room(&self) -> u64 {
         self.tcp
@@ -255,7 +250,6 @@ mod tests {
         let mut sf = subflow();
         sf.push_data(0, 1000);
         sf.push_data(1000, 500);
-        assert_eq!(sf.bytes_scheduled(), 1500);
         let dss = sf.dss_for_tx(1, 1000, 7).unwrap();
         assert_eq!(dss.data_seq, 0);
         assert_eq!(dss.data_ack, 7);

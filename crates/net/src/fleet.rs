@@ -17,6 +17,9 @@ use emptcp_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
+/// Most clients a fleet holds: client `i` is event owner `i + 1` of 30 bits.
+pub const MAX_CLIENTS: usize = (1 << 30) - 2;
+
 /// Configuration of a fleet run.
 #[derive(Clone, PartialEq, Debug, Serialize, Deserialize)]
 pub struct FleetConfig {
@@ -80,8 +83,10 @@ impl FleetConfig {
     /// parse time or engine construction — instead of failing deep inside
     /// a run.
     pub fn validate(&self) -> Result<(), FleetConfigError> {
-        if self.clients == 0 {
-            return Err(FleetConfigError::NoClients);
+        match self.clients {
+            0 => return Err(FleetConfigError::NoClients),
+            n if n > MAX_CLIENTS => return Err(FleetConfigError::TooManyClients(n)),
+            _ => {}
         }
         if self.bottleneck.rate_bps == 0 {
             return Err(FleetConfigError::ZeroCapacityLink("bottleneck"));
@@ -137,6 +142,8 @@ pub enum FleetConfigError {
     /// `clients == 0`: there is nothing to simulate (and nothing to report
     /// fairness over).
     NoClients,
+    /// More clients than [`MAX_CLIENTS`].
+    TooManyClients(usize),
     /// A link was configured with `rate_bps == 0`; serialization time
     /// would be infinite. The payload names the offending link field.
     ZeroCapacityLink(&'static str),
@@ -155,6 +162,9 @@ impl fmt::Display for FleetConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             FleetConfigError::NoClients => write!(f, "fleet config has zero clients"),
+            FleetConfigError::TooManyClients(n) => {
+                write!(f, "fleet config has too many clients: {n}")
+            }
             FleetConfigError::ZeroCapacityLink(which) => {
                 write!(f, "fleet config link `{which}` has zero capacity")
             }

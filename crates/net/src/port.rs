@@ -108,11 +108,6 @@ impl Port {
         self.peak_queue_bytes
     }
 
-    /// Override the ECN marking threshold (bytes of standing queue).
-    pub fn set_ecn_threshold(&mut self, bytes: u64) {
-        self.ecn_threshold = bytes;
-    }
-
     /// Whether the port currently accepts traffic at all.
     pub fn is_up(&self) -> bool {
         !self.admin_down && self.link.rate_bps() > 0
@@ -239,14 +234,13 @@ mod tests {
 
     #[test]
     fn forwards_and_counts_marks_above_threshold() {
-        // 3000 B queue, 1500 B threshold: the third back-to-back packet
-        // enters behind ≥ 1500 B of standing queue and is marked.
+        // 6000 B queue, 3000 B threshold: the third and fourth back-to-back
+        // packets enter behind ≥ 3000 B of standing queue and are marked.
         let mut p = port(12_000_000, 6000);
-        p.set_ecn_threshold(1500);
         let mut rng = SimRng::new(1);
         let scope = Telemetry::disabled().scope(0);
         let mut marks = 0;
-        for _ in 0..3 {
+        for _ in 0..4 {
             match p.transmit(SimTime::ZERO, 1500, &mut rng, 0, 0, &scope) {
                 PortOutcome::Forwarded { marked, .. } => marks += u64::from(marked),
                 other => panic!("unexpected {other:?}"),
@@ -254,7 +248,7 @@ mod tests {
         }
         assert_eq!(marks, 2);
         assert_eq!(p.ecn_marked(), 2);
-        assert_eq!(p.peak_queue_bytes(), 4500);
+        assert_eq!(p.peak_queue_bytes(), 6000);
     }
 
     #[test]

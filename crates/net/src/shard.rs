@@ -1028,10 +1028,6 @@ impl ShardedFleetSim {
     ) -> Result<ShardedFleetSim, FleetConfigError> {
         cfg.validate()?;
         let delta = lookahead(&cfg);
-        assert!(
-            cfg.clients + 1 < (1 << 30),
-            "client count exceeds the 30-bit owner space"
-        );
         let s = shards.clamp(1, cfg.clients);
         let root = SimRng::new(cfg.seed);
         let client_rng = root.fork_labeled("client_net");

@@ -60,11 +60,6 @@ impl RrcState {
         }
     }
 
-    /// True when the radio draws its high-power (connected) baseline.
-    pub fn is_high_power(self) -> bool {
-        !matches!(self, RrcState::Idle)
-    }
-
     /// True when data can traverse the radio.
     pub fn can_transfer(self) -> bool {
         matches!(self, RrcState::Active | RrcState::Tail)
@@ -386,9 +381,6 @@ mod tests {
 
     #[test]
     fn state_predicates() {
-        assert!(!RrcState::Idle.is_high_power());
-        assert!(RrcState::Promotion.is_high_power());
-        assert!(RrcState::Tail.is_high_power());
         assert!(!RrcState::Promotion.can_transfer());
         assert!(RrcState::Active.can_transfer());
         assert!(RrcState::Tail.can_transfer());

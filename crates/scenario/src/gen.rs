@@ -75,7 +75,11 @@ fn host_scenario(rng: &mut TestRng, name: String, seed: u64) -> Scenario {
         name,
         summary: "fuzz-generated host scenario".to_string(),
         seed,
-        world: World::Host { strategy, scenario },
+        world: World::Host {
+            strategy,
+            scenario,
+            expect: Vec::new(),
+        },
         faults,
     }
 }

@@ -55,6 +55,7 @@ mod tests {
                     device: DeviceKind::Nexus5,
                     ..HostScenario::static_bad_wifi().with(Workload::Download { size: 512 << 10 })
                 },
+                expect: Vec::new(),
             },
             faults: vec![FaultSpec::RttSpike {
                 target: FaultTarget::Core,

@@ -10,7 +10,9 @@
 //!
 //! * [`spec`] — the [`Scenario`] type and its validity rules. A scenario
 //!   either validates (non-empty workload, positive capacities, every
-//!   fault recoverable) or fails with a typed [`ScenarioError`].
+//!   fault recoverable) or fails with a typed [`ScenarioError`]. A host
+//!   world also says what recovery its run must show: a list of
+//!   [`Expect`] bounds on named [`Measure`]s.
 //! * [`host`] — [`HostScenario`], the single-device experiment a host
 //!   world carries: the one value `expr::host::Simulation` runs, with the
 //!   paper's named environments as constructors and the rules a file must
@@ -18,8 +20,8 @@
 //! * [`io`] — `.scenario` JSON files: parse, validate, and the canonical
 //!   byte form CI replays byte-identically.
 //! * [`corpus`] — the committed scenario corpus embedded at compile time,
-//!   the source of truth the `faults` scenario library and the fleet
-//!   config presets are loaded from.
+//!   the source of truth the fault library and the fleet config presets
+//!   are loaded from.
 //! * [`gen`] — the deterministic fuzzer: `(run seed, case index)` maps to
 //!   one arbitrary-but-valid scenario, byte-reproducible forever.
 //! * [`shrink`] — greedy delta-debugging: given a failing scenario and a
@@ -39,4 +41,4 @@ pub mod shrink;
 pub mod spec;
 
 pub use host::{DeviceKind, HostScenario, WifiEnvironment, Workload};
-pub use spec::{Scenario, ScenarioError, StrategyKind, World};
+pub use spec::{Expect, Measure, Scenario, ScenarioError, StrategyKind, World};

@@ -39,6 +39,9 @@ pub enum World {
         /// exact-delivery oracle asserts its workload's bytes arrive
         /// despite every fault in the script.
         scenario: HostScenario,
+        /// The recovery the run must show, judged by the `expectation`
+        /// oracle; empty for a file that asks only the common oracles.
+        expect: Vec<Expect>,
     },
     /// The many-client fleet over a shared bottleneck (`net::fleet`) —
     /// the substrate with fairness accounting.
@@ -90,6 +93,51 @@ impl StrategyKind {
     }
 }
 
+/// A strict lower bound on one measure of a host run: the run passes when
+/// the measured value exceeds `above`.
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Expect {
+    /// What is measured.
+    pub measure: Measure,
+    /// The value it must exceed.
+    pub above: f64,
+}
+
+/// The run measures an [`Expect`] can bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+pub enum Measure {
+    /// Fault events the injector applied.
+    FaultsInjected,
+    /// Link-down notifications the stack received (both ends).
+    LinkDownEvents,
+    /// Subflows declared dead by the consecutive-RTO detector.
+    SubflowFailures,
+    /// Dead subflows that came back.
+    SubflowRevivals,
+    /// Data-level bytes queued for reinjection on surviving subflows.
+    BytesReinjected,
+    /// Worst failure-to-progress latency, seconds.
+    WorstRecoveryLatency,
+    /// Faulted goodput as a fraction of the same seed's fault-free run;
+    /// naming it makes the judge run that baseline too.
+    GoodputRetained,
+}
+
+impl Measure {
+    /// Stable snake-case name, as reports print it.
+    pub fn label(self) -> &'static str {
+        match self {
+            Measure::FaultsInjected => "faults_injected",
+            Measure::LinkDownEvents => "link_down_events",
+            Measure::SubflowFailures => "subflow_failures",
+            Measure::SubflowRevivals => "subflow_revivals",
+            Measure::BytesReinjected => "bytes_reinjected",
+            Measure::WorstRecoveryLatency => "worst_recovery_latency_s",
+            Measure::GoodputRetained => "goodput_retained",
+        }
+    }
+}
+
 impl Scenario {
     /// Expand the declarative fault script into the injector's plan.
     pub fn fault_plan(&self) -> FaultPlan {
@@ -110,7 +158,14 @@ impl Scenario {
             return Err(ScenarioError::BadName(self.name.clone()));
         }
         match &self.world {
-            World::Host { scenario, .. } => scenario.validate()?,
+            World::Host {
+                scenario, expect, ..
+            } => {
+                scenario.validate()?;
+                if let Some(e) = expect.iter().find(|e| !e.above.is_finite()) {
+                    return Err(ScenarioError::NonFiniteBound(e.measure.label()));
+                }
+            }
             World::Fleet(cfg) => cfg.validate()?,
         }
         for fault in &self.faults {
@@ -188,6 +243,9 @@ pub enum ScenarioError {
     /// A host-world time that must be positive is zero (payload names the
     /// field: the `horizon`, a streaming `interval`).
     ZeroDuration(&'static str),
+    /// An expectation's bound is not a finite number (payload names its
+    /// measure).
+    NonFiniteBound(&'static str),
     /// A fleet-world config failed its own validation.
     Fleet(FleetConfigError),
     /// A fault primitive is structurally degenerate (payload is its label).
@@ -235,6 +293,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::ReversedOutage => write!(f, "wifi outage ends before it starts"),
             ScenarioError::WifiAsCellular => write!(f, "`cell_kind` must be a cellular radio"),
             ScenarioError::ZeroDuration(field) => write!(f, "`{field}` is zero"),
+            ScenarioError::NonFiniteBound(measure) => {
+                write!(f, "the bound on `{measure}` is not a finite number")
+            }
             ScenarioError::Fleet(e) => write!(f, "{e}"),
             ScenarioError::MalformedFault(label) => {
                 write!(f, "fault primitive `{label}` is degenerate (zero extent)")
@@ -268,6 +329,10 @@ mod tests {
                 strategy: StrategyKind::Emptcp,
                 scenario: HostScenario::static_good_wifi()
                     .with(Workload::Download { size: 1 << 20 }),
+                expect: vec![Expect {
+                    measure: Measure::FaultsInjected,
+                    above: 0.0,
+                }],
             },
             faults: vec![FaultSpec::Blackout {
                 target: FaultTarget::Wifi,
@@ -354,24 +419,36 @@ mod tests {
         for (edit, expected) in cases {
             assert_eq!(parse(edit), Err(expected));
         }
-        // A route no constructor would build exists only as text.
+        // A route no constructor would build, and a bound too large for an
+        // `f64`, exist only as text.
         let p = r#"{"x":1.0,"y":1.0}"#;
         assert_eq!(parse_walk(&format!("[0,{p}],[5,{p}]")), Ok(()));
         assert_eq!(parse_walk(&format!("[5,{p}],[5,{p}]")), Err(BadRoute));
         assert_eq!(parse_walk(""), Err(BadRoute));
+        let infinite = r#""above":1e999"#;
+        assert_eq!(
+            parse_edited(r#""above":0.0"#, infinite),
+            Err(NonFiniteBound("faults_injected"))
+        );
     }
 
     /// The fixture file with its WiFi environment replaced by a walk over
     /// `waypoints` (JSON array elements), parsed back.
     fn parse_walk(waypoints: &str) -> Result<(), ScenarioError> {
-        let text = serde_json::to_string(&host_scenario()).unwrap();
-        let said = r#""wifi":{"Static":{"bps":11000000}}"#;
-        assert!(text.contains(said), "fixture no longer says {said}");
         let model = format!(
             r#"{{"route":{{"waypoints":[{waypoints}]}},"ap":{{"x":0.0,"y":0.0}},"adaptation":{{"tiers":[],"mac_efficiency":0.5,"out_of_range_bps":1,"silence_distance_m":9.0}}}}"#
         );
-        let walked = text.replace(said, &format!(r#""wifi":{{"Mobile":{{"model":{model}}}}}"#));
-        crate::io::from_json_str(&walked).map(|_| ())
+        parse_edited(
+            r#""wifi":{"Static":{"bps":11000000}}"#,
+            &format!(r#""wifi":{{"Mobile":{{"model":{model}}}}}"#),
+        )
+    }
+
+    /// The fixture file with the text `said` replaced by `edit`, parsed.
+    fn parse_edited(said: &str, edit: &str) -> Result<(), ScenarioError> {
+        let text = serde_json::to_string(&host_scenario()).unwrap();
+        assert!(text.contains(said), "fixture no longer says {said}");
+        crate::io::from_json_str(&text.replace(said, edit)).map(|_| ())
     }
 
     #[test]

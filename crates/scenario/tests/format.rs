@@ -1,17 +1,32 @@
 //! The `.scenario` format carries the whole host experiment: every named
-//! environment survives it, and the generator still draws what it drew
-//! when a host world was two rates, two RTTs and a size.
+//! environment and every expectation survives it, the generator still
+//! draws what it drew when a host world was two rates, two RTTs and a size,
+//! and a fleet the engine cannot hold fails to load.
 
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::host::NAMED;
 use emptcp_scenario::io::{from_json_str, to_canonical_json};
-use emptcp_scenario::{Scenario, StrategyKind, WifiEnvironment, World};
+use emptcp_scenario::{Expect, Measure, Scenario, StrategyKind, WifiEnvironment, World};
 
 /// Every named environment — the walk's twelve waypoints, the `f64`
-/// rates, the outage window — comes back from canonical JSON equal, and
-/// re-serializes to the same bytes.
+/// rates, the outage window — and a bound on every measure come back from
+/// canonical JSON equal, and re-serialize to the same bytes.
 #[test]
 fn every_named_environment_round_trips() {
+    use Measure::*;
+    let expect: Vec<Expect> = [
+        FaultsInjected,
+        LinkDownEvents,
+        SubflowFailures,
+        SubflowRevivals,
+        BytesReinjected,
+        WorstRecoveryLatency,
+        GoodputRetained,
+    ]
+    .into_iter()
+    .zip([0.0, 1.0, 2.5, -1.0, 4096.0, 0.125, 0.25])
+    .map(|(measure, above)| Expect { measure, above })
+    .collect();
     for (handle, make) in NAMED {
         let s = Scenario {
             name: "roundtrip".to_string(),
@@ -20,6 +35,7 @@ fn every_named_environment_round_trips() {
             world: World::Host {
                 strategy: StrategyKind::Emptcp,
                 scenario: make(),
+                expect: expect.clone(),
             },
             faults: Vec::new(),
         };
@@ -52,6 +68,7 @@ fn seed_7_draws_what_it_drew_as_a_host_spec() {
         let World::Host {
             strategy,
             scenario: h,
+            ..
         } = &sc.world
         else {
             return None;
@@ -70,4 +87,25 @@ fn seed_7_draws_what_it_drew_as_a_host_spec() {
         ))
     });
     assert_eq!(drawn.collect::<Vec<_>>(), pinned);
+}
+
+/// A fleet file asking for more clients than the engine's event keys can
+/// tell apart fails to load with its typed error, not a panic at run time.
+#[test]
+fn a_fleet_file_with_too_many_clients_fails_to_load() {
+    use emptcp_net::fleet::{FleetConfigError, MAX_CLIENTS};
+    use emptcp_scenario::corpus;
+    let text = corpus::raw("fleet-contended").expect("corpus file");
+    let said = r#""clients": 8,"#;
+    assert!(text.contains(said), "fleet-contended no longer says {said}");
+    let too_many = MAX_CLIENTS + 1;
+    let edited = text.replace(said, &format!(r#""clients": {too_many},"#));
+    assert_eq!(
+        from_json_str(&edited),
+        Err(emptcp_scenario::ScenarioError::Fleet(
+            FleetConfigError::TooManyClients(too_many)
+        ))
+    );
+    let edited = text.replace(said, &format!(r#""clients": {MAX_CLIENTS},"#));
+    assert!(from_json_str(&edited).is_ok());
 }

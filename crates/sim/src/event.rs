@@ -17,7 +17,7 @@
 //! return deadlines and emissions, and a host drives them from the queue via
 //! a single-threaded loop.
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -184,11 +184,6 @@ impl<E> EventQueue<E> {
         self.live += 1;
         self.place(Key { at, seq, slot });
         TimerId { seq, slot }
-    }
-
-    /// Schedule `event` after a relative delay.
-    pub fn schedule_after(&mut self, delay: SimDuration, event: E) -> TimerId {
-        self.schedule(self.now + delay, event)
     }
 
     /// Schedule `event` at `at` under a caller-supplied ordering key.
@@ -640,15 +635,6 @@ mod tests {
         }
 
         #[test]
-        fn schedule_after_uses_current_time() {
-            let mut q = EventQueue::new();
-            q.schedule(SimTime::from_secs(10), "x");
-            q.pop();
-            q.schedule_after(SimDuration::from_secs(5), "y");
-            assert_eq!(q.peek_time(), Some(SimTime::from_secs(15)));
-        }
-
-        #[test]
         fn far_future_and_near_interleave_in_order() {
             let mut q = EventQueue::new();
             // Beyond the wheel span (> 17.2 s): far-heap fallback.
@@ -673,7 +659,7 @@ mod tests {
             q.schedule(t, 1);
             assert_eq!(q.pop().map(|(_, e)| e), Some(100));
             q.schedule(t, 2); // nearer now; same instant
-            q.schedule(t + SimDuration::from_nanos(1), 3);
+            q.schedule(t + crate::SimDuration::from_nanos(1), 3);
             q.schedule(t, 4);
             let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
             assert_eq!(order, vec![0, 1, 2, 4, 3]);

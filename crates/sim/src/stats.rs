@@ -140,12 +140,6 @@ impl WhiskerSummary {
     }
 }
 
-/// Normalize each sample by a reference value; Fig 10 reports eMPTCP and
-/// TCP-over-WiFi relative to MPTCP (100% = the reference).
-pub fn percent_of(value: f64, reference: f64) -> f64 {
-    100.0 * value / reference
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -203,11 +197,5 @@ mod tests {
     #[test]
     fn whisker_empty_is_none() {
         assert!(WhiskerSummary::of(&[]).is_none());
-    }
-
-    #[test]
-    fn percent_normalization() {
-        assert!((percent_of(80.0, 100.0) - 80.0).abs() < 1e-12);
-        assert!((percent_of(150.0, 100.0) - 150.0).abs() < 1e-12);
     }
 }

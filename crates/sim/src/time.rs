@@ -124,12 +124,6 @@ impl SimDuration {
         SimDuration(self.0.saturating_mul(k))
     }
 
-    /// Scale by a floating-point factor (used for RTO backoff and sampling
-    /// intervals derived from RTT estimates).
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration::from_secs_f64(self.as_secs_f64() * k)
-    }
-
     /// The time needed to serialize `bytes` onto a link of `bits_per_sec`.
     pub fn transmission(bytes: u64, bits_per_sec: u64) -> SimDuration {
         if bits_per_sec == 0 {
@@ -303,13 +297,6 @@ mod tests {
             Some(SimTime::from_secs(1))
         );
         assert_eq!(t.checked_sub(SimDuration::from_secs(3)), None);
-    }
-
-    #[test]
-    fn mul_f64_scaling() {
-        let d = SimDuration::from_secs(2);
-        assert_eq!(d.mul_f64(1.5), SimDuration::from_secs(3));
-        assert_eq!(d.mul_f64(0.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl TimeSeries {
         self.points.is_empty()
     }
 
-    /// Last recorded value, if any.
-    pub fn last_value(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
     /// Value at time `t` by step interpolation (the most recent sample at or
     /// before `t`), or `None` before the first sample.
     pub fn value_at(&self, t: SimTime) -> Option<f64> {
@@ -180,7 +175,6 @@ mod tests {
         assert_eq!(ts.value_at(s(1)), Some(10.0));
         assert_eq!(ts.value_at(s(3)), Some(20.0));
         assert_eq!(ts.value_at(s(9)), Some(40.0));
-        assert_eq!(ts.last_value(), Some(40.0));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 use crate::cc::{CcAlgorithm, CongestionCtrl};
 use crate::ranges::RangeSet;
 use crate::rtt::RttEstimator;
-use crate::segment::{Segment, DEFAULT_MSS};
+use crate::segment::{Segment, DEFAULT_MSS, DELACK_TIMEOUT, INIT_CWND_SEGMENTS};
 use crate::sendq::{SendQueue, SentSeg};
-use emptcp_sim::{SimDuration, SimTime};
+use emptcp_sim::SimTime;
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeSet, VecDeque};
@@ -32,14 +32,8 @@ use std::collections::{BTreeSet, VecDeque};
 pub struct TcpConfig {
     /// Maximum segment size (payload bytes).
     pub mss: u32,
-    /// Initial congestion window in segments (Linux IW10).
-    pub init_cwnd_segments: u32,
     /// Receive buffer: the advertised window ceiling.
     pub rwnd_bytes: u64,
-    /// Delayed ACKs (every second full segment or timeout).
-    pub delayed_ack: bool,
-    /// Delayed-ACK timeout.
-    pub delack_timeout: SimDuration,
     /// RFC 2861 congestion-window validation after idle. eMPTCP disables
     /// this on resumed subflows (§3.6).
     pub cwnd_validation: bool,
@@ -51,10 +45,7 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             mss: DEFAULT_MSS,
-            init_cwnd_segments: 10,
             rwnd_bytes: 4 * 1024 * 1024,
-            delayed_ack: true,
-            delack_timeout: SimDuration::from_millis(40),
             cwnd_validation: true,
             algorithm: CcAlgorithm::Reno,
         }
@@ -217,7 +208,7 @@ impl TcpEndpoint {
             fin_sent: false,
             inflight: SendQueue::new(),
             retx_queue: BTreeSet::new(),
-            cc: CongestionCtrl::new(cfg.algorithm, cfg.mss, cfg.init_cwnd_segments),
+            cc: CongestionCtrl::new(cfg.algorithm, cfg.mss, INIT_CWND_SEGMENTS),
             rtt: RttEstimator::new(),
             rto_deadline: None,
             dupacks: 0,
@@ -835,17 +826,15 @@ impl TcpEndpoint {
 
     fn schedule_ack(&mut self, now: SimTime, _payload: u32) {
         self.pending_acks += 1;
-        let force = !self.cfg.delayed_ack
-            || self.pending_acks >= 2
-            || self.fin_received
-            || self.state != TcpState::Established;
+        let force =
+            self.pending_acks >= 2 || self.fin_received || self.state != TcpState::Established;
         if force {
             self.pending_acks = 0;
             self.delack_deadline = None;
             let ack = self.make_ack(now);
             self.out.push_back(ack);
         } else if self.delack_deadline.is_none() {
-            self.delack_deadline = Some(now + self.cfg.delack_timeout);
+            self.delack_deadline = Some(now + DELACK_TIMEOUT);
         }
     }
 
@@ -1056,6 +1045,7 @@ impl TcpEndpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     /// Deliver every pending segment of `from` into `to`, stepping time by
     /// `half_rtt` per direction; returns segments moved.
@@ -1418,11 +1408,7 @@ mod tests {
     #[test]
     fn delayed_ack_coalesces() {
         let mut now = SimTime::ZERO;
-        let cfg = TcpConfig {
-            delayed_ack: true,
-            ..TcpConfig::default()
-        };
-        let mut c = TcpEndpoint::client(cfg);
+        let mut c = TcpEndpoint::client(TcpConfig::default());
         let mut s = TcpEndpoint::listener(TcpConfig::default());
         let half = SimDuration::from_millis(5);
         handshake(&mut now, &mut c, &mut s);

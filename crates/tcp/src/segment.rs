@@ -6,11 +6,16 @@
 //! realistic header overhead, including the MPTCP option space that data
 //! segments carrying a DSS mapping pay for.
 
-use emptcp_sim::SimTime;
+use emptcp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
 /// Standard MSS for 1500-byte MTU paths with MPTCP options present.
 pub const DEFAULT_MSS: u32 = 1428;
+/// Initial congestion window in segments (Linux IW10).
+pub const INIT_CWND_SEGMENTS: u32 = 10;
+/// How long a receiver may hold the ACK for a lone in-order segment; the
+/// second full segment is ACKed at once.
+pub const DELACK_TIMEOUT: SimDuration = SimDuration::from_millis(40);
 
 /// Ethernet + IPv4 + TCP header bytes (no options).
 pub const BASE_HEADER_BYTES: u64 = 14 + 20 + 20;

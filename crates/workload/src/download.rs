@@ -38,11 +38,6 @@ impl DownloadSpec {
     pub fn large() -> Self {
         Self::of(16 * MB)
     }
-
-    /// §4's controlled-lab bulk file.
-    pub fn lab_bulk() -> Self {
-        Self::of(256 * MB)
-    }
 }
 
 #[cfg(test)]
@@ -53,7 +48,6 @@ mod tests {
     fn canonical_sizes() {
         assert_eq!(DownloadSpec::small().size_bytes, 262_144);
         assert_eq!(DownloadSpec::large().size_bytes, 16_777_216);
-        assert_eq!(DownloadSpec::lab_bulk().size_bytes, 268_435_456);
         assert_eq!(DownloadSpec::of(5).request_bytes, 400);
     }
 }

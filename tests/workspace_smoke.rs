@@ -3,11 +3,12 @@
 //! exercises them — one fleet engine whose output is invariant under the
 //! shard count, one pair pump whose two transports agree event for event,
 //! a chaos corpus that certifies, a scenario file that says a changing
-//! environment, a monitor tap that streams, stacks that
-//! cannot tell how often they are polled or swept, a timing wheel that
-//! pops like its two reference queues, a live transfer that loses
-//! nothing to its own socket buffers, exhibits that cannot tell which
-//! of them simulated a run they share, and a sender that cuts no runts.
+//! environment or the recovery it must show, a monitor tap that streams,
+//! stacks that cannot tell how often they are polled or swept, a timing
+//! wheel that pops like its two reference queues, a live transfer that
+//! loses nothing to its own socket buffers, exhibits that cannot tell
+//! which of them simulated a run they share, and a sender that cuts no
+//! runts.
 
 use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{FaultPlan, FaultTarget};
@@ -98,6 +99,36 @@ fn a_scenario_file_can_say_a_changing_environment() {
     let report = chaos::run_scenario(&sc, None).expect("a valid scenario runs");
     assert!(report.ok(), "{:?}", report.violations);
     assert_eq!(report.bytes_delivered, 1 << 20);
+}
+
+/// Reduced case of `emptcp-expr`'s `tests/faults.rs`: a file says what
+/// recovery its run must show, the judge measures it against the same
+/// seed's fault-free run, and a bound the run does not beat fails the
+/// `expectation` oracle with the evidence.
+#[test]
+fn a_scenario_file_says_what_recovery_it_must_show() {
+    let said = r#""expect": []"#;
+    let text = include_str!("../scenarios/elevator-ride.scenario");
+    assert!(text.contains(said), "elevator-ride no longer says {said}");
+    let expecting = |revivals: f64| {
+        let bounds = format!(
+            r#""expect": [{{"measure": "LinkDownEvents", "above": 0.0}},
+                {{"measure": "SubflowRevivals", "above": {revivals:?}}},
+                {{"measure": "GoodputRetained", "above": 0.25}}]"#
+        );
+        let sc = emptcp_scenario::io::from_json_str(&text.replace(said, &bounds))
+            .expect("the file loads");
+        chaos::run_scenario(&sc, None).expect("a valid scenario runs")
+    };
+    let met = expecting(0.0);
+    assert!(met.ok(), "{:?}", met.violations);
+    let kept = met.resilience.map(|r| r.goodput_retained);
+    assert!(kept.is_some_and(|k| k > 0.25 && k < 1.0), "{kept:?}");
+    let [missed] = &expecting(5.0).violations[..] else {
+        panic!("one oracle must fail");
+    };
+    assert_eq!(missed.oracle, "expectation");
+    assert!(missed.detail.contains("subflow_revivals must exceed 5"));
 }
 
 /// Counts the epochs the engine has executed so far (every epoch is one
