@@ -50,9 +50,6 @@ fn monitor_usage() -> ! {
                        (default 3)
   --export-json PATH   write the deterministic time-series JSON export
   --export-csv PATH    write the per-bin CSV export
-  --bin-ms N           aggregation bin width in ms       (default 100)
-  --window N           dashboard rolling window, bins    (default 60)
-  --top N              rows in the hot-spot tables       (default 5)
   --quiet              no dashboard (exports still written)"
     );
     std::process::exit(2);
@@ -73,9 +70,6 @@ fn monitor_main(args: Vec<String>) -> ! {
             "--idle-timeout-s" => idle_timeout_s = flags::value(&mut it, "--idle-timeout-s"),
             "--export-json" => opts.export_json = Some(flags::value(&mut it, "--export-json")),
             "--export-csv" => opts.export_csv = Some(flags::value(&mut it, "--export-csv")),
-            "--bin-ms" => opts.knobs.bin_ms = flags::value(&mut it, "--bin-ms"),
-            "--window" => opts.knobs.window_bins = flags::value(&mut it, "--window"),
-            "--top" => opts.knobs.top_k = flags::value(&mut it, "--top"),
             "--quiet" => opts.quiet = true,
             _ => monitor_usage(),
         }
@@ -90,7 +84,6 @@ fn monitor_main(args: Vec<String>) -> ! {
             export_json: opts.export_json,
             export_csv: opts.export_csv,
             quiet: opts.quiet,
-            knobs: opts.knobs,
         };
         match monitor::run_follow(&fopts) {
             Ok(code) => std::process::exit(code),

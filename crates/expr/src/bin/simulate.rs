@@ -42,7 +42,9 @@ fn usage() -> ! {
   --rtt-ms N           WiFi base RTT for 'custom'          (default 25)
   --size-mb X          download size for 'custom'/'good'/'bad' (default 16)
   --seed N             simulation seed                     (default 42)
-  --json               print the full RunResult as JSON
+  --json               print the RunResult as JSON (each time series as
+                       its point count, FNV-1a digest and a 100-point
+                       sample)
   --trace PATH         write a JSONL event trace (enables invariant checks)
   --metrics PATH       write a JSON metrics snapshot (enables invariant checks)
   --quiet              suppress the human-readable summary and progress output
@@ -59,22 +61,18 @@ fn monitor_usage() -> ! {
                        lines (CI replays twice and diffs the exports)
   --export-json PATH   write the deterministic time-series JSON export
   --export-csv PATH    write the per-bin CSV export
-  --bin-ms N           aggregation bin width in ms       (default 100)
-  --window N           dashboard rolling window, bins    (default 60)
-  --top N              rows in the hot-spot tables       (default 5)
   --quiet              suppress the final dashboard frame"
     );
     std::process::exit(2);
 }
 
 fn monitor_main(args: Vec<String>) -> ! {
-    use emptcp_expr::monitor::{self, PipelineKnobs, ReplayOptions};
+    use emptcp_expr::monitor::{self, ReplayOptions};
     let mut trace: Option<std::path::PathBuf> = None;
     let mut check = false;
     let mut export_json = None;
     let mut export_csv = None;
     let mut quiet = false;
-    let mut knobs = PipelineKnobs::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -82,9 +80,6 @@ fn monitor_main(args: Vec<String>) -> ! {
             "--check" => check = true,
             "--export-json" => export_json = Some(flags::value(&mut it, "--export-json")),
             "--export-csv" => export_csv = Some(flags::value(&mut it, "--export-csv")),
-            "--bin-ms" => knobs.bin_ms = flags::value(&mut it, "--bin-ms"),
-            "--window" => knobs.window_bins = flags::value(&mut it, "--window"),
-            "--top" => knobs.top_k = flags::value(&mut it, "--top"),
             "--quiet" => quiet = true,
             _ => monitor_usage(),
         }
@@ -96,7 +91,6 @@ fn monitor_main(args: Vec<String>) -> ! {
         export_json,
         export_csv,
         quiet,
-        knobs,
     };
     match monitor::run_replay(&opts) {
         Ok(code) => std::process::exit(code),

@@ -682,8 +682,15 @@ fn whisker_tables(title: &str, traces: &[WildTrace]) -> (Vec<Table>, serde_json:
     (tables, serde_json::Value::Object(payload))
 }
 
+/// The §5 study of large transfers that Figs 14 and 16 both read; within
+/// one `run_exhibits` call the second to ask replays the first's runs.
+fn large_study(cfg: &Config) -> Vec<WildTrace> {
+    wild::run_study(cfg.large_size, cfg.wild_iterations, cfg.seed ^ 0xAA)
+}
+
 /// Fig 14: the wild-trace scatter and categorization (16 MB downloads).
-pub fn fig14(traces: &[WildTrace]) -> FigureOutput {
+pub fn fig14(cfg: &Config) -> FigureOutput {
+    let traces = large_study(cfg);
     let mut t = Table::new(
         "Fig 14: trace categories (16 MB downloads)",
         &["category", "traces", "share %"],
@@ -717,11 +724,10 @@ pub fn fig15(cfg: &Config) -> FigureOutput {
     FigureOutput::new("fig15", tables, payload)
 }
 
-/// Fig 16 (and the Fig 14 scatter): large transfers in the wild.
-pub fn fig16(cfg: &Config) -> (FigureOutput, Vec<WildTrace>) {
-    let traces = wild::run_study(cfg.large_size, cfg.wild_iterations, cfg.seed ^ 0xAA);
-    let (tables, payload) = whisker_tables("Fig 16: 16 MB downloads", &traces);
-    (FigureOutput::new("fig16", tables, payload), traces)
+/// Fig 16: large transfers in the wild.
+pub fn fig16(cfg: &Config) -> FigureOutput {
+    let (tables, payload) = whisker_tables("Fig 16: 16 MB downloads", &large_study(cfg));
+    FigureOutput::new("fig16", tables, payload)
 }
 
 /// Fig 17: the web-browsing case study.

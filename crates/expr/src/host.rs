@@ -36,7 +36,7 @@ use emptcp_tcp::{SegRef, Segment, SegmentSlab, TcpConfig};
 use emptcp_telemetry::Telemetry;
 use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS};
 use emptcp_workload::{BandwidthModulator, InterfererSet};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 const TICK: SimDuration = SimDuration::from_millis(100);
 /// How long after workload completion the simulation keeps integrating
@@ -59,7 +59,7 @@ enum Event {
 }
 
 /// Everything measured from one run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct RunResult {
     /// Strategy label.
     pub strategy: String,

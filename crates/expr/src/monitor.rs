@@ -26,38 +26,6 @@ use std::io::{BufReader, IsTerminal, Write as _};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-/// Aggregation knobs shared by live and replay modes.
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineKnobs {
-    /// Bin width in milliseconds.
-    pub bin_ms: u64,
-    /// Dashboard rolling-window length, in bins.
-    pub window_bins: usize,
-    /// Rows in the hot-client/hot-port tables.
-    pub top_k: usize,
-}
-
-impl Default for PipelineKnobs {
-    fn default() -> Self {
-        let d = PipelineConfig::default();
-        PipelineKnobs {
-            bin_ms: d.bin.as_nanos() / 1_000_000,
-            window_bins: d.window_bins,
-            top_k: d.top_k,
-        }
-    }
-}
-
-impl PipelineKnobs {
-    fn config(&self) -> PipelineConfig {
-        PipelineConfig {
-            bin: SimDuration::from_millis(self.bin_ms.max(1)),
-            window_bins: self.window_bins.max(1),
-            top_k: self.top_k.max(1),
-        }
-    }
-}
-
 /// Options for `repro monitor`.
 #[derive(Debug, Clone)]
 pub struct LiveOptions {
@@ -75,8 +43,6 @@ pub struct LiveOptions {
     pub export_csv: Option<PathBuf>,
     /// Suppress the dashboard (exports still written).
     pub quiet: bool,
-    /// Aggregation parameters.
-    pub knobs: PipelineKnobs,
 }
 
 impl Default for LiveOptions {
@@ -89,7 +55,6 @@ impl Default for LiveOptions {
             export_json: None,
             export_csv: None,
             quiet: false,
-            knobs: PipelineKnobs::default(),
         }
     }
 }
@@ -109,8 +74,6 @@ pub struct FollowOptions {
     pub export_csv: Option<PathBuf>,
     /// Suppress the dashboard (exports still written).
     pub quiet: bool,
-    /// Aggregation parameters.
-    pub knobs: PipelineKnobs,
 }
 
 /// Options for `simulate monitor --replay`.
@@ -126,8 +89,6 @@ pub struct ReplayOptions {
     pub export_csv: Option<PathBuf>,
     /// Suppress the final dashboard frame (exports still written).
     pub quiet: bool,
-    /// Aggregation parameters.
-    pub knobs: PipelineKnobs,
 }
 
 fn write_exports(
@@ -148,7 +109,7 @@ fn write_exports(
 /// Returns the final pipeline state (exports, if requested, are written
 /// before returning).
 pub fn run_live(opts: &LiveOptions) -> std::io::Result<Pipeline> {
-    let pipeline = Arc::new(Mutex::new(Pipeline::new(opts.knobs.config())));
+    let pipeline = Arc::new(Mutex::new(Pipeline::new(PipelineConfig::default())));
 
     // Live dashboard: redraw at most every 50 ms of wall time, triggered
     // by aggregation-bin advances. Display only — skipping frames cannot
@@ -243,7 +204,7 @@ pub fn run_follow(opts: &FollowOptions) -> std::io::Result<i32> {
         }
     };
 
-    let mut pipeline = Pipeline::new(opts.knobs.config());
+    let mut pipeline = Pipeline::new(PipelineConfig::default());
     let mut reader = BufReader::new(file);
     let mut line = String::new();
     let mut events = 0u64;
@@ -309,7 +270,7 @@ pub fn run_follow(opts: &FollowOptions) -> std::io::Result<i32> {
 /// Replay a recorded JSONL trace through the pipeline. Returns the process
 /// exit code (non-zero when `--check` finds malformed lines).
 pub fn run_replay(opts: &ReplayOptions) -> std::io::Result<i32> {
-    let mut pipeline = Pipeline::new(opts.knobs.config());
+    let mut pipeline = Pipeline::new(PipelineConfig::default());
     let file = std::fs::File::open(&opts.trace)?;
     let stats = emptcp_obsv::replay(BufReader::new(file), &mut pipeline)?;
 
@@ -332,32 +293,4 @@ pub fn run_replay(opts: &ReplayOptions) -> std::io::Result<i32> {
     }
     write_exports(&pipeline, &opts.export_json, &opts.export_csv)?;
     Ok(0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn knobs_round_trip_defaults() {
-        let knobs = PipelineKnobs::default();
-        let cfg = knobs.config();
-        let d = PipelineConfig::default();
-        assert_eq!(cfg.bin.as_nanos(), d.bin.as_nanos());
-        assert_eq!(cfg.window_bins, d.window_bins);
-        assert_eq!(cfg.top_k, d.top_k);
-    }
-
-    #[test]
-    fn zero_knobs_are_clamped() {
-        let knobs = PipelineKnobs {
-            bin_ms: 0,
-            window_bins: 0,
-            top_k: 0,
-        };
-        let cfg = knobs.config();
-        assert_eq!(cfg.bin.as_nanos(), 1_000_000);
-        assert_eq!(cfg.window_bins, 1);
-        assert_eq!(cfg.top_k, 1);
-    }
 }

@@ -3,15 +3,15 @@
 //! in-process.
 //!
 //! Each requested exhibit becomes one job on the [`crate::runner`] pool
-//! (fig16 and fig14 merge into one job when both are requested, since
-//! fig14 post-processes fig16's traces). Every job runs under its own
-//! telemetry pipeline installed as the thread-current override — workers
-//! inherit it through [`crate::runner::Scope::spawn`] — so per-exhibit
-//! metrics and invariant attribution survive parallel execution. Inside a
-//! job, sweep points and repeated runs fan out further through the same
-//! pool. A host run several exhibits ask for — fig12's walks are fig13's
-//! first-seed runs — is simulated once per [`run_exhibits`] call and its
-//! counters replayed into every job that asked ([`crate::shared`]).
+//! and writes its own files. Every job runs under its own telemetry
+//! pipeline installed as the thread-current override — workers inherit it
+//! through [`crate::runner::Scope::spawn`] — so per-exhibit metrics and
+//! invariant attribution survive parallel execution. Inside a job, sweep
+//! points and repeated runs fan out further through the same pool. A host
+//! run several exhibits ask for — fig12's walks are fig13's first-seed
+//! runs, fig14 and fig16 read one wild study — is simulated once per
+//! [`run_exhibits`] call and its counters replayed into every job that
+//! asked ([`crate::shared`]).
 //!
 //! Determinism contract: for a fixed `ReproOptions`, the bytes written to
 //! `<out>/<id>.{txt,json,csv}` (and `<id>.trace.jsonl` under tracing) and
@@ -24,9 +24,9 @@ use crate::figures::{self, Config};
 use crate::report::FigureOutput;
 use crate::runner;
 use crate::shared::{self, RunMemo};
-use crate::wild::WildTrace;
 use emptcp_telemetry::{JsonlSink, Telemetry};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 /// How an exhibit is produced.
@@ -36,11 +36,6 @@ enum Exhibit {
     Model(fn() -> FigureOutput),
     /// Simulated at the scale a [`Config`] names.
     Scaled(fn(&Config) -> FigureOutput),
-    /// The large-transfer wild study; leaves its traces for a fig14 in
-    /// the same job.
-    Fig16,
-    /// The category scatter over fig16's traces.
-    Fig14,
 }
 
 type Entry = (&'static str, Exhibit);
@@ -63,9 +58,9 @@ const EXHIBITS: [Entry; 29] = [
     ("fig12", Exhibit::Scaled(figures::fig12)),
     ("fig13", Exhibit::Scaled(figures::fig13)),
     ("sec46", Exhibit::Scaled(figures::sec46)),
-    ("fig14", Exhibit::Fig14),
+    ("fig14", Exhibit::Scaled(figures::fig14)),
     ("fig15", Exhibit::Scaled(figures::fig15)),
-    ("fig16", Exhibit::Fig16),
+    ("fig16", Exhibit::Scaled(figures::fig16)),
     ("fig17", Exhibit::Scaled(figures::fig17)),
     ("handover", Exhibit::Scaled(figures::handover)),
     ("devices", Exhibit::Scaled(figures::devices)),
@@ -128,9 +123,9 @@ impl ReproOptions {
 /// What one job produced, for in-order printing by the binary.
 #[derive(Debug)]
 pub struct ExhibitReport {
-    /// The exhibit ids this job covered (two for the merged fig16+fig14).
+    /// The exhibit this job ran: one id, as every job is one exhibit.
     pub ids: Vec<String>,
-    /// Rendered tables, in id order.
+    /// Rendered tables.
     pub rendered: String,
     /// Invariant violations recorded by the job's pipeline.
     pub violations: Vec<String>,
@@ -171,58 +166,24 @@ pub fn summarize_metrics(telemetry: &Telemetry) -> Vec<(String, u64)> {
     totals.into_iter().collect()
 }
 
-/// Group requested ids into jobs: one per exhibit, except fig16+fig14
-/// which share fig16's traces and therefore one job (at fig16's position)
-/// when both are requested. A job holds table entries, so whatever it
-/// runs is an exhibit by construction.
-fn plan(ids: &[String]) -> Vec<Vec<Entry>> {
-    let entry = |id: &str| {
-        let found = EXHIBITS.iter().find(|(name, _)| *name == id);
-        *found.unwrap_or_else(|| panic!("unknown exhibit id: {id}"))
-    };
-    let mut groups: Vec<Vec<Entry>> = Vec::new();
-    let both = ids.iter().any(|i| i == "fig16") && ids.iter().any(|i| i == "fig14");
-    for id in ids {
-        match id.as_str() {
-            "fig16" if both => groups.push(vec![entry("fig16"), entry("fig14")]),
-            "fig14" if both => {} // folded into the fig16 job
-            id => groups.push(vec![entry(id)]),
-        }
-    }
-    groups
+/// The table entry of each requested id: one job per exhibit, so whatever
+/// a job runs is an exhibit by construction. An id the table does not
+/// hold is an [`io::ErrorKind::InvalidInput`] error.
+fn plan(ids: &[String]) -> io::Result<Vec<Entry>> {
+    ids.iter()
+        .map(|id| {
+            let found = EXHIBITS.iter().find(|(name, _)| name == id);
+            found.copied().ok_or_else(|| {
+                io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("unknown exhibit id: {id}"),
+                )
+            })
+        })
+        .collect()
 }
 
-fn dispatch(
-    exhibit: Exhibit,
-    cfg: &Config,
-    out_dir: &Path,
-    fig16_traces: &mut Option<Vec<WildTrace>>,
-) -> std::io::Result<FigureOutput> {
-    Ok(match exhibit {
-        Exhibit::Model(make) => make(),
-        Exhibit::Scaled(run) => run(cfg),
-        Exhibit::Fig16 => {
-            let (out, traces) = figures::fig16(cfg);
-            *fig16_traces = Some(traces);
-            out
-        }
-        Exhibit::Fig14 => {
-            let traces = match fig16_traces.take() {
-                Some(t) => t,
-                None => {
-                    // fig14 alone still needs fig16's study; write the
-                    // fig16 outputs it produced along the way.
-                    let (out, traces) = figures::fig16(cfg);
-                    out.write_to(out_dir)?;
-                    traces
-                }
-            };
-            figures::fig14(&traces)
-        }
-    })
-}
-
-fn run_job(group: &[Entry], opts: &ReproOptions) -> std::io::Result<ExhibitReport> {
+fn run_job((id, exhibit): Entry, opts: &ReproOptions) -> io::Result<ExhibitReport> {
     let started = std::time::Instant::now();
     // A fresh pipeline per job: simulations pick it up through the
     // thread-current handle (inherited by nested pool jobs), so counters
@@ -231,35 +192,20 @@ fn run_job(group: &[Entry], opts: &ReproOptions) -> std::io::Result<ExhibitRepor
     if opts.trace {
         let path = match &opts.trace_path {
             Some(path) => path.clone(),
-            None => opts.out_dir.join(format!("{}.trace.jsonl", group[0].0)),
+            None => opts.out_dir.join(format!("{id}.trace.jsonl")),
         };
         builder = builder.sink(Box::new(JsonlSink::new(std::fs::File::create(path)?)));
     }
     let telemetry = builder.build();
-    let outputs: std::io::Result<Vec<FigureOutput>> =
-        emptcp_telemetry::with_current(telemetry.clone(), || {
-            let mut fig16_traces = None;
-            let mut outputs = Vec::new();
-            for &(_, exhibit) in group {
-                outputs.push(dispatch(
-                    exhibit,
-                    &opts.cfg,
-                    &opts.out_dir,
-                    &mut fig16_traces,
-                )?);
-            }
-            Ok(outputs)
-        });
-    let outputs = outputs?;
-    let mut rendered = String::new();
-    for out in &outputs {
-        rendered.push_str(&out.render());
-        out.write_to(&opts.out_dir)?;
-    }
+    let out = emptcp_telemetry::with_current(telemetry.clone(), || match exhibit {
+        Exhibit::Model(make) => make(),
+        Exhibit::Scaled(run) => run(&opts.cfg),
+    });
+    out.write_to(&opts.out_dir)?;
     telemetry.flush()?;
     Ok(ExhibitReport {
-        ids: group.iter().map(|(id, _)| id.to_string()).collect(),
-        rendered,
+        ids: vec![id.to_string()],
+        rendered: out.render(),
         violations: telemetry
             .violations()
             .iter()
@@ -270,10 +216,11 @@ fn run_job(group: &[Entry], opts: &ReproOptions) -> std::io::Result<ExhibitRepor
     })
 }
 
-/// Run `ids` (already validated against [`IDS`]) on the current
-/// [`runner`] pool and return one report per job, in request order.
-pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<ExhibitReport>> {
-    let groups = plan(ids);
+/// Run `ids` on the current [`runner`] pool and return one report per
+/// exhibit, in request order. An id not in [`IDS`] fails the call with
+/// [`io::ErrorKind::InvalidInput`] before anything runs.
+pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> io::Result<Vec<ExhibitReport>> {
+    let jobs = plan(ids)?;
     std::fs::create_dir_all(&opts.out_dir)?;
     // The memo lives exactly as long as this call: jobs (and whatever they
     // spawn) reach it through the thread-current handle. Only the runs a
@@ -283,8 +230,8 @@ pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<
         .flat_map(|id| figures::series_runs(id, &opts.cfg));
     let memo = Arc::new(RunMemo::keeping_series(plotted));
     let reports = shared::with_memo(Some(memo.clone()), || {
-        runner::run_points(groups.len(), |i| {
-            let report = run_job(&groups[i], opts);
+        runner::run_points(jobs.len(), |i| {
+            let report = run_job(jobs[i], opts);
             if let Ok(r) = &report {
                 emptcp_telemetry::info!("[{}] done in {:.1}s", r.ids.join("+"), r.wall_s);
             }
@@ -300,27 +247,14 @@ pub fn run_exhibits(ids: &[String], opts: &ReproOptions) -> std::io::Result<Vec<
 mod tests {
     use super::*;
 
-    fn planned(ids: &[String]) -> Vec<Vec<&'static str>> {
-        let ids_of = |group: Vec<Entry>| group.iter().map(|(id, _)| *id).collect();
-        plan(ids).into_iter().map(ids_of).collect()
-    }
-
     #[test]
-    fn plan_merges_fig16_and_fig14() {
-        let ids: Vec<String> = ["fig5", "fig14", "fig16", "fig6"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            planned(&ids),
-            vec![vec!["fig5"], vec!["fig16", "fig14"], vec!["fig6"]]
-        );
-    }
-
-    #[test]
-    fn plan_keeps_lone_fig14() {
-        let ids = vec!["fig14".to_string()];
-        assert_eq!(planned(&ids), vec![vec!["fig14"]]);
+    fn an_unknown_id_is_invalid_input_and_runs_nothing() {
+        let dir = std::env::temp_dir().join(format!("emptcp-repro-unknown-{}", std::process::id()));
+        let ids = vec!["eq1".to_string(), "fig99".to_string()];
+        let err = run_exhibits(&ids, &ReproOptions::quick(&dir)).expect_err("fig99 is no exhibit");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(err.to_string().contains("fig99"), "{err}");
+        assert!(!dir.exists(), "an invalid request wrote {}", dir.display());
     }
 
     #[test]

@@ -18,13 +18,13 @@ use crate::scenario::Scenario;
 use crate::shared::run;
 use crate::strategy::Strategy;
 use emptcp_sim::{SimDuration, SimRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The 8 Mbps Good/Bad threshold of §5.1.
 pub const GOOD_THRESHOLD_MBPS: f64 = 8.0;
 
 /// Server locations (Table-free: §5's SNG/AMS/WDC deployment).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Server {
     /// Washington D.C. (near).
     Wdc,
@@ -58,7 +58,7 @@ impl Server {
 }
 
 /// Client venues (§5's three measurement locations).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize)]
 pub enum Venue {
     /// University building, AP on the campus network.
     University,
@@ -102,7 +102,7 @@ pub fn draw_lte_bps(rng: &mut SimRng) -> u64 {
 }
 
 /// The four §5.1 categories.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize)]
 pub enum Category {
     /// WiFi < 8 Mbps, LTE < 8 Mbps.
     BadBad,
@@ -148,7 +148,7 @@ impl Category {
 }
 
 /// One trace set: the three strategies over one environment draw.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, Serialize)]
 pub struct WildTrace {
     /// Which server.
     pub server: Server,

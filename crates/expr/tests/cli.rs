@@ -135,6 +135,26 @@ fn a_repeated_exhibit_runs_once() {
     );
 }
 
+/// Each output file has one writer: an exhibit run alone writes its own
+/// files and no other exhibit's, even one it shares runs with.
+#[test]
+fn an_exhibit_writes_only_its_own_files() {
+    let dir = std::env::temp_dir().join(format!("emptcp-cli-fig14-{}", std::process::id()));
+    let out_dir = dir.to_str().expect("utf-8 temp path");
+    let out = run(
+        env!("CARGO_BIN_EXE_repro"),
+        &["--quick", "--quiet", "--out", out_dir, "fig14"],
+    );
+    let mut written: Vec<String> = std::fs::read_dir(&dir)
+        .expect("fig14 wrote its output directory")
+        .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
+        .collect();
+    written.sort();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_exit(&out, 0, "", "fig14 alone");
+    assert_eq!(written, ["fig14.json", "fig14.txt"]);
+}
+
 #[test]
 fn an_exhibit_that_cannot_write_its_output_fails_the_run() {
     // A directory cannot be created under a character device.

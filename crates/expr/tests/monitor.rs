@@ -91,7 +91,6 @@ fn monitor_cli_paths_round_trip_through_files() {
         export_json: Some(json_live.clone()),
         export_csv: Some(csv_live.clone()),
         quiet: true,
-        ..LiveOptions::default()
     };
     run_live(&live).expect("live run");
 
@@ -101,7 +100,6 @@ fn monitor_cli_paths_round_trip_through_files() {
         export_json: Some(json_replay.clone()),
         export_csv: Some(csv_replay.clone()),
         quiet: true,
-        knobs: live.knobs,
     };
     let code = run_replay(&replay_opts).expect("replay run");
     assert_eq!(code, 0, "recorded trace must replay cleanly");

@@ -18,17 +18,6 @@ use emptcp_sim::SimDuration;
 use emptcp_telemetry::{MemorySink, Telemetry, TraceSink};
 use std::sync::{Arc, Mutex};
 
-/// FNV-1a over the rendered JSONL trace: stable, dependency-free, and
-/// sensitive to any single-byte drift anywhere in the event stream.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 struct Golden {
     per_client_bytes: Vec<u64>,
     trace_hash: u64,
@@ -45,7 +34,9 @@ fn run_traced(cfg: FleetConfig, shards: usize) -> Golden {
     let jsonl = record.lock().unwrap().to_jsonl();
     Golden {
         per_client_bytes: sim.per_client_delivered(),
-        trace_hash: fnv1a64(jsonl.as_bytes()),
+        // FNV-1a over the rendered JSONL trace: sensitive to any
+        // single-byte drift anywhere in the event stream.
+        trace_hash: emptcp_sim::fnv1a(emptcp_sim::FNV_OFFSET, jsonl.as_bytes()),
         trace_lines: jsonl.lines().count(),
     }
 }

@@ -34,3 +34,15 @@ pub use epoch::EpochClock;
 pub use event::{EventQueue, TimerId};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
+
+/// The 64-bit FNV-1a offset basis: the state a fresh [`fnv1a`] starts from.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a: fold `bytes` into the running hash `h`. Not
+/// cryptographic; it only has to tell two inputs apart, the same way on
+/// every platform.
+pub fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}

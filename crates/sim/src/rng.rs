@@ -63,11 +63,7 @@ impl SimRng {
     pub fn fork_labeled(&self, label: &str) -> SimRng {
         // FNV-1a over the label, then splitmix64-style finalization mixing
         // in the parent's position so distinct parents stay distinct.
-        let mut h: u64 = 0xcbf29ce484222325;
-        for b in label.as_bytes() {
-            h ^= *b as u64;
-            h = h.wrapping_mul(0x100000001b3);
-        }
+        let h = crate::fnv1a(crate::FNV_OFFSET, label.as_bytes());
         let mix = |mut z: u64| {
             z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
             z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
@@ -287,6 +283,12 @@ mod tests {
         for _ in 0..64 {
             assert_eq!(a2.next_u64(), a3.next_u64());
         }
+        // Like the root stream, labeled streams are part of the
+        // reproducibility contract.
+        let mut traffic = SimRng::new(7).fork_labeled("traffic");
+        let mut faults = SimRng::new(0xDEADBEEF).fork_labeled("faults");
+        assert_eq!(traffic.next_u64(), 951250853371393344);
+        assert_eq!(faults.next_u64(), 14080204630350486907);
     }
 
     #[test]

@@ -6,10 +6,13 @@
 //! (e.g. instantaneous power) over simulated time.
 
 use crate::time::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Map, Serialize, Value};
+
+/// Points a serialized [`TimeSeries`] keeps as its plotting sample.
+pub const SAMPLE_POINTS: usize = 100;
 
 /// A recorded `(time, value)` series.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct TimeSeries {
     /// Series label used in exported figures.
     pub name: String,
@@ -101,6 +104,31 @@ impl TimeSeries {
             s.push_str(&format!("{:.6},{:.6}\n", t.as_secs_f64(), v));
         }
         s
+    }
+
+    /// 64-bit FNV-1a over every point: its time in nanoseconds, then its
+    /// value's bits, each little-endian.
+    pub fn digest(&self) -> u64 {
+        self.points.iter().fold(crate::FNV_OFFSET, |h, &(t, v)| {
+            let h = crate::fnv1a(h, &t.as_nanos().to_le_bytes());
+            crate::fnv1a(h, &v.to_bits().to_le_bytes())
+        })
+    }
+}
+
+/// The one place that decides how a series is written: its name, its
+/// point count, its [`TimeSeries::digest`] as 16 hex digits and a
+/// [`SAMPLE_POINTS`]-point [`TimeSeries::downsample`] that keeps both
+/// ends. The digest says whether two runs recorded the same series, the
+/// sample is enough to plot it, and [`TimeSeries::to_csv`] has every point.
+impl Serialize for TimeSeries {
+    fn to_value(&self) -> Value {
+        let mut m = Map::new();
+        m.insert("name", self.name.to_value());
+        m.insert("points", self.len().to_value());
+        m.insert("fnv", format!("{:016x}", self.digest()).to_value());
+        m.insert("sample", self.downsample(SAMPLE_POINTS).points.to_value());
+        Value::Object(m)
     }
 }
 
@@ -204,6 +232,51 @@ mod tests {
         let csv = ts.to_csv();
         assert!(csv.starts_with("time_s,value\n"));
         assert!(csv.contains("1.000000,2.500000"));
+    }
+
+    fn ramp(n: u64) -> TimeSeries {
+        let mut ts = TimeSeries::new("ramp");
+        for i in 0..n {
+            ts.push(SimTime::from_millis(100 * i), i as f64 * 0.1);
+        }
+        ts
+    }
+
+    #[test]
+    fn digest_sees_one_nanosecond_and_one_bit() {
+        let base = ramp(2000);
+        // The digest of `base` with point 1234 edited by `f`.
+        let edited = |f: fn(SimTime, f64) -> (SimTime, f64)| {
+            let mut ts = TimeSeries::new("ramp");
+            for (i, &(t, v)) in base.points().iter().enumerate() {
+                let (t, v) = if i == 1234 { f(t, v) } else { (t, v) };
+                ts.push(t, v);
+            }
+            ts.digest()
+        };
+        let later = edited(|t, v| (t + SimDuration::from_nanos(1), v));
+        let flipped = edited(|t, v| (t, f64::from_bits(v.to_bits() ^ 1)));
+        assert_eq!(base.digest(), ramp(2000).digest());
+        assert_ne!(base.digest(), later);
+        assert_ne!(base.digest(), flipped);
+        assert_ne!(later, flipped);
+    }
+
+    #[test]
+    fn a_series_is_written_as_its_digest_and_a_sample() {
+        let long = ramp(2000);
+        let v = long.to_value();
+        assert_eq!(v["name"], "ramp");
+        assert_eq!(v["points"], 2000u64);
+        assert_eq!(v["fnv"], format!("{:016x}", long.digest()));
+        let sample = v["sample"].as_array().expect("sample array");
+        assert_eq!(sample.len(), SAMPLE_POINTS);
+        assert_eq!(sample[0], long.points()[0].to_value());
+        assert_eq!(sample[SAMPLE_POINTS - 1], long.points()[1999].to_value());
+
+        // A series no longer than the sample is its own sample.
+        let short = ramp(7);
+        assert_eq!(short.to_value()["sample"], short.points().to_value());
     }
 
     #[test]

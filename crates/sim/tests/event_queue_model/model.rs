@@ -25,9 +25,7 @@ impl Hasher for SeqHasher {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
         // Only reached for non-u64 keys; FNV-1a keeps it correct.
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
+        self.0 = emptcp_sim::fnv1a(self.0, bytes);
     }
 
     #[inline]
