@@ -9,6 +9,13 @@
 //! byte counts, and padding the UDP datagram to the same size means live
 //! goodput over a real NIC is directly comparable to simulated goodput.
 //!
+//! SACK blocks travel as absolute `u64` pairs, but a [`Segment`] holds
+//! them as `u32` offsets from its cumulative ack, so a block starting
+//! below the ack, ending before it starts, or ending more than 4 GiB above
+//! the ack cannot be held: the frame is rejected as
+//! [`CodecError::BadSack`]. The stacks never send one; only a peer
+//! sending beyond any window could make one.
+//!
 //! Every frame the duplex transport carries round-trips through
 //! [`encode_frame`]/[`decode_frame`], so the parity harness certifies the
 //! codec as a side effect: a single mis-encoded field would desynchronize
@@ -44,6 +51,9 @@ pub enum CodecError {
     BadMagic,
     /// Frame from an incompatible codec version.
     BadVersion(u8),
+    /// A SACK block a [`Segment`] cannot hold: it starts below the ack,
+    /// ends before it starts, or ends more than 4 GiB above the ack.
+    BadSack,
 }
 
 impl std::fmt::Display for CodecError {
@@ -52,6 +62,7 @@ impl std::fmt::Display for CodecError {
             CodecError::Truncated => write!(f, "truncated frame"),
             CodecError::BadMagic => write!(f, "bad frame magic"),
             CodecError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
+            CodecError::BadSack => write!(f, "SACK block out of range of the ack"),
         }
     }
 }
@@ -142,7 +153,7 @@ pub fn encode_frame_into(path: u8, seg: &Segment, out: &mut Vec<u8>) {
     if seg.retransmit {
         flags |= F_RETRANSMIT;
     }
-    let sack_blocks = seg.sack.iter().flatten().count() as u16;
+    let sack_blocks = seg.sack_blocks().count() as u16;
     flags |= sack_blocks << SACK_SHIFT;
     put_u16(out, flags);
     put_u64(out, seg.seq);
@@ -158,9 +169,9 @@ pub fn encode_frame_into(path: u8, seg: &Segment, out: &mut Vec<u8>) {
         put_u32(out, dss.len);
         put_u64(out, dss.data_ack);
     }
-    for (start, end) in seg.sack.iter().flatten() {
-        put_u64(out, *start);
-        put_u64(out, *end);
+    for (start, end) in seg.sack_blocks() {
+        put_u64(out, start);
+        put_u64(out, end);
     }
     // Pad out to the modeled on-the-wire size so a live datagram costs
     // the network what the simulator charged its links. Headers larger
@@ -212,10 +223,29 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u8, Segment), CodecError> {
         seg.mp_prio = Some(flags & F_MP_PRIO_BACKUP != 0);
     }
     let sack_blocks = ((flags >> SACK_SHIFT) & 0b11) as usize;
-    for i in 0..sack_blocks.min(MAX_SACK_BLOCKS) {
-        seg.sack[i] = Some((r.u64()?, r.u64()?));
+    for _ in 0..sack_blocks.min(MAX_SACK_BLOCKS) {
+        let (start, end) = (r.u64()?, r.u64()?);
+        if !seg.push_sack(start, end) {
+            return Err(CodecError::BadSack);
+        }
     }
     Ok((path, seg))
+}
+
+/// A frame whose one SACK block says `[start, end)` against an ack of
+/// `ack`, written past [`Segment::push_sack`], which refuses to hold a
+/// block out of range.
+#[cfg(test)]
+pub(crate) fn frame_with_sack(ack: u64, start: u64, end: u64) -> Vec<u8> {
+    let mut seg = Segment::empty(SimTime::ZERO);
+    seg.flags.ack = true;
+    seg.ack = ack;
+    assert!(seg.push_sack(ack, ack));
+    let mut frame = encode_frame(0, &seg);
+    // The block follows the 42-byte fixed header: no TSecr or DSS here.
+    frame[42..50].copy_from_slice(&start.to_le_bytes());
+    frame[50..58].copy_from_slice(&end.to_le_bytes());
+    frame
 }
 
 #[cfg(test)]
@@ -248,9 +278,9 @@ mod tests {
             seg.mp_prio = Some(rng.chance(0.5));
         }
         let blocks = rng.below(MAX_SACK_BLOCKS as u64 + 1) as usize;
-        for i in 0..blocks {
-            let s = rng.below(1 << 30);
-            seg.sack[i] = Some((s, s + 1 + rng.below(1 << 16)));
+        for _ in 0..blocks {
+            let s = seg.ack + rng.below(1 << 30);
+            assert!(seg.push_sack(s, s + 1 + rng.below(1 << 16)));
         }
         seg.retransmit = rng.chance(0.2);
         seg
@@ -291,6 +321,27 @@ mod tests {
         });
         let frame = encode_frame(0, &seg);
         assert!(frame.len() as u64 >= seg.wire_bytes());
+    }
+
+    #[test]
+    fn a_sack_block_a_segment_cannot_hold_is_rejected() {
+        let ack = 1 << 40;
+        // The edges of what a segment holds still decode.
+        for (start, end) in [(ack, ack), (ack, ack + u32::MAX as u64)] {
+            let (_, seg) = decode_frame(&frame_with_sack(ack, start, end)).expect("decodes");
+            assert_eq!(seg.sack_blocks().collect::<Vec<_>>(), [(start, end)]);
+        }
+        for (what, start, end) in [
+            ("starts below the ack", ack - 1, ack + 10),
+            ("ends before it starts", ack + 10, ack + 9),
+            ("ends more than 4 GiB above the ack", ack, ack + (1 << 32)),
+        ] {
+            assert_eq!(
+                decode_frame(&frame_with_sack(ack, start, end)),
+                Err(CodecError::BadSack),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //! Peers are preset (client) or learned from the source address of the
 //! first well-formed datagram per path (server) — the usual UDP
 //! rendezvous — and once a path has a peer, datagrams from anyone else are
-//! counted (`foreign`) and dropped. Malformed datagrams, and well-formed
-//! ones whose `path` byte is not the socket they arrived on, are counted
-//! and skipped, never panicked on and never learned from; a socket error
+//! counted (`foreign`) and dropped. Malformed datagrams (any
+//! [`CodecError`](crate::codec::CodecError), `BadSack` included), and
+//! well-formed ones whose `path` byte is not the socket they arrived on,
+//! are counted once in `malformed` and skipped, never panicked on and never learned from; a socket error
 //! on send is counted (`send_errors`) and the frame is lost like any other
 //! datagram, and one on receive is counted (`recv_errors`) and skipped. A
 //! socket is a public interface.
@@ -377,6 +378,22 @@ mod tests {
     }
 
     #[test]
+    fn a_sack_block_out_of_range_of_the_ack_is_malformed() {
+        let mut t = UdpTransport::bind(46330, two_paths(), 14).expect("bind");
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        // A block 4 GiB above the ack: a segment cannot hold it.
+        let frame = crate::codec::frame_with_sack(1000, 1000, 1000 + (1 << 32));
+        raw.send_to(&frame, "127.0.0.1:46330").expect("send");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(t.poll_recv(SimTime::ZERO).is_none());
+        assert_eq!((t.malformed, t.datagrams_received), (1, 0));
+        assert!(
+            t.peers[0].is_none(),
+            "no peer learned from a rejected frame"
+        );
+    }
+
+    #[test]
     fn a_frame_for_another_path_is_rejected_not_delivered() {
         let mut t = UdpTransport::bind(46240, two_paths(), 5).expect("bind");
         let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
@@ -475,13 +492,9 @@ mod tests {
             let wire = next_frame(&sink);
             assert_eq!(wire.rwnd, t.rx_window());
             // Nothing else about the segment changed on the way out.
-            assert_eq!(
-                Segment {
-                    rwnd: seg.rwnd,
-                    ..wire
-                },
-                seg
-            );
+            let mut restored = wire;
+            restored.rwnd = seg.rwnd;
+            assert_eq!(restored, seg);
         }
     }
 

@@ -770,17 +770,20 @@ impl MpConnection {
             });
         }
 
-        // Translate delivered subflow ranges to data space and reassemble.
-        for range in &tcp_outcome.delivered {
-            let translated = self.subflows[idx].translate_delivered(range.seq, range.len);
+        // Translate the delivered subflow range to data space and reassemble.
+        if let Some(range) = tcp_outcome.delivered {
+            let data_rx = &mut self.data_rx;
+            let delivered = &mut outcome.delivered_bytes;
+            let mapped = self.subflows[idx].rx_mappings.translate_each(
+                range.seq,
+                range.len,
+                |data_seq, len| *delivered += data_rx.receive(data_seq, len),
+            );
             debug_assert_eq!(
-                translated.iter().map(|&(_, l)| l as u64).sum::<u64>(),
-                range.len as u64,
+                mapped, range.len as u64,
                 "delivered range with unmapped bytes"
             );
-            for (data_seq, len) in translated {
-                outcome.delivered_bytes += self.receive_data(data_seq, len);
-            }
+            self.data_delivered += outcome.delivered_bytes;
         }
         if outcome.delivered_bytes > 0 {
             let iface = self.subflows[idx].iface;
@@ -811,10 +814,14 @@ impl MpConnection {
             }
         }
         // DSS coverage: in-order delivery to the application must track the
-        // data-level stream advance exactly (each byte exactly once).
-        self.scope.check_invariants(now, |obs| {
-            obs.check_dss_coverage(now, "mptcp", self.data_delivered, self.data_rx.rcv_nxt());
-        });
+        // data-level stream advance exactly (each byte exactly once). The
+        // comparison runs on every segment; only a failure takes the
+        // observer's lock to record it.
+        if self.data_delivered != self.data_rx.rcv_nxt() {
+            self.scope.check_invariants(now, |obs| {
+                obs.check_dss_coverage(now, "mptcp", self.data_delivered, self.data_rx.rcv_nxt());
+            });
+        }
         // Resolve a pending failure once the connection-level stream moves
         // (on the sender that is a higher data-ack, on the receiver a
         // higher in-order delivery mark).
@@ -826,14 +833,6 @@ impl MpConnection {
         }
         self.subflows[idx].gc_mappings();
         outcome
-    }
-
-    /// Insert `[data_seq, data_seq+len)` into the connection stream;
-    /// returns bytes newly delivered in order.
-    fn receive_data(&mut self, data_seq: u64, len: u32) -> u64 {
-        let delivered = self.data_rx.receive(data_seq, len);
-        self.data_delivered += delivered;
-        delivered
     }
 
     /// The most disjoint out-of-order ranges the connection-level reorder

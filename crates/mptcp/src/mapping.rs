@@ -186,11 +186,11 @@ impl RxMappings {
         self.runs.insert(start, (data_seq, end - start));
     }
 
-    /// Translate a delivered subflow range into data-sequence space: one
-    /// data range per run crossed. Translation stops at the first byte no
-    /// mapping covers (a protocol error the caller reports).
-    pub fn translate(&self, seq: u64, len: u32) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
+    /// Translate a delivered subflow range into data-sequence space,
+    /// calling `visit(data_seq, len)` once per run crossed, in subflow
+    /// order; returns the bytes visited. Translation stops at the first
+    /// byte no mapping covers (a protocol error the caller reports).
+    pub fn translate_each(&self, seq: u64, len: u32, mut visit: impl FnMut(u64, u32)) -> u64 {
         let mut pos = seq;
         let end = seq + len as u64;
         while pos < end {
@@ -202,10 +202,10 @@ impl RxMappings {
                 break; // hole in the mapping table
             }
             let take = (end.min(run_end) - pos) as u32;
-            out.push((data_seq.wrapping_add(pos - start), take));
+            visit(data_seq.wrapping_add(pos - start), take);
             pos += take as u64;
         }
-        out
+        pos - seq
     }
 
     /// Forget every run delivered in full below `delivered_to`.
@@ -226,6 +226,17 @@ impl RxMappings {
     /// True when nothing is mapped.
     pub fn is_empty(&self) -> bool {
         self.runs.is_empty()
+    }
+}
+
+#[cfg(test)]
+impl RxMappings {
+    /// What [`translate_each`](Self::translate_each) visits, in order.
+    pub(crate) fn translated(&self, seq: u64, len: u32) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        let mapped = self.translate_each(seq, len, |data_seq, len| out.push((data_seq, len)));
+        assert_eq!(mapped, out.iter().map(|&(_, l)| l as u64).sum::<u64>());
+        out
     }
 }
 
@@ -351,12 +362,12 @@ mod tests {
         assert_eq!(rx.len(), 1);
         rx.learn(3001, dss(10_000, 1000)); // 2001.. was lost
         assert_eq!(rx.len(), 2);
-        assert_eq!(rx.translate(1, 4000), [(7000, 2000)], "stops at the hole");
+        assert_eq!(rx.translated(1, 4000), [(7000, 2000)], "stops at the hole");
         rx.learn(2001, dss(9000, 1000)); // the retransmission
         assert_eq!(rx.len(), 1);
-        assert_eq!(rx.translate(1, 4000), [(7000, 4000)]);
+        assert_eq!(rx.translated(1, 4000), [(7000, 4000)]);
         rx.learn(1001, dss(8000, 1000)); // a duplicate changes nothing
-        assert_eq!(rx.translate(501, 1000), [(7500, 1000)]);
+        assert_eq!(rx.translated(501, 1000), [(7500, 1000)]);
     }
 
     #[test]
@@ -389,9 +400,9 @@ mod tests {
         rx.learn(1, dss(9000, 1000));
         rx.learn(1001, dss(50_000, 500)); // e.g. a reinjected chunk
         assert_eq!(rx.len(), 2);
-        assert_eq!(rx.translate(1, 1500), [(9000, 1000), (50_000, 500)]);
+        assert_eq!(rx.translated(1, 1500), [(9000, 1000), (50_000, 500)]);
         rx.gc(1001);
         assert_eq!(rx.len(), 1);
-        assert!(rx.translate(1, 10).is_empty());
+        assert!(rx.translated(1, 10).is_empty());
     }
 }

@@ -51,7 +51,7 @@ pub struct Subflow {
     /// Sender-side: subflow-seq → data-seq for data scheduled here.
     tx_mappings: TxMappings,
     /// Receiver-side: mappings learned from arriving DSS options.
-    rx_mappings: RxMappings,
+    pub(crate) rx_mappings: RxMappings,
     /// The most runs either table ever held at once.
     mapping_high_water: usize,
     /// Next subflow stream position for newly scheduled data
@@ -116,15 +116,6 @@ impl Subflow {
     /// bursts in flight), not O(segments in flight).
     pub fn mapping_high_water(&self) -> usize {
         self.mapping_high_water
-    }
-
-    /// Translate a delivered subflow range into data-sequence space.
-    /// Reassembly can coalesce adjacent segments, so one delivered range
-    /// may span several mappings; the result is one data range per mapping
-    /// run crossed. Bytes with no known mapping are skipped (protocol
-    /// error, reported by the caller's debug assertions).
-    pub fn translate_delivered(&self, seq: u64, len: u32) -> Vec<(u64, u32)> {
-        self.rx_mappings.translate(seq, len)
     }
 
     /// The DSS for an outgoing data segment covering `[seq, seq+len)`.
@@ -280,9 +271,9 @@ mod tests {
                 data_ack: 0,
             },
         );
-        assert_eq!(sf.translate_delivered(1, 1428), vec![(9000, 1428)]);
-        assert_eq!(sf.translate_delivered(101, 100), vec![(9100, 100)]);
-        assert!(sf.translate_delivered(2000, 10).is_empty());
+        assert_eq!(sf.rx_mappings.translated(1, 1428), vec![(9000, 1428)]);
+        assert_eq!(sf.rx_mappings.translated(101, 100), vec![(9100, 100)]);
+        assert!(sf.rx_mappings.translated(2000, 10).is_empty());
     }
 
     #[test]
@@ -306,7 +297,7 @@ mod tests {
                 data_ack: 0,
             },
         );
-        let ranges = sf.translate_delivered(1, 1500);
+        let ranges = sf.rx_mappings.translated(1, 1500);
         assert_eq!(ranges, vec![(9000, 1000), (50_000, 500)]);
     }
 
@@ -321,7 +312,7 @@ mod tests {
                 data_ack: 55,
             },
         );
-        assert!(sf.translate_delivered(1, 1).is_empty());
+        assert!(sf.rx_mappings.translated(1, 1).is_empty());
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //!
 //! The references are the tables `Subflow` and `MpConnection` held before
 //! runs: one `BTreeMap` entry per push, one per arriving DSS, and a
-//! byte-by-byte reorder set. They are O(window) in memory and kept only
+//! byte-by-byte reorder set. The receive reference keeps the old `Vec`
+//! form of translation, one delivered range at a time, which the
+//! visitor over a whole arrival's range must agree with. They are O(window) in memory and kept only
 //! here, as what the O(runs) tables must agree with. Shared with the root
 //! package's `workspace_smoke` through `#[path]`.
 
@@ -187,6 +189,15 @@ pub fn check_tx(seed: u64, steps: usize) -> (usize, usize) {
     (pushes, high_water)
 }
 
+/// What [`RxMappings::translate_each`] visits for `[seq, seq + len)`, in
+/// order; its count of bytes visited must be what it visited.
+fn visit(runs: &RxMappings, seq: u64, len: u32) -> Vec<(u64, u32)> {
+    let mut out = Vec::new();
+    let mapped = runs.translate_each(seq, len, |data_seq, len| out.push((data_seq, len)));
+    assert_eq!(mapped, out.iter().map(|r| r.1 as u64).sum::<u64>());
+    out
+}
+
 /// Ranges as a canonical byte set: sorted, touching ranges joined.
 fn byte_set(ranges: &[(u64, u32)]) -> Vec<(u64, u64)> {
     let mut spans: Vec<(u64, u64)> = ranges.iter().map(|&(s, l)| (s, s + l as u64)).collect();
@@ -269,10 +280,13 @@ pub fn check_rx(seed: u64, pushes: usize) -> (usize, usize) {
         }
         if contiguous > delivered_to && rng.chance(0.6) {
             let to = delivered_to + 1 + rng.below(contiguous - delivered_to);
-            let (got, want) = (
-                runs.translate(delivered_to, (to - delivered_to) as u32),
-                model.translate(delivered_to, (to - delivered_to) as u32),
-            );
+            // The endpoint hands over one range per arrival; the reference
+            // translates range by range, the arriving segment first and the
+            // backlog it released after, as the endpoint once reported them.
+            let cut = ends.get(&delivered_to).map_or(to, |&end| end.min(to));
+            let got = visit(&runs, delivered_to, (to - delivered_to) as u32);
+            let mut want = model.translate(delivered_to, (cut - delivered_to) as u32);
+            want.extend(model.translate(cut, (to - cut) as u32));
             assert_eq!(
                 byte_set(&got),
                 byte_set(&want),
@@ -291,7 +305,7 @@ pub fn check_rx(seed: u64, pushes: usize) -> (usize, usize) {
         let from = delivered_to + rng.below(stream_end - delivered_to + MSS);
         let len = 1 + rng.below(6 * MSS) as u32;
         assert_eq!(
-            byte_set(&runs.translate(from, len)),
+            byte_set(&visit(&runs, from, len)),
             byte_set(&model.translate(from, len)),
             "seed {seed} step {step}: lookahead [{from}, +{len})"
         );

@@ -6,7 +6,7 @@
 //! ```text
 //! host event                 endpoint call                 emissions
 //! ------------------------   ---------------------------   -----------------
-//! packet arrives             on_segment(now, seg)          -> delivered ranges
+//! packet arrives             on_segment(now, seg)          -> delivered range
 //! timer fires                on_deadline(now)
 //! app writes                 write(bytes)
 //! any of the above           poll_transmit(now) until None -> segments to send
@@ -93,9 +93,10 @@ pub struct DeliveredRange {
 /// What [`TcpEndpoint::on_segment`] observed.
 #[derive(Clone, Debug, Default)]
 pub struct SegmentOutcome {
-    /// Payload newly delivered in order by this segment (including any
-    /// out-of-order backlog it unlocked).
-    pub delivered: Vec<DeliveredRange>,
+    /// Payload newly delivered in order by this segment, including any
+    /// out-of-order backlog it unlocked: always the one range from the old
+    /// `rcv_nxt` to the new one, FIN excluded.
+    pub delivered: Option<DeliveredRange>,
     /// An MP_PRIO option arrived: the peer asks that this subflow be
     /// treated as backup (`true`) or normal (`false`).
     pub mp_prio: Option<bool>,
@@ -648,8 +649,7 @@ impl TcpEndpoint {
 
     /// Mark inflight segments covered by the ACK's SACK blocks.
     fn apply_sack(&mut self, seg: &Segment) {
-        for block in seg.sack.iter().flatten() {
-            let (start, end) = *block;
+        for (start, end) in seg.sack_blocks() {
             self.high_sacked = self.high_sacked.max(end);
             for (s, e) in self.inflight.range_mut(start, end) {
                 if !e.sacked && s + e.space() <= end {
@@ -776,27 +776,20 @@ impl TcpEndpoint {
         if seg.seq == self.rcv_nxt {
             self.ts_to_echo = Some(seg.ts_val);
             let had_ooo = !self.ooo.is_empty();
-            if seg.payload > 0 {
-                outcome.delivered.push(DeliveredRange {
-                    seq: seg.seq,
-                    len: seg.payload,
-                });
-                self.bytes_delivered_total += seg.payload as u64;
-            }
             // Advance past the payload only; the FIN (if any) is consumed
             // below once the stream is contiguous up to it.
             self.rcv_nxt = seg.seq + seg.payload as u64;
             // Drain any out-of-order backlog now contiguous.
             while let Some((_, end)) = self.ooo.pop_reaching(self.rcv_nxt) {
-                if end > self.rcv_nxt {
-                    let fresh = (end - self.rcv_nxt) as u32;
-                    outcome.delivered.push(DeliveredRange {
-                        seq: self.rcv_nxt,
-                        len: fresh,
-                    });
-                    self.bytes_delivered_total += fresh as u64;
-                    self.rcv_nxt = end;
-                }
+                self.rcv_nxt = self.rcv_nxt.max(end);
+            }
+            let fresh = self.rcv_nxt - seg.seq;
+            if fresh > 0 {
+                outcome.delivered = Some(DeliveredRange {
+                    seq: seg.seq,
+                    len: fresh as u32,
+                });
+                self.bytes_delivered_total += fresh;
             }
             // FIN consumption.
             if let Some(fs) = self.fin_rcv_seq {
@@ -881,7 +874,11 @@ impl TcpEndpoint {
         seg.ack = self.rcv_nxt;
         seg.rwnd = self.advertised_rwnd();
         seg.ts_ecr = self.ts_to_echo;
-        seg.sack = self.sack_blocks();
+        for (start, end) in self.sack_blocks().into_iter().flatten() {
+            // Only a peer sending beyond the window can leave a range more
+            // than 4 GiB above the cumulative ack; that block is omitted.
+            let _ = seg.push_sack(start, end);
+        }
         seg
     }
 
@@ -1298,6 +1295,43 @@ mod tests {
     }
 
     #[test]
+    fn each_arrival_delivers_one_range_the_rcv_nxt_advance_less_the_fin() {
+        let mut now = SimTime::ZERO;
+        let mut c = TcpEndpoint::client(TcpConfig::default());
+        let mut s = TcpEndpoint::listener(TcpConfig::default());
+        handshake(&mut now, &mut c, &mut s);
+        s.write(6 * 1428);
+        s.close();
+        let segs: Vec<Segment> = std::iter::from_fn(|| s.poll_transmit(now)).collect();
+        assert_eq!(segs.len(), 6);
+        assert!(segs[5].flags.fin, "the last segment carries the FIN");
+        now += SimDuration::from_millis(5);
+        // Holes at 1 and 4; segment 1 releases 2 and 3, segment 4 releases
+        // 5 and the FIN; a duplicate of 0 delivers nothing.
+        let mut lens = Vec::new();
+        for idx in [0usize, 2, 3, 5, 1, 0, 4] {
+            let before = c.rcv_nxt;
+            let fin_before = c.fin_received();
+            let out = c.on_segment(now, segs[idx]);
+            let advance = c.rcv_nxt - before - u64::from(c.fin_received() && !fin_before);
+            match out.delivered {
+                Some(range) => {
+                    assert_eq!(
+                        (range.seq, range.len as u64),
+                        (before, advance),
+                        "segment {idx}"
+                    );
+                    lens.push(range.len);
+                }
+                None => assert_eq!(advance, 0, "segment {idx}"),
+            }
+        }
+        assert_eq!(lens, [1428, 3 * 1428, 2 * 1428]);
+        assert!(c.fin_received());
+        assert_eq!(c.bytes_delivered_total(), 6 * 1428);
+    }
+
+    #[test]
     fn fin_closes_cleanly() {
         let mut now = SimTime::ZERO;
         let half = SimDuration::from_millis(5);
@@ -1457,7 +1491,7 @@ mod tests {
             last_ack = Some(a);
         }
         let ack = last_ack.expect("dup acks");
-        let mut blocks: Vec<(u64, u64)> = ack.sack.iter().flatten().copied().collect();
+        let mut blocks: Vec<(u64, u64)> = ack.sack_blocks().collect();
         blocks.sort_unstable();
         // Segments 2..=3 coalesce into one block; 6 stands alone. (The
         // rotation cursor means the on-wire order varies.)

@@ -1,7 +1,7 @@
 //! A free-listed slab for in-flight [`Segment`]s.
 //!
 //! Simulation hosts keep one segment per queued hop event. Carrying the
-//! ~100-byte [`Segment`] by value through every queue operation means the
+//! 120-byte [`Segment`] by value through every queue operation means the
 //! event payload dominates the memcpy cost of the hot loop; parking the
 //! segment here and carrying a 4-byte [`SegRef`] instead keeps queue
 //! payloads word-sized and recycles segment storage without touching the

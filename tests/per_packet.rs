@@ -1,0 +1,258 @@
+//! What one segment costs the allocator and the copy path: a steady bulk
+//! transfer through a `TcpEndpoint` pair and through a 2-subflow
+//! `MpConnection` pair allocates almost never per delivered segment, and
+//! a segment, alone or tagged with its subflow, stays small enough that
+//! rustc copies it inline (at most 128 bytes) instead of calling `memcpy`.
+//!
+//! Allocations are counted per thread by this binary's global allocator,
+//! so tests running side by side do not see each other's.
+
+use emptcp_mptcp::{MpConnection, Role, SubflowId};
+use emptcp_phy::IfaceKind;
+use emptcp_sim::{EventQueue, SimDuration, SimTime};
+use emptcp_tcp::{Segment, TcpConfig, TcpEndpoint};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each allocation and reallocation on
+/// the calling thread.
+struct Counting;
+
+fn count() {
+    // `try_with`: a thread being torn down may still allocate.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method hands its caller's arguments unchanged to `System`
+// and returns what it returns, so `System`'s guarantees are this
+// allocator's. The count is a `const`-initialized thread-local `Cell`,
+// which neither allocates nor reenters the allocator.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+const MIB: u64 = 1 << 20;
+
+/// The four driver calls, on `TcpEndpoint` and `MpConnection` alike.
+trait Pumped {
+    fn poll(&mut self, now: SimTime) -> Option<(u8, Segment)>;
+    fn deliver(&mut self, now: SimTime, path: u8, seg: Segment);
+    fn deadline(&self) -> Option<SimTime>;
+    fn expire(&mut self, now: SimTime);
+    fn delivered(&self) -> u64;
+    fn offer(&mut self, bytes: u64);
+}
+
+impl Pumped for TcpEndpoint {
+    fn poll(&mut self, now: SimTime) -> Option<(u8, Segment)> {
+        self.poll_transmit(now).map(|seg| (0, seg))
+    }
+    fn deliver(&mut self, now: SimTime, _path: u8, seg: Segment) {
+        self.on_segment(now, seg);
+    }
+    fn deadline(&self) -> Option<SimTime> {
+        self.next_deadline()
+    }
+    fn expire(&mut self, now: SimTime) {
+        self.on_deadline(now);
+    }
+    fn delivered(&self) -> u64 {
+        self.bytes_delivered_total()
+    }
+    fn offer(&mut self, bytes: u64) {
+        self.write(bytes);
+    }
+}
+
+impl Pumped for MpConnection {
+    fn poll(&mut self, now: SimTime) -> Option<(u8, Segment)> {
+        self.poll_transmit(now).map(|(sf, seg)| (sf.0, seg))
+    }
+    fn deliver(&mut self, now: SimTime, path: u8, seg: Segment) {
+        self.on_segment(now, SubflowId(path), seg);
+    }
+    fn deadline(&self) -> Option<SimTime> {
+        self.next_deadline()
+    }
+    fn expire(&mut self, now: SimTime) {
+        self.on_deadline(now);
+    }
+    fn delivered(&self) -> u64 {
+        self.bytes_delivered()
+    }
+    fn offer(&mut self, bytes: u64) {
+        self.write(bytes);
+    }
+}
+
+/// A client and a server joined by a fixed one-way delay per path: the
+/// simulator's loop with nothing else in it.
+struct Pair<E> {
+    client: E,
+    server: E,
+    delays: Vec<SimDuration>,
+    /// `(to_client, path, segment)` keyed by arrival time.
+    net: EventQueue<(bool, u8, Segment)>,
+    now: SimTime,
+}
+
+impl<E: Pumped> Pair<E> {
+    fn drain(
+        end: &mut E,
+        to_client: bool,
+        now: SimTime,
+        delays: &[SimDuration],
+        net: &mut EventQueue<(bool, u8, Segment)>,
+    ) {
+        while let Some((path, seg)) = end.poll(now) {
+            net.schedule(now + delays[path as usize], (to_client, path, seg));
+        }
+    }
+
+    /// Have the server send `bytes` more and run until the client has
+    /// them all; returns the segments delivered on the way.
+    fn transfer(&mut self, bytes: u64) -> u64 {
+        let target = self.client.delivered() + bytes;
+        self.server.offer(bytes);
+        let mut segments = 0;
+        loop {
+            Self::drain(
+                &mut self.client,
+                false,
+                self.now,
+                &self.delays,
+                &mut self.net,
+            );
+            Self::drain(
+                &mut self.server,
+                true,
+                self.now,
+                &self.delays,
+                &mut self.net,
+            );
+            if self.client.delivered() >= target {
+                return segments;
+            }
+            let timer = self
+                .client
+                .deadline()
+                .into_iter()
+                .chain(self.server.deadline())
+                .min();
+            let packet = self.net.peek_time();
+            self.now = packet
+                .into_iter()
+                .chain(timer)
+                .min()
+                .expect("the pair stalled");
+            if Some(self.now) == packet {
+                let (_, (to_client, path, seg)) = self.net.pop().expect("peeked");
+                let end = if to_client {
+                    &mut self.client
+                } else {
+                    &mut self.server
+                };
+                end.deliver(self.now, path, seg);
+                segments += 1;
+            }
+            self.client.expire(self.now);
+            self.server.expire(self.now);
+        }
+    }
+
+    /// Allocations per delivered segment over `bytes`, after a 4 MiB
+    /// transfer has grown every table and queue to its working size.
+    fn allocations_per_segment(&mut self, bytes: u64) -> f64 {
+        self.transfer(4 * MIB);
+        let before = allocations();
+        let segments = self.transfer(bytes);
+        (allocations() - before) as f64 / segments as f64
+    }
+}
+
+fn tcp_pair() -> Pair<TcpEndpoint> {
+    let mut client = TcpEndpoint::client(TcpConfig::default());
+    client.connect(SimTime::ZERO);
+    Pair {
+        client,
+        server: TcpEndpoint::listener(TcpConfig::default()),
+        delays: vec![SimDuration::from_millis(12)],
+        net: EventQueue::new(),
+        now: SimTime::ZERO,
+    }
+}
+
+fn mptcp_pair() -> Pair<MpConnection> {
+    let mut client = MpConnection::new(Role::Client, TcpConfig::default());
+    let mut server = MpConnection::new(Role::Server, TcpConfig::default());
+    for iface in [IfaceKind::Wifi, IfaceKind::CellularLte] {
+        client.add_subflow(SimTime::ZERO, iface);
+        server.add_subflow(SimTime::ZERO, iface);
+    }
+    Pair {
+        client,
+        server,
+        delays: vec![SimDuration::from_millis(12), SimDuration::from_millis(35)],
+        net: EventQueue::new(),
+        now: SimTime::ZERO,
+    }
+}
+
+/// The most a steady transfer may allocate per delivered segment. The
+/// receive path used to build a `Vec` of delivered ranges per data
+/// segment, and MPTCP a second to translate them: 0.68 and 1.35.
+const CEILING: f64 = 0.02;
+
+#[test]
+fn a_steady_tcp_transfer_almost_never_allocates() {
+    let per_segment = tcp_pair().allocations_per_segment(64 * MIB);
+    assert!(
+        per_segment <= CEILING,
+        "{per_segment:.3} allocations per segment"
+    );
+}
+
+#[test]
+fn a_steady_two_path_mptcp_transfer_almost_never_allocates() {
+    let per_segment = mptcp_pair().allocations_per_segment(64 * MIB);
+    assert!(
+        per_segment <= CEILING,
+        "{per_segment:.3} allocations per segment"
+    );
+}
+
+#[test]
+fn a_segment_is_copied_inline_alone_and_tagged_with_its_subflow() {
+    // rustc copies a value of at most 128 bytes with inline moves; past
+    // that, every copy is a call to `memcpy`.
+    assert!(
+        std::mem::size_of::<Segment>() <= 120,
+        "{}",
+        std::mem::size_of::<Segment>()
+    );
+    let tagged = std::mem::size_of::<Option<(SubflowId, Segment)>>();
+    assert!(tagged <= 128, "{tagged}");
+}
