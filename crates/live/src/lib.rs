@@ -4,7 +4,7 @@
 //! event-driven state machine: segments in, segments out, timers in
 //! between. The simulator is one engine that drives those machines; this
 //! crate is the second. A purpose-built poll-loop [`Reactor`] (the
-//! workspace is offline-vendored, so there is no tokio — the timer wheel
+//! workspace is offline-vendored, so there is no tokio — the timer queue
 //! is `crates/sim`'s [`EventQueue`](emptcp_sim::EventQueue) keyed on
 //! monotonic nanoseconds) feeds the *same* [`MpConnection`] cores from
 //! real I/O:

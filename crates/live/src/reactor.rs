@@ -5,7 +5,7 @@
 //! machines, so the engine under them is a classic reactor — a readiness
 //! sweep over the transport, a timer sweep over per-connection deadlines,
 //! and per-connection workers that feed arrivals into [`MpConnection`]
-//! and drain its `poll_transmit` output back to the wire. The timer wheel
+//! and drain its `poll_transmit` output back to the wire. The timer queue
 //! is `crates/sim`'s [`EventQueue`](emptcp_sim::EventQueue) living inside
 //! the shaped transports, keyed on the same monotonic nanoseconds the
 //! wall clock produces.

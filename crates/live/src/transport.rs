@@ -41,7 +41,7 @@ pub trait Transport {
     /// Earliest instant at which the transport knows it will have work
     /// (in-flight frame arrival or a delayed egress flush). `None` for
     /// transports that cannot know (real sockets). Takes `&mut self`
-    /// because the timing wheel settles its cursor on peek.
+    /// because the event queue drops cancelled entries on peek.
     fn next_wakeup(&mut self) -> Option<SimTime>;
 
     /// The shaped paths, for fault application.

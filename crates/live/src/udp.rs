@@ -13,7 +13,7 @@
 //! departure instant. A `FaultPlan` therefore shapes a live localhost
 //! transfer through exactly the machinery that shapes a simulated one. A
 //! frame shaped to leave at once — every frame of an unshaped path — skips
-//! the wheel: it is encoded into one reused buffer and handed to the
+//! the queue: it is encoded into one reused buffer and handed to the
 //! socket, after whatever parked frames are already due.
 //!
 //! Peers are preset (client) or learned from the source address of the
@@ -243,7 +243,7 @@ impl Transport for UdpTransport {
 
     fn send(&mut self, now: SimTime, _from: usize, path: u8, seg: &Segment) {
         // Parked frames already due leave first, so a frame that skips
-        // the wheel below keeps its place behind them.
+        // the queue below keeps its place behind them.
         self.flush_egress(now);
         // Promise the peer no more than this path's socket can queue.
         let mut seg = *seg;
@@ -457,7 +457,7 @@ mod tests {
         t.send(SimTime::ZERO, 0, 0, &seg(1));
         t.paths_mut()[0].base_delay = SimDuration::ZERO;
         // Before the parked frame is due, an unshaped one overtakes it
-        // without touching the wheel ...
+        // without touching the queue ...
         t.send(SimTime::from_millis(1), 0, 0, &seg(2));
         assert_eq!(t.datagrams_sent, 1);
         assert_eq!(t.next_wakeup(), Some(SimTime::from_millis(5)));

@@ -8,7 +8,7 @@
 //! fleet is partitioned so it scales to a million clients:
 //!
 //! * **Shards.** Clients are split into contiguous blocks. Each shard owns
-//!   its own [`EventQueue`] timing wheel, [`SegmentSlab`], telemetry
+//!   its own [`EventQueue`], [`SegmentSlab`], telemetry
 //!   pipeline and per-client RNG streams; a dedicated *core* shard owns the
 //!   shared bottleneck port, the reverse (ack) core port, the cross-traffic
 //!   sources and the fault injector. No state is shared between shards

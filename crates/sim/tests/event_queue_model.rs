@@ -3,24 +3,25 @@
 //! Every property drives the same operation sequence through three
 //! implementations in lockstep and demands bit-identical observations:
 //!
-//! * [`EventQueue`] — the hierarchical timing wheel (the hot path),
-//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap, kept here
-//!   (and nowhere else) precisely so the wheel has a trusted,
-//!   structurally different twin,
+//! * [`EventQueue`] — a binary heap of keys over a payload slab (the hot
+//!   path),
+//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap over a
+//!   payload map, kept here (and nowhere else) precisely so the queue has
+//!   a trusted, structurally different twin,
 //! * a naive sorted-`Vec` reference — correct by inspection.
 //!
 //! Agreement across all three pins the queue contract — (time, sequence)
 //! total order, exact `len`, idempotent cancellation, clock monotonicity —
 //! independently of either real implementation's machinery (tombstones and
-//! compaction in the heap; slots, occupancy bitmaps, the ready/far escape
-//! heaps and the strict-descent drain rule in the wheel).
+//! compaction in both; slab slots recycled under fresh sequence numbers,
+//! and the stale-handle check that guards them, in the queue).
 //!
-//! The generators are shaped around the wheel's seams: same-instant
-//! bursts, slot- and level-boundary-aligned deltas, far-future deltas
-//! beyond the wheel span (the `far`-heap fallback), cancel/re-arm storms,
-//! and pops interleaved with fresh schedules mid-rotation — the last being
-//! exactly the class that once drove a slot to re-fill itself while it was
-//! being drained.
+//! The generators keep the shapes once aimed at the four-level timing
+//! wheel the queue used to be: same-instant bursts, tick-, slot- and
+//! level-aligned deltas, far-future deltas of several 17.2 s spans,
+//! cancel/re-arm storms that recycle slab slots, and pops interleaved with
+//! fresh schedules. They stay as inputs: any queue must pop them in the
+//! same order.
 //!
 //! Case count: the default 64, raised in CI via `PROPTEST_CASES` (the
 //! differential gate runs with ≥1000). The queues and the lockstep harness
@@ -37,7 +38,7 @@ use proptest::prelude::*;
 proptest! {
     /// Arbitrary interleavings of schedule / cancel / pop with mixed
     /// magnitudes, the broad-spectrum property. Half the pops are bounded:
-    /// the wheel's `pop_before(b)` must equal its twins' `peek_time() < b`,
+    /// the queue's `pop_before(b)` must equal its twins' `peek_time() < b`,
     /// then `pop()`.
     #[test]
     fn three_way_agreement_under_arbitrary_interleavings(
@@ -49,9 +50,9 @@ proptest! {
         model::check_interleavings(seed, ops, cancel_weight, horizon_ns);
     }
 
-    /// Same-instant seams: bursts of events at identical timestamps —
-    /// including timestamps aligned exactly on tick, slot, and level
-    /// boundaries — must come out in schedule (FIFO) order from all three
+    /// Same-instant bursts: events at identical timestamps — including
+    /// timestamps aligned exactly on power-of-two tick, slot and level
+    /// multiples — must come out in schedule (FIFO) order from all three
     /// queues. This is where (time, seq) total order does all the work.
     #[test]
     fn same_instant_bursts_preserve_fifo_order(
@@ -64,7 +65,7 @@ proptest! {
 
         for _ in 0..bursts {
             // A burst target: either an arbitrary instant or one aligned
-            // on a wheel seam (tick edge, slot edge of each level).
+            // on a tick, slot or level multiple.
             let delta = match mix(&mut state) % 5 {
                 0 => mix(&mut state) % 1_000_000,
                 1 => (mix(&mut state) % 1_000) * TICK_NS,
@@ -77,7 +78,7 @@ proptest! {
                 trio.schedule(delta, payload);
             }
             // Interleave pops between bursts so same-instant groups are
-            // sometimes split across a cursor advance.
+            // sometimes split across a clock advance.
             if mix(&mut state).is_multiple_of(2) {
                 trio.pop();
                 trio.check_observers();
@@ -86,12 +87,11 @@ proptest! {
         trio.drain();
     }
 
-    /// Far-future rollover: deltas straddling the wheel span exercise the
-    /// far-heap fallback and its migration back into the wheel as the
-    /// cursor advances past whole rotations; near events keep the wheel
-    /// busy in the foreground.
+    /// Far-future events: deltas around and several times beyond 17.2 s
+    /// sit deep in the heap while near events are scheduled and popped in
+    /// the foreground; every one must surface at its time.
     #[test]
-    fn far_future_events_survive_wheel_rollover(
+    fn far_future_events_interleave_with_near_traffic(
         seed in 0u64..u64::MAX,
         ops in 30usize..150,
     ) {
@@ -106,7 +106,7 @@ proptest! {
                     let payload = mix(&mut state) as u32;
                     trio.schedule(delta, payload);
                 }
-                // Just inside / exactly at / beyond the wheel span.
+                // Just inside / exactly at / beyond one span.
                 2 => {
                     let offset = mix(&mut state) % (2 * TICK_NS);
                     let delta = (WHEEL_SPAN_NS - TICK_NS) + offset;
@@ -120,8 +120,8 @@ proptest! {
                     let payload = mix(&mut state) as u32;
                     trio.schedule(delta, payload);
                 }
-                // Pop — dragging the cursor toward (and eventually past)
-                // the far events, forcing their migration into the wheel.
+                // Pop — dragging the clock toward (and eventually past)
+                // the far events.
                 _ => {
                     trio.pop();
                 }
@@ -174,12 +174,11 @@ proptest! {
         trio.drain();
     }
 
-    /// Pops interleaved with fresh schedules mid-rotation: every pop is
-    /// followed by schedules whose deltas are biased to land in the slot
-    /// band the cursor is currently draining (small multiples of the slot
-    /// spans, offset by a few ticks). This is the exact class that once
-    /// made an upper-level slot re-fill itself while being drained; the
-    /// strict-descent drain rule is pinned here.
+    /// Pops interleaved with fresh schedules: every pop is followed by
+    /// schedules whose deltas sit a few ticks either side of whole slot
+    /// and level spans, next to events primed at those spans. This is the
+    /// class that once made the wheel's upper-level slots re-fill
+    /// themselves while being drained; it stays as an input.
     #[test]
     fn mid_rotation_schedules_terminate_and_agree(
         seed in 0u64..u64::MAX,
@@ -188,7 +187,7 @@ proptest! {
         let mut state = seed;
         let mut trio = Trio::default();
 
-        // Prime the wheel across all levels.
+        // Prime events at one to three spans of each size.
         for lvl_span in [TICK_NS, TICK_NS * SLOTS, TICK_NS * SLOTS * SLOTS] {
             for k in 1..4u64 {
                 let payload = mix(&mut state) as u32;
@@ -198,9 +197,8 @@ proptest! {
 
         for _ in 0..rounds {
             trio.pop();
-            // Schedule into the alias band of the just-advanced cursor:
-            // deltas a hair under whole slot spans land in slots whose
-            // residue matches the cursor's own position.
+            // Deltas a hair under or over whole spans, so new events
+            // tie or nearly tie with primed ones.
             let n = 1 + mix(&mut state) % 3;
             for _ in 0..n {
                 let span = match mix(&mut state) % 3 {
@@ -218,7 +216,7 @@ proptest! {
         trio.drain();
     }
 
-    /// Clock sanity on the wheel alone: pop times are monotone and the
+    /// Clock sanity on the queue alone: pop times are monotone and the
     /// queue clock tracks them.
     #[test]
     fn clock_is_monotone_and_matches_pop_times(

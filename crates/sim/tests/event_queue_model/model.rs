@@ -1,8 +1,8 @@
 //! The three event-queue implementations and the lockstep harness that
-//! drives them as one: the wheel ([`EventQueue`]), the retired key-heap
-//! ([`KeyHeapQueue`], kept here and nowhere else) and a sorted-`Vec`
-//! reference. Shared with the root package's `workspace_smoke` through
-//! `#[path]`.
+//! drives them as one: the library's slab-backed heap ([`EventQueue`]), a
+//! key-heap over a payload map ([`KeyHeapQueue`], kept here and nowhere
+//! else) and a sorted-`Vec` reference. Shared with the root package's
+//! `workspace_smoke` through `#[path]`.
 
 use emptcp_sim::{EventQueue, SimDuration, SimTime, TimerId};
 use std::cmp::Reverse;
@@ -44,12 +44,12 @@ const COMPACT_RATIO: usize = 2;
 /// over a sequence-indexed payload map, with tombstoned cancellation and
 /// O(n) compaction.
 ///
-/// Retired from the hot path in favour of the timing-wheel [`EventQueue`]
-/// and moved out of the library, but kept fully functional as the
-/// structurally independent reference this harness (and the CI
-/// `hotpath-differential` step) drives in lockstep with the wheel: two
-/// implementations that share nothing but the API contract and must agree
-/// on every pop. A cancellation handle is the event's sequence number.
+/// Kept out of the library but fully functional as the structurally
+/// independent twin this harness (and the CI `hotpath-differential` step)
+/// drives in lockstep with [`EventQueue`]: one stores payloads in a
+/// `HashMap` keyed by sequence number, the other in a free-listed slab
+/// with recycled slots, and they must agree on every pop. A cancellation
+/// handle is the event's sequence number.
 #[derive(Debug)]
 struct KeyHeapQueue<E> {
     heap: BinaryHeap<Reverse<(SimTime, u64)>>,
@@ -199,7 +199,7 @@ impl Reference {
 /// cancelled) stay eligible so cancel exercises its no-op paths too.
 #[derive(Default)]
 pub struct Trio {
-    wheel: EventQueue<u32>,
+    queue: EventQueue<u32>,
     heap: KeyHeapQueue<u32>,
     reference: Reference,
     pub handles: Vec<(TimerId, u64, u64)>,
@@ -207,38 +207,38 @@ pub struct Trio {
 
 impl Trio {
     pub fn schedule(&mut self, delta_ns: u64, payload: u32) {
-        let at = self.wheel.now() + SimDuration::from_nanos(delta_ns);
-        let wid = self.wheel.schedule(at, payload);
+        let at = self.queue.now() + SimDuration::from_nanos(delta_ns);
+        let qid = self.queue.schedule(at, payload);
         let hid = self.heap.schedule(at, payload);
         let seq = self.reference.schedule(at.as_nanos(), payload);
-        self.handles.push((wid, hid, seq));
+        self.handles.push((qid, hid, seq));
     }
 
     pub fn cancel_nth(&mut self, pick: usize) {
         if self.handles.is_empty() {
             return;
         }
-        let (wid, hid, seq) = self.handles[pick % self.handles.len()];
-        self.wheel.cancel(wid);
+        let (qid, hid, seq) = self.handles[pick % self.handles.len()];
+        self.queue.cancel(qid);
         self.heap.cancel(hid);
         self.reference.cancel(seq);
     }
 
     pub fn pop(&mut self) -> Option<(u64, u32)> {
-        let got_w = self.wheel.pop().map(|(t, p)| (t.as_nanos(), p));
+        let got_q = self.queue.pop().map(|(t, p)| (t.as_nanos(), p));
         let got_h = self.heap.pop().map(|(t, p)| (t.as_nanos(), p));
         let want = self.reference.pop();
-        assert_eq!(got_w, want, "wheel pop diverged from reference");
+        assert_eq!(got_q, want, "queue pop diverged from reference");
         assert_eq!(got_h, want, "key-heap pop diverged from reference");
         want
     }
 
     /// Pop the next event only if it is due strictly before `now +
-    /// delta_ns`. The wheel answers with `pop_before`; its twins spell it
+    /// delta_ns`. The queue answers with `pop_before`; its twins spell it
     /// out as `peek_time() < bound`, then `pop()`.
     pub fn pop_before(&mut self, delta_ns: u64) -> Option<(u64, u32)> {
-        let bound = self.wheel.now() + SimDuration::from_nanos(delta_ns);
-        let got_w = self.wheel.pop_before(bound).map(|(t, p)| (t.as_nanos(), p));
+        let bound = self.queue.now() + SimDuration::from_nanos(delta_ns);
+        let got_q = self.queue.pop_before(bound).map(|(t, p)| (t.as_nanos(), p));
         let due = |peek: Option<u64>| peek.is_some_and(|t| t < bound.as_nanos());
         let got_h = due(self.heap.peek_time().map(|t| t.as_nanos()))
             .then(|| self.heap.pop().map(|(t, p)| (t.as_nanos(), p)))
@@ -246,7 +246,7 @@ impl Trio {
         let want = due(self.reference.peek_time())
             .then(|| self.reference.pop())
             .flatten();
-        assert_eq!(got_w, want, "wheel pop_before diverged from reference");
+        assert_eq!(got_q, want, "queue pop_before diverged from reference");
         assert_eq!(
             got_h, want,
             "key-heap peek-then-pop diverged from reference"
@@ -255,15 +255,15 @@ impl Trio {
     }
 
     pub fn check_observers(&mut self) {
-        assert_eq!(self.wheel.len(), self.reference.live.len(), "wheel len");
+        assert_eq!(self.queue.len(), self.reference.live.len(), "queue len");
         assert_eq!(self.heap.len(), self.reference.live.len(), "heap len");
-        assert_eq!(self.wheel.is_empty(), self.reference.live.is_empty());
+        assert_eq!(self.queue.is_empty(), self.reference.live.is_empty());
         assert_eq!(self.heap.is_empty(), self.reference.live.is_empty());
         let want_peek = self.reference.peek_time();
         assert_eq!(
-            self.wheel.peek_time().map(|t| t.as_nanos()),
+            self.queue.peek_time().map(|t| t.as_nanos()),
             want_peek,
-            "wheel peek"
+            "queue peek"
         );
         assert_eq!(
             self.heap.peek_time().map(|t| t.as_nanos()),
@@ -271,9 +271,9 @@ impl Trio {
             "heap peek"
         );
         assert_eq!(
-            self.wheel.now().as_nanos(),
+            self.queue.now().as_nanos(),
             self.reference.now,
-            "wheel clock"
+            "queue clock"
         );
         assert_eq!(self.heap.now().as_nanos(), self.reference.now, "heap clock");
     }
@@ -282,7 +282,7 @@ impl Trio {
     pub fn drain(&mut self) {
         while self.pop().is_some() {}
         assert!(self.reference.pop().is_none(), "reference had leftovers");
-        assert_eq!(self.wheel.len(), 0);
+        assert_eq!(self.queue.len(), 0);
         assert_eq!(self.heap.len(), 0);
     }
 }
@@ -296,12 +296,13 @@ pub fn mix(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The wheel's geometry, mirrored from `event.rs`: 1024 ns ticks, 64-slot
-/// levels, four levels. Deltas built from these hit slot seams exactly.
+/// Input shapes kept from the four-level timing wheel the queue once was:
+/// 1024 ns ticks, 64-slot levels, four levels. Deltas built from these land
+/// on tick, slot and level seams, and on powers of two generally.
 pub const TICK_NS: u64 = 1 << 10;
 pub const SLOTS: u64 = 64;
-/// One full wheel span in nanoseconds; anything scheduled further out
-/// falls through to the far heap.
+/// That wheel's span in nanoseconds (2^34 ns, about 17.2 s), the
+/// generators' unit for far-future deltas.
 pub const WHEEL_SPAN_NS: u64 = TICK_NS * SLOTS * SLOTS * SLOTS * SLOTS;
 
 /// Arbitrary interleavings of schedule / cancel / pop with mixed

@@ -4,8 +4,8 @@
 //! shard count, one pair pump whose two transports agree event for event,
 //! a chaos corpus that certifies, a scenario file that says a changing
 //! environment or the recovery it must show, a monitor tap that streams,
-//! stacks that cannot tell how often they are polled or swept, a timing
-//! wheel that pops like its two reference queues, a live transfer that
+//! stacks that cannot tell how often they are polled or swept, an event
+//! queue that pops like its two reference queues, a live transfer that
 //! loses nothing to its own socket buffers, exhibits that cannot tell
 //! which of them simulated a run they share, and a sender that cuts no
 //! runts.
@@ -201,12 +201,12 @@ fn run_length_mappings_answer_like_the_per_entry_tables() {
 }
 
 /// Reduced cases of the `event_queue_model` proptests in `emptcp-sim`: the
-/// timing wheel, the retired key-heap and a sorted-`Vec` reference agree
-/// on every pop, `len`, peek and clock reading, under schedule / cancel /
-/// pop interleavings inside one wheel level and across the whole span
-/// into the far heap.
+/// slab-backed event queue, the key-heap over a payload map and a
+/// sorted-`Vec` reference agree on every pop, `len`, peek and clock
+/// reading, under schedule / cancel / pop interleavings within a
+/// millisecond and across two 17.2 s spans.
 #[test]
-fn the_wheel_pops_like_the_key_heap_and_the_reference() {
+fn the_event_queue_pops_like_the_key_heap_and_the_reference() {
     for (seed, horizon_ns) in [
         (15, 1_000_000),
         (1510, 2 * event_queue_model::WHEEL_SPAN_NS),
