@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! `BENCH.json` for the eMPTCP reproduction: what each exhibit costs to
 //! regenerate and how big each crate is.
 //!

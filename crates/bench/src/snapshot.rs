@@ -6,8 +6,9 @@
 //!
 //! * **exhibits** — wall-clock milliseconds to regenerate each paper
 //!   table/figure at quick scale, serially (same code paths as
-//!   `repro --quick`, one entry per runner job, so the second of `fig16`
-//!   and `fig14` is timed replaying the study the first simulated, and
+//!   `repro --quick`, one entry per exhibit, its reduction plus the runs
+//!   it is the first to plan, so the second of `fig16` and `fig14` is
+//!   timed reducing the study the first simulated, and
 //!   the six closed-form exhibits that take a millisecond or less are
 //!   summed into `closed_form`);
 //! * **loc** — non-blank source lines per package (everything under

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! eMPTCP: energy-aware multi-path TCP (the paper's contribution, §3).
 //!
 //! Four components extend regular MPTCP at the transport layer (paper

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! The parameterized mobile-device energy model of the eMPTCP paper.
 //!
 //! The paper computes its Energy Information Base offline from the

@@ -8,7 +8,7 @@
 //! repro --out results all custom output directory
 //! repro --seed 7 fig5     override the experiment seed
 //! repro --quiet fig9      tables only, no progress or metrics chatter
-//! repro --jobs 4 all      run exhibits on a 4-thread pool
+//! repro --jobs 4 all      simulate and reduce on 4 threads
 //! repro --trace fig5      also write <out>/<id>.trace.jsonl
 //! repro fleet --trace fleet.jsonl   record one exhibit to an explicit path
 //! repro --clients 100 fleet   size the fleet exhibit's client count
@@ -22,10 +22,12 @@
 //! short metrics roll-up follows each one and invariant violations
 //! surface as warnings.
 //!
-//! `--jobs N` fans exhibits — and the sweep points and repeated runs
-//! inside them — out across `N` threads. Output is byte-identical to
-//! `--jobs 1`: seeds derive from indices, never from scheduling. The
-//! default is the machine's available parallelism.
+//! `--jobs N` simulates the distinct host runs the requested exhibits
+//! plan, then reduces the exhibits, each on `N` threads (a fleet exhibit
+//! requested alone runs its shards on them instead). Output is
+//! byte-identical to `--jobs 1`: seeds are fixed in the plans and results
+//! land in plan order, never in scheduling order. The default is the
+//! machine's available parallelism.
 
 use emptcp_expr::figures::{self, Config};
 use emptcp_expr::flags;

@@ -279,7 +279,7 @@ fn scenario_usage() -> ! {
   --seed N             scenario-seed override / fuzz root seed (default 42)
   --check              exit non-zero on any oracle violation (CI gate)
   --json               print each chaos report as JSON
-  --jobs N             worker pool size                    (default 1)
+  --jobs N             threads for fuzz cases / corpus     (default 1)
   --out DIR            write per-scenario corpus reports here
   --trace PATH         write the judged run's JSONL event trace
                        (--name or --file only)

@@ -408,7 +408,7 @@ pub struct FuzzOutcome {
 }
 
 /// Generate `cases` arbitrary-but-valid scenarios from `run_seed`, run
-/// each through the oracles (fanned out on the current runner), and shrink
+/// each through the oracles (one [`crate::runner::par_map`]), and shrink
 /// every failure to a minimal `.scenario` repro in `repro_dir`.
 pub fn fuzz(
     run_seed: u64,
@@ -416,7 +416,7 @@ pub fn fuzz(
     sabotage: Option<&str>,
     repro_dir: Option<&Path>,
 ) -> std::io::Result<FuzzOutcome> {
-    let reports = crate::runner::run_points(cases as usize, |i| {
+    let reports = crate::runner::par_map(cases as usize, |i| {
         let sc = generate(run_seed, i as u64);
         let report = run_scenario(&sc, sabotage).expect("generated scenarios validate");
         (sc, report)
@@ -464,13 +464,13 @@ pub fn fuzz(
     })
 }
 
-/// Replay the whole committed corpus (fanned out on the current runner)
+/// Replay the whole committed corpus (one [`crate::runner::par_map`])
 /// and, when `out_dir` is given, write one deterministic
 /// `<name>.report.json` per scenario. The reports are byte-identical for
 /// any `--jobs` value: each depends only on its scenario.
 pub fn replay_corpus(out_dir: Option<&Path>) -> std::io::Result<Vec<ChaosReport>> {
     let names = corpus::names();
-    let reports = crate::runner::run_points(names.len(), |i| {
+    let reports = crate::runner::par_map(names.len(), |i| {
         let sc = corpus::load(names[i]).expect("corpus scenario loads");
         run_scenario(&sc, None).expect("corpus scenario runs")
     });

@@ -1,23 +1,35 @@
-//! One runner per table and figure of the paper.
+//! Every table and figure of the paper.
 //!
-//! Each function regenerates the data behind one exhibit and returns a
-//! [`FigureOutput`] (printable tables + raw JSON). The [`Config`] scales
-//! the experiments: [`Config::full`] uses the paper's sizes and run counts
-//! (what EXPERIMENTS.md records), [`Config::quick`] shrinks transfers for
-//! benches and smoke tests while exercising identical code paths.
+//! Each exhibit is two functions, paired in the one table `EXHIBITS`:
+//!
+//! * `<id>_plan(cfg)` is the only place it names its host runs, as
+//!   [`Run`] values in the order it reads them (closed forms and the
+//!   fleet exhibits plan none);
+//! * `<id>(cfg, results)` receives one result per planned run, aligned
+//!   with the plan, and does only arithmetic, returning a
+//!   [`FigureOutput`] (printable tables + raw JSON). The fleet exhibits
+//!   simulate their fleets here.
+//!
+//! [`crate::repro`] simulates the plans and feeds the reductions. The
+//! [`Config`] scales the experiments: [`Config::full`] uses the paper's
+//! sizes and run counts (what EXPERIMENTS.md records), [`Config::quick`]
+//! shrinks transfers for benches and smoke tests while exercising
+//! identical code paths.
 
 use crate::host::RunResult;
 use crate::mdp::MdpPolicy;
+use crate::plan::Run;
 use crate::report::{f, pm, FigureOutput, Table};
-use crate::runner;
-use crate::scenario::{Scenario, Workload};
-use crate::shared::run;
+use crate::runner::par_map;
+use crate::scenario::{DeviceKind, Scenario, Workload};
 use crate::strategy::Strategy;
 use crate::wild::{self, Category, WildTrace};
 use emptcp::delay::min_tau;
+use emptcp::EmptcpConfig;
 use emptcp_energy::eib::efficiency_heatmap;
 use emptcp_energy::region::{mptcp_region, region_area};
 use emptcp_energy::{DeviceProfile, Eib, EnergyModel};
+use emptcp_phy::IfaceKind;
 use emptcp_sim::stats::{MeanSem, WhiskerSummary};
 use emptcp_sim::SimDuration;
 use emptcp_workload::download::{KB, MB};
@@ -76,7 +88,7 @@ impl Config {
     /// `fleet_shards` override, else a deterministic function of the
     /// population (8 shards once the fleet is large enough for the
     /// partition to pay for its barriers, 1 below that). Never depends on
-    /// the worker pool, so `--jobs` cannot change the output.
+    /// the job count, so `--jobs` cannot change the output.
     pub fn fleet_shard_count(&self) -> usize {
         self.fleet_shards
             .unwrap_or(if self.fleet_clients >= 1024 { 8 } else { 1 })
@@ -90,48 +102,31 @@ impl Config {
     }
 }
 
-/// Run `runs` seeded repetitions of a strategy through a scenario on the
-/// current [`runner`] pool. Run `i` always simulates with seed
-/// `seed0 + i·7919` and lands in slot `i`, so the result vector is
-/// byte-identical for every pool size. When the current telemetry
-/// pipeline writes a real trace, the repetitions run serially on the
-/// calling thread instead, keeping trace JSONL ordering reproducible.
-pub fn repeat_runs<F>(make: F, strategy: Strategy, runs: usize, seed0: u64) -> Vec<RunResult>
-where
-    F: Fn() -> Scenario + Sync,
-{
-    let seed_of = |i: usize| seed0.wrapping_add(i as u64 * 7919);
-    runner::run_points(runs, |i| run(make(), strategy, seed_of(i)))
-}
-
-/// The runs behind the single-run figures. Figs 7, 9 and 12 each plot one
-/// run per strategy — and export its time series — of the scenario Figs 8,
-/// 10 and 13 average. This is the one list of those runs: the figures
-/// simulate exactly these ([`run_series`]), and [`crate::repro`] tells the
-/// shared-run memo to keep their series, which it drops from every other
-/// run it holds. Empty for every other exhibit.
-pub(crate) fn series_runs(id: &str, cfg: &Config) -> Vec<(Scenario, Strategy, u64)> {
-    let bulk = cfg.bulk();
-    let lab = lab_strategies();
-    let (scenario, strategies) = match id {
-        "fig7" => (Scenario::bandwidth_changes().with(bulk), &lab[..]),
-        "fig9" => (Scenario::background_traffic(2, 0.025).with(bulk), &lab[..2]),
-        "fig12" => (Scenario::mobility(), &lab[..]),
-        _ => return Vec::new(),
-    };
+/// `runs` seeded repetitions of each strategy through `scenario`, strategy
+/// by strategy. Repetition `i` has seed `cfg.seed + i·7919` in every plan,
+/// so plans that repeat the same cell name the same runs.
+fn repeats(scenario: Scenario, strategies: &[Strategy], runs: usize, cfg: &Config) -> Vec<Run> {
+    let scenario = &scenario;
     strategies
         .iter()
-        .map(|&strategy| (scenario.clone(), strategy, cfg.seed))
+        .flat_map(|&strategy| {
+            (0..runs).map(move |i| {
+                let seed = cfg.seed.wrapping_add(i as u64 * 7919);
+                Run::new(scenario.clone(), strategy, seed)
+            })
+        })
         .collect()
 }
 
-/// Simulate a single-run figure's runs, one sweep point each.
-fn run_series(id: &str, cfg: &Config) -> Vec<RunResult> {
-    let runs = series_runs(id, cfg);
-    runner::run_points(runs.len(), |i| {
-        let (scenario, strategy, seed) = runs[i].clone();
-        run(scenario, strategy, seed)
-    })
+/// One run per strategy with its time series kept: what Figs 7, 9 and 12
+/// plot, and the first repetition of the scenario Figs 8, 10 and 13
+/// average.
+fn plotted(scenario: Scenario, strategies: &[Strategy], cfg: &Config) -> Vec<Run> {
+    let mut plan = repeats(scenario, strategies, 1, cfg);
+    for run in &mut plan {
+        run.series = true;
+    }
+    plan
 }
 
 #[derive(Serialize)]
@@ -146,11 +141,11 @@ struct StrategySummary {
 }
 
 /// The mean of one quantity over the runs, summed in run order.
-fn mean_of(results: &[RunResult], x: impl Fn(&RunResult) -> f64) -> f64 {
-    results.iter().map(x).sum::<f64>() / results.len() as f64
+fn mean_of(results: &[&RunResult], x: impl Fn(&RunResult) -> f64) -> f64 {
+    results.iter().map(|r| x(r)).sum::<f64>() / results.len() as f64
 }
 
-fn summarize(results: &[RunResult]) -> StrategySummary {
+fn summarize(results: &[&RunResult]) -> StrategySummary {
     StrategySummary {
         strategy: results[0].strategy.clone(),
         energy: MeanSem::over(results, |r| r.energy_j),
@@ -185,6 +180,55 @@ fn energy_time_table(title: &str, summaries: &[StrategySummary]) -> Table {
         ]);
     }
     t
+}
+
+/// How an exhibit is produced: its plan of host runs, and the reduction
+/// over their results. A closed-form exhibit plans none and ignores both
+/// arguments.
+pub(crate) type Exhibit = (
+    fn(&Config) -> Vec<Run>,
+    fn(&Config, &[&RunResult]) -> FigureOutput,
+);
+
+pub(crate) type Entry = (&'static str, Exhibit);
+
+/// Every exhibit and how to produce it, in the paper's order of
+/// appearance: the one table `repro::IDS` and the jobs are read from.
+pub(crate) const EXHIBITS: [Entry; 29] = [
+    ("table1", (no_runs, |_, _| table1())),
+    ("fig1", (no_runs, |_, _| fig1())),
+    ("table2", (no_runs, |_, _| table2())),
+    ("fig3", (no_runs, |_, _| fig3())),
+    ("fig4", (no_runs, |_, _| fig4())),
+    ("eq1", (no_runs, |_, _| eq1())),
+    ("fig5", (fig5_plan, fig5)),
+    ("fig6", (fig6_plan, fig6)),
+    ("fig7", (fig7_plan, fig7)),
+    ("fig8", (fig8_plan, fig8)),
+    ("fig9", (fig9_plan, fig9)),
+    ("fig10", (fig10_plan, fig10)),
+    ("fig12", (fig12_plan, fig12)),
+    ("fig13", (fig13_plan, fig13)),
+    ("sec46", (sec46_plan, sec46)),
+    ("fig14", (large_study, fig14)),
+    ("fig15", (small_study, fig15)),
+    ("fig16", (large_study, fig16)),
+    ("fig17", (fig17_plan, fig17)),
+    ("handover", (handover_plan, handover)),
+    ("devices", (devices_plan, devices)),
+    ("ablations", (ablations_plan, ablations)),
+    ("upload", (upload_plan, upload)),
+    ("streaming", (streaming_plan, streaming)),
+    ("breakdown", (breakdown_plan, breakdown)),
+    ("sweep_hold", (sweep_hold_plan, sweep_hold)),
+    ("sweep_kappa", (sweep_kappa_plan, sweep_kappa)),
+    ("fleet", (no_runs, fleet)),
+    ("fairness", (no_runs, fairness)),
+];
+
+/// The table entry of exhibit `id`.
+pub(crate) fn find(id: &str) -> Option<Entry> {
+    EXHIBITS.iter().find(|(name, _)| *name == id).copied()
 }
 
 // ----------------------------------------------------------------------
@@ -359,40 +403,50 @@ fn lab_strategies() -> [Strategy; 3] {
     ]
 }
 
-/// `runs` seeded repetitions under each lab strategy, one sweep point per
-/// strategy, summarized.
-fn run_lab(make: impl Fn() -> Scenario + Sync, runs: usize, cfg: &Config) -> Vec<StrategySummary> {
-    let strategies = lab_strategies();
-    runner::run_points(strategies.len(), |i| {
-        summarize(&repeat_runs(&make, strategies[i], runs, cfg.seed))
-    })
+/// One summary per lab strategy of a [`repeats`] plan over them.
+fn summaries(results: &[&RunResult]) -> Vec<StrategySummary> {
+    let runs = results.len() / lab_strategies().len();
+    results.chunks(runs).map(summarize).collect()
+}
+
+fn fig5_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::static_good_wifi().with(cfg.bulk());
+    repeats(scenario, &lab_strategies(), cfg.runs, cfg)
 }
 
 /// Fig 5: static good WiFi.
-pub fn fig5(cfg: &Config) -> FigureOutput {
-    let make = || Scenario::static_good_wifi().with(cfg.bulk());
-    let summaries = run_lab(make, cfg.runs, cfg);
+fn fig5(_cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let summaries = summaries(results);
     let t = energy_time_table("Fig 5: static good WiFi (>10 Mbps)", &summaries);
     FigureOutput::new("fig5", vec![t], summaries)
 }
 
+fn fig6_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::static_bad_wifi().with(cfg.bulk());
+    repeats(scenario, &lab_strategies(), cfg.runs, cfg)
+}
+
 /// Fig 6: static bad WiFi.
-pub fn fig6(cfg: &Config) -> FigureOutput {
-    let make = || Scenario::static_bad_wifi().with(cfg.bulk());
-    let summaries = run_lab(make, cfg.runs, cfg);
+fn fig6(_cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let summaries = summaries(results);
     let t = energy_time_table("Fig 6: static bad WiFi (<1 Mbps)", &summaries);
     FigureOutput::new("fig6", vec![t], summaries)
 }
 
+/// Fig 7's runs: one per lab strategy, the first of Fig 8's.
+fn fig7_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::bandwidth_changes().with(cfg.bulk());
+    plotted(scenario, &lab_strategies(), cfg)
+}
+
 /// Fig 7: accumulated-energy time series under random bandwidth changes
 /// (single run per strategy, traces exported).
-pub fn fig7(cfg: &Config) -> FigureOutput {
-    let runs = run_series("fig7", cfg);
+fn fig7(_cfg: &Config, runs: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Fig 7: random WiFi bandwidth changes, single-run traces",
         &["strategy", "energy (J)", "time (s)", "trace points"],
     );
-    for r in &runs {
+    for r in runs {
         t.row(vec![
             r.strategy.clone(),
             f(r.energy_j),
@@ -400,8 +454,8 @@ pub fn fig7(cfg: &Config) -> FigureOutput {
             format!("{}", r.energy_trace.len()),
         ]);
     }
-    let mut out = FigureOutput::new("fig7", vec![t], &runs);
-    for r in &runs {
+    let mut out = FigureOutput::new("fig7", vec![t], runs);
+    for r in runs {
         let tag = r.strategy.to_lowercase().replace(' ', "_");
         out = out
             .with_csv(&format!("energy_{tag}"), r.energy_trace.to_csv())
@@ -413,23 +467,33 @@ pub fn fig7(cfg: &Config) -> FigureOutput {
     out
 }
 
+fn fig8_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::bandwidth_changes().with(cfg.bulk());
+    // The paper uses 10 runs here.
+    repeats(scenario, &lab_strategies(), (cfg.runs * 2).max(2), cfg)
+}
+
 /// Fig 8: random bandwidth changes, mean ± SEM over many runs.
-pub fn fig8(cfg: &Config) -> FigureOutput {
-    let make = || Scenario::bandwidth_changes().with(cfg.bulk());
-    let runs = (cfg.runs * 2).max(2); // the paper uses 10 here
-    let summaries = run_lab(make, runs, cfg);
+fn fig8(_cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let summaries = summaries(results);
     let t = energy_time_table("Fig 8: random WiFi bandwidth changes", &summaries);
     FigureOutput::new("fig8", vec![t], summaries)
 }
 
+/// Fig 9's runs: MPTCP and eMPTCP once each, the first of Fig 10's first
+/// cell.
+fn fig9_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::background_traffic(2, 0.025).with(cfg.bulk());
+    plotted(scenario, &lab_strategies()[..2], cfg)
+}
+
 /// Fig 9: throughput traces with background traffic (n=2, λoff=0.025).
-pub fn fig9(cfg: &Config) -> FigureOutput {
-    let runs = run_series("fig9", cfg);
+fn fig9(_cfg: &Config, runs: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Fig 9: background traffic traces (n=2, lambda_off=0.025)",
         &["strategy", "wifi MB", "cell MB", "time (s)"],
     );
-    for r in &runs {
+    for r in runs {
         t.row(vec![
             r.strategy.clone(),
             f(r.wifi_bytes as f64 / MB as f64),
@@ -437,8 +501,8 @@ pub fn fig9(cfg: &Config) -> FigureOutput {
             f(r.download_time_s),
         ]);
     }
-    let mut out = FigureOutput::new("fig9", vec![t], &runs);
-    for r in &runs {
+    let mut out = FigureOutput::new("fig9", vec![t], runs);
+    for r in runs {
         let tag = r.strategy.to_lowercase().replace(' ', "_");
         out = out
             .with_csv(&format!("wifi_{tag}"), r.wifi_thpt_trace.to_csv())
@@ -447,51 +511,58 @@ pub fn fig9(cfg: &Config) -> FigureOutput {
     out
 }
 
+/// Fig 10's `(n, λoff)` background-traffic settings.
+const FIG10_COMBOS: [(usize, f64); 3] = [(2, 0.025), (3, 0.025), (3, 0.05)];
+
+/// Fig 10's runs: every lab strategy in every setting, MPTCP first.
+fn fig10_plan(cfg: &Config) -> Vec<Run> {
+    FIG10_COMBOS
+        .iter()
+        .flat_map(|&(n, loff)| {
+            let scenario = Scenario::background_traffic(n, loff).with(cfg.bulk());
+            repeats(scenario, &lab_strategies(), cfg.runs, cfg)
+        })
+        .collect()
+}
+
 /// Fig 10: background-traffic sweep, energy and time relative to MPTCP.
-pub fn fig10(cfg: &Config) -> FigureOutput {
-    let combos = [(2usize, 0.025f64), (3, 0.025), (3, 0.05)];
+fn fig10(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Fig 10: relative to MPTCP (100%), background traffic",
         &["setting", "strategy", "energy %", "time %"],
     );
     let mut payload = Vec::new();
-    // One sweep point per (n, λoff) combination; each point needs its
-    // MPTCP baseline before the relative numbers, so the three strategies
-    // stay nested inside the point.
-    let cells = runner::run_points(combos.len(), |ci| {
-        let (n, loff) = combos[ci];
-        let make = || Scenario::background_traffic(n, loff).with(cfg.bulk());
-        let base = summarize(&repeat_runs(make, Strategy::Mptcp, cfg.runs, cfg.seed));
-        [Strategy::emptcp_default(), Strategy::TcpWifi]
-            .into_iter()
-            .map(|st| {
-                let s = summarize(&repeat_runs(make, st, cfg.runs, cfg.seed));
-                let e_pct = 100.0 * s.energy.mean / base.energy.mean;
-                let t_pct = 100.0 * s.time.mean / base.time.mean;
-                (n, loff, s.strategy.clone(), e_pct, t_pct)
-            })
-            .collect::<Vec<_>>()
-    });
-    for (n, loff, strategy, e_pct, t_pct) in cells.into_iter().flatten() {
-        t.row(vec![
-            format!("n={n}, loff={loff}"),
-            strategy.clone(),
-            f(e_pct),
-            f(t_pct),
-        ]);
-        payload.push((n, loff, strategy, e_pct, t_pct));
+    let cells = results.chunks(lab_strategies().len() * cfg.runs);
+    for (&(n, loff), cell) in FIG10_COMBOS.iter().zip(cells) {
+        let summaries = summaries(cell);
+        let base = &summaries[0];
+        for s in &summaries[1..] {
+            let e_pct = 100.0 * s.energy.mean / base.energy.mean;
+            let t_pct = 100.0 * s.time.mean / base.time.mean;
+            t.row(vec![
+                format!("n={n}, loff={loff}"),
+                s.strategy.clone(),
+                f(e_pct),
+                f(t_pct),
+            ]);
+            payload.push((n, loff, s.strategy.clone(), e_pct, t_pct));
+        }
     }
     FigureOutput::new("fig10", vec![t], payload)
 }
 
+/// Fig 12's runs: one walk per lab strategy, the first of Fig 13's.
+fn fig12_plan(cfg: &Config) -> Vec<Run> {
+    plotted(Scenario::mobility(), &lab_strategies(), cfg)
+}
+
 /// Fig 12: mobility accumulated-energy traces (single run per strategy).
-pub fn fig12(cfg: &Config) -> FigureOutput {
-    let runs = run_series("fig12", cfg);
+fn fig12(_cfg: &Config, runs: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Fig 12: mobility walk, single-run summary",
         &["strategy", "energy (J)", "downloaded MB", "J/MB"],
     );
-    for r in &runs {
+    for r in runs {
         t.row(vec![
             r.strategy.clone(),
             f(r.energy_j),
@@ -499,40 +570,53 @@ pub fn fig12(cfg: &Config) -> FigureOutput {
             f(r.energy_j / (r.bytes_delivered as f64 / MB as f64)),
         ]);
     }
-    let mut out = FigureOutput::new("fig12", vec![t], &runs);
-    for r in &runs {
+    let mut out = FigureOutput::new("fig12", vec![t], runs);
+    for r in runs {
         let tag = r.strategy.to_lowercase().replace(' ', "_");
         out = out.with_csv(&format!("energy_{tag}"), r.energy_trace.to_csv());
     }
     out
 }
 
+fn fig13_plan(cfg: &Config) -> Vec<Run> {
+    repeats(Scenario::mobility(), &lab_strategies(), cfg.runs, cfg)
+}
+
 /// Fig 13: mobility, per-byte energy and download amount (mean ± SEM).
-pub fn fig13(cfg: &Config) -> FigureOutput {
+fn fig13(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Fig 13: mobility walk over 250 s",
         &["strategy", "uJ/byte", "downloaded (MB)"],
     );
     let mut payload = Vec::new();
-    let strategies = lab_strategies();
-    let per_strategy = runner::run_points(strategies.len(), |i| {
-        repeat_runs(Scenario::mobility, strategies[i], cfg.runs, cfg.seed)
-    });
-    for (&st, results) in strategies.iter().zip(&per_strategy) {
+    for results in results.chunks(cfg.runs) {
         let jpb = MeanSem::over(results, |r| r.joules_per_byte * 1e6);
         let amount = MeanSem::over(results, |r| r.bytes_delivered as f64 / MB as f64);
         t.row(vec![
-            st.label().to_string(),
+            results[0].strategy.clone(),
             pm(jpb.mean, jpb.sem),
             pm(amount.mean, amount.sem),
         ]);
-        payload.push((st.label().to_string(), jpb, amount));
+        payload.push((results[0].strategy.clone(), jpb, amount));
     }
     FigureOutput::new("fig13", vec![t], payload)
 }
 
+/// §4.6's runs. The strategies meet on the mobility walk, where
+/// WiFi-First's weakness shows: the WiFi association never breaks, so it
+/// degenerates to TCP/WiFi.
+fn sec46_plan(cfg: &Config) -> Vec<Run> {
+    let strategies = [
+        Strategy::emptcp_default(),
+        Strategy::WifiFirst,
+        Strategy::MdpScheduler,
+        Strategy::TcpWifi,
+    ];
+    repeats(Scenario::mobility(), &strategies, cfg.runs, cfg)
+}
+
 /// §4.6: WiFi-First and the MDP scheduler against eMPTCP.
-pub fn sec46(cfg: &Config) -> FigureOutput {
+fn sec46(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let policy = MdpPolicy::pluntke(&EnergyModel::galaxy_s3_lte());
     let mut policy_table = Table::new(
         "Sec 4.6: Pluntke MDP policy structure",
@@ -544,41 +628,27 @@ pub fn sec46(cfg: &Config) -> FigureOutput {
     ]);
     policy_table.row(vec!["demand (Mbps)".into(), f(policy.demand_mbps())]);
 
-    // Compare on the mobility scenario (where WiFi-First's weakness shows:
-    // the WiFi association never breaks, so it degenerates to TCP/WiFi).
-    let strategies = [
-        Strategy::emptcp_default(),
-        Strategy::WifiFirst,
-        Strategy::MdpScheduler,
-        Strategy::TcpWifi,
-    ];
     let mut t = Table::new(
         "Sec 4.6: existing approaches on the mobility walk",
         &["strategy", "energy (J)", "downloaded MB", "cell MB"],
     );
     let mut payload = Vec::new();
-    let per_strategy = runner::run_points(strategies.len(), |i| {
-        repeat_runs(Scenario::mobility, strategies[i], cfg.runs, cfg.seed)
-    });
-    for (&st, results) in strategies.iter().zip(&per_strategy) {
+    for results in results.chunks(cfg.runs) {
         let e = MeanSem::over(results, |r| r.energy_j);
         let dl = MeanSem::over(results, |r| r.bytes_delivered as f64 / MB as f64);
         let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
         t.row(vec![
-            st.label().to_string(),
+            results[0].strategy.clone(),
             pm(e.mean, e.sem),
             pm(dl.mean, dl.sem),
             f(cell),
         ]);
-        payload.push((st.label().to_string(), e, dl, cell));
+        payload.push((results[0].strategy.clone(), e, dl, cell));
     }
     FigureOutput::new("sec46", vec![policy_table, t], payload)
 }
 
-/// Extension: the handover scenario (WiFi association lost for 30 s
-/// mid-download) across every strategy — the §4.6 comparison on the case
-/// Single-Path mode and WiFi-First were actually built for.
-pub fn handover(cfg: &Config) -> FigureOutput {
+fn handover_plan(cfg: &Config) -> Vec<Run> {
     let strategies = [
         Strategy::Mptcp,
         Strategy::emptcp_default(),
@@ -586,6 +656,13 @@ pub fn handover(cfg: &Config) -> FigureOutput {
         Strategy::WifiFirst,
         Strategy::SinglePath,
     ];
+    repeats(Scenario::wifi_outage(), &strategies, cfg.runs, cfg)
+}
+
+/// Extension: the handover scenario (WiFi association lost for 30 s
+/// mid-download) across every strategy — the §4.6 comparison on the case
+/// Single-Path mode and WiFi-First were actually built for.
+fn handover(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: 64 MB download across a 30 s WiFi association outage",
         &[
@@ -597,22 +674,19 @@ pub fn handover(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    let per_strategy = runner::run_points(strategies.len(), |i| {
-        repeat_runs(Scenario::wifi_outage, strategies[i], cfg.runs, cfg.seed)
-    });
-    for (&st, results) in strategies.iter().zip(&per_strategy) {
+    for results in results.chunks(cfg.runs) {
         let e = MeanSem::over(results, |r| r.energy_j);
         let time = MeanSem::over(results, |r| r.download_time_s);
         let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
         let promos = mean_of(results, |r| r.promotions as f64);
         t.row(vec![
-            st.label().to_string(),
+            results[0].strategy.clone(),
             pm(e.mean, e.sem),
             pm(time.mean, time.sem),
             f(cell),
             f(promos),
         ]);
-        payload.push((st.label().to_string(), e, time, cell, promos));
+        payload.push((results[0].strategy.clone(), e, time, cell, promos));
     }
     FigureOutput::new("handover", vec![t], payload)
 }
@@ -638,18 +712,11 @@ fn whisker_tables(title: &str, traces: &[WildTrace]) -> (Vec<Table>, serde_json:
         );
         let mut cat_payload = serde_json::Map::new();
         for (label, extract) in [("MPTCP", 0usize), ("eMPTCP", 1), ("TCP over WiFi", 2)] {
-            fn pick(tr: &WildTrace, which: usize) -> &RunResult {
-                match which {
-                    0 => &tr.mptcp,
-                    1 => &tr.emptcp,
-                    _ => &tr.tcp_wifi,
-                }
-            }
-            let energies: Vec<f64> = in_cat.iter().map(|tr| pick(tr, extract).energy_j).collect();
-            let times: Vec<f64> = in_cat
+            let runs = in_cat
                 .iter()
-                .map(|tr| pick(tr, extract).download_time_s)
-                .collect();
+                .map(|tr| [tr.mptcp, tr.emptcp, tr.tcp_wifi][extract]);
+            let energies: Vec<f64> = runs.clone().map(|r| r.energy_j).collect();
+            let times: Vec<f64> = runs.map(|r| r.download_time_s).collect();
             match (WhiskerSummary::of(&energies), WhiskerSummary::of(&times)) {
                 (Some(we), Some(wt)) => {
                     t.row(vec![
@@ -682,15 +749,14 @@ fn whisker_tables(title: &str, traces: &[WildTrace]) -> (Vec<Table>, serde_json:
     (tables, serde_json::Value::Object(payload))
 }
 
-/// The §5 study of large transfers that Figs 14 and 16 both read; within
-/// one `run_exhibits` call the second to ask replays the first's runs.
-fn large_study(cfg: &Config) -> Vec<WildTrace> {
-    wild::run_study(cfg.large_size, cfg.wild_iterations, cfg.seed ^ 0xAA)
+/// The runs of Figs 14 and 16: the §5 study of large transfers.
+fn large_study(cfg: &Config) -> Vec<Run> {
+    wild::plan(cfg.large_size, cfg.wild_iterations, cfg.seed ^ 0xAA)
 }
 
 /// Fig 14: the wild-trace scatter and categorization (16 MB downloads).
-pub fn fig14(cfg: &Config) -> FigureOutput {
-    let traces = large_study(cfg);
+fn fig14(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let traces = wild::traces(&large_study(cfg), results);
     let mut t = Table::new(
         "Fig 14: trace categories (16 MB downloads)",
         &["category", "traces", "share %"],
@@ -717,22 +783,37 @@ pub fn fig14(cfg: &Config) -> FigureOutput {
     FigureOutput::new("fig14", vec![t], scatter)
 }
 
+/// Fig 15's runs: the §5 study of small transfers.
+fn small_study(cfg: &Config) -> Vec<Run> {
+    wild::plan(256 * KB, cfg.wild_iterations, cfg.seed ^ 0x55)
+}
+
 /// Fig 15: small (256 KB) transfers in the wild.
-pub fn fig15(cfg: &Config) -> FigureOutput {
-    let traces = wild::run_study(256 * KB, cfg.wild_iterations, cfg.seed ^ 0x55);
+fn fig15(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let traces = wild::traces(&small_study(cfg), results);
     let (tables, payload) = whisker_tables("Fig 15: 256 KB downloads", &traces);
     FigureOutput::new("fig15", tables, payload)
 }
 
 /// Fig 16: large transfers in the wild.
-pub fn fig16(cfg: &Config) -> FigureOutput {
-    let (tables, payload) = whisker_tables("Fig 16: 16 MB downloads", &large_study(cfg));
+fn fig16(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let traces = wild::traces(&large_study(cfg), results);
+    let (tables, payload) = whisker_tables("Fig 16: 16 MB downloads", &traces);
     FigureOutput::new("fig16", tables, payload)
 }
 
+fn fig17_plan(cfg: &Config) -> Vec<Run> {
+    repeats(
+        Scenario::web_browsing(),
+        &lab_strategies(),
+        cfg.runs.max(3),
+        cfg,
+    )
+}
+
 /// Fig 17: the web-browsing case study.
-pub fn fig17(cfg: &Config) -> FigureOutput {
-    let summaries = run_lab(Scenario::web_browsing, cfg.runs.max(3), cfg);
+fn fig17(_cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let summaries = summaries(results);
     let mut t = Table::new(
         "Fig 17: web browsing (107 objects, 6 connections)",
         &["strategy", "energy (J)", "latency (s)", "cell MB"],
@@ -748,94 +829,103 @@ pub fn fig17(cfg: &Config) -> FigureOutput {
     FigureOutput::new("fig17", vec![t], summaries)
 }
 
+/// The devices extension's `(device name, device, radio)` cells.
+fn device_grid() -> [(&'static str, DeviceKind, IfaceKind); 4] {
+    [
+        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::CellularLte),
+        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::Cellular3g),
+        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::CellularLte),
+        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::Cellular3g),
+    ]
+}
+
+/// The devices extension's runs: both strategies in every cell.
+fn devices_plan(cfg: &Config) -> Vec<Run> {
+    device_grid()
+        .into_iter()
+        .flat_map(|(_, device, kind)| {
+            let mut s = Scenario::static_bad_wifi().with(Workload::Download { size: 16 * MB });
+            s.device = device;
+            s.cell_kind = kind;
+            // 3G tops out far lower than LTE.
+            if kind == IfaceKind::Cellular3g {
+                s.cell_bps = 3_000_000;
+            }
+            repeats(s, &lab_strategies()[..2], cfg.runs.min(3), cfg)
+        })
+        .collect()
+}
+
 /// Extension: both Table 1 devices and both cellular radios through the
 /// same 16 MB bad-WiFi download — the device dimension the paper carries
 /// through Figs 1/3 but only evaluates on the Galaxy S3.
-pub fn devices(cfg: &Config) -> FigureOutput {
-    use crate::scenario::DeviceKind;
-    use emptcp_phy::IfaceKind;
+fn devices(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: device/radio grid, 16 MB download on bad WiFi",
         &["device", "radio", "strategy", "energy (J)", "time (s)"],
     );
     let mut payload = Vec::new();
-    let grid = [
-        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::CellularLte),
-        ("Galaxy S3", DeviceKind::GalaxyS3, IfaceKind::Cellular3g),
-        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::CellularLte),
-        ("Nexus 5", DeviceKind::Nexus5, IfaceKind::Cellular3g),
-    ];
-    // One sweep point per (device, radio) cell.
-    let cells = runner::run_points(grid.len(), |gi| {
-        let (dev_name, device, kind) = &grid[gi];
-        let make = || {
-            let mut s = Scenario::static_bad_wifi().with(Workload::Download { size: 16 * MB });
-            s.device = *device;
-            s.cell_kind = *kind;
-            // 3G tops out far lower than LTE.
-            if *kind == IfaceKind::Cellular3g {
-                s.cell_bps = 3_000_000;
-            }
-            s
-        };
-        [Strategy::Mptcp, Strategy::emptcp_default()]
-            .into_iter()
-            .map(|st| {
-                let results = repeat_runs(make, st, cfg.runs.min(3), cfg.seed);
-                let e = MeanSem::over(&results, |r| r.energy_j);
-                let time = MeanSem::over(&results, |r| r.download_time_s);
-                (*dev_name, kind.label(), st.label().to_string(), e, time)
-            })
-            .collect::<Vec<_>>()
-    });
-    for (dev_name, kind_label, st_label, e, time) in cells.into_iter().flatten() {
-        t.row(vec![
-            dev_name.to_string(),
-            kind_label.to_string(),
-            st_label.clone(),
-            pm(e.mean, e.sem),
-            pm(time.mean, time.sem),
-        ]);
-        payload.push((dev_name, kind_label, st_label, e, time));
+    let runs = cfg.runs.min(3);
+    for ((dev_name, _, kind), cell) in device_grid().into_iter().zip(results.chunks(2 * runs)) {
+        for results in cell.chunks(runs) {
+            let e = MeanSem::over(results, |r| r.energy_j);
+            let time = MeanSem::over(results, |r| r.download_time_s);
+            let st_label = results[0].strategy.clone();
+            t.row(vec![
+                dev_name.to_string(),
+                kind.label().to_string(),
+                st_label.clone(),
+                pm(e.mean, e.sem),
+                pm(time.mean, time.sem),
+            ]);
+            payload.push((dev_name, kind.label(), st_label, e, time));
+        }
     }
     FigureOutput::new("devices", vec![t], payload)
 }
 
+type Edit = fn(&mut EmptcpConfig);
+
+/// The ablations extension's variants, each one edit of the default
+/// configuration. The forecaster ablations (§3.2 argues for Holt-Winters):
+/// last-sample is Holt-Winters with alpha=1/beta=0, EWMA is beta=0.
+const ABLATIONS: [(&str, Edit); 9] = [
+    ("default", |_| {}),
+    ("no hysteresis", |c| c.controller.safety_factor = 0.0),
+    ("no dwell", |c| c.controller.min_dwell = SimDuration::ZERO),
+    ("no hysteresis, no dwell", |c| {
+        c.controller.safety_factor = 0.0;
+        c.controller.min_dwell = SimDuration::ZERO;
+    }),
+    ("adaptive tau", |c| c.delay.adaptive_tau = true),
+    ("cellular-only allowed", |c| {
+        c.controller.allow_cellular_only = true
+    }),
+    ("kappa = 64 kB", |c| c.delay.kappa_bytes = 64 << 10),
+    ("last-sample predictor", |c| {
+        c.predictor_alpha = 1.0;
+        c.predictor_beta = 0.0;
+    }),
+    ("ewma predictor (no trend)", |c| c.predictor_beta = 0.0),
+];
+
+/// The ablations extension's runs: every variant on random bandwidth
+/// changes.
+fn ablations_plan(cfg: &Config) -> Vec<Run> {
+    ABLATIONS
+        .iter()
+        .flat_map(|(_, edit)| {
+            let mut c = EmptcpConfig::default();
+            edit(&mut c);
+            let scenario = Scenario::bandwidth_changes().with(cfg.bulk());
+            repeats(scenario, &[Strategy::Emptcp(c)], cfg.runs, cfg)
+        })
+        .collect()
+}
+
 /// Extension: ablations of eMPTCP's design choices, quantifying what each
 /// mechanism buys (DESIGN.md §5/§8 call these out).
-pub fn ablations(cfg: &Config) -> FigureOutput {
-    use emptcp::EmptcpConfig;
-    use emptcp_sim::SimDuration;
-
-    let make = || Scenario::bandwidth_changes().with(cfg.bulk());
-    // Each variant is one edit of the default configuration. The forecaster
-    // ablations (§3.2 argues for Holt-Winters): last-sample is Holt-Winters
-    // with alpha=1/beta=0, EWMA is beta=0.
-    type Edit = fn(&mut EmptcpConfig);
-    let variants: [(&str, Edit); 9] = [
-        ("default", |_| {}),
-        ("no hysteresis", |c| c.controller.safety_factor = 0.0),
-        ("no dwell", |c| c.controller.min_dwell = SimDuration::ZERO),
-        ("no hysteresis, no dwell", |c| {
-            c.controller.safety_factor = 0.0;
-            c.controller.min_dwell = SimDuration::ZERO;
-        }),
-        ("adaptive tau", |c| c.delay.adaptive_tau = true),
-        ("cellular-only allowed", |c| {
-            c.controller.allow_cellular_only = true
-        }),
-        ("kappa = 64 kB", |c| c.delay.kappa_bytes = 64 << 10),
-        ("last-sample predictor", |c| {
-            c.predictor_alpha = 1.0;
-            c.predictor_beta = 0.0;
-        }),
-        ("ewma predictor (no trend)", |c| c.predictor_beta = 0.0),
-    ];
-    let config = |edit: Edit| {
-        let mut c = EmptcpConfig::default();
-        edit(&mut c);
-        c
-    };
+fn ablations(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: eMPTCP ablations on random WiFi bandwidth changes",
         &[
@@ -847,12 +937,7 @@ pub fn ablations(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    // One sweep point per ablation variant.
-    let per_variant = runner::run_points(variants.len(), |vi| {
-        let strategy = Strategy::Emptcp(config(variants[vi].1));
-        repeat_runs(make, strategy, cfg.runs, cfg.seed)
-    });
-    for ((name, _), results) in variants.iter().zip(&per_variant) {
+    for ((name, _), results) in ABLATIONS.iter().zip(results.chunks(cfg.runs)) {
         let e = MeanSem::over(results, |r| r.energy_j);
         let time = MeanSem::over(results, |r| r.download_time_s);
         let switches = mean_of(results, |r| r.usage_switches as f64);
@@ -869,18 +954,32 @@ pub fn ablations(cfg: &Config) -> FigureOutput {
     FigureOutput::new("ablations", vec![t], payload)
 }
 
-/// Extension (paper §7 future work): a 64 MB upload from the device.
-pub fn upload(cfg: &Config) -> FigureOutput {
+fn upload_plan(cfg: &Config) -> Vec<Run> {
     let size = cfg.bulk_size.min(64 * MB);
-    let make = || Scenario::upload().with(Workload::Upload { size });
-    let summaries = run_lab(make, cfg.runs, cfg);
+    let scenario = Scenario::upload().with(Workload::Upload { size });
+    repeats(scenario, &lab_strategies(), cfg.runs, cfg)
+}
+
+/// Extension (paper §7 future work): a 64 MB upload from the device.
+fn upload(_cfg: &Config, results: &[&RunResult]) -> FigureOutput {
+    let summaries = summaries(results);
     let t = energy_time_table("Extension: upload over good WiFi", &summaries);
     FigureOutput::new("upload", vec![t], summaries)
 }
 
+fn streaming_plan(cfg: &Config) -> Vec<Run> {
+    let strategies = [
+        Strategy::Mptcp,
+        Strategy::emptcp_default(),
+        Strategy::TcpWifi,
+        Strategy::WifiFirst,
+    ];
+    repeats(Scenario::streaming(), &strategies, cfg.runs, cfg)
+}
+
 /// Extension (paper §7 future work): chunked video streaming over a
 /// bandwidth-modulated AP; the metric that matters is rebuffer events.
-pub fn streaming(cfg: &Config) -> FigureOutput {
+fn streaming(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: 1 MB / 4 s video streaming over modulated WiFi (200 s)",
         &[
@@ -892,37 +991,38 @@ pub fn streaming(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    let strategies = [
-        Strategy::Mptcp,
-        Strategy::emptcp_default(),
-        Strategy::TcpWifi,
-        Strategy::WifiFirst,
-    ];
-    let per_strategy = runner::run_points(strategies.len(), |i| {
-        repeat_runs(Scenario::streaming, strategies[i], cfg.runs, cfg.seed)
-    });
-    for (&st, results) in strategies.iter().zip(&per_strategy) {
+    for results in results.chunks(cfg.runs) {
         let e = MeanSem::over(results, |r| r.energy_j);
         let rebuffers = MeanSem::over(results, |r| r.rebuffer_events as f64);
         let delivered = mean_of(results, |r| r.bytes_delivered as f64) / MB as f64;
         let cell = mean_of(results, |r| r.cell_bytes as f64) / MB as f64;
         t.row(vec![
-            st.label().to_string(),
+            results[0].strategy.clone(),
             pm(e.mean, e.sem),
             pm(rebuffers.mean, rebuffers.sem),
             f(delivered),
             f(cell),
         ]);
-        payload.push((st.label().to_string(), e, rebuffers, delivered, cell));
+        payload.push((results[0].strategy.clone(), e, rebuffers, delivered, cell));
     }
     FigureOutput::new("streaming", vec![t], payload)
+}
+
+fn breakdown_plan(cfg: &Config) -> Vec<Run> {
+    let scenario = Scenario::static_good_wifi().with(Workload::Download { size: 16 * MB });
+    let strategies = [
+        Strategy::Mptcp,
+        Strategy::emptcp_default(),
+        Strategy::TcpCellular,
+        Strategy::WifiFirst,
+    ];
+    repeats(scenario, &strategies, cfg.runs.min(3), cfg)
 }
 
 /// Extension: where MPTCP's extra joules go — per-RRC-state cellular
 /// energy for a 16 MB good-WiFi download (the fixed-overhead story of
 /// §2.3/Fig 1, read off the meter instead of the model).
-pub fn breakdown(cfg: &Config) -> FigureOutput {
-    let make = || Scenario::static_good_wifi().with(Workload::Download { size: 16 * MB });
+fn breakdown(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: cellular energy by RRC state, 16 MB on good WiFi",
         &[
@@ -934,35 +1034,44 @@ pub fn breakdown(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    let strategies = [
-        Strategy::Mptcp,
-        Strategy::emptcp_default(),
-        Strategy::TcpCellular,
-        Strategy::WifiFirst,
-    ];
-    let per_strategy = runner::run_points(strategies.len(), |i| {
-        repeat_runs(make, strategies[i], cfg.runs.min(3), cfg.seed)
-    });
-    for (&st, results) in strategies.iter().zip(&per_strategy) {
+    for results in results.chunks(cfg.runs.min(3)) {
         let total = mean_of(results, |r| r.energy_j);
         let promo = mean_of(results, |r| r.promo_energy_j);
         let tail = mean_of(results, |r| r.tail_energy_j);
         t.row(vec![
-            st.label().to_string(),
+            results[0].strategy.clone(),
             f(total),
             f(promo),
             f(tail),
             f(100.0 * tail / total.max(1e-9)),
         ]);
-        payload.push((st.label().to_string(), total, promo, tail));
+        payload.push((results[0].strategy.clone(), total, promo, tail));
     }
     FigureOutput::new("breakdown", vec![t], payload)
+}
+
+/// The mean modulation holding times `sweep_hold` tries.
+const HOLDS: [f64; 4] = [10.0, 20.0, 40.0, 80.0];
+
+/// `sweep_hold`'s runs: MPTCP, then eMPTCP, at every holding time.
+fn sweep_hold_plan(cfg: &Config) -> Vec<Run> {
+    HOLDS
+        .iter()
+        .flat_map(|&hold| {
+            let mut s = Scenario::bandwidth_changes().with(cfg.bulk());
+            s.wifi = crate::scenario::WifiEnvironment::Modulated {
+                mean_hold_s: hold,
+                start_high: false,
+            };
+            repeats(s, &lab_strategies()[..2], cfg.runs, cfg)
+        })
+        .collect()
 }
 
 /// Extension: how fast may the environment change before eMPTCP's
 /// switching overhead eats its savings? §4.3 predicts the erosion; this
 /// sweeps the modulation holding time.
-pub fn sweep_hold(cfg: &Config) -> FigureOutput {
+fn sweep_hold(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: eMPTCP vs MPTCP as WiFi modulation speeds up",
         &[
@@ -974,60 +1083,54 @@ pub fn sweep_hold(cfg: &Config) -> FigureOutput {
         ],
     );
     let mut payload = Vec::new();
-    let holds = [10.0f64, 20.0, 40.0, 80.0];
-    // One sweep point per holding time.
-    let cells = runner::run_points(holds.len(), |hi| {
-        let hold = holds[hi];
-        let make = || {
-            let mut s = Scenario::bandwidth_changes().with(cfg.bulk());
-            s.wifi = crate::scenario::WifiEnvironment::Modulated {
-                mean_hold_s: hold,
-                start_high: false,
-            };
-            s
-        };
-        let base = summarize(&repeat_runs(make, Strategy::Mptcp, cfg.runs, cfg.seed));
-        let results = repeat_runs(make, Strategy::emptcp_default(), cfg.runs, cfg.seed);
-        let me = summarize(&results);
-        let switches = mean_of(&results, |r| r.usage_switches as f64);
-        let promos = mean_of(&results, |r| r.promotions as f64);
+    for (&hold, cell) in HOLDS.iter().zip(results.chunks(2 * cfg.runs)) {
+        let (mptcp, emptcp) = cell.split_at(cfg.runs);
+        let base = summarize(mptcp);
+        let me = summarize(emptcp);
+        let switches = mean_of(emptcp, |r| r.usage_switches as f64);
+        let promos = mean_of(emptcp, |r| r.promotions as f64);
         let e_pct = 100.0 * me.energy.mean / base.energy.mean;
         let t_pct = 100.0 * me.time.mean / base.time.mean;
-        (hold, e_pct, t_pct, switches, promos)
-    });
-    for (hold, e_pct, t_pct, switches, promos) in cells {
         t.row(vec![f(hold), f(e_pct), f(t_pct), f(switches), f(promos)]);
         payload.push((hold, e_pct, t_pct, switches, promos));
     }
     FigureOutput::new("sweep_hold", vec![t], payload)
 }
 
+/// `sweep_kappa`'s delayed-establishment thresholds and transfer sizes.
+const KAPPAS: [u64; 4] = [64 << 10, 256 << 10, 1 << 20, 4 << 20];
+const SIZES: [u64; 3] = [256 << 10, 1 << 20, 16 << 20];
+
+/// `sweep_kappa`'s runs: eMPTCP in every (kappa, size) cell, kappa-major.
+fn sweep_kappa_plan(cfg: &Config) -> Vec<Run> {
+    KAPPAS
+        .iter()
+        .flat_map(|&kappa| SIZES.iter().map(move |&size| (kappa, size)))
+        .flat_map(|(kappa, size)| {
+            let scenario = Scenario::static_bad_wifi().with(Workload::Download { size });
+            let mut c = EmptcpConfig::default();
+            c.delay.kappa_bytes = kappa;
+            repeats(scenario, &[Strategy::Emptcp(c)], cfg.runs.min(3), cfg)
+        })
+        .collect()
+}
+
 /// Extension: the kappa design space — delayed-establishment threshold
 /// versus transfer size (§4.1 leaves tuning kappa as future work).
-pub fn sweep_kappa(cfg: &Config) -> FigureOutput {
-    use emptcp::EmptcpConfig;
+fn sweep_kappa(cfg: &Config, results: &[&RunResult]) -> FigureOutput {
     let mut t = Table::new(
         "Extension: energy (J) by kappa x transfer size, bad WiFi",
         &["kappa", "256 kB", "1 MB", "16 MB"],
     );
     let mut payload = Vec::new();
-    let kappas = [64u64 << 10, 256 << 10, 1 << 20, 4 << 20];
-    let sizes = [256u64 << 10, 1 << 20, 16 << 20];
-    // Every (kappa, size) cell is an independent sweep point.
-    let cells = runner::run_points(kappas.len() * sizes.len(), |i| {
-        let kappa = kappas[i / sizes.len()];
-        let size = sizes[i % sizes.len()];
-        let make = || Scenario::static_bad_wifi().with(Workload::Download { size });
-        let mut c = EmptcpConfig::default();
-        c.delay.kappa_bytes = kappa;
-        let results = repeat_runs(make, Strategy::Emptcp(c), cfg.runs.min(3), cfg.seed);
-        mean_of(&results, |r| r.energy_j)
-    });
-    for (ki, &kappa) in kappas.iter().enumerate() {
+    let mut cells = results
+        .chunks(cfg.runs.min(3))
+        .map(|results| mean_of(results, |r| r.energy_j));
+    for kappa in KAPPAS {
         let mut row = vec![format!("{} kB", kappa >> 10)];
         let mut row_data = Vec::new();
-        for (si, &size) in sizes.iter().enumerate() {
-            let e = cells[ki * sizes.len() + si];
+        for size in SIZES {
+            let e = cells.next().expect("one cell per (kappa, size)");
             row.push(f(e));
             row_data.push((size, e));
         }
@@ -1041,24 +1144,30 @@ pub fn sweep_kappa(cfg: &Config) -> FigureOutput {
 // Fleet extensions: many clients behind one bottleneck (emptcp-net)
 // ----------------------------------------------------------------------
 
+/// The plan of an exhibit with no host runs: a closed form, or a fleet
+/// exhibit, which simulates its fleets inside its reduction.
+fn no_runs(_cfg: &Config) -> Vec<Run> {
+    Vec::new()
+}
+
 /// Extension: a `cfg.fleet_clients`-strong fleet (half MPTCP, half TCP)
 /// behind one 100 Mbps core bottleneck with bursty cross-traffic, LIA
 /// coupling versus uncoupled per-subflow Reno. The LIA row is the "do no
 /// harm" story at population scale; the uncoupled row is the ablation
 /// showing what coupling buys the single-path clients.
-pub fn fleet(cfg: &Config) -> FigureOutput {
+fn fleet(cfg: &Config, _results: &[&RunResult]) -> FigureOutput {
     use emptcp_net::ShardedFleetSim;
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
     let shards = cfg.fleet_shard_count();
-    // Variants run sequentially; parallelism lives *inside* each run,
-    // where the sharded engine fans every epoch's shards out across the
-    // worker pool. The report is byte-identical for every (jobs, shards).
+    // Variants run one after the other; parallelism lives *inside* each
+    // run, where every epoch's shards are one `par_map`. The report is
+    // byte-identical for every (jobs, shards).
     let reports: Vec<_> = variants
         .iter()
         .map(|&(_, coupled)| {
             let fc = fleet_config(cfg, coupled);
             ShardedFleetSim::new_with_telemetry(fc, shards, emptcp_telemetry::current())
-                .run_with(&RunnerShardExecutor)
+                .run_with(&ParMapExecutor)
         })
         .collect();
     // The shard count must NOT appear in the table or payload: exports
@@ -1109,15 +1218,12 @@ pub fn fleet_config(cfg: &Config, coupled: bool) -> emptcp_net::FleetConfig {
     fc
 }
 
-/// Bridge from the experiment runner's worker pool to the sharded fleet
-/// engine: each epoch's shard closures fan out as indexed points on the
-/// [`runner::current`] pool (and, like every other exhibit, fall back to
-/// the calling thread while a trace is being recorded).
-struct RunnerShardExecutor;
+/// Each epoch's shard closures as one [`par_map`].
+struct ParMapExecutor;
 
-impl emptcp_net::ShardExecutor for RunnerShardExecutor {
+impl emptcp_net::ShardExecutor for ParMapExecutor {
     fn run_indexed(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        runner::run_points(n, f);
+        par_map(n, f);
     }
 }
 
@@ -1125,14 +1231,17 @@ impl emptcp_net::ShardExecutor for RunnerShardExecutor {
 /// each) against four TCP clients on a tight shared bottleneck, LIA
 /// versus uncoupled. With LIA the mean MPTCP aggregate stays near the
 /// mean TCP flow's share; uncoupled it takes markedly more.
-pub fn fairness(cfg: &Config) -> FigureOutput {
+fn fairness(cfg: &Config, _results: &[&RunResult]) -> FigureOutput {
     use emptcp_net::ShardedFleetSim;
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
-    let reports = runner::run_points(variants.len(), |i| {
-        let mut fc = emptcp_net::FleetConfig::do_no_harm_cell(cfg.seed);
-        fc.coupled = variants[i].1;
-        ShardedFleetSim::new_with_telemetry(fc, 1, emptcp_telemetry::current()).run()
-    });
+    let reports: Vec<_> = variants
+        .iter()
+        .map(|&(_, coupled)| {
+            let mut fc = emptcp_net::FleetConfig::do_no_harm_cell(cfg.seed);
+            fc.coupled = coupled;
+            ShardedFleetSim::new_with_telemetry(fc, 1, emptcp_telemetry::current()).run()
+        })
+        .collect();
     let mut t = Table::new(
         "Extension: do-no-harm at a shared bottleneck (4 MPTCP vs 4 TCP)",
         &["variant", "MPTCP (Mbps)", "TCP (Mbps)", "MPTCP/TCP", "Jain"],
@@ -1155,6 +1264,16 @@ pub fn fairness(cfg: &Config) -> FigureOutput {
 mod tests {
     use super::*;
 
+    /// Simulate an exhibit's plan on the calling thread and reduce it.
+    fn produce(id: &str, cfg: &Config) -> FigureOutput {
+        let (_, (plan, reduce)) = find(id).unwrap();
+        let results: Vec<RunResult> = plan(cfg)
+            .iter()
+            .map(|run| run.simulate(emptcp_telemetry::Telemetry::disabled()))
+            .collect();
+        reduce(cfg, &results.iter().collect::<Vec<_>>())
+    }
+
     #[test]
     fn model_only_figures_render() {
         for out in [table1(), fig1(), table2(), fig3(), fig4(), eq1()] {
@@ -1167,7 +1286,7 @@ mod tests {
     #[test]
     fn fig5_quick_shape() {
         let cfg = Config::quick();
-        let out = fig5(&cfg);
+        let out = produce("fig5", &cfg);
         let text = out.render();
         assert!(text.contains("MPTCP"));
         assert!(text.contains("eMPTCP"));
@@ -1189,7 +1308,7 @@ mod tests {
     fn fig17_web_quick() {
         let mut cfg = Config::quick();
         cfg.runs = 1;
-        let out = fig17(&cfg);
+        let out = produce("fig17", &cfg);
         assert!(out.render().contains("web browsing"));
     }
 
@@ -1198,11 +1317,12 @@ mod tests {
         let mut cfg = Config::quick();
         cfg.runs = 1;
         cfg.bulk_size = 2 << 20;
-        for (out, needle) in [
-            (handover(&cfg), "association outage"),
-            (upload(&cfg), "upload"),
-            (breakdown(&cfg), "RRC state"),
+        for (id, needle) in [
+            ("handover", "association outage"),
+            ("upload", "upload"),
+            ("breakdown", "RRC state"),
         ] {
+            let out = produce(id, &cfg);
             let text = out.render();
             assert!(text.contains(needle), "{}: {text}", out.id);
             assert!(!out.tables.is_empty());
@@ -1213,7 +1333,7 @@ mod tests {
     fn fig7_exports_trace_csvs() {
         let mut cfg = Config::quick();
         cfg.bulk_size = 2 << 20;
-        let out = fig7(&cfg);
+        let out = produce("fig7", &cfg);
         assert!(out.csvs.len() >= 2, "expected trace CSVs");
         for (suffix, csv) in &out.csvs {
             assert!(csv.starts_with("time_s,value\n"), "{suffix}");
@@ -1226,9 +1346,9 @@ mod tests {
         let mut cfg = Config::quick();
         cfg.runs = 1;
         cfg.bulk_size = 2 << 20;
-        let hold = sweep_hold(&cfg);
+        let hold = produce("sweep_hold", &cfg);
         assert_eq!(hold.tables[0].len(), 4);
-        let kappa = sweep_kappa(&cfg);
+        let kappa = produce("sweep_kappa", &cfg);
         assert_eq!(kappa.tables[0].len(), 4);
     }
 }

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Experiment harness: every table and figure of the eMPTCP paper.
 //!
 //! * [`host`] — the device/server simulation: radios (WiFi channel +
@@ -14,16 +15,16 @@
 //!   reproduced for the §4.6 comparison;
 //! * [`wild`] — the §5 in-the-wild study: server/venue populations and the
 //!   Good/Bad × WiFi/LTE categorization of Fig 14;
-//! * [`figures`] — one runner per table/figure, producing printable tables
+//! * [`figures`] — every table/figure: a closed form, or a plan of host
+//!   runs and the arithmetic over their results, producing printable tables
 //!   and machine-readable JSON;
+//! * [`plan`] — a host run as a value, and the merge of the runs several
+//!   exhibits plan;
 //! * [`report`] — table formatting and file output helpers;
-//! * [`runner`] — the deterministic work-stealing pool exhibits, sweep
-//!   points and repeated runs fan out on (`repro --jobs N`);
-//! * [`repro`] — the exhibit engine behind the `repro` binary: job
-//!   planning, per-exhibit telemetry, output files;
-//! * [`shared`] — the one entry point exhibits run host simulations
-//!   through, so a `(scenario, strategy, seed)` several exhibits ask for is
-//!   simulated once per `run_exhibits` call;
+//! * [`runner`] — [`runner::par_map`], the one parallel map host runs,
+//!   exhibits, fleet shards and chaos cases go through (`repro --jobs N`);
+//! * [`repro`] — the exhibit engine behind the `repro` binary: one
+//!   deduplicated run set per call, per-exhibit telemetry, output files;
 //! * [`chaos`] — chaos certification: declarative `.scenario` runs, the
 //!   end-of-run oracles (the recovery each file expects among them),
 //!   scenario fuzzing and minimal-repro shrinking (`simulate scenario`).
@@ -48,11 +49,11 @@ pub mod flags;
 pub mod host;
 pub mod mdp;
 pub mod monitor;
+pub mod plan;
 pub mod report;
 pub mod repro;
 pub mod runner;
 pub mod scenario;
-pub mod shared;
 pub mod strategy;
 pub mod wild;
 

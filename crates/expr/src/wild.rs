@@ -14,8 +14,8 @@
 //! how the paper bins its traces.
 
 use crate::host::RunResult;
-use crate::scenario::Scenario;
-use crate::shared::run;
+use crate::plan::Run;
+use crate::scenario::{Scenario, WifiEnvironment};
 use crate::strategy::Strategy;
 use emptcp_sim::{SimDuration, SimRng};
 use serde::Serialize;
@@ -148,48 +148,25 @@ impl Category {
 }
 
 /// One trace set: the three strategies over one environment draw.
-#[derive(Clone, Debug, Serialize)]
-pub struct WildTrace {
-    /// Which server.
-    pub server: Server,
-    /// Which venue.
-    pub venue: Venue,
-    /// Iteration index.
-    pub iteration: u32,
-    /// Capacity draws (bps).
-    pub wifi_bps: u64,
-    /// LTE capacity draw (bps).
-    pub lte_bps: u64,
+#[derive(Clone, Copy, Debug)]
+pub struct WildTrace<'a> {
     /// Category from the MPTCP run's measured throughputs.
     pub category: Category,
     /// MPTCP result.
-    pub mptcp: RunResult,
+    pub mptcp: &'a RunResult,
     /// eMPTCP result.
-    pub emptcp: RunResult,
+    pub emptcp: &'a RunResult,
     /// TCP-over-WiFi result.
-    pub tcp_wifi: RunResult,
+    pub tcp_wifi: &'a RunResult,
 }
 
-/// Run the full §5 sweep for one transfer size: every server × venue ×
-/// iteration, all three strategies per draw.
-///
-/// Split into two phases for the parallel runner: the population draws
-/// consume the parent RNG in a fixed nesting order and therefore stay
-/// serial (they are pure RNG work, microseconds in total), while the
-/// simulations — the actual cost — fan out one trace per job. Each trace
-/// carries its own pre-drawn `run_seed`, so the result is byte-identical
-/// to the old fully-serial loop for any pool size.
-pub fn run_study(size_bytes: u64, iterations: u32, seed: u64) -> Vec<WildTrace> {
-    struct Draw {
-        server: Server,
-        venue: Venue,
-        iteration: u32,
-        wifi_bps: u64,
-        lte_bps: u64,
-        run_seed: u64,
-    }
+/// The §5 sweep for one transfer size: every server × venue × iteration
+/// draw, and MPTCP, eMPTCP and TCP over WiFi through each, draw by draw.
+/// The draws consume the root RNG in a fixed nesting order and each
+/// carries its own run seed, so the plan is a function of its arguments.
+pub fn plan(size_bytes: u64, iterations: u32, seed: u64) -> Vec<Run> {
     let mut rng = SimRng::new(seed);
-    let mut draws = Vec::new();
+    let mut plan = Vec::new();
     for &server in &Server::ALL {
         for &venue in &Venue::ALL {
             for iteration in 0..iterations {
@@ -198,56 +175,45 @@ pub fn run_study(size_bytes: u64, iterations: u32, seed: u64) -> Vec<WildTrace> 
                 let wifi_bps = venue.draw_wifi_bps(&mut draw_rng);
                 let lte_bps = draw_lte_bps(&mut draw_rng);
                 let run_seed = draw_rng.next_u64();
-                draws.push(Draw {
-                    server,
-                    venue,
-                    iteration,
-                    wifi_bps,
-                    lte_bps,
-                    run_seed,
-                });
+                let rtt = |extra_ms| server.base_rtt() + SimDuration::from_millis(extra_ms);
+                let name = format!("wild-{}-{}-{iteration}", server.label(), venue.label());
+                let scenario =
+                    Scenario::wild(&name, wifi_bps, lte_bps, rtt(5), rtt(40), size_bytes);
+                for strategy in [
+                    Strategy::Mptcp,
+                    Strategy::emptcp_default(),
+                    Strategy::TcpWifi,
+                ] {
+                    plan.push(Run::new(scenario.clone(), strategy, run_seed));
+                }
             }
         }
     }
-    crate::runner::run_points(draws.len(), |i| {
-        let d = &draws[i];
-        let wifi_rtt = d.server.base_rtt() + SimDuration::from_millis(5);
-        let cell_rtt = d.server.base_rtt() + SimDuration::from_millis(40);
-        let name = format!(
-            "wild-{}-{}-{}",
-            d.server.label(),
-            d.venue.label(),
-            d.iteration
-        );
-        let scenario =
-            || Scenario::wild(&name, d.wifi_bps, d.lte_bps, wifi_rtt, cell_rtt, size_bytes);
-        let mptcp = run(scenario(), Strategy::Mptcp, d.run_seed);
-        let emptcp = run(scenario(), Strategy::emptcp_default(), d.run_seed);
-        let tcp_wifi = run(scenario(), Strategy::TcpWifi, d.run_seed);
-        // Categorize by the MPTCP run's measured throughputs, like
-        // the paper; fall back to capacities if a path went unused.
-        let wifi_meas = if mptcp.avg_wifi_mbps > 0.1 {
-            mptcp.avg_wifi_mbps
-        } else {
-            d.wifi_bps as f64 / 1e6
-        };
-        let lte_meas = if mptcp.avg_cell_mbps > 0.1 {
-            mptcp.avg_cell_mbps
-        } else {
-            d.lte_bps as f64 / 1e6
-        };
-        WildTrace {
-            server: d.server,
-            venue: d.venue,
-            iteration: d.iteration,
-            wifi_bps: d.wifi_bps,
-            lte_bps: d.lte_bps,
-            category: Category::of(wifi_meas, lte_meas),
-            mptcp,
-            emptcp,
-            tcp_wifi,
-        }
-    })
+    plan
+}
+
+/// One trace per draw of a [`plan`], from its results, aligned.
+pub fn traces<'a>(plan: &[Run], results: &[&'a RunResult]) -> Vec<WildTrace<'a>> {
+    let draws = plan.chunks(3).map(|runs| &runs[0].scenario);
+    (draws.zip(results.chunks(3)))
+        .map(|(draw, runs)| {
+            let WifiEnvironment::Static { bps: wifi_bps } = draw.wifi else {
+                unreachable!("a wild draw's WiFi capacity is static")
+            };
+            let (mptcp, emptcp, tcp_wifi) = (runs[0], runs[1], runs[2]);
+            // Categorize by the MPTCP run's measured throughputs, like the
+            // paper; fall back to the capacities if a path went unused.
+            let measured = |mbps: f64, bps: u64| if mbps > 0.1 { mbps } else { bps as f64 / 1e6 };
+            let wifi = measured(mptcp.avg_wifi_mbps, wifi_bps);
+            let lte = measured(mptcp.avg_cell_mbps, draw.cell_bps);
+            WildTrace {
+                category: Category::of(wifi, lte),
+                mptcp,
+                emptcp,
+                tcp_wifi,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -297,7 +263,12 @@ mod tests {
     fn small_study_produces_all_strategies() {
         // 1 iteration x 9 (server x venue) with a small file: fast enough
         // for a unit test.
-        let traces = run_study(256 * 1024, 1, 7);
+        let plan = plan(256 * 1024, 1, 7);
+        let results: Vec<RunResult> = plan
+            .iter()
+            .map(|run| run.simulate(emptcp_telemetry::Telemetry::disabled()))
+            .collect();
+        let traces = traces(&plan, &results.iter().collect::<Vec<_>>());
         assert_eq!(traces.len(), 9);
         for t in &traces {
             assert!(t.mptcp.completed, "{:?}", t.mptcp);

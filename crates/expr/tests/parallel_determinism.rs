@@ -15,8 +15,8 @@ use std::path::Path;
 /// A fast, representative exhibit subset: model-only (table2), repeated
 /// runs (fig5), single-run traces (fig9) and the sweep that repeats both of
 /// them (fig10's first cell, first seed), a whisker exhibit (fig15), and
-/// the §5 study that fig16 and fig14 each request, so one of them replays
-/// the other's runs through the memo; the "alone vs together" check of
+/// the §5 study that fig16 and fig14 each plan, so its runs are simulated
+/// once for both; the "alone vs together" check of
 /// `a_shared_run_is_invisible_in_every_report` covers that pair too.
 const SUBSET: &[&str] = &["table2", "fig5", "fig9", "fig10", "fig15", "fig16", "fig14"];
 

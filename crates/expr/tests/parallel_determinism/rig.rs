@@ -56,11 +56,11 @@ fn assert_same_report(a: &ExhibitReport, b: &ExhibitReport, what: &str) {
     assert_eq!(a.violations, b.violations, "{what}: {:?} violations", a.ids);
 }
 
-/// The replay oracle for shared runs. When `ids` holds exhibits that ask
-/// for the same host run, one job of a call reuses what another simulated
-/// — which one depends on the pool. Whoever it was, every job must report
-/// the counters, violations, tables and files it reports when it runs
-/// alone, on a cold memo, and simulates everything itself.
+/// The replay oracle for shared runs. When `ids` holds exhibits that plan
+/// the same host run, the call simulates it once, on whichever thread,
+/// and folds it into each. Every exhibit must report the counters,
+/// violations, tables and files it reports when it runs alone and
+/// simulates everything itself.
 pub fn assert_shared_runs_invisible(tag: &str, ids: &[&str], cfg: Config) {
     let (d1, d4) = (tmp(&format!("{tag}-s1")), tmp(&format!("{tag}-s4")));
     let (files, serial) = run_ids(ids, cfg, 1, &d1, false);

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Deterministic fault injection for the eMPTCP stack.
 //!
 //! Robustness claims are only as good as the failures they were tested

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `emptcp-live`: the real-traffic backend.
 //!
 //! Everything below `crates/tcp` and `crates/mptcp` is a pure,

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Multi-Path TCP over the `emptcp-tcp` subflow machinery.
 //!
 //! This crate implements the MPTCP mechanisms the paper's system builds on

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic many-client fleet simulation for the eMPTCP testbed.
 //!
 //! Where `emptcp-expr`'s host simulation models one device with two

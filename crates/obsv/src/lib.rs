@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! `emptcp-obsv` — streaming observability for fleet traces.
 //!
 //! The pipeline is an ingest → cache → models → export split:

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Wireless channel models for the eMPTCP reproduction.
 //!
 //! The paper's evaluation runs over a campus 802.11g access point and AT&T

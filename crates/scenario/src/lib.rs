@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Declarative chaos scenarios.
 //!
 //! The paper validates eMPTCP over ~30 hand-picked traces; the chaos

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Deterministic discrete-event simulation kernel.
 //!
 //! This crate provides the substrate every other crate in the workspace is

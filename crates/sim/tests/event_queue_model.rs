@@ -1,20 +1,15 @@
-//! Three-way differential model test for the event queues.
+//! Differential model test for the event queue.
 //!
-//! Every property drives the same operation sequence through three
-//! implementations in lockstep and demands bit-identical observations:
+//! Every property drives the same operation sequence through
+//! [`EventQueue`] — a binary heap of keys over a payload slab, the hot
+//! path — and a naive sorted-`Vec` reference, correct by inspection, in
+//! lockstep, and demands bit-identical observations.
 //!
-//! * [`EventQueue`] — a binary heap of keys over a payload slab (the hot
-//!   path),
-//! * [`KeyHeapQueue`] — the original `(time, seq)` key-heap over a
-//!   payload map, kept here (and nowhere else) precisely so the queue has
-//!   a trusted, structurally different twin,
-//! * a naive sorted-`Vec` reference — correct by inspection.
-//!
-//! Agreement across all three pins the queue contract — (time, sequence)
-//! total order, exact `len`, idempotent cancellation, clock monotonicity —
-//! independently of either real implementation's machinery (tombstones and
-//! compaction in both; slab slots recycled under fresh sequence numbers,
-//! and the stale-handle check that guards them, in the queue).
+//! Agreement pins the queue contract — (time, sequence) total order,
+//! exact `len`, idempotent cancellation, clock monotonicity —
+//! independently of the queue's machinery (tombstones and compaction,
+//! slab slots recycled under fresh sequence numbers, and the stale-handle
+//! check that guards them).
 //!
 //! The generators keep the shapes once aimed at the four-level timing
 //! wheel the queue used to be: same-instant bursts, tick-, slot- and
@@ -24,24 +19,24 @@
 //! same order.
 //!
 //! Case count: the default 64, raised in CI via `PROPTEST_CASES` (the
-//! differential gate runs with ≥1000). The queues and the lockstep harness
-//! live in `event_queue_model/model.rs`, shared with the root package's
-//! tier-1 smoke test.
+//! differential gate runs with ≥1000). The reference and the lockstep
+//! harness live in `event_queue_model/model.rs`, shared with the root
+//! package's tier-1 smoke test.
 
 #[path = "event_queue_model/model.rs"]
 mod model;
 
 use emptcp_sim::{EventQueue, SimTime};
-use model::{mix, Trio, SLOTS, TICK_NS, WHEEL_SPAN_NS};
+use model::{mix, Pair, SLOTS, TICK_NS, WHEEL_SPAN_NS};
 use proptest::prelude::*;
 
 proptest! {
     /// Arbitrary interleavings of schedule / cancel / pop with mixed
     /// magnitudes, the broad-spectrum property. Half the pops are bounded:
-    /// the queue's `pop_before(b)` must equal its twins' `peek_time() < b`,
-    /// then `pop()`.
+    /// the queue's `pop_before(b)` must equal the reference's
+    /// `peek_time() < b`, then `pop()`.
     #[test]
-    fn three_way_agreement_under_arbitrary_interleavings(
+    fn agreement_under_arbitrary_interleavings(
         seed in 0u64..u64::MAX,
         ops in 100usize..600,
         cancel_weight in 1u64..6,
@@ -52,8 +47,7 @@ proptest! {
 
     /// Same-instant bursts: events at identical timestamps — including
     /// timestamps aligned exactly on power-of-two tick, slot and level
-    /// multiples — must come out in schedule (FIFO) order from all three
-    /// queues. This is where (time, seq) total order does all the work.
+    /// multiples — must come out in schedule (FIFO) order. This is where (time, seq) total order does all the work.
     #[test]
     fn same_instant_bursts_preserve_fifo_order(
         seed in 0u64..u64::MAX,
@@ -61,7 +55,7 @@ proptest! {
         burst_len in 2usize..12,
     ) {
         let mut state = seed;
-        let mut trio = Trio::default();
+        let mut pair = Pair::default();
 
         for _ in 0..bursts {
             // A burst target: either an arbitrary instant or one aligned
@@ -75,16 +69,16 @@ proptest! {
             };
             for _ in 0..burst_len {
                 let payload = mix(&mut state) as u32;
-                trio.schedule(delta, payload);
+                pair.schedule(delta, payload);
             }
             // Interleave pops between bursts so same-instant groups are
             // sometimes split across a clock advance.
             if mix(&mut state).is_multiple_of(2) {
-                trio.pop();
-                trio.check_observers();
+                pair.pop();
+                pair.check_observers();
             }
         }
-        trio.drain();
+        pair.drain();
     }
 
     /// Far-future events: deltas around and several times beyond 17.2 s
@@ -96,7 +90,7 @@ proptest! {
         ops in 30usize..150,
     ) {
         let mut state = seed;
-        let mut trio = Trio::default();
+        let mut pair = Pair::default();
 
         for _ in 0..ops {
             match mix(&mut state) % 5 {
@@ -104,31 +98,31 @@ proptest! {
                 0 | 1 => {
                     let delta = mix(&mut state) % (TICK_NS * SLOTS);
                     let payload = mix(&mut state) as u32;
-                    trio.schedule(delta, payload);
+                    pair.schedule(delta, payload);
                 }
                 // Just inside / exactly at / beyond one span.
                 2 => {
                     let offset = mix(&mut state) % (2 * TICK_NS);
                     let delta = (WHEEL_SPAN_NS - TICK_NS) + offset;
                     let payload = mix(&mut state) as u32;
-                    trio.schedule(delta, payload);
+                    pair.schedule(delta, payload);
                 }
                 // Deep future: several spans out.
                 3 => {
                     let spans = 1 + mix(&mut state) % 3;
                     let delta = WHEEL_SPAN_NS * spans + mix(&mut state) % WHEEL_SPAN_NS;
                     let payload = mix(&mut state) as u32;
-                    trio.schedule(delta, payload);
+                    pair.schedule(delta, payload);
                 }
                 // Pop — dragging the clock toward (and eventually past)
                 // the far events.
                 _ => {
-                    trio.pop();
+                    pair.pop();
                 }
             }
-            trio.check_observers();
+            pair.check_observers();
         }
-        trio.drain();
+        pair.drain();
     }
 
     /// Cancel/re-arm storms: the timer-handle pattern every host uses —
@@ -141,7 +135,7 @@ proptest! {
         rounds in 20usize..200,
     ) {
         let mut state = seed;
-        let mut trio = Trio::default();
+        let mut pair = Pair::default();
         // The "host timer": the latest live handle index, re-armed
         // aggressively.
         let mut armed: Option<usize> = None;
@@ -152,26 +146,26 @@ proptest! {
                 // schedule the replacement at a fresh deadline.
                 0 | 1 => {
                     if let Some(idx) = armed {
-                        trio.cancel_nth(idx);
+                        pair.cancel_nth(idx);
                     }
                     let delta = mix(&mut state) % (TICK_NS * SLOTS * 4);
                     let payload = mix(&mut state) as u32;
-                    trio.schedule(delta, payload);
-                    armed = Some(trio.handles.len() - 1);
+                    pair.schedule(delta, payload);
+                    armed = Some(pair.handles.len() - 1);
                 }
                 // Background event the storm has to coexist with.
                 2 => {
                     let delta = mix(&mut state) % 1_000_000;
                     let payload = mix(&mut state) as u32;
-                    trio.schedule(delta, payload);
+                    pair.schedule(delta, payload);
                 }
                 _ => {
-                    trio.pop();
+                    pair.pop();
                 }
             }
-            trio.check_observers();
+            pair.check_observers();
         }
-        trio.drain();
+        pair.drain();
     }
 
     /// Pops interleaved with fresh schedules: every pop is followed by
@@ -185,18 +179,18 @@ proptest! {
         rounds in 30usize..200,
     ) {
         let mut state = seed;
-        let mut trio = Trio::default();
+        let mut pair = Pair::default();
 
         // Prime events at one to three spans of each size.
         for lvl_span in [TICK_NS, TICK_NS * SLOTS, TICK_NS * SLOTS * SLOTS] {
             for k in 1..4u64 {
                 let payload = mix(&mut state) as u32;
-                trio.schedule(lvl_span * k, payload);
+                pair.schedule(lvl_span * k, payload);
             }
         }
 
         for _ in 0..rounds {
-            trio.pop();
+            pair.pop();
             // Deltas a hair under or over whole spans, so new events
             // tie or nearly tie with primed ones.
             let n = 1 + mix(&mut state) % 3;
@@ -209,11 +203,11 @@ proptest! {
                 let jitter = mix(&mut state) % (4 * TICK_NS);
                 let delta = span - 2 * TICK_NS + jitter;
                 let payload = mix(&mut state) as u32;
-                trio.schedule(delta, payload);
+                pair.schedule(delta, payload);
             }
-            trio.check_observers();
+            pair.check_observers();
         }
-        trio.drain();
+        pair.drain();
     }
 
     /// Clock sanity on the queue alone: pop times are monotone and the

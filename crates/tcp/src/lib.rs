@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Packet-level single-path TCP for the eMPTCP reproduction.
 //!
 //! This models the sender/receiver machinery the paper's kernel patch lives

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! Deterministic observability for the eMPTCP reproduction.
 //!
 //! Three facilities, all driven by the simulated clock and therefore
@@ -358,9 +359,9 @@ thread_local! {
 /// the innermost [`with_current`] override if one is active, otherwise
 /// [`Telemetry::disabled`].
 ///
-/// Parallel experiment runners install a per-exhibit pipeline around each
-/// job with [`with_current`], so exhibits running concurrently on a
-/// thread pool keep their metrics and traces separated exactly as a
+/// The experiment engine installs a per-exhibit pipeline around each
+/// exhibit with [`with_current`], so exhibits running concurrently on
+/// several threads keep their metrics and traces separated exactly as a
 /// serial one-exhibit-at-a-time loop would.
 pub fn current() -> Telemetry {
     THREAD_OVERRIDE

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Workload generators for the eMPTCP evaluation.
 //!
 //! * [`download`] — fixed-size file downloads (the 256 KB / 16 MB / 256 MB

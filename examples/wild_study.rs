@@ -6,7 +6,9 @@
 //! cargo run --release --example wild_study [iterations]
 //! ```
 
+use emptcp_repro::expr::runner::{par_map, Runner};
 use emptcp_repro::expr::wild::{self, Category};
+use emptcp_repro::expr::{host, RunResult};
 use emptcp_repro::sim::stats::WhiskerSummary;
 
 fn main() {
@@ -15,7 +17,16 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(3);
     println!("Sampling {iterations} iterations x 3 servers x 3 venues, 2 MB downloads...\n");
-    let traces = wild::run_study(2 << 20, iterations, 2026);
+    // The study is a plan of host runs and a reduction over their results.
+    let plan = wild::plan(2 << 20, iterations, 2026);
+    let jobs = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let results: Vec<RunResult> = Runner::new(jobs).install(|| {
+        par_map(plan.len(), |i| {
+            let run = &plan[i];
+            host::run(run.scenario.clone(), run.strategy, run.seed)
+        })
+    });
+    let traces = wild::traces(&plan, &results.iter().collect::<Vec<_>>());
 
     for cat in Category::ALL {
         let in_cat: Vec<_> = traces.iter().filter(|t| t.category == cat).collect();

@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 //! Umbrella crate for the eMPTCP reproduction workspace.
 //!
 //! This crate exists to host the runnable examples in `examples/` and the

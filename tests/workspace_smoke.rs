@@ -201,12 +201,11 @@ fn run_length_mappings_answer_like_the_per_entry_tables() {
 }
 
 /// Reduced cases of the `event_queue_model` proptests in `emptcp-sim`: the
-/// slab-backed event queue, the key-heap over a payload map and a
-/// sorted-`Vec` reference agree on every pop, `len`, peek and clock
-/// reading, under schedule / cancel / pop interleavings within a
-/// millisecond and across two 17.2 s spans.
+/// slab-backed event queue and a sorted-`Vec` reference agree on every
+/// pop, `len`, peek and clock reading, under schedule / cancel / pop
+/// interleavings within a millisecond and across two 17.2 s spans.
 #[test]
-fn the_event_queue_pops_like_the_key_heap_and_the_reference() {
+fn the_event_queue_pops_like_the_reference() {
     for (seed, horizon_ns) in [
         (15, 1_000_000),
         (1510, 2 * event_queue_model::WHEEL_SPAN_NS),
@@ -225,10 +224,10 @@ fn a_live_transfer_loses_nothing_to_its_own_socket() {
 }
 
 /// Reduced case of the replay oracle in `emptcp-expr`'s
-/// `parallel_determinism`: fig10's first cell repeats fig9's two runs, and
-/// whichever job simulates them, both report — files, tables, counters,
-/// violations — exactly what they report alone on a cold memo, on 1 job
-/// and on 4.
+/// `parallel_determinism`: fig10's first cell repeats fig9's two runs,
+/// which are simulated once for both, and both report — files, tables,
+/// counters, violations — exactly what they report alone, on 1 job and
+/// on 4.
 #[test]
 fn a_shared_run_replays_into_every_exhibit_that_asked() {
     let mut cfg = emptcp_expr::figures::Config::quick();
