@@ -366,11 +366,6 @@ fn run_fleet(
         obs.check_fairness_bounds(at, &sc.name, r.mptcp_tcp_ratio, 0.5, 1.6);
     }
 
-    // Structural leak oracle: every segment parked for a queued event
-    // must have been reclaimed exactly once by end of run.
-    let slab = sim.seg_slab_stats();
-    obs.check_segment_slab(at, &sc.name, slab.live, slab.double_frees);
-
     Ok(ChaosReport {
         faults_injected: r.faults_injected,
         aggregate_mbps: r.aggregate_mbps,

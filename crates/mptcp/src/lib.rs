@@ -8,8 +8,7 @@
 //! reassembly, the Linux **minRTT scheduler** (pick the lowest-srtt subflow
 //! with window space; an srtt of zero means "probe me first"), the **LIA
 //! coupled congestion control** of RFC 6356, **MP_PRIO**/backup priorities
-//! (how eMPTCP's path usage controller suspends a subflow remotely), the
-//! three operating modes (Full-MPTCP / Single-Path / Backup), and
+//! (how eMPTCP's path usage controller suspends a subflow remotely), and
 //! opportunistic **reinjection** of data stuck on a timed-out subflow.
 //!
 //! Failure recovery: a subflow whose retransmission timer expires a
@@ -51,11 +50,9 @@
 
 pub mod conn;
 pub mod mapping;
-pub mod modes;
 pub mod sched;
 pub mod subflow;
 
 pub use conn::{MpConnection, MpSegmentOutcome, RecoveryStats, Role};
 pub use mapping::{DataReassembly, RxMappings, TxMappings};
-pub use modes::OperatingMode;
 pub use subflow::{Subflow, SubflowId};

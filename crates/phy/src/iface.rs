@@ -43,25 +43,6 @@ impl fmt::Display for IfaceKind {
     }
 }
 
-/// Index of an interface on a host. The mobile hosts in this reproduction
-/// have interface 0 = WiFi and interface 1 = cellular, mirroring the paper's
-/// two-interface phones.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct IfaceId(pub u8);
-
-impl IfaceId {
-    /// The conventional WiFi interface index.
-    pub const WIFI: IfaceId = IfaceId(0);
-    /// The conventional cellular interface index.
-    pub const CELLULAR: IfaceId = IfaceId(1);
-}
-
-impl fmt::Display for IfaceId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "if{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,11 +58,5 @@ mod tests {
     fn labels() {
         assert_eq!(IfaceKind::Wifi.to_string(), "WiFi");
         assert_eq!(IfaceKind::CellularLte.to_string(), "LTE");
-        assert_eq!(IfaceId::WIFI.to_string(), "if0");
-    }
-
-    #[test]
-    fn conventional_indices_distinct() {
-        assert_ne!(IfaceId::WIFI, IfaceId::CELLULAR);
     }
 }

@@ -27,7 +27,7 @@ pub mod path;
 pub mod rrc;
 pub mod wifi;
 
-pub use iface::{IfaceId, IfaceKind};
+pub use iface::IfaceKind;
 pub use link::{GeParams, Link, LinkConfig, LossModel, LossProcess};
 pub use modulation::OnOffProcess;
 pub use path::{Path, PathConfig};

@@ -5,11 +5,11 @@
 //! reproducible regardless of queue internals or platform.
 //!
 //! [`EventQueue`] is one binary heap of `(time, seq)` keys over a slab of
-//! payloads. Its structurally independent twin — a key-heap over a
-//! sequence-indexed payload map — lives in `tests/event_queue_model.rs`,
-//! where the three-way differential proptest drives both against a
-//! sorted-Vec oracle, so any divergence in pop order is caught structurally,
-//! not statistically.
+//! payloads. Every payload — a simulated segment included — is stored once,
+//! in that slab, and a heap sift moves only keys. The differential proptest
+//! in `tests/event_queue_model.rs` drives the queue in lockstep with a
+//! sorted-`Vec` reference, so any divergence in pop order is caught
+//! structurally, not statistically.
 //!
 //! Protocol crates in this workspace are written as poll-style state machines
 //! (in the spirit of smoltcp): they never touch the queue directly, they
@@ -70,9 +70,9 @@ struct SlabSlot<E> {
 ///   it is dropped) or compaction sweeps it.
 ///
 /// The heap compares whole keys, so pop order is the `(time, seq)` total
-/// order: ties on `time` resolve by sequence number, never by heap layout —
-/// the property the byte-identity guarantees of the whole repo sit on, and
-/// the one the three-way differential proptest pins.
+/// order: ties on `time` resolve by sequence number, never by heap layout or
+/// payload placement — the property the byte-identity guarantees of the
+/// whole repo sit on, and the one the differential proptest pins.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     slots: Vec<SlabSlot<E>>,
@@ -186,12 +186,12 @@ impl<E> EventQueue<E> {
         Some(self.take_front(key))
     }
 
-    /// [`pop`](Self::pop) if the next live event is strictly before
-    /// `bound`, else `None` with the event left queued: a bounded drain
-    /// loop's `peek_time` + `pop` in one call.
-    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+    /// [`pop`](Self::pop), plus the key it was scheduled under, if the next
+    /// live event is strictly before `bound`, else `None` with the event
+    /// left queued: a bounded drain loop's `peek_time` + `pop` in one call.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, E)> {
         let key = self.front()?;
-        (key.at < bound).then(|| self.take_front(key))
+        (key.at < bound).then(|| (key.at, key.seq, self.take_front(key).1))
     }
 
     /// Remove the live key `front` just found at the top of the heap.
@@ -453,8 +453,8 @@ mod tests {
     }
 
     /// Mixed magnitudes, from sub-microsecond to tens of seconds, against
-    /// a straight sort — the in-module version of the three-way
-    /// differential proptest.
+    /// a straight sort — the in-module version of the differential
+    /// proptest.
     #[test]
     fn mixed_magnitudes_match_sorted_reference() {
         let mut q: EventQueue<u64> = EventQueue::new();

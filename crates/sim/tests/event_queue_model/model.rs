@@ -25,16 +25,16 @@ impl Reference {
         self.live.retain(|&(_, s, _)| s != seq);
     }
 
-    fn pop(&mut self) -> Option<(u64, u32)> {
+    fn pop(&mut self) -> Option<(u64, u64, u32)> {
         let best = self
             .live
             .iter()
             .enumerate()
             .min_by_key(|(_, &(at, seq, _))| (at, seq))?
             .0;
-        let (at, _, payload) = self.live.swap_remove(best);
+        let (at, seq, payload) = self.live.swap_remove(best);
         self.now = at;
-        Some((at, payload))
+        Some((at, seq, payload))
     }
 
     fn peek_time(&self) -> Option<u64> {
@@ -75,17 +75,21 @@ impl Pair {
 
     pub fn pop(&mut self) -> Option<(u64, u32)> {
         let got = self.queue.pop().map(|(t, p)| (t.as_nanos(), p));
-        let want = self.reference.pop();
+        let want = self.reference.pop().map(|(at, _, payload)| (at, payload));
         assert_eq!(got, want, "queue pop diverged from reference");
         want
     }
 
     /// Pop the next event only if it is due strictly before `now +
     /// delta_ns`. The queue answers with `pop_before`; the reference
-    /// spells it out as `peek_time() < bound`, then `pop()`.
-    pub fn pop_before(&mut self, delta_ns: u64) -> Option<(u64, u32)> {
+    /// spells it out as `peek_time() < bound`, then `pop()`. Both report
+    /// the key the event was scheduled under.
+    pub fn pop_before(&mut self, delta_ns: u64) -> Option<(u64, u64, u32)> {
         let bound = self.queue.now() + SimDuration::from_nanos(delta_ns);
-        let got = self.queue.pop_before(bound).map(|(t, p)| (t.as_nanos(), p));
+        let got = self
+            .queue
+            .pop_before(bound)
+            .map(|(t, key, p)| (t.as_nanos(), key, p));
         let due = self
             .reference
             .peek_time()

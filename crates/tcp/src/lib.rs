@@ -32,4 +32,4 @@ pub use ranges::RangeSet;
 pub use rtt::RttEstimator;
 pub use segment::{Dss, SegFlags, Segment};
 pub use sendq::{SendQueue, SentSeg};
-pub use slab::{SegRef, SegSlabStats, SegmentSlab};
+pub use slab::{SegRef, SegmentSlab};

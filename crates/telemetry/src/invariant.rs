@@ -169,24 +169,6 @@ impl InvariantObserver {
         );
     }
 
-    /// End-of-run oracle: the host's segment slab must balance — every
-    /// parked segment taken exactly once. A queued packet event whose
-    /// segment is never reclaimed shows up as `live > 0` (a structural
-    /// leak); reclaiming one twice shows up in `double_frees`.
-    pub fn check_segment_slab(&mut self, at: SimTime, label: &str, live: u64, double_frees: u64) {
-        self.check(
-            at,
-            "segment_slab_balance",
-            live == 0 && double_frees == 0,
-            || {
-                format!(
-                    "{label}: {live} segment(s) still parked at end of run, \
-                     {double_frees} double-free(s)"
-                )
-            },
-        );
-    }
-
     pub fn violations(&self) -> &[Violation] {
         &self.violations
     }

@@ -2,8 +2,8 @@
 #![forbid(unsafe_code)]
 //! Workload generators for the eMPTCP evaluation.
 //!
-//! * [`download`] — fixed-size file downloads (the 256 KB / 16 MB / 256 MB
-//!   transfers of §4 and §5);
+//! * [`download`] — the `MB`/`KB` units the 256 KB / 16 MB / 256 MB
+//!   transfers of §4 and §5 are written in;
 //! * [`web`] — the §5.4 web-browsing case study: a CNN-like page of 107
 //!   objects fetched over six parallel persistent connections;
 //! * [`interference`] — the §4.4 background stations: `n` interferers whose
@@ -22,6 +22,5 @@ pub mod web;
 
 pub use bwplan::BandwidthModulator;
 pub use crosstraffic::CrossTrafficSource;
-pub use download::DownloadSpec;
 pub use interference::InterfererSet;
 pub use web::WebPage;

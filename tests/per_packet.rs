@@ -3,14 +3,20 @@
 //! `MpConnection` pair allocates almost never per delivered segment, and
 //! a segment, alone or tagged with its subflow, stays small enough that
 //! rustc copies it inline (at most 128 bytes) instead of calling `memcpy`.
+//! The two simulator engines are held to budgets of their own: the shard
+//! engine per forwarded packet, the host simulation per data segment.
 //!
 //! Allocations are counted per thread by this binary's global allocator,
 //! so tests running side by side do not see each other's.
 
+use emptcp_expr::scenario::Workload;
+use emptcp_expr::{Scenario, Simulation, Strategy};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
+use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{EventQueue, SimDuration, SimTime};
 use emptcp_tcp::{Segment, TcpConfig, TcpEndpoint};
+use emptcp_telemetry::Telemetry;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -241,6 +247,54 @@ fn a_steady_two_path_mptcp_transfer_almost_never_allocates() {
     assert!(
         per_segment <= CEILING,
         "{per_segment:.3} allocations per segment"
+    );
+}
+
+/// Allocations per forwarded packet of a 64-client contended fleet over
+/// 2 simulated seconds on one shard, counted from `run` on (construction
+/// excluded): 0.05402, pinned just above.
+const FLEET_PER_PACKET: f64 = 0.0541;
+
+#[test]
+fn the_shard_engine_allocates_at_most_its_budget_per_forwarded_packet() {
+    let mut cfg = FleetConfig::contended(64, 1);
+    cfg.duration = SimDuration::from_secs(2);
+    let mut sim = ShardedFleetSim::new(cfg, 1);
+    let before = allocations();
+    let report = sim.run();
+    let per_packet = (allocations() - before) as f64 / report.packets_forwarded as f64;
+    println!("fleet: {per_packet:.6} allocations per forwarded packet");
+    assert!(
+        per_packet <= FLEET_PER_PACKET,
+        "{per_packet:.4} allocations per forwarded packet"
+    );
+}
+
+/// Allocations per data segment of one host MPTCP 16 MB download on
+/// static good WiFi, counted from `run` on. The data segment count comes
+/// from a same-seed twin run with metrics on; this run has telemetry off.
+/// 0.13276, pinned just above. The bare MPTCP pair above reads 0.013: the
+/// host's own source of allocations is still to be found.
+const HOST_MPTCP_PER_SEGMENT: f64 = 0.1328;
+
+#[test]
+fn a_host_mptcp_run_allocates_at_most_its_budget_per_data_segment() {
+    let scenario = || Scenario::static_good_wifi().with(Workload::Download { size: 16 << 20 });
+    let metrics = Telemetry::builder().build();
+    Simulation::new_with_telemetry(scenario(), Strategy::Mptcp, 1, metrics.clone()).run();
+    let segments = metrics
+        .metrics()
+        .expect("metrics on")
+        .counter("tcp.data_segments");
+    let sim = Simulation::new_with_telemetry(scenario(), Strategy::Mptcp, 1, Telemetry::disabled());
+    let before = allocations();
+    let result = sim.run();
+    let per_segment = (allocations() - before) as f64 / segments as f64;
+    assert!(result.completed, "{result:?}");
+    println!("host mptcp: {per_segment:.6} allocations per data segment of {segments}");
+    assert!(
+        per_segment <= HOST_MPTCP_PER_SEGMENT,
+        "{per_segment:.4} allocations per data segment"
     );
 }
 

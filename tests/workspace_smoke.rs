@@ -1,14 +1,14 @@
 //! Workspace smoke: reduced cases of the workspace suites' load-bearing
 //! contracts, in the root package so the tier-1 command (`cargo test -q`)
 //! exercises them — one fleet engine whose output is invariant under the
-//! shard count, one pair pump whose two transports agree event for event,
-//! a chaos corpus that certifies, a scenario file that says a changing
-//! environment or the recovery it must show, a monitor tap that streams,
-//! stacks that cannot tell how often they are polled or swept, an event
-//! queue that pops like its two reference queues, a live transfer that
-//! loses nothing to its own socket buffers, exhibits that cannot tell
-//! which of them simulated a run they share, and a sender that cuts no
-//! runts.
+//! shard count and pinned byte for byte, one pair pump whose two
+//! transports agree event for event, a chaos corpus that certifies, a
+//! scenario file that says a changing environment or the recovery it must
+//! show, a monitor tap that streams, stacks that cannot tell how often
+//! they are polled or swept, an event queue that pops like its sorted-`Vec`
+//! reference, a live transfer that loses nothing to its own socket
+//! buffers, exhibits that cannot tell which of them simulated a run they
+//! share, and a sender that cuts no runts.
 
 use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{FaultPlan, FaultTarget};
@@ -23,6 +23,8 @@ use std::sync::{Arc, Mutex};
 
 #[path = "../crates/mptcp/tests/cadence/rig.rs"]
 mod cadence_rig;
+#[path = "../crates/net/tests/drain_golden/rig.rs"]
+mod drain_golden_rig;
 #[path = "../crates/sim/tests/event_queue_model/model.rs"]
 mod event_queue_model;
 #[path = "../crates/mptcp/tests/mapping_model/model.rs"]
@@ -37,6 +39,14 @@ fn small_fleet() -> FleetConfig {
     cfg.duration = SimDuration::from_millis(600);
     cfg.bottleneck.rate_bps = 20_000_000;
     cfg
+}
+
+/// Reduced case of `drain_golden` in `emptcp-net`: the contended fleet (6
+/// clients, 2 s) delivers the pinned bytes per client and records the
+/// pinned trace, at one shard and at four.
+#[test]
+fn the_shard_engine_matches_its_drain_goldens() {
+    drain_golden_rig::contended_matches_goldens();
 }
 
 #[test]
