@@ -516,12 +516,11 @@ impl Simulation {
     }
 
     fn schedule_timers(&mut self, now: SimTime) {
-        let next = self
-            .conns
-            .iter()
-            .flat_map(|c| [c.client.next_deadline(), c.server.next_deadline()])
-            .flatten()
-            .min();
+        let mut next = None;
+        for c in &self.conns {
+            next = SimTime::earliest(next, c.client.next_deadline());
+            next = SimTime::earliest(next, c.server.next_deadline());
+        }
         if let Some(d) = next {
             let d = d.max(now);
             let need = match self.timer_handle {

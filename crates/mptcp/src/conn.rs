@@ -419,12 +419,13 @@ impl MpConnection {
         }
         // Ranges another subflow already got acknowledged need no rescue.
         let mut bytes = 0u64;
-        for (seq, len) in self.subflows[idx].unacked_data_ranges() {
-            if seq + len as u64 > self.data_acked {
+        let (data_acked, reinject) = (self.data_acked, &mut self.reinject);
+        self.subflows[idx].for_each_unacked(|seq, len| {
+            if seq + len as u64 > data_acked {
                 bytes += len as u64;
-                self.reinject.push_back((seq, len));
+                reinject.push_back((seq, len));
             }
-        }
+        });
         if bytes > 0 {
             self.recovery.reinjection_events += 1;
             self.recovery.bytes_reinjected += bytes;
@@ -500,11 +501,12 @@ impl MpConnection {
     /// The earliest pending timer: a subflow's TCP timers, or the instant
     /// a subflow's unacked data will have stalled long enough to reinject.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        self.subflows
-            .iter()
-            .flat_map(|sf| [sf.tcp.next_deadline(), self.stall_expiry(sf)])
-            .flatten()
-            .min()
+        let mut next = None;
+        for sf in &self.subflows {
+            next = SimTime::earliest(next, sf.tcp.next_deadline());
+            next = SimTime::earliest(next, self.stall_expiry(sf));
+        }
+        next
     }
 
     /// `sf`'s stall expiry, while there is another subflow to reinject onto.

@@ -13,7 +13,7 @@
 //! where one entry per out-of-order segment was O(window).
 
 use emptcp_tcp::{Dss, RangeSet};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Consecutive pushes contiguous in both sequence spaces: `len` bytes from
 /// subflow position `start` map to data position `data_seq`, pushed in
@@ -96,20 +96,26 @@ impl TxMappings {
         })
     }
 
-    /// The data ranges not acknowledged below subflow position `una`, one
-    /// per original push (the first cut at `una`).
-    pub fn unacked(&self, una: u64) -> Vec<(u64, u32)> {
-        let mut out = Vec::new();
+    /// Call `visit(data_seq, len)` for each data range not acknowledged
+    /// below subflow position `una`, one per original push (the first cut
+    /// at `una`), in subflow order.
+    pub fn for_each_unacked(&self, una: u64, mut visit: impl FnMut(u64, u32)) {
         for run in self.runs.iter().filter(|r| r.end() > una) {
             let acked = una.saturating_sub(run.start);
             let mut off = run.push_at(acked).0;
             while off < run.len {
                 let to = run.push_at(off).1;
                 let from = off.max(acked);
-                out.push((run.data_seq + from, (to - from) as u32));
+                visit(run.data_seq + from, (to - from) as u32);
                 off = to;
             }
         }
+    }
+
+    /// What [`for_each_unacked`](Self::for_each_unacked) visits, in order.
+    pub fn unacked(&self, una: u64) -> Vec<(u64, u32)> {
+        let mut out = Vec::new();
+        self.for_each_unacked(una, |seq, len| out.push((seq, len)));
         out
     }
 
@@ -145,16 +151,18 @@ impl TxMappings {
 /// when the subflow delivers bytes in order.
 #[derive(Clone, Debug, Default)]
 pub struct RxMappings {
-    /// Subflow start → `(data_seq, len)`. A DSS that continues (or
-    /// repeats part of) an entry in both sequence spaces is folded into
-    /// it, so in-order and retransmitted segments of one burst share one.
-    runs: BTreeMap<u64, (u64, u64)>,
+    /// `(subflow start, data_seq, len)`, ascending by start with no start
+    /// repeated. A DSS that continues (or repeats part of) an entry in
+    /// both sequence spaces is folded into it, so in-order and
+    /// retransmitted segments of one burst share one.
+    runs: VecDeque<(u64, u64, u64)>,
 }
 
 impl RxMappings {
     /// Record the mapping a DSS option carried for subflow position
     /// `subflow_seq`. Arrival order is free; a zero-length DSS (a bare
-    /// data-ack) maps nothing.
+    /// data-ack) maps nothing. A mapping at the start of one held already
+    /// that does not continue it replaces it.
     pub fn learn(&mut self, subflow_seq: u64, dss: Dss) {
         if dss.len == 0 {
             return;
@@ -165,25 +173,51 @@ impl RxMappings {
         let Some(mut end) = subflow_seq.checked_add(dss.len as u64) else {
             return;
         };
-        // Fold into a predecessor that reaches this mapping and agrees
-        // with it about where its bytes go.
-        if let Some((&ps, &(pd, pl))) = self.runs.range(..=start).next_back() {
+        // The common case: beyond the start of the last entry, which it
+        // then continues or follows.
+        if let Some(back) = self.runs.back_mut().filter(|b| b.0 < start) {
+            let (ps, pd, pl) = *back;
+            if ps + pl >= start && pd.wrapping_add(start - ps) == data_seq {
+                back.2 = pl.max(end - ps);
+            } else {
+                self.runs.push_back((start, data_seq, end - start));
+            }
+            return;
+        }
+        // `at` is where the mapping goes; `replace` when the entry there
+        // is the predecessor it folds into or the one it displaces.
+        let mut at = self.runs.partition_point(|&(s, _, _)| s <= start);
+        let mut replace = false;
+        if let Some(prev) = at.checked_sub(1) {
+            let (ps, pd, pl) = self.runs[prev];
+            // Fold into a predecessor that reaches this mapping and
+            // agrees with it about where its bytes go.
             if ps + pl >= start && pd.wrapping_add(start - ps) == data_seq {
                 if ps + pl >= end {
                     return; // a retransmission: nothing new
                 }
                 (start, data_seq) = (ps, pd);
             }
+            if ps == start {
+                (at, replace) = (prev, true);
+            }
         }
         // Swallow successors this mapping now reaches, likewise.
-        while let Some((&ns, &(nd, nl))) = self.runs.range(start + 1..).next() {
+        let from = at + usize::from(replace);
+        let mut to = from;
+        while let Some(&(ns, nd, nl)) = self.runs.get(to) {
             if ns > end || data_seq.wrapping_add(ns - start) != nd {
                 break;
             }
-            self.runs.remove(&ns);
             end = end.max(ns + nl);
+            to += 1;
         }
-        self.runs.insert(start, (data_seq, end - start));
+        self.runs.drain(from..to);
+        if replace {
+            self.runs[at] = (start, data_seq, end - start);
+        } else {
+            self.runs.insert(at, (start, data_seq, end - start));
+        }
     }
 
     /// Translate a delivered subflow range into data-sequence space,
@@ -194,9 +228,14 @@ impl RxMappings {
         let mut pos = seq;
         let end = seq + len as u64;
         while pos < end {
-            let Some((&start, &(data_seq, run_len))) = self.runs.range(..=pos).next_back() else {
+            let Some(idx) = self
+                .runs
+                .partition_point(|&(s, _, _)| s <= pos)
+                .checked_sub(1)
+            else {
                 break;
             };
+            let (start, data_seq, run_len) = self.runs[idx];
             let run_end = start + run_len;
             if pos >= run_end {
                 break; // hole in the mapping table
@@ -210,11 +249,11 @@ impl RxMappings {
 
     /// Forget every run delivered in full below `delivered_to`.
     pub fn gc(&mut self, delivered_to: u64) {
-        while let Some((&start, &(_, len))) = self.runs.first_key_value() {
+        while let Some(&(start, _, len)) = self.runs.front() {
             if start + len > delivered_to {
                 break;
             }
-            self.runs.remove(&start);
+            self.runs.pop_front();
         }
     }
 

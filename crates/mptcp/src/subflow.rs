@@ -123,11 +123,12 @@ impl Subflow {
         self.tx_mappings.dss(seq, len, data_ack)
     }
 
-    /// Data ranges scheduled here but not yet acknowledged at the subflow
-    /// level, chunked as they were scheduled — the candidates for
-    /// reinjection when this subflow times out.
-    pub fn unacked_data_ranges(&self) -> Vec<(u64, u32)> {
-        self.tx_mappings.unacked(self.tcp.snd_una())
+    /// Call `visit(data_seq, len)` for each data range scheduled here but
+    /// not yet acknowledged at the subflow level, chunked as it was
+    /// scheduled — the candidates for reinjection when this subflow
+    /// times out.
+    pub fn for_each_unacked(&self, visit: impl FnMut(u64, u32)) {
+        self.tx_mappings.for_each_unacked(self.tcp.snd_una(), visit);
     }
 
     /// Drop sender mappings fully acknowledged at the subflow level, and
@@ -321,8 +322,9 @@ mod tests {
         sf.push_data(0, 1000);
         sf.push_data(1000, 1000);
         // Nothing sent yet: snd_una = 0 (pre-handshake), everything unacked.
-        let ranges = sf.unacked_data_ranges();
-        assert_eq!(ranges, vec![(0, 1000), (1000, 1000)]);
+        let mut ranges = Vec::new();
+        sf.for_each_unacked(|seq, len| ranges.push((seq, len)));
+        assert_eq!(ranges, [(0, 1000), (1000, 1000)]);
     }
 
     #[test]

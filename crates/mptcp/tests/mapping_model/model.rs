@@ -9,6 +9,9 @@
 //! here, as what the O(runs) tables must agree with. Shared with the root
 //! package's `workspace_smoke` through `#[path]`.
 
+// The tree is the reference, not the segment path the lint guards.
+#![allow(clippy::disallowed_types)]
+
 use emptcp_mptcp::{DataReassembly, RxMappings, TxMappings};
 use emptcp_sim::SimRng;
 use emptcp_tcp::Dss;

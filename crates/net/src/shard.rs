@@ -556,13 +556,10 @@ impl ClientShard {
     /// moving later leaves the timer to fire spuriously (the sweep is a
     /// no-op then).
     fn rearm(&mut self, now: SimTime, l: usize) {
-        let next = match (
+        let next = SimTime::earliest(
             self.rows.client[l].next_deadline(),
             self.rows.server[l].next_deadline(),
-        ) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        );
         let Some(d) = next else { return };
         let d = d.max(now);
         let need = match self.rows.timer[l] {

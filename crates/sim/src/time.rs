@@ -57,6 +57,17 @@ impl SimTime {
     pub fn checked_sub(self, d: SimDuration) -> Option<SimTime> {
         self.0.checked_sub(d.0).map(SimTime)
     }
+
+    /// The earlier of two optional deadlines; `None` only if both are.
+    /// Every simulation loop folds its endpoints' deadlines with this
+    /// after every event, so it is inlined across crates.
+    #[inline]
+    pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
 }
 
 impl SimDuration {

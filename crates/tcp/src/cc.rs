@@ -141,20 +141,18 @@ impl CongestionCtrl {
 /// Subflows with unknown (zero) RTT are ignored; returns 1.0 if nothing
 /// usable remains (a single uncoupled flow behaves like Reno).
 pub fn lia_alpha(flows: &[(u64, f64)]) -> f64 {
-    let usable: Vec<(f64, f64)> = flows
-        .iter()
-        .filter(|&&(cwnd, rtt)| cwnd > 0 && rtt > 0.0)
-        .map(|&(cwnd, rtt)| (cwnd as f64, rtt))
-        .collect();
-    if usable.is_empty() {
+    let usable = || {
+        flows
+            .iter()
+            .filter(|&&(cwnd, rtt)| cwnd > 0 && rtt > 0.0)
+            .map(|&(cwnd, rtt)| (cwnd as f64, rtt))
+    };
+    if usable().next().is_none() {
         return 1.0;
     }
-    let total: f64 = usable.iter().map(|&(c, _)| c).sum();
-    let max_term = usable
-        .iter()
-        .map(|&(c, r)| c / (r * r))
-        .fold(0.0_f64, f64::max);
-    let sum_term: f64 = usable.iter().map(|&(c, r)| c / r).sum();
+    let total: f64 = usable().map(|(c, _)| c).sum();
+    let max_term = usable().map(|(c, r)| c / (r * r)).fold(0.0_f64, f64::max);
+    let sum_term: f64 = usable().map(|(c, r)| c / r).sum();
     if sum_term <= 0.0 {
         return 1.0;
     }

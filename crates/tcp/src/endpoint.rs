@@ -25,7 +25,7 @@ use crate::sendq::{SendQueue, SentSeg};
 use emptcp_sim::SimTime;
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Endpoint configuration.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -127,6 +127,54 @@ impl MetricNames {
     }
 }
 
+/// A sorted, duplicate-free set of sequence numbers, flat: it holds a
+/// handful while recovery lasts and nothing otherwise, and its inserts
+/// mostly land at the back, so a deque serves every operation without
+/// the allocator once it has grown to its working size.
+#[derive(Clone, Debug, Default)]
+struct RetxQueue(VecDeque<u64>);
+
+impl RetxQueue {
+    /// Add `seq`; returns whether it was absent.
+    fn insert(&mut self, seq: u64) -> bool {
+        if self.0.back().is_none_or(|&last| last < seq) {
+            self.0.push_back(seq);
+            return true;
+        }
+        let at = self.0.partition_point(|&s| s < seq);
+        if self.0[at] == seq {
+            return false;
+        }
+        self.0.insert(at, seq);
+        true
+    }
+
+    fn remove(&mut self, seq: u64) {
+        if let Ok(at) = self.0.binary_search(&seq) {
+            self.0.remove(at);
+        }
+    }
+
+    fn first(&self) -> Option<u64> {
+        self.0.front().copied()
+    }
+
+    fn pop_first(&mut self) {
+        self.0.pop_front();
+    }
+
+    /// Forget every sequence below the cumulative `ack`.
+    fn drop_below(&mut self, ack: u64) {
+        while self.0.front().is_some_and(|&s| s < ack) {
+            self.0.pop_front();
+        }
+    }
+
+    fn clear(&mut self) {
+        self.0.clear();
+    }
+}
+
 /// One side of a TCP (sub)flow.
 #[derive(Clone, Debug)]
 pub struct TcpEndpoint {
@@ -141,7 +189,7 @@ pub struct TcpEndpoint {
     fin_sent: bool,
     inflight: SendQueue,
     /// Sequences awaiting retransmission, in sequence order.
-    retx_queue: BTreeSet<u64>,
+    retx_queue: RetxQueue,
     cc: CongestionCtrl,
     rtt: RttEstimator,
     rto_deadline: Option<SimTime>,
@@ -208,7 +256,7 @@ impl TcpEndpoint {
             fin_queued: false,
             fin_sent: false,
             inflight: SendQueue::new(),
-            retx_queue: BTreeSet::new(),
+            retx_queue: RetxQueue::default(),
             cc: CongestionCtrl::new(cfg.algorithm, cfg.mss, INIT_CWND_SEGMENTS),
             rtt: RttEstimator::new(),
             rto_deadline: None,
@@ -482,10 +530,7 @@ impl TcpEndpoint {
 
     /// Earliest pending timer, if any.
     pub fn next_deadline(&self) -> Option<SimTime> {
-        match (self.rto_deadline, self.delack_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
+        SimTime::earliest(self.rto_deadline, self.delack_deadline)
     }
 
     /// Fire any timers due at `now`; returns whether the retransmission
@@ -600,7 +645,7 @@ impl TcpEndpoint {
                 if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
                     self.snd_una = 1;
                     self.inflight.remove(0);
-                    self.retx_queue.remove(&0);
+                    self.retx_queue.remove(0);
                     self.rto_deadline = None;
                     self.rcv_nxt = 1;
                     if let Some(sent) = self.syn_sent_at {
@@ -618,7 +663,7 @@ impl TcpEndpoint {
                 if seg.flags.ack && seg.ack >= 1 {
                     self.snd_una = 1;
                     self.inflight.remove(0);
-                    self.retx_queue.remove(&0);
+                    self.retx_queue.remove(0);
                     self.rto_deadline = None;
                     if let Some(ecr) = seg.ts_ecr {
                         self.rtt.on_handshake(now.saturating_since(ecr));
@@ -659,7 +704,7 @@ impl TcpEndpoint {
                         e.lost = false;
                         self.lost_bytes -= e.space();
                     }
-                    self.retx_queue.remove(&s);
+                    self.retx_queue.remove(s);
                 }
             }
         }
@@ -713,7 +758,7 @@ impl TcpEndpoint {
             self.snd_una = seg.ack;
             self.bytes_acked_total += payload_acked;
             self.dupacks = 0;
-            self.retx_queue = self.retx_queue.split_off(&seg.ack);
+            self.retx_queue.drop_below(seg.ack);
 
             // RTT sample via timestamp echo.
             if let Some(ecr) = seg.ts_ecr {
@@ -903,7 +948,7 @@ impl TcpEndpoint {
         //    doesn't re-burst into the bottleneck queue. The ACK path keeps
         //    the queue free of acknowledged and SACKed sequences, so the
         //    head is either sent or left exactly where it is.
-        if let Some(&seq) = self.retx_queue.first() {
+        if let Some(seq) = self.retx_queue.first() {
             let held = seq > self.snd_una && self.pipe() >= self.cc.cwnd();
             if let Some(entry) = self.inflight.get_mut(seq).filter(|_| !held) {
                 self.retx_queue.pop_first();

@@ -8,12 +8,18 @@
 //! O(segments received), which is what bounds memory when one path stalls
 //! while another runs a full window ahead.
 
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Disjoint, non-touching `[start, end)` ranges, ordered by `start`.
+///
+/// Flat and sorted: the set usually holds zero to three ranges, and a
+/// segment arriving behind a hole almost always extends the last one, so
+/// the common insert rewrites the back entry in place and the drain step
+/// pops the front, neither touching the allocator once the deque has
+/// grown to its working size.
 #[derive(Clone, Debug, Default)]
 pub struct RangeSet {
-    ranges: BTreeMap<u64, u64>,
+    ranges: VecDeque<(u64, u64)>,
     bytes: u64,
 }
 
@@ -29,45 +35,73 @@ impl RangeSet {
         if start >= end {
             return;
         }
-        // Absorb a range beginning at or before `start` that reaches it.
-        if let Some((&ps, &pe)) = self.ranges.range(..=start).next_back() {
+        // The common case: at or beyond the start of the last range,
+        // which it then extends or follows.
+        match self.ranges.back_mut() {
+            Some(back) if back.0 > start => {}
+            Some(back) if back.1 >= start => {
+                if back.1 < end {
+                    self.bytes += end - back.1;
+                    back.1 = end;
+                }
+                return;
+            }
+            _ => {
+                self.ranges.push_back((start, end));
+                self.bytes += end - start;
+                return;
+            }
+        }
+        // Ranges `[at, to)` overlap or touch `[start, end)`: the last one
+        // beginning at or before `start` if it reaches it, and every one
+        // after it beginning at or before `end`.
+        let mut at = self.ranges.partition_point(|&(s, _)| s <= start);
+        if let Some(prev) = at.checked_sub(1) {
+            let (ps, pe) = self.ranges[prev];
             if pe >= start {
                 if pe >= end {
                     return; // fully covered
                 }
-                self.ranges.remove(&ps);
-                self.bytes -= pe - ps;
                 start = ps;
+                at = prev;
             }
         }
-        // Absorb following ranges that overlap or touch.
-        while let Some((&ns, &ne)) = self.ranges.range(start..).next() {
-            if ns > end {
-                break;
-            }
-            self.ranges.remove(&ns);
-            self.bytes -= ne - ns;
-            end = end.max(ne);
+        let to = at
+            + self
+                .ranges
+                .range(at..)
+                .take_while(|&&(s, _)| s <= end)
+                .count();
+        if at == to {
+            self.ranges.insert(at, (start, end));
+            self.bytes += end - start;
+            return;
         }
-        self.ranges.insert(start, end);
+        for &(s, e) in self.ranges.range(at..to) {
+            self.bytes -= e - s;
+            end = end.max(e);
+        }
+        self.ranges.drain(at + 1..to);
+        self.ranges[at] = (start, end);
         self.bytes += end - start;
     }
 
     /// Remove and return the lowest range if it begins at or before
     /// `pos` — the drain step of in-order delivery.
     pub fn pop_reaching(&mut self, pos: u64) -> Option<(u64, u64)> {
-        let (&start, &end) = self.ranges.first_key_value()?;
+        let &(start, end) = self.ranges.front()?;
         if start > pos {
             return None;
         }
-        self.ranges.remove(&start);
+        self.ranges.pop_front();
         self.bytes -= end - start;
         Some((start, end))
     }
 
     /// The first range beginning at or after `cursor`.
     pub fn first_from(&self, cursor: u64) -> Option<(u64, u64)> {
-        self.ranges.range(cursor..).next().map(|(&s, &e)| (s, e))
+        let at = self.ranges.partition_point(|&(s, _)| s < cursor);
+        self.ranges.get(at).copied()
     }
 
     /// True when nothing is held.

@@ -6,6 +6,9 @@
 //! `split_off` and the one straddling entry put back. Kept only here, as
 //! what the queue must agree with.
 
+// The tree is the reference, not the segment path the lint guards.
+#![allow(clippy::disallowed_types)]
+
 use emptcp_sim::{SimRng, SimTime};
 use emptcp_tcp::{SendQueue, SentSeg};
 use std::collections::BTreeMap;

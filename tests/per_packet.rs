@@ -3,8 +3,9 @@
 //! `MpConnection` pair allocates almost never per delivered segment, and
 //! a segment, alone or tagged with its subflow, stays small enough that
 //! rustc copies it inline (at most 128 bytes) instead of calling `memcpy`.
-//! The two simulator engines are held to budgets of their own: the shard
-//! engine per forwarded packet, the host simulation per data segment.
+//! The host simulation is held to the same ceiling per data segment
+//! under MPTCP, TCP over WiFi and eMPTCP; the shard engine has a budget
+//! of its own per forwarded packet.
 //!
 //! Allocations are counted per thread by this binary's global allocator,
 //! so tests running side by side do not see each other's.
@@ -252,8 +253,8 @@ fn a_steady_two_path_mptcp_transfer_almost_never_allocates() {
 
 /// Allocations per forwarded packet of a 64-client contended fleet over
 /// 2 simulated seconds on one shard, counted from `run` on (construction
-/// excluded): 0.05402, pinned just above.
-const FLEET_PER_PACKET: f64 = 0.0541;
+/// excluded): 0.02292, pinned just above.
+const FLEET_PER_PACKET: f64 = 0.0230;
 
 #[test]
 fn the_shard_engine_allocates_at_most_its_budget_per_forwarded_packet() {
@@ -270,32 +271,44 @@ fn the_shard_engine_allocates_at_most_its_budget_per_forwarded_packet() {
     );
 }
 
-/// Allocations per data segment of one host MPTCP 16 MB download on
-/// static good WiFi, counted from `run` on. The data segment count comes
-/// from a same-seed twin run with metrics on; this run has telemetry off.
-/// 0.13276, pinned just above. The bare MPTCP pair above reads 0.013: the
-/// host's own source of allocations is still to be found.
-const HOST_MPTCP_PER_SEGMENT: f64 = 0.1328;
-
-#[test]
-fn a_host_mptcp_run_allocates_at_most_its_budget_per_data_segment() {
+/// Allocations per data segment of one host 16 MB download on static good
+/// WiFi under `strategy`, counted from `run` on, held to the [`CEILING`]
+/// of the bare pairs. The data segment count comes from a same-seed twin
+/// run with metrics on; this run has telemetry off.
+fn assert_host_run_within_ceiling(strategy: Strategy) {
     let scenario = || Scenario::static_good_wifi().with(Workload::Download { size: 16 << 20 });
     let metrics = Telemetry::builder().build();
-    Simulation::new_with_telemetry(scenario(), Strategy::Mptcp, 1, metrics.clone()).run();
+    Simulation::new_with_telemetry(scenario(), strategy, 1, metrics.clone()).run();
     let segments = metrics
         .metrics()
         .expect("metrics on")
         .counter("tcp.data_segments");
-    let sim = Simulation::new_with_telemetry(scenario(), Strategy::Mptcp, 1, Telemetry::disabled());
+    let sim = Simulation::new_with_telemetry(scenario(), strategy, 1, Telemetry::disabled());
     let before = allocations();
     let result = sim.run();
     let per_segment = (allocations() - before) as f64 / segments as f64;
     assert!(result.completed, "{result:?}");
-    println!("host mptcp: {per_segment:.6} allocations per data segment of {segments}");
+    let name = strategy.label();
+    println!("host {name}: {per_segment:.6} allocations per data segment of {segments}");
     assert!(
-        per_segment <= HOST_MPTCP_PER_SEGMENT,
-        "{per_segment:.4} allocations per data segment"
+        per_segment <= CEILING,
+        "{name}: {per_segment:.4} allocations per data segment"
     );
+}
+
+#[test]
+fn a_host_mptcp_run_allocates_at_most_its_budget_per_data_segment() {
+    assert_host_run_within_ceiling(Strategy::Mptcp);
+}
+
+#[test]
+fn a_host_tcp_over_wifi_run_allocates_at_most_its_budget_per_data_segment() {
+    assert_host_run_within_ceiling(Strategy::TcpWifi);
+}
+
+#[test]
+fn a_host_emptcp_run_allocates_at_most_its_budget_per_data_segment() {
+    assert_host_run_within_ceiling(Strategy::emptcp_default());
 }
 
 #[test]

@@ -29,6 +29,8 @@ mod drain_golden_rig;
 mod event_queue_model;
 #[path = "../crates/mptcp/tests/mapping_model/model.rs"]
 mod mapping_model;
+#[path = "../crates/tcp/tests/ranges_model/model.rs"]
+mod ranges_model;
 #[path = "../crates/expr/tests/parallel_determinism/rig.rs"]
 mod replay_rig;
 #[path = "../crates/live/tests/udp_smoke/rig.rs"]
@@ -207,6 +209,20 @@ fn run_length_mappings_answer_like_the_per_entry_tables() {
         let (learned, rx_runs) = mapping_model::check_rx(seed, 400);
         assert!(tx_runs * 2 < pushes && rx_runs * 2 < learned);
         mapping_model::check_reassembly(seed, 300);
+    }
+}
+
+/// Reduced cases of the `ranges_model` proptest in `emptcp-tcp`: the flat
+/// range set holds, counts, drains and walks exactly as the `BTreeMap`
+/// it replaced, under every kind of insert.
+#[test]
+fn the_flat_range_set_holds_what_the_tree_held() {
+    for seed in [35, 6356] {
+        let (merges, pops) = ranges_model::check(seed, 400);
+        assert!(
+            merges > 0 && pops > 0,
+            "seed {seed}: {merges} merges, {pops} pops"
+        );
     }
 }
 
