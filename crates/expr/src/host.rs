@@ -8,6 +8,13 @@
 //! processes, the eMPTCP control loop and energy integration, while packet
 //! deliveries and TCP timers are exact events.
 //!
+//! The queue is a [`LaneQueue`] with one lane per link direction for the
+//! segments in flight and one lane for each of the three timers (tick,
+//! TimerCheck, CellReady), each of which has at most one event pending. A
+//! link delivers nearly in order, so a delivery almost always joins the
+//! back of its lane; `host.link.reordered` in the run's metrics counts the
+//! ones that did not.
+//!
 //! Modelling notes (deviations documented in DESIGN.md):
 //!
 //! * the RRC machine models the *device* radio; downlink packets arriving
@@ -31,7 +38,7 @@ use emptcp_phy::path::{Direction, Path, PathConfig};
 use emptcp_phy::rrc::RrcState;
 use emptcp_phy::{IfaceKind, RrcMachine, WifiChannel};
 use emptcp_sim::trace::TimeSeries;
-use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use emptcp_sim::{LaneQueue, SimDuration, SimRng, SimTime};
 use emptcp_tcp::{Segment, TcpConfig};
 use emptcp_telemetry::Telemetry;
 use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS};
@@ -42,6 +49,19 @@ const TICK: SimDuration = SimDuration::from_millis(100);
 /// How long after workload completion the simulation keeps integrating
 /// energy, waiting for the cellular tail to drain.
 const DRAIN_CAP: SimDuration = SimDuration::from_secs(16);
+
+/// The queue's lanes: [`deliver_lane`] numbers the four link directions,
+/// then one lane per timer.
+const TICK_LANE: usize = 4;
+const TIMER_LANE: usize = 5;
+const CELL_READY_LANE: usize = 6;
+const LANES: usize = 7;
+
+/// The lane of the segments in flight on `iface`'s path toward the client
+/// (`to_client`) or the server.
+fn deliver_lane(iface: IfaceKind, to_client: bool) -> usize {
+    2 * usize::from(iface != IfaceKind::Wifi) + usize::from(to_client)
+}
 
 #[derive(Clone, Debug)]
 enum Event {
@@ -156,7 +176,7 @@ pub struct Simulation {
     scenario: Scenario,
     strategy: Strategy,
     rng: SimRng,
-    queue: EventQueue<Event>,
+    queue: LaneQueue<Event, LANES>,
 
     wifi_channel: WifiChannel,
     rrc: RrcMachine,
@@ -176,10 +196,10 @@ pub struct Simulation {
     /// Wire bytes seen at the device per interface since the last tick:
     /// `[wifi, cellular]`.
     window_bytes: [u64; 2],
-    /// The single outstanding TimerCheck event (time + cancellation
-    /// handle). Re-arming cancels the old event: stale timer events must
-    /// not accumulate.
-    timer_handle: Option<(SimTime, emptcp_sim::TimerId)>,
+    /// When the single outstanding TimerCheck event fires. It is never
+    /// later than any endpoint's deadline; re-arming replaces it in its
+    /// lane.
+    timer_at: Option<SimTime>,
 
     energy_trace: TimeSeries,
     wifi_thpt_trace: TimeSeries,
@@ -306,7 +326,7 @@ impl Simulation {
             scenario,
             strategy,
             rng,
-            queue: EventQueue::new(),
+            queue: LaneQueue::new(),
             wifi_channel,
             rrc,
             wifi_path,
@@ -320,7 +340,7 @@ impl Simulation {
             web_queue: None,
             meter,
             window_bytes: [0, 0],
-            timer_handle: None,
+            timer_at: None,
             energy_trace: TimeSeries::new("energy_j"),
             wifi_thpt_trace: TimeSeries::new("wifi_mbps"),
             cell_thpt_trace: TimeSeries::new("cell_mbps"),
@@ -430,7 +450,8 @@ impl Simulation {
     // ------------------------------------------------------------------
 
     /// Offer `seg` to one path. A segment the link accepts rides its
-    /// [`Event::Deliver`]; a dropped one is gone.
+    /// [`Event::Deliver`] in the link direction's lane; a dropped one is
+    /// gone.
     fn transmit(
         &mut self,
         now: SimTime,
@@ -459,7 +480,8 @@ impl Simulation {
                 to_client,
                 seg,
             };
-            self.queue.schedule(at, deliver);
+            self.queue
+                .schedule(deliver_lane(iface, to_client), at, deliver);
         }
     }
 
@@ -475,7 +497,8 @@ impl Simulation {
             if !self.rrc.state().can_transfer() {
                 self.cell_pending.push((conn, sf, !from_client, seg));
                 if !self.cell_ready_scheduled {
-                    self.queue.schedule(ready, Event::CellReady);
+                    self.queue
+                        .schedule(CELL_READY_LANE, ready, Event::CellReady);
                     self.cell_ready_scheduled = true;
                 }
                 return;
@@ -508,32 +531,36 @@ impl Simulation {
         self.drain_side(now, i, false);
     }
 
+    /// Drain every endpoint, then re-arm the timer from every deadline.
     fn drain_all(&mut self, now: SimTime) {
         for i in 0..self.conns.len() {
             self.drain_conn(now, i);
         }
-        self.schedule_timers(now);
+        let next = self.earliest_deadline();
+        self.arm_timer(now, next);
     }
 
-    fn schedule_timers(&mut self, now: SimTime) {
-        let mut next = None;
-        for c in &self.conns {
-            next = SimTime::earliest(next, c.client.next_deadline());
-            next = SimTime::earliest(next, c.server.next_deadline());
+    fn earliest_deadline(&self) -> Option<SimTime> {
+        self.conns.iter().fold(None, |next, c| {
+            let next = SimTime::earliest(next, c.client.next_deadline());
+            SimTime::earliest(next, c.server.next_deadline())
+        })
+    }
+
+    /// The instant the TimerCheck must move to so that it fires no later
+    /// than `next`, or `None` if the armed one already does.
+    fn timer_rearm(&self, now: SimTime, next: Option<SimTime>) -> Option<SimTime> {
+        let d = next?.max(now);
+        match self.timer_at {
+            Some(t) if d >= t => None,
+            _ => Some(d),
         }
-        if let Some(d) = next {
-            let d = d.max(now);
-            let need = match self.timer_handle {
-                Some((t, _)) => d < t,
-                None => true,
-            };
-            if need {
-                if let Some((_, id)) = self.timer_handle.take() {
-                    self.queue.cancel(id);
-                }
-                let id = self.queue.schedule(d, Event::TimerCheck);
-                self.timer_handle = Some((d, id));
-            }
+    }
+
+    fn arm_timer(&mut self, now: SimTime, next: Option<SimTime>) {
+        if let Some(d) = self.timer_rearm(now, next) {
+            self.queue.replace(TIMER_LANE, d, Event::TimerCheck);
+            self.timer_at = Some(d);
         }
     }
 
@@ -576,7 +603,17 @@ impl Simulation {
         // Only the endpoint the segment reached can have news: an empty
         // poll of the other side would change nothing.
         self.drain_side(now, conn, to_client);
-        self.schedule_timers(now);
+        // Nor can any other endpoint's deadline have moved, and each one is
+        // already at or after the armed timer: the touched endpoint's
+        // deadline alone decides the re-arm the full fold would.
+        let c = &self.conns[conn];
+        let touched = if to_client { &c.client } else { &c.server }.next_deadline();
+        debug_assert_eq!(
+            self.timer_rearm(now, touched),
+            self.timer_rearm(now, self.earliest_deadline()),
+            "a delivery moved the deadline of an endpoint it did not reach"
+        );
+        self.arm_timer(now, touched);
         self.check_completion(now);
     }
 
@@ -654,7 +691,7 @@ impl Simulation {
         if !self.rrc.state().can_transfer() {
             // Still promoting (e.g. spurious event); re-arm.
             if let Some(d) = self.rrc.next_deadline() {
-                self.queue.schedule(d, Event::CellReady);
+                self.queue.schedule(CELL_READY_LANE, d, Event::CellReady);
                 self.cell_ready_scheduled = true;
             }
             return;
@@ -719,7 +756,7 @@ impl Simulation {
     }
 
     fn on_timer_check(&mut self, now: SimTime) {
-        self.timer_handle = None;
+        self.timer_at = None;
         for i in 0..self.conns.len() {
             self.conns[i].client.on_deadline(now);
             self.conns[i].server.on_deadline(now);
@@ -917,7 +954,7 @@ impl Simulation {
             }
         }
         self.drain_all(now);
-        self.queue.schedule(now + TICK, Event::Tick);
+        self.queue.schedule(TICK_LANE, now + TICK, Event::Tick);
     }
 
     /// Conservation checks run every tick when invariants are enabled:
@@ -1008,7 +1045,7 @@ impl Simulation {
 
     /// Run to completion (workload + radio drain) or the horizon.
     pub fn run(mut self) -> RunResult {
-        self.queue.schedule(SimTime::ZERO, Event::Tick);
+        self.queue.schedule(TICK_LANE, SimTime::ZERO, Event::Tick);
         self.drain_all(SimTime::ZERO);
         let horizon = self.scenario.horizon;
         while !self.done {
@@ -1063,6 +1100,10 @@ impl Simulation {
                     endpoints().map(|tcp| tcp.runts()).sum::<u64>()
                         + self.conns.iter().map(cut_by_scheduler).sum::<u64>(),
                 );
+                // Deliveries that overtook an earlier one on the same link
+                // (the timer lanes never hold two events, so every insert
+                // ahead of a lane's tail is one).
+                m.counter_add("host.link.reordered", self.queue.inserted_ahead());
                 m.gauge_set("rrc.promotions_total", self.rrc.promotions() as f64);
                 for state in emptcp_phy::rrc::RrcState::ALL {
                     m.gauge_set(

@@ -24,7 +24,7 @@
 //! contract, see the crate docs).
 
 use crate::mapping::DataReassembly;
-use crate::sched::{pick_subflow, pick_subflow_detailed};
+use crate::sched::pick_subflow;
 use crate::subflow::{Subflow, SubflowId};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
@@ -629,25 +629,16 @@ impl MpConnection {
         if self.all_data_scheduled() {
             return None;
         }
-        // The detailed pick (candidate set + reason) is only computed
-        // when a trace records it; otherwise take the cheap path.
-        let left = self.data_left();
-        let idx = if self.scope.tracing_active() {
-            pick_subflow_detailed(&self.subflows, left).map(|d| {
-                let picked = self.subflows[d.picked].id.0;
-                self.scope.emit(now, |s| TraceEvent::SchedPick {
-                    conn: s.conn,
-                    picked,
-                    candidates: d.candidates,
-                    reason: d.reason,
-                    srtt_ns: d.srtt_ns,
-                });
-                d.picked
-            })
-        } else {
-            pick_subflow(&self.subflows, left)
-        };
-        let idx = idx?;
+        // Only a trace that records the pick formats its candidates.
+        let d = pick_subflow(&self.subflows, self.data_left())?;
+        self.scope.emit(now, |s| TraceEvent::SchedPick {
+            conn: s.conn,
+            picked: self.subflows[d.picked].id.0,
+            candidates: d.candidate_ids(&self.subflows),
+            reason: d.reason(&self.subflows),
+            srtt_ns: d.srtt.as_nanos(),
+        });
+        let idx = d.picked;
         let (data_seq, len) = self.next_chunk()?;
         let data_ack = self.data_rx.rcv_nxt();
         let sf = &mut self.subflows[idx];

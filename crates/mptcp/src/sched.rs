@@ -13,67 +13,71 @@
 //!   *not* spill traffic onto backups.
 
 use crate::subflow::Subflow;
+use emptcp_sim::SimDuration;
 
-/// A scheduler decision with the evidence behind it, for trace emission:
-/// which subflow won, who was in the running, and why the winner won.
-#[derive(Clone, Debug, PartialEq)]
+/// A scheduler decision: which subflow won and who was in the running.
+/// Building one allocates nothing; only a trace that records it formats
+/// the candidates ([`SchedDecision::candidate_ids`]) and names the reason
+/// ([`SchedDecision::reason`]).
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SchedDecision {
     /// Index of the chosen subflow.
     pub picked: usize,
-    /// Subflow ids that were eligible candidates (could take data).
-    pub candidates: Vec<u8>,
-    /// Why the winner won: `"min_rtt"`, `"only_candidate"`,
-    /// `"unprobed_rtt"` (zero RTT sorts first, §3.6 resume), or
-    /// `"backup_fallback"` (no regular subflow alive).
-    pub reason: &'static str,
-    /// The winner's smoothed RTT at decision time.
-    pub srtt_ns: u64,
+    /// The eligible candidates (could take data) as an index bitmask: bit
+    /// `i` is set when subflow index `i` was in the running. A connection
+    /// this stack builds has two subflows, far below the 64 a mask holds.
+    pub candidates: u64,
+    /// The winner's smoothed RTT at decision time (zero if unmeasured).
+    pub srtt: SimDuration,
 }
 
-/// Index of the subflow the scheduler would hand the next chunk of data to
+impl SchedDecision {
+    /// Why the winner won: `"backup_fallback"` (no regular subflow
+    /// alive), `"only_candidate"`, `"unprobed_rtt"` (zero RTT sorts first,
+    /// §3.6 resume) or `"min_rtt"`.
+    pub fn reason(&self, subflows: &[Subflow]) -> &'static str {
+        if subflows[self.picked].backup {
+            "backup_fallback"
+        } else if self.candidates.count_ones() == 1 {
+            "only_candidate"
+        } else if self.srtt == SimDuration::ZERO {
+            "unprobed_rtt"
+        } else {
+            "min_rtt"
+        }
+    }
+
+    /// The candidates' subflow ids, in index order.
+    pub fn candidate_ids(&self, subflows: &[Subflow]) -> Vec<u8> {
+        subflows
+            .iter()
+            .enumerate()
+            .filter(|&(idx, _)| (self.candidates >> idx) & 1 == 1)
+            .map(|(_, sf)| sf.id.0)
+            .collect()
+    }
+}
+
+/// The scheduler's one rule: the subflow to hand the next chunk of data to
 /// — `left` connection bytes remain to be scheduled — or `None` if nothing
-/// can take data right now. Allocation-free twin of
-/// [`pick_subflow_detailed`] for the untraced hot path — the candidate
-/// filter and the `(srtt, index)` tie-break must stay identical.
-pub fn pick_subflow(subflows: &[Subflow], left: u64) -> Option<usize> {
+/// can take data right now. A candidate can take data and is either
+/// regular or, with no regular subflow alive, a backup; the lowest
+/// `(srtt, index)` wins.
+pub fn pick_subflow(subflows: &[Subflow], left: u64) -> Option<SchedDecision> {
+    debug_assert!(subflows.len() <= 64, "{} subflows", subflows.len());
     let any_regular_alive = subflows.iter().any(|sf| !sf.backup && sf.usable());
-    subflows
+    let mut candidates = 0u64;
+    let (srtt, picked) = subflows
         .iter()
         .enumerate()
         .filter(|(_, sf)| sf.can_take_data(left) && (!sf.backup || !any_regular_alive))
-        .min_by_key(|&(idx, sf)| (sf.tcp.rtt().srtt_or_zero(), idx))
-        .map(|(idx, _)| idx)
-}
-
-/// Like [`pick_subflow`], but also reports the candidate set and the reason
-/// for the choice so schedulers decisions can be traced.
-pub fn pick_subflow_detailed(subflows: &[Subflow], left: u64) -> Option<SchedDecision> {
-    let any_regular_alive = subflows.iter().any(|sf| !sf.backup && sf.usable());
-    // A backup subflow is a candidate only when no regular subflow is alive.
-    let candidates: Vec<usize> = subflows
-        .iter()
-        .enumerate()
-        .filter(|(_, sf)| sf.can_take_data(left) && (!sf.backup || !any_regular_alive))
-        .map(|(idx, _)| idx)
-        .collect();
-    let &picked = candidates
-        .iter()
-        .min_by_key(|&&idx| (subflows[idx].tcp.rtt().srtt_or_zero(), idx))?;
-    let srtt = subflows[picked].tcp.rtt().srtt_or_zero();
-    let reason = if subflows[picked].backup {
-        "backup_fallback"
-    } else if candidates.len() == 1 {
-        "only_candidate"
-    } else if srtt == emptcp_sim::SimDuration::ZERO {
-        "unprobed_rtt"
-    } else {
-        "min_rtt"
-    };
+        .inspect(|&(idx, _)| candidates |= 1 << idx)
+        .map(|(idx, sf)| (sf.tcp.rtt().srtt_or_zero(), idx))
+        .min()?;
     Some(SchedDecision {
         picked,
-        candidates: candidates.iter().map(|&i| subflows[i].id.0).collect(),
-        reason,
-        srtt_ns: srtt.as_nanos(),
+        candidates,
+        srtt,
     })
 }
 
@@ -82,11 +86,16 @@ mod tests {
     use super::*;
     use crate::subflow::SubflowId;
     use emptcp_phy::IfaceKind;
-    use emptcp_sim::{SimDuration, SimTime};
+    use emptcp_sim::SimTime;
     use emptcp_tcp::{Segment, TcpConfig, TcpState};
 
     /// More left to schedule than any window has room for.
     const PLENTY: u64 = u64::MAX;
+
+    /// The index the scheduler picks, if any.
+    fn pick(flows: &[Subflow]) -> Option<usize> {
+        pick_subflow(flows, PLENTY).map(|d| d.picked)
+    }
 
     /// Build an established client subflow by replaying a handshake.
     fn established(id: u8, iface: IfaceKind, rtt_ms: u64) -> Subflow {
@@ -112,7 +121,7 @@ mod tests {
             established(0, IfaceKind::Wifi, 20),
             established(1, IfaceKind::CellularLte, 60),
         ];
-        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
+        assert_eq!(pick(&flows), Some(0));
     }
 
     #[test]
@@ -122,7 +131,9 @@ mod tests {
             established(1, IfaceKind::CellularLte, 60),
         ];
         flows[1].prepare_resume(); // zeroes srtt
-        assert_eq!(pick_subflow(&flows, PLENTY), Some(1));
+        assert_eq!(pick(&flows), Some(1));
+        let d = pick_subflow(&flows, PLENTY).unwrap();
+        assert_eq!(d.reason(&flows), "unprobed_rtt");
     }
 
     #[test]
@@ -132,7 +143,7 @@ mod tests {
             established(1, IfaceKind::CellularLte, 10),
         ];
         flows[1].backup = true;
-        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
+        assert_eq!(pick(&flows), Some(0));
     }
 
     #[test]
@@ -143,7 +154,7 @@ mod tests {
         ];
         // Subflow 0 never completed its handshake; subflow 1 is backup.
         flows[1].backup = true;
-        assert_eq!(pick_subflow(&flows, PLENTY), Some(1));
+        assert_eq!(pick(&flows), Some(1));
     }
 
     #[test]
@@ -159,11 +170,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         while flows[0].tcp.poll_transmit(now).is_some() {}
         assert!(!flows[0].can_take_data(PLENTY));
-        assert_eq!(
-            pick_subflow(&flows, PLENTY),
-            None,
-            "must wait, not use backup"
-        );
+        assert_eq!(pick(&flows), None, "must wait, not use backup");
     }
 
     #[test]
@@ -173,7 +180,7 @@ mod tests {
             IfaceKind::Wifi,
             TcpConfig::default(),
         )];
-        assert_eq!(pick_subflow(&flows, PLENTY), None);
+        assert_eq!(pick(&flows), None);
     }
 
     #[test]
@@ -182,16 +189,17 @@ mod tests {
             established(0, IfaceKind::Wifi, 20),
             established(1, IfaceKind::CellularLte, 60),
         ];
-        let d = pick_subflow_detailed(&flows, PLENTY).unwrap();
+        let d = pick_subflow(&flows, PLENTY).unwrap();
         assert_eq!(d.picked, 0);
-        assert_eq!(d.candidates, vec![0, 1]);
-        assert_eq!(d.reason, "min_rtt");
-        assert!(d.srtt_ns > 0);
+        assert_eq!(d.candidates, 0b11);
+        assert_eq!(d.candidate_ids(&flows), vec![0, 1]);
+        assert_eq!(d.reason(&flows), "min_rtt");
+        assert!(d.srtt > SimDuration::ZERO);
 
         let mut backup_only = vec![established(0, IfaceKind::CellularLte, 60)];
         backup_only[0].backup = true;
-        let d = pick_subflow_detailed(&backup_only, PLENTY).unwrap();
-        assert_eq!(d.reason, "backup_fallback");
+        let d = pick_subflow(&backup_only, PLENTY).unwrap();
+        assert_eq!(d.reason(&backup_only), "backup_fallback");
     }
 
     #[test]
@@ -204,9 +212,9 @@ mod tests {
         // The regular subflow is declared dead by failure detection: the
         // backup becomes the fallback even though sf0's link is nominally up.
         flows[0].dead = true;
-        let d = pick_subflow_detailed(&flows, PLENTY).unwrap();
+        let d = pick_subflow(&flows, PLENTY).unwrap();
         assert_eq!(d.picked, 1);
-        assert_eq!(d.reason, "backup_fallback");
+        assert_eq!(d.reason(&flows), "backup_fallback");
     }
 
     #[test]
@@ -215,6 +223,6 @@ mod tests {
             established(0, IfaceKind::Wifi, 30),
             established(1, IfaceKind::CellularLte, 30),
         ];
-        assert_eq!(pick_subflow(&flows, PLENTY), Some(0));
+        assert_eq!(pick(&flows), Some(0));
     }
 }

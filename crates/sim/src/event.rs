@@ -15,6 +15,14 @@
 //! (in the spirit of smoltcp): they never touch the queue directly, they
 //! return deadlines and emissions, and a host drives them from the queue via
 //! a single-threaded loop.
+//!
+//! This queue serves the drivers whose events genuinely reorder or carry
+//! their own ordering keys: the sharded fleet engine (every event keyed
+//! with [`EventQueue::schedule_keyed`], drained with
+//! [`EventQueue::pop_before`]), `ChaosNet`'s jittered paths and the live
+//! UDP transport's egress shaping. The device ↔ server host runs on
+//! [`LaneQueue`](crate::LaneQueue) instead: its in-flight segments ride
+//! one lane per link direction and its three timers one lane each.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;

@@ -3,11 +3,20 @@
 //! Deterministic discrete-event simulation kernel.
 //!
 //! This crate provides the substrate every other crate in the workspace is
-//! built on: an integer-nanosecond clock ([`SimTime`], [`SimDuration`]), a
-//! deterministic event queue ([`EventQueue`]), a portable
+//! built on: an integer-nanosecond clock ([`SimTime`], [`SimDuration`]), two
+//! deterministic event queues ([`EventQueue`], [`LaneQueue`]), a portable
 //! pseudo-random number generator with the distributions the paper's
 //! evaluation needs ([`rng::SimRng`]), time-series recording ([`trace`]) and
 //! the summary statistics used throughout the paper's figures ([`stats`]).
+//!
+//! Both queues pop in `(time, seq)` order; they differ in what a driver may
+//! ask of them. [`LaneQueue`] serves the device ↔ server host
+//! (`emptcp_expr::host`): a fixed set of lanes, one per link direction for
+//! the segments in flight plus one per timer, each nearly in order already.
+//! [`EventQueue`] serves every driver whose events genuinely reorder or
+//! carry their own ordering keys: the sharded fleet engine
+//! (`schedule_keyed`), `ChaosNet`'s jittered paths and the live UDP
+//! transport's egress shaping.
 //!
 //! Everything here is deterministic: the same seed and the same sequence of
 //! calls produce bit-identical results on every platform. Wall-clock time is
@@ -26,6 +35,7 @@
 
 pub mod epoch;
 pub mod event;
+pub mod lanes;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -33,6 +43,7 @@ pub mod trace;
 
 pub use epoch::EpochClock;
 pub use event::{EventQueue, TimerId};
+pub use lanes::LaneQueue;
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};
 

@@ -93,12 +93,6 @@ impl SimRng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Uniform draw in `[lo, hi)`.
-    pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
-        debug_assert!(hi >= lo);
-        lo + (hi - lo) * self.f64()
-    }
-
     /// Uniform integer in `[0, n)` via Lemire's method (unbiased).
     pub fn below(&mut self, n: u64) -> u64 {
         debug_assert!(n > 0);
@@ -161,14 +155,6 @@ impl SimRng {
         let la = lo.powf(alpha);
         let ha = hi.powf(alpha);
         (-(u * ha - u * la - ha) / (ha * la)).powf(-1.0 / alpha)
-    }
-
-    /// Fisher-Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -289,17 +275,6 @@ mod tests {
         let mut faults = SimRng::new(0xDEADBEEF).fork_labeled("faults");
         assert_eq!(traffic.next_u64(), 951250853371393344);
         assert_eq!(faults.next_u64(), 14080204630350486907);
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(21);
-        let mut xs: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        assert_ne!(xs, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Differential model test for the event queue.
+//! Differential model test for the event queues.
 //!
-//! Every property drives the same operation sequence through
-//! [`EventQueue`] — a binary heap of keys over a payload slab, the hot
-//! path — and a naive sorted-`Vec` reference, correct by inspection, in
+//! Every property drives the same operation sequence through a queue —
+//! [`EventQueue`], a binary heap of keys over a payload slab, or
+//! [`LaneQueue`](emptcp_sim::LaneQueue), sorted lanes under one seq
+//! counter — and a naive sorted-`Vec` reference, correct by inspection, in
 //! lockstep, and demands bit-identical observations.
 //!
 //! Agreement pins the queue contract — (time, sequence) total order,
@@ -18,6 +19,12 @@
 //! fresh schedules. They stay as inputs: any queue must pop them in the
 //! same order.
 //!
+//! The lane properties drive the host's shape: link lanes whose
+//! deliveries mostly join the back and sometimes land mid-lane, timer
+//! lanes re-armed by `replace`, and same-instant bursts across lanes. The
+//! lane queue must agree on every pop's time and payload, the clock and
+//! its count of inserts ahead of a lane's tail.
+//!
 //! Case count: the default 64, raised in CI via `PROPTEST_CASES` (the
 //! differential gate runs with ≥1000). The reference and the lockstep
 //! harness live in `event_queue_model/model.rs`, shared with the root
@@ -27,7 +34,7 @@
 mod model;
 
 use emptcp_sim::{EventQueue, SimTime};
-use model::{mix, Pair, SLOTS, TICK_NS, WHEEL_SPAN_NS};
+use model::{mix, LanePair, Pair, LANES, SLOTS, TICK_NS, WHEEL_SPAN_NS};
 use proptest::prelude::*;
 
 proptest! {
@@ -204,6 +211,74 @@ proptest! {
                 let delta = span - 2 * TICK_NS + jitter;
                 let payload = mix(&mut state) as u32;
                 pair.schedule(delta, payload);
+            }
+            pair.check_observers();
+        }
+        pair.drain();
+    }
+
+    /// Link-like traffic over the lane queue: in-order pushes, mid-lane
+    /// inserts (every one of them, when `reorder_every` is 1), timer
+    /// re-arms and bursts, with pops interleaved.
+    #[test]
+    fn lanes_agree_under_link_like_traffic(
+        seed in 0u64..u64::MAX,
+        ops in 100usize..800,
+        reorder_every in 1u64..40,
+    ) {
+        model::check_lanes(seed, ops, reorder_every);
+    }
+
+    /// Same-instant bursts spread over every lane pop in schedule order:
+    /// the shared seq counter, not the lane number, breaks the tie.
+    #[test]
+    fn same_instant_bursts_across_lanes_pop_in_schedule_order(
+        seed in 0u64..u64::MAX,
+        bursts in 2usize..30,
+        burst_len in 2usize..16,
+    ) {
+        let mut state = seed;
+        let mut pair = LanePair::default();
+        for _ in 0..bursts {
+            let delta = match mix(&mut state) % 3 {
+                0 => mix(&mut state) % 1_000_000,
+                1 => (mix(&mut state) % 8) * TICK_NS,
+                _ => 0,
+            };
+            for _ in 0..burst_len {
+                let lane = (mix(&mut state) % LANES as u64) as usize;
+                pair.schedule(lane, delta, mix(&mut state) as u32);
+            }
+            if mix(&mut state).is_multiple_of(2) {
+                pair.pop();
+            }
+            pair.check_observers();
+        }
+        pair.drain();
+    }
+
+    /// `replace` storms: one lane re-armed over and over, nearer and
+    /// farther, next to plain schedules on the others and on itself (a
+    /// `replace` drops everything its lane holds), with pops between.
+    #[test]
+    fn lane_replace_storms_agree(
+        seed in 0u64..u64::MAX,
+        rounds in 20usize..300,
+    ) {
+        let mut state = seed;
+        let mut pair = LanePair::default();
+        for _ in 0..rounds {
+            let delta = mix(&mut state) % (TICK_NS * SLOTS * 4);
+            let payload = mix(&mut state) as u32;
+            match mix(&mut state) % 5 {
+                0 | 1 => pair.replace(LANES - 1, delta, payload),
+                2 => {
+                    let lane = (mix(&mut state) % LANES as u64) as usize;
+                    pair.schedule(lane, delta, payload);
+                }
+                _ => {
+                    pair.pop();
+                }
             }
             pair.check_observers();
         }

@@ -1,8 +1,8 @@
-//! The event queue, a sorted-`Vec` reference and the lockstep harness that
-//! drives them as one. Shared with the root package's `workspace_smoke`
-//! through `#[path]`.
+//! The two event queues, a sorted-`Vec` reference and the lockstep
+//! harnesses that drive each queue and the reference as one. Shared with
+//! the root package's `workspace_smoke` through `#[path]`.
 
-use emptcp_sim::{EventQueue, SimDuration, TimerId};
+use emptcp_sim::{EventQueue, LaneQueue, SimDuration, SimTime, TimerId};
 
 /// The reference: a flat vector of live `(time_nanos, seq, payload)`
 /// entries. Correct by inspection, O(n) everything.
@@ -175,4 +175,132 @@ pub fn check_interleavings(seed: u64, ops: usize, cancel_weight: u64, horizon_ns
         pair.check_observers();
     }
     pair.drain();
+}
+
+/// Lanes in the [`LanePair`] queue: as many as the host uses.
+pub const LANES: usize = 7;
+
+/// A [`LaneQueue`] and the reference, driven as one. The reference knows
+/// nothing of lanes beyond which lane each seq was scheduled on, so a
+/// `replace` is a cancel of every live entry of the lane, then a schedule.
+#[derive(Default)]
+pub struct LanePair {
+    queue: LaneQueue<u32, LANES>,
+    reference: Reference,
+    /// The lane of each seq, indexed by seq.
+    lane_of: Vec<usize>,
+    /// Schedules the reference saw land ahead of a later live entry of
+    /// their lane.
+    pub inserted_ahead: u64,
+}
+
+impl LanePair {
+    pub fn schedule(&mut self, lane: usize, delta_ns: u64, payload: u32) {
+        let at = self.queue.now() + SimDuration::from_nanos(delta_ns);
+        self.queue.schedule(lane, at, payload);
+        self.reference_schedule(lane, at, payload);
+    }
+
+    pub fn replace(&mut self, lane: usize, delta_ns: u64, payload: u32) {
+        let at = self.queue.now() + SimDuration::from_nanos(delta_ns);
+        self.queue.replace(lane, at, payload);
+        let lane_of = &self.lane_of;
+        self.reference
+            .live
+            .retain(|&(_, seq, _)| lane_of[seq as usize] != lane);
+        self.reference_schedule(lane, at, payload);
+    }
+
+    fn reference_schedule(&mut self, lane: usize, at: SimTime, payload: u32) {
+        let at = at.as_nanos().max(self.reference.now);
+        let lane_of = &self.lane_of;
+        let ahead = self
+            .reference
+            .live
+            .iter()
+            .any(|&(t, seq, _)| lane_of[seq as usize] == lane && t > at);
+        self.inserted_ahead += u64::from(ahead);
+        let seq = self.reference.schedule(at, payload);
+        assert_eq!(seq as usize, self.lane_of.len());
+        self.lane_of.push(lane);
+    }
+
+    pub fn pop(&mut self) -> Option<(u64, u32)> {
+        let got = self.queue.pop().map(|(t, p)| (t.as_nanos(), p));
+        let want = self.reference.pop().map(|(at, _, payload)| (at, payload));
+        assert_eq!(got, want, "lane queue pop diverged from reference");
+        want
+    }
+
+    pub fn check_observers(&self) {
+        assert_eq!(self.queue.now().as_nanos(), self.reference.now, "clock");
+        assert_eq!(self.queue.inserted_ahead(), self.inserted_ahead);
+    }
+
+    /// Drain everything left; both must agree to the last event.
+    pub fn drain(&mut self) {
+        while self.pop().is_some() {}
+    }
+}
+
+/// Link-like traffic, derived from `seed`: lanes 0–3 are links whose
+/// deliveries mostly come at or after their lane's last one (a push at the
+/// back) and, one time in `reorder_every`, earlier (a mid-lane insert);
+/// lanes 4–6 are timers re-armed with `replace`, nearer or farther, and
+/// now and then scheduled plainly next to what they hold. Same-instant
+/// bursts land across lanes, and pops interleave throughout. Returns
+/// `(inserted ahead, replaces)` so callers can assert the run exercised
+/// both paths.
+pub fn check_lanes(seed: u64, ops: usize, reorder_every: u64) -> (u64, u64) {
+    let mut state = seed;
+    let mut pair = LanePair::default();
+    // Each link's last delivery, as an offset from the clock at schedule.
+    let mut tail = [0u64; 4];
+    let mut replaces = 0;
+
+    for _ in 0..ops {
+        match mix(&mut state) % 8 {
+            0..=2 => {
+                let lane = (mix(&mut state) % 4) as usize;
+                let now = pair.queue.now().as_nanos();
+                let last = tail[lane].max(now);
+                let at = if mix(&mut state).is_multiple_of(reorder_every) {
+                    now + mix(&mut state) % (last - now + 1)
+                } else {
+                    last + mix(&mut state) % (4 * TICK_NS)
+                };
+                tail[lane] = tail[lane].max(at);
+                pair.schedule(lane, at - now, mix(&mut state) as u32);
+            }
+            3 => {
+                let lane = 4 + (mix(&mut state) % 3) as usize;
+                let delta = mix(&mut state) % (TICK_NS * SLOTS);
+                pair.replace(lane, delta, mix(&mut state) as u32);
+                replaces += 1;
+            }
+            4 => {
+                let lane = 4 + (mix(&mut state) % 3) as usize;
+                let delta = mix(&mut state) % (TICK_NS * SLOTS);
+                pair.schedule(lane, delta, mix(&mut state) as u32);
+            }
+            5 => {
+                // A same-instant burst across random lanes.
+                let delta = mix(&mut state) % (2 * TICK_NS);
+                for _ in 0..1 + mix(&mut state) % 6 {
+                    let lane = (mix(&mut state) % LANES as u64) as usize;
+                    pair.schedule(lane, delta, mix(&mut state) as u32);
+                    if lane < 4 {
+                        let at = pair.queue.now().as_nanos() + delta;
+                        tail[lane] = tail[lane].max(at);
+                    }
+                }
+            }
+            _ => {
+                pair.pop();
+            }
+        }
+        pair.check_observers();
+    }
+    pair.drain();
+    (pair.inserted_ahead, replaces)
 }

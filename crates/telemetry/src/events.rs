@@ -63,7 +63,8 @@ pub enum TraceEvent {
         picked: u8,
         /// Subflow ids that were eligible candidates for this pick.
         candidates: Vec<u8>,
-        /// Why the pick won: `"min_rtt"`, `"only_candidate"`, or
+        /// Why the pick won: `"min_rtt"`, `"only_candidate"`,
+        /// `"unprobed_rtt"` (a zero RTT sorts first, §3.6 resume) or
         /// `"backup_fallback"`.
         reason: &'static str,
         /// Smoothed RTT of the winner at pick time (0 = unmeasured).

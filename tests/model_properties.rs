@@ -1,9 +1,12 @@
 //! Property-based tests on the energy model and EIB, across both device
-//! profiles and the whole throughput plane.
+//! profiles and the whole throughput plane, and the path usage
+//! controller's hysteresis over the EIB's thresholds.
 
+use emptcp_repro::emptcp::controller::{ControllerConfig, PathUsageController};
 use emptcp_repro::energy::region::{best_usage_for_size, transfer_energy_j, transfer_time_s};
 use emptcp_repro::energy::{DeviceProfile, Eib, EnergyModel, PathUsage, PowerCurve};
 use emptcp_repro::phy::IfaceKind;
+use emptcp_repro::sim::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 /// Build a random—but physically sensible—device profile: monotone power
@@ -175,6 +178,58 @@ fn eib_thresholds_monotone_for_all_models() {
             assert!(row.wifi_only_at_or_above >= last.1 - 1e-9);
             assert!(row.cell_only_below <= row.wifi_only_at_or_above + 1e-9);
             last = (row.cell_only_below, row.wifi_only_at_or_above);
+        }
+    }
+}
+
+/// §3.4's safety factor, edge by edge: from each usage, WiFi throughput a
+/// hair inside every `t1·(1±s)` / `t2·(1±s)` bound it must cross keeps the
+/// usage, and a hair outside moves it, for every model and several
+/// cellular rates. Cellular-only is allowed, so the bounds into and out of
+/// it are live (by default a cellular-only verdict runs as Both).
+#[test]
+fn controller_hysteresis_edges_hold_on_both_sides() {
+    use PathUsage::{Both, CellularOnly, WifiOnly};
+    let config = ControllerConfig {
+        allow_cellular_only: true,
+        min_dwell: SimDuration::ZERO,
+        ..ControllerConfig::default()
+    };
+    let s = config.safety_factor;
+    for model in models() {
+        let eib = Eib::generate_default(&model);
+        for cell in [1.0, 2.0, 5.0, 10.0] {
+            let (t1, t2) = eib.thresholds(cell);
+            assert!(
+                0.0 < t1 * (1.0 + s) && t1 * (1.0 + s) < t2 * (1.0 - s),
+                "{} at {cell} Mbps: thresholds {t1}, {t2} leave no Both band",
+                model.profile().name
+            );
+            let decide = |from: PathUsage, wifi: f64| {
+                let mut c = PathUsageController::new(config);
+                c.force_usage(SimTime::ZERO, from);
+                c.decide(SimTime::from_secs(1), &eib, wifi, cell)
+            };
+            let (above, below) = (1.0 + 1e-6, 1.0 - 1e-6);
+            let edges = [
+                // (from, bound, usage just above it, usage just below it)
+                (WifiOnly, t2 * (1.0 - s), WifiOnly, Both),
+                (WifiOnly, t1 * (1.0 - s), Both, CellularOnly),
+                (Both, t2 * (1.0 + s), WifiOnly, Both),
+                (Both, t1 * (1.0 - s), Both, CellularOnly),
+                (CellularOnly, t2 * (1.0 + s), WifiOnly, Both),
+                (CellularOnly, t1 * (1.0 + s), Both, CellularOnly),
+            ];
+            let name = &model.profile().name;
+            for (from, bound, over, under) in edges {
+                let got = decide(from, bound * above);
+                assert_eq!(got, over, "{name} {cell} Mbps from {from:?}: above {bound}");
+                let got = decide(from, bound * below);
+                assert_eq!(
+                    got, under,
+                    "{name} {cell} Mbps from {from:?}: below {bound}"
+                );
+            }
         }
     }
 }

@@ -5,8 +5,8 @@
 //! transports agree event for event, a chaos corpus that certifies, a
 //! scenario file that says a changing environment or the recovery it must
 //! show, a monitor tap that streams, stacks that cannot tell how often
-//! they are polled or swept, an event queue that pops like its sorted-`Vec`
-//! reference, a live transfer that loses nothing to its own socket
+//! they are polled or swept, two event queues that pop like their
+//! sorted-`Vec` reference, a live transfer that loses nothing to its own socket
 //! buffers, exhibits that cannot tell which of them simulated a run they
 //! share, and a sender that cuts no runts.
 
@@ -237,6 +237,21 @@ fn the_event_queue_pops_like_the_reference() {
         (1510, 2 * event_queue_model::WHEEL_SPAN_NS),
     ] {
         event_queue_model::check_interleavings(seed, 600, 3, horizon_ns);
+    }
+}
+
+/// Reduced cases of the lane properties in `event_queue_model`: the host's
+/// lane queue and the sorted-`Vec` reference agree on every pop, clock
+/// reading and count of inserts ahead of a lane's tail, under
+/// link-like traffic that reorders rarely and always.
+#[test]
+fn the_lane_queue_pops_like_the_reference() {
+    for (seed, reorder_every) in [(36, 20), (1112, 1)] {
+        let (ahead, replaces) = event_queue_model::check_lanes(seed, 800, reorder_every);
+        assert!(
+            ahead > 0 && replaces > 0,
+            "seed {seed}: {ahead} inserts ahead, {replaces} replaces"
+        );
     }
 }
 
