@@ -973,7 +973,7 @@ impl Simulation {
                     for sf in mp.subflows() {
                         obs.check_ack_conservation(
                             now,
-                            &format!("conn{i}.{side}.sf{}", sf.id.0),
+                            format_args!("conn{i}.{side}.sf{}", sf.id.0),
                             sf.tcp.bytes_acked_total(),
                             sf.tcp.bytes_sent_total(),
                         );

@@ -253,6 +253,9 @@ impl MpConnection {
         if self.role == Role::Client {
             sf.tcp.connect(now);
         }
+        // A connection holds one or two subflows: grow by exactly one
+        // rather than to `Vec`'s minimum of four.
+        self.subflows.reserve_exact(1);
         self.subflows.push(sf);
         id
     }

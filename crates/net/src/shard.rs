@@ -430,14 +430,14 @@ impl ClientShard {
                 let l = local as usize;
                 self.rows.client[l].on_segment(now, sf, seg);
                 self.drain_client(now, l);
-                self.rearm(now, l);
+                self.arm_timer(now, l, self.rows.client[l].next_deadline());
             }
             ClientEvent::DeliverServer { local, sf, seg } => {
                 let l = local as usize;
                 self.rows.server[l].on_segment(now, sf, seg);
                 self.feed_server(l);
                 self.drain_server(now, l);
-                self.rearm(now, l);
+                self.arm_timer(now, l, self.rows.server[l].next_deadline());
             }
             ClientEvent::Timer { local } => {
                 let l = local as usize;
@@ -548,33 +548,42 @@ impl ClientShard {
     fn touch(&mut self, now: SimTime, l: usize) {
         self.drain_client(now, l);
         self.drain_server(now, l);
-        self.rearm(now, l);
+        self.arm_timer(now, l, self.earliest_deadline(l));
     }
 
-    /// Re-arm row `l`'s timer at the earlier of its endpoints' deadlines.
-    /// The armed time only moves *earlier* between fires; a deadline
-    /// moving later leaves the timer to fire spuriously (the sweep is a
-    /// no-op then).
-    fn rearm(&mut self, now: SimTime, l: usize) {
-        let next = SimTime::earliest(
-            self.rows.client[l].next_deadline(),
-            self.rows.server[l].next_deadline(),
+    fn earliest_deadline(&self, l: usize) -> Option<SimTime> {
+        let r = &self.rows;
+        SimTime::earliest(r.client[l].next_deadline(), r.server[l].next_deadline())
+    }
+
+    /// The instant row `l`'s timer must move to so that it fires no later
+    /// than `next`, or `None` if the armed one already does. The armed
+    /// time only moves *earlier* between fires; a deadline moving later
+    /// leaves the timer to fire spuriously (the sweep is a no-op then).
+    fn timer_rearm(&self, now: SimTime, l: usize, next: Option<SimTime>) -> Option<SimTime> {
+        let d = next?.max(now);
+        match self.rows.timer[l] {
+            Some((t, _)) if d >= t => None,
+            _ => Some(d),
+        }
+    }
+
+    /// Re-arm row `l`'s timer for `next`. A delivery passes the deadline
+    /// of the endpoint it reached alone: the other one's did not move, so
+    /// it decides the re-arm the full fold would.
+    fn arm_timer(&mut self, now: SimTime, l: usize, next: Option<SimTime>) {
+        debug_assert_eq!(
+            self.timer_rearm(now, l, next),
+            self.timer_rearm(now, l, self.earliest_deadline(l)),
+            "a delivery moved the deadline of an endpoint it did not reach"
         );
-        let Some(d) = next else { return };
-        let d = d.max(now);
-        let need = match self.rows.timer[l] {
-            Some((t, _)) => d < t,
-            None => true,
-        };
-        if need {
+        if let Some(d) = self.timer_rearm(now, l, next) {
             if let Some((_, id)) = self.rows.timer[l].take() {
                 self.queue.cancel(id);
             }
             let key = self.next_key(l, CLASS_EVENT);
-            let local = l as u32;
-            let id = self
-                .queue
-                .schedule_keyed(d, key, ClientEvent::Timer { local });
+            let event = ClientEvent::Timer { local: l as u32 };
+            let id = self.queue.schedule_keyed(d, key, event);
             self.rows.timer[l] = Some((d, id));
         }
     }
@@ -922,8 +931,6 @@ pub struct ShardedFleetSim {
     core: Mutex<CoreShard>,
     /// Global client id of each shard's first row (ascending).
     starts: Vec<usize>,
-    /// Reused barrier staging: core-outbox messages routed per shard.
-    staging: Vec<Vec<Hop>>,
     telemetry: Telemetry,
     /// Every shard's trace tap (core last); empty when nothing is tapped.
     taps: Vec<Tap>,
@@ -990,7 +997,6 @@ impl ShardedFleetSim {
             .chain([core.lock().expect("core shard poisoned").tap.clone()])
             .flatten()
             .collect();
-        let staging = (0..s).map(|_| Vec::new()).collect();
         let per_client_buf = Vec::with_capacity(cfg.clients);
         Ok(ShardedFleetSim {
             cfg,
@@ -998,7 +1004,6 @@ impl ShardedFleetSim {
             shards,
             core,
             starts,
-            staging,
             telemetry,
             taps,
             flush_buf: Vec::new(),
@@ -1088,29 +1093,25 @@ impl ShardedFleetSim {
                 core.queue.schedule_keyed(msg.at, msg.key, event);
             }
         }
-        if !core.outbox.is_empty() {
-            for msg in core.outbox.drain(..) {
-                let sid = self
-                    .starts
-                    .partition_point(|&start| start <= msg.client as usize)
-                    - 1;
-                self.staging[sid].push(msg);
+        // Keys are unique, so the order a queue receives messages in is
+        // invisible: sort the core's outbox by client in place and hand
+        // each shard its contiguous run under one lock.
+        core.outbox.sort_unstable_by_key(|msg| msg.client);
+        let mut hops = core.outbox.drain(..).peekable();
+        for (sid, shard) in self.shards.iter().enumerate() {
+            let end = self.starts.get(sid + 1).map_or(u32::MAX, |&e| e as u32);
+            if hops.peek().is_none_or(|msg| msg.client >= end) {
+                continue;
             }
-            for (sid, pending) in self.staging.iter_mut().enumerate() {
-                if pending.is_empty() {
-                    continue;
-                }
-                let mut shard = self.shards[sid].lock().expect("shard poisoned");
-                for msg in pending.drain(..) {
-                    let local = msg.client - shard.base;
-                    let (sf, seg) = (msg.sf, msg.seg);
-                    let event = if msg.down {
-                        ClientEvent::DownFromCore { local, sf, seg }
-                    } else {
-                        ClientEvent::UpFromCore { local, sf, seg }
-                    };
-                    shard.queue.schedule_keyed(msg.at, msg.key, event);
-                }
+            let mut shard = shard.lock().expect("shard poisoned");
+            while let Some(msg) = hops.next_if(|msg| msg.client < end) {
+                let (local, sf, seg) = (msg.client - shard.base, msg.sf, msg.seg);
+                let event = if msg.down {
+                    ClientEvent::DownFromCore { local, sf, seg }
+                } else {
+                    ClientEvent::UpFromCore { local, sf, seg }
+                };
+                shard.queue.schedule_keyed(msg.at, msg.key, event);
             }
         }
     }

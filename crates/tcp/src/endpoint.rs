@@ -230,6 +230,9 @@ pub struct TcpEndpoint {
     sack_cursor: u64,
 
     // --- emissions & options ---
+    /// Segments awaiting `poll_transmit`. Every driver drains it after each
+    /// call, so it is built with room for one and grows only when a second
+    /// is queued.
     out: VecDeque<Segment>,
     pending_mp_prio: Option<bool>,
     last_activity: SimTime,
@@ -281,7 +284,7 @@ impl TcpEndpoint {
             delack_deadline: None,
             ts_to_echo: None,
             sack_cursor: 0,
-            out: VecDeque::new(),
+            out: VecDeque::with_capacity(1),
             pending_mp_prio: None,
             last_activity: SimTime::ZERO,
             scope: TelemetryScope::disabled(),

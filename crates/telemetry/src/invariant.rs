@@ -59,11 +59,13 @@ impl InvariantObserver {
         ok
     }
 
-    /// Cumulative bytes ACKed on a flow can never exceed bytes sent.
+    /// Cumulative bytes ACKed on a flow can never exceed bytes sent. The
+    /// `label` is only formatted on failure, so a caller may pass
+    /// `format_args!` and pay nothing while the check holds.
     pub fn check_ack_conservation(
         &mut self,
         at: SimTime,
-        label: &str,
+        label: impl fmt::Display,
         bytes_acked: u64,
         bytes_sent: u64,
     ) {

@@ -7,8 +7,13 @@
 //! under MPTCP, TCP over WiFi and eMPTCP; the shard engine has a budget
 //! of its own per forwarded packet.
 //!
-//! Allocations are counted per thread by this binary's global allocator,
-//! so tests running side by side do not see each other's.
+//! Peak heap bytes are held too: per client of the same fleet, and for the
+//! host MPTCP run, so capacity that no client or connection fills fails
+//! here as soon as it is grown.
+//!
+//! Allocations and live heap bytes are counted per thread by this
+//! binary's global allocator, so tests running side by side do not see
+//! each other's.
 
 use emptcp_expr::scenario::Workload;
 use emptcp_expr::{Scenario, Simulation, Strategy};
@@ -23,33 +28,47 @@ use std::cell::Cell;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread; negative when it
+    /// frees more than it allocated.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has been since the last [`heap_baseline`].
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
-/// The system allocator, counting each allocation and reallocation on
-/// the calling thread.
+/// The system allocator, counting each allocation and reallocation and
+/// the live heap bytes on the calling thread.
 struct Counting;
 
-fn count() {
+fn count(grown: i64) {
     // `try_with`: a thread being torn down may still allocate.
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+    resize(grown);
+}
+
+fn resize(by: i64) {
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + by);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
 }
 
 // SAFETY: every method hands its caller's arguments unchanged to `System`
 // and returns what it returns, so `System`'s guarantees are this
-// allocator's. The count is a `const`-initialized thread-local `Cell`,
-// which neither allocates nor reenters the allocator.
+// allocator's. The counts are `const`-initialized thread-local `Cell`s,
+// which neither allocate nor reenter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        resize(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -59,6 +78,19 @@ static GLOBAL: Counting = Counting;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
+}
+
+/// Start a peak-heap measurement on this thread: returns the live bytes
+/// now, which [`heap_peak_since`] subtracts.
+fn heap_baseline() -> i64 {
+    let live = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(live));
+    live
+}
+
+/// The most heap bytes this thread has held at once since `baseline`.
+fn heap_peak_since(baseline: i64) -> u64 {
+    (PEAK.with(Cell::get) - baseline) as u64
 }
 
 const MIB: u64 = 1 << 20;
@@ -253,14 +285,20 @@ fn a_steady_two_path_mptcp_transfer_almost_never_allocates() {
 
 /// Allocations per forwarded packet of a 64-client contended fleet over
 /// 2 simulated seconds on one shard, counted from `run` on (construction
-/// excluded): 0.02292, pinned just above.
+/// excluded): 0.02161 (0.02292 when the barrier staged the core's outbox
+/// per shard), pinned just above the older reading.
 const FLEET_PER_PACKET: f64 = 0.0230;
+
+/// The fleet every shard-engine budget is measured on.
+fn budget_fleet() -> FleetConfig {
+    let mut cfg = FleetConfig::contended(64, 1);
+    cfg.duration = SimDuration::from_secs(2);
+    cfg
+}
 
 #[test]
 fn the_shard_engine_allocates_at_most_its_budget_per_forwarded_packet() {
-    let mut cfg = FleetConfig::contended(64, 1);
-    cfg.duration = SimDuration::from_secs(2);
-    let mut sim = ShardedFleetSim::new(cfg, 1);
+    let mut sim = ShardedFleetSim::new(budget_fleet(), 1);
     let before = allocations();
     let report = sim.run();
     let per_packet = (allocations() - before) as f64 / report.packets_forwarded as f64;
@@ -271,11 +309,31 @@ fn the_shard_engine_allocates_at_most_its_budget_per_forwarded_packet() {
     );
 }
 
+/// Peak heap bytes per client of the same fleet, from construction to
+/// the report: 14 163, pinned just above. Growing every subflow list to
+/// four entries and every emission queue to four segments read 19 139.
+const FLEET_HEAP_PER_CLIENT: u64 = 14_200;
+
+#[test]
+fn a_fleet_client_holds_at_most_its_budget_of_heap() {
+    let cfg = budget_fleet();
+    let clients = cfg.clients as u64;
+    let baseline = heap_baseline();
+    ShardedFleetSim::new(cfg, 1).run();
+    let per_client = heap_peak_since(baseline) / clients;
+    println!("fleet: {per_client} peak heap bytes per client");
+    assert!(
+        per_client <= FLEET_HEAP_PER_CLIENT,
+        "{per_client} peak heap bytes per client"
+    );
+}
+
 /// Allocations per data segment of one host 16 MB download on static good
 /// WiFi under `strategy`, counted from `run` on, held to the [`CEILING`]
 /// of the bare pairs. The data segment count comes from a same-seed twin
-/// run with metrics on; this run has telemetry off.
-fn assert_host_run_within_ceiling(strategy: Strategy) {
+/// run with metrics on; this run has telemetry off. Returns the run's peak
+/// heap bytes, from construction to the result.
+fn assert_host_run_within_ceiling(strategy: Strategy) -> u64 {
     let scenario = || Scenario::static_good_wifi().with(Workload::Download { size: 16 << 20 });
     let metrics = Telemetry::builder().build();
     Simulation::new_with_telemetry(scenario(), strategy, 1, metrics.clone()).run();
@@ -283,22 +341,31 @@ fn assert_host_run_within_ceiling(strategy: Strategy) {
         .metrics()
         .expect("metrics on")
         .counter("tcp.data_segments");
+    let baseline = heap_baseline();
     let sim = Simulation::new_with_telemetry(scenario(), strategy, 1, Telemetry::disabled());
     let before = allocations();
     let result = sim.run();
     let per_segment = (allocations() - before) as f64 / segments as f64;
+    let peak = heap_peak_since(baseline);
     assert!(result.completed, "{result:?}");
     let name = strategy.label();
-    println!("host {name}: {per_segment:.6} allocations per data segment of {segments}");
+    println!("host {name}: {per_segment:.6} allocations per data segment of {segments}, {peak} peak heap bytes");
     assert!(
         per_segment <= CEILING,
         "{name}: {per_segment:.4} allocations per data segment"
     );
+    peak
 }
+
+/// Peak heap bytes of the host MPTCP run, from construction to the
+/// result: 151 974, pinned just above (156 070 with four-entry subflow
+/// lists and emission queues).
+const HOST_MPTCP_HEAP: u64 = 152_000;
 
 #[test]
 fn a_host_mptcp_run_allocates_at_most_its_budget_per_data_segment() {
-    assert_host_run_within_ceiling(Strategy::Mptcp);
+    let peak = assert_host_run_within_ceiling(Strategy::Mptcp);
+    assert!(peak <= HOST_MPTCP_HEAP, "{peak} peak heap bytes");
 }
 
 #[test]
