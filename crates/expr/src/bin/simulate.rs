@@ -25,6 +25,7 @@
 
 use emptcp_expr::scenario::{Scenario, Workload};
 use emptcp_expr::{flags, host, Strategy};
+use emptcp_faults::FaultSpec;
 use emptcp_scenario::StrategyKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
@@ -124,7 +125,7 @@ fn live_usage(role: &str) -> ! {
   --wifi-loss X        loss probability on the WiFi path     (default 0)
   --cell-loss X        loss probability on the cellular path (default 0)
   --jitter-ms N        per-frame jitter bound, both paths    (default 0)
-  --handover-ms A:G    WiFi blackout at A ms lasting G ms (FaultPlan handover)
+  --handover-ms A:G    WiFi blackout at A ms lasting G ms (a handover fault)
   --trace PATH         write the JSONL decision trace (follow with
                        `repro monitor --follow PATH`)
   --limit-s N          give up after N wall seconds          (default 60)
@@ -173,10 +174,10 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
                     eprintln!("--handover-ms wants AT:GAP in ms");
                     live_usage(role)
                 });
-                cfg.faults = cfg.faults.clone().handover(
-                    SimTime::from_millis(flags::parsed("--handover-ms AT", at)),
-                    SimDuration::from_millis(flags::parsed("--handover-ms GAP", gap)),
-                );
+                cfg.faults.push(FaultSpec::Handover {
+                    at_ms: flags::parsed("--handover-ms AT", at),
+                    gap_ms: flags::parsed("--handover-ms GAP", gap),
+                });
             }
             "--trace" => cfg.trace = Some(flags::value(&mut it, "--trace")),
             "--limit-s" => cfg.wall_limit = SimTime::from_secs(flags::value(&mut it, "--limit-s")),

@@ -28,6 +28,7 @@
 //! [`replay_corpus`] (every committed scenario, deterministic reports).
 
 use crate::host::{RunResult, Simulation};
+use emptcp_faults::plan;
 use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::io::save;
@@ -161,7 +162,6 @@ fn run_host(
     sabotage_delivery: bool,
     telemetry: Telemetry,
 ) -> ChaosReport {
-    let plan = sc.fault_plan();
     let baseline = expect
         .iter()
         .any(|e| e.measure == Measure::GoodputRetained)
@@ -176,9 +176,7 @@ fn run_host(
         });
     let mut sim =
         Simulation::new_with_telemetry(host.clone(), strategy.into(), sc.seed, telemetry.clone());
-    if !plan.is_empty() {
-        sim.attach_faults(plan.clone());
-    }
+    sim.attach_faults(&sc.faults);
     let r = sim.run();
     let invariant_violations = telemetry.violations().len() as u64;
     let resilience = baseline.map(|b| resilience(&r, &b));
@@ -201,7 +199,8 @@ fn run_host(
     // No stuck subflows once the network is back to nominal. A host run
     // ends as soon as the workload completes with the radio idle, which
     // can be before a restore fires: the link is then legitimately down.
-    if r.faults_injected as usize == plan.len() && plan.restores_nominal() {
+    let all_fired = r.faults_injected as usize == plan::expand(&sc.faults).len();
+    if all_fired && plan::restores_nominal(&sc.faults) {
         obs.check_no_stuck_subflows(at, &sc.name, r.stuck_subflows);
     }
 
@@ -323,13 +322,10 @@ fn run_fleet(
     sabotage_delivery: bool,
     telemetry: Telemetry,
 ) -> Result<ChaosReport, ScenarioError> {
-    let plan = sc.fault_plan();
     let mut cfg = cfg.clone();
     cfg.seed = sc.seed;
     let mut sim = ShardedFleetSim::try_new_with_telemetry(cfg.clone(), 1, telemetry.clone())?;
-    if !plan.is_empty() {
-        sim.attach_faults(plan.clone());
-    }
+    sim.attach_faults(&sc.faults);
     let r = sim.run();
     let invariant_violations = telemetry.violations().len() as u64;
 

@@ -6,14 +6,15 @@
 //! connection, and the energy meter. Everything advances through a single
 //! deterministic event queue; a 100 ms control tick drives the environment
 //! processes, the eMPTCP control loop and energy integration, while packet
-//! deliveries and TCP timers are exact events.
+//! deliveries, TCP timers and scripted faults are exact events.
 //!
 //! The queue is a [`LaneQueue`] with one lane per link direction for the
-//! segments in flight and one lane for each of the three timers (tick,
-//! TimerCheck, CellReady), each of which has at most one event pending. A
-//! link delivers nearly in order, so a delivery almost always joins the
-//! back of its lane; `host.link.reordered` in the run's metrics counts the
-//! ones that did not.
+//! segments in flight, one lane for each of the three timers (tick,
+//! TimerCheck, CellReady), each of which has at most one event pending,
+//! and one lane holding the instants of an attached fault plan. A link
+//! delivers nearly in order, so a delivery almost always joins the back of
+//! its lane; `host.link.reordered` in the run's metrics counts the ones
+//! that did not.
 //!
 //! Modelling notes (deviations documented in DESIGN.md):
 //!
@@ -30,7 +31,7 @@ use crate::scenario::{Scenario, WifiEnvironment, Workload};
 use crate::strategy::Strategy;
 use emptcp::{Action, EmptcpClient, IfaceTotals};
 use emptcp_energy::{Eib, EnergyMeter, EnergyModel, RadioSnapshot};
-use emptcp_faults::{FaultInjector, FaultPlan, FaultSurface, FaultTarget};
+use emptcp_faults::{plan, FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
 use emptcp_mptcp::{MpConnection, RecoveryStats, Role, Subflow, SubflowId};
 use emptcp_phy::link::{EnqueueOutcome, LossModel};
 use emptcp_phy::mobility::MobilityModel;
@@ -51,11 +52,12 @@ const TICK: SimDuration = SimDuration::from_millis(100);
 const DRAIN_CAP: SimDuration = SimDuration::from_secs(16);
 
 /// The queue's lanes: [`deliver_lane`] numbers the four link directions,
-/// then one lane per timer.
+/// then one lane per timer, then the fault instants.
 const TICK_LANE: usize = 4;
 const TIMER_LANE: usize = 5;
 const CELL_READY_LANE: usize = 6;
-const LANES: usize = 7;
+const FAULT_LANE: usize = 7;
+const LANES: usize = 8;
 
 /// The lane of the segments in flight on `iface`'s path toward the client
 /// (`to_client`) or the server.
@@ -76,6 +78,8 @@ enum Event {
     Tick,
     TimerCheck,
     CellReady,
+    /// One or more scripted faults are due.
+    Faults,
 }
 
 /// Everything measured from one run.
@@ -221,8 +225,8 @@ pub struct Simulation {
     /// Energy at the previous tick, for the monotonicity invariant.
     last_energy_j: f64,
 
-    /// Scripted fault injection (None = fault-free run). Polled at the top
-    /// of every control tick, so fault timestamps quantise to 100 ms.
+    /// Scripted fault injection (None = fault-free run), polled by an
+    /// [`Event::Faults`] at each instant the plan names.
     injector: Option<FaultInjector>,
     /// Fault events applied so far.
     faults_applied: u64,
@@ -231,8 +235,8 @@ pub struct Simulation {
     fault_wifi_down: bool,
     /// While set, wins over the WiFi channel model's effective rate.
     fault_wifi_rate: Option<u64>,
-    /// While set, the channel model's per-tick loss push is suppressed so
-    /// the injected model's burst state is not reset every 100 ms.
+    /// While set, the channel model's loss push is suppressed so the
+    /// injected model's burst state is not reset on every push.
     fault_wifi_loss: Option<LossModel>,
     /// Nominal values restored when a fault clears: WiFi/cell one-way
     /// propagation delays, cellular down/up rates and downlink loss.
@@ -369,12 +373,18 @@ impl Simulation {
         sim
     }
 
-    /// Arm a scripted fault plan. Events are applied on the 100 ms control
-    /// tick, the same clock the environment processes run on, so a plan
-    /// perturbs the run exactly as a hostile environment would — and two
+    /// Arm a scripted fault plan, once, before [`Simulation::run`]. Each
+    /// fault fires at its own instant: every instant the plan names is
+    /// queued here, ahead of anything the run will queue, so at a shared
+    /// instant the faults land before the tick and every other event. Two
     /// runs with the same seed and plan stay byte-identical.
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
-        let mut injector = FaultInjector::new(plan);
+    pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
+        let mut instants: Vec<SimTime> = plan::expand(faults).iter().map(|e| e.at).collect();
+        instants.dedup();
+        for at in instants {
+            self.queue.schedule(FAULT_LANE, at, Event::Faults);
+        }
+        let mut injector = FaultInjector::new(faults);
         injector.set_telemetry(self.telemetry.scope(0));
         self.injector = Some(injector);
     }
@@ -811,30 +821,23 @@ impl Simulation {
         }
     }
 
-    fn on_tick(&mut self, now: SimTime) {
-        // 0. Scripted faults fire before the environment pushes state into
-        //    the paths, so a rate/loss override wins over the channel model
-        //    within the same tick. The injector is taken out of `self` for
-        //    the call because the simulation is its own fault surface.
-        if let Some(mut injector) = self.injector.take() {
-            self.faults_applied += injector.poll(now, self) as u64;
-            self.injector = Some(injector);
-        }
+    /// Apply the faults due at `now` and push the WiFi state they change.
+    /// The stacks learn of a link change at once; what they send in reply
+    /// leaves on the next event that drains them. The injector is taken
+    /// out of `self` for the call because the simulation is its own fault
+    /// surface.
+    fn on_faults(&mut self, now: SimTime) {
+        let mut injector = self.injector.take().expect("fault event without a plan");
+        self.faults_applied += injector.poll(now, self) as u64;
+        self.injector = Some(injector);
+        self.push_wifi(now);
+    }
 
-        // 1. Environment updates.
-        if let Some(m) = self.modulator.as_mut() {
-            if let Some(rate) = m.poll(now) {
-                self.wifi_channel.set_nominal_bps(rate);
-            }
-        }
-        if let Some(set) = self.interferers.as_mut() {
-            set.poll(now);
-            let k = set.active(now);
-            self.wifi_channel.set_active_contenders(k);
-        }
-        if let Some(mob) = self.mobility.as_ref() {
-            self.wifi_channel.set_nominal_bps(mob.wifi_goodput_bps(now));
-        }
+    /// Push the WiFi state into the path: the association (down during a
+    /// scenario outage or while a fault holds it down), the effective rate
+    /// (a fault's override wins over the channel model) and the loss
+    /// (unless a fault installed its own model). Returns the rate pushed.
+    fn push_wifi(&mut self, now: SimTime) -> u64 {
         let scenario_associated = match self.scenario.wifi {
             WifiEnvironment::StaticWithOutage {
                 outage_start,
@@ -853,12 +856,31 @@ impl Simulation {
             .unwrap_or_else(|| self.wifi_channel.effective_rate_bps());
         self.wifi_path.down_mut().set_rate_bps(now, eff);
         if self.fault_wifi_loss.is_none() {
-            // An injected loss model is installed once at fault time; the
-            // per-tick push would reset its burst state every 100 ms.
+            // An injected loss model is installed once at fault time; a
+            // push would reset its burst state.
             self.wifi_path
                 .down_mut()
                 .set_loss_prob(self.wifi_channel.loss_prob());
         }
+        eff
+    }
+
+    fn on_tick(&mut self, now: SimTime) {
+        // 1. Environment updates.
+        if let Some(m) = self.modulator.as_mut() {
+            if let Some(rate) = m.poll(now) {
+                self.wifi_channel.set_nominal_bps(rate);
+            }
+        }
+        if let Some(set) = self.interferers.as_mut() {
+            set.poll(now);
+            let k = set.active(now);
+            self.wifi_channel.set_active_contenders(k);
+        }
+        if let Some(mob) = self.mobility.as_ref() {
+            self.wifi_channel.set_nominal_bps(mob.wifi_goodput_bps(now));
+        }
+        let eff = self.push_wifi(now);
 
         // 2. RRC timers (tail/idle transitions).
         self.rrc.poll(now);
@@ -1068,6 +1090,7 @@ impl Simulation {
                     self.on_cell_ready(now);
                     self.drain_all(now);
                 }
+                Event::Faults => self.on_faults(now),
             }
         }
         self.finish()
@@ -1101,8 +1124,9 @@ impl Simulation {
                         + self.conns.iter().map(cut_by_scheduler).sum::<u64>(),
                 );
                 // Deliveries that overtook an earlier one on the same link
-                // (the timer lanes never hold two events, so every insert
-                // ahead of a lane's tail is one).
+                // (the timer lanes never hold two events and the fault lane
+                // is filled in order, so every insert ahead of a lane's
+                // tail is one).
                 m.counter_add("host.link.reordered", self.queue.inserted_ahead());
                 m.gauge_set("rrc.promotions_total", self.rrc.promotions() as f64);
                 for state in emptcp_phy::rrc::RrcState::ALL {
@@ -1193,104 +1217,72 @@ impl Simulation {
 
 /// How the fault injector mutates this host. WiFi faults ride the same
 /// machinery the scenario environments use (association state, effective
-/// rate pushed each tick); cellular faults mutate the cellular path links
-/// directly because nothing else touches them after construction.
+/// rate and loss, pushed by [`Simulation::push_wifi`] right after the
+/// injector's poll); cellular faults mutate the cellular path links
+/// directly because nothing else touches them after construction. The host
+/// has no explicit core hop: a `Core` fault is both access paths at once.
 ///
 /// `Rate(Some(0))` on either target is a *silent* blackhole — packets die
 /// in the link but no link-down notification reaches the stack, so only
 /// the consecutive-RTO failure detector can react. `IfaceDown` is the
 /// *notified* variant: the link layer tells every subflow immediately.
+/// Extra delay rides the downlink: one extra one-way delay is one extra
+/// RTT contribution, which is what an RRC reconfiguration or a congested
+/// AP queue looks like from the transport.
 impl FaultSurface for Simulation {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        match target {
-            FaultTarget::Wifi => {
-                // The association flip itself happens in `on_tick`, right
-                // after the injector poll, composed with the scenario's own
-                // outage windows.
-                self.fault_wifi_down = !up;
+    fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
+        let wifi = match target {
+            FaultTarget::Wifi => true,
+            FaultTarget::Cellular => false,
+            FaultTarget::Core => {
+                self.apply(now, FaultTarget::Wifi, action);
+                self.apply(now, FaultTarget::Cellular, action);
+                return;
             }
-            FaultTarget::Cellular => {
-                for i in 0..self.conns.len() {
-                    if let Some(id) = self.conns[i].cell_sf {
-                        self.conns[i].client.set_subflow_link_up(now, id, up);
-                        self.conns[i].server.set_subflow_link_up(now, id, up);
+        };
+        let (path, nominal_prop) = if wifi {
+            (&mut self.wifi_path, self.nominal_wifi_prop)
+        } else {
+            (&mut self.cell_path, self.nominal_cell_prop)
+        };
+        match action {
+            FaultAction::ExtraDelay(extra) => path
+                .down_mut()
+                .set_prop_delay(nominal_prop + extra.unwrap_or(SimDuration::ZERO)),
+            FaultAction::Loss(model) => {
+                let nominal = if wifi {
+                    self.wifi_channel.loss_prob()
+                } else {
+                    self.nominal_cell_loss
+                };
+                match model {
+                    Some(m) => path.down_mut().set_loss_model(m),
+                    None => path.down_mut().set_loss_prob(nominal),
+                }
+                if wifi {
+                    self.fault_wifi_loss = model;
+                }
+            }
+            FaultAction::Rate(rate) if wifi => self.fault_wifi_rate = rate,
+            FaultAction::Rate(rate) => {
+                let rate = rate.unwrap_or(self.nominal_cell_rates.0);
+                path.down_mut().set_rate_bps(now, rate);
+            }
+            FaultAction::IfaceDown | FaultAction::IfaceUp if wifi => {
+                self.fault_wifi_down = action == FaultAction::IfaceDown;
+            }
+            FaultAction::IfaceDown | FaultAction::IfaceUp => {
+                let up = action == FaultAction::IfaceUp;
+                for c in &mut self.conns {
+                    if let Some(id) = c.cell_sf {
+                        c.client.set_subflow_link_up(now, id, up);
+                        c.server.set_subflow_link_up(now, id, up);
                     }
                 }
-                let (down, up_rate) = if up { self.nominal_cell_rates } else { (0, 0) };
-                self.cell_path.down_mut().set_rate_bps(now, down);
-                self.cell_path.up_mut().set_rate_bps(now, up_rate);
+                let (down_rate, up_rate) = if up { self.nominal_cell_rates } else { (0, 0) };
+                path.down_mut().set_rate_bps(now, down_rate);
+                path.up_mut().set_rate_bps(now, up_rate);
             }
-            // This host has no explicit core hop: a congested core is both
-            // access paths failing at once.
-            FaultTarget::Core => {
-                self.set_iface_up(now, FaultTarget::Wifi, up);
-                self.set_iface_up(now, FaultTarget::Cellular, up);
-            }
-        }
-    }
-
-    fn set_rate(&mut self, now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        match target {
-            // Applied in this tick's channel push, which runs right after
-            // the injector poll.
-            FaultTarget::Wifi => self.fault_wifi_rate = rate_bps,
-            FaultTarget::Cellular => {
-                let rate = rate_bps.unwrap_or(self.nominal_cell_rates.0);
-                self.cell_path.down_mut().set_rate_bps(now, rate);
-            }
-            FaultTarget::Core => {
-                self.set_rate(now, FaultTarget::Wifi, rate_bps);
-                self.set_rate(now, FaultTarget::Cellular, rate_bps);
-            }
-        }
-    }
-
-    fn set_loss(&mut self, _now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-        match target {
-            FaultTarget::Wifi => {
-                self.fault_wifi_loss = model;
-                match model {
-                    Some(m) => self.wifi_path.down_mut().set_loss_model(m),
-                    None => self
-                        .wifi_path
-                        .down_mut()
-                        .set_loss_prob(self.wifi_channel.loss_prob()),
-                }
-            }
-            FaultTarget::Cellular => match model {
-                Some(m) => self.cell_path.down_mut().set_loss_model(m),
-                None => self
-                    .cell_path
-                    .down_mut()
-                    .set_loss_prob(self.nominal_cell_loss),
-            },
-            FaultTarget::Core => {
-                self.set_loss(_now, FaultTarget::Wifi, model);
-                self.set_loss(_now, FaultTarget::Cellular, model);
-            }
-        }
-    }
-
-    fn set_extra_delay(&mut self, _now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        // The spike rides the downlink: one extra one-way delay is one
-        // extra RTT contribution, which is what an RRC reconfiguration or
-        // a congested AP queue looks like from the transport.
-        if target == FaultTarget::Core {
-            self.set_extra_delay(_now, FaultTarget::Wifi, extra);
-            self.set_extra_delay(_now, FaultTarget::Cellular, extra);
-            return;
-        }
-        let extra = extra.unwrap_or(SimDuration::ZERO);
-        match target {
-            FaultTarget::Wifi => self
-                .wifi_path
-                .down_mut()
-                .set_prop_delay(self.nominal_wifi_prop + extra),
-            FaultTarget::Cellular => self
-                .cell_path
-                .down_mut()
-                .set_prop_delay(self.nominal_cell_prop + extra),
-            FaultTarget::Core => unreachable!(),
         }
     }
 }

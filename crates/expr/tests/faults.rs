@@ -10,6 +10,7 @@
 
 use emptcp_expr::chaos::{self, ChaosReport, Resilience};
 use emptcp_expr::host::Simulation;
+use emptcp_faults::plan;
 use emptcp_scenario::{corpus, Expect, Measure, Scenario, World};
 use emptcp_sim::SimTime;
 use emptcp_telemetry::{MemorySink, Telemetry};
@@ -67,14 +68,17 @@ fn the_library_is_six_mid_transfer_scripts_that_certify() {
         ]
     );
     for sc in &library {
-        let (name, plan) = (&sc.name, sc.fault_plan());
+        let (name, plan) = (&sc.name, &sc.faults[..]);
         let World::Host { scenario, .. } = &sc.world else {
             unreachable!("the library is host worlds");
         };
         // A 16 MiB download is still in flight through every fault window.
         assert_eq!(scenario.workload.owed_bytes(), Some(16 << 20), "{name}");
-        assert!(!plan.is_empty() && plan.restores_nominal(), "{name}");
-        assert!(plan.end_time() <= Some(SimTime::from_secs(30)), "{name}");
+        assert!(!plan.is_empty() && plan::restores_nominal(plan), "{name}");
+        assert!(
+            plan::end_time(plan) <= Some(SimTime::from_secs(30)),
+            "{name}"
+        );
         let report = chaos::run_scenario(sc, None).expect("a valid scenario runs");
         assert!(report.ok(), "{name}: {:?}", report.violations);
         assert!(report.resilience.is_some(), "{name}");
@@ -162,7 +166,7 @@ fn attach_faults_with_empty_plan_changes_nothing() {
     };
     let plain = Simulation::new(scenario.clone(), strategy.into(), 5).run();
     let mut sim = Simulation::new(scenario, strategy.into(), 5);
-    sim.attach_faults(emptcp_faults::FaultPlan::new());
+    sim.attach_faults(&[]);
     let armed = sim.run();
     assert_eq!(plain.download_time_s, armed.download_time_s);
     assert_eq!(plain.energy_j, armed.energy_j);

@@ -1,33 +1,29 @@
-//! The fault injector: replays a [`FaultPlan`] against any surface.
+//! The fault injector: replays a plan against any surface.
 //!
 //! The injector is deliberately dumb: it holds the pre-expanded,
 //! time-sorted event list and, on each [`FaultInjector::poll`], applies
 //! every event that has come due to the given [`FaultSurface`]. It draws no
 //! randomness and keeps no state beyond a cursor, so the fault timeline is
-//! identical across runs by construction. Hosts treat
-//! [`FaultInjector::next_deadline`] like any other timer source.
+//! identical across runs by construction. Every driver applies a fault at
+//! its own instant: hosts treat [`FaultInjector::next_deadline`] like any
+//! other timer source.
 
-use crate::plan::{FaultAction, FaultEvent, FaultPlan, FaultTarget};
-use emptcp_phy::LossModel;
-use emptcp_sim::{SimDuration, SimTime};
+use crate::plan::{self, FaultAction, FaultEvent, FaultTarget};
+use crate::spec::FaultSpec;
+use emptcp_sim::SimTime;
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 
 /// What a fault plan can mutate. Implemented by the experiment host (which
-/// owns real [`emptcp_phy::Link`]s and the WiFi association) and by the
-/// chaos-test rigs in [`crate::testnet`]. Restorative calls pass `None`,
-/// meaning "back to nominal" — the surface knows its own nominal values.
+/// owns real [`emptcp_phy::Link`]s and the WiFi association), the shard
+/// engine's core ports and the reactor's shaped paths. Restorative actions
+/// carry `None`, meaning "back to nominal" — the surface knows its own
+/// nominal values. [`FaultAction::IfaceDown`] comes *with* link-layer
+/// notification where the surface has stacks to tell (the stack learns at
+/// once, as it does for a real de-association); `Rate(Some(0))` is a
+/// silent blackhole, whose detection is the transport's problem.
 pub trait FaultSurface {
-    /// Bring the interface up or down, *with* link-layer notification (the
-    /// stack learns immediately, as it does for a real de-association).
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool);
-    /// Override the serialization rate, or restore nominal. `Some(0)` is a
-    /// silent blackhole: no link-layer notification, detection is the
-    /// transport's problem.
-    fn set_rate(&mut self, now: SimTime, target: FaultTarget, rate_bps: Option<u64>);
-    /// Override the channel loss model, or restore nominal.
-    fn set_loss(&mut self, now: SimTime, target: FaultTarget, model: Option<LossModel>);
-    /// Add one-way extra delay, or remove it.
-    fn set_extra_delay(&mut self, now: SimTime, target: FaultTarget, extra: Option<SimDuration>);
+    /// Apply `action` to `target` at `now`.
+    fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction);
 }
 
 /// Replays a plan's events in order as simulation time passes.
@@ -39,10 +35,10 @@ pub struct FaultInjector {
 }
 
 impl FaultInjector {
-    /// An injector for the given plan.
-    pub fn new(plan: FaultPlan) -> FaultInjector {
+    /// An injector for the plan `specs` write.
+    pub fn new(specs: &[FaultSpec]) -> FaultInjector {
         FaultInjector {
-            events: plan.into_events(),
+            events: plan::expand(specs),
             next: 0,
             scope: TelemetryScope::disabled(),
         }
@@ -73,84 +69,65 @@ impl FaultInjector {
             }
             self.next += 1;
             fired += 1;
-            self.apply(now, event, surface);
+            surface.apply(now, event.target, event.action);
+            self.scope.emit(now, |_| TraceEvent::FaultInjected {
+                target: event.target.label(),
+                action: event.action.describe(),
+            });
         }
         fired
-    }
-
-    fn apply(&mut self, now: SimTime, event: FaultEvent, surface: &mut dyn FaultSurface) {
-        match event.action {
-            FaultAction::IfaceDown => surface.set_iface_up(now, event.target, false),
-            FaultAction::IfaceUp => surface.set_iface_up(now, event.target, true),
-            FaultAction::Rate(bps) => surface.set_rate(now, event.target, bps),
-            FaultAction::Loss(model) => surface.set_loss(now, event.target, model),
-            FaultAction::ExtraDelay(extra) => surface.set_extra_delay(now, event.target, extra),
-        }
-        self.scope.emit(now, |_| TraceEvent::FaultInjected {
-            target: event.target.label(),
-            action: event.action.describe(),
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emptcp_sim::SimDuration;
 
     #[derive(Default)]
     struct RecordingSurface {
-        calls: Vec<(SimTime, String)>,
+        calls: Vec<(SimTime, FaultTarget, FaultAction)>,
     }
 
     impl FaultSurface for RecordingSurface {
-        fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-            self.calls
-                .push((now, format!("{}:up={}", target.label(), up)));
-        }
-        fn set_rate(&mut self, now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-            self.calls
-                .push((now, format!("{}:rate={:?}", target.label(), rate_bps)));
-        }
-        fn set_loss(&mut self, now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-            self.calls
-                .push((now, format!("{}:loss={}", target.label(), model.is_some())));
-        }
-        fn set_extra_delay(
-            &mut self,
-            now: SimTime,
-            target: FaultTarget,
-            extra: Option<SimDuration>,
-        ) {
-            self.calls
-                .push((now, format!("{}:delay={:?}", target.label(), extra)));
+        fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
+            self.calls.push((now, target, action));
         }
     }
 
     #[test]
     fn applies_due_events_in_order() {
-        let plan = FaultPlan::new()
-            .blackout(
-                FaultTarget::Wifi,
-                SimTime::from_secs(2),
-                SimDuration::from_secs(3),
-            )
-            .rtt_spike(
-                FaultTarget::Cellular,
-                SimTime::from_secs(1),
-                SimDuration::from_secs(10),
-                SimDuration::from_millis(200),
-            );
-        let mut inj = FaultInjector::new(plan);
+        let mut inj = FaultInjector::new(&[
+            FaultSpec::Blackout {
+                target: FaultTarget::Wifi,
+                from_ms: 2_000,
+                dur_ms: 3_000,
+            },
+            FaultSpec::RttSpike {
+                target: FaultTarget::Cellular,
+                from_ms: 1_000,
+                dur_ms: 10_000,
+                extra_ms: 200,
+            },
+        ]);
         let mut surface = RecordingSurface::default();
 
         assert_eq!(inj.next_deadline(), Some(SimTime::from_secs(1)));
         assert_eq!(inj.poll(SimTime::from_millis(500), &mut surface), 0);
-        // Polling at 2 s applies both the 1 s spike and the 2 s down.
-        assert_eq!(inj.poll(SimTime::from_secs(2), &mut surface), 2);
-        assert!(surface.calls[0].1.starts_with("cellular:delay"));
-        assert_eq!(surface.calls[1].1, "wifi:up=false");
+        // Polling at 2 s applies both the 1 s spike and the 2 s down, and
+        // both at the instant of the poll.
+        let at = SimTime::from_secs(2);
+        assert_eq!(inj.poll(at, &mut surface), 2);
+        let spike = FaultAction::ExtraDelay(Some(SimDuration::from_millis(200)));
+        assert_eq!(
+            surface.calls,
+            [
+                (at, FaultTarget::Cellular, spike),
+                (at, FaultTarget::Wifi, FaultAction::IfaceDown),
+            ]
+        );
         // Re-polling at the same instant is idempotent.
-        assert_eq!(inj.poll(SimTime::from_secs(2), &mut surface), 0);
+        assert_eq!(inj.poll(at, &mut surface), 0);
         assert!(!inj.finished());
         assert_eq!(inj.poll(SimTime::from_secs(60), &mut surface), 2);
         assert!(inj.finished());

@@ -5,18 +5,22 @@
 //! Robustness claims are only as good as the failures they were tested
 //! against. This crate makes failures *first-class and reproducible*:
 //!
-//! * [`plan`] — a [`FaultPlan`] scripts timestamped [`FaultEvent`]s from
-//!   composable primitives: interface blackouts, link-flap trains,
-//!   Gilbert–Elliott burst-loss windows, bandwidth collapses with staged
-//!   recovery, RTT spikes, WiFi→cellular handovers, and cellular RRC
-//!   stalls. Plans are pre-expanded pure data: no randomness survives past
-//!   build time.
+//! * [`spec`] — a [`FaultSpec`] is the one way a fault is written:
+//!   interface blackouts, link-flap trains, Gilbert–Elliott burst-loss
+//!   windows, bandwidth collapses with staged recovery, RTT spikes,
+//!   WiFi→cellular handovers, cellular RRC stalls and raw rate steps, with
+//!   millisecond timing. The `.scenario` corpus, the generator, the
+//!   shrinker and every Rust caller speak it.
+//! * [`plan`] — a plan is a `&[FaultSpec]`; [`plan::expand`] turns it into
+//!   time-sorted [`FaultEvent`]s (one [`FaultAction`] on one
+//!   [`FaultTarget`] at one instant), and the plan's end time and
+//!   recoverability are functions of the same list. No randomness
+//!   survives past the specs.
 //! * [`injector`] — a [`FaultInjector`] replays a plan against anything
-//!   implementing [`FaultSurface`] (the experiment host's real links, or
-//!   the test rigs here), emitting a telemetry event per applied fault.
-//! * [`spec`] — declarative [`FaultSpec`] primitives, the serializable
-//!   vocabulary the `.scenario` corpus files speak; a spec list expands to
-//!   the same pre-sorted event stream the plan builders produce.
+//!   implementing [`FaultSurface`]'s one call, `apply(now, target,
+//!   action)` (the experiment host's links, the shard engine's core
+//!   ports, the reactor's shaped paths), emitting a telemetry event per
+//!   applied fault. Every driver applies a fault at its own instant.
 //! * [`testnet`] — the chaos-test network shared by the TCP and MPTCP
 //!   suites and the live backend's shaped transports, with labelled RNG
 //!   stream-splitting so fault draws never perturb traffic draws.
@@ -31,6 +35,6 @@ pub mod spec;
 pub mod testnet;
 
 pub use injector::{FaultInjector, FaultSurface};
-pub use plan::{FaultAction, FaultEvent, FaultPlan, FaultTarget};
+pub use plan::{FaultAction, FaultEvent, FaultTarget};
 pub use spec::FaultSpec;
 pub use testnet::{ChaosNet, ChaosPath};

@@ -1,14 +1,16 @@
-//! Fault plans: a deterministic script of timestamped network faults.
+//! Fault plans: a list of [`FaultSpec`]s and the events it expands to.
 //!
-//! A [`FaultPlan`] is built once, up front, from composable primitives
-//! (blackouts, flap trains, burst-loss windows, bandwidth collapses, RTT
-//! spikes, handovers, RRC stalls) and then *pre-expanded* into a flat,
-//! time-sorted list of [`FaultEvent`]s. All randomness, if any, happens at
-//! build time in the caller's RNG stream; the plan itself — and therefore
-//! the injector driving it — is pure data. Same plan + same seed ⇒ the
-//! same faults at the same instants, byte for byte.
+//! A plan is written as `&[FaultSpec]` and nothing else. [`expand`] turns
+//! it into a flat, time-sorted list of [`FaultEvent`]s — one atomic
+//! [`FaultAction`] on one [`FaultTarget`] at one instant — which is what
+//! the [`FaultInjector`](crate::FaultInjector) replays. All randomness, if
+//! any, happens where the specs are drawn; a plan is pure data, so the
+//! same plan and the same seed give the same faults at the same instants,
+//! byte for byte. [`end_time`], [`restores_nominal`] and [`recovered_at`]
+//! answer what the runners and the scenario validator ask of a plan.
 
-use emptcp_phy::{GeParams, LossModel};
+use crate::spec::FaultSpec;
+use emptcp_phy::LossModel;
 use emptcp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -49,7 +51,7 @@ impl FaultTarget {
 /// One atomic state change applied to a target interface. Restorative
 /// variants carry `None`, meaning "back to the scenario's nominal value" —
 /// the surface, not the plan, knows what nominal is.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultAction {
     /// Take the interface down (de-association, radio loss).
     IfaceDown,
@@ -86,7 +88,7 @@ impl FaultAction {
 }
 
 /// A single scheduled fault.
-#[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Debug)]
 pub struct FaultEvent {
     /// When the fault fires.
     pub at: SimTime,
@@ -96,175 +98,43 @@ pub struct FaultEvent {
     pub action: FaultAction,
 }
 
-/// An ordered script of faults. Builder methods append pre-expanded event
-/// sequences; [`FaultPlan::into_events`] hands the injector a stable
-/// time-sort (ties keep insertion order, so "down then up at the same
-/// instant" behaves as written).
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-pub struct FaultPlan {
-    events: Vec<FaultEvent>,
+/// Every event `specs` expands to, in stable time order: ties keep the
+/// order the specs write them, so "down then up at the same instant"
+/// behaves as written.
+pub fn expand(specs: &[FaultSpec]) -> Vec<FaultEvent> {
+    let mut events = Vec::new();
+    for spec in specs {
+        spec.expand_into(&mut events);
+    }
+    events.sort_by_key(|e| e.at);
+    events
 }
 
-impl FaultPlan {
-    /// An empty plan (useful as a fault-free baseline).
-    pub fn new() -> FaultPlan {
-        FaultPlan::default()
-    }
+/// The instant of the plan's last event, if it has any.
+pub fn end_time(specs: &[FaultSpec]) -> Option<SimTime> {
+    expand(specs).last().map(|e| e.at)
+}
 
-    /// Append one raw event.
-    pub fn at(mut self, at: SimTime, target: FaultTarget, action: FaultAction) -> FaultPlan {
-        self.events.push(FaultEvent { at, target, action });
-        self
+/// Replay the plan against an abstract per-target state machine and
+/// report whether every perturbation is undone by the end: all
+/// interfaces back up, rates/loss/extra-delay back to nominal. A plan
+/// for which this holds is *recoverable* — once the last event fires
+/// the network is exactly what the scenario configured, so end-of-run
+/// oracles (exact delivery, no stuck subflows) are entitled to their
+/// assertions.
+pub fn restores_nominal(specs: &[FaultSpec]) -> bool {
+    let mut states = [TargetState::default(); 3];
+    for e in expand(specs) {
+        states[e.target as usize].apply(e.action);
     }
+    states.iter().all(|s| s.is_nominal())
+}
 
-    /// Total interface blackout: down at `from`, back up `dur` later.
-    pub fn blackout(self, target: FaultTarget, from: SimTime, dur: SimDuration) -> FaultPlan {
-        self.at(from, target, FaultAction::IfaceDown)
-            .at(from + dur, target, FaultAction::IfaceUp)
-    }
-
-    /// A train of `flaps` short blackouts: down for `down`, up for `up`,
-    /// repeated back to back starting at `from`.
-    pub fn flap_train(
-        mut self,
-        target: FaultTarget,
-        from: SimTime,
-        flaps: u32,
-        down: SimDuration,
-        up: SimDuration,
-    ) -> FaultPlan {
-        let mut t = from;
-        for _ in 0..flaps {
-            self = self.blackout(target, t, down);
-            t = t + down + up;
-        }
-        self
-    }
-
-    /// A Gilbert–Elliott burst-loss window: the channel turns bursty at
-    /// `from` and recovers to nominal `dur` later.
-    pub fn burst_loss(
-        self,
-        target: FaultTarget,
-        from: SimTime,
-        dur: SimDuration,
-        ge: GeParams,
-    ) -> FaultPlan {
-        self.at(
-            from,
-            target,
-            FaultAction::Loss(Some(LossModel::GilbertElliott(ge))),
-        )
-        .at(from + dur, target, FaultAction::Loss(None))
-    }
-
-    /// Bandwidth collapse with a staged recovery: the rate drops to
-    /// `collapsed_bps` at `from`, holds for `hold`, then climbs through
-    /// each rate in `recovery_ramp` (one step every `step`) before
-    /// restoring the nominal rate.
-    pub fn bandwidth_collapse(
-        mut self,
-        target: FaultTarget,
-        from: SimTime,
-        hold: SimDuration,
-        collapsed_bps: u64,
-        recovery_ramp: &[u64],
-        step: SimDuration,
-    ) -> FaultPlan {
-        self = self.at(from, target, FaultAction::Rate(Some(collapsed_bps)));
-        let mut t = from + hold;
-        for &bps in recovery_ramp {
-            self = self.at(t, target, FaultAction::Rate(Some(bps)));
-            t += step;
-        }
-        self.at(t, target, FaultAction::Rate(None))
-    }
-
-    /// An RTT spike: `extra` one-way delay from `from` for `dur`.
-    pub fn rtt_spike(
-        self,
-        target: FaultTarget,
-        from: SimTime,
-        dur: SimDuration,
-        extra: SimDuration,
-    ) -> FaultPlan {
-        self.at(from, target, FaultAction::ExtraDelay(Some(extra)))
-            .at(from + dur, target, FaultAction::ExtraDelay(None))
-    }
-
-    /// A WiFi→cellular handover: the WiFi association is lost for `gap`
-    /// (scan + re-association walk), during which traffic must survive on
-    /// cellular alone.
-    pub fn handover(self, at: SimTime, gap: SimDuration) -> FaultPlan {
-        self.blackout(FaultTarget::Wifi, at, gap)
-    }
-
-    /// A cellular RRC promotion stall: the radio sits in a signalling
-    /// limbo, adding `extra` one-way delay to everything for `dur`.
-    pub fn rrc_stall(self, at: SimTime, dur: SimDuration, extra: SimDuration) -> FaultPlan {
-        self.rtt_spike(FaultTarget::Cellular, at, dur, extra)
-    }
-
-    /// Number of scheduled events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no faults are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// The time of the last scheduled event, if any.
-    pub fn end_time(&self) -> Option<SimTime> {
-        self.events.iter().map(|e| e.at).max()
-    }
-
-    /// The scheduled events in insertion order (un-sorted).
-    pub fn events(&self) -> &[FaultEvent] {
-        &self.events
-    }
-
-    /// The events in stable time order (the injector's feed).
-    pub fn into_events(mut self) -> Vec<FaultEvent> {
-        self.events.sort_by_key(|e| e.at);
-        self.events
-    }
-
-    /// Replay the plan against an abstract per-target state machine and
-    /// report whether every perturbation is undone by the end: all
-    /// interfaces back up, rates/loss/extra-delay back to nominal. A plan
-    /// for which this holds is *recoverable* — once the last event fires
-    /// the network is exactly what the scenario configured, so end-of-run
-    /// oracles (exact delivery, no stuck subflows) are entitled to their
-    /// assertions.
-    pub fn restores_nominal(&self) -> bool {
-        self.final_states().iter().all(|s| s.is_nominal())
-    }
-
-    /// The earliest instant from which the network is nominal for the rest
-    /// of the plan (`None` for an empty plan; equals [`FaultPlan::end_time`]
-    /// when the last event is itself restorative).
-    pub fn recovered_at(&self) -> Option<SimTime> {
-        if !self.restores_nominal() {
-            return None;
-        }
-        self.end_time()
-    }
-
-    fn final_states(&self) -> [TargetState; 3] {
-        let events = self.clone().into_events();
-        let mut states = [TargetState::default(); 3];
-        for e in &events {
-            let idx = match e.target {
-                FaultTarget::Wifi => 0,
-                FaultTarget::Cellular => 1,
-                FaultTarget::Core => 2,
-            };
-            states[idx].apply(e.action);
-        }
-        states
-    }
+/// The earliest instant from which the network is nominal for the rest
+/// of the plan (`None` for an empty or unrecoverable plan; otherwise the
+/// plan's [`end_time`], since its last event is then restorative).
+pub fn recovered_at(specs: &[FaultSpec]) -> Option<SimTime> {
+    end_time(specs).filter(|_| restores_nominal(specs))
 }
 
 /// Folded end-state of one fault target after a plan replay.
@@ -298,13 +168,11 @@ mod tests {
 
     #[test]
     fn blackout_expands_to_down_then_up() {
-        let events = FaultPlan::new()
-            .blackout(
-                FaultTarget::Wifi,
-                SimTime::from_secs(5),
-                SimDuration::from_secs(3),
-            )
-            .into_events();
+        let events = expand(&[FaultSpec::Blackout {
+            target: FaultTarget::Wifi,
+            from_ms: 5_000,
+            dur_ms: 3_000,
+        }]);
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].at, SimTime::from_secs(5));
         assert_eq!(events[0].action, FaultAction::IfaceDown);
@@ -314,15 +182,13 @@ mod tests {
 
     #[test]
     fn flap_train_alternates() {
-        let events = FaultPlan::new()
-            .flap_train(
-                FaultTarget::Wifi,
-                SimTime::from_secs(1),
-                3,
-                SimDuration::from_millis(500),
-                SimDuration::from_millis(1500),
-            )
-            .into_events();
+        let events = expand(&[FaultSpec::FlapTrain {
+            target: FaultTarget::Wifi,
+            from_ms: 1_000,
+            flaps: 3,
+            down_ms: 500,
+            up_ms: 1_500,
+        }]);
         assert_eq!(events.len(), 6);
         // Third flap goes down at 1 s + 2 × 2 s = 5 s.
         assert_eq!(events[4].at, SimTime::from_secs(5));
@@ -332,40 +198,72 @@ mod tests {
 
     #[test]
     fn events_sort_stably_by_time() {
-        let t = SimTime::from_secs(2);
-        let events = FaultPlan::new()
-            .at(t, FaultTarget::Wifi, FaultAction::IfaceDown)
-            .at(
-                SimTime::from_secs(1),
-                FaultTarget::Cellular,
-                FaultAction::IfaceDown,
-            )
-            .at(t, FaultTarget::Wifi, FaultAction::IfaceUp)
-            .into_events();
+        let step = |at_ms, bps| FaultSpec::RateStep {
+            target: FaultTarget::Wifi,
+            at_ms,
+            bps,
+        };
+        let events = expand(&[
+            step(2_000, Some(1_000)),
+            FaultSpec::Blackout {
+                target: FaultTarget::Cellular,
+                from_ms: 1_000,
+                dur_ms: 500,
+            },
+            step(2_000, None),
+        ]);
         assert_eq!(events[0].target, FaultTarget::Cellular);
-        // Insertion order preserved at the tied timestamp.
-        assert_eq!(events[1].action, FaultAction::IfaceDown);
-        assert_eq!(events[2].action, FaultAction::IfaceUp);
+        assert_eq!(events[1].at, SimTime::from_millis(1_500));
+        // Spec order preserved at the tied timestamp.
+        assert_eq!(events[2].action, FaultAction::Rate(Some(1_000)));
+        assert_eq!(events[3].action, FaultAction::Rate(None));
     }
 
     #[test]
     fn bandwidth_collapse_ramps_back() {
-        let events = FaultPlan::new()
-            .bandwidth_collapse(
-                FaultTarget::Wifi,
-                SimTime::from_secs(10),
-                SimDuration::from_secs(5),
-                500_000,
-                &[2_000_000, 6_000_000],
-                SimDuration::from_secs(1),
-            )
-            .into_events();
+        let events = expand(&[FaultSpec::BandwidthCollapse {
+            target: FaultTarget::Wifi,
+            from_ms: 10_000,
+            hold_ms: 5_000,
+            collapsed_bps: 500_000,
+            ramp_bps: vec![2_000_000, 6_000_000],
+            step_ms: 1_000,
+        }]);
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].action, FaultAction::Rate(Some(500_000)));
         assert_eq!(events[1].at, SimTime::from_secs(15));
         assert_eq!(events[1].action, FaultAction::Rate(Some(2_000_000)));
         assert_eq!(events[3].at, SimTime::from_secs(17));
         assert_eq!(events[3].action, FaultAction::Rate(None));
+    }
+
+    #[test]
+    fn handover_and_rrc_stall_are_windows_on_their_own_paths() {
+        let events = expand(&[
+            FaultSpec::Handover {
+                at_ms: 5_000,
+                gap_ms: 8_000,
+            },
+            FaultSpec::RrcStall {
+                at_ms: 9_000,
+                dur_ms: 2_000,
+                extra_ms: 150,
+            },
+        ]);
+        let (wifi, cell) = (FaultTarget::Wifi, FaultTarget::Cellular);
+        let stall = FaultAction::ExtraDelay(Some(SimDuration::from_millis(150)));
+        let expected = [
+            (5_000, wifi, FaultAction::IfaceDown),
+            (9_000, cell, stall),
+            (11_000, cell, FaultAction::ExtraDelay(None)),
+            (13_000, wifi, FaultAction::IfaceUp),
+        ]
+        .map(|(ms, target, action)| FaultEvent {
+            at: SimTime::from_millis(ms),
+            target,
+            action,
+        });
+        assert_eq!(events, expected);
     }
 
     #[test]

@@ -1,15 +1,14 @@
-//! Declarative fault primitives — the serializable layer above [`FaultPlan`].
+//! Declarative fault primitives: the one way a fault is written.
 //!
 //! A [`FaultSpec`] names one failure *pattern* (a blackout, a flap train, a
-//! bandwidth collapse…) with millisecond-granularity timing, exactly the
-//! vocabulary the `.scenario` corpus files speak. Specs expand to the same
-//! pre-expanded [`FaultPlan`] event streams the builder methods produce, so
-//! everything downstream (the injector, the surfaces, the telemetry) is
-//! unchanged — but a chaos scenario can now be written, diffed, shrunk and
-//! replayed as plain JSON instead of Rust.
+//! bandwidth collapse…) with millisecond-granularity timing. It is the
+//! vocabulary the `.scenario` corpus files, the generator and the shrinker
+//! speak, and what Rust callers write too: a plan is a `&[FaultSpec]`, and
+//! [`FaultSpec::expand_into`] is the only place a primitive becomes the
+//! timestamped [`FaultEvent`]s the injector replays.
 
-use crate::plan::{FaultAction, FaultPlan, FaultTarget};
-use emptcp_phy::GeParams;
+use crate::plan::{FaultAction, FaultEvent, FaultTarget};
+use emptcp_phy::{GeParams, LossModel};
 use emptcp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -109,66 +108,100 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
-    /// Append this primitive's expanded events to a plan.
-    pub fn apply(&self, plan: FaultPlan) -> FaultPlan {
-        let t = SimTime::from_millis;
-        let d = SimDuration::from_millis;
-        match self {
+    /// Append this primitive's events to `out`, in the order it writes
+    /// them (a perturbation before the event that undoes it).
+    pub fn expand_into(&self, out: &mut Vec<FaultEvent>) {
+        use FaultAction::{ExtraDelay, IfaceDown, IfaceUp, Loss, Rate};
+        let (t, d) = (SimTime::from_millis, SimDuration::from_millis);
+        let target = self.target();
+        let mut push = |at, action| out.push(FaultEvent { at, target, action });
+        match *self {
             FaultSpec::Blackout {
-                target,
-                from_ms,
-                dur_ms,
-            } => plan.blackout(*target, t(*from_ms), d(*dur_ms)),
+                from_ms, dur_ms, ..
+            }
+            | FaultSpec::Handover {
+                at_ms: from_ms,
+                gap_ms: dur_ms,
+            } => {
+                push(t(from_ms), IfaceDown);
+                push(t(from_ms) + d(dur_ms), IfaceUp);
+            }
             FaultSpec::FlapTrain {
-                target,
                 from_ms,
                 flaps,
                 down_ms,
                 up_ms,
-            } => plan.flap_train(*target, t(*from_ms), *flaps, d(*down_ms), d(*up_ms)),
+                ..
+            } => {
+                let mut from = t(from_ms);
+                for _ in 0..flaps {
+                    push(from, IfaceDown);
+                    push(from + d(down_ms), IfaceUp);
+                    from = from + d(down_ms) + d(up_ms);
+                }
+            }
             FaultSpec::BurstLoss {
-                target,
                 from_ms,
                 dur_ms,
                 ge,
-            } => plan.burst_loss(*target, t(*from_ms), d(*dur_ms), *ge),
+                ..
+            } => {
+                push(t(from_ms), Loss(Some(LossModel::GilbertElliott(ge))));
+                push(t(from_ms) + d(dur_ms), Loss(None));
+            }
             FaultSpec::BandwidthCollapse {
-                target,
                 from_ms,
                 hold_ms,
                 collapsed_bps,
-                ramp_bps,
+                ref ramp_bps,
                 step_ms,
-            } => plan.bandwidth_collapse(
-                *target,
-                t(*from_ms),
-                d(*hold_ms),
-                *collapsed_bps,
-                ramp_bps,
-                d(*step_ms),
-            ),
+                ..
+            } => {
+                push(t(from_ms), Rate(Some(collapsed_bps)));
+                let mut at = t(from_ms) + d(hold_ms);
+                for &bps in ramp_bps {
+                    push(at, Rate(Some(bps)));
+                    at += d(step_ms);
+                }
+                push(at, Rate(None));
+            }
             FaultSpec::RttSpike {
-                target,
                 from_ms,
                 dur_ms,
                 extra_ms,
-            } => plan.rtt_spike(*target, t(*from_ms), d(*dur_ms), d(*extra_ms)),
-            FaultSpec::Handover { at_ms, gap_ms } => plan.handover(t(*at_ms), d(*gap_ms)),
-            FaultSpec::RrcStall {
-                at_ms,
+                ..
+            }
+            | FaultSpec::RrcStall {
+                at_ms: from_ms,
                 dur_ms,
                 extra_ms,
-            } => plan.rrc_stall(t(*at_ms), d(*dur_ms), d(*extra_ms)),
-            FaultSpec::RateStep { target, at_ms, bps } => {
-                plan.at(t(*at_ms), *target, FaultAction::Rate(*bps))
+            } => {
+                push(t(from_ms), ExtraDelay(Some(d(extra_ms))));
+                push(t(from_ms) + d(dur_ms), ExtraDelay(None));
             }
+            FaultSpec::RateStep { at_ms, bps, .. } => push(t(at_ms), Rate(bps)),
+        }
+    }
+
+    /// The interface this primitive hits: its `target`, or the access
+    /// path a handover (WiFi) or an RRC stall (cellular) implies.
+    pub fn target(&self) -> FaultTarget {
+        match *self {
+            FaultSpec::Blackout { target, .. }
+            | FaultSpec::FlapTrain { target, .. }
+            | FaultSpec::BurstLoss { target, .. }
+            | FaultSpec::BandwidthCollapse { target, .. }
+            | FaultSpec::RttSpike { target, .. }
+            | FaultSpec::RateStep { target, .. } => target,
+            FaultSpec::Handover { .. } => FaultTarget::Wifi,
+            FaultSpec::RrcStall { .. } => FaultTarget::Cellular,
         }
     }
 
     /// Structural sanity: windows have extent, trains actually flap.
     /// (Recoverability is a *plan*-level property — see
-    /// [`FaultPlan::restores_nominal`] — because raw rate steps only make
-    /// sense in combination.)
+    /// [`restores_nominal`](crate::plan::restores_nominal) — because raw
+    /// rate steps only make sense in combination.)
     pub fn is_well_formed(&self) -> bool {
         match self {
             FaultSpec::Blackout { dur_ms, .. } => *dur_ms > 0,
@@ -208,46 +241,10 @@ impl FaultSpec {
     }
 }
 
-/// Expand a list of primitives into one pre-sorted-on-demand [`FaultPlan`].
-pub fn expand(specs: &[FaultSpec]) -> FaultPlan {
-    specs
-        .iter()
-        .fold(FaultPlan::new(), |plan, spec| spec.apply(plan))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn primitives_expand_like_the_builders() {
-        let spec = vec![
-            FaultSpec::Blackout {
-                target: FaultTarget::Wifi,
-                from_ms: 5_000,
-                dur_ms: 8_000,
-            },
-            FaultSpec::RrcStall {
-                at_ms: 9_000,
-                dur_ms: 2_000,
-                extra_ms: 150,
-            },
-        ];
-        let by_spec = expand(&spec).into_events();
-        let by_builder = FaultPlan::new()
-            .blackout(
-                FaultTarget::Wifi,
-                SimTime::from_secs(5),
-                SimDuration::from_secs(8),
-            )
-            .rrc_stall(
-                SimTime::from_secs(9),
-                SimDuration::from_secs(2),
-                SimDuration::from_millis(150),
-            )
-            .into_events();
-        assert_eq!(by_spec, by_builder);
-    }
+    use crate::plan::{recovered_at, restores_nominal};
 
     #[test]
     fn self_restoring_primitives_restore() {
@@ -277,7 +274,7 @@ mod tests {
                 step_ms: 500,
             },
         ];
-        assert!(expand(&specs).restores_nominal());
+        assert!(restores_nominal(&specs));
     }
 
     #[test]
@@ -287,20 +284,19 @@ mod tests {
             at_ms: 3_000,
             bps: Some(2_000_000),
         }];
-        let plan = expand(&specs);
-        assert!(!plan.restores_nominal());
-        assert!(plan.recovered_at().is_none());
+        assert!(!restores_nominal(&specs));
+        assert!(recovered_at(&specs).is_none());
         // Closing the sequence with a restore step makes it recoverable.
-        let closed = expand(&[
+        let closed = [
             specs[0].clone(),
             FaultSpec::RateStep {
                 target: FaultTarget::Wifi,
                 at_ms: 6_000,
                 bps: None,
             },
-        ]);
-        assert!(closed.restores_nominal());
-        assert_eq!(closed.recovered_at(), Some(SimTime::from_secs(6)));
+        ];
+        assert!(restores_nominal(&closed));
+        assert_eq!(recovered_at(&closed), Some(SimTime::from_secs(6)));
     }
 
     #[test]

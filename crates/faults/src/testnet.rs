@@ -5,8 +5,8 @@
 //! segments plus per-path drop/dup/jitter draws, all of which happen in
 //! one place, [`ChaosPath::shape`]. It has no event loop of its own — the
 //! TCP suite pumps it by hand, and `emptcp-live`'s reactor drives it as a
-//! transport (its `MpChaosRig`), applying [`FaultPlan`](crate::FaultPlan)s
-//! through the path setters here.
+//! transport (its `MpChaosRig`), applying [`FaultSpec`](crate::FaultSpec)
+//! plans through the path setters here.
 //!
 //! Randomness discipline: the net's seed is split with
 //! [`SimRng::fork_labeled`] into independent streams (`"traffic"` for the

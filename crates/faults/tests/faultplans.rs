@@ -6,12 +6,12 @@
 //! with exactly the bytes the server wrote, and the online invariant
 //! observer must stay silent.
 
-use emptcp_faults::plan::FaultAction;
+use emptcp_faults::plan;
 use emptcp_faults::testnet::ChaosPath;
-use emptcp_faults::{FaultInjector, FaultPlan, FaultSurface, FaultTarget};
+use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
 use emptcp_live::MpChaosRig;
 use emptcp_mptcp::SubflowId;
-use emptcp_phy::{GeParams, IfaceKind, LossModel};
+use emptcp_phy::{GeParams, IfaceKind};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
 use emptcp_telemetry::Telemetry;
 use proptest::prelude::*;
@@ -26,9 +26,8 @@ fn two_paths() -> Vec<ChaosPath> {
 /// Draw a random-but-reproducible fault plan: 1–4 primitives with random
 /// targets and timings, every one of which eventually restores the nominal
 /// state (so a transfer can always finish after the storm passes).
-fn gen_plan(rng: &mut SimRng) -> FaultPlan {
-    let ms = SimDuration::from_millis;
-    let mut plan = FaultPlan::new();
+fn gen_plan(rng: &mut SimRng) -> Vec<FaultSpec> {
+    let mut plan = Vec::new();
     let n = 1 + rng.below(4);
     for _ in 0..n {
         let target = if rng.chance(0.5) {
@@ -36,43 +35,51 @@ fn gen_plan(rng: &mut SimRng) -> FaultPlan {
         } else {
             FaultTarget::Cellular
         };
-        let from = SimTime::from_millis(500 + rng.below(10_000));
-        plan = match rng.below(5) {
-            0 => plan.blackout(target, from, ms(200 + rng.below(4_000))),
-            1 => plan.flap_train(
+        let from_ms = 500 + rng.below(10_000);
+        match rng.below(5) {
+            0 => plan.push(FaultSpec::Blackout {
                 target,
-                from,
-                1 + rng.below(3) as u32,
-                ms(100 + rng.below(500)),
-                ms(300 + rng.below(1_500)),
-            ),
-            2 => plan.burst_loss(
+                from_ms,
+                dur_ms: 200 + rng.below(4_000),
+            }),
+            1 => plan.push(FaultSpec::FlapTrain {
                 target,
-                from,
-                ms(1_000 + rng.below(6_000)),
-                GeParams {
+                from_ms,
+                flaps: 1 + rng.below(3) as u32,
+                down_ms: 100 + rng.below(500),
+                up_ms: 300 + rng.below(1_500),
+            }),
+            2 => plan.push(FaultSpec::BurstLoss {
+                target,
+                from_ms,
+                dur_ms: 1_000 + rng.below(6_000),
+                ge: GeParams {
                     p_good_to_bad: 0.02 + 0.08 * rng.below(100) as f64 / 100.0,
                     p_bad_to_good: 0.2,
                     loss_good: 0.0,
                     loss_bad: 0.5 + 0.4 * rng.below(100) as f64 / 100.0,
                 },
-            ),
-            3 => plan.rtt_spike(
+            }),
+            3 => plan.push(FaultSpec::RttSpike {
                 target,
-                from,
-                ms(500 + rng.below(3_000)),
-                ms(50 + rng.below(200)),
-            ),
+                from_ms,
+                dur_ms: 500 + rng.below(3_000),
+                extra_ms: 50 + rng.below(200),
+            }),
             // A silent rate-zero blackhole: no link-layer notification, so
             // only RTO-based failure detection can see it.
-            _ => plan.at(from, target, FaultAction::Rate(Some(0))).at(
-                from + ms(200 + rng.below(2_500)),
-                target,
-                FaultAction::Rate(None),
-            ),
-        };
+            _ => {
+                let until_ms = from_ms + 200 + rng.below(2_500);
+                plan.push(rate_step(target, from_ms, Some(0)));
+                plan.push(rate_step(target, until_ms, None));
+            }
+        }
     }
     plan
+}
+
+fn rate_step(target: FaultTarget, at_ms: u64, bps: Option<u64>) -> FaultSpec {
+    FaultSpec::RateStep { target, at_ms, bps }
 }
 
 proptest! {
@@ -86,7 +93,7 @@ proptest! {
         let total = total_kb << 10;
         let mut rig = MpChaosRig::over(seed, two_paths());
         let mut fault_rng = rig.transport.fork("faults");
-        rig.attach_faults(gen_plan(&mut fault_rng));
+        rig.attach_faults(&gen_plan(&mut fault_rng));
         let telemetry = Telemetry::builder().invariants(true).build();
         rig.client().set_telemetry(telemetry.scope(0));
         rig.server().set_telemetry(telemetry.scope(1));
@@ -106,11 +113,11 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
     let mut rig = MpChaosRig::over(11, two_paths());
     rig.client().subflow_mut(SubflowId(1)).backup = true;
     rig.server().subflow_mut(SubflowId(1)).backup = true;
-    rig.attach_faults(FaultPlan::new().blackout(
-        FaultTarget::Wifi,
-        SimTime::from_millis(500),
-        SimDuration::from_secs(5),
-    ));
+    rig.attach_faults(&[FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms: 500,
+        dur_ms: 5_000,
+    }]);
     let total = 256 << 10;
     assert_eq!(rig.transfer(total), total);
     // The backup actually carried traffic during the blackout.
@@ -135,19 +142,10 @@ fn silent_blackhole_detected_by_rto_threshold() {
     let mut rig = MpChaosRig::over(17, two_paths());
     rig.notify_link_down = false;
     rig.server().set_failure_threshold(2);
-    rig.attach_faults(
-        FaultPlan::new()
-            .at(
-                SimTime::from_millis(500),
-                FaultTarget::Wifi,
-                FaultAction::Rate(Some(0)),
-            )
-            .at(
-                SimTime::from_secs(8),
-                FaultTarget::Wifi,
-                FaultAction::Rate(None),
-            ),
-    );
+    rig.attach_faults(&[
+        rate_step(FaultTarget::Wifi, 500, Some(0)),
+        rate_step(FaultTarget::Wifi, 8_000, None),
+    ]);
     let total = 512 << 10;
     assert_eq!(rig.transfer(total), total);
     let stats = rig.server().recovery_stats();
@@ -155,35 +153,32 @@ fn silent_blackhole_detected_by_rto_threshold() {
     assert!(stats.bytes_reinjected > 0, "{stats:?}");
 }
 
-/// Records every surface mutation so tests can compare the applied
-/// sequence against the plan's pre-expanded event feed.
+/// Records every surface call so tests can compare the applied sequence
+/// against the plan's pre-expanded event feed.
 #[derive(Default)]
 struct RecordingSurface {
-    applied: Vec<(SimTime, String)>,
+    applied: Vec<(SimTime, FaultTarget, FaultAction)>,
 }
 
 impl FaultSurface for RecordingSurface {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        self.applied
-            .push((now, format!("{}:up={up}", target.label())));
-    }
-    fn set_rate(&mut self, now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        self.applied
-            .push((now, format!("{}:rate={rate_bps:?}", target.label())));
-    }
-    fn set_loss(&mut self, now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-        self.applied
-            .push((now, format!("{}:loss={}", target.label(), model.is_some())));
-    }
-    fn set_extra_delay(&mut self, now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        self.applied
-            .push((now, format!("{}:delay={}", target.label(), extra.is_some())));
+    fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
+        self.applied.push((now, target, action));
     }
 }
 
-/// Drive an injector in fixed ticks and return the applied action labels.
-fn drain(plan: FaultPlan, tick: SimDuration, until: SimTime) -> Vec<String> {
-    let mut inj = FaultInjector::new(plan);
+/// What a plan hits, in expanded order.
+fn hits(specs: &[FaultSpec]) -> Vec<(FaultTarget, FaultAction)> {
+    let events = plan::expand(specs);
+    events.iter().map(|e| (e.target, e.action)).collect()
+}
+
+/// Drive an injector in fixed ticks and return what it applied.
+fn drain(
+    specs: &[FaultSpec],
+    tick: SimDuration,
+    until: SimTime,
+) -> Vec<(FaultTarget, FaultAction)> {
+    let mut inj = FaultInjector::new(specs);
     let mut surface = RecordingSurface::default();
     let mut now = SimTime::ZERO;
     while now <= until {
@@ -191,17 +186,11 @@ fn drain(plan: FaultPlan, tick: SimDuration, until: SimTime) -> Vec<String> {
         now += tick;
     }
     assert!(inj.finished(), "events left unapplied at {until:?}");
-    surface.applied.into_iter().map(|(_, s)| s).collect()
-}
-
-fn describe(event: &emptcp_faults::FaultEvent) -> String {
-    match event.action {
-        FaultAction::IfaceDown => format!("{}:up=false", event.target.label()),
-        FaultAction::IfaceUp => format!("{}:up=true", event.target.label()),
-        FaultAction::Rate(r) => format!("{}:rate={r:?}", event.target.label()),
-        FaultAction::Loss(l) => format!("{}:loss={}", event.target.label(), l.is_some()),
-        FaultAction::ExtraDelay(e) => format!("{}:delay={}", event.target.label(), e.is_some()),
-    }
+    surface
+        .applied
+        .into_iter()
+        .map(|(_, t, a)| (t, a))
+        .collect()
 }
 
 /// A blackout window *inside* a flap train on the same interface: the
@@ -212,32 +201,34 @@ fn describe(event: &emptcp_faults::FaultEvent) -> String {
 #[test]
 fn blackout_inside_flap_train_applies_in_cursor_order_and_recovers() {
     let ms = SimDuration::from_millis;
-    let plan = || {
-        FaultPlan::new()
-            .flap_train(
-                FaultTarget::Wifi,
-                SimTime::from_secs(1),
-                4,
-                ms(400),
-                ms(600),
-            )
-            .blackout(FaultTarget::Wifi, SimTime::from_millis(1_700), ms(1_500))
-    };
+    let plan = [
+        FaultSpec::FlapTrain {
+            target: FaultTarget::Wifi,
+            from_ms: 1_000,
+            flaps: 4,
+            down_ms: 400,
+            up_ms: 600,
+        },
+        FaultSpec::Blackout {
+            target: FaultTarget::Wifi,
+            from_ms: 1_700,
+            dur_ms: 1_500,
+        },
+    ];
 
     // The blackout's window (1.7 s – 3.2 s) straddles three flaps; the
     // expanded feed must be time-sorted and the injector must replay it
     // one-for-one, including polls where several events are due at once.
-    let expected: Vec<String> = plan().into_events().iter().map(describe).collect();
-    let times: Vec<SimTime> = plan().into_events().iter().map(|e| e.at).collect();
+    let times: Vec<SimTime> = plan::expand(&plan).iter().map(|e| e.at).collect();
     assert!(times.windows(2).all(|w| w[0] <= w[1]), "feed not sorted");
     // Coarse 500 ms polling forces multi-event drains.
-    assert_eq!(drain(plan(), ms(500), SimTime::from_secs(6)), expected);
+    assert_eq!(drain(&plan, ms(500), SimTime::from_secs(6)), hits(&plan));
 
     // Overlap still folds to nominal, so exact delivery is owed.
-    assert!(plan().restores_nominal());
-    assert_eq!(plan().recovered_at(), plan().end_time());
+    assert!(plan::restores_nominal(&plan));
+    assert_eq!(plan::recovered_at(&plan), plan::end_time(&plan));
     let mut rig = MpChaosRig::over(29, two_paths());
-    rig.attach_faults(plan());
+    rig.attach_faults(&plan);
     let total = 128 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -254,31 +245,33 @@ fn blackout_inside_flap_train_applies_in_cursor_order_and_recovers() {
 #[test]
 fn handover_during_rrc_stall_interleaves_targets_and_delivers() {
     let ms = SimDuration::from_millis;
-    let plan = || {
-        FaultPlan::new()
-            .rrc_stall(
-                SimTime::from_millis(200),
-                SimDuration::from_secs(3),
-                ms(150),
-            )
-            .handover(SimTime::from_millis(500), ms(800))
-    };
+    let plan = [
+        FaultSpec::RrcStall {
+            at_ms: 200,
+            dur_ms: 3_000,
+            extra_ms: 150,
+        },
+        FaultSpec::Handover {
+            at_ms: 500,
+            gap_ms: 800,
+        },
+    ];
 
-    let events = plan().into_events();
-    let applied: Vec<String> = events.iter().map(describe).collect();
+    let (wifi, cellular) = (FaultTarget::Wifi, FaultTarget::Cellular);
+    let applied = hits(&plan);
     assert_eq!(
         applied,
-        vec![
-            "cellular:delay=true",  // 0.2 s  stall begins
-            "wifi:up=false",        // 0.5 s  handover inside the stall
-            "wifi:up=true",         // 1.3 s  re-associated, stall ongoing
-            "cellular:delay=false", // 3.2 s  stall ends
+        [
+            (cellular, FaultAction::ExtraDelay(Some(ms(150)))), // 0.2 s  stall begins
+            (wifi, FaultAction::IfaceDown),                     // 0.5 s  handover inside the stall
+            (wifi, FaultAction::IfaceUp), // 1.3 s  re-associated, stall ongoing
+            (cellular, FaultAction::ExtraDelay(None)), // 3.2 s  stall ends
         ]
     );
-    assert_eq!(drain(plan(), ms(100), SimTime::from_secs(4)), applied);
+    assert_eq!(drain(&plan, ms(100), SimTime::from_secs(4)), applied);
 
     let mut rig = MpChaosRig::over(31, two_paths());
-    rig.attach_faults(plan());
+    rig.attach_faults(&plan);
     let total = 256 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -290,41 +283,43 @@ fn handover_during_rrc_stall_interleaves_targets_and_delivers() {
 }
 
 /// Adjacent windows sharing an exact boundary: the first blackout's
-/// restore and the second's down fire at the same instant. `into_events`
-/// is a *stable* sort, so insertion order breaks the tie — up before down
-/// — and the interface nets out down across the seam rather than
+/// restore and the second's down fire at the same instant. `plan::expand`
+/// is a *stable* sort, so spec order breaks the tie — up before down —
+/// and the interface nets out down across the seam rather than
 /// flickering the other way. The pair still restores nominal.
 #[test]
 fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
     let sec = SimTime::from_secs;
-    let plan = || {
-        FaultPlan::new()
-            .blackout(FaultTarget::Wifi, sec(1), SimDuration::from_secs(1))
-            .blackout(FaultTarget::Wifi, sec(2), SimDuration::from_secs(1))
+    let blackout = |from_ms| FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms,
+        dur_ms: 1_000,
     };
+    let plan = [blackout(1_000), blackout(2_000)];
 
-    let applied: Vec<String> = plan().into_events().iter().map(describe).collect();
+    let wifi = FaultTarget::Wifi;
+    let (down, up) = (FaultAction::IfaceDown, FaultAction::IfaceUp);
     assert_eq!(
-        applied,
-        vec![
-            "wifi:up=false", // 1 s
-            "wifi:up=true",  // 2 s — first window's restore wins the tie...
-            "wifi:up=false", // 2 s — ...then the second window re-downs
-            "wifi:up=true",  // 3 s
+        hits(&plan),
+        [
+            (wifi, down), // 1 s
+            (wifi, up),   // 2 s — first window's restore wins the tie...
+            (wifi, down), // 2 s — ...then the second window re-downs
+            (wifi, up),   // 3 s
         ]
     );
     // One poll at the seam drains both tied events in that stable order.
-    let mut inj = FaultInjector::new(plan());
+    let mut inj = FaultInjector::new(&plan);
     let mut surface = RecordingSurface::default();
     inj.poll(sec(1), &mut surface);
     assert_eq!(inj.next_deadline(), Some(sec(2)));
     assert_eq!(inj.poll(sec(2), &mut surface), 2, "seam must drain as one");
-    assert_eq!(surface.applied[1].1, "wifi:up=true");
-    assert_eq!(surface.applied[2].1, "wifi:up=false");
+    assert_eq!(surface.applied[1], (sec(2), wifi, up));
+    assert_eq!(surface.applied[2], (sec(2), wifi, down));
 
-    assert!(plan().restores_nominal());
+    assert!(plan::restores_nominal(&plan));
     let mut rig = MpChaosRig::over(37, two_paths());
-    rig.attach_faults(plan());
+    rig.attach_faults(&plan);
     let total = 96 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -340,7 +335,7 @@ fn fault_runs_are_deterministic() {
     let run = || {
         let mut rig = MpChaosRig::over(23, two_paths());
         let mut fault_rng = rig.transport.fork("faults");
-        rig.attach_faults(gen_plan(&mut fault_rng));
+        rig.attach_faults(&gen_plan(&mut fault_rng));
         let delivered = rig.transfer(128 << 10);
         (
             delivered,

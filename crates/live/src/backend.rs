@@ -15,7 +15,7 @@
 use crate::clock::ClockSource;
 use crate::reactor::{Reactor, ReactorStats};
 use crate::transport::{DuplexTransport, Transport};
-use emptcp_faults::{ChaosNet, ChaosPath, FaultPlan};
+use emptcp_faults::{ChaosNet, ChaosPath, FaultSpec};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{MemorySink, Telemetry, TraceEvent};
@@ -55,7 +55,7 @@ pub struct ParityScript {
     /// Bytes the server pushes to the client.
     pub total_bytes: u64,
     /// Fault windows replayed against the shaped paths as time passes.
-    pub faults: FaultPlan,
+    pub faults: Vec<FaultSpec>,
     /// Whether interface faults notify the stacks (link-layer visibility)
     /// or must be discovered through RTOs.
     pub notify_link_down: bool,
@@ -73,7 +73,7 @@ impl ParityScript {
                 ChaosPath::new(0.0, SimDuration::from_millis(35), 0),
             ],
             total_bytes,
-            faults: FaultPlan::new(),
+            faults: Vec::new(),
             notify_link_down: true,
             wall_limit: SimTime::from_secs(900),
         }
@@ -120,7 +120,7 @@ fn run_over<T: Transport>(transport: T, script: &ParityScript) -> ScriptOutcome 
     reactor.notify_link_down = script.notify_link_down;
     reactor.wall_limit = script.wall_limit;
     if !script.faults.is_empty() {
-        reactor.attach_faults(script.faults.clone());
+        reactor.attach_faults(&script.faults);
     }
     let delivered = reactor.transfer(script.total_bytes);
     let decisions = std::mem::take(&mut sink.lock().expect("sink poisoned").records);

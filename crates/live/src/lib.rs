@@ -21,8 +21,8 @@
 //!   chaos suites' rig too ([`MpChaosRig`]): there is one pair pump.
 //!
 //! All transports shape traffic with [`ChaosPath`]s — one loss / delay /
-//! blackhole vocabulary, one shaping function — so a
-//! [`FaultPlan`](emptcp_faults::FaultPlan) replays against a live
+//! blackhole vocabulary, one shaping function — so a fault plan (a list
+//! of [`FaultSpec`](emptcp_faults::FaultSpec)s) replays against a live
 //! transfer exactly as it replays against a simulated one.
 //!
 //! The headline property is **parity**: [`backend::run_script`] pushes an

@@ -43,9 +43,9 @@
 
 use crate::clock::{ClockSource, IdleBackoff, IdleStep};
 use crate::transport::Transport;
-use emptcp_faults::{FaultInjector, FaultPlan, FaultTarget};
+use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
-use emptcp_phy::{IfaceKind, LossModel};
+use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::TcpConfig;
 
@@ -99,8 +99,8 @@ pub struct Reactor<T: Transport> {
     pub clock: ClockSource,
     pub transport: T,
     pub workers: Vec<ConnWorker>,
-    /// Replays a [`FaultPlan`](emptcp_faults::FaultPlan) against the
-    /// transport's shaped paths as the clock passes each event.
+    /// Replays a fault plan against the transport's shaped paths as the
+    /// clock passes each event.
     pub injector: Option<FaultInjector>,
     /// Deliver link-layer up/down notifications to the stacks on
     /// interface faults (a real de-association is visible to the kernel);
@@ -164,8 +164,8 @@ impl<T: Transport> Reactor<T> {
     }
 
     /// Attach a fault plan to replay as the clock passes each event.
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
-        self.injector = Some(FaultInjector::new(plan));
+    pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
+        self.injector = Some(FaultInjector::new(faults));
     }
 
     /// Push `total` bytes from a [`Reactor::pair`]'s server to its client
@@ -328,36 +328,30 @@ impl<T: Transport> Reactor<T> {
 }
 
 impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        for idx in self.target_paths(target) {
-            self.transport.paths_mut()[idx].set_up(up);
-            if self.notify_link_down {
-                for w in &mut self.workers {
-                    w.conn.set_subflow_link_up(now, SubflowId(idx as u8), up);
-                }
-            }
-        }
-    }
-
-    fn set_rate(&mut self, _now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        // Shaped paths are delay-based (no serializer): only the
-        // rate-zero silent blackhole is meaningful.
-        for idx in self.target_paths(target) {
-            self.transport.paths_mut()[idx].set_rate_zero(rate_bps == Some(0));
-        }
-    }
-
-    fn set_loss(&mut self, _now: SimTime, target: FaultTarget, model: Option<LossModel>) {
+    fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
         for idx in self.target_paths(target) {
             let path = &mut self.transport.paths_mut()[idx];
-            let nominal = path.nominal_loss();
-            path.loss.set_model(model.unwrap_or(nominal));
-        }
-    }
-
-    fn set_extra_delay(&mut self, _now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        for idx in self.target_paths(target) {
-            self.transport.paths_mut()[idx].extra_delay = extra.unwrap_or(SimDuration::ZERO);
+            match action {
+                FaultAction::IfaceDown | FaultAction::IfaceUp => {
+                    let up = action == FaultAction::IfaceUp;
+                    path.set_up(up);
+                    if self.notify_link_down {
+                        for w in &mut self.workers {
+                            w.conn.set_subflow_link_up(now, SubflowId(idx as u8), up);
+                        }
+                    }
+                }
+                // Shaped paths are delay-based (no serializer): only the
+                // rate-zero silent blackhole is meaningful.
+                FaultAction::Rate(rate_bps) => path.set_rate_zero(rate_bps == Some(0)),
+                FaultAction::Loss(model) => {
+                    let nominal = path.nominal_loss();
+                    path.loss.set_model(model.unwrap_or(nominal));
+                }
+                FaultAction::ExtraDelay(extra) => {
+                    path.extra_delay = extra.unwrap_or(SimDuration::ZERO);
+                }
+            }
         }
     }
 }
@@ -459,7 +453,7 @@ mod tests {
     fn downed_path_passes_nothing() {
         let mut rig = MpChaosRig::over(3, two_paths());
         rig.notify_link_down = false;
-        rig.set_iface_up(SimTime::ZERO, FaultTarget::Cellular, false);
+        rig.apply(SimTime::ZERO, FaultTarget::Cellular, FaultAction::IfaceDown);
         assert_eq!(rig.transfer(64 << 10), 64 << 10);
         assert_eq!(rig.client().delivered_by_iface(IfaceKind::CellularLte), 0);
     }

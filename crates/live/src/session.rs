@@ -30,7 +30,7 @@
 use crate::clock::ClockSource;
 use crate::reactor::{ConnWorker, Reactor, ReactorStats};
 use crate::udp::UdpTransport;
-use emptcp_faults::{ChaosPath, FaultInjector, FaultPlan};
+use emptcp_faults::{ChaosPath, FaultSpec};
 use emptcp_mptcp::{MpConnection, Role};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
@@ -62,7 +62,7 @@ pub struct SessionConfig {
     /// Bytes the server pushes.
     pub size: u64,
     /// Fault windows applied to the shaped paths as wall time passes.
-    pub faults: FaultPlan,
+    pub faults: Vec<FaultSpec>,
     /// JSONL trace destination, follow-friendly (flushed every ~100 ms).
     pub trace: Option<PathBuf>,
     /// Give up after this much wall time.
@@ -84,7 +84,7 @@ impl SessionConfig {
             ],
             seed: 1,
             size,
-            faults: FaultPlan::new(),
+            faults: Vec::new(),
             trace: None,
             wall_limit: SimTime::from_secs(60),
             linger: SimDuration::from_millis(200),
@@ -259,7 +259,7 @@ impl Session {
         let mut reactor = Reactor::new(ClockSource::wall(), transport);
         reactor.wall_limit = cfg.wall_limit;
         if !cfg.faults.is_empty() {
-            reactor.injector = Some(FaultInjector::new(cfg.faults.clone()));
+            reactor.attach_faults(&cfg.faults);
         }
         reactor.register(ConnWorker::new(conn, 0));
         Ok(Session {

@@ -3,8 +3,9 @@
 //! A [`Transport`] carries wire frames (see [`crate::codec`]) between the
 //! reactor's endpoints over a set of shaped paths. The shaping state is
 //! [`ChaosPath`] — the simulator's own loss/delay/blackhole vocabulary —
-//! so a [`FaultPlan`](emptcp_faults::FaultPlan) applies to a live
-//! transfer through exactly the machinery it applies to a simulated one.
+//! so a fault plan (a list of [`FaultSpec`](emptcp_faults::FaultSpec)s)
+//! applies to a live transfer through exactly the machinery it applies to
+//! a simulated one.
 //!
 //! Two hermetic, in-process transports sit behind the trait. The
 //! simulator's [`ChaosNet`] carries segments by value. [`DuplexTransport`]

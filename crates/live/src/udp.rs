@@ -10,7 +10,7 @@
 //! base-delay holdback run against the same [`ChaosPath`] vocabulary the
 //! simulator uses, with delayed egress parked in an
 //! [`EventQueue`](emptcp_sim::EventQueue) until the wall clock passes the
-//! departure instant. A `FaultPlan` therefore shapes a live localhost
+//! departure instant. A fault plan therefore shapes a live localhost
 //! transfer through exactly the machinery that shapes a simulated one. A
 //! frame shaped to leave at once — every frame of an unshaped path — skips
 //! the queue: it is encoded into one reused buffer and handed to the

@@ -2,9 +2,9 @@
 //! in-process — connection setup, loss recovery, subflow failover — plus
 //! a property test that scripted runs are exactly reproducible.
 
-use emptcp_faults::{FaultPlan, FaultTarget};
+use emptcp_faults::{FaultSpec, FaultTarget};
 use emptcp_live::{run_script, Backend, ChaosPath, ParityScript};
-use emptcp_sim::{SimDuration, SimTime};
+use emptcp_sim::SimDuration;
 use proptest::prelude::*;
 
 #[test]
@@ -38,11 +38,12 @@ fn failover_survives_a_dead_wifi_path() {
     // WiFi dies early and never comes back: the remaining bytes must ride
     // cellular alone.
     let mut script = ParityScript::two_path(31, 96 * 1024);
-    script.faults = FaultPlan::new().at(
-        SimTime::from_millis(80),
-        FaultTarget::Wifi,
-        emptcp_faults::FaultAction::IfaceDown,
-    );
+    // A blackout that outlasts the run.
+    script.faults = vec![FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms: 80,
+        dur_ms: 900_000,
+    }];
     let out = run_script(Backend::Live, &script);
     assert_eq!(out.delivered, 96 * 1024, "transfer survived the failover");
     assert!(
@@ -103,11 +104,11 @@ fn an_rto_stall_leaves_holes_not_segments_in_the_reorder_queue() {
     // instant falls between a cellular ACK burst leaving the client and
     // the data it clocks out of the server, so a full window is lost.
     reactor.notify_link_down = false;
-    reactor.attach_faults(FaultPlan::new().at(
-        SimTime::from_millis(113),
-        FaultTarget::Cellular,
-        emptcp_faults::FaultAction::Rate(Some(0)),
-    ));
+    reactor.attach_faults(&[FaultSpec::RateStep {
+        target: FaultTarget::Cellular,
+        at_ms: 113,
+        bps: Some(0),
+    }]);
     reactor.server().write(TOTAL);
     reactor.run_until(|w| w[1].conn.subflows()[1].tcp.timeouts() > 0);
 

@@ -7,9 +7,9 @@
 //! context, which in practice names the exact protocol decision that
 //! went differently over one transport.
 
-use emptcp_faults::{FaultAction, FaultPlan, FaultTarget};
+use emptcp_faults::{FaultSpec, FaultTarget};
 use emptcp_live::{certify, run_script, Backend, ChaosPath, ParityScript};
-use emptcp_sim::{SimDuration, SimTime};
+use emptcp_sim::SimDuration;
 
 fn assert_parity(script: &ParityScript) -> emptcp_live::ParityReport {
     match certify(script) {
@@ -51,22 +51,20 @@ fn faulted_run_matches_event_for_event() {
     // exercises the reactor's fault surface over both transports,
     // including link-down notification and silent rate-zero drops.
     let mut script = ParityScript::two_path(1234, 384 * 1024);
-    script.faults = FaultPlan::new()
-        .blackout(
-            FaultTarget::Wifi,
-            SimTime::from_millis(150),
-            SimDuration::from_millis(400),
-        )
-        .at(
-            SimTime::from_millis(900),
-            FaultTarget::Cellular,
-            FaultAction::Rate(Some(0)),
-        )
-        .at(
-            SimTime::from_millis(1100),
-            FaultTarget::Cellular,
-            FaultAction::Rate(None),
-        );
+    let cell_rate = |at_ms, bps| FaultSpec::RateStep {
+        target: FaultTarget::Cellular,
+        at_ms,
+        bps,
+    };
+    script.faults = vec![
+        FaultSpec::Blackout {
+            target: FaultTarget::Wifi,
+            from_ms: 150,
+            dur_ms: 400,
+        },
+        cell_rate(900, Some(0)),
+        cell_rate(1_100, None),
+    ];
     let report = assert_parity(&script);
     assert_eq!(report.delivered, 384 * 1024);
 }
@@ -77,11 +75,11 @@ fn unnotified_blackout_matches_via_rto_discovery() {
     // path the hard way (RTO backoff) on exactly the same schedule.
     let mut script = ParityScript::two_path(99, 128 * 1024);
     script.notify_link_down = false;
-    script.faults = FaultPlan::new().blackout(
-        FaultTarget::Wifi,
-        SimTime::from_millis(100),
-        SimDuration::from_millis(600),
-    );
+    script.faults = vec![FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms: 100,
+        dur_ms: 600,
+    }];
     let report = assert_parity(&script);
     assert_eq!(report.delivered, 128 * 1024);
 }

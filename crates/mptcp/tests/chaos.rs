@@ -4,7 +4,7 @@
 //! `emptcp_live::MpChaosRig`: the reactor over a `ChaosNet`.
 
 use emptcp_faults::testnet::ChaosPath;
-use emptcp_faults::{FaultAction, FaultPlan, FaultTarget};
+use emptcp_faults::{FaultSpec, FaultTarget};
 use emptcp_live::{MpChaosRig, Transport};
 use emptcp_mptcp::SubflowId;
 use emptcp_phy::IfaceKind;
@@ -86,9 +86,9 @@ fn congested_core_scenario_recovers_with_stats() {
     r.notify_link_down = false;
     r.server().set_failure_threshold(2);
     r.attach_faults(
-        corpus::load("congested_core")
+        &corpus::load("congested_core")
             .expect("library scenario")
-            .fault_plan(),
+            .faults,
     );
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
@@ -121,7 +121,11 @@ fn a_silent_blackhole_is_reinjected_at_the_last_ack_plus_the_threshold() {
     );
     r.notify_link_down = false;
     let blackhole = SimTime::from_millis(600);
-    r.attach_faults(FaultPlan::new().at(blackhole, FaultTarget::Wifi, FaultAction::Rate(Some(0))));
+    r.attach_faults(&[FaultSpec::RateStep {
+        target: FaultTarget::Wifi,
+        at_ms: 600,
+        bps: Some(0),
+    }]);
 
     let (mut una, mut last_ack, mut next_write) = (0, SimTime::ZERO, SimTime::ZERO);
     let mut stall_reinjections = Vec::new();

@@ -58,11 +58,10 @@
 use crate::fleet::{FleetConfig, FleetConfigError, FleetReport, CLIENT_REQUEST_BYTES};
 use crate::port::{NodeId, Port, PortOutcome};
 use crate::reduce;
-use emptcp_faults::injector::{FaultInjector, FaultSurface};
-use emptcp_faults::{FaultPlan, FaultTarget};
+use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::modulation::OnOff;
-use emptcp_phy::{IfaceKind, LinkConfig, LossModel};
+use emptcp_phy::{IfaceKind, LinkConfig};
 use emptcp_sim::{EpochClock, EventQueue, SimDuration, SimRng, SimTime, TimerId};
 use emptcp_tcp::{CcAlgorithm, Segment, TcpConfig};
 use emptcp_telemetry::{shard_metric, Telemetry, TelemetryScope, TraceEvent, TraceSink};
@@ -634,7 +633,8 @@ impl ClientShard {
 
 /// The three core-owned ports. Implements the fault surface:
 /// `FaultTarget::Core` is designated onto the shared bottleneck; the
-/// access-path targets have no designated ports here.
+/// access-path targets have no designated ports here, and a fleet
+/// scenario that names one fails validation before it can run.
 struct CorePorts {
     bottleneck: Port,
     reverse: Port,
@@ -642,24 +642,17 @@ struct CorePorts {
 }
 
 impl FaultSurface for CorePorts {
-    fn set_iface_up(&mut self, now: SimTime, target: FaultTarget, up: bool) {
-        if target == FaultTarget::Core {
-            self.bottleneck.set_admin_up(now, up);
+    fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
+        if target != FaultTarget::Core {
+            return;
         }
-    }
-    fn set_rate(&mut self, now: SimTime, target: FaultTarget, rate_bps: Option<u64>) {
-        if target == FaultTarget::Core {
-            self.bottleneck.set_rate(now, rate_bps);
-        }
-    }
-    fn set_loss(&mut self, _now: SimTime, target: FaultTarget, model: Option<LossModel>) {
-        if target == FaultTarget::Core {
-            self.bottleneck.set_loss(model);
-        }
-    }
-    fn set_extra_delay(&mut self, _now: SimTime, target: FaultTarget, extra: Option<SimDuration>) {
-        if target == FaultTarget::Core {
-            self.bottleneck.set_extra_delay(extra);
+        let port = &mut self.bottleneck;
+        match action {
+            FaultAction::IfaceDown => port.set_admin_up(now, false),
+            FaultAction::IfaceUp => port.set_admin_up(now, true),
+            FaultAction::Rate(rate_bps) => port.set_rate(now, rate_bps),
+            FaultAction::Loss(model) => port.set_loss(model),
+            FaultAction::ExtraDelay(extra) => port.set_extra_delay(extra),
         }
     }
 }
@@ -1011,10 +1004,12 @@ impl ShardedFleetSim {
         })
     }
 
-    /// Attach a fault plan; `FaultTarget::Core` hits the bottleneck port.
-    pub fn attach_faults(&mut self, plan: FaultPlan) {
+    /// Attach a fault plan; `FaultTarget::Core` hits the bottleneck port,
+    /// and nothing else has a port here (`Scenario::validate` rejects a
+    /// fleet plan that names an access path).
+    pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
         let mut core = self.core.lock().expect("core shard poisoned");
-        let mut injector = FaultInjector::new(plan);
+        let mut injector = FaultInjector::new(faults);
         injector.set_telemetry(core.telemetry.scope(u32::MAX));
         core.injector = Some(injector);
     }
@@ -1369,17 +1364,17 @@ mod tests {
     fn faults_cross_epoch_barriers() {
         let mut cfg = small(4, 5);
         cfg.duration = SimDuration::from_secs(6);
-        let plan = FaultPlan::new().bandwidth_collapse(
-            FaultTarget::Core,
-            SimTime::from_secs(1),
-            SimDuration::from_secs(2),
-            0,
-            &[5_000_000],
-            SimDuration::from_secs(1),
-        );
+        let plan = [FaultSpec::BandwidthCollapse {
+            target: FaultTarget::Core,
+            from_ms: 1_000,
+            hold_ms: 2_000,
+            collapsed_bps: 0,
+            ramp_bps: vec![5_000_000],
+            step_ms: 1_000,
+        }];
         let run = |shards: usize| {
             let mut sim = ShardedFleetSim::new(cfg.clone(), shards);
-            sim.attach_faults(plan.clone());
+            sim.attach_faults(&plan);
             sim.run()
         };
         let reference = run(1);

@@ -14,8 +14,10 @@
 //!   whose effects cross shard boundaries;
 //! * the same properties over arbitrary valid configs (proptest).
 
-use emptcp_faults::{FaultPlan, FaultTarget};
-use emptcp_net::{FleetConfig, FleetReport, SerialExecutor, ShardExecutor, ShardedFleetSim};
+use emptcp_faults::{plan, FaultSpec, FaultTarget};
+use emptcp_net::{
+    lookahead, FleetConfig, FleetReport, SerialExecutor, ShardExecutor, ShardedFleetSim,
+};
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_telemetry::{Telemetry, TraceEvent, TraceSink};
 use proptest::prelude::*;
@@ -54,7 +56,7 @@ struct RunOutput {
 fn run(
     cfg: &FleetConfig,
     shards: usize,
-    plan: Option<&FaultPlan>,
+    faults: &[FaultSpec],
     exec: &dyn ShardExecutor,
 ) -> RunOutput {
     let tap = Arc::new(Mutex::new(Capture::default()));
@@ -63,9 +65,7 @@ fn run(
         .invariants(true)
         .build();
     let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), shards, telemetry.clone());
-    if let Some(plan) = plan {
-        sim.attach_faults(plan.clone());
-    }
+    sim.attach_faults(faults);
     let report: FleetReport = sim.run_with(exec);
     assert_eq!(telemetry.violations(), [], "online invariant violated");
     let trace = std::mem::take(&mut tap.lock().expect("tap").0);
@@ -84,38 +84,53 @@ fn base_config(clients: usize, seed: u64) -> FleetConfig {
     cfg
 }
 
-fn boundary_crossing_plan() -> FaultPlan {
+/// A base config whose lookahead epoch (0.9 ms: one access link sped
+/// up) does not divide a whole millisecond, so a fault plan's instants
+/// can land mid-epoch.
+fn fault_config(clients: usize, seed: u64) -> FleetConfig {
+    let mut cfg = base_config(clients, seed);
+    cfg.access_a.prop_delay = SimDuration::from_micros(900);
+    cfg
+}
+
+fn boundary_crossing_plan(cfg: &FleetConfig) -> Vec<FaultSpec> {
     // Rate collapse with a staged recovery plus an RTT spike, all landing
-    // at times that are not multiples of the 1 ms contended-preset
-    // lookahead epoch, so applications happen mid-epoch and their
-    // consequences propagate across shard boundaries.
-    FaultPlan::new()
-        .bandwidth_collapse(
-            FaultTarget::Core,
-            SimTime::from_nanos(300_500_000),
-            SimDuration::from_millis(400),
-            2_000_000,
-            &[8_000_000],
-            SimDuration::from_millis(250),
-        )
-        .rtt_spike(
-            FaultTarget::Core,
-            SimTime::from_nanos(1_200_700_000),
-            SimDuration::from_millis(300),
-            SimDuration::from_millis(20),
-        )
+    // at times that are not multiples of the lookahead epoch, so
+    // applications happen mid-epoch and their consequences propagate
+    // across shard boundaries.
+    let plan = vec![
+        FaultSpec::BandwidthCollapse {
+            target: FaultTarget::Core,
+            from_ms: 301,
+            hold_ms: 400,
+            collapsed_bps: 2_000_000,
+            ramp_bps: vec![8_000_000],
+            step_ms: 250,
+        },
+        FaultSpec::RttSpike {
+            target: FaultTarget::Core,
+            from_ms: 1_201,
+            dur_ms: 300,
+            extra_ms: 20,
+        },
+    ];
+    let epoch = lookahead(cfg).as_nanos();
+    for e in plan::expand(&plan) {
+        assert_ne!(e.at.as_nanos() % epoch, 0, "{:?} opens an epoch", e.at);
+    }
+    plan
 }
 
 #[test]
 fn reports_and_traces_are_byte_identical_across_shard_counts() {
     let cfg = base_config(9, 0xD1FF);
-    let reference = run(&cfg, 1, None, &SerialExecutor);
+    let reference = run(&cfg, 1, &[], &SerialExecutor);
     assert!(
         !reference.trace.is_empty(),
         "reference run produced no trace"
     );
     for shards in [2, 4, 8] {
-        let got = run(&cfg, shards, None, &SerialExecutor);
+        let got = run(&cfg, shards, &[], &SerialExecutor);
         assert_eq!(
             got.report_json, reference.report_json,
             "report diverged at {shards} shards"
@@ -133,15 +148,15 @@ fn reports_and_traces_are_byte_identical_across_shard_counts() {
 
 #[test]
 fn fault_plans_crossing_shard_boundaries_stay_identical() {
-    let cfg = base_config(8, 0xFA17);
-    let plan = boundary_crossing_plan();
-    let reference = run(&cfg, 1, Some(&plan), &SerialExecutor);
+    let cfg = fault_config(8, 0xFA17);
+    let plan = boundary_crossing_plan(&cfg);
+    let reference = run(&cfg, 1, &plan, &SerialExecutor);
     let report: serde_json::Value =
         serde_json::from_str(&reference.report_json).expect("report parses");
     let faults = report["faults_injected"].as_f64().expect("faults field");
     assert!(faults >= 2.0, "plan only applied {faults} actions");
     for shards in [2, 4, 8] {
-        let got = run(&cfg, shards, Some(&plan), &SerialExecutor);
+        let got = run(&cfg, shards, &plan, &SerialExecutor);
         assert_eq!(
             got.report_json, reference.report_json,
             "faulted report diverged at {shards} shards"
@@ -155,11 +170,11 @@ fn fault_plans_crossing_shard_boundaries_stay_identical() {
 
 #[test]
 fn thread_executor_matches_serial_executor() {
-    let cfg = base_config(8, 0x10B5);
-    let plan = boundary_crossing_plan();
+    let cfg = fault_config(8, 0x10B5);
+    let plan = boundary_crossing_plan(&cfg);
     for shards in [1, 4, 8] {
-        let serial = run(&cfg, shards, Some(&plan), &SerialExecutor);
-        let threaded = run(&cfg, shards, Some(&plan), &ThreadExecutor);
+        let serial = run(&cfg, shards, &plan, &SerialExecutor);
+        let threaded = run(&cfg, shards, &plan, &ThreadExecutor);
         assert_eq!(
             threaded.report_json, serial.report_json,
             "threaded report diverged at {shards} shards"
@@ -197,19 +212,20 @@ proptest! {
         cfg.bottleneck.prop_delay = SimDuration::from_micros(bottleneck_prop_us);
         cfg.access_a.prop_delay = SimDuration::from_micros(access_prop_us);
         cfg.access_b.prop_delay = SimDuration::from_micros(access_prop_us * 3);
-        let plan = (with_faults == 1).then(|| {
-            FaultPlan::new().bandwidth_collapse(
-                FaultTarget::Core,
-                SimTime::from_millis(duration_ms / 4),
-                SimDuration::from_millis(duration_ms / 4),
-                1_000_000,
-                &[],
-                SimDuration::from_millis(10),
-            )
-        });
-        let reference = run(&cfg, 1, plan.as_ref(), &SerialExecutor);
+        let plan: Vec<FaultSpec> = (with_faults == 1)
+            .then(|| FaultSpec::BandwidthCollapse {
+                target: FaultTarget::Core,
+                from_ms: duration_ms / 4,
+                hold_ms: duration_ms / 4,
+                collapsed_bps: 1_000_000,
+                ramp_bps: Vec::new(),
+                step_ms: 10,
+            })
+            .into_iter()
+            .collect();
+        let reference = run(&cfg, 1, &plan, &SerialExecutor);
         for shards in [2usize, 4, 8] {
-            let got = run(&cfg, shards, plan.as_ref(), &SerialExecutor);
+            let got = run(&cfg, shards, &plan, &SerialExecutor);
             prop_assert_eq!(
                 &got.report_json, &reference.report_json,
                 "report diverged at {} shards", shards

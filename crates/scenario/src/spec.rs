@@ -1,8 +1,7 @@
 //! The [`Scenario`] type: one serializable description of an experiment.
 
 use crate::host::HostScenario;
-use emptcp_faults::spec::{expand, FaultSpec};
-use emptcp_faults::FaultPlan;
+use emptcp_faults::{plan, FaultSpec, FaultTarget};
 use emptcp_net::fleet::{FleetConfig, FleetConfigError};
 use emptcp_sim::SimTime;
 use serde::{Deserialize, Serialize};
@@ -23,7 +22,8 @@ pub struct Scenario {
     pub seed: u64,
     /// The world the scenario runs in.
     pub world: World,
-    /// Declarative fault script, expanded to a [`FaultPlan`] at run time.
+    /// Declarative fault script, expanded to timestamped events at run
+    /// time ([`emptcp_faults::plan::expand`]).
     pub faults: Vec<FaultSpec>,
 }
 
@@ -139,11 +139,6 @@ impl Measure {
 }
 
 impl Scenario {
-    /// Expand the declarative fault script into the injector's plan.
-    pub fn fault_plan(&self) -> FaultPlan {
-        expand(&self.faults)
-    }
-
     /// Check every validity rule; a scenario that validates is safe to
     /// hand to the runners and entitled to the end-of-run oracles.
     pub fn validate(&self) -> Result<(), ScenarioError> {
@@ -172,17 +167,17 @@ impl Scenario {
             if !fault.is_well_formed() {
                 return Err(ScenarioError::MalformedFault(fault.label()));
             }
-        }
-        let plan = self.fault_plan();
-        if !plan.is_empty() {
-            if !plan.restores_nominal() {
-                return Err(ScenarioError::UnrecoverableFaults);
+            if matches!(self.world, World::Fleet(_)) && fault.target() != FaultTarget::Core {
+                return Err(ScenarioError::FleetFaultOffCore(fault.label()));
             }
-            if let World::Fleet(cfg) = &self.world {
-                let horizon = SimTime::ZERO + cfg.duration;
-                if plan.end_time().is_some_and(|t| t >= horizon) {
-                    return Err(ScenarioError::FaultsPastHorizon);
-                }
+        }
+        if !plan::restores_nominal(&self.faults) {
+            return Err(ScenarioError::UnrecoverableFaults);
+        }
+        if let World::Fleet(cfg) = &self.world {
+            let horizon = SimTime::ZERO + cfg.duration;
+            if plan::end_time(&self.faults).is_some_and(|t| t >= horizon) {
+                return Err(ScenarioError::FaultsPastHorizon);
             }
         }
         Ok(())
@@ -250,6 +245,10 @@ pub enum ScenarioError {
     Fleet(FleetConfigError),
     /// A fault primitive is structurally degenerate (payload is its label).
     MalformedFault(&'static str),
+    /// A fleet-world fault hits an access path — a `Wifi` or `Cellular`
+    /// target, or a handover or RRC stall — where the fleet has only the
+    /// core bottleneck to apply it to (payload is its label).
+    FleetFaultOffCore(&'static str),
     /// The fault script leaves the network perturbed at the end — the
     /// recovery oracles would be vacuous, so the scenario is rejected.
     UnrecoverableFaults,
@@ -300,6 +299,10 @@ impl fmt::Display for ScenarioError {
             ScenarioError::MalformedFault(label) => {
                 write!(f, "fault primitive `{label}` is degenerate (zero extent)")
             }
+            ScenarioError::FleetFaultOffCore(label) => write!(
+                f,
+                "fault primitive `{label}` targets an access path; a fleet world applies faults to `Core` only"
+            ),
             ScenarioError::UnrecoverableFaults => {
                 write!(f, "fault script never restores the network to nominal")
             }
@@ -464,6 +467,41 @@ mod tests {
             extra_ms: 50,
         }];
         assert_eq!(s.validate(), Err(ScenarioError::FaultsPastHorizon));
+    }
+
+    /// A fleet has only the core bottleneck to hit: a fault on an access
+    /// path, named or implied, is refused with the primitive's label.
+    #[test]
+    fn fleet_fault_off_core_is_rejected() {
+        let mut s = host_scenario();
+        s.world = World::Fleet(FleetConfig::contended(2, 1));
+        let spike = |target| FaultSpec::RttSpike {
+            target,
+            from_ms: 1_000,
+            dur_ms: 500,
+            extra_ms: 50,
+        };
+        let handover = FaultSpec::Handover {
+            at_ms: 1_000,
+            gap_ms: 500,
+        };
+        let stall = FaultSpec::RrcStall {
+            at_ms: 1_000,
+            dur_ms: 500,
+            extra_ms: 50,
+        };
+        for fault in [
+            spike(FaultTarget::Wifi),
+            spike(FaultTarget::Cellular),
+            handover,
+            stall,
+        ] {
+            let label = fault.label();
+            s.faults = vec![spike(FaultTarget::Core), fault];
+            assert_eq!(s.validate(), Err(ScenarioError::FleetFaultOffCore(label)));
+        }
+        s.faults = vec![spike(FaultTarget::Core)];
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

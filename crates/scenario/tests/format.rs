@@ -3,6 +3,7 @@
 //! draws what it drew when a host world was two rates, two RTTs and a size,
 //! and a fleet the engine cannot hold fails to load.
 
+use emptcp_faults::plan;
 use emptcp_scenario::gen::generate;
 use emptcp_scenario::host::NAMED;
 use emptcp_scenario::io::{from_json_str, to_canonical_json};
@@ -80,7 +81,7 @@ fn seed_7_draws_what_it_drew_as_a_host_spec() {
         let (wifi_rtt, cell_rtt) = (ms(h.wifi_rtt.as_nanos()), ms(h.cell_rtt.as_nanos()));
         let bytes = h.workload.owed_bytes().expect("a download");
         let faults: String = sc.faults.iter().map(|f| &f.label()[..1]).collect();
-        let end = ms(sc.fault_plan().end_time().unwrap_or_default().as_nanos());
+        let end = ms(plan::end_time(&sc.faults).unwrap_or_default().as_nanos());
         let (cell, device) = (h.cell_bps, h.device);
         Some(format!(
             "{case} {bps} {cell} {wifi_rtt} {cell_rtt} {bytes} {strategy:?} {device:?} {faults} {end}"

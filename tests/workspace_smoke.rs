@@ -8,16 +8,17 @@
 //! they are polled or swept, two event queues that pop like their
 //! sorted-`Vec` reference, a live transfer that loses nothing to its own socket
 //! buffers, exhibits that cannot tell which of them simulated a run they
-//! share, and a sender that cuts no runts.
+//! share, a sender that cuts no runts, and one fault plan that fires at
+//! its own instants on all three drivers.
 
 use emptcp_faults::testnet::ChaosPath;
-use emptcp_faults::{FaultPlan, FaultTarget};
+use emptcp_faults::{plan, FaultSpec, FaultTarget};
 use emptcp_live::{certify, MpChaosRig, ParityScript};
 use emptcp_net::{FleetConfig, SerialExecutor, ShardExecutor, ShardedFleetSim};
 use emptcp_obsv::{Pipeline, PipelineConfig, PipelineSink};
 use emptcp_repro::expr::chaos;
 use emptcp_repro::sim::{SimDuration, SimTime};
-use emptcp_telemetry::{MemorySink, Telemetry};
+use emptcp_telemetry::{MemorySink, Telemetry, TraceEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -74,11 +75,11 @@ fn shard_count_is_invisible_with_tracing_and_invariants_on() {
 #[test]
 fn a_faulted_script_is_event_for_event_identical_over_both_transports() {
     let mut script = ParityScript::two_path(1234, 256 * 1024);
-    script.faults = FaultPlan::new().blackout(
-        FaultTarget::Wifi,
-        SimTime::from_millis(150),
-        SimDuration::from_millis(400),
-    );
+    script.faults = vec![FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms: 150,
+        dur_ms: 400,
+    }];
     let report = certify(&script).unwrap_or_else(|diff| panic!("parity broken:\n{diff}"));
     assert_eq!(report.delivered, 256 * 1024);
     assert!(
@@ -299,4 +300,105 @@ fn a_fractional_window_is_never_spent_on_a_runt() {
     let mss = u64::from(emptcp_tcp::segment::DEFAULT_MSS);
     assert!(segments >= total.div_ceil(mss), "{segments} data segments");
     assert_eq!((server.runt_chunks(), runts), (0, 0));
+}
+
+/// A telemetry pipeline recording into memory, and the records.
+fn recorded() -> (Telemetry, Arc<Mutex<MemorySink>>) {
+    let sink = Arc::new(Mutex::new(MemorySink::new()));
+    let telemetry = Telemetry::builder().sink(Box::new(sink.clone())).build();
+    (telemetry, sink)
+}
+
+/// The instants at which `sink` saw a fault applied.
+fn fault_instants(sink: &Mutex<MemorySink>) -> Vec<SimTime> {
+    let records = &sink.lock().unwrap().records;
+    let faults = records
+        .iter()
+        .filter(|(_, e)| matches!(e, TraceEvent::FaultInjected { .. }));
+    faults.map(|&(t, _)| t).collect()
+}
+
+/// One fault plan, off the 100 ms tick grid, through all three drivers:
+/// the host simulation, the shard engine (which can only hit the core)
+/// and the reactor rig. Every driver applies each fault at the instant
+/// its spec expands to, and the host's WiFi subflow learns of the
+/// blackout at 1.25 s, not at the next tick.
+#[test]
+fn a_fault_fires_at_its_instant_on_every_driver() {
+    use emptcp_repro::expr::host::Simulation;
+    use emptcp_repro::expr::scenario::{Scenario, Workload};
+    use emptcp_repro::expr::Strategy;
+    let blackout = FaultSpec::Blackout {
+        target: FaultTarget::Wifi,
+        from_ms: 1_250,
+        dur_ms: 300,
+    };
+    let spike = FaultSpec::RttSpike {
+        target: FaultTarget::Core,
+        from_ms: 1_730,
+        dur_ms: 200,
+        extra_ms: 40,
+    };
+    let both = [blackout, spike.clone()];
+    let instants = |specs: &[FaultSpec]| -> Vec<SimTime> {
+        plan::expand(specs).iter().map(|e| e.at).collect()
+    };
+    let ms = SimTime::from_millis;
+    assert_eq!(
+        instants(&both),
+        [ms(1_250), ms(1_550), ms(1_730), ms(1_930)]
+    );
+
+    // The host: an MPTCP download, whose run lasts through the cellular
+    // tail and so past every instant of the plan.
+    let (telemetry, sink) = recorded();
+    let scenario = Scenario::static_good_wifi().with(Workload::Download { size: 4 << 20 });
+    let mut sim = Simulation::new_with_telemetry(scenario, Strategy::Mptcp, 3, telemetry);
+    sim.attach_faults(&both);
+    let r = sim.run();
+    assert_eq!(r.faults_injected, 4, "{r:?}");
+    assert_eq!(fault_instants(&sink), instants(&both));
+    let wifi_down = sink.lock().unwrap().records.iter().find_map(|(t, e)| {
+        matches!(
+            e,
+            TraceEvent::SubflowClosed {
+                subflow: 0,
+                reason: "link_down",
+                ..
+            }
+        )
+        .then_some(*t)
+    });
+    assert_eq!(wifi_down, Some(ms(1_250)));
+
+    // The shard engine: a small fleet, long enough for the spike.
+    let (telemetry, sink) = recorded();
+    let mut cfg = small_fleet();
+    cfg.duration = SimDuration::from_secs(2);
+    let mut fleet = ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry);
+    fleet.attach_faults(std::slice::from_ref(&spike));
+    assert_eq!(fleet.run().faults_injected, 2);
+    assert_eq!(
+        fault_instants(&sink),
+        instants(std::slice::from_ref(&spike))
+    );
+
+    // The reactor rig, with the injector reporting into the same kind of
+    // pipeline; long paths keep a 1 MiB transfer in flight through both.
+    let (telemetry, sink) = recorded();
+    let mut rig = MpChaosRig::over(
+        5,
+        vec![
+            ChaosPath::new(0.0, SimDuration::from_millis(200), 0),
+            ChaosPath::new(0.0, SimDuration::from_millis(250), 0),
+        ],
+    );
+    rig.attach_faults(&both);
+    let injector = rig.injector.as_mut().expect("attached");
+    injector.set_telemetry(telemetry.scope(0));
+    let total = 1 << 20;
+    assert_eq!(rig.transfer(total), total);
+    assert!(rig.clock.now() > ms(1_930), "done at {:?}", rig.clock.now());
+    assert_eq!(rig.stats().fault_events, 4);
+    assert_eq!(fault_instants(&sink), instants(&both));
 }
