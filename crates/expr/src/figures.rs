@@ -20,7 +20,7 @@ use crate::host::RunResult;
 use crate::mdp::MdpPolicy;
 use crate::plan::Run;
 use crate::report::{f, pm, FigureOutput, Table};
-use crate::runner::par_map;
+use crate::runner;
 use crate::scenario::{DeviceKind, Scenario, Workload};
 use crate::strategy::Strategy;
 use crate::wild::{self, Category, WildTrace};
@@ -1160,14 +1160,15 @@ fn fleet(cfg: &Config, _results: &[&RunResult]) -> FigureOutput {
     let variants = [("MPTCP (LIA)", true), ("MPTCP uncoupled", false)];
     let shards = cfg.fleet_shard_count();
     // Variants run one after the other; parallelism lives *inside* each
-    // run, where every epoch's shards are one `par_map`. The report is
-    // byte-identical for every (jobs, shards).
+    // run, on as many threads as this thread's job count (1 on a
+    // `par_map` that spread over threads, so nothing nests). The report
+    // is byte-identical for every (jobs, shards).
     let reports: Vec<_> = variants
         .iter()
         .map(|&(_, coupled)| {
             let fc = fleet_config(cfg, coupled);
             ShardedFleetSim::new_with_telemetry(fc, shards, emptcp_telemetry::current())
-                .run_with(&ParMapExecutor)
+                .run_on(runner::jobs())
         })
         .collect();
     // The shard count must NOT appear in the table or payload: exports
@@ -1216,15 +1217,6 @@ pub fn fleet_config(cfg: &Config, coupled: bool) -> emptcp_net::FleetConfig {
     fc.duration = SimDuration::from_secs(5);
     fc.coupled = coupled;
     fc
-}
-
-/// Each epoch's shard closures as one [`par_map`].
-struct ParMapExecutor;
-
-impl emptcp_net::ShardExecutor for ParMapExecutor {
-    fn run_indexed(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        par_map(n, f);
-    }
 }
 
 /// Extension: the "do no harm" cell — four MPTCP clients (two subflows

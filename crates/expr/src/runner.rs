@@ -49,6 +49,14 @@ impl Runner {
     }
 }
 
+/// The calling thread's job count: what [`Runner::install`] installed, or
+/// 1 when nothing is. It is 1 inside a [`par_map`] that spread over
+/// threads, so a caller that spends it on threads of its own never nests
+/// them.
+pub fn jobs() -> usize {
+    JOBS.with(Cell::get)
+}
+
 /// `f(0), …, f(n - 1)` in index order. Up to the job count of threads —
 /// `std::thread::scope` threads and the calling thread — each take the
 /// next index from one counter and write that index's slot; with one job
@@ -60,7 +68,7 @@ where
     R: Send,
     F: Fn(usize) -> R + Sync,
 {
-    let threads = JOBS.with(Cell::get).min(n);
+    let threads = jobs().min(n);
     if threads <= 1 {
         return (0..n).map(f).collect();
     }
@@ -114,6 +122,18 @@ mod tests {
             let out = Runner::new(jobs).install(|| par_map(20, |i| i * i));
             assert_eq!(out, (0..20).map(|i| i * i).collect::<Vec<_>>(), "{jobs}");
         }
+    }
+
+    #[test]
+    fn the_job_count_is_the_installed_one_and_one_inside_a_par_map() {
+        assert_eq!(jobs(), 1);
+        Runner::new(3).install(|| {
+            assert_eq!(jobs(), 3);
+            assert_eq!(par_map(4, |_| jobs()), [1; 4]);
+            // One item runs inline, keeping the caller's count.
+            assert_eq!(par_map(1, |_| jobs()), [3]);
+        });
+        assert_eq!(jobs(), 1);
     }
 
     #[test]

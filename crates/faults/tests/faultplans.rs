@@ -93,8 +93,8 @@ proptest! {
         let total = total_kb << 10;
         let mut rig = MpChaosRig::over(seed, two_paths());
         let mut fault_rng = rig.transport.fork("faults");
-        rig.attach_faults(&gen_plan(&mut fault_rng));
         let telemetry = Telemetry::builder().invariants(true).build();
+        rig.attach_faults(&gen_plan(&mut fault_rng), &telemetry);
         rig.client().set_telemetry(telemetry.scope(0));
         rig.server().set_telemetry(telemetry.scope(1));
 
@@ -113,11 +113,14 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
     let mut rig = MpChaosRig::over(11, two_paths());
     rig.client().subflow_mut(SubflowId(1)).backup = true;
     rig.server().subflow_mut(SubflowId(1)).backup = true;
-    rig.attach_faults(&[FaultSpec::Blackout {
-        target: FaultTarget::Wifi,
-        from_ms: 500,
-        dur_ms: 5_000,
-    }]);
+    rig.attach_faults(
+        &[FaultSpec::Blackout {
+            target: FaultTarget::Wifi,
+            from_ms: 500,
+            dur_ms: 5_000,
+        }],
+        &Telemetry::disabled(),
+    );
     let total = 256 << 10;
     assert_eq!(rig.transfer(total), total);
     // The backup actually carried traffic during the blackout.
@@ -142,10 +145,13 @@ fn silent_blackhole_detected_by_rto_threshold() {
     let mut rig = MpChaosRig::over(17, two_paths());
     rig.notify_link_down = false;
     rig.server().set_failure_threshold(2);
-    rig.attach_faults(&[
-        rate_step(FaultTarget::Wifi, 500, Some(0)),
-        rate_step(FaultTarget::Wifi, 8_000, None),
-    ]);
+    rig.attach_faults(
+        &[
+            rate_step(FaultTarget::Wifi, 500, Some(0)),
+            rate_step(FaultTarget::Wifi, 8_000, None),
+        ],
+        &Telemetry::disabled(),
+    );
     let total = 512 << 10;
     assert_eq!(rig.transfer(total), total);
     let stats = rig.server().recovery_stats();
@@ -228,7 +234,7 @@ fn blackout_inside_flap_train_applies_in_cursor_order_and_recovers() {
     assert!(plan::restores_nominal(&plan));
     assert_eq!(plan::recovered_at(&plan), plan::end_time(&plan));
     let mut rig = MpChaosRig::over(29, two_paths());
-    rig.attach_faults(&plan);
+    rig.attach_faults(&plan, &Telemetry::disabled());
     let total = 128 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -271,7 +277,7 @@ fn handover_during_rrc_stall_interleaves_targets_and_delivers() {
     assert_eq!(drain(&plan, ms(100), SimTime::from_secs(4)), applied);
 
     let mut rig = MpChaosRig::over(31, two_paths());
-    rig.attach_faults(&plan);
+    rig.attach_faults(&plan, &Telemetry::disabled());
     let total = 256 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -319,7 +325,7 @@ fn back_to_back_blackouts_keep_stable_order_at_the_shared_boundary() {
 
     assert!(plan::restores_nominal(&plan));
     let mut rig = MpChaosRig::over(37, two_paths());
-    rig.attach_faults(&plan);
+    rig.attach_faults(&plan, &Telemetry::disabled());
     let total = 96 << 10;
     assert_eq!(
         rig.transfer(total),
@@ -335,7 +341,7 @@ fn fault_runs_are_deterministic() {
     let run = || {
         let mut rig = MpChaosRig::over(23, two_paths());
         let mut fault_rng = rig.transport.fork("faults");
-        rig.attach_faults(&gen_plan(&mut fault_rng));
+        rig.attach_faults(&gen_plan(&mut fault_rng), &Telemetry::disabled());
         let delivered = rig.transfer(128 << 10);
         (
             delivered,

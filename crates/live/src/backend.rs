@@ -120,7 +120,7 @@ fn run_over<T: Transport>(transport: T, script: &ParityScript) -> ScriptOutcome 
     reactor.notify_link_down = script.notify_link_down;
     reactor.wall_limit = script.wall_limit;
     if !script.faults.is_empty() {
-        reactor.attach_faults(&script.faults);
+        reactor.attach_faults(&script.faults, &telemetry);
     }
     let delivered = reactor.transfer(script.total_bytes);
     let decisions = std::mem::take(&mut sink.lock().expect("sink poisoned").records);

@@ -48,6 +48,7 @@ use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::TcpConfig;
+use emptcp_telemetry::Telemetry;
 
 /// Iteration cap of the virtual loop: a runaway guard, far above what any
 /// scripted transfer needs.
@@ -163,9 +164,13 @@ impl<T: Transport> Reactor<T> {
         &mut self.workers[1].conn
     }
 
-    /// Attach a fault plan to replay as the clock passes each event.
-    pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
-        self.injector = Some(FaultInjector::new(faults));
+    /// Attach a fault plan to replay as the clock passes each event; every
+    /// fault applied is reported into `telemetry` at scope `u32::MAX`, the
+    /// scope the shard engine's core reports its faults at.
+    pub fn attach_faults(&mut self, faults: &[FaultSpec], telemetry: &Telemetry) {
+        let mut injector = FaultInjector::new(faults);
+        injector.set_telemetry(telemetry.scope(u32::MAX));
+        self.injector = Some(injector);
     }
 
     /// Push `total` bytes from a [`Reactor::pair`]'s server to its client

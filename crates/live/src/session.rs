@@ -259,7 +259,7 @@ impl Session {
         let mut reactor = Reactor::new(ClockSource::wall(), transport);
         reactor.wall_limit = cfg.wall_limit;
         if !cfg.faults.is_empty() {
-            reactor.attach_faults(&cfg.faults);
+            reactor.attach_faults(&cfg.faults, &telemetry);
         }
         reactor.register(ConnWorker::new(conn, 0));
         Ok(Session {

@@ -5,6 +5,7 @@
 use emptcp_faults::{FaultSpec, FaultTarget};
 use emptcp_live::{run_script, Backend, ChaosPath, ParityScript};
 use emptcp_sim::SimDuration;
+use emptcp_telemetry::Telemetry;
 use proptest::prelude::*;
 
 #[test]
@@ -104,11 +105,14 @@ fn an_rto_stall_leaves_holes_not_segments_in_the_reorder_queue() {
     // instant falls between a cellular ACK burst leaving the client and
     // the data it clocks out of the server, so a full window is lost.
     reactor.notify_link_down = false;
-    reactor.attach_faults(&[FaultSpec::RateStep {
-        target: FaultTarget::Cellular,
-        at_ms: 113,
-        bps: Some(0),
-    }]);
+    reactor.attach_faults(
+        &[FaultSpec::RateStep {
+            target: FaultTarget::Cellular,
+            at_ms: 113,
+            bps: Some(0),
+        }],
+        &Telemetry::disabled(),
+    );
     reactor.server().write(TOTAL);
     reactor.run_until(|w| w[1].conn.subflows()[1].tcp.timeouts() > 0);
 

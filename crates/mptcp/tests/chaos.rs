@@ -10,6 +10,7 @@ use emptcp_mptcp::SubflowId;
 use emptcp_phy::IfaceKind;
 use emptcp_scenario::corpus;
 use emptcp_sim::{SimDuration, SimTime};
+use emptcp_telemetry::Telemetry;
 use proptest::prelude::*;
 
 fn rig(seed: u64, loss0: f64, loss1: f64, jitter_ms: u64) -> MpChaosRig {
@@ -89,6 +90,7 @@ fn congested_core_scenario_recovers_with_stats() {
         &corpus::load("congested_core")
             .expect("library scenario")
             .faults,
+        &Telemetry::disabled(),
     );
     // Window-limited at these RTTs the rig moves ~100 KB/s, so 8 MB keeps
     // the transfer in flight through the whole collapse and still finishes
@@ -121,11 +123,14 @@ fn a_silent_blackhole_is_reinjected_at_the_last_ack_plus_the_threshold() {
     );
     r.notify_link_down = false;
     let blackhole = SimTime::from_millis(600);
-    r.attach_faults(&[FaultSpec::RateStep {
-        target: FaultTarget::Wifi,
-        at_ms: 600,
-        bps: Some(0),
-    }]);
+    r.attach_faults(
+        &[FaultSpec::RateStep {
+            target: FaultTarget::Wifi,
+            at_ms: 600,
+            bps: Some(0),
+        }],
+        &Telemetry::disabled(),
+    );
 
     let (mut una, mut last_ack, mut next_write) = (0, SimTime::ZERO, SimTime::ZERO);
     let mut stall_reinjections = Vec::new();

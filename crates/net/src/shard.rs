@@ -66,7 +66,10 @@ use emptcp_sim::{EpochClock, EventQueue, SimDuration, SimRng, SimTime, TimerId};
 use emptcp_tcp::{CcAlgorithm, Segment, TcpConfig};
 use emptcp_telemetry::{shard_metric, Telemetry, TelemetryScope, TraceEvent, TraceSink};
 use emptcp_workload::CrossTrafficSource;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::Ordering::SeqCst;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------
 // Canonical event keys
@@ -143,6 +146,199 @@ impl ShardExecutor for SerialExecutor {
         for i in 0..n {
             f(i);
         }
+    }
+}
+
+/// One step of a run, split into one task per client shard plus one for
+/// the core: the init sweep at time zero, or an epoch's events before its
+/// exclusive bound.
+#[derive(Clone, Copy)]
+enum Step {
+    Init,
+    Until(SimTime),
+}
+
+/// Idle polls a waiting thread spins through before it yields.
+const SPINS: u32 = 1 << 8;
+/// How long a waiting thread yields before it sleeps until rung: longer
+/// than an epoch's barrier, so a thread sleeps only when it is short of a
+/// CPU, and never pays a wake-up per epoch.
+const YIELD_FOR: Duration = Duration::from_millis(1);
+
+/// Where a waiting thread sleeps once spinning and yielding found nothing
+/// to do, so a run on more threads than CPUs leaves the CPUs to the
+/// threads that have work. Whoever changes what a sleeper waits for rings
+/// after the change.
+#[derive(Default)]
+struct Bell {
+    sleepers: AtomicUsize,
+    lock: Mutex<()>,
+    rung: Condvar,
+}
+
+impl Bell {
+    /// Return once `ready()` holds. `ready` reads only `SeqCst` atomics
+    /// that are written before [`Bell::ring`]: either the ringer sees this
+    /// thread counted as a sleeper and wakes it under the lock, or this
+    /// thread, counted, sees the write.
+    fn wait_until(&self, ready: impl Fn() -> bool) {
+        for _ in 0..SPINS {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+        let yielding = Instant::now();
+        while yielding.elapsed() < YIELD_FOR {
+            if ready() {
+                return;
+            }
+            std::thread::yield_now();
+        }
+        // The lock guards no data, so a poisoned one is as good as any.
+        let mut guard = self.lock.lock().unwrap_or_else(PoisonError::into_inner);
+        self.sleepers.fetch_add(1, SeqCst);
+        while !ready() {
+            guard = self
+                .rung
+                .wait(guard)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        self.sleepers.fetch_sub(1, SeqCst);
+    }
+
+    /// Wake every sleeper; never panics, so a thread unwinding may ring.
+    fn ring(&self) {
+        if self.sleepers.load(SeqCst) > 0 {
+            drop(self.lock.lock());
+            self.rung.notify_all();
+        }
+    }
+}
+
+/// The hand-off between the thread that runs the barrier and the workers
+/// it spawned once for the whole run. Steps are numbered from 0 (the init
+/// sweep). A task's claim word counts the steps it has been claimed in, so
+/// task `i` of step `s` is claimed by moving word `i` from `s` to `s + 1`:
+/// the claim is tagged with its step. A late thread that still sees step
+/// `s − 1` as the latest finds every word already past it, so it never
+/// runs a task of one epoch under another epoch's bound; and step `s + 1`
+/// is published only after every task of step `s` has finished.
+///
+/// Each thread first claims the tasks it is home to, so a shard keeps
+/// running on one thread (its memory stays in that thread's cache and
+/// allocator arena), then any task still unclaimed, so a descheduled
+/// thread holds nobody up.
+struct Crew<'a> {
+    part: &'a Partition,
+    threads: usize,
+    /// Per task, the steps it has been claimed in.
+    claims: Vec<AtomicU64>,
+    /// Steps published so far.
+    published: AtomicU64,
+    /// The latest published epoch's bound, in nanoseconds.
+    bound: AtomicU64,
+    /// Tasks claimed, over every step.
+    claimed: AtomicU64,
+    /// Tasks finished, over every step.
+    done: AtomicU64,
+    /// The run is over, or a thread panicked: workers leave.
+    stop: AtomicBool,
+    bell: Bell,
+}
+
+impl<'a> Crew<'a> {
+    fn new(part: &'a Partition, threads: usize) -> Crew<'a> {
+        Crew {
+            part,
+            threads,
+            claims: (0..part.width()).map(|_| AtomicU64::new(0)).collect(),
+            published: AtomicU64::new(0),
+            bound: AtomicU64::new(0),
+            claimed: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            bell: Bell::default(),
+        }
+    }
+
+    fn width(&self) -> u64 {
+        self.claims.len() as u64
+    }
+
+    /// Publish `step`, work its tasks beside the workers as thread 0, and
+    /// return once all of them have finished. Panics if a worker panicked.
+    fn step(&self, step: Step) {
+        if let Step::Until(bound) = step {
+            self.bound.store(bound.as_nanos(), SeqCst);
+        }
+        let s = self.published.fetch_add(1, SeqCst);
+        debug_assert_eq!(s == 0, matches!(step, Step::Init));
+        self.bell.ring();
+        self.drain(0);
+        let target = (s + 1) * self.width();
+        let finished = || self.done.load(SeqCst) >= target;
+        self.bell
+            .wait_until(|| finished() || self.stop.load(SeqCst));
+        assert!(finished(), "a shard worker panicked");
+    }
+
+    /// Worker `me` (1 or more): run claimed tasks until the run is over.
+    fn work(&self, me: usize) {
+        let _leave = self.stop_on_drop();
+        while !self.stop.load(SeqCst) {
+            self.drain(me);
+            self.bell
+                .wait_until(|| self.claimable() || self.stop.load(SeqCst));
+        }
+    }
+
+    fn claimable(&self) -> bool {
+        self.claimed.load(SeqCst) < self.published.load(SeqCst) * self.width()
+    }
+
+    /// Claim and run the tasks of the latest published step that thread
+    /// `me` is home to (task `i`'s home is thread `i % threads`), then any
+    /// other still unclaimed.
+    fn drain(&self, me: usize) {
+        let Some(s) = self.published.load(SeqCst).checked_sub(1) else {
+            return;
+        };
+        let width = self.claims.len();
+        let home = (0..width).filter(|i| i % self.threads == me);
+        for i in home.chain(0..width) {
+            if self.claims[i]
+                .compare_exchange(s, s + 1, SeqCst, SeqCst)
+                .is_err()
+            {
+                continue;
+            }
+            self.claimed.fetch_add(1, SeqCst);
+            // Step s + 1 waits for this task, so the bound is still s's.
+            let step = match s {
+                0 => Step::Init,
+                _ => Step::Until(SimTime::from_nanos(self.bound.load(SeqCst))),
+            };
+            self.part.task(i, step);
+            if (self.done.fetch_add(1, SeqCst) + 1).is_multiple_of(self.width()) {
+                self.bell.ring();
+            }
+        }
+    }
+
+    /// Tells every worker to leave when dropped: at the end of the run,
+    /// or while a panic unwinds the thread holding it.
+    fn stop_on_drop(&self) -> StopOnDrop<'_, 'a> {
+        StopOnDrop(self)
+    }
+}
+
+struct StopOnDrop<'c, 'p>(&'c Crew<'p>);
+
+impl Drop for StopOnDrop<'_, '_> {
+    fn drop(&mut self) {
+        self.0.stop.store(true, SeqCst);
+        self.0.bell.ring();
     }
 }
 
@@ -910,25 +1106,154 @@ impl CoreShard {
 // The sharded fleet simulation
 // ---------------------------------------------------------------------
 
+/// What every thread of a run shares: each client shard and the core
+/// behind its own lock, and the global client id of each shard's first row
+/// (ascending). Inside a step every task locks only its own shard; the
+/// barrier between steps runs on one thread.
+struct Partition {
+    shards: Vec<Mutex<ClientShard>>,
+    core: Mutex<CoreShard>,
+    starts: Vec<usize>,
+}
+
+impl Partition {
+    /// Tasks per step: every client shard, then the core.
+    fn width(&self) -> usize {
+        self.shards.len() + 1
+    }
+
+    /// Task `i` of `step`: client shard `i`, or the core at `i == shards`.
+    fn task(&self, i: usize, step: Step) {
+        match (self.shards.get(i), step) {
+            (Some(shard), Step::Init) => shard.lock().expect("shard poisoned").init(),
+            (Some(shard), Step::Until(bound)) => {
+                shard.lock().expect("shard poisoned").run_until(bound)
+            }
+            (None, Step::Init) => self.core.lock().expect("core shard poisoned").init(),
+            (None, Step::Until(bound)) => self
+                .core
+                .lock()
+                .expect("core shard poisoned")
+                .run_until(bound),
+        }
+    }
+
+    /// Barrier exchange: move every outbox message into its destination
+    /// shard's queue under the key its sender assigned. Arrival times are
+    /// at or beyond the epoch bound by the lookahead argument, so no
+    /// message ever lands in a queue's past.
+    fn exchange(&self) {
+        let mut core = self.core.lock().expect("core shard poisoned");
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("shard poisoned");
+            for msg in shard.outbox.drain(..) {
+                let event = CoreEvent::AtCore {
+                    client: msg.client,
+                    sf: msg.sf,
+                    down: msg.down,
+                    seg: msg.seg,
+                };
+                core.queue.schedule_keyed(msg.at, msg.key, event);
+            }
+        }
+        // Keys are unique, so the order a queue receives messages in is
+        // invisible: sort the core's outbox by client in place and hand
+        // each shard its contiguous run under one lock.
+        core.outbox.sort_unstable_by_key(|msg| msg.client);
+        let mut hops = core.outbox.drain(..).peekable();
+        for (sid, shard) in self.shards.iter().enumerate() {
+            let end = self.starts.get(sid + 1).map_or(u32::MAX, |&e| e as u32);
+            if hops.peek().is_none_or(|msg| msg.client >= end) {
+                continue;
+            }
+            let mut shard = shard.lock().expect("shard poisoned");
+            while let Some(msg) = hops.next_if(|msg| msg.client < end) {
+                let (local, sf, seg) = (msg.client - shard.base, msg.sf, msg.seg);
+                let event = if msg.down {
+                    ClientEvent::DownFromCore { local, sf, seg }
+                } else {
+                    ClientEvent::UpFromCore { local, sf, seg }
+                };
+                shard.queue.schedule_keyed(msg.at, msg.key, event);
+            }
+        }
+    }
+
+    /// The earliest pending event across every shard, or `None` when all
+    /// queues have drained.
+    fn min_peek(&self) -> Option<SimTime> {
+        let mut core = self.core.lock().expect("core shard poisoned");
+        self.shards
+            .iter()
+            .filter_map(|shard| shard.lock().expect("shard poisoned").queue.peek_time())
+            .chain(core.queue.peek_time())
+            .min()
+    }
+
+    /// The epoch loop every run shares. The barrier — exchange, trace
+    /// flush, the earliest pending event and the next bound — runs on the
+    /// calling thread; `run` runs every task of a step and returns once
+    /// all of them have finished, however it spreads them over threads.
+    fn epochs(&self, merge: &mut TraceMerge, clock: EpochClock, run: &mut dyn FnMut(Step)) {
+        run(Step::Init);
+        loop {
+            self.exchange();
+            merge.flush();
+            let Some(next) = self.min_peek() else { break };
+            if next > clock.horizon() {
+                break;
+            }
+            run(Step::Until(clock.bound_for(next)));
+        }
+    }
+}
+
+/// The outer pipeline and every shard's trace tap (core last; empty when
+/// nothing is tapped), with a reused staging buffer for the flush.
+struct TraceMerge {
+    telemetry: Telemetry,
+    taps: Vec<Tap>,
+    buf: Vec<(SimTime, u64, TraceEvent)>,
+}
+
+impl TraceMerge {
+    /// Barrier flush: merge what every shard's tap recorded since the last
+    /// barrier into the outer pipeline in canonical `(time, key)` order
+    /// (equal keys mean one driving event on one shard, so the stable sort
+    /// keeps emission order). A violation a shard caught is re-reported on
+    /// the outer handle — recorded, counted and emitted there exactly once.
+    fn flush(&mut self) {
+        for tap in &self.taps {
+            self.buf
+                .append(&mut tap.lock().expect("tap poisoned").records);
+        }
+        self.buf.sort_by_key(|&(t, key, _)| (t, key));
+        for (t, _, event) in self.buf.drain(..) {
+            match event {
+                TraceEvent::InvariantViolated { name, detail } => self
+                    .telemetry
+                    .check_invariants(t, |obs| obs.report(t, name, detail)),
+                event => self.telemetry.emit(t, event),
+            }
+        }
+    }
+}
+
 /// A fleet simulation partitioned into conservative-lookahead shards.
 ///
-/// Construction takes a [`FleetConfig`] plus a shard count;
-/// [`ShardedFleetSim::run`] executes serially and
-/// [`ShardedFleetSim::run_with`] executes each epoch on a caller-supplied
+/// Construction takes a [`FleetConfig`] plus a shard count.
+/// [`ShardedFleetSim::run_on`] executes on a given number of threads,
+/// spawned once for the whole run; [`ShardedFleetSim::run`] on as many as
+/// there are shards, capped by the machine's available parallelism (a
+/// one-shard fleet stays on the calling thread); and
+/// [`ShardedFleetSim::run_with`] hands each epoch to a caller-supplied
 /// [`ShardExecutor`]. The report, the trace stream and every metric are
-/// byte-identical for every `(executor, shards)` combination.
+/// byte-identical for every `(threads or executor, shards)` combination.
 pub struct ShardedFleetSim {
     cfg: FleetConfig,
     delta: SimDuration,
-    shards: Vec<Mutex<ClientShard>>,
-    core: Mutex<CoreShard>,
-    /// Global client id of each shard's first row (ascending).
-    starts: Vec<usize>,
-    telemetry: Telemetry,
-    /// Every shard's trace tap (core last); empty when nothing is tapped.
-    taps: Vec<Tap>,
-    /// Reused barrier staging for the tap flush.
-    flush_buf: Vec<(SimTime, u64, TraceEvent)>,
+    part: Partition,
+    merge: TraceMerge,
     per_client_buf: Vec<f64>,
 }
 
@@ -994,12 +1319,16 @@ impl ShardedFleetSim {
         Ok(ShardedFleetSim {
             cfg,
             delta,
-            shards,
-            core,
-            starts,
-            telemetry,
-            taps,
-            flush_buf: Vec::new(),
+            part: Partition {
+                shards,
+                core,
+                starts,
+            },
+            merge: TraceMerge {
+                telemetry,
+                taps,
+                buf: Vec::new(),
+            },
             per_client_buf,
         })
     }
@@ -1008,7 +1337,7 @@ impl ShardedFleetSim {
     /// and nothing else has a port here (`Scenario::validate` rejects a
     /// fleet plan that names an access path).
     pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
-        let mut core = self.core.lock().expect("core shard poisoned");
+        let mut core = self.part.core.lock().expect("core shard poisoned");
         let mut injector = FaultInjector::new(faults);
         injector.set_telemetry(core.telemetry.scope(u32::MAX));
         core.injector = Some(injector);
@@ -1016,14 +1345,14 @@ impl ShardedFleetSim {
 
     /// The number of client shards (after clamping).
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.part.shards.len()
     }
 
     /// Raw per-client delivered byte counts in ascending client order —
     /// the quantity the differential harness pins across shard counts.
     pub fn per_client_delivered(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.cfg.clients);
-        for shard in &self.shards {
+        for shard in &self.part.shards {
             let shard = shard.lock().expect("shard poisoned");
             for conn in &shard.rows.client {
                 out.push(conn.bytes_delivered());
@@ -1032,134 +1361,87 @@ impl ShardedFleetSim {
         out
     }
 
-    /// Run serially on the calling thread.
+    /// Run on one thread per shard, at most as many as the machine's
+    /// available parallelism; a one-shard fleet runs on the calling thread
+    /// alone.
     pub fn run(&mut self) -> FleetReport {
-        self.run_with(&SerialExecutor)
+        let threads = match self.shards() {
+            1 => 1,
+            shards => std::thread::available_parallelism().map_or(1, |n| shards.min(n.get())),
+        };
+        self.run_on(threads)
+    }
+
+    /// Run the fleet to its horizon on `threads` threads, and summarize:
+    /// the calling thread and `threads − 1` workers spawned once for the
+    /// whole run (at most one thread per task of an epoch; none for one
+    /// thread). Each epoch the calling thread runs the barrier, publishes
+    /// the bound, and every thread claims that epoch's tasks until none is
+    /// left. A waiting thread spins, then yields, then sleeps, so more
+    /// threads than CPUs costs little.
+    pub fn run_on(&mut self, threads: usize) -> FleetReport {
+        let threads = threads.clamp(1, self.part.width());
+        if threads == 1 {
+            return self.run_with(&SerialExecutor);
+        }
+        let clock = self.clock();
+        let part = &self.part;
+        let merge = &mut self.merge;
+        let crew = Crew::new(part, threads);
+        std::thread::scope(|scope| {
+            let _stop = crew.stop_on_drop();
+            for me in 1..threads {
+                let crew = &crew;
+                scope.spawn(move || crew.work(me));
+            }
+            part.epochs(merge, clock, &mut |step| crew.step(step));
+        });
+        self.finalize(clock.horizon())
     }
 
     /// Run the fleet to its horizon with `exec` driving the per-epoch
-    /// shard closures, and summarize.
+    /// shard closures, and summarize. The core's init runs on the calling
+    /// thread; then one `exec` call inits the client shards, and one per
+    /// epoch runs the client shards and the core.
     pub fn run_with(&mut self, exec: &dyn ShardExecutor) -> FleetReport {
-        let horizon = SimTime::ZERO + self.cfg.duration;
-        let clock = EpochClock::new(self.delta, horizon);
-        self.core.lock().expect("core shard poisoned").init();
-        {
-            let shards = &self.shards;
-            exec.run_indexed(shards.len(), &|i| {
-                shards[i].lock().expect("shard poisoned").init();
-            });
-        }
-        loop {
-            self.exchange();
-            self.flush_taps();
-            let Some(next) = self.min_peek() else { break };
-            if next > horizon {
-                break;
-            }
-            let bound = clock.bound_for(next);
-            let shards = &self.shards;
-            let core = &self.core;
-            exec.run_indexed(shards.len() + 1, &|i| {
-                if i < shards.len() {
-                    shards[i].lock().expect("shard poisoned").run_until(bound);
-                } else {
-                    core.lock().expect("core shard poisoned").run_until(bound);
+        let clock = self.clock();
+        let part = &self.part;
+        let shards = part.shards.len();
+        part.epochs(&mut self.merge, clock, &mut |step| {
+            let n = match step {
+                Step::Init => {
+                    part.task(shards, step);
+                    shards
                 }
-            });
-        }
-        self.finalize(horizon)
+                Step::Until(_) => shards + 1,
+            };
+            exec.run_indexed(n, &|i| part.task(i, step));
+        });
+        self.finalize(clock.horizon())
     }
 
-    /// Barrier exchange: move every outbox message into its destination
-    /// shard's queue under the key its sender assigned. Arrival times are
-    /// at or beyond the epoch bound by the lookahead argument, so no
-    /// message ever lands in a queue's past.
-    fn exchange(&mut self) {
-        let mut core = self.core.lock().expect("core shard poisoned");
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("shard poisoned");
-            for msg in shard.outbox.drain(..) {
-                let event = CoreEvent::AtCore {
-                    client: msg.client,
-                    sf: msg.sf,
-                    down: msg.down,
-                    seg: msg.seg,
-                };
-                core.queue.schedule_keyed(msg.at, msg.key, event);
-            }
-        }
-        // Keys are unique, so the order a queue receives messages in is
-        // invisible: sort the core's outbox by client in place and hand
-        // each shard its contiguous run under one lock.
-        core.outbox.sort_unstable_by_key(|msg| msg.client);
-        let mut hops = core.outbox.drain(..).peekable();
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let end = self.starts.get(sid + 1).map_or(u32::MAX, |&e| e as u32);
-            if hops.peek().is_none_or(|msg| msg.client >= end) {
-                continue;
-            }
-            let mut shard = shard.lock().expect("shard poisoned");
-            while let Some(msg) = hops.next_if(|msg| msg.client < end) {
-                let (local, sf, seg) = (msg.client - shard.base, msg.sf, msg.seg);
-                let event = if msg.down {
-                    ClientEvent::DownFromCore { local, sf, seg }
-                } else {
-                    ClientEvent::UpFromCore { local, sf, seg }
-                };
-                shard.queue.schedule_keyed(msg.at, msg.key, event);
-            }
-        }
-    }
-
-    /// Barrier flush: merge what every shard's tap recorded since the last
-    /// barrier into the outer pipeline in canonical `(time, key)` order
-    /// (equal keys mean one driving event on one shard, so the stable sort
-    /// keeps emission order). A violation a shard caught is re-reported on
-    /// the outer handle — recorded, counted and emitted there exactly once.
-    fn flush_taps(&mut self) {
-        for tap in &self.taps {
-            self.flush_buf
-                .append(&mut tap.lock().expect("tap poisoned").records);
-        }
-        self.flush_buf.sort_by_key(|&(t, key, _)| (t, key));
-        for (t, _, event) in self.flush_buf.drain(..) {
-            match event {
-                TraceEvent::InvariantViolated { name, detail } => self
-                    .telemetry
-                    .check_invariants(t, |obs| obs.report(t, name, detail)),
-                event => self.telemetry.emit(t, event),
-            }
-        }
-    }
-
-    /// The earliest pending event across every shard, or `None` when all
-    /// queues have drained.
-    fn min_peek(&self) -> Option<SimTime> {
-        let mut core = self.core.lock().expect("core shard poisoned");
-        self.shards
-            .iter()
-            .filter_map(|shard| shard.lock().expect("shard poisoned").queue.peek_time())
-            .chain(core.queue.peek_time())
-            .min()
+    fn clock(&self) -> EpochClock {
+        EpochClock::new(self.delta, SimTime::ZERO + self.cfg.duration)
     }
 
     fn finalize(&mut self, horizon: SimTime) -> FleetReport {
-        for (sid, shard) in self.shards.iter().enumerate() {
+        let part = &self.part;
+        for (sid, shard) in part.shards.iter().enumerate() {
             shard.lock().expect("shard poisoned").finalize(sid, horizon);
         }
-        self.core.lock().expect("core shard poisoned").finalize();
-        self.flush_taps();
+        part.core.lock().expect("core shard poisoned").finalize();
+        self.merge.flush();
 
         // Merge metric registries in shard order, core last, minus each
         // shard's violation count: the barrier flush already counted those.
-        let core = self.core.lock().expect("core shard poisoned");
-        let shard_metrics = self
+        let core = part.core.lock().expect("core shard poisoned");
+        let shard_metrics = part
             .shards
             .iter()
             .map(|shard| shard.lock().expect("shard poisoned").telemetry.metrics());
         for mut m in shard_metrics.chain([core.telemetry.metrics()]).flatten() {
             m.remove_counter("invariants.violations");
-            self.telemetry.with_metrics(|outer| outer.merge(&m));
+            self.merge.telemetry.with_metrics(|outer| outer.merge(&m));
         }
 
         // Fixed-order report reductions (ascending client id).
@@ -1167,7 +1449,7 @@ impl ShardedFleetSim {
         self.per_client_buf.clear();
         let mut packets_forwarded = 0;
         let mut total_queue_drops = 0;
-        for shard in &self.shards {
+        for shard in &part.shards {
             let shard = shard.lock().expect("shard poisoned");
             for conn in &shard.rows.client {
                 self.per_client_buf
@@ -1337,9 +1619,9 @@ mod tests {
                 .build();
             let mut sim = ShardedFleetSim::new_with_telemetry(small(8, 3), shards, outer.clone());
             {
-                let sid = sim.starts.partition_point(|&start| start <= CLIENT) - 1;
+                let sid = sim.part.starts.partition_point(|&start| start <= CLIENT) - 1;
                 assert_eq!(sid, if shards == 4 { 2 } else { 0 });
-                let shard = sim.shards[sid].lock().unwrap();
+                let shard = sim.part.shards[sid].lock().unwrap();
                 shard.set_tag(pack(CLASS_INIT, CLIENT as u32 + 1, 0));
                 shard.telemetry.check_invariants(SimTime::ZERO, |obs| {
                     obs.report(SimTime::ZERO, "dss_coverage", "injected".to_string())
@@ -1358,6 +1640,26 @@ mod tests {
         assert_eq!(counted, 1);
         assert_eq!(jsonl.matches("InvariantViolated").count(), 1);
         assert_eq!(run(1), (violations, counted, jsonl));
+    }
+
+    /// The epoch hand-off under stress: 2 000 epochs of a few events each
+    /// (Δ = 1 ms over 2 s), on more threads than most machines have CPUs,
+    /// run again and again. Every run must give the serial executor's
+    /// report and delivered bytes.
+    #[test]
+    fn thousands_of_tiny_epochs_hand_off_alike() {
+        let run = |threads: Option<usize>| {
+            let mut sim = ShardedFleetSim::new(small(8, 21), 4);
+            let report = match threads {
+                None => sim.run_with(&SerialExecutor),
+                Some(threads) => sim.run_on(threads),
+            };
+            (report_json(&report), sim.per_client_delivered())
+        };
+        let reference = run(None);
+        for round in 0..96 {
+            assert!(run(Some(4)) == reference, "round {round} diverged");
+        }
     }
 
     #[test]

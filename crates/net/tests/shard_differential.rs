@@ -8,8 +8,9 @@
 //! * byte-identical `FleetReport` JSON for shards ∈ {1, 2, 4, 8};
 //! * identical trace streams (every record, in order) through the outer
 //!   telemetry pipeline, with the shard pipelines' invariant observers on;
-//! * identical results from a serial executor and a thread-per-shard
-//!   executor (the `--jobs` axis);
+//! * identical results from a serial executor, a thread-per-shard
+//!   executor and the engine's own persistent workers at any thread count
+//!   (the `--jobs` axis);
 //! * all of the above under a fault plan whose actions land mid-epoch and
 //!   whose effects cross shard boundaries;
 //! * the same properties over arbitrary valid configs (proptest).
@@ -59,6 +60,15 @@ fn run(
     faults: &[FaultSpec],
     exec: &dyn ShardExecutor,
 ) -> RunOutput {
+    run_by(cfg, shards, faults, |sim| sim.run_with(exec))
+}
+
+fn run_by(
+    cfg: &FleetConfig,
+    shards: usize,
+    faults: &[FaultSpec],
+    drive: impl FnOnce(&mut ShardedFleetSim) -> FleetReport,
+) -> RunOutput {
     let tap = Arc::new(Mutex::new(Capture::default()));
     let telemetry = Telemetry::builder()
         .sink(Box::new(tap.clone()))
@@ -66,7 +76,7 @@ fn run(
         .build();
     let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), shards, telemetry.clone());
     sim.attach_faults(faults);
-    let report: FleetReport = sim.run_with(exec);
+    let report = drive(&mut sim);
     assert_eq!(telemetry.violations(), [], "online invariant violated");
     let trace = std::mem::take(&mut tap.lock().expect("tap").0);
     RunOutput {
@@ -169,20 +179,34 @@ fn fault_plans_crossing_shard_boundaries_stay_identical() {
 }
 
 #[test]
-fn thread_executor_matches_serial_executor() {
+fn threaded_runs_match_the_serial_executor() {
     let cfg = fault_config(8, 0x10B5);
     let plan = boundary_crossing_plan(&cfg);
-    for shards in [1, 4, 8] {
+    for shards in [1, 2, 4, 8] {
         let serial = run(&cfg, shards, &plan, &SerialExecutor);
-        let threaded = run(&cfg, shards, &plan, &ThreadExecutor);
-        assert_eq!(
-            threaded.report_json, serial.report_json,
-            "threaded report diverged at {shards} shards"
-        );
-        assert_eq!(
-            threaded.trace, serial.trace,
-            "threaded trace diverged at {shards} shards"
-        );
+        // A thread per shard closure, then the engine's own workers on
+        // two threads, one per task of an epoch, and more than that
+        // (clamped to it).
+        let thread_per_shard = run(&cfg, shards, &plan, &ThreadExecutor);
+        let mut threaded = vec![("thread-per-shard".to_string(), thread_per_shard)];
+        for threads in [2, shards + 1, shards + 3] {
+            let got = run_by(&cfg, shards, &plan, |sim| sim.run_on(threads));
+            threaded.push((format!("run_on({threads})"), got));
+        }
+        for (how, got) in threaded {
+            assert_eq!(
+                got.report_json, serial.report_json,
+                "{how} report diverged at {shards} shards"
+            );
+            assert_eq!(
+                got.delivered, serial.delivered,
+                "{how} delivered bytes diverged at {shards} shards"
+            );
+            assert_eq!(
+                got.trace, serial.trace,
+                "{how} trace diverged at {shards} shards"
+            );
+        }
     }
 }
 

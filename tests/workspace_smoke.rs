@@ -1,15 +1,15 @@
 //! Workspace smoke: reduced cases of the workspace suites' load-bearing
 //! contracts, in the root package so the tier-1 command (`cargo test -q`)
 //! exercises them — one fleet engine whose output is invariant under the
-//! shard count and pinned byte for byte, one pair pump whose two
-//! transports agree event for event, a chaos corpus that certifies, a
-//! scenario file that says a changing environment or the recovery it must
-//! show, a monitor tap that streams, stacks that cannot tell how often
-//! they are polled or swept, two event queues that pop like their
-//! sorted-`Vec` reference, a live transfer that loses nothing to its own socket
-//! buffers, exhibits that cannot tell which of them simulated a run they
-//! share, a sender that cuts no runts, and one fault plan that fires at
-//! its own instants on all three drivers.
+//! shard count and the thread count and pinned byte for byte, one pair
+//! pump whose two transports agree event for event, a chaos corpus that
+//! certifies, a scenario file that says a changing environment or the
+//! recovery it must show, a monitor tap that streams, stacks that cannot
+//! tell how often they are polled or swept, two event queues that pop like
+//! their sorted-`Vec` reference, a live transfer that loses nothing to its
+//! own socket buffers, exhibits that cannot tell which of them simulated a
+//! run they share, a sender that cuts no runts, and one fault plan that
+//! fires at its own instants on all three drivers.
 
 use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{plan, FaultSpec, FaultTarget};
@@ -383,8 +383,9 @@ fn a_fault_fires_at_its_instant_on_every_driver() {
         instants(std::slice::from_ref(&spike))
     );
 
-    // The reactor rig, with the injector reporting into the same kind of
-    // pipeline; long paths keep a 1 MiB transfer in flight through both.
+    // The reactor rig, its injector reporting into the pipeline it was
+    // attached with; long paths keep a 1 MiB transfer in flight through
+    // both.
     let (telemetry, sink) = recorded();
     let mut rig = MpChaosRig::over(
         5,
@@ -393,12 +394,63 @@ fn a_fault_fires_at_its_instant_on_every_driver() {
             ChaosPath::new(0.0, SimDuration::from_millis(250), 0),
         ],
     );
-    rig.attach_faults(&both);
-    let injector = rig.injector.as_mut().expect("attached");
-    injector.set_telemetry(telemetry.scope(0));
+    rig.attach_faults(&both, &telemetry);
     let total = 1 << 20;
     assert_eq!(rig.transfer(total), total);
     assert!(rig.clock.now() > ms(1_930), "done at {:?}", rig.clock.now());
     assert_eq!(rig.stats().fault_events, 4);
     assert_eq!(fault_instants(&sink), instants(&both));
+}
+
+/// The shard engine on persistent workers: a faulted, traced fleet gives
+/// the same report, delivered bytes, merged metrics and JSONL on any
+/// number of threads, more than this machine has CPUs included, as it
+/// does on the serial executor.
+#[test]
+fn the_fleet_runs_alike_on_any_thread_count() {
+    let mut cfg = FleetConfig::contended(64, 11);
+    cfg.duration = SimDuration::from_millis(1_500);
+    cfg.bottleneck.rate_bps = 40_000_000;
+    let plan = [
+        FaultSpec::RttSpike {
+            target: FaultTarget::Core,
+            from_ms: 300,
+            dur_ms: 400,
+            extra_ms: 15,
+        },
+        FaultSpec::Blackout {
+            target: FaultTarget::Core,
+            from_ms: 900,
+            dur_ms: 120,
+        },
+    ];
+    let run = |threads: Option<usize>| {
+        let record = Arc::new(Mutex::new(MemorySink::new()));
+        let telemetry = Telemetry::builder()
+            .sink(Box::new(Arc::clone(&record)))
+            .invariants(true)
+            .build();
+        let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), 3, telemetry.clone());
+        sim.attach_faults(&plan);
+        let report = match threads {
+            None => sim.run_with(&SerialExecutor),
+            Some(threads) => sim.run_on(threads),
+        };
+        assert_eq!(telemetry.violations(), [], "online invariant violated");
+        let report = serde_json::to_string(&report).expect("report serializes");
+        let metrics = telemetry.metrics().expect("telemetry is on");
+        let jsonl = record.lock().unwrap().to_jsonl();
+        (report, sim.per_client_delivered(), metrics, jsonl)
+    };
+    let reference = run(None);
+    let (report, delivered, _, jsonl) = &reference;
+    assert!(report.contains("\"faults_injected\":4"), "{report}");
+    assert!(delivered.iter().all(|&bytes| bytes > 0), "{delivered:?}");
+    assert!(jsonl.contains("FaultInjected"));
+    for threads in [1, 2, 4, 6] {
+        assert!(
+            run(Some(threads)) == reference,
+            "{threads} threads diverged"
+        );
+    }
 }
