@@ -301,8 +301,9 @@ impl MpConnection {
     }
 
     /// True once every subflow has received the peer's FIN (the peer is
-    /// done sending).
-    pub fn peer_closed(&self) -> bool {
+    /// done sending). Only the close tests ask.
+    #[cfg(test)]
+    fn peer_closed(&self) -> bool {
         !self.subflows.is_empty()
             && self
                 .subflows

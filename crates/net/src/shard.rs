@@ -8,11 +8,12 @@
 //! fleet is partitioned so it scales to a million clients:
 //!
 //! * **Shards.** Clients are split into contiguous blocks. Each shard owns
-//!   its own [`EventQueue`], telemetry
-//!   pipeline and per-client RNG streams; a dedicated *core* shard owns the
-//!   shared bottleneck port, the reverse (ack) core port, the cross-traffic
-//!   sources and the fault injector. No state is shared between shards
-//!   inside an epoch, so shards execute on independent workers.
+//!   its own [`EventQueue`], two [`LaneQueue`] lanes for what the core
+//!   feeds it, telemetry pipeline and per-client RNG streams; a dedicated
+//!   *core* shard owns the shared bottleneck port, the reverse (ack) core
+//!   port, the cross-traffic sources and the fault injector. No state is
+//!   shared between shards inside an epoch, so shards execute on
+//!   independent workers.
 //!
 //! * **Conservative lookahead.** Every packet crossing a shard boundary
 //!   traverses a link whose propagation delay is at least Δ — the minimum
@@ -23,9 +24,10 @@
 //!   time `t` inside epoch `k` arrives at `t + Δ ≥ (k+1)·Δ`, i.e. at or
 //!   after the barrier every shard synchronizes on, so no shard ever sees
 //!   an event from its past. Cross-shard segments ride outboxes drained at
-//!   the barrier. A segment in flight is owned by whatever carries it — a
-//!   queued event or an outbox [`Hop`] — so none can leak or be delivered
-//!   twice.
+//!   the barrier: one per client shard toward the core, and one per client
+//!   shard on the core, filed by destination as the core sends. A segment
+//!   in flight is owned by whatever carries it — a queued event, a lane
+//!   entry or an outbox [`Hop`] — so none can leak or be delivered twice.
 //!
 //! * **Canonical event keys.** Determinism across `(jobs, shards)` hinges
 //!   on same-instant ordering being a pure function of the *simulation*,
@@ -34,7 +36,16 @@
 //!   client `i`, `seq` counts that owner's schedules — installed with
 //!   [`EventQueue::schedule_keyed`]. An owner's schedule sequence depends
 //!   only on its own history, so the key of every event is identical for
-//!   every shard count, and so is the pop order. There is **no** special
+//!   every shard count, and so is the pop order. The keys order a client
+//!   shard's lanes too: the core's bottleneck hops and its reverse-port
+//!   hops each leave one FIFO port under ascending core keys, so each
+//!   stream rides a lane sorted on `(time, key)`
+//!   ([`LaneQueue::schedule_keyed`]) that a hop joins at the back unless a
+//!   core rate rise let it overtake (counted as
+//!   `fleet.shard{N}.lane_inserted_ahead`), and the shard pops the least
+//!   `(time, key)` of its heap and both lanes
+//!   ([`LaneQueue::pop_merged_before`]): the order one heap of every event
+//!   would give, without heaping the core's hops. There is **no** special
 //!   single-shard code path: `shards == 1` runs the identical epoch and
 //!   barrier machinery, which is what makes it the differential reference.
 //!
@@ -62,7 +73,7 @@ use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTa
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::modulation::OnOff;
 use emptcp_phy::{IfaceKind, LinkConfig};
-use emptcp_sim::{EpochClock, EventQueue, SimDuration, SimRng, SimTime, TimerId};
+use emptcp_sim::{EpochClock, EventQueue, LaneQueue, SimDuration, SimRng, SimTime, TimerId};
 use emptcp_tcp::{CcAlgorithm, Segment, TcpConfig};
 use emptcp_telemetry::{shard_metric, Telemetry, TelemetryScope, TraceEvent, TraceSink};
 use emptcp_workload::CrossTrafficSource;
@@ -415,7 +426,8 @@ struct Rows {
 
 /// Events local to a client shard. A segment-bearing event owns its
 /// segment until it fires; one still queued at the horizon drops with the
-/// queue.
+/// queue. The two kinds the core feeds ride the shard's lanes
+/// ([`LANE_DOWN`], [`LANE_UP`]); the rest sit in its heap.
 enum ClientEvent {
     /// A data segment leaving the core toward this client: charge the
     /// access downlink of subflow `sf`.
@@ -462,11 +474,32 @@ struct Hop {
     down: bool,
 }
 
+/// The client-shard lane of the bottleneck's hops ([`ClientEvent::DownFromCore`]).
+const LANE_DOWN: usize = 0;
+/// The client-shard lane of the reverse port's hops ([`ClientEvent::UpFromCore`]).
+const LANE_UP: usize = 1;
+
+/// Queue `hop` on `outbox`, which grows by about a quarter when full
+/// rather than doubling: an outbox is drained at every barrier and keeps
+/// its capacity for the whole run.
+fn post(outbox: &mut Vec<Hop>, hop: Hop) {
+    if outbox.len() == outbox.capacity() {
+        outbox.reserve_exact(outbox.len() / 4 + 4);
+    }
+    outbox.push(hop);
+}
+
 struct ClientShard {
     /// Global id of local row 0.
     base: u32,
     rows: Rows,
+    /// Everything the shard schedules itself: deliveries and timers.
     queue: EventQueue<ClientEvent>,
+    /// What the core feeds the shard, one lane per core port. Each port is
+    /// a FIFO whose hops leave under ascending core keys, so a hop joins
+    /// its lane's back unless a core rate rise or a shrinking extra delay
+    /// let it overtake an earlier one.
+    lanes: LaneQueue<ClientEvent, 2>,
     outbox: Vec<Hop>,
     telemetry: Telemetry,
     port_scope: TelemetryScope,
@@ -553,6 +586,7 @@ impl ClientShard {
             base: base as u32,
             rows,
             queue: EventQueue::new(),
+            lanes: LaneQueue::new(),
             outbox: Vec::new(),
             telemetry,
             port_scope,
@@ -586,13 +620,20 @@ impl ClientShard {
         }
     }
 
-    /// Process every queued event strictly before `bound`.
+    /// Process every queued event strictly before `bound`, heap and lanes
+    /// merged on the canonical `(time, key)`.
     fn run_until(&mut self, bound: SimTime) {
-        while let Some((now, key, event)) = self.queue.pop_before(bound) {
+        while let Some((now, key, event)) = self.lanes.pop_merged_before(&mut self.queue, bound) {
             self.events += 1;
             self.set_tag(key);
             self.handle(now, event);
         }
+    }
+
+    /// The earliest event the heap or a lane holds.
+    fn next_time(&mut self) -> Option<SimTime> {
+        let lane = self.lanes.peek_key().map(|(at, _)| at);
+        SimTime::earliest(self.queue.peek_time(), lane)
     }
 
     fn handle(&mut self, now: SimTime, event: ClientEvent) {
@@ -680,14 +721,17 @@ impl ClientShard {
             self.queue
                 .schedule_keyed(at, key, ClientEvent::DeliverClient { local, sf, seg });
         } else {
-            self.outbox.push(Hop {
-                client: self.base + l as u32,
-                sf,
-                at,
-                key,
-                seg,
-                down: false,
-            });
+            post(
+                &mut self.outbox,
+                Hop {
+                    client: self.base + l as u32,
+                    sf,
+                    at,
+                    key,
+                    seg,
+                    down: false,
+                },
+            );
         }
     }
 
@@ -705,14 +749,17 @@ impl ClientShard {
         );
         if let PortOutcome::Forwarded { at, .. } = outcome {
             let key = self.next_key(l, CLASS_EVENT);
-            self.outbox.push(Hop {
-                client: self.base + l as u32,
-                sf,
-                at,
-                key,
-                seg,
-                down: true,
-            });
+            post(
+                &mut self.outbox,
+                Hop {
+                    client: self.base + l as u32,
+                    sf,
+                    at,
+                    key,
+                    seg,
+                    down: true,
+                },
+            );
         }
     }
 
@@ -798,9 +845,10 @@ impl ClientShard {
             drops_c += p.link().dropped_channel();
             marks += p.ecn_marked();
         });
-        let events = self.events;
+        let (events, ahead) = (self.events, self.lanes.inserted_ahead());
         self.telemetry.with_metrics(|m| {
             m.counter_add(&shard_metric(sid as u32, "events"), events);
+            m.counter_add(&shard_metric(sid as u32, "lane_inserted_ahead"), ahead);
             m.counter_add(&shard_metric(sid as u32, "delivered"), delivered);
             m.counter_add(&shard_metric(sid as u32, "drops_queue"), drops_q);
             m.counter_add(&shard_metric(sid as u32, "drops_channel"), drops_c);
@@ -882,7 +930,11 @@ struct CoreShard {
     faults_applied: u64,
     rng: SimRng,
     seq: u32,
-    outbox: Vec<Hop>,
+    /// The global client id of each client shard's first row (ascending):
+    /// where a hop is bound.
+    starts: Vec<u32>,
+    /// One outbox per client shard, indexed as `starts`.
+    outboxes: Vec<Vec<Hop>>,
     telemetry: Telemetry,
     port_scope: TelemetryScope,
     tap: Option<Tap>,
@@ -890,7 +942,7 @@ struct CoreShard {
 }
 
 impl CoreShard {
-    fn new(cfg: &FleetConfig, outer: &Telemetry, root: &SimRng) -> CoreShard {
+    fn new(cfg: &FleetConfig, starts: Vec<u32>, outer: &Telemetry, root: &SimRng) -> CoreShard {
         let (telemetry, tap) = make_pipeline(outer);
         let now = SimTime::ZERO;
         let mut cross_rng = root.fork_labeled("cross");
@@ -926,7 +978,8 @@ impl CoreShard {
             faults_applied: 0,
             rng: root.fork_labeled("net"),
             seq: 0,
-            outbox: Vec::new(),
+            outboxes: starts.iter().map(|_| Vec::new()).collect(),
+            starts,
             telemetry,
             port_scope,
             tap,
@@ -1008,14 +1061,18 @@ impl CoreShard {
                 // transports are loss-based).
                 if let PortOutcome::Forwarded { at, .. } = outcome {
                     let key = self.next_key(CLASS_EVENT);
-                    self.outbox.push(Hop {
-                        client,
-                        sf,
-                        at,
-                        key,
-                        seg,
-                        down,
-                    });
+                    let sid = self.starts.partition_point(|&start| start <= client) - 1;
+                    post(
+                        &mut self.outboxes[sid],
+                        Hop {
+                            client,
+                            sf,
+                            at,
+                            key,
+                            seg,
+                            down,
+                        },
+                    );
                 }
             }
             CoreEvent::CrossPoll { src } => {
@@ -1107,13 +1164,11 @@ impl CoreShard {
 // ---------------------------------------------------------------------
 
 /// What every thread of a run shares: each client shard and the core
-/// behind its own lock, and the global client id of each shard's first row
-/// (ascending). Inside a step every task locks only its own shard; the
-/// barrier between steps runs on one thread.
+/// behind its own lock. Inside a step every task locks only its own shard;
+/// the barrier between steps runs on one thread.
 struct Partition {
     shards: Vec<Mutex<ClientShard>>,
     core: Mutex<CoreShard>,
-    starts: Vec<usize>,
 }
 
 impl Partition {
@@ -1139,11 +1194,12 @@ impl Partition {
     }
 
     /// Barrier exchange: move every outbox message into its destination
-    /// shard's queue under the key its sender assigned. Arrival times are
-    /// at or beyond the epoch bound by the lookahead argument, so no
-    /// message ever lands in a queue's past.
+    /// shard's queue or lane under the key its sender assigned. Arrival
+    /// times are at or beyond the epoch bound by the lookahead argument, so
+    /// no message ever lands in a queue's past.
     fn exchange(&self) {
         let mut core = self.core.lock().expect("core shard poisoned");
+        let core = &mut *core;
         for shard in &self.shards {
             let mut shard = shard.lock().expect("shard poisoned");
             for msg in shard.outbox.drain(..) {
@@ -1156,25 +1212,22 @@ impl Partition {
                 core.queue.schedule_keyed(msg.at, msg.key, event);
             }
         }
-        // Keys are unique, so the order a queue receives messages in is
-        // invisible: sort the core's outbox by client in place and hand
-        // each shard its contiguous run under one lock.
-        core.outbox.sort_unstable_by_key(|msg| msg.client);
-        let mut hops = core.outbox.drain(..).peekable();
-        for (sid, shard) in self.shards.iter().enumerate() {
-            let end = self.starts.get(sid + 1).map_or(u32::MAX, |&e| e as u32);
-            if hops.peek().is_none_or(|msg| msg.client >= end) {
+        // The core filed each hop under its shard as it sent it, in the
+        // order it sent them: each port's hops reach their lane in
+        // ascending key order.
+        for (shard, outbox) in self.shards.iter().zip(&mut core.outboxes) {
+            if outbox.is_empty() {
                 continue;
             }
             let mut shard = shard.lock().expect("shard poisoned");
-            while let Some(msg) = hops.next_if(|msg| msg.client < end) {
+            for msg in outbox.drain(..) {
                 let (local, sf, seg) = (msg.client - shard.base, msg.sf, msg.seg);
-                let event = if msg.down {
-                    ClientEvent::DownFromCore { local, sf, seg }
+                let (lane, event) = if msg.down {
+                    (LANE_DOWN, ClientEvent::DownFromCore { local, sf, seg })
                 } else {
-                    ClientEvent::UpFromCore { local, sf, seg }
+                    (LANE_UP, ClientEvent::UpFromCore { local, sf, seg })
                 };
-                shard.queue.schedule_keyed(msg.at, msg.key, event);
+                shard.lanes.schedule_keyed(lane, msg.at, msg.key, event);
             }
         }
     }
@@ -1185,7 +1238,7 @@ impl Partition {
         let mut core = self.core.lock().expect("core shard poisoned");
         self.shards
             .iter()
-            .filter_map(|shard| shard.lock().expect("shard poisoned").queue.peek_time())
+            .filter_map(|shard| shard.lock().expect("shard poisoned").next_time())
             .chain(core.queue.peek_time())
             .min()
     }
@@ -1308,7 +1361,8 @@ impl ShardedFleetSim {
                 ))
             })
             .collect();
-        let core = Mutex::new(CoreShard::new(&cfg, &telemetry, &root));
+        let starts = starts.into_iter().map(|start| start as u32).collect();
+        let core = Mutex::new(CoreShard::new(&cfg, starts, &telemetry, &root));
         let taps = shards
             .iter()
             .map(|shard| shard.lock().expect("shard poisoned").tap.clone())
@@ -1319,11 +1373,7 @@ impl ShardedFleetSim {
         Ok(ShardedFleetSim {
             cfg,
             delta,
-            part: Partition {
-                shards,
-                core,
-                starts,
-            },
+            part: Partition { shards, core },
             merge: TraceMerge {
                 telemetry,
                 taps,
@@ -1619,7 +1669,8 @@ mod tests {
                 .build();
             let mut sim = ShardedFleetSim::new_with_telemetry(small(8, 3), shards, outer.clone());
             {
-                let sid = sim.part.starts.partition_point(|&start| start <= CLIENT) - 1;
+                let starts = &sim.part.core.lock().unwrap().starts;
+                let sid = starts.partition_point(|&start| start <= CLIENT as u32) - 1;
                 assert_eq!(sid, if shards == 4 { 2 } else { 0 });
                 let shard = sim.part.shards[sid].lock().unwrap();
                 shard.set_tag(pack(CLASS_INIT, CLIENT as u32 + 1, 0));

@@ -17,12 +17,15 @@
 //! a single-threaded loop.
 //!
 //! This queue serves the drivers whose events genuinely reorder or carry
-//! their own ordering keys: the sharded fleet engine (every event keyed
-//! with [`EventQueue::schedule_keyed`], drained with
-//! [`EventQueue::pop_before`]), `ChaosNet`'s jittered paths and the live
-//! UDP transport's egress shaping. The device ↔ server host runs on
-//! [`LaneQueue`](crate::LaneQueue) instead: its in-flight segments ride
-//! one lane per link direction and its three timers one lane each.
+//! their own ordering keys: the sharded fleet engine, `ChaosNet`'s
+//! jittered paths and the live UDP transport's egress shaping. In the
+//! fleet every event is keyed with [`EventQueue::schedule_keyed`]. The
+//! core shard drains its queue with [`EventQueue::pop_before`]; a client
+//! shard keeps only what it schedules itself here and the core's hops on
+//! two keyed [`LaneQueue`](crate::LaneQueue) lanes, and pops both merged
+//! with [`LaneQueue::pop_merged_before`](crate::LaneQueue::pop_merged_before).
+//! The device ↔ server host runs on lanes alone: its in-flight segments
+//! ride one lane per link direction and its three timers one lane each.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -198,8 +201,15 @@ impl<E> EventQueue<E> {
     /// live event is strictly before `bound`, else `None` with the event
     /// left queued: a bounded drain loop's `peek_time` + `pop` in one call.
     pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, u64, E)> {
-        let key = self.front()?;
-        (key.at < bound).then(|| (key.at, key.seq, self.take_front(key).1))
+        self.pop_below(bound, 0)
+    }
+
+    /// [`pop_before`](Self::pop_before) with the bound a whole `(time,
+    /// key)`: the next live event pops if its `(time, key)` is strictly
+    /// below `(at, key)`.
+    pub(crate) fn pop_below(&mut self, at: SimTime, key: u64) -> Option<(SimTime, u64, E)> {
+        let front = self.front()?;
+        ((front.at, front.seq) < (at, key)).then(|| (front.at, front.seq, self.take_front(front).1))
     }
 
     /// Remove the live key `front` just found at the top of the heap.

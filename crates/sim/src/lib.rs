@@ -10,13 +10,14 @@
 //! the summary statistics used throughout the paper's figures ([`stats`]).
 //!
 //! Both queues pop in `(time, seq)` order; they differ in what a driver may
-//! ask of them. [`LaneQueue`] serves the device ↔ server host
-//! (`emptcp_expr::host`): a fixed set of lanes, one per link direction for
-//! the segments in flight plus one per timer, each nearly in order already.
-//! [`EventQueue`] serves every driver whose events genuinely reorder or
-//! carry their own ordering keys: the sharded fleet engine
-//! (`schedule_keyed`), `ChaosNet`'s jittered paths and the live UDP
-//! transport's egress shaping.
+//! ask of them. [`LaneQueue`] serves streams that are nearly in order
+//! already: the device ↔ server host (`emptcp_expr::host`) runs on lanes
+//! alone, one per link direction for the segments in flight plus one per
+//! timer, and a fleet client shard (`emptcp_net::shard`) takes the core's
+//! two streams of hops on two keyed lanes. [`EventQueue`] serves every
+//! driver whose events genuinely reorder or carry their own ordering keys:
+//! the rest of the sharded fleet engine (`schedule_keyed`), `ChaosNet`'s
+//! jittered paths and the live UDP transport's egress shaping.
 //!
 //! Everything here is deterministic: the same seed and the same sequence of
 //! calls produce bit-identical results on every platform. Wall-clock time is

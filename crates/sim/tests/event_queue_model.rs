@@ -25,6 +25,11 @@
 //! lane queue must agree on every pop's time and payload, the clock and
 //! its count of inserts ahead of a lane's tail.
 //!
+//! The merged property drives a fleet client shard's shape: two keyed
+//! lanes fed in port order, a keyed heap beside them, and bounded pops
+//! that take the least `(time, key)` of both. Every pop must be the one
+//! the reference, holding every event in one list, gives.
+//!
 //! Case count: the default 64, raised in CI via `PROPTEST_CASES` (the
 //! differential gate runs with ≥1000). The reference and the lockstep
 //! harness live in `event_queue_model/model.rs`, shared with the root
@@ -283,6 +288,18 @@ proptest! {
             pair.check_observers();
         }
         pair.drain();
+    }
+
+    /// Keyed lanes merged with a keyed heap, as a fleet client shard pops
+    /// them: every bounded pop, lane peek and count of inserts ahead agrees
+    /// with the reference, in-order lanes and always-reordering ones alike.
+    #[test]
+    fn keyed_lanes_merged_with_the_heap_agree(
+        seed in 0u64..u64::MAX,
+        ops in 100usize..800,
+        reorder_every in 1u64..40,
+    ) {
+        model::check_merged(seed, ops, reorder_every);
     }
 
     /// Clock sanity on the queue alone: pop times are monotone and the

@@ -17,8 +17,13 @@ impl Reference {
     fn schedule(&mut self, at: u64, payload: u32) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.push((at.max(self.now), seq, payload));
+        self.schedule_keyed(at, seq, payload);
         seq
+    }
+
+    /// Schedule under a caller-supplied key, which orders like a seq.
+    fn schedule_keyed(&mut self, at: u64, key: u64, payload: u32) {
+        self.live.push((at.max(self.now), key, payload));
     }
 
     fn cancel(&mut self, seq: u64) {
@@ -303,4 +308,166 @@ pub fn check_lanes(seed: u64, ops: usize, reorder_every: u64) -> (u64, u64) {
     }
     pair.drain();
     (pair.inserted_ahead, replaces)
+}
+
+/// Lanes in the [`MergedPair`]: as many as a fleet client shard has.
+pub const MERGED_LANES: usize = 2;
+/// The owner of every lane key; heap keys are under owners 0, 1, 3 and 4.
+const LANE_OWNER: usize = 2;
+
+fn is_lane_key(key: u64) -> bool {
+    key >> 32 == LANE_OWNER as u64
+}
+
+/// A keyed [`EventQueue`] and a keyed [`LaneQueue`] popped as one
+/// with `pop_merged_before`, next to the reference holding every event.
+/// Lane keys come from one counter under owner [`LANE_OWNER`] and heap
+/// keys from per-owner counters under the owners either side of it, as
+/// the fleet's client shards key them: unique, but not in schedule order
+/// across owners, and a same-instant tie may go either way.
+#[derive(Default)]
+pub struct MergedPair {
+    heap: EventQueue<u32>,
+    lanes: LaneQueue<u32, MERGED_LANES>,
+    reference: Reference,
+    /// Every heap schedule's handle and key, fired or cancelled or not.
+    handles: Vec<(TimerId, u64)>,
+    /// The lane of each lane key, indexed by the key's seq.
+    lane_of: Vec<usize>,
+    owner_seq: [u32; 5],
+    /// Lane schedules the reference saw land ahead of a later live entry
+    /// of their lane.
+    pub inserted_ahead: u64,
+}
+
+impl MergedPair {
+    fn next_key(&mut self, owner: usize) -> u64 {
+        let seq = self.owner_seq[owner];
+        self.owner_seq[owner] += 1;
+        (owner as u64) << 32 | u64::from(seq)
+    }
+
+    /// The merged clock: the time of the last event either queue popped.
+    pub fn now(&self) -> u64 {
+        self.reference.now
+    }
+
+    pub fn schedule_heap(&mut self, owner: usize, delta_ns: u64, payload: u32) {
+        let at = self.now() + delta_ns;
+        let key = self.next_key(owner);
+        let id = self
+            .heap
+            .schedule_keyed(SimTime::from_nanos(at), key, payload);
+        self.reference.schedule_keyed(at, key, payload);
+        self.handles.push((id, key));
+    }
+
+    pub fn cancel_nth(&mut self, pick: usize) {
+        if self.handles.is_empty() {
+            return;
+        }
+        let (id, key) = self.handles[pick % self.handles.len()];
+        self.heap.cancel(id);
+        self.reference.cancel(key);
+    }
+
+    pub fn schedule_lane(&mut self, lane: usize, at: u64, payload: u32) {
+        let key = self.next_key(LANE_OWNER);
+        assert_eq!(key as u32 as usize, self.lane_of.len());
+        self.lane_of.push(lane);
+        let lane_of = &self.lane_of;
+        let ahead = self.reference.live.iter().any(|&(t, k, _)| {
+            is_lane_key(k) && lane_of[k as u32 as usize] == lane && (t, k) > (at, key)
+        });
+        self.inserted_ahead += u64::from(ahead);
+        self.lanes
+            .schedule_keyed(lane, SimTime::from_nanos(at), key, payload);
+        self.reference.schedule_keyed(at, key, payload);
+    }
+
+    /// Pop the least event of both queues if it is due strictly before
+    /// `now + delta_ns`; the reference spells it out as `peek_time() <
+    /// bound`, then `pop()`.
+    pub fn pop_before(&mut self, delta_ns: u64) -> Option<(u64, u64, u32)> {
+        let bound = self.now() + delta_ns;
+        let got = self
+            .lanes
+            .pop_merged_before(&mut self.heap, SimTime::from_nanos(bound))
+            .map(|(t, key, p)| (t.as_nanos(), key, p));
+        let due = self.reference.peek_time().is_some_and(|t| t < bound);
+        let want = due.then(|| self.reference.pop()).flatten();
+        assert_eq!(got, want, "merged pop diverged from reference");
+        want
+    }
+
+    pub fn check_observers(&self) {
+        assert_eq!(self.lanes.inserted_ahead(), self.inserted_ahead);
+        let lane = self.lanes.peek_key().map(|(t, k)| (t.as_nanos(), k));
+        let lane_ref = self
+            .reference
+            .live
+            .iter()
+            .filter(|&&(_, k, _)| is_lane_key(k))
+            .map(|&(t, k, _)| (t, k))
+            .min();
+        assert_eq!(lane, lane_ref, "lane peek");
+    }
+
+    /// Drain everything left; both must agree to the last event.
+    pub fn drain(&mut self) {
+        while self.pop_before(u64::MAX - self.now()).is_some() {}
+        assert!(self.reference.live.is_empty(), "reference had leftovers");
+        assert!(self.heap.is_empty());
+    }
+}
+
+/// A client shard's shape, derived from `seed`: two lanes fed in port
+/// order (each hop at or after its lane's last one, and, one time in
+/// `reorder_every` that the lane holds a later hop, earlier: a rate rise), heap events from four owners at
+/// any distance, timer-like cancels, and bounded pops whose bounds fall
+/// before, between and after what is queued. Returns `(inserted ahead,
+/// cancels)` so callers can assert the run exercised both paths.
+pub fn check_merged(seed: u64, ops: usize, reorder_every: u64) -> (u64, u64) {
+    let mut state = seed;
+    let mut pair = MergedPair::default();
+    let mut tail = [0u64; MERGED_LANES];
+    let mut cancels = 0;
+
+    for _ in 0..ops {
+        match mix(&mut state) % 8 {
+            0..=2 => {
+                let lane = (mix(&mut state) % MERGED_LANES as u64) as usize;
+                let now = pair.now();
+                let last = tail[lane].max(now);
+                // A hop ahead of the lane's live tail, or one after it.
+                let at = if last > now && mix(&mut state).is_multiple_of(reorder_every) {
+                    now + mix(&mut state) % (last - now)
+                } else {
+                    last + mix(&mut state) % (4 * TICK_NS)
+                };
+                tail[lane] = tail[lane].max(at);
+                pair.schedule_lane(lane, at, mix(&mut state) as u32);
+            }
+            3 | 4 => {
+                let owner = [0, 1, 3, 4][(mix(&mut state) % 4) as usize];
+                // Now and then exactly at a lane's tail: a same-instant
+                // tie that only the key breaks.
+                let delta = match mix(&mut state) % 4 {
+                    0 => tail[0].max(pair.now()) - pair.now(),
+                    _ => mix(&mut state) % (TICK_NS * SLOTS),
+                };
+                pair.schedule_heap(owner, delta, mix(&mut state) as u32);
+            }
+            5 => {
+                pair.cancel_nth(mix(&mut state) as usize);
+                cancels += 1;
+            }
+            _ => {
+                pair.pop_before(mix(&mut state) % (8 * TICK_NS));
+            }
+        }
+        pair.check_observers();
+    }
+    pair.drain();
+    (pair.inserted_ahead, cancels)
 }

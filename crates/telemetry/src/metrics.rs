@@ -239,7 +239,10 @@ impl MetricsRegistry {
         self.gauges.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
+    /// The histogram `name`, if anything was observed into it. Only the
+    /// registry's own tests read one back.
+    #[cfg(test)]
+    fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name).map(|h| &**h)
     }
 

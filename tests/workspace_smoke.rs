@@ -8,8 +8,9 @@
 //! tell how often they are polled or swept, two event queues that pop like
 //! their sorted-`Vec` reference, a live transfer that loses nothing to its
 //! own socket buffers, exhibits that cannot tell which of them simulated a
-//! run they share, a sender that cuts no runts, and one fault plan that
-//! fires at its own instants on all three drivers.
+//! run they share, a sender that cuts no runts, one fault plan that
+//! fires at its own instants on all three drivers, and a fleet whose
+//! core-fed lanes keep the canonical order through a core rate rise.
 
 use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{plan, FaultSpec, FaultTarget};
@@ -244,7 +245,9 @@ fn the_event_queue_pops_like_the_reference() {
 /// Reduced cases of the lane properties in `event_queue_model`: the host's
 /// lane queue and the sorted-`Vec` reference agree on every pop, clock
 /// reading and count of inserts ahead of a lane's tail, under
-/// link-like traffic that reorders rarely and always.
+/// link-like traffic that reorders rarely and always; and a fleet client
+/// shard's keyed lanes, popped merged with its keyed heap, agree with the
+/// reference too.
 #[test]
 fn the_lane_queue_pops_like_the_reference() {
     for (seed, reorder_every) in [(36, 20), (1112, 1)] {
@@ -252,6 +255,11 @@ fn the_lane_queue_pops_like_the_reference() {
         assert!(
             ahead > 0 && replaces > 0,
             "seed {seed}: {ahead} inserts ahead, {replaces} replaces"
+        );
+        let (ahead, cancels) = event_queue_model::check_merged(seed, 800, reorder_every);
+        assert!(
+            ahead > 0 && cancels > 0,
+            "seed {seed}: {ahead} inserts ahead, {cancels} cancels"
         );
     }
 }
@@ -453,4 +461,64 @@ fn the_fleet_runs_alike_on_any_thread_count() {
             "{threads} threads diverged"
         );
     }
+}
+
+/// Core-fed hops ride per-shard lanes. A core bandwidth collapse and the
+/// ramp back up let a later bottleneck hop overtake earlier ones, so the
+/// lanes insert ahead of their tails; the report, the delivered bytes and
+/// the JSONL are still the same at 1 and 3 shards, serial or on 2 and 4
+/// threads. A fault-free fleet inserts nothing ahead.
+#[test]
+fn core_fed_hops_keep_the_canonical_order_through_a_rate_rise() {
+    use emptcp_telemetry::shard_metric;
+    let mut cfg = FleetConfig::contended(12, 5);
+    cfg.duration = SimDuration::from_millis(2_500);
+    cfg.bottleneck.rate_bps = 20_000_000;
+    let collapse = FaultSpec::BandwidthCollapse {
+        target: FaultTarget::Core,
+        from_ms: 700,
+        hold_ms: 400,
+        collapsed_bps: 1_000_000,
+        ramp_bps: vec![4_000_000, 10_000_000],
+        step_ms: 250,
+    };
+    let run = |shards: usize, threads: Option<usize>, plan: &[FaultSpec]| {
+        let record = Arc::new(Mutex::new(MemorySink::new()));
+        let telemetry = Telemetry::builder()
+            .sink(Box::new(Arc::clone(&record)))
+            .invariants(true)
+            .build();
+        let mut sim = ShardedFleetSim::new_with_telemetry(cfg.clone(), shards, telemetry.clone());
+        sim.attach_faults(plan);
+        let report = match threads {
+            None => sim.run_with(&SerialExecutor),
+            Some(threads) => sim.run_on(threads),
+        };
+        assert_eq!(telemetry.violations(), [], "online invariant violated");
+        let metrics = telemetry.metrics().expect("telemetry is on");
+        let ahead: u64 = (0..sim.shards() as u32)
+            .map(|sid| metrics.counter(&shard_metric(sid, "lane_inserted_ahead")))
+            .sum();
+        let report = serde_json::to_string(&report).expect("report serializes");
+        let jsonl = record.lock().unwrap().to_jsonl();
+        ((report, sim.per_client_delivered(), jsonl), ahead)
+    };
+    let plan = std::slice::from_ref(&collapse);
+    let (reference, ahead) = run(1, None, plan);
+    let (report, delivered, jsonl) = &reference;
+    assert!(report.contains("\"faults_injected\":4"), "{report}");
+    assert!(delivered.iter().all(|&bytes| bytes > 0), "{delivered:?}");
+    assert!(jsonl.contains("FaultInjected"));
+    assert!(ahead > 0, "the ramp reordered no bottleneck hop");
+    for (shards, threads) in [(3, None), (3, Some(2)), (3, Some(4)), (1, Some(2))] {
+        let (got, got_ahead) = run(shards, threads, plan);
+        assert!(
+            got == reference,
+            "{shards} shards on {threads:?} threads diverged"
+        );
+        // Which hops share a lane depends on the partition, so the count
+        // may too; that a rate rise makes some is what must hold.
+        assert!(got_ahead > 0, "{shards} shards on {threads:?} threads");
+    }
+    assert_eq!(run(3, Some(2), &[]).1, 0, "a fault-free fleet reordered");
 }
