@@ -33,7 +33,8 @@ pub struct IfaceTotals {
 
 impl IfaceTotals {
     /// Totals from a single connection (the single-connection case).
-    pub fn from_conn(conn: &MpConnection, cellular_kind: IfaceKind) -> IfaceTotals {
+    #[cfg(test)]
+    fn from_conn(conn: &MpConnection, cellular_kind: IfaceKind) -> IfaceTotals {
         IfaceTotals {
             wifi_bytes: conn.delivered_by_iface(IfaceKind::Wifi),
             cell_bytes: conn.delivered_by_iface(cellular_kind),

@@ -32,7 +32,7 @@ use crate::strategy::Strategy;
 use emptcp::{Action, EmptcpClient, IfaceTotals};
 use emptcp_energy::{Eib, EnergyMeter, EnergyModel, RadioSnapshot};
 use emptcp_faults::{plan, FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
-use emptcp_mptcp::{MpConnection, RecoveryStats, Role, Subflow, SubflowId};
+use emptcp_mptcp::{rearm, MpConnection, RecoveryStats, Role, Subflow, SubflowId};
 use emptcp_phy::link::{EnqueueOutcome, LossModel};
 use emptcp_phy::mobility::MobilityModel;
 use emptcp_phy::path::{Direction, Path, PathConfig};
@@ -42,7 +42,7 @@ use emptcp_sim::trace::TimeSeries;
 use emptcp_sim::{LaneQueue, SimDuration, SimRng, SimTime};
 use emptcp_tcp::{Segment, TcpConfig};
 use emptcp_telemetry::Telemetry;
-use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS};
+use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS, REQUEST_BYTES};
 use emptcp_workload::{BandwidthModulator, InterfererSet};
 use serde::Serialize;
 
@@ -175,6 +175,14 @@ impl ConnState {
     }
 }
 
+/// The earliest deadline of any endpoint of `conns`.
+fn earliest_deadline(conns: &[ConnState]) -> Option<SimTime> {
+    conns.iter().fold(None, |next, c| {
+        let next = SimTime::earliest(next, c.client.next_deadline());
+        SimTime::earliest(next, c.server.next_deadline())
+    })
+}
+
 /// One strategy through one scenario.
 pub struct Simulation {
     scenario: Scenario,
@@ -187,7 +195,6 @@ pub struct Simulation {
     wifi_path: Path,
     cell_path: Path,
     cell_pending: Vec<(usize, SubflowId, bool, Segment)>,
-    cell_ready_scheduled: bool,
 
     modulator: Option<BandwidthModulator>,
     interferers: Option<InterfererSet>,
@@ -200,10 +207,6 @@ pub struct Simulation {
     /// Wire bytes seen at the device per interface since the last tick:
     /// `[wifi, cellular]`.
     window_bytes: [u64; 2],
-    /// When the single outstanding TimerCheck event fires. It is never
-    /// later than any endpoint's deadline; re-arming replaces it in its
-    /// lane.
-    timer_at: Option<SimTime>,
 
     energy_trace: TimeSeries,
     wifi_thpt_trace: TimeSeries,
@@ -336,7 +339,6 @@ impl Simulation {
             wifi_path,
             cell_path,
             cell_pending: Vec::new(),
-            cell_ready_scheduled: false,
             modulator,
             interferers,
             mobility,
@@ -344,7 +346,6 @@ impl Simulation {
             web_queue: None,
             meter,
             window_bytes: [0, 0],
-            timer_at: None,
             energy_trace: TimeSeries::new("energy_j"),
             wifi_thpt_trace: TimeSeries::new("wifi_mbps"),
             cell_thpt_trace: TimeSeries::new("cell_mbps"),
@@ -506,10 +507,9 @@ impl Simulation {
             let (_transitions, ready) = self.rrc.on_activity(now);
             if !self.rrc.state().can_transfer() {
                 self.cell_pending.push((conn, sf, !from_client, seg));
-                if !self.cell_ready_scheduled {
+                if self.queue.head(CELL_READY_LANE).is_none() {
                     self.queue
                         .schedule(CELL_READY_LANE, ready, Event::CellReady);
-                    self.cell_ready_scheduled = true;
                 }
                 return;
             }
@@ -546,31 +546,15 @@ impl Simulation {
         for i in 0..self.conns.len() {
             self.drain_conn(now, i);
         }
-        let next = self.earliest_deadline();
-        self.arm_timer(now, next);
+        self.arm_timer(now, earliest_deadline(&self.conns));
     }
 
-    fn earliest_deadline(&self) -> Option<SimTime> {
-        self.conns.iter().fold(None, |next, c| {
-            let next = SimTime::earliest(next, c.client.next_deadline());
-            SimTime::earliest(next, c.server.next_deadline())
-        })
-    }
-
-    /// The instant the TimerCheck must move to so that it fires no later
-    /// than `next`, or `None` if the armed one already does.
-    fn timer_rearm(&self, now: SimTime, next: Option<SimTime>) -> Option<SimTime> {
-        let d = next?.max(now);
-        match self.timer_at {
-            Some(t) if d >= t => None,
-            _ => Some(d),
-        }
-    }
-
-    fn arm_timer(&mut self, now: SimTime, next: Option<SimTime>) {
-        if let Some(d) = self.timer_rearm(now, next) {
+    /// Move the single TimerCheck, the head of its lane, earlier if
+    /// `touched` is due before it ([`rearm`]).
+    fn arm_timer(&mut self, now: SimTime, touched: Option<SimTime>) {
+        let all = || earliest_deadline(&self.conns);
+        if let Some(d) = rearm(now, self.queue.head(TIMER_LANE), touched, all) {
             self.queue.replace(TIMER_LANE, d, Event::TimerCheck);
-            self.timer_at = Some(d);
         }
     }
 
@@ -613,16 +597,10 @@ impl Simulation {
         // Only the endpoint the segment reached can have news: an empty
         // poll of the other side would change nothing.
         self.drain_side(now, conn, to_client);
-        // Nor can any other endpoint's deadline have moved, and each one is
-        // already at or after the armed timer: the touched endpoint's
-        // deadline alone decides the re-arm the full fold would.
+        // Nor can any other endpoint's deadline have moved: the touched
+        // endpoint's deadline alone decides the re-arm.
         let c = &self.conns[conn];
         let touched = if to_client { &c.client } else { &c.server }.next_deadline();
-        debug_assert_eq!(
-            self.timer_rearm(now, touched),
-            self.timer_rearm(now, self.earliest_deadline()),
-            "a delivery moved the deadline of an endpoint it did not reach"
-        );
         self.arm_timer(now, touched);
         self.check_completion(now);
     }
@@ -665,9 +643,9 @@ impl Simulation {
                 }
             }
             Workload::WebPage => {
-                // Each 600-byte request unlocks one object response.
+                // Each request unlocks one object response.
                 if let Some(obj) = c.web_current {
-                    let needed = c.request_cursor + 600;
+                    let needed = c.request_cursor + REQUEST_BYTES;
                     if got >= needed {
                         c.request_cursor = needed;
                         c.server.write(obj);
@@ -691,18 +669,16 @@ impl Simulation {
         }
         if let Some(size) = queue.pop() {
             c.web_current = Some(size);
-            c.client.write(600);
+            c.client.write(REQUEST_BYTES);
         }
     }
 
     fn on_cell_ready(&mut self, now: SimTime) {
-        self.cell_ready_scheduled = false;
         self.rrc.poll(now);
         if !self.rrc.state().can_transfer() {
             // Still promoting (e.g. spurious event); re-arm.
             if let Some(d) = self.rrc.next_deadline() {
                 self.queue.schedule(CELL_READY_LANE, d, Event::CellReady);
-                self.cell_ready_scheduled = true;
             }
             return;
         }
@@ -766,7 +742,6 @@ impl Simulation {
     }
 
     fn on_timer_check(&mut self, now: SimTime) {
-        self.timer_at = None;
         for i in 0..self.conns.len() {
             self.conns[i].client.on_deadline(now);
             self.conns[i].server.on_deadline(now);

@@ -19,9 +19,10 @@
 //! event-for-event decision parity between the two backends is a
 //! statement about two transports, not about two loops kept in step, and
 //! a wall-clock run executes the certified step itself, not a copy of it.
-//! Neither sweep is load-bearing: under the driver contract of
-//! [`emptcp_mptcp`] (DESIGN §15) sweeping a worker nothing touched is
-//! wasted work, never a behaviour change, so a dirty set could skip it.
+//! Under the driver contract of [`emptcp_mptcp`] (DESIGN §15) sweeping a
+//! worker nothing touched is a no-op. The sweep stays whole: it is the
+//! reference the other drivers' [`rearm`](emptcp_mptcp::rearm) is checked
+//! against, and with one or two workers a dirty set would save nothing.
 //!
 //! The only clock-dependent code is how the next instant is reached. A
 //! virtual clock jumps to the earliest deadline or held frame, like a

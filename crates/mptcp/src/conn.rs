@@ -232,7 +232,8 @@ impl MpConnection {
     }
 
     /// Toggle opportunistic reinjection (on by default, as in Linux MPTCP).
-    pub fn set_opportunistic(&mut self, enabled: bool) {
+    #[cfg(test)]
+    fn set_opportunistic(&mut self, enabled: bool) {
         self.opportunistic = enabled;
     }
 
@@ -296,7 +297,7 @@ impl MpConnection {
 
     /// True once this side requested close, everything it wrote was
     /// acknowledged, and its FINs are queued on every subflow.
-    pub fn close_sent(&self) -> bool {
+    fn close_sent(&self) -> bool {
         self.closing && self.data_acked >= self.data_written && self.all_data_scheduled()
     }
 
@@ -841,7 +842,7 @@ impl MpConnection {
 
     /// True when the sender side has pushed every written byte into some
     /// subflow.
-    pub fn all_data_scheduled(&self) -> bool {
+    fn all_data_scheduled(&self) -> bool {
         self.data_next >= self.data_written && self.reinject.is_empty()
     }
 

@@ -44,9 +44,10 @@
 //!    sleeps until `next_deadline()` always makes progress.
 //!
 //! So a driver that sweeps only on the timers `next_deadline()` arms sees
-//! the same stack as one that sweeps every iteration. `TcpEndpoint` keeps
-//! the same contract; both are checked by the `cadence` proptests
-//! (`tests/cadence.rs` here and in `emptcp-tcp`).
+//! the same stack as one that sweeps every iteration, and one wake-up
+//! shared by many endpoints moves by [`rearm`] (`tests/rearm.rs`).
+//! `TcpEndpoint` keeps the same contract; both are checked by the
+//! `cadence` proptests (`tests/cadence.rs` here and in `emptcp-tcp`).
 
 pub mod conn;
 pub mod mapping;
@@ -56,3 +57,27 @@ pub mod subflow;
 pub use conn::{MpConnection, MpSegmentOutcome, RecoveryStats, Role};
 pub use mapping::{DataReassembly, RxMappings, TxMappings};
 pub use subflow::{Subflow, SubflowId};
+
+use emptcp_sim::SimTime;
+
+/// Where a wake-up armed at `armed` must move once an event left the
+/// endpoint it reached with deadline `touched`: to `touched` (no earlier
+/// than `now`) if that is sooner or nothing is armed, else `None`. A
+/// deadline that moved later leaves the wake-up to fire with nothing due,
+/// a no-op by the contract. `all` is the earliest deadline of every
+/// endpoint served; a debug build checks that it decides the same.
+pub fn rearm(
+    now: SimTime,
+    armed: Option<SimTime>,
+    touched: Option<SimTime>,
+    all: impl FnOnce() -> Option<SimTime>,
+) -> Option<SimTime> {
+    let decide = |at: Option<SimTime>| Some(at?.max(now)).filter(|&d| armed.is_none_or(|t| d < t));
+    let d = decide(touched);
+    debug_assert_eq!(
+        d,
+        decide(all()),
+        "a delivery moved the deadline of an endpoint it did not reach"
+    );
+    d
+}

@@ -109,7 +109,8 @@ impl Port {
     }
 
     /// Whether the port currently accepts traffic at all.
-    pub fn is_up(&self) -> bool {
+    #[cfg(test)]
+    fn is_up(&self) -> bool {
         !self.admin_down && self.link.rate_bps() > 0
     }
 

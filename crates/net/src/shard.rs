@@ -70,7 +70,7 @@ use crate::fleet::{FleetConfig, FleetConfigError, FleetReport, CLIENT_REQUEST_BY
 use crate::port::{NodeId, Port, PortOutcome};
 use crate::reduce;
 use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
-use emptcp_mptcp::{MpConnection, Role, SubflowId};
+use emptcp_mptcp::{rearm, MpConnection, Role, SubflowId};
 use emptcp_phy::modulation::OnOff;
 use emptcp_phy::{IfaceKind, LinkConfig};
 use emptcp_sim::{EpochClock, EventQueue, LaneQueue, SimDuration, SimRng, SimTime, TimerId};
@@ -784,9 +784,9 @@ impl ClientShard {
         }
     }
 
-    /// Drain both endpoints of row `l` and re-arm its timer. An arrival
-    /// drains only the endpoint it reached: an empty poll changes nothing,
-    /// so the untouched side has nothing new to say.
+    /// Drain both endpoints of row `l` and re-arm its timer from both
+    /// deadlines. An arrival drains only the endpoint it reached: an empty
+    /// poll changes nothing, so the untouched side has nothing new to say.
     fn touch(&mut self, now: SimTime, l: usize) {
         self.drain_client(now, l);
         self.drain_server(now, l);
@@ -798,28 +798,11 @@ impl ClientShard {
         SimTime::earliest(r.client[l].next_deadline(), r.server[l].next_deadline())
     }
 
-    /// The instant row `l`'s timer must move to so that it fires no later
-    /// than `next`, or `None` if the armed one already does. The armed
-    /// time only moves *earlier* between fires; a deadline moving later
-    /// leaves the timer to fire spuriously (the sweep is a no-op then).
-    fn timer_rearm(&self, now: SimTime, l: usize, next: Option<SimTime>) -> Option<SimTime> {
-        let d = next?.max(now);
-        match self.rows.timer[l] {
-            Some((t, _)) if d >= t => None,
-            _ => Some(d),
-        }
-    }
-
-    /// Re-arm row `l`'s timer for `next`. A delivery passes the deadline
-    /// of the endpoint it reached alone: the other one's did not move, so
-    /// it decides the re-arm the full fold would.
-    fn arm_timer(&mut self, now: SimTime, l: usize, next: Option<SimTime>) {
-        debug_assert_eq!(
-            self.timer_rearm(now, l, next),
-            self.timer_rearm(now, l, self.earliest_deadline(l)),
-            "a delivery moved the deadline of an endpoint it did not reach"
-        );
-        if let Some(d) = self.timer_rearm(now, l, next) {
+    /// Move row `l`'s timer earlier if `touched`, the deadline of the
+    /// endpoint an event reached, is due before it ([`rearm`]).
+    fn arm_timer(&mut self, now: SimTime, l: usize, touched: Option<SimTime>) {
+        let armed = self.rows.timer[l].map(|(at, _)| at);
+        if let Some(d) = rearm(now, armed, touched, || self.earliest_deadline(l)) {
             if let Some((_, id)) = self.rows.timer[l].take() {
                 self.queue.cancel(id);
             }

@@ -60,7 +60,8 @@ impl WifiChannel {
     }
 
     /// Replace the contention tunables.
-    pub fn with_contention(mut self, config: WifiContentionConfig) -> Self {
+    #[cfg(test)]
+    fn with_contention(mut self, config: WifiContentionConfig) -> Self {
         self.config = config;
         self
     }

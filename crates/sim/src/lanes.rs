@@ -148,6 +148,13 @@ impl<E, const N: usize> LaneQueue<E, N> {
         Some(unpack(k))
     }
 
+    /// When `lane`'s earliest event is due, or `None` if the lane is empty:
+    /// a single-timer lane's armed instant.
+    pub fn head(&self, lane: usize) -> Option<SimTime> {
+        let k = self.heads[lane];
+        (k != EMPTY).then(|| unpack(k).0)
+    }
+
     /// Pop the least `(time, key)` among `heap`'s front and this queue's
     /// lane heads, if it is strictly before `bound`; otherwise leave both
     /// queued. Both queues must be keyed from one set of unique keys

@@ -240,6 +240,16 @@ impl LanePair {
     pub fn check_observers(&self) {
         assert_eq!(self.queue.now().as_nanos(), self.reference.now, "clock");
         assert_eq!(self.queue.inserted_ahead(), self.inserted_ahead);
+        for lane in 0..LANES {
+            let live = self.reference.live.iter();
+            let head = live.filter(|&&(_, seq, _)| self.lane_of[seq as usize] == lane);
+            let want = head.map(|&(at, _, _)| at).min();
+            assert_eq!(
+                self.queue.head(lane).map(SimTime::as_nanos),
+                want,
+                "lane {lane} head"
+            );
+        }
     }
 
     /// Drain everything left; both must agree to the last event.

@@ -446,7 +446,8 @@ impl TcpEndpoint {
 
     /// True once our FIN is queued/sent and all data plus FIN are acked and
     /// the peer's FIN arrived.
-    pub fn fully_closed(&self) -> bool {
+    #[cfg(test)]
+    fn fully_closed(&self) -> bool {
         self.fin_sent && self.inflight.is_empty() && self.fin_received
     }
 

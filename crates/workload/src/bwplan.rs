@@ -42,7 +42,8 @@ pub struct BandwidthModulator {
 impl BandwidthModulator {
     /// The paper's §4.3 setting: mean 40 s holding times, low ≤ 1 Mbps,
     /// high ≥ 10 Mbps. `start_high` selects the initial state.
-    pub fn paper_default(start: SimTime, start_high: bool, rng: &mut SimRng) -> Self {
+    #[cfg(test)]
+    fn paper_default(start: SimTime, start_high: bool, rng: &mut SimRng) -> Self {
         BandwidthModulator::new(
             start,
             start_high,
@@ -106,7 +107,8 @@ impl BandwidthModulator {
     }
 
     /// True while in the high-bandwidth state.
-    pub fn is_high(&self) -> bool {
+    #[cfg(test)]
+    fn is_high(&self) -> bool {
         self.process.state() == OnOff::On
     }
 

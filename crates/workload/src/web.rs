@@ -18,6 +18,8 @@ use serde::{Deserialize, Serialize};
 pub const CNN_OBJECT_COUNT: usize = 107;
 /// The paper's browser opens this many parallel connections.
 pub const BROWSER_CONNECTIONS: usize = 6;
+/// The upload size of one object request (headers + cookies).
+pub const REQUEST_BYTES: u64 = 600;
 
 /// A synthetic web page: an ordered list of object sizes.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -44,11 +46,6 @@ impl WebPage {
     /// Total page weight in bytes.
     pub fn total_bytes(&self) -> u64 {
         self.objects.iter().sum()
-    }
-
-    /// The per-request upload size (headers + cookies).
-    pub fn request_bytes(&self) -> u64 {
-        600
     }
 }
 

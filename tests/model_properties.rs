@@ -3,10 +3,13 @@
 //! controller's hysteresis over the EIB's thresholds.
 
 use emptcp_repro::emptcp::controller::{ControllerConfig, PathUsageController};
+use emptcp_repro::emptcp::{Action, EmptcpClient, EmptcpConfig, IfaceTotals};
 use emptcp_repro::energy::region::{best_usage_for_size, transfer_energy_j, transfer_time_s};
 use emptcp_repro::energy::{DeviceProfile, Eib, EnergyModel, PathUsage, PowerCurve};
+use emptcp_repro::mptcp::{MpConnection, Role, SubflowId};
 use emptcp_repro::phy::IfaceKind;
 use emptcp_repro::sim::{SimDuration, SimTime};
+use emptcp_repro::tcp::TcpConfig;
 use proptest::prelude::*;
 
 /// Build a random—but physically sensible—device profile: monotone power
@@ -232,6 +235,69 @@ fn controller_hysteresis_edges_hold_on_both_sides() {
             }
         }
     }
+}
+
+/// Everything `from` has to send, delivered to `to` 10 ms later.
+fn flow(now: &mut SimTime, from: &mut MpConnection, to: &mut MpConnection) {
+    from.on_deadline(*now);
+    let mut segs = Vec::new();
+    while let Some(pair) = from.poll_transmit(*now) {
+        segs.push(pair);
+    }
+    *now += SimDuration::from_millis(10);
+    to.on_deadline(*now);
+    for (sf, seg) in segs {
+        to.on_segment(*now, sf, seg);
+    }
+}
+
+/// One loopback round trip from `a` to `b` and back.
+fn round_trip(now: &mut SimTime, a: &mut MpConnection, b: &mut MpConnection) {
+    flow(now, a, b);
+    flow(now, b, a);
+}
+
+/// τ decides when slow WiFi wakes LTE: WiFi at 0.5 Mbps is no place to
+/// stay (the EIB says so) and cannot reach κ = 1 MiB in a few seconds, so
+/// the default engine asks for the cellular subflow at the first 100 ms
+/// tick τ = 3 s after WiFi came up, not one tick sooner or later.
+#[test]
+fn the_default_tau_decides_when_slow_wifi_wakes_cellular() {
+    let eib = Eib::generate_default(&EnergyModel::galaxy_s3_lte());
+    let mut engine = EmptcpClient::new(EmptcpConfig::default(), eib, IfaceKind::CellularLte);
+    // A capped receive window keeps the loopback transfer busy (not idle)
+    // without moving much.
+    let small = TcpConfig {
+        rwnd_bytes: 64 * 1024,
+        ..TcpConfig::default()
+    };
+    let mut client = MpConnection::new(Role::Client, small);
+    let mut server = MpConnection::new(Role::Server, TcpConfig::default());
+    let mut now = SimTime::ZERO;
+    client.add_subflow(now, IfaceKind::Wifi);
+    server.add_subflow(now, IfaceKind::Wifi);
+    round_trip(&mut now, &mut server, &mut client);
+    round_trip(&mut now, &mut server, &mut client);
+    assert!(client.established());
+    engine.on_wifi_established(now, SubflowId(0), &client);
+    server.write(1 << 40);
+    let tick = (1..=100u64).find(|&k| {
+        for _ in 0..5 {
+            round_trip(&mut now, &mut server, &mut client);
+        }
+        let totals = IfaceTotals {
+            wifi_bytes: k * 6_250,
+            cell_bytes: 0,
+        };
+        engine
+            .on_tick(now, &client, totals)
+            .contains(&Action::EstablishCellular)
+    });
+    assert_eq!(
+        tick,
+        Some(30),
+        "cellular requested at tick {tick:?} after WiFi came up"
+    );
 }
 
 #[test]
