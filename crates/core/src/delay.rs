@@ -98,7 +98,8 @@ impl DelayedEstablishment {
     }
 
     /// The τ currently in effect.
-    pub fn effective_tau(&self) -> SimDuration {
+    #[cfg(test)]
+    fn effective_tau(&self) -> SimDuration {
         self.effective_tau
     }
 

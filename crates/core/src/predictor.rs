@@ -67,7 +67,7 @@ impl HoltWinters {
 
     /// Age the state toward a prior: move the level `factor` of the way to
     /// `target` and damp the trend. Used while an interface is suspended.
-    pub fn decay_toward(&mut self, target: f64, factor: f64) {
+    fn decay_toward(&mut self, target: f64, factor: f64) {
         if let Some(level) = self.level.as_mut() {
             *level += (target - *level) * factor;
         }

@@ -216,7 +216,7 @@ impl EnergyMeter {
     }
 
     /// Energy attributed to the WiFi radio (undiscounted), up to `now`.
-    pub fn wifi_energy_j(&self, now: SimTime) -> f64 {
+    fn wifi_energy_j(&self, now: SimTime) -> f64 {
         self.wifi.integral_at(now)
             + if self.wifi_woken {
                 self.model.profile().wifi_wake_j
@@ -226,7 +226,7 @@ impl EnergyMeter {
     }
 
     /// Energy attributed to the cellular radio (undiscounted), up to `now`.
-    pub fn cell_energy_j(&self, now: SimTime) -> f64 {
+    fn cell_energy_j(&self, now: SimTime) -> f64 {
         self.cell.integral_at(now)
     }
 }

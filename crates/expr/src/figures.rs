@@ -89,7 +89,7 @@ impl Config {
     /// population (8 shards once the fleet is large enough for the
     /// partition to pay for its barriers, 1 below that). Never depends on
     /// the job count, so `--jobs` cannot change the output.
-    pub fn fleet_shard_count(&self) -> usize {
+    fn fleet_shard_count(&self) -> usize {
         self.fleet_shards
             .unwrap_or(if self.fleet_clients >= 1024 { 8 } else { 1 })
     }

@@ -31,9 +31,11 @@ use crate::scenario::{Scenario, WifiEnvironment, Workload};
 use crate::strategy::Strategy;
 use emptcp::{Action, EmptcpClient, IfaceTotals};
 use emptcp_energy::{Eib, EnergyMeter, EnergyModel, RadioSnapshot};
-use emptcp_faults::{plan, FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
+use emptcp_faults::{
+    plan, FaultAction, FaultInjector, FaultPart, FaultSpec, FaultState, FaultSurface, FaultTarget,
+};
 use emptcp_mptcp::{rearm, MpConnection, RecoveryStats, Role, Subflow, SubflowId};
-use emptcp_phy::link::{EnqueueOutcome, LossModel};
+use emptcp_phy::link::EnqueueOutcome;
 use emptcp_phy::mobility::MobilityModel;
 use emptcp_phy::path::{Direction, Path, PathConfig};
 use emptcp_phy::rrc::RrcState;
@@ -233,20 +235,9 @@ pub struct Simulation {
     injector: Option<FaultInjector>,
     /// Fault events applied so far.
     faults_applied: u64,
-    /// A WiFi `IfaceDown` fault is in force: the association is held down
-    /// regardless of what the scenario environment wants.
-    fault_wifi_down: bool,
-    /// While set, wins over the WiFi channel model's effective rate.
-    fault_wifi_rate: Option<u64>,
-    /// While set, the channel model's loss push is suppressed so the
-    /// injected model's burst state is not reset on every push.
-    fault_wifi_loss: Option<LossModel>,
-    /// Nominal values restored when a fault clears: WiFi/cell one-way
-    /// propagation delays, cellular down/up rates and downlink loss.
-    nominal_wifi_prop: SimDuration,
-    nominal_cell_prop: SimDuration,
-    nominal_cell_rates: (u64, u64),
-    nominal_cell_loss: f64,
+    /// What the plan holds over each access path, indexed by
+    /// [`FaultTarget::path_index`] (WiFi, then cellular).
+    faults: [FaultState; 2],
 }
 
 impl Simulation {
@@ -325,10 +316,6 @@ impl Simulation {
         let mut rrc = RrcMachine::new(rrc_cfg);
         rrc.set_telemetry(telemetry.scope(0));
         meter.set_telemetry(telemetry.scope(0));
-        let nominal_wifi_prop = wifi_path.down().prop_delay();
-        let nominal_cell_prop = cell_path.down().prop_delay();
-        let nominal_cell_rates = (cell_path.down().rate_bps(), cell_path.up().rate_bps());
-        let nominal_cell_loss = cell_path.down().loss_prob();
         let mut sim = Simulation {
             scenario,
             strategy,
@@ -362,13 +349,7 @@ impl Simulation {
             last_energy_j: 0.0,
             injector: None,
             faults_applied: 0,
-            fault_wifi_down: false,
-            fault_wifi_rate: None,
-            fault_wifi_loss: None,
-            nominal_wifi_prop,
-            nominal_cell_prop,
-            nominal_cell_rates,
-            nominal_cell_loss,
+            faults: [FaultState::default(); 2],
         };
         sim.setup_connections();
         sim
@@ -388,6 +369,16 @@ impl Simulation {
         let mut injector = FaultInjector::new(faults);
         injector.set_telemetry(self.telemetry.scope(0));
         self.injector = Some(injector);
+    }
+
+    /// The network path `iface`'s traffic rides: WiFi, or the cellular
+    /// path for any cellular kind.
+    pub fn path(&self, iface: IfaceKind) -> &Path {
+        if iface == IfaceKind::Wifi {
+            &self.wifi_path
+        } else {
+            &self.cell_path
+        }
     }
 
     fn setup_connections(&mut self) {
@@ -808,11 +799,14 @@ impl Simulation {
         self.push_wifi(now);
     }
 
-    /// Push the WiFi state into the path: the association (down during a
-    /// scenario outage or while a fault holds it down), the effective rate
-    /// (a fault's override wins over the channel model) and the loss
-    /// (unless a fault installed its own model). Returns the rate pushed.
+    /// Push the WiFi state into the downlink: the association (down
+    /// during a scenario outage or while a fault holds it down), and the
+    /// rate and loss the fault state gives over the channel model's
+    /// current output, which is the WiFi nominal (a fault's loss model is
+    /// installed once, when it fires: a push would reset its burst state).
+    /// Returns the rate pushed.
     fn push_wifi(&mut self, now: SimTime) -> u64 {
+        let fault = self.faults[0];
         let scenario_associated = match self.scenario.wifi {
             WifiEnvironment::StaticWithOutage {
                 outage_start,
@@ -821,18 +815,14 @@ impl Simulation {
             } => !(outage_start..outage_end).contains(&now),
             _ => true,
         };
-        let associated = scenario_associated && !self.fault_wifi_down;
+        let associated = scenario_associated && !fault.down;
         if associated != self.wifi_channel.associated() {
             self.wifi_channel.set_associated(associated);
             self.on_wifi_association_change(now, associated);
         }
-        let eff = self
-            .fault_wifi_rate
-            .unwrap_or_else(|| self.wifi_channel.effective_rate_bps());
+        let eff = fault.rate_bps(self.wifi_channel.effective_rate_bps());
         self.wifi_path.down_mut().set_rate_bps(now, eff);
-        if self.fault_wifi_loss.is_none() {
-            // An injected loss model is installed once at fault time; a
-            // push would reset its burst state.
+        if fault.loss.is_none() {
             self.wifi_path
                 .down_mut()
                 .set_loss_prob(self.wifi_channel.loss_prob());
@@ -1190,12 +1180,15 @@ impl Simulation {
     }
 }
 
-/// How the fault injector mutates this host. WiFi faults ride the same
-/// machinery the scenario environments use (association state, effective
-/// rate and loss, pushed by [`Simulation::push_wifi`] right after the
-/// injector's poll); cellular faults mutate the cellular path links
-/// directly because nothing else touches them after construction. The host
-/// has no explicit core hop: a `Core` fault is both access paths at once.
+/// How the fault injector mutates this host: each access path keeps a
+/// [`FaultState`], and an action pushes the part it changed into the
+/// path's downlink, where extra delay, loss and rate ride. WiFi up/down
+/// and rate reach the link through the association and the channel
+/// model, pushed by [`Simulation::push_wifi`] right after the injector's
+/// poll; the cellular nominal is the link's config, and a cellular
+/// `IfaceDown`/`IfaceUp` hits both directions and tells the stacks. The
+/// host has no explicit core hop: a `Core` fault is both access paths at
+/// once.
 ///
 /// `Rate(Some(0))` on either target is a *silent* blackhole — packets die
 /// in the link but no link-down notification reaches the stack, so only
@@ -1206,58 +1199,37 @@ impl Simulation {
 /// AP queue looks like from the transport.
 impl FaultSurface for Simulation {
     fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
-        let wifi = match target {
-            FaultTarget::Wifi => true,
-            FaultTarget::Cellular => false,
-            FaultTarget::Core => {
-                self.apply(now, FaultTarget::Wifi, action);
-                self.apply(now, FaultTarget::Cellular, action);
-                return;
-            }
+        let Some(idx) = target.path_index() else {
+            self.apply(now, FaultTarget::Wifi, action);
+            self.apply(now, FaultTarget::Cellular, action);
+            return;
         };
-        let (path, nominal_prop) = if wifi {
-            (&mut self.wifi_path, self.nominal_wifi_prop)
-        } else {
-            (&mut self.cell_path, self.nominal_cell_prop)
-        };
-        match action {
-            FaultAction::ExtraDelay(extra) => path
-                .down_mut()
-                .set_prop_delay(nominal_prop + extra.unwrap_or(SimDuration::ZERO)),
-            FaultAction::Loss(model) => {
-                let nominal = if wifi {
-                    self.wifi_channel.loss_prob()
-                } else {
-                    self.nominal_cell_loss
-                };
-                match model {
-                    Some(m) => path.down_mut().set_loss_model(m),
-                    None => path.down_mut().set_loss_prob(nominal),
+        let fault = &mut self.faults[idx];
+        let part = fault.apply(action);
+        if idx == 0 {
+            // Up/down and rate reach the link through `push_wifi`.
+            let down = self.wifi_path.down_mut();
+            match part {
+                FaultPart::Loss if fault.loss.is_none() => {
+                    down.set_loss_prob(self.wifi_channel.loss_prob());
                 }
-                if wifi {
-                    self.fault_wifi_loss = model;
+                FaultPart::Loss | FaultPart::Delay => fault.push(part, now, down),
+                FaultPart::Up | FaultPart::Rate => {}
+            }
+            return;
+        }
+        fault.push(part, now, self.cell_path.down_mut());
+        if part == FaultPart::Up {
+            let up = !fault.down;
+            for c in &mut self.conns {
+                if let Some(id) = c.cell_sf {
+                    c.client.set_subflow_link_up(now, id, up);
+                    c.server.set_subflow_link_up(now, id, up);
                 }
             }
-            FaultAction::Rate(rate) if wifi => self.fault_wifi_rate = rate,
-            FaultAction::Rate(rate) => {
-                let rate = rate.unwrap_or(self.nominal_cell_rates.0);
-                path.down_mut().set_rate_bps(now, rate);
-            }
-            FaultAction::IfaceDown | FaultAction::IfaceUp if wifi => {
-                self.fault_wifi_down = action == FaultAction::IfaceDown;
-            }
-            FaultAction::IfaceDown | FaultAction::IfaceUp => {
-                let up = action == FaultAction::IfaceUp;
-                for c in &mut self.conns {
-                    if let Some(id) = c.cell_sf {
-                        c.client.set_subflow_link_up(now, id, up);
-                        c.server.set_subflow_link_up(now, id, up);
-                    }
-                }
-                let (down_rate, up_rate) = if up { self.nominal_cell_rates } else { (0, 0) };
-                path.down_mut().set_rate_bps(now, down_rate);
-                path.up_mut().set_rate_bps(now, up_rate);
-            }
+            let uplink = self.cell_path.up_mut();
+            let rate = if up { uplink.config().rate_bps } else { 0 };
+            uplink.set_rate_bps(now, rate);
         }
     }
 }
@@ -1434,6 +1406,21 @@ mod tests {
         assert!(r.completed, "{r:?}");
         assert!(r.bytes_delivered > 300_000);
         assert!(r.download_time_s < 60.0);
+    }
+
+    #[test]
+    fn a_wifi_rate_override_yields_to_a_wifi_iface_down() {
+        let mut sim = Simulation::new(quick_download(MB), Strategy::Mptcp, 1);
+        let now = SimTime::from_secs(1);
+        let fire = |sim: &mut Simulation, action| {
+            sim.apply(now, FaultTarget::Wifi, action);
+            sim.push_wifi(now)
+        };
+        assert_eq!(fire(&mut sim, FaultAction::Rate(Some(500_000))), 500_000);
+        assert_eq!(fire(&mut sim, FaultAction::IfaceDown), 0);
+        assert_eq!(sim.wifi_path.down().rate_bps(), 0);
+        // The override is still in force once the link is back.
+        assert_eq!(fire(&mut sim, FaultAction::IfaceUp), 500_000);
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl MdpPolicy {
 
     /// Solve the MDP for a demand (Mbps) and a shortfall penalty
     /// (J per Mbps-second of unmet demand).
-    pub fn solve(model: &EnergyModel, demand_mbps: f64, shortfall_penalty: f64) -> MdpPolicy {
+    fn solve(model: &EnergyModel, demand_mbps: f64, shortfall_penalty: f64) -> MdpPolicy {
         let wifi_power: Vec<f64> = (0..BINS)
             .map(|b| model.profile().wifi_curve.power_w(Self::bin_mid(b)))
             .collect();

@@ -105,7 +105,7 @@ fn is_instance_segment(seg: &str) -> bool {
 /// family (`tcp.conn3.sf1.retransmits` → `tcp.retransmits`) so the
 /// roll-up stays a handful of lines no matter how many flows an
 /// experiment spawned.
-pub fn summarize_metrics(telemetry: &Telemetry) -> Vec<(String, u64)> {
+fn summarize_metrics(telemetry: &Telemetry) -> Vec<(String, u64)> {
     let Some(metrics) = telemetry.metrics() else {
         return Vec::new();
     };

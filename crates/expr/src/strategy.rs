@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 #[derive(Clone, Copy, PartialEq, Debug, Serialize, Deserialize)]
 pub enum Strategy {
     /// Standard MPTCP: WiFi + cellular subflows from the start, minRTT
-    /// scheduler, LIA coupling.
+    /// scheduler. The subflows run uncoupled Reno: the host builds every
+    /// connection with `TcpConfig::default()` (LIA is the fleet's knob).
     Mptcp,
     /// The paper's contribution, with its §4.1 parameters.
     Emptcp(EmptcpConfig),

@@ -73,7 +73,7 @@ impl Venue {
     pub const ALL: [Venue; 3] = [Venue::University, Venue::StudentHousing, Venue::Residence];
 
     /// Draw a WiFi capacity (bps) for one visit.
-    pub fn draw_wifi_bps(self, rng: &mut SimRng) -> u64 {
+    fn draw_wifi_bps(self, rng: &mut SimRng) -> u64 {
         let mbps = match self {
             // Campus WiFi: usually fast, occasionally congested.
             Venue::University => rng.lognormal(2.6, 0.5),
@@ -96,7 +96,7 @@ impl Venue {
 }
 
 /// Draw an LTE capacity (bps): one carrier, varying coverage.
-pub fn draw_lte_bps(rng: &mut SimRng) -> u64 {
+fn draw_lte_bps(rng: &mut SimRng) -> u64 {
     let mbps = rng.lognormal(2.2, 0.7).clamp(0.5, 25.0);
     (mbps * 1e6) as u64
 }

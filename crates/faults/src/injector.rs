@@ -15,9 +15,11 @@ use emptcp_telemetry::{TelemetryScope, TraceEvent};
 
 /// What a fault plan can mutate. Implemented by the experiment host (which
 /// owns real [`emptcp_phy::Link`]s and the WiFi association), the shard
-/// engine's core ports and the reactor's shaped paths. Restorative actions
-/// carry `None`, meaning "back to nominal" — the surface knows its own
-/// nominal values. [`FaultAction::IfaceDown`] comes *with* link-layer
+/// engine's core ports and the reactor's shaped paths. A surface routes
+/// each action to a target's [`FaultState`](crate::FaultState) and pushes
+/// the part it changed into its medium. Restorative actions carry `None`,
+/// meaning "back to nominal" — the link's config or the host's channel.
+/// [`FaultAction::IfaceDown`] comes *with* link-layer
 /// notification where the surface has stacks to tell (the stack learns at
 /// once, as it does for a real de-association); `Rate(Some(0))` is a
 /// silent blackhole, whose detection is the transport's problem.
@@ -76,61 +78,5 @@ impl FaultInjector {
             });
         }
         fired
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use emptcp_sim::SimDuration;
-
-    #[derive(Default)]
-    struct RecordingSurface {
-        calls: Vec<(SimTime, FaultTarget, FaultAction)>,
-    }
-
-    impl FaultSurface for RecordingSurface {
-        fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
-            self.calls.push((now, target, action));
-        }
-    }
-
-    #[test]
-    fn applies_due_events_in_order() {
-        let mut inj = FaultInjector::new(&[
-            FaultSpec::Blackout {
-                target: FaultTarget::Wifi,
-                from_ms: 2_000,
-                dur_ms: 3_000,
-            },
-            FaultSpec::RttSpike {
-                target: FaultTarget::Cellular,
-                from_ms: 1_000,
-                dur_ms: 10_000,
-                extra_ms: 200,
-            },
-        ]);
-        let mut surface = RecordingSurface::default();
-
-        assert_eq!(inj.next_deadline(), Some(SimTime::from_secs(1)));
-        assert_eq!(inj.poll(SimTime::from_millis(500), &mut surface), 0);
-        // Polling at 2 s applies both the 1 s spike and the 2 s down, and
-        // both at the instant of the poll.
-        let at = SimTime::from_secs(2);
-        assert_eq!(inj.poll(at, &mut surface), 2);
-        let spike = FaultAction::ExtraDelay(Some(SimDuration::from_millis(200)));
-        assert_eq!(
-            surface.calls,
-            [
-                (at, FaultTarget::Cellular, spike),
-                (at, FaultTarget::Wifi, FaultAction::IfaceDown),
-            ]
-        );
-        // Re-polling at the same instant is idempotent.
-        assert_eq!(inj.poll(at, &mut surface), 0);
-        assert!(!inj.finished());
-        assert_eq!(inj.poll(SimTime::from_secs(60), &mut surface), 2);
-        assert!(inj.finished());
-        assert_eq!(inj.next_deadline(), None);
     }
 }

@@ -13,14 +13,14 @@
 //!   shrinker and every Rust caller speak it.
 //! * [`plan`] — a plan is a `&[FaultSpec]`; [`plan::expand`] turns it into
 //!   time-sorted [`FaultEvent`]s (one [`FaultAction`] on one
-//!   [`FaultTarget`] at one instant), and the plan's end time and
-//!   recoverability are functions of the same list. No randomness
-//!   survives past the specs.
-//! * [`injector`] — a [`FaultInjector`] replays a plan against anything
-//!   implementing [`FaultSurface`]'s one call, `apply(now, target,
-//!   action)` (the experiment host's links, the shard engine's core
-//!   ports, the reactor's shaped paths), emitting a telemetry event per
-//!   applied fault. Every driver applies a fault at its own instant.
+//!   [`FaultTarget`] at one instant). No randomness survives past the
+//!   specs. A [`FaultState`] is what the events hold over one target.
+//! * [`injector`] — a [`FaultInjector`] replays a plan, at each driver's
+//!   own instants, against anything implementing [`FaultSurface`]'s one
+//!   call (the experiment host's links, the shard engine's core ports, the
+//!   reactor's shaped paths), emitting a telemetry event per fault. A
+//!   surface folds the action into a [`FaultState`] and pushes the part it
+//!   changed into its medium, over the link's config or the host's channel.
 //! * [`testnet`] — the chaos-test network shared by the TCP and MPTCP
 //!   suites and the live backend's shaped transports, with labelled RNG
 //!   stream-splitting so fault draws never perturb traffic draws.
@@ -35,6 +35,6 @@ pub mod spec;
 pub mod testnet;
 
 pub use injector::{FaultInjector, FaultSurface};
-pub use plan::{FaultAction, FaultEvent, FaultTarget};
+pub use plan::{FaultAction, FaultEvent, FaultPart, FaultState, FaultTarget};
 pub use spec::FaultSpec;
 pub use testnet::{ChaosNet, ChaosPath};

@@ -6,11 +6,12 @@
 //! the [`FaultInjector`](crate::FaultInjector) replays. All randomness, if
 //! any, happens where the specs are drawn; a plan is pure data, so the
 //! same plan and the same seed give the same faults at the same instants,
-//! byte for byte. [`end_time`], [`restores_nominal`] and [`recovered_at`]
-//! answer what the runners and the scenario validator ask of a plan.
+//! byte for byte. [`end_time`] and [`restores_nominal`] answer what the
+//! scenario validator asks of a plan, and a [`FaultState`] is what the
+//! events leave over one target.
 
 use crate::spec::FaultSpec;
-use emptcp_phy::LossModel;
+use emptcp_phy::{Link, LossModel};
 use emptcp_sim::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -48,9 +49,10 @@ impl FaultTarget {
     }
 }
 
-/// One atomic state change applied to a target interface. Restorative
-/// variants carry `None`, meaning "back to the scenario's nominal value" —
-/// the surface, not the plan, knows what nominal is.
+/// One atomic state change applied to a target interface, folded into
+/// the target's [`FaultState`]. Restorative variants carry `None`, meaning
+/// "back to nominal" — the link's config or the host's channel, not the
+/// plan, knows what nominal is.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub enum FaultAction {
     /// Take the interface down (de-association, radio loss).
@@ -115,50 +117,97 @@ pub fn end_time(specs: &[FaultSpec]) -> Option<SimTime> {
     expand(specs).last().map(|e| e.at)
 }
 
-/// Replay the plan against an abstract per-target state machine and
-/// report whether every perturbation is undone by the end: all
-/// interfaces back up, rates/loss/extra-delay back to nominal. A plan
-/// for which this holds is *recoverable* — once the last event fires
-/// the network is exactly what the scenario configured, so end-of-run
-/// oracles (exact delivery, no stuck subflows) are entitled to their
-/// assertions.
+/// Whether the plan leaves every target's [`FaultState`] nominal. A plan
+/// for which this holds is *recoverable* — once the last event fires the
+/// network is exactly what the scenario configured, so end-of-run oracles
+/// (exact delivery, no stuck subflows) are entitled to their assertions.
 pub fn restores_nominal(specs: &[FaultSpec]) -> bool {
-    let mut states = [TargetState::default(); 3];
+    let mut states = [FaultState::default(); 3];
     for e in expand(specs) {
         states[e.target as usize].apply(e.action);
     }
-    states.iter().all(|s| s.is_nominal())
+    states.iter().all(FaultState::is_nominal)
 }
 
-/// The earliest instant from which the network is nominal for the rest
-/// of the plan (`None` for an empty or unrecoverable plan; otherwise the
-/// plan's [`end_time`], since its last event is then restorative).
-pub fn recovered_at(specs: &[FaultSpec]) -> Option<SimTime> {
-    end_time(specs).filter(|_| restores_nominal(specs))
+/// What the faults so far hold over one target, kept by every surface.
+/// Each override lasts until its own restore (`None`), `IfaceUp`s or not,
+/// and a target that is down refuses traffic whatever rate a fault set.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+pub struct FaultState {
+    /// Held down by [`FaultAction::IfaceDown`].
+    pub down: bool,
+    /// Rate override (`Some(0)` is a silent blackhole).
+    pub rate: Option<u64>,
+    /// Loss model override.
+    pub loss: Option<LossModel>,
+    /// Extra one-way delay.
+    pub extra_delay: Option<SimDuration>,
 }
 
-/// Folded end-state of one fault target after a plan replay.
-#[derive(Clone, Copy, Default)]
-struct TargetState {
-    down: bool,
-    rate_override: bool,
-    loss_override: bool,
-    delay_override: bool,
+/// The part of a [`FaultState`] one action changed: all a surface pushes
+/// into its medium (re-installing a loss model would reset its bursts).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum FaultPart {
+    /// Up/down, which gates the rate.
+    Up,
+    /// The rate override.
+    Rate,
+    /// The loss override.
+    Loss,
+    /// The extra delay.
+    Delay,
 }
 
-impl TargetState {
-    fn apply(&mut self, action: FaultAction) {
+impl FaultState {
+    /// Fold `action` into the state; returns the part it changed.
+    pub fn apply(&mut self, action: FaultAction) -> FaultPart {
+        use FaultAction::{ExtraDelay, IfaceDown, IfaceUp, Loss, Rate};
         match action {
-            FaultAction::IfaceDown => self.down = true,
-            FaultAction::IfaceUp => self.down = false,
-            FaultAction::Rate(r) => self.rate_override = r.is_some(),
-            FaultAction::Loss(l) => self.loss_override = l.is_some(),
-            FaultAction::ExtraDelay(d) => self.delay_override = d.is_some(),
+            IfaceDown | IfaceUp => self.down = action == IfaceDown,
+            Rate(rate) => self.rate = rate,
+            Loss(loss) => self.loss = loss,
+            ExtraDelay(extra) => self.extra_delay = extra,
+        }
+        match action {
+            IfaceDown | IfaceUp => FaultPart::Up,
+            Rate(_) => FaultPart::Rate,
+            Loss(_) => FaultPart::Loss,
+            ExtraDelay(_) => FaultPart::Delay,
         }
     }
 
-    fn is_nominal(self) -> bool {
-        !self.down && !self.rate_override && !self.loss_override && !self.delay_override
+    /// No fault holds anything over the target.
+    pub fn is_nominal(&self) -> bool {
+        *self == FaultState::default()
+    }
+
+    /// The rate the target runs at, given its nominal rate.
+    pub fn rate_bps(&self, nominal: u64) -> u64 {
+        if self.down {
+            0
+        } else {
+            self.rate.unwrap_or(nominal)
+        }
+    }
+
+    /// The one-way delay the target runs at, given its nominal delay.
+    pub fn delay(&self, nominal: SimDuration) -> SimDuration {
+        nominal + self.extra_delay.unwrap_or(SimDuration::ZERO)
+    }
+
+    /// Push `part` of the state into `link`, whose config is nominal.
+    pub fn push(&self, part: FaultPart, now: SimTime, link: &mut Link) {
+        let nominal = *link.config();
+        match part {
+            FaultPart::Up | FaultPart::Rate => {
+                link.set_rate_bps(now, self.rate_bps(nominal.rate_bps));
+            }
+            FaultPart::Loss => match self.loss {
+                Some(model) => link.set_loss_model(model),
+                None => link.set_loss_prob(nominal.loss_prob),
+            },
+            FaultPart::Delay => link.set_prop_delay(self.delay(nominal.prop_delay)),
+        }
     }
 }
 

@@ -244,7 +244,7 @@ impl FaultSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{recovered_at, restores_nominal};
+    use crate::plan::{end_time, restores_nominal};
 
     #[test]
     fn self_restoring_primitives_restore() {
@@ -285,7 +285,6 @@ mod tests {
             bps: Some(2_000_000),
         }];
         assert!(!restores_nominal(&specs));
-        assert!(recovered_at(&specs).is_none());
         // Closing the sequence with a restore step makes it recoverable.
         let closed = [
             specs[0].clone(),
@@ -296,7 +295,7 @@ mod tests {
             },
         ];
         assert!(restores_nominal(&closed));
-        assert_eq!(recovered_at(&closed), Some(SimTime::from_secs(6)));
+        assert_eq!(end_time(&closed), Some(SimTime::from_secs(6)));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! one place, [`ChaosPath::shape`]. It has no event loop of its own — the
 //! TCP suite pumps it by hand, and `emptcp-live`'s reactor drives it as a
 //! transport (its `MpChaosRig`), applying [`FaultSpec`](crate::FaultSpec)
-//! plans through the path setters here.
+//! plans through [`ChaosPath::apply`].
 //!
 //! Randomness discipline: the net's seed is split with
 //! [`SimRng::fork_labeled`] into independent streams (`"traffic"` for the
@@ -15,10 +15,12 @@
 //!
 //! Fidelity note: paths here are delay-based, not rate-serialized — the
 //! full queueing [`emptcp_phy::Link`] model lives in the experiment host.
-//! Consequently a rate fault only distinguishes `Some(0)` (a silent
-//! blackhole, [`ChaosPath::set_rate_zero`]) from everything else (path
-//! passes traffic); intermediate rates are a no-op here.
+//! A path keeps its faults in a [`FaultState`] like every other surface,
+//! but with no serializer a rate fault only distinguishes `Some(0)` (a
+//! silent blackhole) from everything else (the path passes traffic);
+//! intermediate rates are a no-op here.
 
+use crate::plan::{FaultAction, FaultPart, FaultState};
 use emptcp_phy::{LossModel, LossProcess};
 use emptcp_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use emptcp_tcp::Segment;
@@ -26,37 +28,32 @@ use emptcp_tcp::Segment;
 /// One bidirectional path through the chaos network.
 #[derive(Clone, Debug)]
 pub struct ChaosPath {
-    /// Channel loss process (shared semantics with [`emptcp_phy::Link`]).
-    pub loss: LossProcess,
-    /// The scenario's nominal loss model, restored by `set_loss(None)`.
-    nominal_loss: LossModel,
+    /// The channel loss process in force (shared semantics with
+    /// [`emptcp_phy::Link`]).
+    loss: LossProcess,
+    /// The i.i.d. loss probability the path was built with: the nominal
+    /// a loss restore returns to.
+    loss_prob: f64,
     /// Probability an accepted packet is duplicated.
     pub dup: f64,
     /// Base one-way delay.
     pub base_delay: SimDuration,
-    /// Fault-injected extra one-way delay.
-    pub extra_delay: SimDuration,
     /// Uniform random extra delay up to this many ms (reordering source).
     pub jitter_ms: u64,
-    /// Administrative up/down (fault-injected blackouts).
-    up: bool,
-    /// Silent rate-zero blackhole (no link-layer notification).
-    rate_zero: bool,
+    /// What the faults applied so far hold over the path.
+    fault: FaultState,
 }
 
 impl ChaosPath {
     /// A path with i.i.d. loss, a base delay and a jitter bound.
     pub fn new(loss: f64, base_delay: SimDuration, jitter_ms: u64) -> ChaosPath {
-        let model = LossModel::Bernoulli(loss);
         ChaosPath {
-            loss: LossProcess::new(model),
-            nominal_loss: model,
+            loss: LossProcess::new(LossModel::Bernoulli(loss)),
+            loss_prob: loss,
             dup: 0.0,
             base_delay,
-            extra_delay: SimDuration::ZERO,
             jitter_ms,
-            up: true,
-            rate_zero: false,
+            fault: FaultState::default(),
         }
     }
 
@@ -66,27 +63,29 @@ impl ChaosPath {
         self
     }
 
-    /// Whether the path currently passes traffic at all.
-    pub fn passes_traffic(&self) -> bool {
-        self.up && !self.rate_zero
+    /// Whether the path currently passes traffic at all: not down and not
+    /// a rate-0 blackhole.
+    fn passes_traffic(&self) -> bool {
+        // No serializer: any nominal rate passes, only a zero stops it.
+        self.fault.rate_bps(u64::MAX) > 0
     }
 
-    /// The scenario's nominal loss model (what `set_loss(None)` restores).
-    pub fn nominal_loss(&self) -> LossModel {
-        self.nominal_loss
+    /// The loss model in force.
+    pub fn loss_model(&self) -> LossModel {
+        self.loss.model()
     }
 
-    /// Administrative up/down. Out-of-crate fault surfaces (the live
-    /// backend's shaped transports) apply [`FaultAction::IfaceDown`] /
-    /// [`FaultAction::IfaceUp`](crate::FaultAction) through this.
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-    }
-
-    /// Engage or release the silent rate-zero blackhole (the delay-based
-    /// rendering of [`FaultAction::Rate`](crate::FaultAction)`(Some(0))`).
-    pub fn set_rate_zero(&mut self, rate_zero: bool) {
-        self.rate_zero = rate_zero;
+    /// Apply a fault action to both directions and say which part of the
+    /// path's state it changed. Up/down, rate and delay change what
+    /// [`shape`](Self::shape) reads; a loss action installs its model, or
+    /// the nominal one, at once.
+    pub fn apply(&mut self, action: FaultAction) -> FaultPart {
+        let part = self.fault.apply(action);
+        if part == FaultPart::Loss {
+            let nominal = LossModel::Bernoulli(self.loss_prob);
+            self.loss.set_model(self.fault.loss.unwrap_or(nominal));
+        }
+        part
     }
 
     /// Shape one offered packet: the one-way delay of each copy that gets
@@ -102,9 +101,10 @@ impl ChaosPath {
             } else {
                 1
             };
+            let delay = self.fault.delay(self.base_delay);
             for copy in &mut copies[..n] {
                 let jitter = SimDuration::from_millis(rng.below(self.jitter_ms + 1));
-                *copy = Some(self.base_delay + self.extra_delay + jitter);
+                *copy = Some(delay + jitter);
             }
         }
         copies.into_iter().flatten()
@@ -224,7 +224,7 @@ mod tests {
             }
             assert_eq!(got, want);
         }
-        path.set_up(false);
+        path.apply(FaultAction::IfaceDown);
         let before = rng.clone().next_u64();
         assert_eq!(path.shape(&mut rng).count(), 0);
         assert_eq!(rng.next_u64(), before, "a downed path draws nothing");

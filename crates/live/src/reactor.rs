@@ -44,7 +44,7 @@
 
 use crate::clock::{ClockSource, IdleBackoff, IdleStep};
 use crate::transport::Transport;
-use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultTarget};
+use emptcp_faults::{FaultAction, FaultInjector, FaultPart, FaultSpec, FaultTarget};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
@@ -336,26 +336,11 @@ impl<T: Transport> Reactor<T> {
 impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
     fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
         for idx in self.target_paths(target) {
-            let path = &mut self.transport.paths_mut()[idx];
-            match action {
-                FaultAction::IfaceDown | FaultAction::IfaceUp => {
-                    let up = action == FaultAction::IfaceUp;
-                    path.set_up(up);
-                    if self.notify_link_down {
-                        for w in &mut self.workers {
-                            w.conn.set_subflow_link_up(now, SubflowId(idx as u8), up);
-                        }
-                    }
-                }
-                // Shaped paths are delay-based (no serializer): only the
-                // rate-zero silent blackhole is meaningful.
-                FaultAction::Rate(rate_bps) => path.set_rate_zero(rate_bps == Some(0)),
-                FaultAction::Loss(model) => {
-                    let nominal = path.nominal_loss();
-                    path.loss.set_model(model.unwrap_or(nominal));
-                }
-                FaultAction::ExtraDelay(extra) => {
-                    path.extra_delay = extra.unwrap_or(SimDuration::ZERO);
+            let part = self.transport.paths_mut()[idx].apply(action);
+            if part == FaultPart::Up && self.notify_link_down {
+                let up = action == FaultAction::IfaceUp;
+                for w in &mut self.workers {
+                    w.conn.set_subflow_link_up(now, SubflowId(idx as u8), up);
                 }
             }
         }

@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn downed_path_drops_silently() {
         let mut t = DuplexTransport::new(7, paths());
-        t.paths_mut()[0].set_up(false);
+        t.paths_mut()[0].apply(emptcp_faults::FaultAction::IfaceDown);
         t.send(SimTime::ZERO, 1, 0, &Segment::empty(SimTime::ZERO));
         assert_eq!(t.in_flight(), 0);
         assert_eq!(t.frames_dropped, 1);

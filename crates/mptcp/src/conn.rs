@@ -15,9 +15,10 @@
 //!   stalled for ~2 RTT, triggers reinjection onto the surviving subflows.
 //!
 //! LIA coupling (RFC 6356) is refreshed on the ACK path, where it is
-//! consumed: before an acknowledgement of new data reaches a subflow the
-//! connection recomputes `alpha` across its established subflows (at most
-//! every 10 ms) and pushes it into each subflow's congestion controller.
+//! consumed: before an acknowledgement of new data reaches a subflow, a
+//! connection built with `CcAlgorithm::Lia` recomputes `alpha` across its
+//! established subflows (at most every 10 ms) and pushes it into each
+//! subflow's congestion controller. The algorithm is the one knob.
 //! Time-dependent state moves only with a segment in or out or a deadline
 //! falling due, so a `poll_transmit` that returns `None` and an
 //! `on_deadline` with nothing due are no-ops at any cadence (the driver
@@ -29,7 +30,7 @@ use crate::subflow::{Subflow, SubflowId};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::cc::lia_alpha;
-use emptcp_tcp::{Segment, TcpConfig, TcpState};
+use emptcp_tcp::{CcAlgorithm, Segment, TcpConfig, TcpState};
 use emptcp_telemetry::{TelemetryScope, TraceEvent, DELIVERED_EMIT_BYTES};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -127,8 +128,6 @@ pub struct MpConnection {
     /// Graceful close requested: once every written byte is scheduled and
     /// acknowledged, FINs go out on all subflows (the DATA_FIN analogue).
     closing: bool,
-    /// Couple subflow congestion windows with LIA (true = standard MPTCP).
-    coupled: bool,
     /// Opportunistic reinjection (Raiciu et al. [29]): when a subflow's
     /// oldest unacked data stalls for ~2 RTT while another subflow could
     /// carry it, re-map it there instead of waiting for the RTO.
@@ -174,7 +173,6 @@ impl MpConnection {
             data_delivered: 0,
             delivered_since_emit: 0,
             closing: false,
-            coupled: true,
             opportunistic: true,
             lia_refreshed_at: SimTime::ZERO,
             failure_threshold: 3,
@@ -223,12 +221,6 @@ impl MpConnection {
         }
         self.scope = scope;
         self.rx_bytes_names.clear();
-    }
-
-    /// Disable LIA coupling (each subflow runs plain Reno). Used by
-    /// ablation benches.
-    pub fn set_coupled(&mut self, coupled: bool) {
-        self.coupled = coupled;
     }
 
     /// Toggle opportunistic reinjection (on by default, as in Linux MPTCP).
@@ -571,7 +563,7 @@ impl MpConnection {
     }
 
     fn update_lia(&mut self, now: SimTime) {
-        if !self.coupled || self.subflows.len() < 2 {
+        if self.tcp_cfg.algorithm != CcAlgorithm::Lia || self.subflows.len() < 2 {
             return;
         }
         // Alpha changes on RTT timescales; refresh at most every 10 ms.
@@ -873,8 +865,12 @@ mod tests {
 
     impl Pair {
         fn new(ifaces: &[IfaceKind]) -> Pair {
-            let mut client = MpConnection::new(Role::Client, TcpConfig::default());
-            let mut server = MpConnection::new(Role::Server, TcpConfig::default());
+            Pair::with_config(ifaces, TcpConfig::default())
+        }
+
+        fn with_config(ifaces: &[IfaceKind], cfg: TcpConfig) -> Pair {
+            let mut client = MpConnection::new(Role::Client, cfg);
+            let mut server = MpConnection::new(Role::Server, cfg);
             let now = SimTime::ZERO;
             for &iface in ifaces {
                 client.add_subflow(now, iface);
@@ -1034,11 +1030,19 @@ mod tests {
     }
 
     #[test]
-    fn uncoupled_mode_flag() {
-        let mut c = MpConnection::new(Role::Client, TcpConfig::default());
-        c.set_coupled(false);
-        // Just exercising the flag; behaviour is covered by cc tests.
-        assert_eq!(c.role(), Role::Client);
+    fn coupling_follows_the_algorithm() {
+        // LIA's alpha is refreshed for LIA endpoints only; Reno ignores it.
+        for algorithm in [CcAlgorithm::Reno, CcAlgorithm::Lia] {
+            let cfg = TcpConfig {
+                algorithm,
+                ..TcpConfig::default()
+            };
+            let mut p = Pair::with_config(&[IfaceKind::Wifi, IfaceKind::CellularLte], cfg);
+            p.server.write(1_000_000);
+            p.rounds(6);
+            let refreshed = p.server.lia_refreshed_at > SimTime::ZERO;
+            assert_eq!(refreshed, algorithm == CcAlgorithm::Lia, "{algorithm:?}");
+        }
     }
 
     #[test]

@@ -119,7 +119,7 @@ impl Subflow {
     }
 
     /// The DSS for an outgoing data segment covering `[seq, seq+len)`.
-    pub fn dss_for_tx(&self, seq: u64, len: u32, data_ack: u64) -> Option<Dss> {
+    fn dss_for_tx(&self, seq: u64, len: u32, data_ack: u64) -> Option<Dss> {
         self.tx_mappings.dss(seq, len, data_ack)
     }
 
@@ -173,7 +173,7 @@ impl Subflow {
 
     /// Decorate an outgoing segment: attach the DSS (mapping for data, or a
     /// bare data-ack), honoring `mp_prio` already set by the TCP layer.
-    pub fn decorate(&mut self, seg: &mut Segment, data_ack: u64) {
+    fn decorate(&mut self, seg: &mut Segment, data_ack: u64) {
         if seg.payload > 0 {
             seg.dss = self.dss_for_tx(seg.seq, seg.payload, data_ack);
             debug_assert!(

@@ -6,6 +6,7 @@
 //! `#[path]`.
 
 use emptcp_faults::testnet::{ChaosNet, ChaosPath};
+use emptcp_faults::FaultAction::{IfaceDown, IfaceUp};
 use emptcp_mptcp::{MpConnection, Role, SubflowId};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimRng, SimTime};
@@ -188,7 +189,8 @@ pub fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent>
             match action {
                 Action::Write(bytes) => pair.server.write(bytes),
                 Action::Link(path, up) => {
-                    pair.net.paths[path as usize].set_up(up);
+                    let action = if up { IfaceUp } else { IfaceDown };
+                    pair.net.paths[path as usize].apply(action);
                     pair.client.set_subflow_link_up(now, SubflowId(path), up);
                     pair.server.set_subflow_link_up(now, SubflowId(path), up);
                 }

@@ -28,4 +28,4 @@ pub mod shard;
 
 pub use fleet::{FleetConfig, FleetConfigError, FleetReport};
 pub use port::{NodeId, Port, PortOutcome};
-pub use shard::{lookahead, SerialExecutor, ShardExecutor, ShardedFleetSim};
+pub use shard::{lookahead, CorePorts, SerialExecutor, ShardExecutor, ShardedFleetSim};

@@ -2,9 +2,12 @@
 //!
 //! A [`Port`] is one directed edge of the fleet's star made operational: a
 //! rate-serializing, drop-tail [`Link`] plus the bookkeeping a router
-//! needs around it — nominal configuration for fault restore, an
-//! ECN-style marking threshold with edge-triggered queue-depth events,
-//! and per-reason drop counters surfaced to the metrics registry.
+//! needs around it — an ECN-style marking threshold with edge-triggered
+//! queue-depth events, and per-reason drop counters surfaced to the
+//! metrics registry. A port keeps no fault state: a fault surface that
+//! owns ports (the core shard's) keeps an
+//! [`emptcp_faults::FaultState`] and pushes it into [`Port::link_mut`];
+//! the nominal it restores is the link's own config.
 //!
 //! ECN here is *accounting-only*: a packet that enters the queue above
 //! the threshold is counted (and traced) as marked, but the transports
@@ -12,8 +15,8 @@
 //! the control loop.
 
 use emptcp_phy::link::{DropReason, EnqueueOutcome};
-use emptcp_phy::{Link, LinkConfig, LossModel};
-use emptcp_sim::{SimDuration, SimRng, SimTime};
+use emptcp_phy::{Link, LinkConfig};
+use emptcp_sim::{SimRng, SimTime};
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 use serde::Serialize;
 
@@ -29,12 +32,6 @@ pub struct Port {
     link: Link,
     from: NodeId,
     to: NodeId,
-    /// Nominal configuration, restored by fault actions carrying `None`.
-    nominal: LinkConfig,
-    /// Fault-injected extra one-way delay currently applied.
-    extra_delay: SimDuration,
-    /// Administratively down (distinct from a rate-0 blackhole).
-    admin_down: bool,
     /// Queue depth at/above which entering packets are ECN-marked.
     ecn_threshold: u64,
     /// Whether the queue was above the threshold at the last enqueue
@@ -68,9 +65,6 @@ impl Port {
             link: Link::new(config),
             from,
             to,
-            nominal: config,
-            extra_delay: SimDuration::ZERO,
-            admin_down: false,
             ecn_threshold: config.queue_capacity / 2,
             above_threshold: false,
             ecn_marked: 0,
@@ -88,14 +82,14 @@ impl Port {
         self.to
     }
 
-    /// The nominal (fault-free) configuration.
-    pub fn nominal(&self) -> LinkConfig {
-        self.nominal
-    }
-
-    /// The underlying link (counters, current rate).
+    /// The underlying link (counters, current rate, nominal config).
     pub fn link(&self) -> &Link {
         &self.link
+    }
+
+    /// The underlying link, for a fault surface to push its state into.
+    pub fn link_mut(&mut self) -> &mut Link {
+        &mut self.link
     }
 
     /// Packets ECN-marked so far.
@@ -108,49 +102,10 @@ impl Port {
         self.peak_queue_bytes
     }
 
-    /// Whether the port currently accepts traffic at all.
-    #[cfg(test)]
-    fn is_up(&self) -> bool {
-        !self.admin_down && self.link.rate_bps() > 0
-    }
-
-    /// Administrative up/down (fault `IfaceDown`/`IfaceUp`). Down forces
-    /// the link rate to zero; up restores the nominal rate.
-    pub fn set_admin_up(&mut self, now: SimTime, up: bool) {
-        self.admin_down = !up;
-        let rate = if up { self.nominal.rate_bps } else { 0 };
-        self.link.set_rate_bps(now, rate);
-    }
-
-    /// Override the rate (`Some`, with `Some(0)` a silent blackhole) or
-    /// restore nominal (`None`). A restore while administratively down
-    /// stays down until `set_admin_up`.
-    pub fn set_rate(&mut self, now: SimTime, rate_bps: Option<u64>) {
-        if self.admin_down {
-            return;
-        }
-        self.link
-            .set_rate_bps(now, rate_bps.unwrap_or(self.nominal.rate_bps));
-    }
-
-    /// Override the loss model or restore the nominal Bernoulli channel.
-    pub fn set_loss(&mut self, model: Option<LossModel>) {
-        match model {
-            Some(m) => self.link.set_loss_model(m),
-            None => self.link.set_loss_prob(self.nominal.loss_prob),
-        }
-    }
-
-    /// Add fault-injected one-way delay (`None` removes it).
-    pub fn set_extra_delay(&mut self, extra: Option<SimDuration>) {
-        self.extra_delay = extra.unwrap_or(SimDuration::ZERO);
-        self.link
-            .set_prop_delay(self.nominal.prop_delay + self.extra_delay);
-    }
-
     /// Offer a packet to the port. `router`/`port` identify this port in
     /// trace events; `scope` is the engine's telemetry scope (zero-cost
-    /// when telemetry is disabled).
+    /// when telemetry is disabled). A link at rate zero (down, or a
+    /// rate-0 fault) drops the packet as `link_down` without a draw.
     pub fn transmit(
         &mut self,
         now: SimTime,
@@ -160,10 +115,6 @@ impl Port {
         port: u32,
         scope: &TelemetryScope,
     ) -> PortOutcome {
-        if self.admin_down {
-            self.note_drop(now, DropReason::LinkDown, router, port, scope);
-            return PortOutcome::Dropped(DropReason::LinkDown);
-        }
         let depth_before = self.link.backlog_bytes(now);
         match self.link.enqueue(now, wire_bytes, rng) {
             EnqueueOutcome::Delivered(at) => {
@@ -218,7 +169,10 @@ impl Port {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use emptcp_telemetry::Telemetry;
+    use emptcp_faults::{FaultAction, FaultState};
+    use emptcp_sim::SimDuration;
+    use emptcp_telemetry::{MemorySink, Telemetry};
+    use std::sync::{Arc, Mutex};
 
     fn port(rate_bps: u64, queue: u64) -> Port {
         Port::new(
@@ -231,6 +185,12 @@ mod tests {
                 loss_prob: 0.0,
             },
         )
+    }
+
+    /// Apply `action` as a surface that owns the port does.
+    fn fault(p: &mut Port, state: &mut FaultState, action: FaultAction) {
+        let part = state.apply(action);
+        state.push(part, SimTime::ZERO, p.link_mut());
     }
 
     #[test]
@@ -253,21 +213,29 @@ mod tests {
     }
 
     #[test]
-    fn admin_down_drops_and_restores() {
+    fn a_down_port_drops_as_link_down_and_restores() {
         let mut p = port(12_000_000, 6000);
+        let mut state = FaultState::default();
         let mut rng = SimRng::new(1);
-        let scope = Telemetry::disabled().scope(0);
-        p.set_admin_up(SimTime::ZERO, false);
-        assert!(!p.is_up());
+        let sink = Arc::new(Mutex::new(MemorySink::new()));
+        let scope = Telemetry::builder()
+            .sink(Box::new(sink.clone()))
+            .build()
+            .scope(0);
+        fault(&mut p, &mut state, FaultAction::IfaceDown);
         assert_eq!(
             p.transmit(SimTime::ZERO, 100, &mut rng, 0, 0, &scope),
             PortOutcome::Dropped(DropReason::LinkDown)
         );
+        let reason = match &sink.lock().unwrap().records[..] {
+            [(_, TraceEvent::RouterDrop { reason, .. })] => *reason,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(reason, "link_down");
         // A rate restore while down must not resurrect the port.
-        p.set_rate(SimTime::ZERO, None);
-        assert!(!p.is_up());
-        p.set_admin_up(SimTime::ZERO, true);
-        assert!(p.is_up());
+        fault(&mut p, &mut state, FaultAction::Rate(None));
+        assert_eq!(p.link().rate_bps(), 0);
+        fault(&mut p, &mut state, FaultAction::IfaceUp);
         assert!(matches!(
             p.transmit(SimTime::ZERO, 100, &mut rng, 0, 0, &scope),
             PortOutcome::Forwarded { .. }
@@ -275,15 +243,33 @@ mod tests {
     }
 
     #[test]
+    fn a_rate_override_survives_a_down_up_cycle() {
+        let mut p = port(12_000_000, 6000);
+        let mut state = FaultState::default();
+        for action in [
+            FaultAction::Rate(Some(2_000_000)),
+            FaultAction::IfaceDown,
+            FaultAction::IfaceUp,
+        ] {
+            fault(&mut p, &mut state, action);
+        }
+        assert_eq!(p.link().rate_bps(), 2_000_000);
+        fault(&mut p, &mut state, FaultAction::Rate(None));
+        assert_eq!(p.link().rate_bps(), 12_000_000);
+    }
+
+    #[test]
     fn fault_overrides_restore_nominal() {
         let mut p = port(12_000_000, 6000);
-        p.set_rate(SimTime::ZERO, Some(0));
-        assert!(!p.is_up(), "silent blackhole");
-        p.set_rate(SimTime::ZERO, None);
+        let mut state = FaultState::default();
+        fault(&mut p, &mut state, FaultAction::Rate(Some(0)));
+        assert_eq!(p.link().rate_bps(), 0, "silent blackhole");
+        fault(&mut p, &mut state, FaultAction::Rate(None));
         assert_eq!(p.link().rate_bps(), 12_000_000);
-        p.set_extra_delay(Some(SimDuration::from_millis(40)));
+        let extra = SimDuration::from_millis(40);
+        fault(&mut p, &mut state, FaultAction::ExtraDelay(Some(extra)));
         assert_eq!(p.link().prop_delay(), SimDuration::from_millis(41));
-        p.set_extra_delay(None);
+        fault(&mut p, &mut state, FaultAction::ExtraDelay(None));
         assert_eq!(p.link().prop_delay(), SimDuration::from_millis(1));
     }
 }

@@ -69,7 +69,7 @@
 use crate::fleet::{FleetConfig, FleetConfigError, FleetReport, CLIENT_REQUEST_BYTES};
 use crate::port::{NodeId, Port, PortOutcome};
 use crate::reduce;
-use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultSurface, FaultTarget};
+use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultState, FaultSurface, FaultTarget};
 use emptcp_mptcp::{rearm, MpConnection, Role, SubflowId};
 use emptcp_phy::modulation::OnOff;
 use emptcp_phy::{IfaceKind, LinkConfig};
@@ -122,7 +122,7 @@ const P_CROSS_SINK: u32 = 2;
 /// its boundary hop — the 1 ms server backbone, the access links in use,
 /// and the core bottleneck (whose delay bounds both core-egress
 /// directions). Fault actions can only *add* delay
-/// ([`Port::set_extra_delay`]) or drop packets, never shorten propagation,
+/// ([`FaultState::delay`]) or drop packets, never shorten propagation,
 /// so the bound holds under any fault plan.
 pub fn lookahead(cfg: &FleetConfig) -> SimDuration {
     let mut d = SERVER_LINK_PROP.min(cfg.bottleneck.prop_delay);
@@ -549,8 +549,6 @@ impl ClientShard {
             let mut server = MpConnection::new(Role::Server, tcfg);
             client.set_telemetry(telemetry.scope(i as u32));
             server.set_telemetry(telemetry.scope(i as u32));
-            client.set_coupled(cfg.coupled);
-            server.set_coupled(cfg.coupled);
             client.add_subflow(now, IfaceKind::Wifi);
             server.add_subflow(now, IfaceKind::Wifi);
             if mptcp {
@@ -858,28 +856,46 @@ impl ClientShard {
 // The core shard
 // ---------------------------------------------------------------------
 
-/// The three core-owned ports. Implements the fault surface:
-/// `FaultTarget::Core` is designated onto the shared bottleneck; the
-/// access-path targets have no designated ports here, and a fleet
-/// scenario that names one fails validation before it can run.
-struct CorePorts {
+/// The core shard's three ports, and the one fault state a fleet has.
+/// Implements the fault surface: `FaultTarget::Core` is designated onto
+/// the shared bottleneck; the access-path targets have no designated
+/// ports here, and a fleet scenario that names one fails validation
+/// before it can run.
+#[derive(Debug)]
+pub struct CorePorts {
     bottleneck: Port,
     reverse: Port,
     cross_sink: Port,
+    /// What the plan holds over the bottleneck.
+    fault: FaultState,
+}
+
+impl CorePorts {
+    /// The core ports of the fleet `cfg` describes, fault-free.
+    pub fn new(cfg: &FleetConfig) -> CorePorts {
+        CorePorts {
+            bottleneck: Port::new(NodeId(0), NodeId(1), cfg.bottleneck),
+            reverse: Port::new(
+                NodeId(1),
+                NodeId(0),
+                LinkConfig::backbone(cfg.bottleneck.prop_delay),
+            ),
+            cross_sink: Port::new(NodeId(1), NodeId(2), LinkConfig::backbone(SERVER_LINK_PROP)),
+            fault: FaultState::default(),
+        }
+    }
+
+    /// The shared bottleneck, where `FaultTarget::Core` lands.
+    pub fn bottleneck(&self) -> &Port {
+        &self.bottleneck
+    }
 }
 
 impl FaultSurface for CorePorts {
     fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
-        if target != FaultTarget::Core {
-            return;
-        }
-        let port = &mut self.bottleneck;
-        match action {
-            FaultAction::IfaceDown => port.set_admin_up(now, false),
-            FaultAction::IfaceUp => port.set_admin_up(now, true),
-            FaultAction::Rate(rate_bps) => port.set_rate(now, rate_bps),
-            FaultAction::Loss(model) => port.set_loss(model),
-            FaultAction::ExtraDelay(extra) => port.set_extra_delay(extra),
+        if target == FaultTarget::Core {
+            let part = self.fault.apply(action);
+            self.fault.push(part, now, self.bottleneck.link_mut());
         }
     }
 }
@@ -942,19 +958,10 @@ impl CoreShard {
                 )
             })
             .collect();
-        let backbone = LinkConfig::backbone(SERVER_LINK_PROP);
         let port_scope = telemetry.scope(u32::MAX);
         CoreShard {
             queue: EventQueue::new(),
-            ports: CorePorts {
-                bottleneck: Port::new(NodeId(0), NodeId(1), cfg.bottleneck),
-                reverse: Port::new(
-                    NodeId(1),
-                    NodeId(0),
-                    LinkConfig::backbone(cfg.bottleneck.prop_delay),
-                ),
-                cross_sink: Port::new(NodeId(1), NodeId(2), backbone),
-            },
+            ports: CorePorts::new(cfg),
             cross,
             cross_packets: 0,
             injector: None,

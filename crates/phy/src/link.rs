@@ -66,7 +66,8 @@ pub struct GeParams {
 
 impl GeParams {
     /// Long-run marginal loss probability of the chain.
-    pub fn steady_state_loss(&self) -> f64 {
+    #[cfg(test)]
+    fn steady_state_loss(&self) -> f64 {
         let denom = self.p_good_to_bad + self.p_bad_to_good;
         if denom <= 0.0 {
             return self.loss_good;
@@ -110,9 +111,15 @@ impl LossProcess {
         self.in_bad = false;
     }
 
+    /// The model the process draws from.
+    pub fn model(&self) -> LossModel {
+        self.model
+    }
+
     /// Loss probability the *next* packet would face before its transition
-    /// step (for gauges and diagnostics).
-    pub fn instantaneous_loss(&self) -> f64 {
+    /// step.
+    #[cfg(test)]
+    fn instantaneous_loss(&self) -> f64 {
         match self.model {
             LossModel::Bernoulli(p) => p,
             LossModel::GilbertElliott(g) => {
@@ -170,9 +177,10 @@ pub enum EnqueueOutcome {
 /// One direction of a point-to-point pipe.
 #[derive(Clone, Debug)]
 pub struct Link {
+    /// What the link was built with: its nominal values.
+    config: LinkConfig,
     rate_bps: u64,
     prop_delay: SimDuration,
-    queue_capacity: u64,
     loss: LossProcess,
     /// When the serializer frees up.
     busy_until: SimTime,
@@ -190,9 +198,9 @@ impl Link {
     /// A link with the given configuration, idle at time zero.
     pub fn new(config: LinkConfig) -> Self {
         Link {
+            config,
             rate_bps: config.rate_bps,
             prop_delay: config.prop_delay,
-            queue_capacity: config.queue_capacity,
             loss: LossProcess::new(LossModel::Bernoulli(config.loss_prob)),
             busy_until: SimTime::ZERO,
             backlog: VecDeque::new(),
@@ -201,6 +209,12 @@ impl Link {
             dropped_channel: 0,
             dropped_queue: 0,
         }
+    }
+
+    /// The configuration the link was built with (its nominal values;
+    /// the setters below move the current ones away from it).
+    pub fn config(&self) -> &LinkConfig {
+        &self.config
     }
 
     /// Current serialization rate.
@@ -250,11 +264,9 @@ impl Link {
         self.loss.set_model(model);
     }
 
-    /// Loss probability the next packet would face in the current channel
-    /// state (the fixed `p` for Bernoulli, the state-dependent one for
-    /// Gilbert–Elliott).
-    pub fn loss_prob(&self) -> f64 {
-        self.loss.instantaneous_loss()
+    /// The loss model currently installed.
+    pub fn loss_model(&self) -> LossModel {
+        self.loss.model()
     }
 
     /// One-way propagation delay.
@@ -264,7 +276,7 @@ impl Link {
 
     /// Drop-tail queue capacity in bytes.
     pub fn queue_capacity(&self) -> u64 {
-        self.queue_capacity
+        self.config.queue_capacity
     }
 
     /// Change the propagation delay (e.g. a different server location).
@@ -294,7 +306,7 @@ impl Link {
             self.dropped_channel += 1;
             return EnqueueOutcome::Dropped(DropReason::Channel);
         }
-        if self.backlog_bytes(now) + wire_bytes > self.queue_capacity {
+        if self.backlog_bytes(now) + wire_bytes > self.config.queue_capacity {
             self.dropped_queue += 1;
             return EnqueueOutcome::Dropped(DropReason::QueueFull);
         }

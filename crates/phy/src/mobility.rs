@@ -32,7 +32,7 @@ impl Position {
     }
 
     /// Euclidean distance to another position.
-    pub fn distance_to(&self, other: Position) -> f64 {
+    fn distance_to(&self, other: Position) -> f64 {
         ((self.x - other.x).powi(2) + (self.y - other.y).powi(2)).sqrt()
     }
 }
@@ -64,7 +64,7 @@ impl WaypointRoute {
     }
 
     /// Position at time `t`.
-    pub fn position_at(&self, t: SimTime) -> Position {
+    fn position_at(&self, t: SimTime) -> Position {
         let ws = &self.waypoints;
         if t <= ws[0].0 {
             return ws[0].1;
@@ -125,7 +125,7 @@ impl RateAdaptation {
     }
 
     /// Goodput (bps) at the given distance from the AP.
-    pub fn goodput_bps(&self, distance_m: f64) -> u64 {
+    fn goodput_bps(&self, distance_m: f64) -> u64 {
         for &(max_d, phy_mbps) in &self.tiers {
             if distance_m <= max_d {
                 return (phy_mbps * self.mac_efficiency * 1e6) as u64;
@@ -140,7 +140,7 @@ impl RateAdaptation {
 
     /// The usable-range radius (the red dashed circle in Fig 11): the
     /// distance beyond which the device falls off the tier table.
-    pub fn usable_range_m(&self) -> f64 {
+    fn usable_range_m(&self) -> f64 {
         self.tiers.last().map(|&(d, _)| d).unwrap_or(0.0)
     }
 }

@@ -66,11 +66,6 @@ impl WifiChannel {
         self
     }
 
-    /// Idle-air goodput currently offered by the AP.
-    pub fn nominal_bps(&self) -> u64 {
-        self.nominal_bps
-    }
-
     /// Set the idle-air goodput (bandwidth modulation, mobility).
     pub fn set_nominal_bps(&mut self, bps: u64) {
         self.nominal_bps = bps;
@@ -79,11 +74,6 @@ impl WifiChannel {
     /// Set the number of currently active interfering stations.
     pub fn set_active_contenders(&mut self, k: u32) {
         self.active_contenders = k;
-    }
-
-    /// Active interfering stations.
-    pub fn active_contenders(&self) -> u32 {
-        self.active_contenders
     }
 
     /// Associate / disassociate with the AP.

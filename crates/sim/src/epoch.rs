@@ -53,7 +53,7 @@ impl EpochClock {
 
     /// The epoch index containing instant `t` (epoch `k` spans
     /// `[k·Δ, (k+1)·Δ)`).
-    pub fn epoch_of(self, t: SimTime) -> u64 {
+    fn epoch_of(self, t: SimTime) -> u64 {
         t.as_nanos() / self.delta.as_nanos()
     }
 

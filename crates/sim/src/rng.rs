@@ -37,7 +37,7 @@ impl SimRng {
 
     /// Create a generator with an explicit stream selector, so independent
     /// model components can draw from provably disjoint streams.
-    pub fn with_stream(seed: u64, stream: u64) -> Self {
+    fn with_stream(seed: u64, stream: u64) -> Self {
         let mut rng = SimRng {
             state: 0,
             inc: (stream << 1) | 1,
@@ -75,7 +75,7 @@ impl SimRng {
     }
 
     /// Next raw 32-bit output.
-    pub fn next_u32(&mut self) -> u32 {
+    fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.state = old.wrapping_mul(PCG_MULT).wrapping_add(self.inc);
         let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
@@ -131,7 +131,7 @@ impl SimRng {
     /// Standard normal draw (Box-Muller; one value per call, the pair's
     /// second half is deliberately discarded to keep the stream position
     /// independent of caller history).
-    pub fn standard_normal(&mut self) -> f64 {
+    fn standard_normal(&mut self) -> f64 {
         let u1 = 1.0 - self.f64(); // (0, 1]
         let u2 = self.f64();
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

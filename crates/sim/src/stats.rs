@@ -135,7 +135,8 @@ impl WhiskerSummary {
     }
 
     /// Inter-quartile range.
-    pub fn iqr(&self) -> f64 {
+    #[cfg(test)]
+    fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
 }

@@ -63,7 +63,7 @@ impl CongestionCtrl {
     }
 
     /// True while in slow start.
-    pub fn in_slow_start(&self) -> bool {
+    fn in_slow_start(&self) -> bool {
         self.cwnd < self.ssthresh
     }
 

@@ -10,6 +10,7 @@
 //! 256 cases by default; CI raises it through `PROPTEST_CASES`.
 
 use emptcp_faults::testnet::{ChaosNet, ChaosPath};
+use emptcp_faults::FaultAction::{IfaceDown, IfaceUp};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
 use emptcp_tcp::{TcpConfig, TcpEndpoint};
 use proptest::prelude::*;
@@ -160,7 +161,9 @@ fn run(seed: u64, loss: f64, jitter_ms: u64, extra_polls: bool) -> Vec<Sent> {
                     pair.server.write(bytes);
                     written += bytes;
                 }
-                Action::PathUp(up) => pair.net.paths[0].set_up(up),
+                Action::PathUp(up) => {
+                    pair.net.paths[0].apply(if up { IfaceUp } else { IfaceDown });
+                }
                 Action::Close => {
                     pair.server.close();
                     pair.client.close();

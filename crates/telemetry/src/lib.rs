@@ -19,8 +19,8 @@
 //!   skipped via closures, so an uninstrumented run pays essentially nothing;
 //! * **metrics + invariants** (built without a recording sink) — counters,
 //!   histograms and invariant checks run, but no event is ever constructed:
-//!   [`Telemetry::emit_with`] and [`TelemetryScope::emit`] skip their
-//!   closure, since a [`NullSink`] would drop whatever it built;
+//!   [`TelemetryScope::emit`] skips its closure, since a [`NullSink`]
+//!   would drop whatever it built;
 //! * **traced** (built with a recording sink, [`Telemetry::tracing_active`])
 //!   — events are built and recorded as well.
 //!
@@ -100,7 +100,7 @@ impl Telemetry {
     /// Emit a trace event; the closure only runs when the sink records
     /// (see [`tracing_active`](Self::tracing_active)).
     #[inline]
-    pub fn emit_with(&self, t: SimTime, make: impl FnOnce() -> TraceEvent) {
+    fn emit_with(&self, t: SimTime, make: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = self.inner.as_ref().filter(|inner| inner.traced) {
             let event = make();
             inner
