@@ -44,6 +44,7 @@ use emptcp_sim::trace::TimeSeries;
 use emptcp_sim::{LaneQueue, SimDuration, SimRng, SimTime};
 use emptcp_tcp::{Segment, TcpConfig};
 use emptcp_telemetry::Telemetry;
+use emptcp_workload::download::{BULK_REQUEST_BYTES, UNBOUNDED_BYTES};
 use emptcp_workload::web::{FetchQueue, WebPage, BROWSER_CONNECTIONS, REQUEST_BYTES};
 use emptcp_workload::{BandwidthModulator, InterfererSet};
 use serde::Serialize;
@@ -431,7 +432,7 @@ impl Simulation {
             match self.scenario.workload {
                 Workload::WebPage => {}
                 Workload::Upload { size } => client.write(size),
-                _ => client.write(400),
+                _ => client.write(BULK_REQUEST_BYTES),
             }
             self.conns.push(ConnState {
                 client,
@@ -619,17 +620,16 @@ impl Simulation {
         let got = c.server.bytes_delivered();
         match self.scenario.workload {
             Workload::Download { size } => {
-                if got >= 400 && c.request_cursor == 0 {
-                    c.request_cursor = 400;
+                if got >= BULK_REQUEST_BYTES && c.request_cursor == 0 {
+                    c.request_cursor = BULK_REQUEST_BYTES;
                     c.server.write(size);
                     c.expected_bytes = size;
                 }
             }
             Workload::TimedBulk { .. } => {
-                if got >= 400 && c.request_cursor == 0 {
-                    c.request_cursor = 400;
-                    // "Unbounded" bulk: far more than any run can move.
-                    c.server.write(1 << 42);
+                if got >= BULK_REQUEST_BYTES && c.request_cursor == 0 {
+                    c.request_cursor = BULK_REQUEST_BYTES;
+                    c.server.write(UNBOUNDED_BYTES);
                     c.expected_bytes = u64::MAX;
                 }
             }

@@ -14,7 +14,9 @@
 //! below the ack, ending before it starts, or ending more than 4 GiB above
 //! the ack cannot be held: the frame is rejected as
 //! [`CodecError::BadSack`]. The stacks never send one; only a peer
-//! sending beyond any window could make one.
+//! sending beyond any window could make one. Nor can a segment whose
+//! sequence range runs past `u64::MAX` (`seq` plus its payload, SYN and
+//! FIN): that frame is [`CodecError::SeqOverflow`].
 //!
 //! Every frame the duplex transport carries round-trips through
 //! [`encode_frame`]/[`decode_frame`], so the parity harness certifies the
@@ -54,6 +56,8 @@ pub enum CodecError {
     /// A SACK block a [`Segment`] cannot hold: it starts below the ack,
     /// ends before it starts, or ends more than 4 GiB above the ack.
     BadSack,
+    /// The segment's sequence range runs past `u64::MAX`.
+    SeqOverflow,
 }
 
 impl std::fmt::Display for CodecError {
@@ -63,6 +67,7 @@ impl std::fmt::Display for CodecError {
             CodecError::BadMagic => write!(f, "bad frame magic"),
             CodecError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             CodecError::BadSack => write!(f, "SACK block out of range of the ack"),
+            CodecError::SeqOverflow => write!(f, "sequence range past u64::MAX"),
         }
     }
 }
@@ -229,6 +234,9 @@ pub fn decode_frame(frame: &[u8]) -> Result<(u8, Segment), CodecError> {
             return Err(CodecError::BadSack);
         }
     }
+    if seg.seq.checked_add(seg.seq_space()).is_none() {
+        return Err(CodecError::SeqOverflow);
+    }
     Ok((path, seg))
 }
 
@@ -339,6 +347,24 @@ mod tests {
             assert_eq!(
                 decode_frame(&frame_with_sack(ack, start, end)),
                 Err(CodecError::BadSack),
+                "{what}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_sequence_range_past_the_top_of_the_space_is_rejected() {
+        let mut seg = Segment::empty(SimTime::ZERO);
+        seg.seq = u64::MAX - 100;
+        seg.payload = 100;
+        // Ending exactly at `u64::MAX` still decodes.
+        assert_eq!(decode_frame(&encode_frame(0, &seg)), Ok((0, seg)));
+        for (what, payload, fin) in [("payload", 101, false), ("FIN", 100, true)] {
+            seg.payload = payload;
+            seg.flags.fin = fin;
+            assert_eq!(
+                decode_frame(&encode_frame(0, &seg)),
+                Err(CodecError::SeqOverflow),
                 "{what}"
             );
         }

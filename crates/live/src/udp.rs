@@ -20,7 +20,7 @@
 //! first well-formed datagram per path (server) — the usual UDP
 //! rendezvous — and once a path has a peer, datagrams from anyone else are
 //! counted (`foreign`) and dropped. Malformed datagrams (any
-//! [`CodecError`](crate::codec::CodecError), `BadSack` included), and
+//! [`CodecError`](crate::codec::CodecError), `BadSack` and `SeqOverflow` included), and
 //! well-formed ones whose `path` byte is not the socket they arrived on,
 //! are counted once in `malformed` and skipped, never panicked on and never learned from; a socket error
 //! on send is counted (`send_errors`) and the frame is lost like any other
@@ -384,6 +384,25 @@ mod tests {
         // A block 4 GiB above the ack: a segment cannot hold it.
         let frame = crate::codec::frame_with_sack(1000, 1000, 1000 + (1 << 32));
         raw.send_to(&frame, "127.0.0.1:46330").expect("send");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(t.poll_recv(SimTime::ZERO).is_none());
+        assert_eq!((t.malformed, t.datagrams_received), (1, 0));
+        assert!(
+            t.peers[0].is_none(),
+            "no peer learned from a rejected frame"
+        );
+    }
+
+    #[test]
+    fn a_sequence_range_past_the_top_of_the_space_is_malformed() {
+        let mut t = UdpTransport::bind(46340, two_paths(), 15).expect("bind");
+        let raw = UdpSocket::bind("127.0.0.1:0").expect("bind raw");
+        // Delivered, its end would overflow in the endpoint.
+        let mut seg = Segment::empty(SimTime::ZERO);
+        seg.seq = u64::MAX - 5;
+        seg.payload = 100;
+        raw.send_to(&encode_frame(0, &seg), "127.0.0.1:46340")
+            .expect("send");
         std::thread::sleep(std::time::Duration::from_millis(20));
         assert!(t.poll_recv(SimTime::ZERO).is_none());
         assert_eq!((t.malformed, t.datagrams_received), (1, 0));

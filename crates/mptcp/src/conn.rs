@@ -713,10 +713,12 @@ impl MpConnection {
         }
 
         // Learn the data mapping before TCP-level processing so in-order
-        // delivery can translate immediately.
+        // delivery can translate immediately. A DATA_ACK above the data
+        // handed to the subflows so far acknowledges nothing this side
+        // sent, and is ignored.
         if let Some(dss) = seg.dss {
             self.subflows[idx].learn_mapping(seg.seq, dss);
-            if dss.data_ack > self.data_acked {
+            if dss.data_ack > self.data_acked && dss.data_ack <= self.data_next {
                 self.data_acked = dss.data_ack;
                 // Reinjections the peer has since acknowledged are moot.
                 self.reinject

@@ -225,8 +225,6 @@ pub struct FleetReport {
     pub packets_forwarded: u64,
 }
 
-pub(crate) const CLIENT_REQUEST_BYTES: u64 = 400;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -66,7 +66,7 @@
 //! shard catches rides the same barrier flush and is reported exactly once
 //! on the outer handle.
 
-use crate::fleet::{FleetConfig, FleetConfigError, FleetReport, CLIENT_REQUEST_BYTES};
+use crate::fleet::{FleetConfig, FleetConfigError, FleetReport};
 use crate::port::{NodeId, Port, PortOutcome};
 use crate::reduce;
 use emptcp_faults::{FaultAction, FaultInjector, FaultSpec, FaultState, FaultSurface, FaultTarget};
@@ -76,6 +76,7 @@ use emptcp_phy::{IfaceKind, LinkConfig};
 use emptcp_sim::{EpochClock, EventQueue, LaneQueue, SimDuration, SimRng, SimTime, TimerId};
 use emptcp_tcp::{CcAlgorithm, Segment, TcpConfig};
 use emptcp_telemetry::{shard_metric, Telemetry, TelemetryScope, TraceEvent, TraceSink};
+use emptcp_workload::download::{BULK_REQUEST_BYTES, UNBOUNDED_BYTES};
 use emptcp_workload::CrossTrafficSource;
 use std::sync::atomic::Ordering::SeqCst;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
@@ -555,7 +556,7 @@ impl ClientShard {
                 client.add_subflow(now, IfaceKind::CellularLte);
                 server.add_subflow(now, IfaceKind::CellularLte);
             }
-            client.write(CLIENT_REQUEST_BYTES);
+            client.write(BULK_REQUEST_BYTES);
             rows.client.push(client);
             rows.server.push(server);
             // Dummy node ids: the star's routing is closed-form, so port
@@ -764,9 +765,9 @@ impl ClientShard {
     /// Timed bulk: the first complete request unlocks a response far
     /// larger than any horizon can drain.
     fn feed_server(&mut self, l: usize) {
-        if !self.rows.answered[l] && self.rows.server[l].bytes_delivered() >= CLIENT_REQUEST_BYTES {
+        if !self.rows.answered[l] && self.rows.server[l].bytes_delivered() >= BULK_REQUEST_BYTES {
             self.rows.answered[l] = true;
-            self.rows.server[l].write(1 << 42);
+            self.rows.server[l].write(UNBOUNDED_BYTES);
         }
     }
 

@@ -16,6 +16,13 @@
 //! Segments carry byte counts, not bytes. Sequence space: the SYN occupies
 //! seq 0, stream byte `i` occupies seq `1 + i`, the FIN occupies
 //! `1 + app_bytes`.
+//!
+//! Loss recovery is split in two: the endpoint holds the policy (the
+//! dupack count, `recovery_high`, `high_sacked`, the SACK trigger, and when
+//! holes are queued) and its [`SendQueue`] the scoreboard, the one writer
+//! of every segment's loss marks, of the totals [`pipe`](TcpEndpoint::pipe)
+//! reads and of the retransmission order. An ACK above `snd_nxt` is dropped
+//! and answered, so `snd_una <= snd_nxt` always holds.
 
 use crate::cc::{CcAlgorithm, CongestionCtrl};
 use crate::ranges::RangeSet;
@@ -127,54 +134,6 @@ impl MetricNames {
     }
 }
 
-/// A sorted, duplicate-free set of sequence numbers, flat: it holds a
-/// handful while recovery lasts and nothing otherwise, and its inserts
-/// mostly land at the back, so a deque serves every operation without
-/// the allocator once it has grown to its working size.
-#[derive(Clone, Debug, Default)]
-struct RetxQueue(VecDeque<u64>);
-
-impl RetxQueue {
-    /// Add `seq`; returns whether it was absent.
-    fn insert(&mut self, seq: u64) -> bool {
-        if self.0.back().is_none_or(|&last| last < seq) {
-            self.0.push_back(seq);
-            return true;
-        }
-        let at = self.0.partition_point(|&s| s < seq);
-        if self.0[at] == seq {
-            return false;
-        }
-        self.0.insert(at, seq);
-        true
-    }
-
-    fn remove(&mut self, seq: u64) {
-        if let Ok(at) = self.0.binary_search(&seq) {
-            self.0.remove(at);
-        }
-    }
-
-    fn first(&self) -> Option<u64> {
-        self.0.front().copied()
-    }
-
-    fn pop_first(&mut self) {
-        self.0.pop_front();
-    }
-
-    /// Forget every sequence below the cumulative `ack`.
-    fn drop_below(&mut self, ack: u64) {
-        while self.0.front().is_some_and(|&s| s < ack) {
-            self.0.pop_front();
-        }
-    }
-
-    fn clear(&mut self) {
-        self.0.clear();
-    }
-}
-
 /// One side of a TCP (sub)flow.
 #[derive(Clone, Debug)]
 pub struct TcpEndpoint {
@@ -186,20 +145,14 @@ pub struct TcpEndpoint {
     snd_nxt: u64,
     app_bytes: u64,
     fin_queued: bool,
-    fin_sent: bool,
+    /// The scoreboard: every segment in flight, its loss marks and their
+    /// totals, and the retransmission order.
     inflight: SendQueue,
-    /// Sequences awaiting retransmission, in sequence order.
-    retx_queue: RetxQueue,
     cc: CongestionCtrl,
     rtt: RttEstimator,
     rto_deadline: Option<SimTime>,
     dupacks: u32,
     recovery_high: Option<u64>,
-    /// Bytes currently SACKed (subtracted from the pipe estimate).
-    sacked_bytes: u64,
-    /// Bytes deemed lost and not yet retransmitted (also excluded from
-    /// the pipe).
-    lost_bytes: u64,
     /// Highest sequence covered by any SACK block seen this recovery.
     high_sacked: u64,
     peer_rwnd: u64,
@@ -257,16 +210,12 @@ impl TcpEndpoint {
             snd_nxt: 0,
             app_bytes: 0,
             fin_queued: false,
-            fin_sent: false,
             inflight: SendQueue::new(),
-            retx_queue: RetxQueue::default(),
             cc: CongestionCtrl::new(cfg.algorithm, cfg.mss, INIT_CWND_SEGMENTS),
             rtt: RttEstimator::new(),
             rto_deadline: None,
             dupacks: 0,
             recovery_high: None,
-            sacked_bytes: 0,
-            lost_bytes: 0,
             high_sacked: 0,
             peer_rwnd: 64 * 1024,
             syn_sent_at: None,
@@ -429,8 +378,8 @@ impl TcpEndpoint {
     /// re-enter the pipe when retransmitted).
     pub fn pipe(&self) -> u64 {
         self.bytes_in_flight()
-            .saturating_sub(self.sacked_bytes)
-            .saturating_sub(self.lost_bytes)
+            .saturating_sub(self.inflight.sacked_bytes())
+            .saturating_sub(self.inflight.lost_bytes())
     }
 
     /// The send window: the congestion window capped by the peer's
@@ -448,7 +397,7 @@ impl TcpEndpoint {
     /// the peer's FIN arrived.
     #[cfg(test)]
     fn fully_closed(&self) -> bool {
-        self.fin_sent && self.inflight.is_empty() && self.fin_received
+        self.snd_nxt > 1 + self.app_bytes && self.inflight.is_empty() && self.fin_received
     }
 
     /// Peer FIN received.
@@ -494,18 +443,7 @@ impl TcpEndpoint {
         seg.seq = 0;
         seg.flags.syn = true;
         seg.rwnd = self.advertised_rwnd();
-        self.inflight.insert(
-            0,
-            SentSeg {
-                payload: 0,
-                syn: true,
-                fin: false,
-                ts: now,
-                retransmitted: false,
-                sacked: false,
-                lost: false,
-            },
-        );
+        self.inflight.push(0, SentSeg::new(0, true, false, now));
         self.snd_nxt = 1;
         self.out.push_back(seg);
         self.arm_rto(now);
@@ -555,9 +493,7 @@ impl TcpEndpoint {
             if now >= d && !self.inflight.is_empty() {
                 // Retransmission timeout (RFC 5681 §5): every unacked,
                 // un-SACKed segment is presumed lost and re-sent in order,
-                // clocked by slow start from one MSS (go-back-N). The
-                // once-per-recovery retransmission marks are cleared so a
-                // hole whose retransmission is lost again can be requeued.
+                // clocked by slow start from one MSS (go-back-N).
                 self.cc.on_timeout();
                 self.rtt.backoff();
                 self.timeouts += 1;
@@ -574,16 +510,7 @@ impl TcpEndpoint {
                 self.dupacks = 0;
                 self.recovery_high = None;
                 self.high_sacked = 0;
-                self.lost_bytes = 0;
-                self.retx_queue.clear();
-                for (seq, entry) in self.inflight.iter_mut() {
-                    entry.retransmitted = false;
-                    entry.lost = !entry.sacked;
-                    if entry.lost {
-                        self.lost_bytes += entry.space();
-                        self.retx_queue.insert(seq);
-                    }
-                }
+                self.inflight.rto_sweep();
                 self.arm_rto(now);
                 return true;
             } else if now >= d {
@@ -607,6 +534,13 @@ impl TcpEndpoint {
 
     /// Process an arriving segment.
     pub fn on_segment(&mut self, now: SimTime, seg: Segment) -> SegmentOutcome {
+        if self.state == TcpState::Established && seg.flags.ack && seg.ack > self.snd_nxt {
+            // An ACK of data never sent is dropped and answered with an ACK
+            // (RFC 9293 §3.10.7.4).
+            let ack = self.make_ack(now);
+            self.out.push_back(ack);
+            return SegmentOutcome::default();
+        }
         let mut outcome = SegmentOutcome {
             mp_prio: seg.mp_prio,
             ..SegmentOutcome::default()
@@ -627,18 +561,7 @@ impl TcpEndpoint {
                     synack.ack = 1;
                     synack.ts_ecr = Some(seg.ts_val);
                     synack.rwnd = self.advertised_rwnd();
-                    self.inflight.insert(
-                        0,
-                        SentSeg {
-                            payload: 0,
-                            syn: true,
-                            fin: false,
-                            ts: now,
-                            retransmitted: false,
-                            sacked: false,
-                            lost: false,
-                        },
-                    );
+                    self.inflight.push(0, SentSeg::new(0, true, false, now));
                     self.snd_nxt = 1;
                     self.out.push_back(synack);
                     self.arm_rto(now);
@@ -648,8 +571,7 @@ impl TcpEndpoint {
             TcpState::SynSent => {
                 if seg.flags.syn && seg.flags.ack && seg.ack == 1 {
                     self.snd_una = 1;
-                    self.inflight.remove(0);
-                    self.retx_queue.remove(0);
+                    self.inflight.ack(1);
                     self.rto_deadline = None;
                     self.rcv_nxt = 1;
                     if let Some(sent) = self.syn_sent_at {
@@ -664,10 +586,9 @@ impl TcpEndpoint {
                 return outcome;
             }
             TcpState::SynRcvd => {
-                if seg.flags.ack && seg.ack >= 1 {
+                if seg.flags.ack && seg.ack == 1 {
                     self.snd_una = 1;
-                    self.inflight.remove(0);
-                    self.retx_queue.remove(0);
+                    self.inflight.ack(1);
                     self.rto_deadline = None;
                     if let Some(ecr) = seg.ts_ecr {
                         self.rtt.on_handshake(now.saturating_since(ecr));
@@ -696,35 +617,14 @@ impl TcpEndpoint {
         outcome
     }
 
-    /// Mark inflight segments covered by the ACK's SACK blocks.
-    fn apply_sack(&mut self, seg: &Segment) {
-        for (start, end) in seg.sack_blocks() {
-            self.high_sacked = self.high_sacked.max(end);
-            for (s, e) in self.inflight.range_mut(start, end) {
-                if !e.sacked && s + e.space() <= end {
-                    e.sacked = true;
-                    self.sacked_bytes += e.space();
-                    if e.lost {
-                        e.lost = false;
-                        self.lost_bytes -= e.space();
-                    }
-                    self.retx_queue.remove(s);
-                }
-            }
-        }
-    }
-
-    /// Queue every un-SACKed hole below the highest SACKed sequence for
-    /// retransmission (the core of SACK-based loss recovery).
-    fn queue_sack_holes(&mut self) {
-        let high = self.high_sacked;
-        // Each hole is retransmitted at most once per recovery; a
-        // retransmission that is itself lost falls back to the RTO.
-        for (s, e) in self.inflight.range_mut(0, high) {
-            if !e.sacked && !e.retransmitted && self.retx_queue.insert(s) && !e.lost {
-                e.lost = true;
-                self.lost_bytes += e.space();
-            }
+    /// Queue the holes below the highest SACKed sequence for
+    /// retransmission (the core of SACK-based loss recovery); with no SACK
+    /// above `snd_una`, the segment there, deemed lost if `head_lost`.
+    fn fill_holes(&mut self, head_lost: bool) {
+        if self.high_sacked > self.snd_una {
+            self.inflight.queue_holes(self.high_sacked);
+        } else {
+            self.inflight.queue(self.snd_una, head_lost);
         }
     }
 
@@ -732,37 +632,19 @@ impl TcpEndpoint {
         self.cc.on_fast_retransmit();
         self.trace_cwnd(now, "fast_retransmit");
         self.recovery_high = Some(self.snd_nxt);
-        if self.high_sacked > self.snd_una {
-            self.queue_sack_holes();
-        } else if let Some(e) = self.inflight.get_mut(self.snd_una) {
-            if !e.lost {
-                e.lost = true;
-                self.lost_bytes += e.space();
-            }
-            self.retx_queue.insert(self.snd_una);
-        }
+        self.fill_holes(true);
     }
 
     fn process_ack(&mut self, now: SimTime, seg: &Segment) {
-        self.apply_sack(seg);
+        for (start, end) in seg.sack_blocks() {
+            self.high_sacked = self.high_sacked.max(end);
+            self.inflight.sack(start, end);
+        }
         if seg.ack > self.snd_una {
             let newly_acked = seg.ack - self.snd_una;
-            // Drop fully-acked segments from the front of the retransmission
-            // store; one that straddles the ACK point stays inflight.
-            let mut payload_acked = 0u64;
-            while let Some(e) = self.inflight.pop_acked(seg.ack) {
-                payload_acked += e.payload as u64;
-                if e.sacked {
-                    self.sacked_bytes -= e.space();
-                }
-                if e.lost {
-                    self.lost_bytes -= e.space();
-                }
-            }
+            self.bytes_acked_total += self.inflight.ack(seg.ack);
             self.snd_una = seg.ack;
-            self.bytes_acked_total += payload_acked;
             self.dupacks = 0;
-            self.retx_queue.drop_below(seg.ack);
 
             // RTT sample via timestamp echo.
             if let Some(ecr) = seg.ts_ecr {
@@ -779,11 +661,7 @@ impl TcpEndpoint {
                     // Partial ACK during recovery: fill the remaining holes
                     // (SACK-guided if blocks were seen, else the next hole)
                     // without growing the window.
-                    if self.high_sacked > self.snd_una {
-                        self.queue_sack_holes();
-                    } else if self.inflight.contains_key(self.snd_una) {
-                        self.retx_queue.insert(self.snd_una);
-                    }
+                    self.fill_holes(false);
                 }
                 Some(_) => {
                     self.recovery_high = None;
@@ -800,12 +678,12 @@ impl TcpEndpoint {
             self.dupacks += 1;
             // RFC 6675: enter recovery on three dupacks or once SACK shows
             // more than three segments' worth of out-of-order delivery.
-            let sack_trigger = self.sacked_bytes > 3 * self.cfg.mss as u64;
+            let sack_trigger = self.inflight.sacked_bytes() > 3 * self.cfg.mss as u64;
             if self.recovery_high.is_none() && (self.dupacks >= 3 || sack_trigger) {
                 self.enter_recovery(now);
             } else if self.recovery_high.is_some() && self.high_sacked > self.snd_una {
                 // More SACK information arrived mid-recovery.
-                self.queue_sack_holes();
+                self.inflight.queue_holes(self.high_sacked);
             }
         }
     }
@@ -949,52 +827,46 @@ impl TcpEndpoint {
         // 2. Retransmissions — including SYN/SYN-ACK retransmissions while
         //    the handshake is still in flight. The first hole always goes
         //    out; the rest respect the SACK pipe so a large recovery
-        //    doesn't re-burst into the bottleneck queue. The ACK path keeps
-        //    the queue free of acknowledged and SACKed sequences, so the
-        //    head is either sent or left exactly where it is.
-        if let Some(seq) = self.retx_queue.first() {
-            let held = seq > self.snd_una && self.pipe() >= self.cc.cwnd();
-            if let Some(entry) = self.inflight.get_mut(seq).filter(|_| !held) {
-                self.retx_queue.pop_first();
-                entry.retransmitted = true;
-                if entry.lost {
-                    entry.lost = false;
-                    self.lost_bytes -= entry.space();
-                }
-                entry.ts = now;
-                let mut seg = Segment::empty(now);
-                seg.seq = seq;
-                seg.payload = entry.payload;
-                seg.flags.syn = entry.syn;
-                seg.flags.fin = entry.fin;
-                seg.flags.ack = true;
-                seg.ack = self.rcv_nxt;
-                seg.rwnd = self.advertised_rwnd();
-                seg.ts_ecr = self.ts_to_echo;
-                seg.retransmit = true;
-                seg.mp_prio = self.pending_mp_prio.take();
-                self.retransmissions += 1;
-                self.scope.emit(now, |s| TraceEvent::Retransmit {
-                    conn: s.conn,
-                    subflow: s.subflow,
-                    seq: seg.seq,
-                    len: seg.payload,
-                    kind: if self.recovery_high.is_some() {
-                        "fast"
-                    } else {
-                        "rto"
-                    },
-                });
-                self.scope.with_metrics(|s, m| {
-                    let names = self.metric_names.get_or_insert_with(|| MetricNames::of(s));
-                    m.counter_add(&names.retransmits, 1)
-                });
-                self.last_activity = now;
-                if self.rto_deadline.is_none() {
-                    self.arm_rto(now);
-                }
-                return Some(seg);
+        //    doesn't re-burst into the bottleneck queue. Nothing SACKed or
+        //    acknowledged since it was queued is still queued, so the lowest
+        //    queued sequence is either sent or left exactly where it is.
+        let ready = self
+            .inflight
+            .next_retx()
+            .filter(|&seq| seq <= self.snd_una || self.pipe() < self.cc.cwnd());
+        if let Some((seq, entry)) = ready.and_then(|_| self.inflight.retransmit(now)) {
+            let mut seg = Segment::empty(now);
+            seg.seq = seq;
+            seg.payload = entry.payload;
+            seg.flags.syn = entry.syn;
+            seg.flags.fin = entry.fin;
+            seg.flags.ack = true;
+            seg.ack = self.rcv_nxt;
+            seg.rwnd = self.advertised_rwnd();
+            seg.ts_ecr = self.ts_to_echo;
+            seg.retransmit = true;
+            seg.mp_prio = self.pending_mp_prio.take();
+            self.retransmissions += 1;
+            self.scope.emit(now, |s| TraceEvent::Retransmit {
+                conn: s.conn,
+                subflow: s.subflow,
+                seq: seg.seq,
+                len: seg.payload,
+                kind: if self.recovery_high.is_some() {
+                    "fast"
+                } else {
+                    "rto"
+                },
+            });
+            self.scope.with_metrics(|s, m| {
+                let names = self.metric_names.get_or_insert_with(|| MetricNames::of(s));
+                m.counter_add(&names.retransmits, 1)
+            });
+            self.last_activity = now;
+            if self.rto_deadline.is_none() {
+                self.arm_rto(now);
             }
+            return Some(seg);
         }
 
         if self.state != TcpState::Established {
@@ -1006,7 +878,7 @@ impl TcpEndpoint {
         //    and the copy is committed only together with an emission, so a
         //    poll that returns `None` leaves the endpoint untouched.
         let stream_end = 1 + self.app_bytes;
-        let can_send_fin = self.fin_queued && !self.fin_sent && self.snd_nxt == stream_end;
+        let can_send_fin = self.fin_queued && self.snd_nxt == stream_end;
         if self.snd_nxt < stream_end || can_send_fin {
             let cc = self.cc_after_idle(now);
             let window = cc.cwnd().min(self.peer_rwnd);
@@ -1024,8 +896,7 @@ impl TcpEndpoint {
             if payload < self.cfg.mss && (payload as u64) < available && in_flight > 0 {
                 return None;
             }
-            let fin_now =
-                self.fin_queued && !self.fin_sent && self.snd_nxt + payload as u64 == stream_end;
+            let fin_now = self.fin_queued && self.snd_nxt + payload as u64 == stream_end;
             if payload == 0 && !fin_now {
                 return None;
             }
@@ -1039,26 +910,13 @@ impl TcpEndpoint {
             seg.rwnd = self.advertised_rwnd();
             seg.ts_ecr = self.ts_to_echo;
             seg.mp_prio = self.pending_mp_prio.take();
-            self.inflight.insert(
-                self.snd_nxt,
-                SentSeg {
-                    payload,
-                    syn: false,
-                    fin: fin_now,
-                    ts: now,
-                    retransmitted: false,
-                    sacked: false,
-                    lost: false,
-                },
-            );
+            self.inflight
+                .push(self.snd_nxt, SentSeg::new(payload, false, fin_now, now));
             self.snd_nxt += seg.seq_space();
             self.bytes_sent_total += payload as u64;
             if payload > 0 {
                 self.data_segments += 1;
                 self.runts += u64::from(payload < self.cfg.mss && (payload as u64) < available);
-            }
-            if fin_now {
-                self.fin_sent = true;
             }
             if self.rto_deadline.is_none() {
                 self.arm_rto(now);

@@ -1,8 +1,8 @@
-//! The flat send queue against the `BTreeMap` it replaced: any
-//! interleaving of sends, cumulative ACKs (some landing mid-segment), SACK
-//! marking, RTO sweeps, handshake removal and out-of-order re-recording
-//! pops the same segments in the same order and answers every lookup,
-//! range and iteration alike.
+//! The scoreboard against the trees it replaced: any interleaving of
+//! sends, the handshake's ACK, cumulative ACKs (some landing inside a
+//! queued segment), SACK marking, hole and head queueing, RTO sweeps and
+//! retransmissions leaves the same segments with the same marks, the same
+//! SACKed and lost totals, and the same next retransmission.
 
 #[path = "sendq_model/model.rs"]
 mod model;
@@ -14,8 +14,10 @@ proptest! {
 
     #[test]
     fn the_queue_answers_like_the_tree(seed in 0u64..u64::MAX) {
-        let (acked, straddled) = model::check(seed, 600);
-        prop_assert!(acked > 0, "no segment was ever acknowledged");
-        prop_assert!(straddled > 0, "no ACK ever landed mid-segment");
+        let seen = model::check(seed, 600);
+        prop_assert!(seen.acked > 0, "no segment was ever acknowledged: {seen:?}");
+        prop_assert!(seen.straddled_queued > 0, "no ACK landed inside a queued segment: {seen:?}");
+        prop_assert!(seen.rto_sweeps > 0 && seen.retransmits > 0, "{seen:?}");
+        prop_assert!(seen.sacked_lost > 0, "no SACK took back lost bytes: {seen:?}");
     }
 }

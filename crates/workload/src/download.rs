@@ -8,3 +8,10 @@
 pub const MB: u64 = 1 << 20;
 /// One kibibyte.
 pub const KB: u64 = 1 << 10;
+
+/// The upload that asks for a bulk download or timed bulk transfer; the
+/// server answers once all of it has arrived.
+pub const BULK_REQUEST_BYTES: u64 = 400;
+/// The response to an "unbounded" bulk request: far more than any run can
+/// move.
+pub const UNBOUNDED_BYTES: u64 = 1 << 42;
