@@ -105,14 +105,10 @@ pub struct EmptcpClient {
     cellular_id: Option<SubflowId>,
     /// Establishment requested, waiting for the host to create the subflow.
     establish_pending: bool,
-    /// The cellular subflow is currently suspended (backup).
-    cellular_suspended: bool,
     /// Ignore cellular samples until this time: after activation or resume
     /// the subflow is in slow start and measured throughput says nothing
     /// about the path (the same reasoning behind eq. 1's bound on tau).
     cell_settle_until: Option<SimTime>,
-    /// The WiFi subflow is currently suspended (cellular-only mode).
-    wifi_suspended: bool,
 }
 
 impl EmptcpClient {
@@ -134,9 +130,7 @@ impl EmptcpClient {
             wifi_id: None,
             cellular_id: None,
             establish_pending: false,
-            cellular_suspended: false,
             cell_settle_until: None,
-            wifi_suspended: false,
         }
     }
 
@@ -184,7 +178,6 @@ impl EmptcpClient {
     pub fn on_cellular_established(&mut self, now: SimTime, id: SubflowId, conn: &MpConnection) {
         self.cellular_id = Some(id);
         self.establish_pending = false;
-        self.cellular_suspended = false;
         let rtt = conn.subflow(id).tcp.rtt().handshake_rtt();
         self.predictor.register_iface(now, self.cellular_kind, rtt);
         self.cell_settle_until = Some(now + self.settle_window());
@@ -254,7 +247,8 @@ impl EmptcpClient {
         if self.cellular_id.is_some() {
             let cell_bytes = totals.cell_bytes;
             let settling = self.cell_settle_until.is_some_and(|t| now < t);
-            if self.cellular_suspended || settling || idle {
+            let suspended = !self.controller.usage().uses_cellular();
+            if suspended || settling || idle {
                 // Suspension is policy and slow start is not evidence:
                 // skip the window, keeping the previous forecast.
                 self.predictor.skip(now, self.cellular_kind, cell_bytes);
@@ -308,7 +302,9 @@ impl EmptcpClient {
         // Graceful degradation takes precedence over the EIB decision: a
         // dead path is forced out of the usage set immediately (no dwell,
         // no hysteresis), and the normal policy resumes once both paths
-        // share a fate again.
+        // share a fate again. A subflow is suspended (backup) exactly when
+        // the usage held before this decision left it out.
+        let held = self.controller.usage();
         let usage = if wifi_down != cell_down {
             self.controller.degrade(now, !wifi_down, !cell_down)
         } else {
@@ -316,7 +312,7 @@ impl EmptcpClient {
         };
         let want_cell = usage.uses_cellular();
         let want_wifi = usage.uses_wifi();
-        if want_cell == self.cellular_suspended {
+        if want_cell != held.uses_cellular() {
             if want_cell {
                 // Re-using a suspended subflow: §3.6 tweaks first, then
                 // MP_PRIO back to normal.
@@ -325,30 +321,26 @@ impl EmptcpClient {
                     id: cell_id,
                     backup: false,
                 });
-                self.cellular_suspended = false;
                 self.cell_settle_until = Some(now + self.settle_window());
             } else {
                 actions.push(Action::SetPriority {
                     id: cell_id,
                     backup: true,
                 });
-                self.cellular_suspended = true;
             }
         }
-        if want_wifi == self.wifi_suspended {
+        if want_wifi != held.uses_wifi() {
             if want_wifi {
                 actions.push(Action::Resume { id: wifi_id });
                 actions.push(Action::SetPriority {
                     id: wifi_id,
                     backup: false,
                 });
-                self.wifi_suspended = false;
             } else {
                 actions.push(Action::SetPriority {
                     id: wifi_id,
                     backup: true,
                 });
-                self.wifi_suspended = true;
             }
         }
         actions
@@ -536,7 +528,6 @@ mod tests {
         engine.on_cellular_established(rig.now, SubflowId(1), &rig.client);
         // Suspend by forcing a strong-WiFi decision...
         engine.controller.force_usage(rig.now, PathUsage::WifiOnly);
-        engine.cellular_suspended = true;
         // ...then a weak-WiFi tick resumes: Resume must precede SetPriority.
         // Feed weak wifi samples.
         engine

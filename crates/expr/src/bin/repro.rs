@@ -14,6 +14,7 @@
 //! repro --clients 100 fleet   size the fleet exhibit's client count
 //! repro --clients 1000000 --shards 8 fleet   sharded million-stack run
 //! repro monitor --clients 16 --duration-s 4   live fleet dashboard
+//! repro monitor --follow fleet.jsonl --idle-timeout-s 0   read a recording
 //! ```
 //!
 //! Each experiment prints its tables and writes `<out>/<id>.{txt,json}`.
@@ -31,7 +32,7 @@
 
 use emptcp_expr::figures::{self, Config};
 use emptcp_expr::flags;
-use emptcp_expr::monitor::{self, LiveOptions};
+use emptcp_expr::monitor::{self, MonitorOptions, Source};
 use emptcp_expr::repro::{self, ReproOptions};
 use emptcp_expr::runner::Runner;
 use emptcp_telemetry::{info, log, warn};
@@ -44,59 +45,69 @@ fn monitor_usage() -> ! {
   --clients N          fleet size                        (default 16)
   --seed N             simulation seed                   (default 42)
   --duration-s X       simulated seconds                 (default 4)
-  --record PATH        also record the trace as JSONL for later replay
-  --follow PATH        tail a JSONL trace another process is writing
-                       (e.g. simulate serve --trace PATH) instead of
-                       running a fleet; dashboards events as they land
-  --idle-timeout-s X   with --follow: exit after X s without new data
-                       (default 3)
+  --record PATH        also record the trace as JSONL for --follow
+  --follow PATH        read a JSONL trace instead of running a fleet,
+                       a recording or one another process is writing
+                       (e.g. simulate serve --trace PATH)
+  --idle-timeout-s X   with --follow: stop after X s without new data;
+                       0 stops at the end of the file    (default 3)
   --export-json PATH   write the deterministic time-series JSON export
   --export-csv PATH    write the per-bin CSV export
-  --quiet              no dashboard (exports still written)"
+  --quiet              no dashboard (exports still written)
+
+A malformed trace line (PATH:LINE: error; blank lines are skipped) or
+an invariant violation of the fleet is reported on stderr and makes
+the exit status 1; the exports are written anyway."
     );
     std::process::exit(2);
 }
 
 fn monitor_main(args: Vec<String>) -> ! {
-    let mut opts = LiveOptions::default();
-    let mut follow: Option<PathBuf> = None;
-    let mut idle_timeout_s = 3.0f64;
+    let (mut clients, mut seed, mut duration_s) = (16, 42, 4.0);
+    let (mut record, mut follow, mut idle_timeout_s) = (None, None, 3.0);
+    let (mut export_json, mut export_csv, mut quiet) = (None, None, false);
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--clients" => opts.clients = flags::value(&mut it, "--clients"),
-            "--seed" => opts.seed = flags::value(&mut it, "--seed"),
-            "--duration-s" => opts.duration_s = flags::value(&mut it, "--duration-s"),
-            "--record" => opts.record = Some(flags::value(&mut it, "--record")),
+            "--clients" => clients = flags::value(&mut it, "--clients"),
+            "--seed" => seed = flags::value(&mut it, "--seed"),
+            "--duration-s" => duration_s = flags::value(&mut it, "--duration-s"),
+            "--record" => record = Some(flags::value(&mut it, "--record")),
             "--follow" => follow = Some(flags::value(&mut it, "--follow")),
             "--idle-timeout-s" => idle_timeout_s = flags::value(&mut it, "--idle-timeout-s"),
-            "--export-json" => opts.export_json = Some(flags::value(&mut it, "--export-json")),
-            "--export-csv" => opts.export_csv = Some(flags::value(&mut it, "--export-csv")),
-            "--quiet" => opts.quiet = true,
+            "--export-json" => export_json = Some(flags::value(&mut it, "--export-json")),
+            "--export-csv" => export_csv = Some(flags::value(&mut it, "--export-csv")),
+            "--quiet" => quiet = true,
             _ => monitor_usage(),
         }
     }
-    if opts.quiet {
+    if quiet {
         log::set_level(log::Level::Quiet);
     }
-    if let Some(trace) = follow {
-        let fopts = monitor::FollowOptions {
-            trace,
+    let source = match follow {
+        Some(path) => Source::Trace {
+            path,
             idle_timeout_s,
-            export_json: opts.export_json,
-            export_csv: opts.export_csv,
-            quiet: opts.quiet,
-        };
-        match monitor::run_follow(&fopts) {
-            Ok(code) => std::process::exit(code),
-            Err(e) => {
-                eprintln!("repro monitor: {e}");
-                std::process::exit(1);
-            }
+        },
+        None => Source::Fleet {
+            clients,
+            seed,
+            duration_s,
+            record,
+        },
+    };
+    let opts = MonitorOptions {
+        source,
+        export_json,
+        export_csv,
+        quiet,
+    };
+    match monitor::monitor(&opts) {
+        Ok(faults) => std::process::exit(i32::from(faults > 0)),
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => {
+            eprintln!("error: {e}");
+            std::process::exit(2);
         }
-    }
-    match monitor::run_live(&opts) {
-        Ok(_) => std::process::exit(0),
         Err(e) => {
             eprintln!("repro monitor: {e}");
             std::process::exit(1);
@@ -157,7 +168,7 @@ fn main() {
             "usage: repro [--quick] [--quiet] [--trace [PATH]] [--jobs N] [--clients N] [--shards N] [--out DIR] (all | <id>...)"
         );
         eprintln!(
-            "       repro monitor [--clients N] [--seed N] [--duration-s X] [--record PATH] ..."
+            "       repro monitor [--clients N] [--seed N] [--duration-s X] [--record PATH] [--follow PATH] ..."
         );
         eprintln!("ids: {}", repro::IDS.join(" "));
         std::process::exit(2);

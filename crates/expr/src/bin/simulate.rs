@@ -5,8 +5,6 @@
 //! simulate --strategy mptcp --scenario mobility --json
 //! simulate --strategy emptcp --trace run.jsonl --metrics run.json
 //! simulate --list-strategies
-//! simulate monitor --replay fleet.trace.jsonl
-//! simulate monitor --replay fleet.trace.jsonl --check --export-json out.json
 //! simulate scenario --list
 //! simulate scenario --name ap-vanish --trace ap-vanish.jsonl
 //! simulate scenario --corpus --check --jobs 4
@@ -52,54 +50,6 @@ fn usage() -> ! {
   --list-strategies    list strategy names and exit"
     );
     std::process::exit(2);
-}
-
-fn monitor_usage() -> ! {
-    eprintln!(
-        "usage: simulate monitor --replay <trace.jsonl> [options]
-  --replay PATH        recorded JSONL trace to replay (required)
-  --check              machine mode: no dashboard, exit 1 on malformed
-                       lines (CI replays twice and diffs the exports)
-  --export-json PATH   write the deterministic time-series JSON export
-  --export-csv PATH    write the per-bin CSV export
-  --quiet              suppress the final dashboard frame"
-    );
-    std::process::exit(2);
-}
-
-fn monitor_main(args: Vec<String>) -> ! {
-    use emptcp_expr::monitor::{self, ReplayOptions};
-    let mut trace: Option<std::path::PathBuf> = None;
-    let mut check = false;
-    let mut export_json = None;
-    let mut export_csv = None;
-    let mut quiet = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--replay" => trace = Some(flags::value(&mut it, "--replay")),
-            "--check" => check = true,
-            "--export-json" => export_json = Some(flags::value(&mut it, "--export-json")),
-            "--export-csv" => export_csv = Some(flags::value(&mut it, "--export-csv")),
-            "--quiet" => quiet = true,
-            _ => monitor_usage(),
-        }
-    }
-    let Some(trace) = trace else { monitor_usage() };
-    let opts = ReplayOptions {
-        trace,
-        check,
-        export_json,
-        export_csv,
-        quiet,
-    };
-    match monitor::run_replay(&opts) {
-        Ok(code) => std::process::exit(code),
-        Err(e) => {
-            eprintln!("simulate monitor: {e}");
-            std::process::exit(1);
-        }
-    }
 }
 
 fn live_usage(role: &str) -> ! {
@@ -504,7 +454,6 @@ fn scenario_main(args: Vec<String>) -> ! {
 fn main() {
     let mut args_vec: Vec<String> = std::env::args().skip(1).collect();
     match args_vec.first().cloned().as_deref() {
-        Some("monitor") => monitor_main(args_vec.split_off(1)),
         Some("scenario") => scenario_main(args_vec.split_off(1)),
         Some(role @ ("serve" | "connect")) => live_main(role, args_vec.split_off(1)),
         _ => {}

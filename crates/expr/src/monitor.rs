@@ -1,42 +1,75 @@
-//! The `monitor` subcommand: live fleet observability and trace replay.
+//! The `monitor` subcommand: one dashboard over a fleet run or a trace.
 //!
-//! Two entry points sharing one pipeline:
+//! [`monitor`] (`repro monitor`) folds the events of one [`Source`] into
+//! the streaming [`PipelineSink`]:
 //!
-//! * [`run_live`] (`repro monitor`) — runs a contended fleet with the
-//!   streaming [`PipelineSink`] tapped into its telemetry, optionally
-//!   teeing the same events into a JSONL recording, and drives the
-//!   redraw-in-place terminal dashboard while the simulation executes.
-//! * [`run_replay`] (`simulate monitor --replay <trace.jsonl>`) — feeds a
-//!   recorded trace through the identical pipeline and renders the final
-//!   dashboard and/or exports.
+//! * [`Source::Fleet`] runs a contended fleet with the sink tapped into
+//!   its telemetry, optionally teeing the same events into a JSONL
+//!   recording;
+//! * [`Source::Trace`] reads a JSONL trace through
+//!   [`emptcp_obsv::replay_with`], the one reader of trace lines. The file
+//!   is read through [`Follow`], so a trace another process is still
+//!   writing (a `simulate serve|connect` transfer) is dashboarded as it
+//!   grows; a finished one is read to its end, and a zero idle timeout
+//!   stops there.
 //!
-//! Determinism contract: for the same seed, the exports written by a live
-//! run and by a replay of the recording that run produced are
-//! byte-identical (`tests/monitor.rs` pins this; CI replays twice and
-//! diffs). The dashboard is display-only — its wall-clock frame throttling
-//! never influences what is exported.
+//! Both sources drive the same redraw-in-place dashboard from the sink's
+//! bin observer, print the same final frame, write the same exports and
+//! share one exit rule: each malformed trace line (reported as
+//! `PATH:LINE: error`; blank lines are skipped) and each invariant
+//! violation of a fleet run is a fault, any fault makes the exit status
+//! 1, and the exports are written either way.
+//!
+//! Determinism contract: for the same seed, the exports written by a fleet
+//! run and by a read of the recording that run produced are byte-identical
+//! (`tests/monitor.rs` pins this; CI reads the recording twice and diffs).
+//! The dashboard is display-only — its wall-clock frame throttling never
+//! influences what is exported.
 
 use emptcp_net::{FleetConfig, ShardedFleetSim};
 use emptcp_obsv::{
-    export_csv, export_json, render, Dashboard, Pipeline, PipelineConfig, PipelineSink,
+    export_csv, export_json, render, replay_with, Dashboard, Follow, Pipeline, PipelineConfig,
+    PipelineSink,
 };
 use emptcp_sim::SimDuration;
 use emptcp_telemetry::{JsonlSink, TeeSink, Telemetry, TraceSink};
-use std::io::{BufReader, IsTerminal, Write as _};
-use std::path::PathBuf;
+use std::io::{self, BufReader, IsTerminal, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+/// Where a monitor's events come from.
+#[derive(Debug, Clone)]
+pub enum Source {
+    /// Run a contended fleet; the same seed gives a byte-identical trace
+    /// and exports.
+    Fleet {
+        /// Fleet size (mixed TCP/MPTCP clients behind the shared
+        /// bottleneck).
+        clients: usize,
+        /// Simulation seed.
+        seed: u64,
+        /// Simulated run length in seconds.
+        duration_s: f64,
+        /// Also record the trace as JSONL here.
+        record: Option<PathBuf>,
+    },
+    /// Read a JSONL trace.
+    Trace {
+        /// The trace, finished or still being written.
+        path: PathBuf,
+        /// Stop after this much wall time without new data; waiting for
+        /// the file to appear counts against it, and 0 stops at the first
+        /// end of file.
+        idle_timeout_s: f64,
+    },
+}
 
 /// Options for `repro monitor`.
 #[derive(Debug, Clone)]
-pub struct LiveOptions {
-    /// Fleet size (mixed TCP/MPTCP clients behind the shared bottleneck).
-    pub clients: usize,
-    /// Simulation seed; same seed ⇒ byte-identical trace and exports.
-    pub seed: u64,
-    /// Simulated run length in seconds.
-    pub duration_s: f64,
-    /// Also record the trace as JSONL for later replay.
-    pub record: Option<PathBuf>,
+pub struct MonitorOptions {
+    /// Where the events come from.
+    pub source: Source,
     /// Write the time-series JSON export here.
     pub export_json: Option<PathBuf>,
     /// Write the per-bin CSV export here.
@@ -45,96 +78,82 @@ pub struct LiveOptions {
     pub quiet: bool,
 }
 
-impl Default for LiveOptions {
-    fn default() -> Self {
-        LiveOptions {
-            clients: 16,
-            seed: 42,
-            duration_s: 4.0,
-            record: None,
-            export_json: None,
-            export_csv: None,
-            quiet: false,
-        }
-    }
-}
-
-/// Options for `repro monitor --follow`.
-#[derive(Debug, Clone)]
-pub struct FollowOptions {
-    /// The JSONL trace to tail — typically one a `simulate serve` or
-    /// `simulate connect` process is writing right now.
-    pub trace: PathBuf,
-    /// Exit after this much wall time without new trace data. A finished
-    /// file is followed to EOF and then times out normally.
-    pub idle_timeout_s: f64,
-    /// Write the time-series JSON export here.
-    pub export_json: Option<PathBuf>,
-    /// Write the per-bin CSV export here.
-    pub export_csv: Option<PathBuf>,
-    /// Suppress the dashboard (exports still written).
-    pub quiet: bool,
-}
-
-/// Options for `simulate monitor --replay`.
-#[derive(Debug, Clone)]
-pub struct ReplayOptions {
-    /// The recorded JSONL trace to replay.
-    pub trace: PathBuf,
-    /// Machine mode: no dashboard, fail (exit 1) on any malformed line.
-    pub check: bool,
-    /// Write the time-series JSON export here.
-    pub export_json: Option<PathBuf>,
-    /// Write the per-bin CSV export here.
-    pub export_csv: Option<PathBuf>,
-    /// Suppress the final dashboard frame (exports still written).
-    pub quiet: bool,
-}
-
-fn write_exports(
-    pipeline: &Pipeline,
-    json: &Option<PathBuf>,
-    csv: &Option<PathBuf>,
-) -> std::io::Result<()> {
-    if let Some(path) = json {
-        std::fs::write(path, export_json(pipeline))?;
-    }
-    if let Some(path) = csv {
-        std::fs::write(path, export_csv(pipeline))?;
-    }
-    Ok(())
-}
-
-/// Run a contended fleet live with the streaming pipeline tapped in.
-/// Returns the final pipeline state (exports, if requested, are written
-/// before returning).
-pub fn run_live(opts: &LiveOptions) -> std::io::Result<Pipeline> {
+/// Fold `opts.source` into a fresh pipeline, dashboarding it as it goes,
+/// then print the final frame and write the exports. Returns the faults
+/// seen — malformed trace lines or invariant violations, each already
+/// reported on stderr. A fleet the configuration cannot hold is an
+/// [`io::ErrorKind::InvalidInput`] error.
+pub fn monitor(opts: &MonitorOptions) -> io::Result<usize> {
     let pipeline = Arc::new(Mutex::new(Pipeline::new(PipelineConfig::default())));
 
     // Live dashboard: redraw at most every 50 ms of wall time, triggered
     // by aggregation-bin advances. Display only — skipping frames cannot
     // change pipeline state.
-    let want_dash = !opts.quiet && std::io::stdout().is_terminal();
-    let dash = Arc::new(Mutex::new((
-        Dashboard::new(),
-        std::time::Instant::now(),
-        true,
-    )));
+    let want_dash = !opts.quiet && io::stdout().is_terminal();
+    let dash = Arc::new(Mutex::new(Dashboard::new()));
     let mut sink = PipelineSink::new(Arc::clone(&pipeline));
     if want_dash {
         let dash = Arc::clone(&dash);
+        let mut last_frame: Option<Instant> = None;
         sink = sink.with_observer(Box::new(move |p| {
-            let mut guard = dash.lock().expect("dashboard poisoned");
-            let (dashboard, last_frame, first) = &mut *guard;
-            if *first || last_frame.elapsed().as_millis() >= 50 {
-                *first = false;
-                *last_frame = std::time::Instant::now();
-                let _ = dashboard.draw(&mut std::io::stdout(), &render(p));
+            if last_frame.is_none_or(|at| at.elapsed().as_millis() >= 50) {
+                last_frame = Some(Instant::now());
+                let mut dash = dash.lock().expect("dashboard poisoned");
+                let _ = dash.draw(&mut io::stdout(), &render(p));
             }
         }));
     }
 
-    let tap: Box<dyn TraceSink> = match &opts.record {
+    let (faults, summary) = match &opts.source {
+        Source::Fleet {
+            clients,
+            seed,
+            duration_s,
+            record,
+        } => run_fleet(*clients, *seed, *duration_s, record.as_deref(), sink)?,
+        Source::Trace {
+            path,
+            idle_timeout_s,
+        } => read_trace(path, *idle_timeout_s, sink)?,
+    };
+    let pipeline = pipeline.lock().expect("pipeline poisoned");
+
+    if !opts.quiet {
+        // Final frame: on a TTY the same Dashboard overdraws the last live
+        // frame; on a plain pipe it is the only frame printed.
+        let mut stdout = io::stdout();
+        if want_dash {
+            let mut dash = dash.lock().expect("dashboard poisoned");
+            dash.draw(&mut stdout, &render(&pipeline))?;
+        } else {
+            stdout.write_all(render(&pipeline).as_bytes())?;
+        }
+        writeln!(stdout, "{summary}")?;
+    }
+    if let Some(path) = &opts.export_json {
+        std::fs::write(path, export_json(&pipeline))?;
+    }
+    if let Some(path) = &opts.export_csv {
+        std::fs::write(path, export_csv(&pipeline))?;
+    }
+    Ok(faults)
+}
+
+/// Run the fleet with `sink` (and the recording, if any) tapped in.
+/// Returns the invariant violations and the summary line.
+fn run_fleet(
+    clients: usize,
+    seed: u64,
+    duration_s: f64,
+    record: Option<&Path>,
+    sink: PipelineSink,
+) -> io::Result<(usize, String)> {
+    let mut cfg = FleetConfig::contended(clients, seed);
+    cfg.duration = SimDuration::from_nanos((duration_s * 1e9) as u64);
+    // Checked before `record` creates its file.
+    cfg.validate()
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+    let tap: Box<dyn TraceSink> = match record {
         Some(path) => Box::new(TeeSink::new(vec![
             Box::new(JsonlSink::new(std::fs::File::create(path)?)),
             Box::new(sink),
@@ -142,155 +161,37 @@ pub fn run_live(opts: &LiveOptions) -> std::io::Result<Pipeline> {
         None => Box::new(sink),
     };
     let telemetry = Telemetry::builder().invariants(true).sink(tap).build();
-
-    let mut cfg = FleetConfig::contended(opts.clients, opts.seed);
-    cfg.duration = SimDuration::from_nanos((opts.duration_s * 1e9) as u64);
-    let mut sim = ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry.clone());
-    let report = sim.run();
+    let report = ShardedFleetSim::new_with_telemetry(cfg, 1, telemetry.clone()).run();
     telemetry.flush()?;
-    // Release every handle to the tap so the pipeline Arc unwraps cleanly.
-    drop(sim);
-    drop(telemetry);
-
-    let pipeline = Arc::try_unwrap(pipeline)
-        .map(|m| m.into_inner().expect("pipeline poisoned"))
-        .unwrap_or_else(|arc| arc.lock().expect("pipeline poisoned").clone());
-
-    if !opts.quiet {
-        // Final frame: on a TTY it overdraws the last live frame; on a
-        // plain pipe it is the only frame printed.
-        let mut stdout = std::io::stdout();
-        if want_dash {
-            // Same Dashboard the observer drew with, so the final frame
-            // overdraws the last live frame instead of appending.
-            let mut guard = dash.lock().expect("dashboard poisoned");
-            guard.0.draw(&mut stdout, &render(&pipeline))?;
-        } else {
-            stdout.write_all(render(&pipeline).as_bytes())?;
-        }
-        writeln!(
-            stdout,
-            "fleet: {} clients · mean goodput mptcp={:.2} / tcp={:.2} Mbps · Jain={:.3}",
-            report.clients, report.mptcp_mean_mbps, report.tcp_mean_mbps, report.jain_index
-        )?;
+    let violations = telemetry.violations();
+    for v in &violations {
+        eprintln!("repro monitor: {v}");
     }
-    write_exports(&pipeline, &opts.export_json, &opts.export_csv)?;
-    Ok(pipeline)
+    let summary = format!(
+        "fleet: {} clients · mean goodput mptcp={:.2} / tcp={:.2} Mbps · Jain={:.3}",
+        report.clients, report.mptcp_mean_mbps, report.tcp_mean_mbps, report.jain_index
+    );
+    Ok((violations.len(), summary))
 }
 
-/// Tail a JSONL trace as it is being written, dashboarding the events as
-/// they land — this is how `repro monitor --follow` observes a live
-/// serve/connect transfer from a third process. Works equally on a
-/// finished file (reads to EOF, then times out idle). Returns the process
-/// exit code (non-zero when malformed lines were seen).
-pub fn run_follow(opts: &FollowOptions) -> std::io::Result<i32> {
-    use emptcp_telemetry::parse_jsonl_line;
-    use std::io::BufRead;
-    use std::time::{Duration, Instant};
-
-    let idle = Duration::from_nanos((opts.idle_timeout_s.max(0.05) * 1e9) as u64);
-    let poll = Duration::from_millis(25);
-
-    // The producer may not have created the file yet (serve starting up);
-    // waiting for it counts against the same idle budget.
-    let start = Instant::now();
-    let file = loop {
-        match std::fs::File::open(&opts.trace) {
-            Ok(f) => break f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound && start.elapsed() < idle => {
-                std::thread::sleep(poll);
-            }
-            Err(e) => return Err(e),
-        }
-    };
-
-    let mut pipeline = Pipeline::new(PipelineConfig::default());
-    let mut reader = BufReader::new(file);
-    let mut line = String::new();
-    let mut events = 0u64;
-    let mut malformed = 0u64;
-    let mut last_data = Instant::now();
-
-    let want_dash = !opts.quiet && std::io::stdout().is_terminal();
-    let mut dashboard = Dashboard::new();
-    let mut last_frame = Instant::now() - Duration::from_secs(1);
-
-    loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
-            if last_data.elapsed() >= idle {
-                break;
-            }
-            std::thread::sleep(poll);
-            continue;
-        }
-        if !line.ends_with('\n') {
-            // Caught the producer mid-line: rewind and let it finish.
-            reader.seek_relative(-(n as i64))?;
-            std::thread::sleep(poll);
-            continue;
-        }
-        last_data = Instant::now();
-        match parse_jsonl_line(line.trim_end()) {
-            Ok((t, event)) => {
-                pipeline.ingest(t, &event);
-                events += 1;
-            }
-            Err(err) => {
-                malformed += 1;
-                eprintln!("{}: {err}", opts.trace.display());
-            }
-        }
-        if want_dash && last_frame.elapsed().as_millis() >= 50 {
-            last_frame = Instant::now();
-            let _ = dashboard.draw(&mut std::io::stdout(), &render(&pipeline));
-        }
+/// Read the trace at `path` into `sink`, following it as it grows.
+/// Returns the malformed lines and the summary line.
+fn read_trace(
+    path: &Path,
+    idle_timeout_s: f64,
+    mut sink: PipelineSink,
+) -> io::Result<(usize, String)> {
+    let idle = Duration::from_nanos((idle_timeout_s.max(0.0) * 1e9) as u64);
+    let trace = BufReader::new(Follow::open(path, idle)?);
+    let stats = replay_with(trace, |t, ev| sink.record(t, ev))?;
+    for (line, err) in &stats.errors {
+        eprintln!("{}:{line}: {err}", path.display());
     }
-
-    let mut stdout = std::io::stdout();
-    if !opts.quiet {
-        if want_dash {
-            dashboard.draw(&mut stdout, &render(&pipeline))?;
-        } else {
-            stdout.write_all(render(&pipeline).as_bytes())?;
-        }
-        writeln!(
-            stdout,
-            "follow: {} event(s) from {} ({} malformed)",
-            events,
-            opts.trace.display(),
-            malformed
-        )?;
-    }
-    write_exports(&pipeline, &opts.export_json, &opts.export_csv)?;
-    Ok(if malformed > 0 { 1 } else { 0 })
-}
-
-/// Replay a recorded JSONL trace through the pipeline. Returns the process
-/// exit code (non-zero when `--check` finds malformed lines).
-pub fn run_replay(opts: &ReplayOptions) -> std::io::Result<i32> {
-    let mut pipeline = Pipeline::new(PipelineConfig::default());
-    let file = std::fs::File::open(&opts.trace)?;
-    let stats = emptcp_obsv::replay(BufReader::new(file), &mut pipeline)?;
-
-    if !stats.is_clean() {
-        for (line, err) in &stats.errors {
-            eprintln!("{}:{line}: {err}", opts.trace.display());
-        }
-        eprintln!(
-            "{}: {} malformed line(s), {} events ingested",
-            opts.trace.display(),
-            stats.errors.len(),
-            stats.events
-        );
-        if opts.check {
-            return Ok(1);
-        }
-    }
-    if !opts.quiet && !opts.check {
-        std::io::stdout().write_all(render(&pipeline).as_bytes())?;
-    }
-    write_exports(&pipeline, &opts.export_json, &opts.export_csv)?;
-    Ok(0)
+    let summary = format!(
+        "trace: {} event(s) from {} ({} malformed)",
+        stats.events,
+        path.display(),
+        stats.errors.len()
+    );
+    Ok((stats.errors.len(), summary))
 }

@@ -109,6 +109,26 @@ fn a_value_no_run_can_use_is_a_usage_error() {
             &["--quick", "--clients", "1073741823", "fleet"],
             "error: --clients: fleet config has too many clients: 1073741823",
         ),
+        (
+            repro,
+            &["monitor", "--quiet", "--clients", "0"],
+            "error: fleet config has zero clients",
+        ),
+        (
+            repro,
+            &["monitor", "--quiet", "--duration-s", "0"],
+            "error: fleet config duration is zero",
+        ),
+        (
+            repro,
+            &["monitor", "--quiet", "--duration-s", "-1"],
+            "error: fleet config duration is zero",
+        ),
+        (
+            repro,
+            &["monitor", "--quiet", "--clients", "2000000000"],
+            "error: fleet config has too many clients: 2000000000",
+        ),
     ];
     for (bin, args, message) in cases {
         assert_exit(&run(bin, args), 2, message, &format!("{args:?}"));

@@ -143,7 +143,6 @@ fn blackout_of_only_active_subflow_with_backup_completes() {
 #[test]
 fn silent_blackhole_detected_by_rto_threshold() {
     let mut rig = MpChaosRig::over(17, two_paths());
-    rig.notify_link_down = false;
     rig.server().set_failure_threshold(2);
     rig.attach_faults(
         &[

@@ -56,9 +56,6 @@ pub struct ParityScript {
     pub total_bytes: u64,
     /// Fault windows replayed against the shaped paths as time passes.
     pub faults: Vec<FaultSpec>,
-    /// Whether interface faults notify the stacks (link-layer visibility)
-    /// or must be discovered through RTOs.
-    pub notify_link_down: bool,
     /// Absolute cut-off.
     pub wall_limit: SimTime,
 }
@@ -74,7 +71,6 @@ impl ParityScript {
             ],
             total_bytes,
             faults: Vec::new(),
-            notify_link_down: true,
             wall_limit: SimTime::from_secs(900),
         }
     }
@@ -117,7 +113,6 @@ fn run_over<T: Transport>(transport: T, script: &ParityScript) -> ScriptOutcome 
     let mut reactor = Reactor::pair(ClockSource::scripted(), transport);
     reactor.client().set_telemetry(telemetry.scope(0));
     reactor.server().set_telemetry(telemetry.scope(1));
-    reactor.notify_link_down = script.notify_link_down;
     reactor.wall_limit = script.wall_limit;
     if !script.faults.is_empty() {
         reactor.attach_faults(&script.faults, &telemetry);

@@ -104,10 +104,6 @@ pub struct Reactor<T: Transport> {
     /// Replays a fault plan against the transport's shaped paths as the
     /// clock passes each event.
     pub injector: Option<FaultInjector>,
-    /// Deliver link-layer up/down notifications to the stacks on
-    /// interface faults (a real de-association is visible to the kernel);
-    /// disable to force detection through RTOs alone.
-    pub notify_link_down: bool,
     /// Absolute clock cut-off for [`Reactor::run_until`].
     pub wall_limit: SimTime,
     stats: ReactorStats,
@@ -120,7 +116,6 @@ impl<T: Transport> Reactor<T> {
             transport,
             workers: Vec::new(),
             injector: None,
-            notify_link_down: true,
             wall_limit: SimTime::from_secs(900),
             stats: ReactorStats::default(),
         }
@@ -321,7 +316,9 @@ fn nap_within(nap: SimDuration, now: SimTime, next: Option<SimTime>) -> SimDurat
 /// WiFi-first convention ([`FaultTarget::path_index`]) — a single path
 /// for the interface targets, every path for the shared core (a congested
 /// core hits all traffic crossing it), nothing for an out-of-range target
-/// — and interface faults optionally notify every stack.
+/// — and the action alone decides what the stacks hear: `IfaceDown` and
+/// `IfaceUp` are announced to every stack, while a rate of zero is a
+/// silent blackhole that only RTOs reveal.
 impl<T: Transport> Reactor<T> {
     fn target_paths(&mut self, target: FaultTarget) -> std::ops::Range<usize> {
         let n = self.transport.paths_mut().len();
@@ -337,7 +334,7 @@ impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
     fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
         for idx in self.target_paths(target) {
             let part = self.transport.paths_mut()[idx].apply(action);
-            if part == FaultPart::Up && self.notify_link_down {
+            if part == FaultPart::Up {
                 let up = action == FaultAction::IfaceUp;
                 for w in &mut self.workers {
                     w.conn.set_subflow_link_up(now, SubflowId(idx as u8), up);
@@ -351,7 +348,7 @@ impl<T: Transport> emptcp_faults::FaultSurface for Reactor<T> {
 mod tests {
     use super::*;
     use crate::backend::MpChaosRig;
-    use emptcp_faults::{ChaosPath, FaultSurface};
+    use emptcp_faults::ChaosPath;
 
     fn two_paths() -> Vec<ChaosPath> {
         vec![
@@ -443,8 +440,8 @@ mod tests {
     #[test]
     fn downed_path_passes_nothing() {
         let mut rig = MpChaosRig::over(3, two_paths());
-        rig.notify_link_down = false;
-        rig.apply(SimTime::ZERO, FaultTarget::Cellular, FaultAction::IfaceDown);
+        // Down the cellular path alone, unannounced to the stacks.
+        rig.transport.paths_mut()[1].apply(FaultAction::IfaceDown);
         assert_eq!(rig.transfer(64 << 10), 64 << 10);
         assert_eq!(rig.client().delivered_by_iface(IfaceKind::CellularLte), 0);
     }

@@ -12,12 +12,14 @@
 //! Telemetry flows through the ordinary [`TraceSink`] machinery: pass a
 //! trace path and every transport decision lands in the same JSONL format
 //! the simulator writes, flushed at a bounded cadence so `repro monitor
-//! --follow` can dashboard the transfer while it runs. The engine's own
-//! counters — where the reactor's time went, what the sockets and the
-//! kernel behind them dropped and why, the receive window the transport
-//! advertised, what the subflows retransmitted, how large the mapping and
-//! reorder tables grew — are published under `live.*` in the session's
-//! [`MetricsRegistry`] and come back in the [`TransferReport`].
+//! --follow` can dashboard the transfer while it runs (a flush that ends
+//! mid-line is completed by the next one; the follower waits for it). The
+//! engine's own counters — where the reactor's time went, what the
+//! sockets and the kernel behind them dropped and why, the receive window
+//! the transport advertised, what the subflows retransmitted, how large
+//! the mapping and reorder tables grew — are published under `live.*` in
+//! the session's [`MetricsRegistry`] and come back in the
+//! [`TransferReport`].
 //!
 //! Binding is separate from reacting ([`bind_serve`] then
 //! [`ServeSession::run`]) so a caller that starts both ends itself can

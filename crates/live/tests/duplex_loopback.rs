@@ -104,7 +104,6 @@ fn an_rto_stall_leaves_holes_not_segments_in_the_reorder_queue() {
     // out. By 113 ms both windows have reached the 4 MiB `rwnd`, and the
     // instant falls between a cellular ACK burst leaving the client and
     // the data it clocks out of the server, so a full window is lost.
-    reactor.notify_link_down = false;
     reactor.attach_faults(
         &[FaultSpec::RateStep {
             target: FaultTarget::Cellular,

@@ -10,6 +10,7 @@
 use emptcp_faults::{FaultSpec, FaultTarget};
 use emptcp_live::{certify, run_script, Backend, ChaosPath, ParityScript};
 use emptcp_sim::SimDuration;
+use emptcp_telemetry::TraceEvent;
 
 fn assert_parity(script: &ParityScript) -> emptcp_live::ParityReport {
     match certify(script) {
@@ -71,17 +72,24 @@ fn faulted_run_matches_event_for_event() {
 
 #[test]
 fn unnotified_blackout_matches_via_rto_discovery() {
-    // With link notifications off, both runs must discover the dead
-    // path the hard way (RTO backoff) on exactly the same schedule.
+    // A silent outage (rate 0, no link notification): both runs must
+    // discover the dead path the hard way (RTO backoff) on exactly the
+    // same schedule.
     let mut script = ParityScript::two_path(99, 128 * 1024);
-    script.notify_link_down = false;
-    script.faults = vec![FaultSpec::Blackout {
+    let wifi_rate = |at_ms, bps| FaultSpec::RateStep {
         target: FaultTarget::Wifi,
-        from_ms: 100,
-        dur_ms: 600,
-    }];
+        at_ms,
+        bps,
+    };
+    script.faults = vec![wifi_rate(100, Some(0)), wifi_rate(700, None)];
     let report = assert_parity(&script);
     assert_eq!(report.delivered, 128 * 1024);
+    let run = run_script(Backend::Sim, &script);
+    let wifi_rto = |e: &TraceEvent| matches!(e, TraceEvent::RtoFired { subflow: 0, .. });
+    assert!(
+        run.decisions.iter().any(|(_, e)| wifi_rto(e)),
+        "no WiFi RTO"
+    );
 }
 
 #[test]

@@ -83,8 +83,8 @@ fn congested_core_scenario_recovers_with_stats() {
             ChaosPath::new(0.0, SimDuration::from_millis(130), 2),
         ],
     );
-    // The collapse is silent; detection must come from RTOs alone.
-    r.notify_link_down = false;
+    // The collapse is silent (rate steps only); detection must come from
+    // RTOs alone.
     r.server().set_failure_threshold(2);
     r.attach_faults(
         &corpus::load("congested_core")
@@ -121,7 +121,6 @@ fn a_silent_blackhole_is_reinjected_at_the_last_ack_plus_the_threshold() {
             ChaosPath::new(0.0, ms(80), 0),
         ],
     );
-    r.notify_link_down = false;
     let blackhole = SimTime::from_millis(600);
     r.attach_faults(
         &[FaultSpec::RateStep {

@@ -9,12 +9,21 @@
 //! * [`replay`] — parses a recorded JSONL trace line by line and feeds the
 //!   same `ingest` call. Same events in the same order ⇒ the same pipeline
 //!   state as the live tap, which the determinism tests pin down.
+//!   [`replay_with`] is its per-event form, the one place JSONL lines
+//!   become events; a monitor feeds a [`PipelineSink`] through it.
+//!
+//! [`Follow`] reads a file another process is still writing: at its end it
+//! waits for more, so the line reader above completes a partial line
+//! instead of seeing end of file.
 
 use crate::models::Pipeline;
 use emptcp_sim::SimTime;
 use emptcp_telemetry::{parse_jsonl_line, TraceEvent, TraceSink};
-use std::io::BufRead;
+use std::fs::File;
+use std::io::{self, BufRead, Read};
+use std::path::Path;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// Callback fired by [`PipelineSink`] each time the bin index advances.
 pub type BinObserver = Box<dyn FnMut(&Pipeline) + Send>;
@@ -82,22 +91,89 @@ impl ReplayStats {
 /// Replay a JSONL trace into `pipeline`. Blank lines are skipped; malformed
 /// lines are collected (not fatal) so a partially corrupt trace still
 /// yields a dashboard plus a precise list of what was dropped.
-pub fn replay<R: BufRead>(reader: R, pipeline: &mut Pipeline) -> std::io::Result<ReplayStats> {
+pub fn replay<R: BufRead>(reader: R, pipeline: &mut Pipeline) -> io::Result<ReplayStats> {
+    replay_with(reader, |t, ev| pipeline.ingest(t, ev))
+}
+
+/// [`replay`], handing each parsed event to `each` instead of a pipeline.
+pub fn replay_with<R: BufRead>(
+    reader: R,
+    mut each: impl FnMut(SimTime, &TraceEvent),
+) -> io::Result<ReplayStats> {
     let mut stats = ReplayStats::default();
-    for (idx, line) in reader.lines().enumerate() {
+    for (idx, line) in reader.split(b'\n').enumerate() {
+        // A line that is not UTF-8 is malformed like any other, not the
+        // end of the read.
         let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_jsonl_line(&line) {
+        let parsed = match std::str::from_utf8(&line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => parse_jsonl_line(text).map_err(|e| format!("{e:?}")),
+            Err(e) => Err(e.to_string()),
+        };
+        match parsed {
             Ok((t, ev)) => {
-                pipeline.ingest(t, &ev);
+                each(t, &ev);
                 stats.events += 1;
             }
-            Err(e) => stats.errors.push((idx as u64 + 1, format!("{e:?}"))),
+            Err(e) => stats.errors.push((idx as u64 + 1, e)),
         }
     }
     Ok(stats)
+}
+
+/// How often [`Follow`] looks again at a file that has no new data.
+const POLL: Duration = Duration::from_millis(25);
+
+/// A file read while another process may still be writing it. At end of
+/// file `read` waits for more data, and reports end of file only once
+/// `idle` has passed without any (a zero `idle` stops at the first end of
+/// file). From then on it stays at end of file.
+pub struct Follow {
+    file: File,
+    idle: Duration,
+    last_data: Instant,
+    done: bool,
+}
+
+impl Follow {
+    /// Open `path`, waiting up to `idle` for a producer to create it.
+    pub fn open(path: &Path, idle: Duration) -> io::Result<Follow> {
+        let start = Instant::now();
+        let file = loop {
+            match File::open(path) {
+                Ok(file) => break file,
+                Err(e) if e.kind() == io::ErrorKind::NotFound && start.elapsed() < idle => {
+                    std::thread::sleep(POLL);
+                }
+                Err(e) => return Err(e),
+            }
+        };
+        Ok(Follow {
+            file,
+            idle,
+            last_data: Instant::now(),
+            done: false,
+        })
+    }
+}
+
+impl Read for Follow {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while !self.done {
+            let n = self.file.read(buf)?;
+            if n > 0 {
+                self.last_data = Instant::now();
+                return Ok(n);
+            }
+            let quiet = self.last_data.elapsed();
+            if quiet >= self.idle {
+                self.done = true;
+            } else {
+                std::thread::sleep(POLL.min(self.idle - quiet));
+            }
+        }
+        Ok(0)
+    }
 }
 
 #[cfg(test)]
@@ -160,12 +236,12 @@ mod tests {
 
     #[test]
     fn replay_collects_malformed_lines() {
-        let trace =
-            "garbage\n\n{\"t_ns\":1,\"event\":{\"BackupPromoted\":{\"conn\":1,\"subflow\":0}}}\n";
+        let trace: &[u8] =
+            b"garbage\n\n{\"t_ns\":1,\"event\":{\"BackupPromoted\":{\"conn\":1,\"subflow\":0}}}\n\xff\n";
         let mut p = Pipeline::new(PipelineConfig::default());
-        let stats = replay(trace.as_bytes(), &mut p).unwrap();
+        let stats = replay(trace, &mut p).unwrap();
         assert_eq!(stats.events, 1);
-        assert_eq!(stats.errors.len(), 1);
-        assert_eq!(stats.errors[0].0, 1);
+        let lines: Vec<u64> = stats.errors.iter().map(|e| e.0).collect();
+        assert_eq!(lines, [1, 4], "{:?}", stats.errors);
     }
 }

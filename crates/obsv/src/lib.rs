@@ -3,10 +3,11 @@
 //!
 //! The pipeline is an ingest → cache → models → export split:
 //!
-//! * **ingest** ([`PipelineSink`], [`replay`]) — events enter either live,
-//!   as a [`TraceSink`](emptcp_telemetry::TraceSink) tapped into a running
-//!   simulation, or from a recorded JSONL trace. Nothing buffers the whole
-//!   trace; each event is folded into the aggregates and dropped.
+//! * **ingest** ([`PipelineSink`], [`replay`], [`Follow`]) — events enter
+//!   either live, as a [`TraceSink`](emptcp_telemetry::TraceSink) tapped
+//!   into a running simulation, or from a JSONL trace, recorded or still
+//!   being written. Nothing buffers the whole trace; each event is folded
+//!   into the aggregates and dropped.
 //! * **cache** ([`Rolling`], [`Series`]) — bounded per-bin accumulators
 //!   advanced by simulation time only.
 //! * **models** ([`Pipeline`]) — rolling windowed aggregates keyed by
@@ -21,7 +22,7 @@
 //! `(t, event)` sequence, and the exports are pure functions of pipeline
 //! state. A live tap and a replay of the recording made from the same run
 //! therefore export byte-identical files — `crates/expr` pins this with a
-//! test and CI replays every trace twice and diffs.
+//! test and CI reads every recording twice and diffs.
 
 pub mod cache;
 pub mod dash;
@@ -32,5 +33,5 @@ pub mod models;
 pub use cache::{Rolling, Series};
 pub use dash::{render, sparkline, Dashboard};
 pub use export::{export_csv, export_json};
-pub use ingest::{replay, BinObserver, PipelineSink, ReplayStats};
+pub use ingest::{replay, replay_with, BinObserver, Follow, PipelineSink, ReplayStats};
 pub use models::{ClientModel, EnergyModel, Pipeline, PipelineConfig, PortModel};

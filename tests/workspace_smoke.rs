@@ -191,6 +191,36 @@ fn a_pipeline_tap_streams_while_the_fleet_is_still_running() {
 /// survives its sweep, and extra polls and sweeps at arbitrary instants
 /// change no segment, instant or window. (Seed 7 reaches a stall that
 /// expires with nobody able to carry it.)
+/// `repro monitor --clients 0` (or a zero, negative or oversized run)
+/// asks for a fleet the engine cannot hold: the monitor hands back an
+/// `InvalidInput` error, which the binary prints as one usage line, and
+/// leaves no empty recording behind.
+#[test]
+fn a_fleet_the_monitor_cannot_hold_is_an_error_not_a_panic() {
+    use emptcp_repro::expr::monitor::{monitor, MonitorOptions, Source};
+    let record = std::env::temp_dir().join(format!("emptcp-unheld-{}.jsonl", std::process::id()));
+    for (clients, duration_s) in [(0, 1.0), (4, 0.0), (4, -1.0), (2_000_000_000, 1.0)] {
+        let opts = MonitorOptions {
+            source: Source::Fleet {
+                clients,
+                seed: 1,
+                duration_s,
+                record: Some(record.clone()),
+            },
+            export_json: None,
+            export_csv: None,
+            quiet: true,
+        };
+        let err = monitor(&opts).expect_err("no fleet runs");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidInput,
+            "{clients} clients for {duration_s} s: {err}"
+        );
+        assert!(!record.exists(), "{clients} clients for {duration_s} s");
+    }
+}
+
 #[test]
 fn polling_at_any_cadence_changes_nothing() {
     for seed in [7, 1406] {
