@@ -55,6 +55,8 @@ fn monitor_usage() -> ! {
   --export-csv PATH    write the per-bin CSV export
   --quiet              no dashboard (exports still written)
 
+--clients, --seed, --duration-s and --record describe the fleet run;
+given with --follow, they are a usage error (exit 2).
 A malformed trace line (PATH:LINE: error; blank lines are skipped) or
 an invariant violation of the fleet is reported on stderr and makes
 the exit status 1; the exports are written anyway."
@@ -66,8 +68,14 @@ fn monitor_main(args: Vec<String>) -> ! {
     let (mut clients, mut seed, mut duration_s) = (16, 42, 4.0);
     let (mut record, mut follow, mut idle_timeout_s) = (None, None, 3.0);
     let (mut export_json, mut export_csv, mut quiet) = (None, None, false);
+    // A followed trace runs no fleet: these would be dropped unread.
+    const FLEET_ONLY: [&str; 4] = ["--clients", "--seed", "--duration-s", "--record"];
+    let mut fleet_flag = None;
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
+        if let Some(&flag) = FLEET_ONLY.iter().find(|&&flag| flag == arg) {
+            fleet_flag.get_or_insert(flag);
+        }
         match arg.as_str() {
             "--clients" => clients = flags::value(&mut it, "--clients"),
             "--seed" => seed = flags::value(&mut it, "--seed"),
@@ -80,6 +88,10 @@ fn monitor_main(args: Vec<String>) -> ! {
             "--quiet" => quiet = true,
             _ => monitor_usage(),
         }
+    }
+    if let (Some(_), Some(flag)) = (&follow, fleet_flag) {
+        eprintln!("error: {flag}: runs a fleet, which --follow does not");
+        std::process::exit(2);
     }
     if quiet {
         log::set_level(log::Level::Quiet);

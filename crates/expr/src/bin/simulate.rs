@@ -26,7 +26,7 @@ use emptcp_expr::{flags, host, Strategy};
 use emptcp_faults::FaultSpec;
 use emptcp_scenario::StrategyKind;
 use emptcp_sim::{SimDuration, SimTime};
-use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry};
+use emptcp_telemetry::{info, log, warn, JsonlSink, Telemetry, Violation};
 
 fn usage() -> ! {
     eprintln!(
@@ -201,7 +201,20 @@ fn live_main(role: &str, args: Vec<String>) -> ! {
         // Where the time went and what the sockets dropped.
         println!("live-engine role={role} {}", engine.join(" "));
     }
-    std::process::exit(if report.complete { 0 } else { 1 });
+    // As in a one-shot run: a transfer whose invariants failed fails.
+    warn_violations(&report.violations);
+    let ok = report.complete && report.violations.is_empty();
+    std::process::exit(if ok { 0 } else { 1 });
+}
+
+/// One warning per invariant violation, then their count.
+fn warn_violations(violations: &[Violation]) {
+    if !violations.is_empty() {
+        for v in violations {
+            warn!("{v}");
+        }
+        warn!("{} invariant violation(s) detected", violations.len());
+    }
 }
 
 /// A pipeline with the invariant observer on and, given a path, a JSONL
@@ -567,12 +580,7 @@ fn main() {
         info!("trace written to {path}");
     }
     let violations = telemetry.violations();
-    if !violations.is_empty() {
-        for v in &violations {
-            warn!("{v}");
-        }
-        warn!("{} invariant violation(s) detected", violations.len());
-    }
+    warn_violations(&violations);
 
     if json {
         println!(

@@ -274,3 +274,31 @@ fn a_blank_line_is_skipped_and_a_malformed_one_reported_by_number() {
     assert!(read(&dir.join("read.json")) == recording().json);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_fleet_flag_beside_follow_is_a_usage_error() {
+    let dir = scratch("fleet-flag");
+    let trace = dir.join("empty.jsonl");
+    std::fs::write(&trace, b"").expect("write trace");
+    let record = dir.join("never.jsonl");
+    let record_arg = record.to_string_lossy().into_owned();
+    for (flag, value) in [
+        ("--clients", "8"),
+        ("--seed", "3"),
+        ("--duration-s", "1"),
+        ("--record", record_arg.as_str()),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["monitor", "--quiet", "--idle-timeout-s", "0", "--follow"])
+            .arg(&trace)
+            .args([flag, value])
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{flag}: {stderr}");
+        assert!(stderr.starts_with(&format!("error: {flag}: ")), "{stderr}");
+    }
+    assert!(!record.exists(), "--record beside --follow wrote a file");
+    std::fs::remove_dir_all(&dir).ok();
+}

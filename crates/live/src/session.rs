@@ -37,7 +37,7 @@ use emptcp_mptcp::{MpConnection, Role};
 use emptcp_phy::IfaceKind;
 use emptcp_sim::{SimDuration, SimTime};
 use emptcp_tcp::TcpConfig;
-use emptcp_telemetry::{JsonlSink, MetricsRegistry, Telemetry, TraceSink};
+use emptcp_telemetry::{JsonlSink, MetricsRegistry, Telemetry, TraceSink, Violation};
 use std::fs::File;
 use std::io;
 use std::net::SocketAddr;
@@ -116,6 +116,9 @@ pub struct TransferReport {
     /// The session's metrics: the engine's `live.*` counters and gauges
     /// beside whatever the stacks recorded.
     pub metrics: MetricsRegistry,
+    /// What the invariant observer caught (a traced session runs one); a
+    /// run with any has no result worth trusting.
+    pub violations: Vec<Violation>,
 }
 
 type SharedSink = Arc<Mutex<JsonlSink<File>>>;
@@ -295,6 +298,7 @@ impl Session {
             datagrams_sent: transport.datagrams_sent,
             datagrams_received: transport.datagrams_received,
             metrics: self.telemetry.metrics().unwrap_or_default(),
+            violations: self.telemetry.violations(),
         }
     }
 }
@@ -357,4 +361,30 @@ pub fn run_connect(cfg: &SessionConfig) -> io::Result<TransferReport> {
         conn.delivered_by_iface(IfaceKind::CellularLte),
     );
     Ok(session.report(stats, bytes, wifi, cellular))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_violation_the_observer_caught_reaches_the_report() {
+        let trace =
+            std::env::temp_dir().join(format!("emptcp-session-{}.jsonl", std::process::id()));
+        let mut cfg = SessionConfig::new(46470, 1);
+        cfg.trace = Some(trace.clone());
+        let session = Session::bind(&cfg, Role::Client).expect("bind");
+        session.telemetry.check_invariants(SimTime::ZERO, |obs| {
+            obs.report(SimTime::ZERO, "dss_coverage", "injected".to_string())
+        });
+        let report = session.report(ReactorStats::default(), 0, 0, 0);
+        assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+        assert_eq!(report.violations[0].name, "dss_coverage");
+        assert_eq!(report.violations[0].detail, "injected");
+
+        let clean = Session::bind(&cfg, Role::Client).expect("bind");
+        let report = clean.report(ReactorStats::default(), 0, 0, 0);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        std::fs::remove_file(&trace).ok();
+    }
 }

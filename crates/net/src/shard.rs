@@ -23,11 +23,14 @@
 //!   advance in epochs of length Δ ([`EpochClock`]): a message generated at
 //!   time `t` inside epoch `k` arrives at `t + Δ ≥ (k+1)·Δ`, i.e. at or
 //!   after the barrier every shard synchronizes on, so no shard ever sees
-//!   an event from its past. Cross-shard segments ride outboxes drained at
-//!   the barrier: one per client shard toward the core, and one per client
-//!   shard on the core, filed by destination as the core sends. A segment
-//!   in flight is owned by whatever carries it — a queued event, a lane
-//!   entry or an outbox [`Hop`] — so none can leak or be delivered twice.
+//!   an event from its past. Cross-shard segments ride [`Hops`] buffers:
+//!   one outbox per client shard toward the core, and one per client
+//!   shard on the core, filed by destination as the core sends. The
+//!   barrier only swaps buffers — each outbox becomes its destination's
+//!   inbox — and every shard files its inbox into its own queue or lanes
+//!   at the start of its next task, on its own thread. A segment in flight
+//!   is owned by whatever carries it — a queued event, a lane entry or a
+//!   buffered [`Hop`] — so none can leak or be delivered twice.
 //!
 //! * **Canonical event keys.** Determinism across `(jobs, shards)` hinges
 //!   on same-instant ordering being a pure function of the *simulation*,
@@ -461,9 +464,9 @@ enum ClientEvent {
 }
 
 /// A packet crossing between a client shard and the core, generated
-/// inside an epoch and queued at its destination at the next barrier. The
-/// segment crosses by value; `key` was assigned by the sender's counter,
-/// so it is unique and shard-invariant.
+/// inside an epoch and filed at its destination in the epoch after the
+/// next barrier. The segment crosses by value; `key` was assigned by the
+/// sender's counter, so it is unique and shard-invariant.
 struct Hop {
     client: u32,
     sf: SubflowId,
@@ -480,14 +483,45 @@ const LANE_DOWN: usize = 0;
 /// The client-shard lane of the reverse port's hops ([`ClientEvent::UpFromCore`]).
 const LANE_UP: usize = 1;
 
-/// Queue `hop` on `outbox`, which grows by about a quarter when full
-/// rather than doubling: an outbox is drained at every barrier and keeps
-/// its capacity for the whole run.
-fn post(outbox: &mut Vec<Hop>, hop: Hop) {
-    if outbox.len() == outbox.capacity() {
-        outbox.reserve_exact(outbox.len() / 4 + 4);
+/// The fewest hops of capacity a drained buffer keeps.
+const HOPS_KEPT: usize = 64;
+
+/// Hops on their way across one barrier, with the earliest arrival among
+/// them. A sender posts into its outbox during an epoch; the barrier swaps
+/// the outbox with the destination's drained inbox, so two buffers per
+/// direction change hands and no hop is moved there; the destination
+/// drains its inbox at the start of its next task.
+#[derive(Default)]
+struct Hops {
+    hops: Vec<Hop>,
+    /// The least `at` of `hops`, so the epoch bound sees a hop still
+    /// waiting to be filed.
+    earliest: Option<SimTime>,
+}
+
+impl Hops {
+    /// Queue `hop` and keep the earliest `at` for the epoch bound. The
+    /// buffer grows by about a quarter when full rather than doubling.
+    fn post(&mut self, hop: Hop) {
+        if self.hops.len() == self.hops.capacity() {
+            self.hops.reserve_exact(self.hops.len() / 4 + 4);
+        }
+        self.earliest = SimTime::earliest(self.earliest, Some(hop.at));
+        self.hops.push(hop);
     }
-    outbox.push(hop);
+
+    /// Hand every hop to `file` in the order it was posted. A buffer left
+    /// holding more than four times what it drained (at least
+    /// [`HOPS_KEPT`]) shrinks to twice that, so a start-up burst is not
+    /// kept for the whole run by both buffers of a direction.
+    fn drain(&mut self, file: impl FnMut(Hop)) {
+        let keep = self.hops.len().max(HOPS_KEPT);
+        self.hops.drain(..).for_each(file);
+        self.earliest = None;
+        if self.hops.capacity() > 4 * keep {
+            self.hops.shrink_to(2 * keep);
+        }
+    }
 }
 
 struct ClientShard {
@@ -501,7 +535,11 @@ struct ClientShard {
     /// its lane's back unless a core rate rise or a shrinking extra delay
     /// let it overtake an earlier one.
     lanes: LaneQueue<ClientEvent, 2>,
-    outbox: Vec<Hop>,
+    /// What the core sent at the last barrier, filed into `lanes` when
+    /// the shard next runs.
+    inbox: Hops,
+    /// What the shard sends the core this epoch.
+    outbox: Hops,
     telemetry: Telemetry,
     port_scope: TelemetryScope,
     tap: Option<Tap>,
@@ -586,7 +624,8 @@ impl ClientShard {
             rows,
             queue: EventQueue::new(),
             lanes: LaneQueue::new(),
-            outbox: Vec::new(),
+            inbox: Hops::default(),
+            outbox: Hops::default(),
             telemetry,
             port_scope,
             tap,
@@ -619,9 +658,10 @@ impl ClientShard {
         }
     }
 
-    /// Process every queued event strictly before `bound`, heap and lanes
-    /// merged on the canonical `(time, key)`.
+    /// File the inbox, then process every queued event strictly before
+    /// `bound`, heap and lanes merged on the canonical `(time, key)`.
     fn run_until(&mut self, bound: SimTime) {
+        self.file_inbox();
         while let Some((now, key, event)) = self.lanes.pop_merged_before(&mut self.queue, bound) {
             self.events += 1;
             self.set_tag(key);
@@ -629,10 +669,26 @@ impl ClientShard {
         }
     }
 
-    /// The earliest event the heap or a lane holds.
+    /// File what the core sent into the lanes, in the order the core sent
+    /// it: each port's hops reach their lane in ascending key order.
+    fn file_inbox(&mut self) {
+        let (base, lanes) = (self.base, &mut self.lanes);
+        self.inbox.drain(|hop| {
+            let (local, sf, seg) = (hop.client - base, hop.sf, hop.seg);
+            let (lane, event) = if hop.down {
+                (LANE_DOWN, ClientEvent::DownFromCore { local, sf, seg })
+            } else {
+                (LANE_UP, ClientEvent::UpFromCore { local, sf, seg })
+            };
+            lanes.schedule_keyed(lane, hop.at, hop.key, event);
+        });
+    }
+
+    /// The earliest event the heap, a lane or the inbox holds.
     fn next_time(&mut self) -> Option<SimTime> {
         let lane = self.lanes.peek_key().map(|(at, _)| at);
-        SimTime::earliest(self.queue.peek_time(), lane)
+        let queued = SimTime::earliest(self.queue.peek_time(), lane);
+        SimTime::earliest(queued, self.inbox.earliest)
     }
 
     fn handle(&mut self, now: SimTime, event: ClientEvent) {
@@ -720,17 +776,14 @@ impl ClientShard {
             self.queue
                 .schedule_keyed(at, key, ClientEvent::DeliverClient { local, sf, seg });
         } else {
-            post(
-                &mut self.outbox,
-                Hop {
-                    client: self.base + l as u32,
-                    sf,
-                    at,
-                    key,
-                    seg,
-                    down: false,
-                },
-            );
+            self.outbox.post(Hop {
+                client: self.base + l as u32,
+                sf,
+                at,
+                key,
+                seg,
+                down: false,
+            });
         }
     }
 
@@ -748,17 +801,14 @@ impl ClientShard {
         );
         if let PortOutcome::Forwarded { at, .. } = outcome {
             let key = self.next_key(l, CLASS_EVENT);
-            post(
-                &mut self.outbox,
-                Hop {
-                    client: self.base + l as u32,
-                    sf,
-                    at,
-                    key,
-                    seg,
-                    down: true,
-                },
-            );
+            self.outbox.post(Hop {
+                client: self.base + l as u32,
+                sf,
+                at,
+                key,
+                seg,
+                down: true,
+            });
         }
     }
 
@@ -812,9 +862,12 @@ impl ClientShard {
         }
     }
 
-    /// Flush delivered-trace residue and publish the shard's aggregate
+    /// File what the last barrier handed over (past the horizon, but
+    /// counted in `lane_inserted_ahead` like every hop the core sent),
+    /// flush delivered-trace residue and publish the shard's aggregate
     /// metrics.
     fn finalize(&mut self, sid: usize, horizon: SimTime) {
+        self.file_inbox();
         for l in 0..self.rows.client.len() {
             self.set_tag(pack(CLASS_FINAL, self.owner(l), 0));
             self.rows.client[l].flush_delivered_trace(horizon);
@@ -933,8 +986,11 @@ struct CoreShard {
     /// The global client id of each client shard's first row (ascending):
     /// where a hop is bound.
     starts: Vec<u32>,
+    /// What each client shard sent at the last barrier, indexed as
+    /// `starts`, filed into `queue` when the core next runs.
+    inboxes: Vec<Hops>,
     /// One outbox per client shard, indexed as `starts`.
-    outboxes: Vec<Vec<Hop>>,
+    outboxes: Vec<Hops>,
     telemetry: Telemetry,
     port_scope: TelemetryScope,
     tap: Option<Tap>,
@@ -969,7 +1025,8 @@ impl CoreShard {
             faults_applied: 0,
             rng: root.fork_labeled("net"),
             seq: 0,
-            outboxes: starts.iter().map(|_| Vec::new()).collect(),
+            inboxes: starts.iter().map(|_| Hops::default()).collect(),
+            outboxes: starts.iter().map(|_| Hops::default()).collect(),
             starts,
             telemetry,
             port_scope,
@@ -1019,12 +1076,34 @@ impl CoreShard {
         self.injector = Some(inj);
     }
 
+    /// File every client shard's inbox in shard order, then process every
+    /// queued event strictly before `bound`.
     fn run_until(&mut self, bound: SimTime) {
+        let queue = &mut self.queue;
+        for inbox in &mut self.inboxes {
+            inbox.drain(|hop| {
+                let event = CoreEvent::AtCore {
+                    client: hop.client,
+                    sf: hop.sf,
+                    down: hop.down,
+                    seg: hop.seg,
+                };
+                queue.schedule_keyed(hop.at, hop.key, event);
+            });
+        }
         while let Some((now, key, event)) = self.queue.pop_before(bound) {
             self.events += 1;
             self.set_tag(key);
             self.handle(now, event);
         }
+    }
+
+    /// The earliest event the heap or an inbox holds.
+    fn next_time(&mut self) -> Option<SimTime> {
+        let queued = self.queue.peek_time();
+        self.inboxes
+            .iter()
+            .fold(queued, |t, inbox| SimTime::earliest(t, inbox.earliest))
     }
 
     fn handle(&mut self, now: SimTime, event: CoreEvent) {
@@ -1053,17 +1132,14 @@ impl CoreShard {
                 if let PortOutcome::Forwarded { at, .. } = outcome {
                     let key = self.next_key(CLASS_EVENT);
                     let sid = self.starts.partition_point(|&start| start <= client) - 1;
-                    post(
-                        &mut self.outboxes[sid],
-                        Hop {
-                            client,
-                            sf,
-                            at,
-                            key,
-                            seg,
-                            down,
-                        },
-                    );
+                    self.outboxes[sid].post(Hop {
+                        client,
+                        sf,
+                        at,
+                        key,
+                        seg,
+                        down,
+                    });
                 }
             }
             CoreEvent::CrossPoll { src } => {
@@ -1156,7 +1232,7 @@ impl CoreShard {
 
 /// What every thread of a run shares: each client shard and the core
 /// behind its own lock. Inside a step every task locks only its own shard;
-/// the barrier between steps runs on one thread.
+/// the barrier between steps runs on one thread and moves no hop.
 struct Partition {
     shards: Vec<Mutex<ClientShard>>,
     core: Mutex<CoreShard>,
@@ -1184,66 +1260,73 @@ impl Partition {
         }
     }
 
-    /// Barrier exchange: move every outbox message into its destination
-    /// shard's queue or lane under the key its sender assigned. Arrival
-    /// times are at or beyond the epoch bound by the lookahead argument, so
-    /// no message ever lands in a queue's past.
+    /// Barrier exchange: each client shard's outbox becomes the core's
+    /// inbox for that shard, and the core's outbox for the shard becomes
+    /// the shard's inbox, in exchange for the drained buffers — a swap per
+    /// buffer, whatever they hold. Each shard files its inbox under the
+    /// keys the sender assigned when it next runs. Arrival times are at or
+    /// beyond the epoch bound by the lookahead argument, so no hop ever
+    /// lands in a queue's past.
     fn exchange(&self) {
         let mut core = self.core.lock().expect("core shard poisoned");
         let core = &mut *core;
-        for shard in &self.shards {
+        let boxes = core.inboxes.iter_mut().zip(&mut core.outboxes);
+        for (shard, (inbox, outbox)) in self.shards.iter().zip(boxes) {
             let mut shard = shard.lock().expect("shard poisoned");
-            for msg in shard.outbox.drain(..) {
-                let event = CoreEvent::AtCore {
-                    client: msg.client,
-                    sf: msg.sf,
-                    down: msg.down,
-                    seg: msg.seg,
-                };
-                core.queue.schedule_keyed(msg.at, msg.key, event);
-            }
-        }
-        // The core filed each hop under its shard as it sent it, in the
-        // order it sent them: each port's hops reach their lane in
-        // ascending key order.
-        for (shard, outbox) in self.shards.iter().zip(&mut core.outboxes) {
-            if outbox.is_empty() {
-                continue;
-            }
-            let mut shard = shard.lock().expect("shard poisoned");
-            for msg in outbox.drain(..) {
-                let (local, sf, seg) = (msg.client - shard.base, msg.sf, msg.seg);
-                let (lane, event) = if msg.down {
-                    (LANE_DOWN, ClientEvent::DownFromCore { local, sf, seg })
-                } else {
-                    (LANE_UP, ClientEvent::UpFromCore { local, sf, seg })
-                };
-                shard.lanes.schedule_keyed(lane, msg.at, msg.key, event);
-            }
+            debug_assert!(inbox.hops.is_empty() && shard.inbox.hops.is_empty());
+            std::mem::swap(&mut shard.outbox, inbox);
+            std::mem::swap(outbox, &mut shard.inbox);
         }
     }
 
-    /// The earliest pending event across every shard, or `None` when all
-    /// queues have drained.
+    /// The earliest pending event across every shard, counting the hops
+    /// still waiting in an inbox, or `None` when all have drained.
     fn min_peek(&self) -> Option<SimTime> {
         let mut core = self.core.lock().expect("core shard poisoned");
         self.shards
             .iter()
             .filter_map(|shard| shard.lock().expect("shard poisoned").next_time())
-            .chain(core.queue.peek_time())
+            .chain(core.next_time())
             .min()
     }
 
-    /// The epoch loop every run shares. The barrier — exchange, trace
-    /// flush, the earliest pending event and the next bound — runs on the
-    /// calling thread; `run` runs every task of a step and returns once
-    /// all of them have finished, however it spreads them over threads.
+    /// What [`Partition::min_peek`] must find, read the long way: every
+    /// queue and lane, and every hop in every buffer. Checks on the way
+    /// that each buffer's tracked earliest hop is the one a scan finds.
+    fn scan_min(&self) -> Option<SimTime> {
+        let scan = |hops: &Hops| {
+            let min = hops.hops.iter().map(|hop| hop.at).min();
+            assert_eq!(hops.earliest, min, "a buffer's earliest hop is stale");
+            min
+        };
+        let mut core = self.core.lock().expect("core shard poisoned");
+        let hops = core.inboxes.iter().chain(&core.outboxes).map(scan);
+        let mut min = hops.fold(None, SimTime::earliest);
+        min = SimTime::earliest(min, core.queue.peek_time());
+        for shard in &self.shards {
+            let mut shard = shard.lock().expect("shard poisoned");
+            let lane = shard.lanes.peek_key().map(|(at, _)| at);
+            let hops = SimTime::earliest(scan(&shard.inbox), scan(&shard.outbox));
+            let queued = SimTime::earliest(shard.queue.peek_time(), lane);
+            min = SimTime::earliest(min, SimTime::earliest(queued, hops));
+        }
+        min
+    }
+
+    /// The epoch loop every run shares. The barrier — the buffer swap,
+    /// trace flush, the earliest pending event and the next bound — runs
+    /// on the calling thread; `run` runs every task of a step and returns
+    /// once all of them have finished, however it spreads them over
+    /// threads. A debug build checks every bound against
+    /// [`Partition::scan_min`].
     fn epochs(&self, merge: &mut TraceMerge, clock: EpochClock, run: &mut dyn FnMut(Step)) {
         run(Step::Init);
         loop {
             self.exchange();
             merge.flush();
-            let Some(next) = self.min_peek() else { break };
+            let next = self.min_peek();
+            debug_assert_eq!(next, self.scan_min(), "the epoch bound missed an event");
+            let Some(next) = next else { break };
             if next > clock.horizon() {
                 break;
             }
@@ -1701,6 +1784,88 @@ mod tests {
         let reference = run(None);
         for round in 0..96 {
             assert!(run(Some(4)) == reference, "round {round} diverged");
+        }
+    }
+
+    /// A hop still waiting in an inbox bounds the next epoch: in a
+    /// one-client fleet without cross traffic, the SYNs the first barrier
+    /// hands to the core are the only events ahead of the client's RTO
+    /// timer. A bound that read only queues and lanes would run the first
+    /// epoch up to the timer, past the SYNs' arrival. Once the core has
+    /// forwarded the first, the next barrier hands it to the client
+    /// shard's inbox, which must bound the epoch after: it is due before
+    /// the core's second SYN and the timer.
+    #[test]
+    fn a_hop_waiting_in_an_inbox_bounds_the_epoch() {
+        let mut cfg = small(1, 4);
+        cfg.cross_sources = 0;
+        let sim = ShardedFleetSim::new(cfg, 1);
+        let part = &sim.part;
+        part.task(1, Step::Init);
+        part.task(0, Step::Init);
+        let timer = part.shards[0].lock().unwrap().next_time();
+        part.exchange();
+        let syn = part.core.lock().unwrap().inboxes[0].earliest;
+        assert!(syn.is_some() && syn < timer, "SYN {syn:?}, timer {timer:?}");
+        assert_eq!(part.shards[0].lock().unwrap().next_time(), timer);
+        assert_eq!(part.min_peek(), syn);
+        assert_eq!(part.scan_min(), syn);
+
+        let bound = sim.clock().bound_for(syn.unwrap());
+        part.task(1, Step::Until(bound));
+        part.exchange();
+        let back = part.shards[0].lock().unwrap().inbox.earliest;
+        assert!(
+            back.is_some() && back < timer,
+            "hop {back:?}, timer {timer:?}"
+        );
+        let core = part.core.lock().unwrap().next_time();
+        assert!(
+            core.is_none_or(|at| Some(at) > back),
+            "core {core:?}, hop {back:?}"
+        );
+        assert_eq!(part.min_peek(), back);
+        assert_eq!(part.scan_min(), back);
+    }
+
+    /// Hops of capacity the inboxes and outboxes hold.
+    fn hops_held(part: &Partition) -> usize {
+        let core = part.core.lock().unwrap();
+        let core_held: usize = core
+            .inboxes
+            .iter()
+            .chain(&core.outboxes)
+            .map(|b| b.hops.capacity())
+            .sum();
+        let shards_held: usize = part
+            .shards
+            .iter()
+            .map(|shard| {
+                let shard = shard.lock().unwrap();
+                shard.inbox.hops.capacity() + shard.outbox.hops.capacity()
+            })
+            .sum();
+        core_held + shards_held
+    }
+
+    /// The hand-off buffers give a start-up burst back: every client's
+    /// handshake leaves at time zero, but once the bottleneck paces the
+    /// traffic each of the two buffers of a direction shrinks to what it
+    /// carries. The four buffers per client shard must hold at most
+    /// `4 × HOPS_KEPT` hops each on average; they read 148 (one shard) and
+    /// 157 (three), and 528 and 295 when a drained buffer never shrinks.
+    #[test]
+    fn the_hop_buffers_give_back_the_start_up_burst() {
+        for shards in [1, 3] {
+            let mut cfg = small(384, 8);
+            cfg.duration = SimDuration::from_secs(1);
+            let mut sim = ShardedFleetSim::new(cfg, shards);
+            sim.run();
+            let (held, max) = (hops_held(&sim.part), 4 * shards * 4 * HOPS_KEPT);
+            assert!(
+                held <= max,
+                "{shards} shard(s) hold {held} hops of capacity, over {max}"
+            );
         }
     }
 
