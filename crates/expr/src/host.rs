@@ -11,10 +11,10 @@
 //! The queue is a [`LaneQueue`] with one lane per link direction for the
 //! segments in flight, one lane for each of the three timers (tick,
 //! TimerCheck, CellReady), each of which has at most one event pending,
-//! and one lane holding the instants of an attached fault plan. A link
-//! delivers nearly in order, so a delivery almost always joins the back of
-//! its lane; `host.link.reordered` in the run's metrics counts the ones
-//! that did not.
+//! one lane holding the instants of an attached fault plan and one the
+//! two edges of a scenario's WiFi outage. A link delivers nearly in order,
+//! so a delivery almost always joins the back of its lane;
+//! `host.link.reordered` in the run's metrics counts the ones that did not.
 //!
 //! Modelling notes (deviations documented in DESIGN.md):
 //!
@@ -32,12 +32,12 @@ use crate::strategy::Strategy;
 use emptcp::{Action, EmptcpClient, IfaceTotals};
 use emptcp_energy::{Eib, EnergyMeter, EnergyModel, RadioSnapshot};
 use emptcp_faults::{
-    plan, FaultAction, FaultInjector, FaultPart, FaultSpec, FaultState, FaultSurface, FaultTarget,
+    plan, FaultAction, FaultInjector, FaultPart, FaultSpec, FaultSurface, FaultTarget,
 };
 use emptcp_mptcp::{rearm, MpConnection, RecoveryStats, Role, Subflow, SubflowId};
 use emptcp_phy::link::EnqueueOutcome;
 use emptcp_phy::mobility::MobilityModel;
-use emptcp_phy::path::{Direction, Path, PathConfig};
+use emptcp_phy::path::{Path, PathConfig};
 use emptcp_phy::rrc::RrcState;
 use emptcp_phy::{IfaceKind, RrcMachine, WifiChannel};
 use emptcp_sim::trace::TimeSeries;
@@ -55,17 +55,25 @@ const TICK: SimDuration = SimDuration::from_millis(100);
 const DRAIN_CAP: SimDuration = SimDuration::from_secs(16);
 
 /// The queue's lanes: [`deliver_lane`] numbers the four link directions,
-/// then one lane per timer, then the fault instants.
+/// then one lane per timer, then the fault instants, then the outage's
+/// edges (a lane of their own, so that each lane is filled in order).
 const TICK_LANE: usize = 4;
 const TIMER_LANE: usize = 5;
 const CELL_READY_LANE: usize = 6;
 const FAULT_LANE: usize = 7;
-const LANES: usize = 8;
+const OUTAGE_LANE: usize = 8;
+const LANES: usize = 9;
+
+/// The index of `iface`'s path: WiFi first, as [`FaultTarget::path_index`]
+/// numbers the targets.
+fn path_index(iface: IfaceKind) -> usize {
+    usize::from(iface.is_cellular())
+}
 
 /// The lane of the segments in flight on `iface`'s path toward the client
 /// (`to_client`) or the server.
 fn deliver_lane(iface: IfaceKind, to_client: bool) -> usize {
-    2 * usize::from(iface != IfaceKind::Wifi) + usize::from(to_client)
+    2 * path_index(iface) + usize::from(to_client)
 }
 
 #[derive(Clone, Debug)]
@@ -83,6 +91,8 @@ enum Event {
     CellReady,
     /// One or more scripted faults are due.
     Faults,
+    /// An edge of the scenario's WiFi outage: `IfaceDown` or `IfaceUp`.
+    Outage(FaultAction),
 }
 
 /// Everything measured from one run.
@@ -195,8 +205,8 @@ pub struct Simulation {
 
     wifi_channel: WifiChannel,
     rrc: RrcMachine,
-    wifi_path: Path,
-    cell_path: Path,
+    /// The WiFi path, then the cellular one ([`path_index`]).
+    paths: [Path; 2],
     cell_pending: Vec<(usize, SubflowId, bool, Segment)>,
 
     modulator: Option<BandwidthModulator>,
@@ -236,9 +246,6 @@ pub struct Simulation {
     injector: Option<FaultInjector>,
     /// Fault events applied so far.
     faults_applied: u64,
-    /// What the plan holds over each access path, indexed by
-    /// [`FaultTarget::path_index`] (WiFi, then cellular).
-    faults: [FaultState; 2],
 }
 
 impl Simulation {
@@ -263,8 +270,23 @@ impl Simulation {
 
         // The one process that drives the WiFi capacity, and where it starts.
         let (mut modulator, mut interferers, mut mobility) = (None, None, None);
+        let mut queue = LaneQueue::new();
         let initial_wifi_bps = match &scenario.wifi {
-            WifiEnvironment::Static { bps } | WifiEnvironment::StaticWithOutage { bps, .. } => *bps,
+            WifiEnvironment::Static { bps } => *bps,
+            WifiEnvironment::StaticWithOutage {
+                bps,
+                outage_start,
+                outage_end,
+            } => {
+                // The WiFi interface goes down and comes back, queued
+                // first so that at a shared instant it lands first.
+                if outage_start < outage_end {
+                    let (down, up) = (FaultAction::IfaceDown, FaultAction::IfaceUp);
+                    queue.schedule(OUTAGE_LANE, *outage_start, Event::Outage(down));
+                    queue.schedule(OUTAGE_LANE, *outage_end, Event::Outage(up));
+                }
+                *bps
+            }
             WifiEnvironment::Modulated {
                 mean_hold_s,
                 start_high,
@@ -301,12 +323,11 @@ impl Simulation {
         };
         let wifi_channel = WifiChannel::new(initial_wifi_bps);
         let rrc_cfg = model.cellular().rrc;
-        let wifi_path = Path::new(PathConfig::wifi(initial_wifi_bps, scenario.wifi_rtt));
-        let cell_path = Path::new(PathConfig::cellular(
-            scenario.cell_kind,
-            scenario.cell_bps,
-            scenario.cell_rtt,
-        ));
+        let paths = [
+            PathConfig::wifi(initial_wifi_bps, scenario.wifi_rtt),
+            PathConfig::cellular(scenario.cell_kind, scenario.cell_bps, scenario.cell_rtt),
+        ]
+        .map(Path::new);
 
         let mdp_policy = if matches!(strategy, Strategy::MdpScheduler) {
             Some(crate::mdp::MdpPolicy::pluntke(&model))
@@ -321,11 +342,10 @@ impl Simulation {
             scenario,
             strategy,
             rng,
-            queue: LaneQueue::new(),
+            queue,
             wifi_channel,
             rrc,
-            wifi_path,
-            cell_path,
+            paths,
             cell_pending: Vec::new(),
             modulator,
             interferers,
@@ -350,7 +370,6 @@ impl Simulation {
             last_energy_j: 0.0,
             injector: None,
             faults_applied: 0,
-            faults: [FaultState::default(); 2],
         };
         sim.setup_connections();
         sim
@@ -359,8 +378,9 @@ impl Simulation {
     /// Arm a scripted fault plan, once, before [`Simulation::run`]. Each
     /// fault fires at its own instant: every instant the plan names is
     /// queued here, ahead of anything the run will queue, so at a shared
-    /// instant the faults land before the tick and every other event. Two
-    /// runs with the same seed and plan stay byte-identical.
+    /// instant the faults land before the tick and every other event, and
+    /// after the scenario outage's edge queued at construction. Two runs
+    /// with the same seed and plan stay byte-identical.
     pub fn attach_faults(&mut self, faults: &[FaultSpec]) {
         let mut instants: Vec<SimTime> = plan::expand(faults).iter().map(|e| e.at).collect();
         instants.dedup();
@@ -375,11 +395,7 @@ impl Simulation {
     /// The network path `iface`'s traffic rides: WiFi, or the cellular
     /// path for any cellular kind.
     pub fn path(&self, iface: IfaceKind) -> &Path {
-        if iface == IfaceKind::Wifi {
-            &self.wifi_path
-        } else {
-            &self.cell_path
-        }
+        &self.paths[path_index(iface)]
     }
 
     fn setup_connections(&mut self) {
@@ -464,18 +480,9 @@ impl Simulation {
         to_client: bool,
         seg: Segment,
     ) {
-        let dir = if to_client {
-            Direction::Down
-        } else {
-            Direction::Up
-        };
-        let path = if iface == IfaceKind::Wifi {
-            &mut self.wifi_path
-        } else {
-            &mut self.cell_path
-        };
+        let path = &mut self.paths[path_index(iface)];
         if let EnqueueOutcome::Delivered(at) =
-            path.enqueue(dir, now, seg.wire_bytes(), &mut self.rng)
+            path.enqueue(to_client, now, seg.wire_bytes(), &mut self.rng)
         {
             let deliver = Event::Deliver {
                 conn: conn as u32,
@@ -490,11 +497,7 @@ impl Simulation {
 
     fn send(&mut self, now: SimTime, conn: usize, sf: SubflowId, seg: Segment, from_client: bool) {
         let iface = self.conns[conn].client.subflow(sf).iface;
-        if iface == IfaceKind::Wifi {
-            if from_client {
-                self.window_bytes[0] += seg.wire_bytes();
-            }
-        } else {
+        if iface.is_cellular() {
             // Cellular: the device radio must be connected.
             let (_transitions, ready) = self.rrc.on_activity(now);
             if !self.rrc.state().can_transfer() {
@@ -505,9 +508,9 @@ impl Simulation {
                 }
                 return;
             }
-            if from_client {
-                self.window_bytes[1] += seg.wire_bytes();
-            }
+        }
+        if from_client {
+            self.window_bytes[path_index(iface)] += seg.wire_bytes();
         }
         self.transmit(now, iface, conn, sf, !from_client, seg);
     }
@@ -563,15 +566,13 @@ impl Simulation {
         seg: Segment,
     ) {
         let iface = self.conns[conn].client.subflow(sf).iface;
-        if iface != IfaceKind::Wifi {
+        if iface.is_cellular() {
             // Keep the device radio's activity clock fresh; deliveries only
             // happen while connected, so this never queues.
             let _ = self.rrc.on_activity(now);
-            if to_client {
-                self.window_bytes[1] += seg.wire_bytes();
-            }
-        } else if to_client {
-            self.window_bytes[0] += seg.wire_bytes();
+        }
+        if to_client {
+            self.window_bytes[path_index(iface)] += seg.wire_bytes();
         }
 
         let outcome = if to_client {
@@ -707,24 +708,21 @@ impl Simulation {
         self.conns.iter().map(moved).sum()
     }
 
-    /// The WiFi association came or went: propagate link state to every
-    /// WiFi subflow on both ends (the kernel learns this from the link
+    /// Path `idx` went up or down: propagate its link state to the
+    /// subflow on it, on both ends (the kernel learns this from the link
     /// layer; the server infers it from timeouts — the host short-circuits
-    /// that, see DESIGN.md §8), and let Single-Path mode fail over.
-    fn on_wifi_association_change(&mut self, now: SimTime, associated: bool) {
+    /// that, see DESIGN.md §8), and let Single-Path mode fail over when
+    /// WiFi goes.
+    fn on_link_change(&mut self, now: SimTime, idx: usize) {
+        let up = !self.paths[idx].fault().down;
+        let fail_over = !up && idx == 0 && matches!(self.strategy, Strategy::SinglePath);
         for i in 0..self.conns.len() {
-            if let Some(id) = self.conns[i].wifi_sf {
-                self.conns[i]
-                    .client
-                    .set_subflow_link_up(now, id, associated);
-                self.conns[i]
-                    .server
-                    .set_subflow_link_up(now, id, associated);
+            let c = &mut self.conns[i];
+            if let Some(id) = [c.wifi_sf, c.cell_sf][idx] {
+                c.client.set_subflow_link_up(now, id, up);
+                c.server.set_subflow_link_up(now, id, up);
             }
-            if !associated
-                && matches!(self.strategy, Strategy::SinglePath)
-                && self.conns[i].cell_sf.is_none()
-            {
+            if fail_over && c.cell_sf.is_none() {
                 // §2.1: Single-Path mode establishes a new subflow only
                 // after the current interface goes down.
                 self.open_cellular(now, i);
@@ -787,47 +785,14 @@ impl Simulation {
         }
     }
 
-    /// Apply the faults due at `now` and push the WiFi state they change.
-    /// The stacks learn of a link change at once; what they send in reply
-    /// leaves on the next event that drains them. The injector is taken
-    /// out of `self` for the call because the simulation is its own fault
-    /// surface.
+    /// Apply the faults due at `now`. The stacks learn of a link change at
+    /// once; what they send in reply leaves on the next event that drains
+    /// them. The injector is taken out of `self` for the call because the
+    /// simulation is its own fault surface.
     fn on_faults(&mut self, now: SimTime) {
         let mut injector = self.injector.take().expect("fault event without a plan");
         self.faults_applied += injector.poll(now, self) as u64;
         self.injector = Some(injector);
-        self.push_wifi(now);
-    }
-
-    /// Push the WiFi state into the downlink: the association (down
-    /// during a scenario outage or while a fault holds it down), and the
-    /// rate and loss the fault state gives over the channel model's
-    /// current output, which is the WiFi nominal (a fault's loss model is
-    /// installed once, when it fires: a push would reset its burst state).
-    /// Returns the rate pushed.
-    fn push_wifi(&mut self, now: SimTime) -> u64 {
-        let fault = self.faults[0];
-        let scenario_associated = match self.scenario.wifi {
-            WifiEnvironment::StaticWithOutage {
-                outage_start,
-                outage_end,
-                ..
-            } => !(outage_start..outage_end).contains(&now),
-            _ => true,
-        };
-        let associated = scenario_associated && !fault.down;
-        if associated != self.wifi_channel.associated() {
-            self.wifi_channel.set_associated(associated);
-            self.on_wifi_association_change(now, associated);
-        }
-        let eff = fault.rate_bps(self.wifi_channel.effective_rate_bps());
-        self.wifi_path.down_mut().set_rate_bps(now, eff);
-        if fault.loss.is_none() {
-            self.wifi_path
-                .down_mut()
-                .set_loss_prob(self.wifi_channel.loss_prob());
-        }
-        eff
     }
 
     fn on_tick(&mut self, now: SimTime) {
@@ -845,7 +810,8 @@ impl Simulation {
         if let Some(mob) = self.mobility.as_ref() {
             self.wifi_channel.set_nominal_bps(mob.wifi_goodput_bps(now));
         }
-        let eff = self.push_wifi(now);
+        let ch = &self.wifi_channel;
+        let eff = self.paths[0].set_down_nominal(now, ch.effective_rate_bps(), ch.loss_prob());
 
         // 2. RRC timers (tail/idle transitions).
         self.rrc.poll(now);
@@ -1034,31 +1000,33 @@ impl Simulation {
     pub fn run(mut self) -> RunResult {
         self.queue.schedule(TICK_LANE, SimTime::ZERO, Event::Tick);
         self.drain_all(SimTime::ZERO);
-        let horizon = self.scenario.horizon;
-        while !self.done {
-            let Some((now, event)) = self.queue.pop() else {
-                break;
-            };
-            if now > horizon {
-                break;
-            }
-            match event {
-                Event::Deliver {
-                    conn,
-                    sf,
-                    to_client,
-                    seg,
-                } => self.on_deliver(now, conn as usize, sf, to_client, seg),
-                Event::Tick => self.on_tick(now),
-                Event::TimerCheck => self.on_timer_check(now),
-                Event::CellReady => {
-                    self.on_cell_ready(now);
-                    self.drain_all(now);
-                }
-                Event::Faults => self.on_faults(now),
-            }
-        }
+        while self.step() {}
         self.finish()
+    }
+
+    /// Handle the next event; false once the run is over.
+    fn step(&mut self) -> bool {
+        let next = if self.done { None } else { self.queue.pop() };
+        let Some((now, event)) = next.filter(|e| e.0 <= self.scenario.horizon) else {
+            return false;
+        };
+        match event {
+            Event::Deliver {
+                conn,
+                sf,
+                to_client,
+                seg,
+            } => self.on_deliver(now, conn as usize, sf, to_client, seg),
+            Event::Tick => self.on_tick(now),
+            Event::TimerCheck => self.on_timer_check(now),
+            Event::CellReady => {
+                self.on_cell_ready(now);
+                self.drain_all(now);
+            }
+            Event::Faults => self.on_faults(now),
+            Event::Outage(edge) => self.apply(now, FaultTarget::Wifi, edge),
+        }
+        true
     }
 
     fn finish(mut self) -> RunResult {
@@ -1089,9 +1057,9 @@ impl Simulation {
                         + self.conns.iter().map(cut_by_scheduler).sum::<u64>(),
                 );
                 // Deliveries that overtook an earlier one on the same link
-                // (the timer lanes never hold two events and the fault lane
-                // is filled in order, so every insert ahead of a lane's
-                // tail is one).
+                // (the timer lanes never hold two events and the fault and
+                // outage lanes are filled in order, so every insert ahead
+                // of a lane's tail is one).
                 m.counter_add("host.link.reordered", self.queue.inserted_ahead());
                 m.gauge_set("rrc.promotions_total", self.rrc.promotions() as f64);
                 for state in emptcp_phy::rrc::RrcState::ALL {
@@ -1180,56 +1148,27 @@ impl Simulation {
     }
 }
 
-/// How the fault injector mutates this host: each access path keeps a
-/// [`FaultState`], and an action pushes the part it changed into the
-/// path's downlink, where extra delay, loss and rate ride. WiFi up/down
-/// and rate reach the link through the association and the channel
-/// model, pushed by [`Simulation::push_wifi`] right after the injector's
-/// poll; the cellular nominal is the link's config, and a cellular
-/// `IfaceDown`/`IfaceUp` hits both directions and tells the stacks. The
-/// host has no explicit core hop: a `Core` fault is both access paths at
-/// once.
+/// How the fault injector mutates this host: each interface is one
+/// [`Path`], which keeps its own fault state and takes every action in
+/// both directions, each link over its own nominal (the WiFi downlink's
+/// is the channel model's current output). When an action takes a path
+/// down or brings it up, its subflows learn at once, on both ends. A
+/// scenario's WiFi outage arrives through this same call, and a `Core`
+/// fault is both access paths at once.
 ///
-/// `Rate(Some(0))` on either target is a *silent* blackhole — packets die
-/// in the link but no link-down notification reaches the stack, so only
-/// the consecutive-RTO failure detector can react. `IfaceDown` is the
-/// *notified* variant: the link layer tells every subflow immediately.
-/// Extra delay rides the downlink: one extra one-way delay is one extra
-/// RTT contribution, which is what an RRC reconfiguration or a congested
-/// AP queue looks like from the transport.
+/// `Rate(Some(0))` is a *silent* blackhole — packets die in the link but
+/// no link-down notification reaches the stack, so only the
+/// consecutive-RTO failure detector can react. `IfaceDown` is the
+/// *notified* variant. Extra delay rides each direction, so the RTT grows
+/// by twice the added one-way delay.
 impl FaultSurface for Simulation {
     fn apply(&mut self, now: SimTime, target: FaultTarget, action: FaultAction) {
-        let Some(idx) = target.path_index() else {
-            self.apply(now, FaultTarget::Wifi, action);
-            self.apply(now, FaultTarget::Cellular, action);
-            return;
-        };
-        let fault = &mut self.faults[idx];
-        let part = fault.apply(action);
-        if idx == 0 {
-            // Up/down and rate reach the link through `push_wifi`.
-            let down = self.wifi_path.down_mut();
-            match part {
-                FaultPart::Loss if fault.loss.is_none() => {
-                    down.set_loss_prob(self.wifi_channel.loss_prob());
-                }
-                FaultPart::Loss | FaultPart::Delay => fault.push(part, now, down),
-                FaultPart::Up | FaultPart::Rate => {}
+        // A `Core` target has no path index: it is both paths.
+        for idx in 0..self.paths.len() {
+            let hit = target.path_index().is_none_or(|i| i == idx);
+            if hit && self.paths[idx].apply(now, action) == FaultPart::Up {
+                self.on_link_change(now, idx);
             }
-            return;
-        }
-        fault.push(part, now, self.cell_path.down_mut());
-        if part == FaultPart::Up {
-            let up = !fault.down;
-            for c in &mut self.conns {
-                if let Some(id) = c.cell_sf {
-                    c.client.set_subflow_link_up(now, id, up);
-                    c.server.set_subflow_link_up(now, id, up);
-                }
-            }
-            let uplink = self.cell_path.up_mut();
-            let rate = if up { uplink.config().rate_bps } else { 0 };
-            uplink.set_rate_bps(now, rate);
         }
     }
 }
@@ -1409,18 +1348,37 @@ mod tests {
     }
 
     #[test]
-    fn a_wifi_rate_override_yields_to_a_wifi_iface_down() {
-        let mut sim = Simulation::new(quick_download(MB), Strategy::Mptcp, 1);
-        let now = SimTime::from_secs(1);
-        let fire = |sim: &mut Simulation, action| {
-            sim.apply(now, FaultTarget::Wifi, action);
-            sim.push_wifi(now)
+    fn a_scenario_outage_takes_wifi_down_under_a_rate_override() {
+        let ms = SimTime::from_millis;
+        let mut s = quick_download(16 * MB);
+        s.wifi = WifiEnvironment::StaticWithOutage {
+            bps: 11_000_000,
+            outage_start: ms(1_000),
+            outage_end: ms(3_000),
         };
-        assert_eq!(fire(&mut sim, FaultAction::Rate(Some(500_000))), 500_000);
-        assert_eq!(fire(&mut sim, FaultAction::IfaceDown), 0);
-        assert_eq!(sim.wifi_path.down().rate_bps(), 0);
-        // The override is still in force once the link is back.
-        assert_eq!(fire(&mut sim, FaultAction::IfaceUp), 500_000);
+        let step = |at_ms, bps| FaultSpec::RateStep {
+            target: FaultTarget::Wifi,
+            at_ms,
+            bps,
+        };
+        let mut sim = Simulation::new(s, Strategy::Mptcp, 1);
+        sim.attach_faults(&[step(500, Some(2_000_000)), step(4_000, None)]);
+        sim.queue.schedule(TICK_LANE, SimTime::ZERO, Event::Tick);
+        // Run to `t`, then read both WiFi links and whether the WiFi
+        // subflow is link-down on each end.
+        let mut probe = |t| {
+            while sim.queue.now() < t && sim.step() {}
+            let (wifi, c) = (&sim.paths[0], &sim.conns[0]);
+            let id = c.wifi_sf.expect("a WiFi subflow");
+            let down = [&c.client, &c.server].map(|end| end.subflow(id).link_down);
+            (wifi.down().rate_bps(), wifi.up().rate_bps(), down)
+        };
+        assert_eq!(probe(ms(2_000)), (0, 0, [true; 2]));
+        assert_eq!(probe(ms(3_500)), (2_000_000, 2_000_000, [false; 2]));
+        while sim.step() {}
+        let r = sim.finish();
+        assert!(r.completed, "{r:?}");
+        assert_eq!(r.faults_injected, 2, "the outage is not a plan's fault");
     }
 
     #[test]

@@ -4,87 +4,25 @@
 //! `FaultState`: each override lasts until its own restore, whatever
 //! `IfaceUp`s come between, and a target that is down runs at rate zero
 //! whatever rate a fault set. Here random `(target, action)` sequences
-//! drive three surfaces at once — the host's cellular downlink, the fleet
-//! core's bottleneck port and a shaped `ChaosPath` — and after every
+//! drive three surfaces at once — both directions of both host paths, the
+//! fleet core's bottleneck port and a shaped `ChaosPath` — and after every
 //! action each must run at the rate, loss and delay that a reference fold
-//! of the rule gives. A plan restores nominal exactly when the same fold
-//! leaves every target holding nothing.
+//! of the rule gives. A host path and a shaped path given the same
+//! sequence hold the same `FaultState`. A plan restores nominal exactly
+//! when the same fold leaves every target holding nothing.
 
-use emptcp_expr::host::Simulation;
-use emptcp_expr::scenario::{Scenario, Workload};
-use emptcp_expr::Strategy;
 use emptcp_faults::FaultAction::{self, ExtraDelay, IfaceDown, IfaceUp, Loss, Rate};
 use emptcp_faults::{plan, ChaosPath, FaultSpec, FaultState, FaultSurface, FaultTarget};
 use emptcp_net::{CorePorts, FleetConfig};
-use emptcp_phy::{GeParams, Link, LinkConfig, LossModel};
+use emptcp_phy::{LinkConfig, LossModel};
 use emptcp_sim::{SimDuration, SimRng, SimTime};
 use proptest::prelude::*;
 
+#[path = "fault_state/rig.rs"]
+mod rig;
+use rig::{held, running, wanted, Held, GE};
+
 const TARGETS: [FaultTarget; 3] = [FaultTarget::Wifi, FaultTarget::Cellular, FaultTarget::Core];
-
-/// What the newest action of each kind left over one target: the rule,
-/// folded newest first rather than through `FaultState`.
-#[derive(Debug, Default, PartialEq)]
-struct Held {
-    down: bool,
-    rate: Option<u64>,
-    loss: Option<LossModel>,
-    extra: Option<SimDuration>,
-}
-
-fn held<'a>(actions: impl DoubleEndedIterator<Item = &'a FaultAction> + Clone) -> Held {
-    let newest = actions.rev();
-    Held {
-        down: newest.clone().find_map(|a| match a {
-            IfaceDown => Some(true),
-            IfaceUp => Some(false),
-            _ => None,
-        }) == Some(true),
-        rate: newest
-            .clone()
-            .find_map(|a| match *a {
-                Rate(rate) => Some(rate),
-                _ => None,
-            })
-            .flatten(),
-        loss: newest
-            .clone()
-            .find_map(|a| match *a {
-                Loss(loss) => Some(loss),
-                _ => None,
-            })
-            .flatten(),
-        extra: newest
-            .clone()
-            .find_map(|a| match *a {
-                ExtraDelay(extra) => Some(extra),
-                _ => None,
-            })
-            .flatten(),
-    }
-}
-
-/// What a link built with `nominal` runs at while `h` holds.
-fn wanted(h: &Held, nominal: &LinkConfig) -> (u64, LossModel, SimDuration) {
-    let rate = if h.down {
-        0
-    } else {
-        h.rate.unwrap_or(nominal.rate_bps)
-    };
-    let loss = h.loss.unwrap_or(LossModel::Bernoulli(nominal.loss_prob));
-    (rate, loss, nominal.prop_delay + h.extra.unwrap_or_default())
-}
-
-fn running(link: &Link) -> (u64, LossModel, SimDuration) {
-    (link.rate_bps(), link.loss_model(), link.prop_delay())
-}
-
-const GE: GeParams = GeParams {
-    p_good_to_bad: 0.05,
-    p_bad_to_good: 0.25,
-    loss_good: 0.0,
-    loss_bad: 0.7,
-};
 
 fn action(rng: &mut SimRng) -> FaultAction {
     match rng.below(8) {
@@ -166,13 +104,10 @@ fn specs(rng: &mut SimRng, len: usize) -> Vec<FaultSpec> {
 /// Drive the three surfaces through `events`, checking each after every
 /// action against the reference fold of what reached it.
 fn every_surface_follows_the_rule(events: &[(FaultTarget, FaultAction)]) {
-    let scenario = Scenario::static_good_wifi().with(Workload::Download { size: 1 << 20 });
-    let cell = scenario.cell_kind;
-    let mut host = Simulation::new(scenario, Strategy::Mptcp, 1);
+    let mut host = rig::host();
     let mut core = CorePorts::new(&FleetConfig::contended(8, 1));
     // The cellular path in the reactor's routing: path 1.
     let mut shaped = ChaosPath::new(0.01, SimDuration::from_millis(35), 0);
-    let host_nominal = *host.path(cell).down().config();
     let core_nominal = *core.bottleneck().link().config();
     let shaped_nominal = LinkConfig {
         rate_bps: u64::MAX,
@@ -192,9 +127,8 @@ fn every_surface_follows_the_rule(events: &[(FaultTarget, FaultAction)]) {
         let reached = |hit: fn(FaultTarget) -> bool| {
             held(seen.iter().filter(move |e| hit(e.0)).map(|e| &e.1))
         };
+        rig::host_paths_follow_the_rule(&host, seen);
         let cellular = reached(|t| t != FaultTarget::Wifi);
-        let host_link = host.path(cell).down();
-        prop_assert_eq!(running(host_link), wanted(&cellular, &host_nominal), "host");
         let core_held = reached(|t| t == FaultTarget::Core);
         let core_link = core.bottleneck().link();
         prop_assert_eq!(
@@ -222,6 +156,18 @@ proptest! {
             .map(|_| (TARGETS[rng.below(3) as usize], action(&mut rng)))
             .collect();
         every_surface_follows_the_rule(&events);
+    }
+
+    #[test]
+    fn a_host_path_and_a_shaped_path_hold_one_fault_state(
+        seed in 0u64..u64::MAX,
+        len in 1usize..40,
+    ) {
+        let mut rng = SimRng::new(seed);
+        let events: Vec<_> = (0..len)
+            .map(|_| (TARGETS[rng.below(3) as usize], action(&mut rng)))
+            .collect();
+        rig::host_and_shaped_paths_agree(&events);
     }
 
     #[test]

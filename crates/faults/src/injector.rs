@@ -13,8 +13,8 @@ use crate::spec::FaultSpec;
 use emptcp_sim::SimTime;
 use emptcp_telemetry::{TelemetryScope, TraceEvent};
 
-/// What a fault plan can mutate. Implemented by the experiment host (which
-/// owns real [`emptcp_phy::Link`]s and the WiFi association), the shard
+/// What a fault plan can mutate. Implemented by the experiment host (whose
+/// [`emptcp_phy::Path`]s take each action in both directions), the shard
 /// engine's core ports and the reactor's shaped paths. A surface routes
 /// each action to a target's [`FaultState`](crate::FaultState) and pushes
 /// the part it changed into its medium. Restorative actions carry `None`,

@@ -14,10 +14,12 @@
 //! * [`plan`] — a plan is a `&[FaultSpec]`; [`plan::expand`] turns it into
 //!   time-sorted [`FaultEvent`]s (one [`FaultAction`] on one
 //!   [`FaultTarget`] at one instant). No randomness survives past the
-//!   specs. A [`FaultState`] is what the events hold over one target.
+//!   specs. A [`FaultState`] is what the events hold over one target
+//!   (the action and state types live in `emptcp_phy::fault`, re-exported
+//!   here).
 //! * [`injector`] — a [`FaultInjector`] replays a plan, at each driver's
 //!   own instants, against anything implementing [`FaultSurface`]'s one
-//!   call (the experiment host's links, the shard engine's core ports, the
+//!   call (the experiment host's paths, the shard engine's core ports, the
 //!   reactor's shaped paths), emitting a telemetry event per fault. A
 //!   surface folds the action into a [`FaultState`] and pushes the part it
 //!   changed into its medium, over the link's config or the host's channel.

@@ -66,7 +66,10 @@ pub enum FaultSpec {
         /// Spacing of the ramp steps, ms.
         step_ms: u64,
     },
-    /// An RTT spike: extra one-way delay for a window.
+    /// An RTT spike: extra one-way delay for a window, added to each
+    /// direction of the interface it hits (a host path, a shaped path), so
+    /// the RTT there grows by twice `extra_ms`; on the fleet core it
+    /// delays the bottleneck, one direction.
     RttSpike {
         /// Interface whose delay inflates.
         target: FaultTarget,
@@ -74,7 +77,7 @@ pub enum FaultSpec {
         from_ms: u64,
         /// Spike length, ms.
         dur_ms: u64,
-        /// Added one-way delay, ms.
+        /// Added one-way delay, ms, in each direction.
         extra_ms: u64,
     },
     /// A WiFi→cellular handover gap (WiFi association lost for `gap_ms`).
@@ -90,7 +93,8 @@ pub enum FaultSpec {
         at_ms: u64,
         /// Stall length, ms.
         dur_ms: u64,
-        /// Added one-way delay while stalled, ms.
+        /// Added one-way delay while stalled, ms, in each direction of the
+        /// cellular path: the RTT grows by twice it.
         extra_ms: u64,
     },
     /// A raw rate step (`None` = back to nominal). The only primitive that

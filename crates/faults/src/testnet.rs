@@ -75,6 +75,11 @@ impl ChaosPath {
         self.loss.model()
     }
 
+    /// What the faults applied so far hold over the path.
+    pub fn fault(&self) -> &FaultState {
+        &self.fault
+    }
+
     /// Apply a fault action to both directions and say which part of the
     /// path's state it changed. Up/down, rate and delay change what
     /// [`shape`](Self::shape) reads; a loss action installs its model, or

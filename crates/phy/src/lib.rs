@@ -16,9 +16,11 @@
 //!   modulate AP bandwidth (§4.3) and interferer activity (§4.4),
 //! * [`mobility`] — waypoint routes, log-distance path loss and 802.11g
 //!   rate adaptation for the mobile scenario (§4.5),
+//! * [`fault`] — what faults hold over an interface (`FaultState`),
 //! * [`path`] — a bidirectional end-to-end path (client ↔ server) built
-//!   from two links plus the owning radio.
+//!   from two links plus the owning radio, taking faults both ways.
 
+pub mod fault;
 pub mod iface;
 pub mod link;
 pub mod mobility;

@@ -1,4 +1,4 @@
-//! WiFi channel model: AP capacity, DCF-style contention, association.
+//! WiFi channel model: AP capacity and DCF-style contention.
 //!
 //! The paper's §4.4 adds `n ∈ {2, 3}` interfering stations on the same
 //! channel, each blasting UDP according to an on-off process. Contention has
@@ -8,7 +8,8 @@
 //! contenders. Both feed straight into the WiFi [`Link`](crate::link::Link).
 //!
 //! The channel is a pure calculator — hosts push [`WifiChannel::effective_rate_bps`]
-//! and [`WifiChannel::loss_prob`] into the link whenever an input changes.
+//! and [`WifiChannel::loss_prob`] into the path's downlink nominal whenever
+//! an input changes; losing the AP is an `IfaceDown` on the WiFi path.
 
 use serde::{Deserialize, Serialize};
 
@@ -41,20 +42,15 @@ pub struct WifiChannel {
     nominal_bps: u64,
     /// Active interfering stations right now.
     active_contenders: u32,
-    /// Whether the device is associated with the AP at all. Losing
-    /// association is what triggers "WiFi-First" style fallbacks; merely
-    /// being far away degrades `nominal_bps` instead.
-    associated: bool,
     config: WifiContentionConfig,
 }
 
 impl WifiChannel {
-    /// An associated channel with the given idle-air goodput.
+    /// A channel with the given idle-air goodput.
     pub fn new(nominal_bps: u64) -> Self {
         WifiChannel {
             nominal_bps,
             active_contenders: 0,
-            associated: true,
             config: WifiContentionConfig::default(),
         }
     }
@@ -76,21 +72,8 @@ impl WifiChannel {
         self.active_contenders = k;
     }
 
-    /// Associate / disassociate with the AP.
-    pub fn set_associated(&mut self, associated: bool) {
-        self.associated = associated;
-    }
-
-    /// Whether the device currently holds an AP association.
-    pub fn associated(&self) -> bool {
-        self.associated
-    }
-
     /// The device's share of goodput under current contention.
     pub fn effective_rate_bps(&self) -> u64 {
-        if !self.associated {
-            return 0;
-        }
         let k = self.active_contenders as f64;
         let share = 1.0 / (k + 1.0) / (1.0 + self.config.collision_overhead * k);
         (self.nominal_bps as f64 * share) as u64
@@ -98,9 +81,6 @@ impl WifiChannel {
 
     /// Loss probability under current contention.
     pub fn loss_prob(&self) -> f64 {
-        if !self.associated {
-            return 1.0;
-        }
         (self.config.base_loss + self.config.loss_per_contender * self.active_contenders as f64)
             .clamp(0.0, 1.0)
     }
@@ -140,16 +120,6 @@ mod tests {
         let p3 = ch.loss_prob();
         assert!(p3 > p0);
         assert!((p3 - (0.0005 + 3.0 * 0.008)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn disassociation_kills_the_channel() {
-        let mut ch = WifiChannel::new(10_000_000);
-        ch.set_associated(false);
-        assert_eq!(ch.effective_rate_bps(), 0);
-        assert_eq!(ch.loss_prob(), 1.0);
-        ch.set_associated(true);
-        assert_eq!(ch.effective_rate_bps(), 10_000_000);
     }
 
     #[test]

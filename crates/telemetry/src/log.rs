@@ -1,79 +1,60 @@
-//! Minimal leveled logger for the experiment binaries.
+//! Minimal logger for the experiment binaries.
 //!
-//! Status output (progress lines, timings) goes through here instead of
-//! bare `eprintln!`, so `--quiet` can silence it uniformly. The level is a
+//! Status output (progress lines, timings) goes through [`info!`] instead
+//! of bare `eprintln!`, so `--quiet` can silence it uniformly. A
+//! [`warn!`] (a caught invariant violation, a degraded run) always
+//! prints: a run that fails must say why, `--quiet` or not. The level is a
 //! process-wide atomic: binaries set it once from their flags. All log
 //! output goes to stderr; stdout stays reserved for experiment *results*.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Verbosity levels, in increasing order of chattiness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
+/// How much progress output a binary prints.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Level {
-    /// Nothing but hard errors.
-    Quiet = 0,
-    /// Warnings (caught invariant violations, degraded runs).
-    Warn = 1,
-    /// Normal progress output (the default).
-    Info = 2,
-    /// Extra detail for debugging.
-    Debug = 3,
+    /// Warnings only.
+    Quiet,
+    /// Normal progress output too (the default).
+    Info,
 }
 
-static LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
+static QUIET: AtomicBool = AtomicBool::new(false);
 
 /// Set the process-wide log level.
 pub fn set_level(level: Level) {
-    LEVEL.store(level as u8, Ordering::Relaxed);
+    QUIET.store(level == Level::Quiet, Ordering::Relaxed);
 }
 
-/// The current process-wide log level.
-pub fn level() -> Level {
-    match LEVEL.load(Ordering::Relaxed) {
-        0 => Level::Quiet,
-        1 => Level::Warn,
-        2 => Level::Info,
-        _ => Level::Debug,
+/// The line a message prints, if any: a warning always, a progress line
+/// only when not quiet.
+fn line(warning: bool, quiet: bool, args: std::fmt::Arguments<'_>) -> Option<String> {
+    if warning {
+        Some(format!("warning: {args}"))
+    } else {
+        (!quiet).then(|| args.to_string())
     }
-}
-
-/// True if a message at `at` would currently be printed.
-pub fn enabled(at: Level) -> bool {
-    at != Level::Quiet && at <= level()
 }
 
 #[doc(hidden)]
-pub fn log(at: Level, args: std::fmt::Arguments<'_>) {
-    if enabled(at) {
-        match at {
-            Level::Warn => eprintln!("warning: {args}"),
-            _ => eprintln!("{args}"),
-        }
+pub fn log(warning: bool, args: std::fmt::Arguments<'_>) {
+    if let Some(line) = line(warning, QUIET.load(Ordering::Relaxed), args) {
+        eprintln!("{line}");
     }
 }
 
-/// Log at warn level.
+/// Log a warning; printed at every level.
 #[macro_export]
 macro_rules! warn {
     ($($arg:tt)*) => {
-        $crate::log::log($crate::log::Level::Warn, format_args!($($arg)*))
+        $crate::log::log(true, format_args!($($arg)*))
     };
 }
 
-/// Log at info level (normal progress output).
+/// Log at info level (normal progress output; `--quiet` silences it).
 #[macro_export]
 macro_rules! info {
     ($($arg:tt)*) => {
-        $crate::log::log($crate::log::Level::Info, format_args!($($arg)*))
-    };
-}
-
-/// Log at debug level.
-#[macro_export]
-macro_rules! debug {
-    ($($arg:tt)*) => {
-        $crate::log::log($crate::log::Level::Debug, format_args!($($arg)*))
+        $crate::log::log(false, format_args!($($arg)*))
     };
 }
 
@@ -82,11 +63,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_ordering_gates_output() {
-        // Don't mutate the global in parallel tests; just check the
-        // comparison logic the gate uses.
-        assert!(Level::Warn <= Level::Info);
-        assert!(Level::Debug > Level::Info);
-        assert!(!enabled(Level::Quiet));
+    fn a_warning_prints_at_every_level() {
+        for quiet in [true, false] {
+            let warned = line(true, quiet, format_args!("{} violation(s)", 2));
+            assert_eq!(warned.as_deref(), Some("warning: 2 violation(s)"));
+        }
+        assert_eq!(line(false, true, format_args!("done")), None);
+        let done = line(false, false, format_args!("done"));
+        assert_eq!(done.as_deref(), Some("done"));
     }
 }

@@ -9,8 +9,9 @@
 //! their sorted-`Vec` reference, a live transfer that loses nothing to its
 //! own socket buffers, exhibits that cannot tell which of them simulated a
 //! run they share, a sender that cuts no runts, one fault plan that
-//! fires at its own instants on all three drivers, and a fleet whose
-//! core-fed lanes keep the canonical order through a core rate rise.
+//! fires at its own instants on all three drivers, host interfaces that
+//! take every fault in both directions, and a fleet whose core-fed lanes
+//! keep the canonical order through a core rate rise.
 
 use emptcp_faults::testnet::ChaosPath;
 use emptcp_faults::{plan, FaultSpec, FaultTarget};
@@ -29,6 +30,8 @@ mod cadence_rig;
 mod drain_golden_rig;
 #[path = "../crates/sim/tests/event_queue_model/model.rs"]
 mod event_queue_model;
+#[path = "../crates/expr/tests/fault_state/rig.rs"]
+mod fault_state_rig;
 #[path = "../crates/mptcp/tests/mapping_model/model.rs"]
 mod mapping_model;
 #[path = "../crates/tcp/tests/ranges_model/model.rs"]
@@ -438,6 +441,48 @@ fn a_fault_fires_at_its_instant_on_every_driver() {
     assert!(rig.clock.now() > ms(1_930), "done at {:?}", rig.clock.now());
     assert_eq!(rig.stats().fault_events, 4);
     assert_eq!(fault_instants(&sink), instants(&both));
+}
+
+/// Reduced case of `fault_state` in `emptcp-expr`: fixed `(target,
+/// action)` sequences leave each host path holding the `FaultState` a
+/// shaped path given the same actions holds, and every host link, both
+/// directions of both paths, runs at what the fault rule gives over its
+/// own nominal.
+#[test]
+fn a_host_interface_takes_every_fault_both_ways() {
+    use emptcp_faults::FaultAction::{ExtraDelay, IfaceDown, IfaceUp, Loss, Rate};
+    use emptcp_repro::phy::LossModel;
+    let (wifi, cell, core) = (FaultTarget::Wifi, FaultTarget::Cellular, FaultTarget::Core);
+    let extra = |ms| ExtraDelay(Some(SimDuration::from_millis(ms)));
+    let burst = Loss(Some(LossModel::GilbertElliott(fault_state_rig::GE)));
+    let sequences: [&[_]; 3] = [
+        &[
+            (wifi, Rate(Some(2_000_000))),
+            (wifi, IfaceDown),
+            (wifi, IfaceUp),
+            (wifi, Rate(None)),
+        ],
+        &[
+            (cell, extra(150)),
+            (core, IfaceDown),
+            (cell, burst),
+            (core, IfaceUp),
+            (cell, ExtraDelay(None)),
+            (cell, Loss(None)),
+        ],
+        &[
+            (core, Rate(Some(0))),
+            (wifi, Loss(Some(LossModel::Bernoulli(0.2)))),
+            (wifi, IfaceDown),
+            (core, Rate(None)),
+            (wifi, extra(40)),
+            (wifi, Loss(None)),
+            (wifi, IfaceUp),
+        ],
+    ];
+    for events in sequences {
+        fault_state_rig::host_and_shaped_paths_agree(events);
+    }
 }
 
 /// The shard engine on persistent workers: a faulted, traced fleet gives
